@@ -3,10 +3,12 @@
 The amplitude budget caps the number of nonzero amplitudes a simulated
 state may carry; the enumeration budget caps exhaustive codeword or key
 sweeps.  ``NULLCODE_BUDGET`` in the environment overrides the amplitude
-budget.
+budget; it must be an integer >= 1.
 """
 
 import os
+
+from .errors import UsageError
 
 DEFAULT_AMPLITUDE_BUDGET = 1 << 26
 DEFAULT_ENUM_BUDGET = 1 << 16
@@ -17,4 +19,10 @@ def amplitude_budget() -> int:
     raw = os.environ.get("NULLCODE_BUDGET")
     if raw is None:
         return DEFAULT_AMPLITUDE_BUDGET
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise UsageError(f"NULLCODE_BUDGET={raw!r} is not an integer >= 1")
+    return value

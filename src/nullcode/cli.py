@@ -11,7 +11,6 @@ import argparse
 import csv
 import glob as glob_mod
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import codes, configs, hashing, instances, proto, qsim, tbnc
 from .codes import CodeSpec, DecoderParams
-from .errors import NullcodeError, ParseError
+from .errors import EmptySupport, NullcodeError, ParseError, UsageError
 from .gf import FieldCtx
 
 
@@ -32,11 +31,14 @@ def _load_spec(args) -> CodeSpec:
         with open(args.config) as fh:
             data = json.load(fh)
         return CodeSpec.from_json(data.get("code", data))
-    raise SystemExit("one of --t, --config, or --toy is required")
+    raise UsageError("one of --t, --config, or --toy is required")
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{text!r} is not a fraction") from None
 
 
 def _write_jsonl(path, records) -> None:
@@ -165,9 +167,12 @@ def cmd_instance_solve(args) -> int:
 
 
 def _parse_word(spec: CodeSpec, text: str):
-    ranks = [int(tok) for tok in text.replace(",", " ").split()]
+    try:
+        ranks = [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError(f"{text!r} is not a list of symbol ranks") from None
     if len(ranks) != spec.n:
-        raise SystemExit(f"expected {spec.n} symbol ranks")
+        raise UsageError(f"expected {spec.n} symbol ranks")
     return tuple(spec.rank_symbol(r) for r in ranks)
 
 
@@ -189,89 +194,52 @@ def _toy_run_config(args):
     return spec, p, params
 
 
-def cmd_qsim_lemma51(args) -> int:
+def _trial_records(args, run) -> list[dict]:
+    """Sample instances from --seed on until --trials calls of
+    run(spec, inst, params) complete, with one record per instance; an
+    instance with an empty table support is recorded as skipped."""
     spec, p, params = _toy_run_config(args)
+    keys = ("epsilon", "delta", "l2_distance", "success_probability")
     records = []
-    failures = 0
     seed = args.seed
     produced = 0
     while produced < args.trials:
         inst = instances.sample_instance(spec, p, seed)
-        seed += 1
         try:
-            out = qsim.add_decode_pipeline(spec, inst, params)
-        except NullcodeError as exc:
-            records.append(
-                {
-                    "seed": seed - 1,
-                    "skipped": str(exc),
-                    "epsilon": None,
-                    "delta": None,
-                    "l2_distance": None,
-                    "success_probability": None,
-                }
-            )
-            continue
-        produced += 1
-        ok = out["l2_distance"] <= out["bound"]
-        failures += not ok
-        records.append(
-            {
-                "seed": seed - 1,
-                "skipped": None,
-                "epsilon": out["epsilon"],
-                "delta": out["delta"],
-                "l2_distance": out["l2_distance"],
-                "success_probability": out["success_probability"],
-            }
-        )
+            out = run(spec, inst, params)
+        except EmptySupport as exc:
+            records.append({"seed": seed, "skipped": str(exc), **dict.fromkeys(keys)})
+        else:
+            produced += 1
+            records.append({"seed": seed, "skipped": None, **{k: out[k] for k in keys}})
+        seed += 1
+    return records
+
+
+def _referee_pipeline(spec, inst, params) -> dict:
+    phis = [qsim.prepare_phi(inst, i) for i in range(1, spec.n + 1)]
+    return qsim.add_decode_pipeline(spec, phis, params)
+
+
+def cmd_qsim_lemma51(args) -> int:
+    # add_decode_pipeline raises when a run leaves the distance bound
+    records = _trial_records(args, _referee_pipeline)
     _emit(records, args.out)
-    print(f"lemma51: {produced - failures}/{produced} within bound")
-    return 1 if failures else 0
+    done = sum(rec["skipped"] is None for rec in records)
+    print(f"lemma51: {done}/{done} within bound")
+    return 0
 
 
 def cmd_qsim_alg1(args) -> int:
-    spec, p, params = _toy_run_config(args)
-    records = []
-    seed = args.seed
-    produced = 0
-    while produced < args.trials:
-        inst = instances.sample_instance(spec, p, seed)
-        seed += 1
-        try:
-            out = qsim.run_smp_protocol(spec, inst, params)
-        except NullcodeError as exc:
-            records.append(
-                {
-                    "seed": seed - 1,
-                    "skipped": str(exc),
-                    "epsilon": None,
-                    "delta": None,
-                    "l2_distance": None,
-                    "success_probability": None,
-                }
-            )
-            continue
-        produced += 1
-        records.append(
-            {
-                "seed": seed - 1,
-                "skipped": None,
-                "epsilon": out["epsilon"],
-                "delta": out["delta"],
-                "l2_distance": out["l2_distance"],
-                "success_probability": out["success_probability"],
-            }
-        )
-    _emit(records, args.out)
+    _emit(_trial_records(args, qsim.run_smp_protocol), args.out)
     return 0
 
 
 def cmd_qsim_claim66(args) -> int:
     ctx = FieldCtx(1)
-    m = int(math.log2(args.sigma))
-    if 1 << m != args.sigma:
-        raise SystemExit("--sigma must be a power of two")
+    if args.sigma < 1 or args.sigma & (args.sigma - 1):
+        raise UsageError("--sigma must be a power of two")
+    m = args.sigma.bit_length() - 1
     stats = qsim.table_fourier_stats(
         ctx, m, _parse_fraction(args.p), trials=args.trials, seed=args.seed
     )
@@ -607,7 +575,6 @@ def cmd_report(args) -> int:
 def _add_common(p, trials=100):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=trials)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
 
 
@@ -780,6 +747,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except NullcodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

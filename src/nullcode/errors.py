@@ -57,6 +57,10 @@ class RetriesExhausted(NullcodeError):
     """Per-coordinate measurement retries hit the configured cap."""
 
 
+class UsageError(NullcodeError):
+    """A command-line argument or environment setting is malformed."""
+
+
 class ParseError(NullcodeError):
     """A result or config file could not be parsed."""
 

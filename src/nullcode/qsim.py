@@ -1,11 +1,12 @@
-"""Exact sparse simulation of the one-round SMP protocol and numerical
+"""Exact dense simulation of the one-round SMP protocol and numerical
 verification of its error analysis.
 
-States live over Sigma^n with Sigma = F_q^m.  Basis strings are tuples of
-symbol ranks; the Fourier transform is the n m-fold tensor power of the
-trace-character transform on F_q.  In characteristic 2 that matrix is real
-(entries +-1/sqrt(q)) and involutive, but amplitudes are kept complex so
-odd characteristic is not structurally excluded.
+States are dense vectors over Sigma^n, Sigma = F_q^m, indexed by flat
+symbol rank with the first coordinate most significant; pair states are
+(K, K) arrays, K = |Sigma|^n.  The Fourier transform is the n m-fold tensor
+power of the trace-character transform on F_q.  In characteristic 2 that
+matrix is real (entries +-1/sqrt(q)) and involutive, but amplitudes are
+kept complex so odd characteristic is not structurally excluded.
 
 The main pipeline computes, exactly:
 
@@ -20,6 +21,7 @@ sqrt(delta), which is the guarantee the protocol's analysis rests on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,28 +31,11 @@ import numpy as np
 from . import codes, instances
 from .budget import DEFAULT_ENUM_BUDGET, amplitude_budget
 from .codes import CodeSpec, DecoderParams
-from .errors import BudgetExceeded, EmptySupport
+from .errors import BudgetExceeded, EmptySupport, LengthMismatch
 from .gf import FieldCtx
 from .instances import OracleInstance
 
 _DENSE_QFT_LIMIT = 1 << 12
-
-
-@dataclass
-class SparseState:
-    """Amplitude map over basis strings (tuples of symbol ranks)."""
-
-    amps: dict
-    dims: tuple[int, int, int]  # (q, m, n)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def normalized(self) -> "SparseState":
-        nrm = self.norm()
-        return SparseState(
-            {k: v / nrm for k, v in self.amps.items()}, self.dims
-        )
 
 
 # -- Fourier kernels -------------------------------------------------------------
@@ -86,99 +71,56 @@ def sigma_qft_matrix(ctx: FieldCtx, m: int) -> np.ndarray:
 
 
 def apply_qft_vec(vec: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
-    """Apply kernel to each of the n symbol axes of a flat state vector."""
+    """Apply kernel to each of the n symbol axes of the last axis of vec
+    (length |Sigma|^n); any leading axes are carried along."""
     s = kernel.shape[0]
-    t = vec.reshape((s,) * n)
-    for axis in range(n):
+    t = vec.reshape(vec.shape[:-1] + (s,) * n)
+    for axis in range(vec.ndim - 1, t.ndim):
         t = np.tensordot(kernel, t, axes=([1], [axis]))
         t = np.moveaxis(t, 0, axis)
-    return t.reshape(-1)
+    return t.reshape(vec.shape)
 
 
 # -- state preparation -------------------------------------------------------------
 
 
-def prepare_phi(inst: OracleInstance, i: int) -> SparseState:
+def prepare_phi(inst: OracleInstance, i: int) -> np.ndarray:
     """Uniform superposition over T_i = {e : H_i(e) = 0}; i is 1-based."""
-    table = inst.tables[i - 1]
-    support = np.nonzero(table == 0)[0]
-    if support.size == 0:
+    support = inst.tables[i - 1] == 0
+    size = int(support.sum())
+    if size == 0:
         raise EmptySupport(f"table {i} maps every symbol to 1")
-    amp = 1.0 / math.sqrt(support.size)
-    return SparseState(
-        {(int(e),): complex(amp) for e in support},
-        (inst.spec.field.q, inst.spec.m, 1),
-    )
+    vec = np.zeros(support.size, dtype=np.complex128)
+    vec[support] = 1.0 / math.sqrt(size)
+    return vec
 
 
 def prepare_psi(
     spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET
-) -> SparseState:
-    """Uniform superposition over the code."""
-    ranks = codes.codeword_rank_matrix(spec, enum_budget)
-    amp = 1.0 / math.sqrt(ranks.shape[0])
-    return SparseState(
-        {tuple(int(r) for r in row): complex(amp) for row in ranks},
-        (spec.field.q, spec.m, spec.n),
-    )
-
-
-def tensor_phi(states: list[SparseState]) -> SparseState:
-    """Tensor product of per-coordinate states, in coordinate order."""
-    q, m, _ = states[0].dims
-    amps = {(): complex(1.0)}
-    for st in states:
-        nxt = {}
-        for key, val in amps.items():
-            for (e,), a in st.amps.items():
-                nxt[key + (e,)] = val * a
-        amps = nxt
-    return SparseState(amps, (q, m, len(states)))
-
-
-def state_to_vec(state: SparseState, sigma: int, n: int) -> np.ndarray:
-    vec = np.zeros(sigma**n, dtype=np.complex128)
-    for key, amp in state.amps.items():
-        flat = 0
-        for r in key:
-            flat = flat * sigma + r
-        vec[flat] = amp
+) -> np.ndarray:
+    """Uniform superposition over the code as a length-|Sigma|^n vector."""
+    total = spec.sigma_size**spec.n
+    if total > enum_budget:
+        raise BudgetExceeded(f"code state over {total} strings exceeds budget")
+    flat = _code_flat_ranks(spec, enum_budget)
+    vec = np.zeros(total, dtype=np.complex128)
+    vec[flat] = 1.0 / math.sqrt(flat.size)
     return vec
-
-
-def vec_to_state(vec: np.ndarray, dims: tuple[int, int, int], tol: float = 0.0) -> SparseState:
-    q, m, n = dims
-    sigma = q**m
-    amps = {}
-    for flat in np.nonzero(np.abs(vec) > tol)[0]:
-        key = []
-        f = int(flat)
-        for _ in range(n):
-            key.append(f % sigma)
-            f //= sigma
-        amps[tuple(reversed(key))] = complex(vec[flat])
-    return SparseState(amps, dims)
 
 
 # -- permutation unitaries -----------------------------------------------------------
 
 
-def apply_add_decode(joint: SparseState, F) -> SparseState:
-    """|x>|e> -> |x + e - ...> in two exact permutation steps:
-    U_add maps |x>|e> to |x>|x+e| and U_F maps |x>|z> to |x - F(z)>|z>.
-
-    Keys are pairs of rank tuples; addition is symbol-wise, which in
-    characteristic 2 is rank XOR.  Norm is preserved exactly.
+def apply_add_decode(joint: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U_add then U_F on a (K, K) pair array indexed by flat ranks, as two
+    exact gathers: U_add maps |x>|e> to |x>|x+e> and U_F maps |x>|z> to
+    |x - F(z)>|z>.  Symbol-wise addition and subtraction are rank XOR in
+    characteristic 2, so both steps are permutations and preserve the norm
+    exactly.  Returns the array after U_add and the array after U_F.
     """
-    amps = {}
-    for (x, e), a in joint.amps.items():
-        z = tuple(xi ^ ei for xi, ei in zip(x, e))
-        fz = F(z)
-        out = (tuple(xi ^ fi for xi, fi in zip(x, fz)), z)
-        if out in amps:
-            raise AssertionError("permutation produced a key collision")
-        amps[out] = a
-    return SparseState(amps, joint.dims)
+    idx = np.arange(joint.shape[0])
+    added = np.take_along_axis(joint, idx[:, None] ^ idx[None, :], axis=1)
+    return added, added[idx[:, None] ^ F[None, :], idx[None, :]]
 
 
 def decode_rank_table(
@@ -275,15 +217,18 @@ def _flat_symbol_weights(sigma: int, n: int) -> np.ndarray:
 
 def add_decode_pipeline(
     spec: CodeSpec,
-    inst: OracleInstance,
+    phis: list[np.ndarray],
     params: DecoderParams,
     goodbad: GoodBadSpec | None = None,
     F: np.ndarray | None = None,
     enum_budget: int = DEFAULT_ENUM_BUDGET,
     check_good: bool = True,
 ) -> dict:
-    """Run the add/decode pipeline exactly and compare with the ideal state.
+    """Run the add/decode pipeline exactly on the received per-coordinate
+    states and compare with the ideal state.
 
+    phis holds one length-|Sigma| state per coordinate, in coordinate
+    order (see prepare_phi); their tensor product is the oracle state.
     Returns eps, delta, the Euclidean distance between actual and ideal
     states, measurement statistics, and the states themselves (as dense
     vectors over pairs).  Raises AssertionError if the distance bound
@@ -292,19 +237,19 @@ def add_decode_pipeline(
     sigma = spec.sigma_size
     n = spec.n
     K = sigma**n
-    if K * K > amplitude_budget():
+    if K * K > amplitude_budget() or K > _DENSE_QFT_LIMIT:
         raise BudgetExceeded(
-            f"pair state needs {K * K} amplitudes; over budget. "
-            "Use a smaller generic-code toy configuration."
+            f"pair state needs {K * K} amplitudes and a {K}-point transform; "
+            "over budget. Use a smaller generic-code toy configuration."
         )
-    ctx = spec.field
+    if len(phis) != n or any(v.shape != (sigma,) for v in phis):
+        raise LengthMismatch(f"expected {n} states of length {sigma}")
 
     # -- input states
-    psi = state_to_vec(prepare_psi(spec, enum_budget), sigma, n)
-    phis = [prepare_phi(inst, i + 1) for i in range(n)]
-    phi = state_to_vec(tensor_phi(phis), sigma, n)
+    psi = prepare_psi(spec, enum_budget)
+    phi = functools.reduce(np.kron, phis)
 
-    kernel = sigma_qft_matrix(ctx, spec.m)
+    kernel = sigma_qft_matrix(spec.field, spec.m)
     vhat = apply_qft_vec(psi, kernel, n)
     what = apply_qft_vec(phi, kernel, n)
 
@@ -323,27 +268,15 @@ def add_decode_pipeline(
     eps = float(1.0 - px[gx].sum() * pe[ge].sum())
     eps = max(eps, 0.0)
 
-    # conv_bad[z] = sum over BAD pairs with x+e=z of Vhat(x) What(e);
-    # in rank space x+e=z iff e = x^z.
-    conv_bad = np.zeros(K, dtype=np.complex128)
+    # After U_add, entry (x, z) holds Vhat(x) What(x+z); in rank space
+    # x+e=z iff e = x^z.  conv_bad[z] sums it over BAD pairs, row by row.
+    added, joint = apply_add_decode(np.outer(vhat, what), F)
     idx = np.arange(K)
-    for x in range(K):
-        if vhat[x] == 0:
-            continue
-        contrib = vhat[x] * what[idx ^ x]
-        if gx[x]:
-            contrib = np.where(ge[idx ^ x], 0.0, contrib)
-        conv_bad += contrib
-    delta = float((np.abs(conv_bad) ** 2).sum())
+    bad = np.where(gx[:, None] & ge[idx[:, None] ^ idx[None, :]], 0.0, added)
+    delta = float((np.abs(bad.sum(axis=0)) ** 2).sum())
 
-    # -- actual state
-    joint = np.outer(vhat, what)
-    cols = idx[None, :] ^ idx[:, None]  # (x, z) -> x^z
-    joint = np.take_along_axis(joint, cols, axis=1)  # U_add
-    rows = idx[:, None] ^ F[None, :]
-    joint = joint[rows, idx[None, :]]  # U_F
-    full_kernel = _full_kernel(kernel, n, K)
-    actual = joint @ full_kernel.T  # QFT^-1 on the second register (involutive)
+    # -- actual state: QFT^-1 on the second register (involutive)
+    actual = apply_qft_vec(joint, kernel, n)
 
     # -- ideal state
     ideal_z = (sigma ** (n / 2)) * psi * phi
@@ -378,15 +311,6 @@ def add_decode_pipeline(
     }
 
 
-def _full_kernel(kernel: np.ndarray, n: int, K: int) -> np.ndarray:
-    if K > _DENSE_QFT_LIMIT:
-        raise BudgetExceeded("full-transform matrix exceeds the dense budget")
-    out = np.array([[1.0]])
-    for _ in range(n):
-        out = np.kron(out, kernel)
-    return out
-
-
 def _check_good_soundness(F: np.ndarray, gx: np.ndarray, ge: np.ndarray, cap: int = 1 << 20):
     xs = np.nonzero(gx)[0]
     es = np.nonzero(ge)[0]
@@ -416,27 +340,20 @@ def run_smp_protocol(
 ) -> dict:
     """One-round SMP execution with explicit stage boundaries.
 
-    Alice prepares the states for coordinates 1..floor(n/2), Bob the rest;
-    the referee receives only those states, prepares the code
-    superposition, runs the Fourier/add/decode pipeline, and measures the
-    second register.  Returns the exact measurement distribution and the
-    probability mass on verifier-accepted strings.
+    Alice prepares the states for coordinates 1..floor(n/2), Bob the rest.
+    The referee receives only those states: it prepares the code
+    superposition, runs the Fourier/add/decode pipeline on them, and
+    measures the second register.  The instance is used afterwards only to
+    cross-check the measurement against the verifier.  Returns the exact
+    measurement distribution and the probability mass on verifier-accepted
+    strings.
     """
     half = inst.n // 2
     alice_states = [prepare_phi(inst, i) for i in range(1, half + 1)]
     bob_states = [prepare_phi(inst, i) for i in range(half + 1, inst.n + 1)]
-    report = _charlie_process(spec, alice_states + bob_states, inst, params, enum_budget)
-    report["alice_qubits"] = sum(
-        math.log2(spec.sigma_size) for _ in alice_states
+    out = add_decode_pipeline(
+        spec, alice_states + bob_states, params, enum_budget=enum_budget
     )
-    report["bob_qubits"] = sum(math.log2(spec.sigma_size) for _ in bob_states)
-    return report
-
-
-def _charlie_process(spec, phi_states, inst, params, enum_budget) -> dict:
-    # The referee sees only the received states; the instance argument is
-    # used solely to cross-check the measurement against the verifier.
-    out = add_decode_pipeline(spec, inst, params, enum_budget=enum_budget)
     z_dist = out["solution_distribution"]
     verified = np.zeros_like(z_dist, dtype=bool)
     for flat in np.nonzero(z_dist > 1e-12)[0]:
@@ -447,6 +364,8 @@ def _charlie_process(spec, phi_states, inst, params, enum_budget) -> dict:
         raise AssertionError(
             f"verifier disagrees with the solution mask on {mism.sum()} strings"
         )
+    out["alice_qubits"] = len(alice_states) * math.log2(spec.sigma_size)
+    out["bob_qubits"] = len(bob_states) * math.log2(spec.sigma_size)
     return out
 
 

@@ -175,7 +175,7 @@ def test_criterion_05_qft():
         mat = qsim.qft_matrix(ctx)
         assert np.abs(mat @ mat.T - np.eye(ctx.q)).max() <= 1e-12
     spec = configs.toy_selfdual_spec()
-    psi = qsim.state_to_vec(qsim.prepare_psi(spec), spec.sigma_size, spec.n)
+    psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = qsim.apply_qft_vec(psi, kernel, spec.n)
     dual_flat = set(qsim._code_flat_ranks(codes.dual(spec), 1 << 16).tolist())
@@ -210,7 +210,8 @@ def test_criterion_06_pipeline_bound():
         inst = instances.sample_instance(spec, Fraction(1, 16), seed)
         seed += 1
         try:
-            out = qsim.add_decode_pipeline(spec, inst, params)
+            phis = [qsim.prepare_phi(inst, i) for i in range(1, inst.n + 1)]
+            out = qsim.add_decode_pipeline(spec, phis, params)
         except EmptySupport:
             skipped += 1
             continue

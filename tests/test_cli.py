@@ -76,6 +76,48 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def _tiny_instance(tmp_path):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(
+        json.dumps(
+            {"kind": "generic-linear", "field": {"s": 2, "modulus": 7}, "m": 1, "genmat": [[1, 1]]}
+        )
+    )
+    path = tmp_path / "inst.json"
+    args = ["instance", "gen", "--config", str(code_path), "--p", "0/1", "--out", str(path)]
+    assert main(args) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["code", "dual"], None),  # no code given
+        (["instance", "verify", "--in", "{inst}", "--x", "1 2 3"], None),
+        (["instance", "verify", "--in", "{inst}", "--x", "1 two"], None),
+        (["qsim", "claim66", "--sigma", "3"], None),
+        (["qsim", "claim66", "--sigma", "0"], None),
+        (["qsim", "lemma51", "--toy", "--p", "abc", "--trials", "1"], None),
+        (["qsim", "lemma51", "--toy", "--trials", "1"], "lots"),
+    ],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("NULLCODE_BUDGET", env)
+    if "{inst}" in argv:
+        argv = [str(_tiny_instance(tmp_path)) if a == "{inst}" else a for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_jobs_only_on_instance_solve():
+    with pytest.raises(SystemExit) as exc:
+        main(["qsim", "lemma51", "--toy", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def test_table_stats_subcommand(capsys):
     assert main(["qsim", "claim66", "--sigma", "4", "--p", "1/4"]) == 0
     rec = json.loads(capsys.readouterr().out)
@@ -113,6 +155,12 @@ def test_pipeline_subcommand(tmp_path):
     recs = [json.loads(line) for line in out.read_text().splitlines()]
     done = [r for r in recs if "l2_distance" in r]
     assert len(done) == 3
+
+
+def test_pipeline_subcommand_over_budget_exits_1(capsys):
+    # a budget error does not depend on the seed, so it ends the run
+    assert main(["qsim", "lemma51", "--t", "2", "--p", "1/64", "--trials", "1"]) == 1
+    assert "over budget" in capsys.readouterr().err
 
 
 def test_hash_check_subcommand(capsys):
@@ -239,3 +287,13 @@ def test_env_budget_override(monkeypatch):
     assert budget.amplitude_budget() == 16
     monkeypatch.delenv("NULLCODE_BUDGET")
     assert budget.amplitude_budget() == budget.DEFAULT_AMPLITUDE_BUDGET
+
+
+@pytest.mark.parametrize("raw", ["lots", "0", "-4", "1.5", ""])
+def test_env_budget_rejects_non_positive_integers(monkeypatch, raw):
+    from nullcode import budget
+    from nullcode.errors import UsageError
+
+    monkeypatch.setenv("NULLCODE_BUDGET", raw)
+    with pytest.raises(UsageError, match="NULLCODE_BUDGET"):
+        budget.amplitude_budget()

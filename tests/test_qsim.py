@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from nullcode import codes, configs, instances, qsim
 from nullcode.codes import DecoderParams
-from nullcode.errors import BudgetExceeded, EmptySupport
+from nullcode.errors import BudgetExceeded, EmptySupport, LengthMismatch
 from nullcode.gf import FieldCtx
 
 
@@ -15,6 +16,10 @@ def toy_setup(seed=0, p=Fraction(1, 16)):
     params = DecoderParams.for_spec(spec, p)
     inst = instances.sample_instance(spec, p, seed)
     return spec, params, inst
+
+
+def received_states(inst):
+    return [qsim.prepare_phi(inst, i) for i in range(1, inst.n + 1)]
 
 
 def zero_tables_instance(spec, p=Fraction(1, 16)):
@@ -52,14 +57,14 @@ def test_prepare_phi():
     base = instances.sample_instance(spec, Fraction(1, 16), 0)
     tables = np.zeros((4, 4), dtype=np.uint8)
     inst = instances.with_tables(base, tables)
-    st = qsim.prepare_phi(inst, 1)
-    assert len(st.amps) == 4
-    assert abs(st.norm() - 1) < 1e-12
+    vec = qsim.prepare_phi(inst, 1)
+    assert vec.shape == (4,) and np.count_nonzero(vec) == 4
+    assert abs(np.linalg.norm(vec) - 1) < 1e-12
     # singleton support
     tables2 = np.ones((4, 4), dtype=np.uint8)
     tables2[2, 3] = 0
-    st2 = qsim.prepare_phi(instances.with_tables(base, tables2), 3)
-    assert st2.amps == {(3,): 1.0}
+    vec2 = qsim.prepare_phi(instances.with_tables(base, tables2), 3)
+    assert vec2.tolist() == [0, 0, 0, 1.0]
     # empty support
     with pytest.raises(EmptySupport):
         qsim.prepare_phi(instances.with_tables(base, np.ones((4, 4), np.uint8)), 1)
@@ -72,8 +77,7 @@ def test_phi_hat_zero_amplitude():
     tables = np.zeros((4, 4), dtype=np.uint8)
     tables[0, 2] = 1
     inst = instances.with_tables(base, tables)
-    st = qsim.prepare_phi(inst, 1)
-    vec = qsim.state_to_vec(st, 4, 1)
+    vec = qsim.prepare_phi(inst, 1)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = kernel @ vec
     assert abs(hat[0] - math.sqrt(3 / 4)) < 1e-12
@@ -81,7 +85,7 @@ def test_phi_hat_zero_amplitude():
 
 def test_prepare_psi_support_is_dual_after_qft():
     spec = configs.toy_selfdual_spec()
-    psi = qsim.state_to_vec(qsim.prepare_psi(spec), spec.sigma_size, spec.n)
+    psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = qsim.apply_qft_vec(psi, kernel, spec.n)
     dual_flat = set(qsim._code_flat_ranks(codes.dual(spec), 1 << 16).tolist())
@@ -95,7 +99,7 @@ def test_prepare_psi_support_is_dual_after_qft():
 def test_trivial_code_qft():
     # C = {0}: psi = |0..0>, QFT(psi) uniform
     spec = configs.toy_repetition_spec(n=1, s=2)
-    psi = qsim.state_to_vec(qsim.prepare_psi(spec), 4, 1)
+    psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, 1)
     # repetition n=1 is the full code; use the zero-only generic code instead
     zero_vec = np.zeros(4, dtype=np.complex128)
@@ -105,49 +109,36 @@ def test_trivial_code_qft():
 
 
 def test_apply_add_decode_permutation():
-    # exhaustive bijection check on Sigma = F_4, n = 2
-    spec = configs.toy_repetition_spec(n=2, s=2)
-    keys = [
-        ((x1, x2), (e1, e2))
-        for x1 in range(4)
-        for x2 in range(4)
-        for e1 in range(4)
-        for e2 in range(4)
-    ]
-    amp = 1 / math.sqrt(len(keys))
-    joint = qsim.SparseState({k: amp for k in keys}, (4, 1, 2))
-
-    def F(z):
-        return z  # any function gives a permutation
-
-    out = qsim.apply_add_decode(joint, F)
-    assert len(out.amps) == len(keys)
-    assert abs(out.norm() - 1) <= 1e-12
-    # GOOD case: F(x+e) = x maps to (0, x+e)
-    def F2(z):
-        return z
-
-    single = qsim.SparseState({((1, 2), (1, 2)): 1.0}, (4, 1, 2))
-    res = qsim.apply_add_decode(single, F2)
-    # x + e = (0,0); F2(z)=z gives x - F(z) = x - 0 = x... here z = x^e = 0
-    assert list(res.amps) == [((1, 2), (0, 0))]
+    # exhaustive bijection check on Sigma = F_4, n = 2: every pair array
+    # entry lands on its own output entry, for any decode table
+    K = 16
+    joint = np.arange(K * K, dtype=np.complex128).reshape(K, K)
+    rng = np.random.default_rng(0)
+    for F in (np.arange(K), np.zeros(K, np.int64), rng.integers(0, K, size=K)):
+        added, out = qsim.apply_add_decode(joint, F)
+        for arr in (added, out):
+            assert sorted(arr.real.ravel().tolist()) == list(range(K * K))
+    # a unit amplitude at ((1, 2), (1, 2)) with F = identity: z = x + e = 0
+    # and F(0) = 0, so the pair lands at ((1, 2), (0, 0))
+    single = np.zeros((K, K), dtype=np.complex128)
+    single[6, 6] = 1.0
+    _, res = qsim.apply_add_decode(single, np.arange(K))
+    assert list(zip(*np.nonzero(res))) == [(6, 0)]
 
 
 def test_apply_add_decode_good_case():
-    # F(x+e) = x implies output pair (0, x+e)
-    single = qsim.SparseState({((1, 2), (3, 1)): 1.0}, (4, 1, 2))
-
-    def F(z):
-        return (1, 2)
-
-    res = qsim.apply_add_decode(single, F)
-    assert list(res.amps) == [((0, 0), (2, 3))]
+    # F(x+e) = x implies output pair (0, x+e): x = (1, 2), e = (3, 1)
+    K = 16
+    single = np.zeros((K, K), dtype=np.complex128)
+    single[1 * 4 + 2, 3 * 4 + 1] = 1.0
+    _, res = qsim.apply_add_decode(single, np.full(K, 1 * 4 + 2))
+    assert list(zip(*np.nonzero(res))) == [(0, 2 * 4 + 3)]
 
 
 def test_pipeline_all_zero_oracle():
     spec, params, _ = toy_setup()
     inst = zero_tables_instance(spec)
-    out = qsim.add_decode_pipeline(spec, inst, params)
+    out = qsim.add_decode_pipeline(spec, received_states(inst), params)
     assert out["epsilon"] <= 1e-12
     assert out["delta"] <= 1e-12
     assert out["l2_distance"] <= 1e-9
@@ -158,7 +149,7 @@ def test_pipeline_bound_on_random_instance():
     # GOOD = all pairs with a perfect decoder on the full space: take the
     # identity-on-codewords decoder with GOOD restricted to x in dual, e=0
     spec, params, inst = toy_setup(seed=3)
-    out = qsim.add_decode_pipeline(spec, inst, params)
+    out = qsim.add_decode_pipeline(spec, received_states(inst), params)
     assert out["l2_distance"] <= out["bound"]
 
 
@@ -170,7 +161,7 @@ def test_pipeline_bound_random_seeds():
         inst = instances.sample_instance(spec, Fraction(1, 16), seed)
         seed += 1
         try:
-            out = qsim.add_decode_pipeline(spec, inst, params)
+            out = qsim.add_decode_pipeline(spec, received_states(inst), params)
         except EmptySupport:
             continue
         done += 1
@@ -180,9 +171,89 @@ def test_pipeline_bound_random_seeds():
 
 def test_norm_preserved_through_pipeline():
     spec, params, inst = toy_setup(seed=12)
-    out = qsim.add_decode_pipeline(spec, inst, params)
+    out = qsim.add_decode_pipeline(spec, received_states(inst), params)
     total = float((np.abs(out["actual_state"]) ** 2).sum())
     assert abs(total - 1) <= 1e-10
+
+
+def reference_pipeline(spec, phis, F, goodbad):
+    """Slow oracle for the referee: delta from a per-x loop over the first
+    register, QFT^-1 as a dense Kronecker-power matrix."""
+    sigma, n = spec.sigma_size, spec.n
+    K = sigma**n
+    kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
+    psi = qsim.prepare_psi(spec)
+    phi = functools.reduce(np.kron, phis)
+    vhat = qsim.apply_qft_vec(psi, kernel, n)
+    what = qsim.apply_qft_vec(phi, kernel, n)
+    gx, ge = goodbad.good_x_mask, goodbad.good_e_mask
+    eps = float(1.0 - (np.abs(vhat) ** 2)[gx].sum() * (np.abs(what) ** 2)[ge].sum())
+    idx = np.arange(K)
+    conv_bad = np.zeros(K, dtype=np.complex128)
+    for x in range(K):
+        if vhat[x] == 0:
+            continue
+        contrib = vhat[x] * what[idx ^ x]
+        if gx[x]:
+            contrib = np.where(ge[idx ^ x], 0.0, contrib)
+        conv_bad += contrib
+    joint = np.zeros((K, K), dtype=np.complex128)
+    for x in range(K):
+        for e in range(K):
+            z = x ^ e
+            joint[x ^ F[z], z] = vhat[x] * what[e]
+    actual = joint @ functools.reduce(np.kron, [kernel] * n).T
+    diff = actual.copy()
+    diff[0] -= sigma ** (n / 2) * psi * phi
+    z_dist = (np.abs(actual) ** 2).sum(axis=0)
+    return {
+        "epsilon": max(eps, 0.0),
+        "delta": float((np.abs(conv_bad) ** 2).sum()),
+        "actual_state": actual,
+        "l2_distance": float(np.linalg.norm(diff)),
+        "success_probability": float(z_dist[(psi != 0) & (phi != 0)].sum()),
+    }
+
+
+def test_pipeline_matches_reference_oracle():
+    spec, params, _ = toy_setup()
+    F = qsim.decode_rank_table(spec, params)
+    goodbad = qsim.default_goodbad(spec, params)
+    done = 0
+    seed = 0
+    while done < 20:
+        inst = instances.sample_instance(spec, Fraction(1, 16), seed)
+        seed += 1
+        try:
+            phis = received_states(inst)
+        except EmptySupport:
+            continue
+        done += 1
+        out = qsim.add_decode_pipeline(spec, phis, params, goodbad=goodbad, F=F)
+        ref = reference_pipeline(spec, phis, F, goodbad)
+        assert out["epsilon"] == ref["epsilon"]
+        assert out["delta"] == ref["delta"]
+        assert np.abs(out["actual_state"] - ref["actual_state"]).max() <= 1e-12
+        for key in ("l2_distance", "success_probability"):
+            assert abs(out[key] - ref[key]) <= 1e-12
+
+
+def test_referee_consumes_only_received_states(monkeypatch):
+    # the players prepare each coordinate's state once; the referee works
+    # from those states and never prepares its own from the tables
+    spec, params, inst = toy_setup(seed=5)
+    calls = []
+    prepare = qsim.prepare_phi
+
+    def counting_prepare(inst, i):
+        calls.append(i)
+        return prepare(inst, i)
+
+    monkeypatch.setattr(qsim, "prepare_phi", counting_prepare)
+    qsim.run_smp_protocol(spec, inst, params)
+    assert sorted(calls) == list(range(1, spec.n + 1))
+    with pytest.raises(LengthMismatch):
+        qsim.add_decode_pipeline(spec, received_states(inst)[:-1], params)
 
 
 def test_smp_all_zero():
@@ -229,7 +300,7 @@ def test_budget_rejects_large_preset():
     )
     base = instances.sample_instance(spec, Fraction(1, 64), 0)
     with pytest.raises(BudgetExceeded):
-        qsim.add_decode_pipeline(spec, base, params)
+        qsim.add_decode_pipeline(spec, received_states(base), params)
 
 
 def test_table_stats_exact_quarter():
