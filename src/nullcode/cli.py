@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codes, configs, hashing, instances, proto, qsim, tbnc
 from .codes import CodeSpec, DecoderParams
-from .errors import EmptySupport, NullcodeError, ParseError, UsageError
+from .errors import EmptySupport, NullcodeError, ParseError, RetriesExhausted, UsageError
 from .gf import FieldCtx
 
 
@@ -28,9 +28,14 @@ def _load_spec(args) -> CodeSpec:
     if getattr(args, "t", None) is not None:
         return codes.preset(args.t)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
-        return CodeSpec.from_json(data.get("code", data))
+        # OSError: unreadable; ValueError: bad JSON or field values;
+        # KeyError, TypeError, AttributeError: not a code object
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+            return CodeSpec.from_json(data.get("code", data))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(f"{args.config}: bad code config ({exc!r})") from None
     raise UsageError("one of --t, --config, or --toy is required")
 
 
@@ -39,6 +44,14 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{text!r} is not a fraction") from None
+
+
+def _decoder_params(spec: CodeSpec, p: Fraction) -> DecoderParams:
+    """Decoder parameters for --p; a p the code cannot decode is a usage error."""
+    try:
+        return DecoderParams.for_spec(spec, p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_jsonl(path, records) -> None:
@@ -85,7 +98,7 @@ def cmd_code_dual(args) -> int:
 
 def cmd_code_decode(args) -> int:
     spec = _load_spec(args)
-    params = DecoderParams.for_spec(spec, _parse_fraction(args.p))
+    params = _decoder_params(spec, _parse_fraction(args.p))
     rng = np.random.default_rng(args.seed)
     dual_spec = codes.dual(spec)
     records = []
@@ -190,8 +203,7 @@ def cmd_qsim_qft(args) -> int:
 def _toy_run_config(args):
     spec = _load_spec(args)
     p = _parse_fraction(args.p)
-    params = DecoderParams.for_spec(spec, p)
-    return spec, p, params
+    return spec, p, _decoder_params(spec, p)
 
 
 def _trial_records(args, run) -> list[dict]:
@@ -491,7 +503,7 @@ def cmd_tbnc_alg2(args) -> int:
         tb = tbnc.make_tbnc(spec, family, args.t, args.seed + trial)
         try:
             out = tbnc.run_keyed_smp(tb, params, seed=args.seed + trial)
-        except NullcodeError as exc:
+        except (EmptySupport, RetriesExhausted) as exc:
             records.append(
                 {"trial": trial, "skipped": str(exc), "success": False, "retries": None}
             )

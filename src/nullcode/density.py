@@ -7,10 +7,11 @@ are exact: the density threshold comparison
     count > |X| * 2^(-gamma |I|)
 
 is evaluated in integer arithmetic (gamma is treated as a rational), so
-exact ties never violate.  Pattern counts for all coordinate subsets of
-one size are computed in a single batched bincount, and sizes whose counts
-are capped below the threshold (a pattern's count is limited by the
-varying coordinates outside it) are skipped outright.
+exact ties never violate.  One subcube count (Yates's algorithm over
+{0, 1, *}^f) gives the count of every pattern (I, a) on the f coordinates
+at once.  For an integer count, count > floor(|X| 2^(-gamma |I|)) iff the
+violation ratio count * 2^(gamma |I|) exceeds |X|, so a single threshold
+test at the ratio-maximal width decides density.
 
 The partition greedy peels the *maximally violating* pattern: the (I, a)
 maximizing the violation ratio Pr[x_I = a] * 2^(gamma |I|), ties broken by
@@ -26,13 +27,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptySet
-
-_CHUNK_CELLS = 1 << 21  # cap on subsets-per-chunk x 2^s bincount cells
+from .budget import amplitude_budget
+from .errors import BudgetExceeded, EmptySet
 
 
 def _as_array(X) -> np.ndarray:
@@ -100,93 +99,46 @@ def min_entropy(X, coords) -> float:
     return math.log2(len(arr) / count)
 
 
-def varying_coords(X: np.ndarray, coords) -> tuple[int, ...]:
-    andv = np.bitwise_and.reduce(X)
-    orv = np.bitwise_or.reduce(X)
-    return tuple(c for c in coords if ((andv >> c) ^ (orv >> c)) & 1)
+def subcube_counts(X, coords) -> np.ndarray:
+    """Count of every pattern (I, a) with I subseteq coords, as one array of
+    length 3^f (f = len(coords)).  Index t has one ternary digit per sorted
+    coordinate, the first coordinate most significant; digit 0 or 1 fixes
+    the coordinate to that bit and digit 2 leaves it free."""
+    arr = _as_array(X)
+    coords = tuple(sorted(coords))
+    f = len(coords)
+    limit = amplitude_budget()
+    if 3**f > limit:
+        raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed the budget {limit}")
+    counts = np.bincount(project(arr, coords), minlength=1 << f)
+    # Yates's algorithm: each pass turns the least significant binary digit
+    # into the most significant ternary one, so after f passes the digits
+    # are back in coordinate order
+    for _ in range(f):
+        pair = counts.reshape(-1, 2)
+        out = np.empty((3, len(pair)), dtype=counts.dtype)
+        out[:2] = pair.T
+        np.add(pair[:, 0], pair[:, 1], out=out[2])
+        counts = out.reshape(-1)
+    return counts
 
 
-@lru_cache(maxsize=64)
-def _position_combos(f: int, s: int) -> np.ndarray:
-    return np.array(list(combinations(range(f), s)), dtype=np.int64)
-
-
-class _SizeScan:
-    """Batched per-size max-pattern-count scans over one fixed set."""
-
-    def __init__(self, arr: np.ndarray, coords: tuple[int, ...]):
-        self.arr = arr
-        self.coords = coords
-        self.size = len(arr)
-        self.f = len(coords)
-        vary = set(varying_coords(arr, coords))
-        self.v = len(vary)
-        self.vary_flags = np.array(
-            [1 if c in vary else 0 for c in coords], dtype=np.int64
-        )
-        # bits[j] = coordinate coords[j] of every element
-        self.bits = np.stack(
-            [(arr >> c) & 1 for c in coords]
-        ) if self.f else np.zeros((0, len(arr)), dtype=np.int64)
-
-    def size_cap(self, s: int) -> int:
-        return min(self.size, 1 << (self.v - max(0, s - (self.f - self.v))))
-
-    def best_at_size(self, s: int, cut: int, need: int):
-        """Best (count, subset_positions, pattern) with count > max(cut,
-        need - 1), or None.  Ties prefer the lexicographically first subset
-        and the smallest pattern."""
-        combos = _position_combos(self.f, s)
-        inside = self.vary_flags[combos].sum(axis=1)
-        caps = np.minimum(self.size, 1 << (self.v - inside))
-        floor = max(cut, need - 1)
-        keep = caps > floor
-        if not keep.any():
-            return None
-        combos = combos[keep]
-        chunk = max(1, _CHUNK_CELLS >> s)
-        best = None  # (count, combo_index_global, pattern)
-        for lo in range(0, len(combos), chunk):
-            sub = combos[lo : lo + chunk]
-            nc = len(sub)
-            proj = np.zeros((nc, self.size), dtype=np.int64)
-            for j in range(s):
-                proj |= self.bits[sub[:, j]] << (s - 1 - j)
-            proj += np.arange(nc, dtype=np.int64)[:, None] << s
-            counts = np.bincount(proj.reshape(-1), minlength=nc << s).reshape(
-                nc, 1 << s
-            )
-            rowmax = counts.max(axis=1)
-            top = int(rowmax.max())
-            if best is not None and top <= best[0]:
-                continue
-            if top <= floor:
-                continue
-            row = int(np.nonzero(rowmax == top)[0][0])
-            pattern = int(np.nonzero(counts[row] == top)[0][0])
-            if best is None or top > best[0]:
-                best = (top, lo + row, sub[row], pattern)
-        if best is None:
-            return None
-        count, _, positions, pattern = best
-        return count, tuple(int(p) for p in positions), pattern
+@lru_cache(maxsize=None)
+def _width_order(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 3^f pattern indices sorted stably by width |I|, and where each
+    width 0..f starts (and ends) in that order."""
+    width = np.zeros(1, dtype=np.int8)
+    for _ in range(f):
+        width = (width[:, None] + np.array([1, 1, 0], dtype=np.int8)).reshape(-1)
+    order = np.argsort(width, kind="stable").astype(np.int32)
+    starts = np.searchsorted(width[order], np.arange(f + 2))
+    return order, starts
 
 
 def is_dense(X, gamma, coords) -> bool:
     """Exact check: no pattern (I, a) over nonempty I subseteq coords has
     count exceeding |X| * 2^(-gamma |I|)."""
-    arr = _as_array(X)
-    coords = tuple(sorted(coords))
-    if not coords:
-        return True
-    scan = _SizeScan(arr, coords)
-    for s in range(1, scan.f + 1):
-        cut = density_cut(scan.size, gamma, s)
-        if scan.size_cap(s) <= cut:
-            continue
-        if scan.best_at_size(s, cut, 0) is not None:
-            return False
-    return True
+    return find_violation(X, gamma, coords) is None
 
 
 def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -202,39 +154,28 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     if not coords:
         return None
     gamma = _as_fraction(gamma)
-    scan = _SizeScan(arr, coords)
-    best = None  # (count, s, positions, pattern)
-    for s in range(scan.f, 0, -1):
-        cut = density_cut(scan.size, gamma, s)
-        cap = scan.size_cap(s)
-        if cap <= cut:
-            continue
-        if best is not None and not _ratio_gt(cap, s, best[0], best[1], gamma):
-            continue
-        # smallest count at size s that would strictly beat the incumbent
-        need = 0
-        if best is not None:
-            lo, hi = 1, cap
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _ratio_gt(mid, s, best[0], best[1], gamma):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            need = lo
-            if not _ratio_gt(need, s, best[0], best[1], gamma):
-                continue
-        hit = scan.best_at_size(s, cut, need)
-        if hit is None:
-            continue
-        count, positions, pattern = hit
-        if best is None or _ratio_gt(count, s, best[0], best[1], gamma):
-            best = (count, s, positions, pattern)
-    if best is None:
+    f = len(coords)
+    order, starts = _width_order(f)
+    by_width = subcube_counts(arr, coords)[order]
+    top = np.maximum.reduceat(by_width, starts[:-1]).tolist()  # max per width
+    s = f
+    for w in range(f - 1, 0, -1):
+        if _ratio_gt(top[w], w, top[s], s, gamma):
+            s = w
+    # an integer count exceeds floor(|X| 2^(-gamma s)) iff its ratio exceeds
+    # |X|, so some pattern violates iff a ratio-maximal one does
+    if top[s] <= density_cut(len(arr), gamma, s):
         return None
-    count, s, positions, pattern = best
-    I = tuple(coords[p] for p in positions)
-    bits = tuple((pattern >> (s - 1 - j)) & 1 for j in range(s))
+    lo, hi = starts[s], starts[s + 1]
+    tied = order[lo:hi][by_width[lo:hi] == top[s]].astype(np.int64)
+    digits = tied[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3
+    fixed = digits != 2
+    # for equal |I|, lexicographically first I has the largest MSB-first
+    # mask; for equal I, index order is pattern order
+    mask = fixed @ (1 << np.arange(f - 1, -1, -1))
+    row = np.lexsort((tied, -mask))[0]
+    I = tuple(coords[p] for p in np.flatnonzero(fixed[row]))
+    bits = tuple(int(d) for d in digits[row][fixed[row]])
     return I, bits
 
 
@@ -261,14 +202,9 @@ def density_restoring_partition(X, gamma, coords) -> list[Part]:
             parts.append(Part(residual, (), ()))
             break
         I, bits = viol
-        s = len(I)
-        a = 0
-        for j, b in enumerate(bits):
-            a |= b << (s - 1 - j)
-        proj = project(residual, I)
-        inside = residual[proj == a]
-        parts.append(Part(inside, I, bits))
-        residual = residual[proj != a]
+        hit = np.all([((residual >> c) & 1) == b for c, b in zip(I, bits)], axis=0)
+        parts.append(Part(residual[hit], I, bits))
+        residual = residual[~hit]
     return parts
 
 

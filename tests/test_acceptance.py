@@ -340,7 +340,7 @@ def test_criterion_09_density_restoring_partition():
             expected_codimension(parts) - (12 - min_entropy(X, coords))
         )
     elapsed = time.time() - start
-    assert elapsed < 300
+    assert elapsed < 120
     report(
         9,
         "density-restoring partition",
@@ -386,7 +386,7 @@ def test_criterion_10_transform():
             ratios.append(ts["entropy"] / tree.cost())
     assert sampled_pairs == 100000
     elapsed = time.time() - start
-    assert elapsed < 600
+    assert elapsed < 300
     report(
         10,
         "message-compression transform",

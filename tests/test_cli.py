@@ -99,13 +99,21 @@ def _tiny_instance(tmp_path):
         (["qsim", "claim66", "--sigma", "0"], None),
         (["qsim", "lemma51", "--toy", "--p", "abc", "--trials", "1"], None),
         (["qsim", "lemma51", "--toy", "--trials", "1"], "lots"),
+        (["tbnc", "alg2", "--t", "1", "--trials", "2"], "lots"),
+        (["qsim", "lemma51", "--t", "2", "--p", "1/16", "--trials", "1"], None),
+        (["code", "decode", "--toy", "--p", "1/4", "--trials", "1"], None),
+        (["code", "dual", "--config", "{missing}"], None),
+        (["code", "dual", "--config", "{malformed}"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("NULLCODE_BUDGET", env)
+    paths = {"{missing}": tmp_path / "missing.json", "{malformed}": tmp_path / "bad.json"}
+    paths["{malformed}"].write_text('{"kind": ')
     if "{inst}" in argv:
-        argv = [str(_tiny_instance(tmp_path)) if a == "{inst}" else a for a in argv]
+        paths["{inst}"] = _tiny_instance(tmp_path)
+    argv = [str(paths.get(a, a)) for a in argv]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

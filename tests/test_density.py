@@ -1,4 +1,7 @@
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,11 @@ from nullcode.density import (
     is_dense,
     max_pattern_count,
     min_entropy,
+    project,
+    subcube_counts,
     validate_partition,
 )
-from nullcode.errors import EmptySet
+from nullcode.errors import BudgetExceeded, EmptySet
 
 
 def test_min_entropy_uniform_cube():
@@ -141,3 +146,74 @@ def test_max_pattern_count_tie_smallest():
     X = np.array([0b00, 0b01, 0b10, 0b11])
     count, pattern = max_pattern_count(X, (0, 1))
     assert count == 1 and pattern == 0
+
+
+def _violation_by_definition(X, gamma, coords):
+    """Every I subseteq coords, one bincount each: the largest exact ratio
+    count * 2^(gamma |I|) among violating patterns, ties to larger |I|, then
+    the lexicographically first I, then the smallest pattern."""
+    g = Fraction(gamma).limit_denominator(1000)
+    num, den = g.numerator, g.denominator
+    coords = tuple(sorted(coords))
+    best = None  # (count, |I|, I, pattern)
+    for s in range(len(coords), 0, -1):
+        for I in combinations(coords, s):
+            counts = np.bincount(project(X, I), minlength=1 << s)
+            a = int(counts.argmax())
+            c = int(counts[a])
+            if c**den << (num * s) <= len(X) ** den:
+                continue  # count <= |X| 2^(-gamma s): no violation
+            if best is None or c**den << (num * s) > best[0] ** den << (num * best[1]):
+                best = (c, s, I, a)
+    if best is None:
+        return None
+    _, s, I, a = best
+    return I, tuple((a >> (s - 1 - j)) & 1 for j in range(s))
+
+
+def test_varying_outside_coords_is_not_dense():
+    # bit 2 is 0 in all 4 elements, and 4 > 4 * 2^-1
+    X = np.array([0, 1, 2, 3])
+    assert not is_dense(X, 1.0, (2,))
+    assert find_violation(X, 1.0, (2,)) == ((2,), (0,))
+
+
+def test_find_violation_matches_definition_on_random_sets():
+    rng = np.random.default_rng(11)
+    gammas = (0.3, 0.5, 0.8, 1.0, Fraction(2, 3))
+    for trial in range(300):
+        f = int(rng.integers(1, 8))
+        nbits = f + int(rng.integers(0, 3))  # bits outside coords may vary
+        coords = tuple(int(c) for c in rng.choice(nbits, size=f, replace=False))
+        size = int(rng.integers(1, min(1 << nbits, 64) + 1))
+        X = rng.choice(1 << nbits, size=size, replace=False).astype(np.int64)
+        if trial % 4 == 0:  # a constant coordinate inside coords
+            X = np.unique(X | (1 << coords[0]))
+        gamma = gammas[trial % len(gammas)]
+        want = _violation_by_definition(X, gamma, coords)
+        assert find_violation(X, gamma, coords) == want
+        assert is_dense(X, gamma, coords) == (want is None)
+
+
+def test_subcube_counts_match_direct_counts():
+    rng = np.random.default_rng(2)
+    X = rng.choice(1 << 6, size=23, replace=False).astype(np.int64)
+    coords = (1, 3, 4, 5)
+    counts = subcube_counts(X, coords)
+    assert len(counts) == 3 ** len(coords)
+    for t, got in enumerate(counts):
+        # ternary digits of t, first coordinate most significant; 2 is free
+        digits = [t // 3 ** (len(coords) - 1 - j) % 3 for j in range(len(coords))]
+        hit = np.ones(len(X), dtype=bool)
+        for c, d in zip(coords, digits):
+            if d != 2:
+                hit &= ((X >> c) & 1) == d
+        assert got == hit.sum()
+
+
+def test_subcube_counts_over_budget(monkeypatch):
+    monkeypatch.setenv("NULLCODE_BUDGET", str(3**4 - 1))
+    with pytest.raises(BudgetExceeded):
+        subcube_counts(np.arange(16), (0, 1, 2, 3))
+    with pytest.raises(BudgetExceeded):
+        is_dense(np.arange(16), 0.5, (0, 1, 2, 3))
