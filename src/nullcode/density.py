@@ -43,8 +43,13 @@ def _as_array(X) -> np.ndarray:
 
 def _as_fraction(gamma) -> Fraction:
     if isinstance(gamma, float):
-        return Fraction(gamma).limit_denominator(1000)
+        return _float_fraction(gamma)
     return Fraction(gamma)
+
+
+@lru_cache(maxsize=256)
+def _float_fraction(gamma: float) -> Fraction:
+    return Fraction(gamma).limit_denominator(1000)
 
 
 def density_cut(size: int, gamma, s: int) -> int:

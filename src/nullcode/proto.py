@@ -27,6 +27,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .density import density_restoring_partition, is_dense
+from .errors import ParseError
 from .instances import OracleInstance, Split
 
 
@@ -95,12 +96,17 @@ class Rect:
             self.Y
         ) == 1 << (self.n_bits_b - len(jb))
 
-    def is_subcube_like(self, gamma) -> bool:
+    def free_sides(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        """(X, free coordinates of X) and (Y, free coordinates of Y)."""
         ia, _ = self.fixed_a()
         jb, _ = self.fixed_b()
-        free_a = tuple(c for c in range(self.n_bits_a) if c not in ia)
-        free_b = tuple(c for c in range(self.n_bits_b) if c not in jb)
-        return is_dense(self.X, gamma, free_a) and is_dense(self.Y, gamma, free_b)
+        return (
+            (self.X, tuple(c for c in range(self.n_bits_a) if c not in ia)),
+            (self.Y, tuple(c for c in range(self.n_bits_b) if c not in jb)),
+        )
+
+    def is_subcube_like(self, gamma) -> bool:
+        return all(is_dense(side, gamma, free) for side, free in self.free_sides())
 
 
 @dataclass
@@ -188,25 +194,57 @@ def tree_to_json(tree: ProtocolTree) -> dict:
 
 
 def tree_from_json(data: dict) -> ProtocolTree:
+    """Inverse of tree_to_json.
+
+    Raises ParseError, naming the node path and the field, when an owner is
+    not "A" or "B" or when a node's parts do not partition the owner's
+    current set: an element outside [0, 2^n_bits), two parts sharing an
+    element, an element outside the set, or an element of the set left
+    uncovered.
+    """
     na, nb = int(data["n_bits_a"]), int(data["n_bits_b"])
 
-    def dec(node, X, Y):
+    def dec(node, X, Y, path):
         rect = Rect(X, Y, na, nb)
         if "label" in node:
             label = node["label"]
             return Leaf(BOT if label is None else label, rect)
         owner = node["owner"]
+        if owner not in ("A", "B"):
+            raise ParseError(path, "owner", f"owner {owner!r} is not 'A' or 'B'")
+        side, n_bits = (X, na) if owner == "A" else (Y, nb)
+        subsets = [np.array(part["set"], dtype=np.int64) for part in node["parts"]]
+        hits = np.zeros(1 << n_bits, dtype=np.int64)
+        for i, subset in enumerate(subsets):
+            outside = subset[(subset < 0) | (subset >= 1 << n_bits)]
+            if outside.size:
+                raise ParseError(
+                    f"{path}.parts[{i}]", "set",
+                    f"element {outside[0]} is outside [0, 2^{n_bits})",
+                )
+            np.add.at(hits, subset, 1)
+        in_side = np.zeros(1 << n_bits, dtype=bool)
+        in_side[side] = True
+        for bad, problem in (
+            (hits > 1, "is in two parts"),
+            ((hits > 0) & ~in_side, "is not in the owner's set"),
+            ((hits == 0) & in_side, "is in no part"),
+        ):
+            if bad.any():
+                raise ParseError(path, "parts", f"element {np.argmax(bad)} {problem}")
         parts = []
-        for part in node["parts"]:
-            subset = np.array(part["set"], dtype=np.int64)
+        for i, (part, subset) in enumerate(zip(node["parts"], subsets)):
+            child_path = f"{path}.parts[{i}].child"
             if owner == "A":
-                child = dec(part["child"], subset, Y)
+                child = dec(part["child"], subset, Y, child_path)
             else:
-                child = dec(part["child"], X, subset)
+                child = dec(part["child"], X, subset, child_path)
             parts.append((part["msg"], subset, child))
         return Node(owner, rect, parts)
 
-    return ProtocolTree(dec(data["root"], full_domain(na), full_domain(nb)), na, nb)
+    return ProtocolTree(
+        dec(data["root"], full_domain(na), full_domain(nb), "root"), na, nb
+    )
 
 
 def run(tree: ProtocolTree, x: int, y: int) -> tuple[str, object]:
@@ -218,6 +256,35 @@ def run(tree: ProtocolTree, x: int, y: int) -> tuple[str, object]:
         msg, node = node.child_for(value)
         transcript += msg
     return transcript, node.label
+
+
+def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
+    """Output label of every pair (xs[k], ys[k]), routing all pairs through
+    the tree together; equals [run(tree, x, y)[1] ...], and like run raises
+    KeyError for a value that lies in no part of a node it reaches."""
+    labels = [None] * len(xs)
+    stack = [(tree.root, np.arange(len(xs)))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            for k in idx.tolist():
+                labels[k] = node.label
+            continue
+        values, n_bits = (xs, tree.n_bits_a) if node.owner == "A" else (ys, tree.n_bits_b)
+        values = values[idx]
+        bad = values[(values < 0) | (values >= 1 << n_bits)]
+        if bad.size:
+            raise KeyError(int(bad[0]))
+        # a later part wins on overlap, as in Node.child_for
+        which = np.full(1 << n_bits, -1, dtype=np.int32)
+        for i, (_, subset, _) in enumerate(node.parts):
+            which[subset] = i
+        which = which[values]
+        if (which < 0).any():
+            raise KeyError(int(values[np.argmax(which < 0)]))
+        for i, (_, _, child) in enumerate(node.parts):
+            stack.append((child, idx[which == i]))
+    return labels
 
 
 def transcript_stats(tree: ProtocolTree) -> dict:
@@ -374,7 +441,9 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
         free = tuple(c for c in range(nb) if c not in fixed)
         new_parts = []
         for msg, orig_subset, child in orig.parts:
-            sub = side[np.isin(side, orig_subset)]
+            member = np.zeros(1 << nb, dtype=bool)
+            member[orig_subset] = True
+            sub = side[member[side]]
             if len(sub) == 0:
                 continue
             drp = density_restoring_partition(sub, gamma, free)
@@ -410,21 +479,35 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
 
 
 def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
-    """Exact density check at every node; returns the node count."""
+    """Exact density check at every node; returns the node count.
+
+    Siblings and descendants share the side that does not speak, so each
+    distinct (elements, free coordinates) is checked once: density depends
+    on nothing else.
+    """
+    checked = set()
     count = 0
     for node in tree.nodes():
-        rect = node.rect
-        if not rect.is_subcube_like(gamma):
-            raise AssertionError("node rectangle is not subcube-like")
+        for side, free in node.rect.free_sides():
+            key = (np.asarray(side, dtype=np.int64).tobytes(), free)
+            if key in checked:
+                continue
+            if not is_dense(side, gamma, free):
+                raise AssertionError("node rectangle is not subcube-like")
+            checked.add(key)
         count += 1
     return count
 
 
+def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    xy = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return xy[:, 0], xy[:, 1]
+
+
 def outputs_agree(tree_a: ProtocolTree, tree_b: ProtocolTree, pairs) -> bool:
-    for x, y in pairs:
-        if run(tree_a, x, y)[1] != run(tree_b, x, y)[1]:
-            return False
-    return True
+    """Whether both trees output the same label on every (x, y) in pairs."""
+    xs, ys = _pair_arrays(pairs)
+    return _route_labels(tree_a, xs, ys) == _route_labels(tree_b, xs, ys)
 
 
 # -- cleanup ----------------------------------------------------------------------
@@ -520,11 +603,12 @@ def bottom_probability(tree: ProtocolTree) -> float:
 
 def never_wrong(tree: ProtocolTree, valid_a, valid_b) -> bool:
     """Exhaustive check that every non-BOT output is valid."""
-    for x in range(1 << tree.n_bits_a):
-        for y in range(1 << tree.n_bits_b):
-            _, label = run(tree, x, y)
-            if label is not BOT and not (valid_a(label, x) and valid_b(label, y)):
-                return False
+    xs = np.repeat(full_domain(tree.n_bits_a), 1 << tree.n_bits_b)
+    ys = np.tile(full_domain(tree.n_bits_b), 1 << tree.n_bits_a)
+    labels = _route_labels(tree, xs, ys)
+    for x, y, label in zip(xs.tolist(), ys.tolist(), labels):
+        if label is not BOT and not (valid_a(label, x) and valid_b(label, y)):
+            return False
     return True
 
 

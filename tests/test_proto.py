@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances, proto
+from nullcode.errors import ParseError
 from nullcode.proto import BOT
 
 
@@ -259,3 +260,132 @@ def test_codim_and_subcube_flags():
     assert rect.codim == 1
     assert rect.is_subcube()
     assert rect.is_subcube_like(0.8)
+
+
+def test_routed_labels_match_run():
+    for seed in range(6):
+        tree = small_tree(seed=seed, n_bits=5, depth=4, labels=(0, 1, 2, 3))
+        for t in (tree, proto.subcube_like_transform(tree, 0.8)):
+            pairs = list(itertools.product(range(32), range(32)))
+            expect = [proto.run(t, x, y)[1] for x, y in pairs]
+            xs, ys = proto._pair_arrays(pairs)
+            assert proto._route_labels(t, xs, ys) == expect
+            xs, ys = proto._pair_arrays(itertools.product(range(32), range(32)))
+            assert proto._route_labels(t, xs, ys) == expect
+            assert proto.outputs_agree(t, t, itertools.product(range(32), range(32)))
+
+
+def test_outputs_agree_detects_a_changed_label():
+    tree = small_tree(seed=1, n_bits=4, depth=3)
+    other = proto.tree_from_json(proto.tree_to_json(tree))
+    leaf = next(n for n in other.nodes() if isinstance(n, proto.Leaf))
+    leaf.label = "changed"
+    pairs = list(itertools.product(range(16), range(16)))
+    assert not proto.outputs_agree(tree, other, pairs)
+
+
+def test_outputs_agree_missing_value_raises_keyerror():
+    X = proto.full_domain(2)
+    Y = proto.full_domain(2)
+    p0 = X[X == 0]  # values 1..3 lie in no part
+    node = proto.Node("A", proto.Rect(X, Y, 2, 2), [("0", p0, proto.Leaf(0, proto.Rect(p0, Y, 2, 2)))])
+    tree = proto.ProtocolTree(node, 2, 2)
+    with pytest.raises(KeyError):
+        proto.run(tree, 3, 0)
+    with pytest.raises(KeyError):
+        proto.outputs_agree(tree, tree, [(0, 0), (3, 0)])
+
+
+def _dense_split_tree():
+    """Root fixes coordinate 2 of X = {0, 1, 2, 3} (dense on the free
+    coordinates 0 and 1); its children carry the same X content with no
+    fixed coordinate, where the constant bit 2 makes X not dense."""
+    X = proto.full_domain(2)  # bit 2 is 0 throughout
+    Y = proto.full_domain(3)
+    root_rect = proto.Rect(X, Y, 3, 3, I=(2,), a_bits=(0,), J=(), b_bits=())
+    parts = []
+    for bit in (0, 1):
+        half = Y[(Y & 1) == bit]
+        rect = proto.Rect(X.copy(), half, 3, 3, I=(), a_bits=(), J=(0,), b_bits=(bit,))
+        parts.append((str(bit), half, proto.Leaf(bit, rect)))
+    return proto.ProtocolTree(proto.Node("B", root_rect, parts), 3, 3)
+
+
+def test_validate_keys_sides_by_fixed_coordinates():
+    tree = _dense_split_tree()
+    assert tree.root.rect.is_subcube_like(0.8)
+    with pytest.raises(AssertionError):
+        proto.validate_subcube_like(tree, 0.8)
+
+
+def test_validate_checks_each_distinct_side_once(monkeypatch):
+    calls = []
+    real = proto.is_dense
+
+    def counting(X, gamma, coords):
+        calls.append((np.asarray(X, dtype=np.int64).tobytes(), tuple(coords)))
+        return real(X, gamma, coords)
+
+    monkeypatch.setattr(proto, "is_dense", counting)
+    tree = proto.subcube_like_transform(small_tree(seed=3, n_bits=6, depth=5), 0.8)
+    nodes = proto.validate_subcube_like(tree, 0.8)
+    distinct = {
+        (side.tobytes(), free) for node in tree.nodes() for side, free in node.rect.free_sides()
+    }
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert len(calls) < 2 * nodes
+
+
+def test_never_wrong_matches_per_pair_check():
+    def per_pair(tree, valid_a, valid_b):
+        for x in range(16):
+            for y in range(16):
+                label = proto.run(tree, x, y)[1]
+                if label is not BOT and not (valid_a(label, x) and valid_b(label, y)):
+                    return False
+        return True
+
+    for seed in range(4):
+        tree = small_tree(seed=seed, n_bits=4, depth=3)
+        for valid_a, valid_b in (
+            (lambda label, x: (x >> label) & 1 == 0, lambda label, y: True),
+            (lambda label, x: True, lambda label, y: y != 5),
+            (lambda label, x: True, lambda label, y: True),
+        ):
+            expect = per_pair(tree, valid_a, valid_b)
+            assert proto.never_wrong(tree, valid_a, valid_b) == expect
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda node: node.update(owner="C"), r"root:owner: owner 'C' is not"),
+        (
+            lambda node: node["parts"][0]["set"].append(node["parts"][1]["set"][0]),
+            r"root:parts: element \d+ is in two parts",
+        ),
+        (lambda node: node["parts"][0]["set"].pop(), r"root:parts: element \d+ is in no part"),
+        (
+            lambda node: node["parts"][1]["set"].append(16),
+            r"root\.parts\[1\]:set: element 16 is outside \[0, 2\^4\)",
+        ),
+        (
+            lambda node: node["parts"][0]["set"].append(-1),
+            r"root\.parts\[0\]:set: element -1 is outside",
+        ),
+        (
+            # both nodes belong to Alice; the element is in the root's other part
+            lambda node: node["parts"][0]["child"]["parts"][0]["set"].append(
+                node["parts"][1]["set"][0]
+            ),
+            r"root\.parts\[0\]\.child:parts: element \d+ is not in the owner's set",
+        ),
+    ],
+    ids=["owner", "overlap", "uncovered", "too_large", "negative", "outside_set"],
+)
+def test_tree_from_json_rejects_malformed_partitions(edit, message):
+    data = proto.tree_to_json(small_tree(seed=2, n_bits=4, depth=3, labels=(0, 1)))
+    assert data["root"]["owner"] == data["root"]["parts"][0]["child"]["owner"] == "A"
+    edit(data["root"])
+    with pytest.raises(ParseError, match=message):
+        proto.tree_from_json(data)
