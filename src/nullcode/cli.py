@@ -29,12 +29,15 @@ def _load_spec(args) -> CodeSpec:
         return codes.preset(args.t)
     if getattr(args, "config", None):
         # OSError: unreadable; ValueError: bad JSON or field values;
-        # KeyError, TypeError, AttributeError: not a code object
+        # ParseError: a malformed code field; KeyError, TypeError,
+        # AttributeError: not a code object
         try:
             with open(args.config) as fh:
                 data = json.load(fh)
             return CodeSpec.from_json(data.get("code", data))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (
+            OSError, ValueError, ParseError, KeyError, TypeError, AttributeError
+        ) as exc:
             raise UsageError(f"{args.config}: bad code config ({exc!r})") from None
     raise UsageError("one of --t, --config, or --toy is required")
 
@@ -124,6 +127,12 @@ def cmd_code_decode(args) -> int:
 
 def cmd_code_listrec(args) -> int:
     spec = _load_spec(args)
+    if not 0 <= args.ell <= spec.sigma_size:
+        raise UsageError(
+            f"--ell {args.ell} is outside [0, |Sigma| = {spec.sigma_size}]"
+        )
+    if not 0 < args.zeta <= 1:
+        raise UsageError(f"--zeta {args.zeta} is outside (0, 1]")
     rng = np.random.default_rng(args.seed)
     records = []
     for trial in range(args.trials):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .budget import DEFAULT_ENUM_BUDGET
-from .errors import BudgetExceeded, LengthMismatch
+from .errors import BudgetExceeded, LengthMismatch, ParseError
 from .gf import FieldCtx, ensure_same_field
 from .parallel import parallel_map
 
@@ -102,13 +102,8 @@ class CodeSpec:
     # -- evaluation points and basis -----------------------------------------
 
     def points(self) -> np.ndarray:
-        ctx = self.field
-        pts = np.empty(self.N, dtype=np.int64)
-        x = 1
-        for i in range(self.N):
-            pts[i] = x
-            x = ctx.mul(x, self.gamma)
-        return pts
+        """gamma^0, ..., gamma^(N-1); cached per spec and read-only."""
+        return _points_cached(self)
 
     def generator_matrix(self) -> np.ndarray:
         """Unfolded generator matrix (dim x N)."""
@@ -157,22 +152,60 @@ class CodeSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "CodeSpec":
-        field = FieldCtx.from_json(data["field"])
-        if data["kind"] == "grs-folded":
+        """Inverse of to_json.
+
+        Raises ParseError, naming the field, for an unknown kind, a field
+        without s or modulus, an m, k or gamma that is not an integer, an
+        m below 1, a multiplier vector v whose length is not q-1, and an
+        empty or ragged genmat.
+        """
+        kind = data.get("kind")
+        if kind not in ("grs-folded", "generic-linear"):
+            raise ParseError("code", "kind", f"unknown code kind {kind!r}")
+        fdata = data.get("field")
+        if not isinstance(fdata, dict) or not {"s", "modulus"} <= fdata.keys():
+            raise ParseError("code", "field", "field needs 's' and 'modulus'")
+        field = FieldCtx.from_json(fdata)
+        m = _json_int(data, "m")
+        if m < 1:
+            raise ParseError("code", "m", f"folding width m = {m} is not positive")
+        if kind == "grs-folded":
+            v = data.get("v")
+            if not isinstance(v, list) or len(v) != field.q - 1:
+                raise ParseError(
+                    "code", "v", f"multiplier vector must have length {field.q - 1}"
+                )
             return cls(
-                kind="grs-folded",
+                kind=kind,
                 field=field,
-                m=int(data["m"]),
-                k=int(data["k"]),
-                gamma=int(data["gamma"]),
-                v=tuple(int(x) for x in data["v"]),
+                m=m,
+                k=_json_int(data, "k"),
+                gamma=_json_int(data, "gamma"),
+                v=tuple(int(x) for x in v),
+            )
+        genmat = data.get("genmat")
+        if (
+            not isinstance(genmat, list)
+            or not genmat
+            or not all(isinstance(r, list) and r for r in genmat)
+            or len({len(r) for r in genmat}) != 1
+        ):
+            raise ParseError(
+                "code", "genmat", "generator matrix must be non-empty equal-length rows"
             )
         return cls(
-            kind="generic-linear",
+            kind=kind,
             field=field,
-            m=int(data["m"]),
-            genmat=tuple(tuple(int(x) for x in r) for r in data["genmat"]),
+            m=m,
+            genmat=tuple(tuple(int(x) for x in r) for r in genmat),
         )
+
+
+def _json_int(data: dict, key: str) -> int:
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError("code", key, f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def preset(t: int) -> CodeSpec:
@@ -212,12 +245,9 @@ def fold(spec: CodeSpec, x) -> Codeword:
 def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:
     if len(z) != spec.n:
         raise LengthMismatch(f"expected {spec.n} symbols, got {len(z)}")
-    out = []
-    for sym in z:
-        if len(sym) != spec.m:
-            raise LengthMismatch("symbol width does not match folding")
-        out.extend(int(v) for v in sym)
-    return np.array(out, dtype=np.int64)
+    if any(len(sym) != spec.m for sym in z):
+        raise LengthMismatch("symbol width does not match folding")
+    return np.array(z, dtype=np.int64).reshape(spec.N)
 
 
 def hw(word: Codeword) -> int:
@@ -259,13 +289,16 @@ def encode_unfolded(spec: CodeSpec, message) -> np.ndarray:
     return linalg.matvec(ctx, np.array(spec.genmat, dtype=np.int64).T, msg)
 
 
-def message_from_rank(spec: CodeSpec, rank: int) -> tuple[int, ...]:
-    q = spec.field.q
-    out = []
-    for _ in range(spec.dim):
-        out.append(rank % q)
-        rank //= q
-    return tuple(out)
+@lru_cache(maxsize=64)
+def _points_cached(spec: CodeSpec) -> np.ndarray:
+    ctx = spec.field
+    pts = np.empty(spec.N, dtype=np.int64)
+    x = 1
+    for i in range(spec.N):
+        pts[i] = x
+        x = ctx.mul(x, spec.gamma)
+    pts.setflags(write=False)
+    return pts
 
 
 @lru_cache(maxsize=64)
@@ -330,6 +363,20 @@ def _codeword_rank_matrix_cached(spec: CodeSpec) -> np.ndarray:
         out[:, i] = r
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=16)
+def _rank_columns_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per coordinate i, the sorted distinct symbol ranks of the codewords
+    and each codeword's index into them; read-only.  Both are bounded by
+    |C|, whatever |Sigma| is."""
+    out = []
+    for col in _codeword_rank_matrix_cached(spec).T:
+        values, index = np.unique(col, return_inverse=True)
+        values.setflags(write=False)
+        index.setflags(write=False)
+        out.append((values, index))
+    return tuple(out)
 
 
 def iter_codewords(spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET):
@@ -482,6 +529,22 @@ def _poly_divmod(ctx: FieldCtx, num: list[int], den: list[int]):
     return quot, num
 
 
+@lru_cache(maxsize=64)
+def _bw_constants(spec: CodeSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp-Welch constants of (spec, radius), cached and read-only:
+    the inverted multipliers 1/v_i and the point powers a_i^j for
+    j <= k + radius."""
+    ctx = spec.field
+    vinv = np.array([ctx.inv(x) for x in spec.v], dtype=np.int64)
+    pts = spec.points()
+    pw = np.ones((spec.N, spec.k + radius + 1), dtype=np.int64)
+    for j in range(1, pw.shape[1]):
+        pw[:, j] = linalg.mul_arrays(ctx, pw[:, j - 1], pts)
+    vinv.setflags(write=False)
+    pw.setflags(write=False)
+    return vinv, pw
+
+
 def _berlekamp_welch(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray | None:
     """Unique decoding of an unfolded GRS word within the given radius.
 
@@ -491,18 +554,12 @@ def _berlekamp_welch(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray |
     """
     ctx = spec.field
     N, k = spec.N, spec.k
-    pts = spec.points()
-    vinv = np.array([ctx.inv(x) for x in spec.v], dtype=np.int64)
+    vinv, pw = _bw_constants(spec, radius)
     r = linalg.mul_arrays(ctx, np.asarray(z, dtype=np.int64), vinv)
     e = radius
     nq = k + e + 1  # coefficients of Q
     cols = nq + e
     A = np.zeros((N, cols), dtype=np.int64)
-    b = np.zeros(N, dtype=np.int64)
-    # powers of each evaluation point
-    pw = np.ones((N, max(nq, e + 1)), dtype=np.int64)
-    for j in range(1, pw.shape[1]):
-        pw[:, j] = linalg.mul_arrays(ctx, pw[:, j - 1], pts)
     A[:, :nq] = pw[:, :nq]
     if e:
         A[:, nq:] = linalg.mul_arrays(ctx, r[:, None], pw[:, :e])
@@ -622,18 +679,25 @@ def list_recover_count(
                 spec.symbol_rank(item) if isinstance(item, tuple) else int(item)
             )
         sets.append(np.array(sorted(ranks), dtype=np.int64))
-    ranks = codeword_rank_matrix(spec, enum_budget)
+    codeword_rank_matrix(spec, enum_budget)  # budget gate
+    columns = _rank_columns_cached(spec)
+    # membership of each coordinate's distinct codeword symbols in S_i
+    members = []
+    for (values, _), s in zip(columns, sets):
+        member = np.zeros(values.size, dtype=bool)
+        pos = np.searchsorted(values, s).clip(max=values.size - 1)
+        member[pos[values[pos] == s]] = True
+        members.append(member)
     threshold = math.ceil(zeta * spec.n - 1e-9)
 
     def chunk_count(bounds):
         lo, hi = bounds
         agree = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(spec.n):
-            if sets[i].size:
-                agree += np.isin(ranks[lo:hi, i], sets[i])
+        for member, (_, index) in zip(members, columns):
+            agree += member[index[lo:hi]]
         return int((agree >= threshold).sum())
 
-    nrows = ranks.shape[0]
+    nrows = columns[0][1].shape[0]
     step = max(1, nrows // max(jobs, 1))
     chunks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
     return sum(parallel_map(chunk_count, chunks, jobs))

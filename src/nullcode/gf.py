@@ -183,6 +183,9 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise InvOfZero("zero has no multiplicative inverse")
+        if self.log_np is not None:
+            period = self.q - 1
+            return int(self.exp_np[(period - int(self.log_np[a])) % period])
         # a^(q-2) = a^(-1) in GF(q)
         return self.pow(a, self.q - 2)
 

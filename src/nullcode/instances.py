@@ -188,13 +188,16 @@ def brute_solve(
         ok = np.ones(hi - lo, dtype=bool)
         for i in range(inst.n):
             ok &= inst.tables[i, ranks[lo:hi, i]] == 0
-        return (lo + np.nonzero(ok)[0]).tolist()
+        return lo + np.nonzero(ok)[0]
 
     step = max(1, nrows // max(jobs, 1))
     chunks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
-    hits = [idx for part in parallel_map(chunk_hits, chunks, jobs) for idx in part]
+    hits = np.concatenate(parallel_map(chunk_hits, chunks, jobs))
     mat = codes.codeword_matrix(inst.spec, enum_budget)
-    return [codes.fold(inst.spec, mat[idx]) for idx in hits]
+    # zip the m columns of the hit symbols into symbol tuples, then zip n
+    # consecutive symbols (one shared iterator) into each codeword
+    symbols = zip(*mat[hits].reshape(-1, inst.spec.m).T.tolist())
+    return list(zip(*[symbols] * inst.n))
 
 
 def solution_indicator(inst: OracleInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:

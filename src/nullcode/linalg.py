@@ -64,19 +64,20 @@ def rref(ctx: FieldCtx, a) -> tuple[np.ndarray, list[int]]:
     for col in range(cols):
         if row >= rows:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
         if pr != row:
             r[[row, pr]] = r[[pr, row]]
+        # the pivot row is zero left of col, so row operations start there
         pivot = int(r[row, col])
         if pivot != 1:
-            r[row] = mul_arrays(ctx, r[row], ctx.inv(pivot))
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            r[others] ^= mul_arrays(ctx, r[others, col][:, None], r[row][None, :])
+            r[row, col:] = mul_arrays(ctx, r[row, col:], ctx.inv(pivot))
+        # clear col in every other row; rows already zero there add 0
+        factor = r[:, col].copy()
+        factor[row] = 0
+        r[:, col:] ^= mul_arrays(ctx, factor[:, None], r[row, col:][None, :])
         pivots.append(col)
         row += 1
     return r, pivots

@@ -127,7 +127,7 @@ def test_criterion_03_decoder_zero_error():
                 assert sorted(exhaustive) == sorted(bw_list)
                 agreements += 1
     elapsed = time.time() - start
-    assert elapsed < 120
+    assert elapsed < 30
     report(
         3,
         "decoder zero-error",

@@ -104,6 +104,11 @@ def _tiny_instance(tmp_path):
         (["code", "decode", "--toy", "--p", "1/4", "--trials", "1"], None),
         (["code", "dual", "--config", "{missing}"], None),
         (["code", "dual", "--config", "{malformed}"], None),
+        (["code", "listrec", "--toy", "--ell", "99", "--trials", "1"], None),
+        (["code", "listrec", "--toy", "--ell", "-1", "--trials", "1"], None),
+        (["code", "listrec", "--toy", "--zeta", "1.5", "--trials", "1"], None),
+        (["code", "listrec", "--toy", "--zeta", "0", "--trials", "1"], None),
+        (["code", "dual", "--config", "{short_v}"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -111,6 +116,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
         monkeypatch.setenv("NULLCODE_BUDGET", env)
     paths = {"{missing}": tmp_path / "missing.json", "{malformed}": tmp_path / "bad.json"}
     paths["{malformed}"].write_text('{"kind": ')
+    if "{short_v}" in argv:
+        from nullcode import codes
+
+        short_v = codes.preset(2).to_json()
+        short_v["v"] = short_v["v"][:-1]
+        paths["{short_v}"] = tmp_path / "short_v.json"
+        paths["{short_v}"].write_text(json.dumps(short_v))
     if "{inst}" in argv:
         paths["{inst}"] = _tiny_instance(tmp_path)
     argv = [str(paths.get(a, a)) for a in argv]

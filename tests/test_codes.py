@@ -1,12 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nullcode import codes, linalg
+from nullcode import codes, configs, linalg
 from nullcode.codes import CodeSpec, DecoderParams
-from nullcode.errors import BudgetExceeded, LengthMismatch
+from nullcode.errors import BudgetExceeded, LengthMismatch, ParseError
 from nullcode.gf import FieldCtx
 
 
@@ -14,6 +15,11 @@ def rs_f4(k: int) -> CodeSpec:
     return CodeSpec(
         kind="grs-folded", field=FieldCtx(2), m=1, k=k, gamma=2, v=(1, 1, 1)
     )
+
+
+GRS_K3 = CodeSpec(
+    kind="grs-folded", field=FieldCtx(4), m=5, k=3, gamma=2, v=(1,) * 15
+)
 
 
 def test_preset_schedule():
@@ -263,6 +269,43 @@ def test_list_recover_count_jobs_invariant():
     )
 
 
+def _list_recover_oracle(spec, S, zeta):
+    """Count agreements with np.isin over the full rank columns."""
+    ranks = codes.codeword_rank_matrix(spec)
+    agree = np.zeros(ranks.shape[0], dtype=np.int64)
+    for i, s in enumerate(S):
+        wanted = [spec.symbol_rank(x) if isinstance(x, tuple) else x for x in s]
+        agree += np.isin(ranks[:, i], np.array(wanted, dtype=np.int64))
+    return int((agree >= math.ceil(zeta * spec.n - 1e-9)).sum())
+
+
+@pytest.mark.parametrize("spec", [codes.preset(2), GRS_K3], ids=["preset2", "grs-k3"])
+def test_list_recover_count_matches_isin(spec):
+    rng = np.random.default_rng(11)
+    ranks = codes.codeword_rank_matrix(spec)
+    cases = [[set() for _ in range(spec.n)]]
+    for trial in range(6):
+        planted = rng.choice(ranks.shape[0], size=8, replace=False)
+        sets = [
+            set(ranks[planted, i].tolist())
+            | set(rng.integers(0, spec.sigma_size, size=40).tolist())
+            for i in range(spec.n)
+        ]
+        if trial % 2:
+            sets[0] = set()
+        cases.append(sets)
+    # symbol tuples, and ranks no codeword symbol can have
+    cases.append(
+        [{spec.rank_symbol(int(r)) for r in ranks[:5, i]} for i in range(spec.n)]
+    )
+    cases.append([{-1, spec.sigma_size + 3, int(ranks[7, i])} for i in range(spec.n)])
+    for S in cases:
+        for zeta in (0.3, 2 / 3, 1.0):
+            want = _list_recover_oracle(spec, S, zeta)
+            for jobs in (1, 3):
+                assert codes.list_recover_count(spec, S, zeta, jobs=jobs) == want
+
+
 def test_lr_param_check():
     out = codes.lr_param_check(63, 9, 6, 0, 2, 8, 0.4, 64)
     assert out["ineq1"] and out["ineq2"] and out["L"] == 64**2
@@ -295,3 +338,44 @@ def test_generic_linear_dual():
     spec = CodeSpec(kind="generic-linear", field=FieldCtx(2), m=1, genmat=gm)
     d = codes.dual(spec)
     assert codes.duals_equal(spec, d)  # repetition pairs are self-dual over F4
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d.update(kind="folded-rs"), "kind"),
+        (lambda d: d.pop("kind"), "kind"),
+        (lambda d: d["field"].pop("s"), "field"),
+        (lambda d: d["field"].pop("modulus"), "field"),
+        (lambda d: d.update(field=4), "field"),
+        (lambda d: d.update(m="5"), "m"),
+        (lambda d: d.update(m=0), "m"),
+        (lambda d: d.update(k=3.5), "k"),
+        (lambda d: d.pop("k"), "k"),
+        (lambda d: d.update(gamma=None), "gamma"),
+        (lambda d: d.update(v=d["v"][:-1]), "v"),
+        (lambda d: d.update(v=5), "v"),
+    ],
+)
+def test_grs_from_json_rejects_malformed_fields(edit, field):
+    data = codes.preset(2).to_json()
+    edit(data)
+    with pytest.raises(ParseError, match=f"^code:{field}: "):
+        CodeSpec.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "genmat",
+    [[], [[1, 1], [1]], [[]], "11", [[1, 1], 1]],
+    ids=["empty", "ragged", "empty-row", "not-a-list", "row-not-a-list"],
+)
+def test_generic_from_json_rejects_bad_genmat(genmat):
+    data = configs.toy_selfdual_spec().to_json()
+    data["genmat"] = genmat
+    with pytest.raises(ParseError, match="^code:genmat: "):
+        CodeSpec.from_json(data)
+
+
+def test_from_json_roundtrips_both_kinds():
+    for spec in (codes.preset(2), GRS_K3, configs.toy_selfdual_spec()):
+        assert CodeSpec.from_json(spec.to_json()) == spec

@@ -130,3 +130,22 @@ def test_table_and_raw_mul_agree():
 def test_json_roundtrip():
     ctx = FieldCtx(6)
     assert FieldCtx.from_json(ctx.to_json()) == ctx
+
+
+@pytest.mark.parametrize("s", sorted(DEFAULT_MODULI))
+def test_table_inverse_matches_power(s):
+    ctx = FieldCtx(s)
+    assert ctx.log_np is not None
+    for a in range(1, ctx.q):
+        inv = ctx.inv(a)
+        assert inv == ctx.pow(a, ctx.q - 2)
+        assert ctx.mul(a, inv) == 1
+
+
+def test_inverse_without_tables():
+    ctx = FieldCtx(17, (1 << 17) | (1 << 3) | 1)  # x^17 + x^3 + 1, no tables
+    assert ctx.log_np is None
+    for a in (1, 2, 3, 0x1ABCD, ctx.q - 1):
+        assert ctx.mul(a, ctx.inv(a)) == 1
+    with pytest.raises(InvOfZero):
+        ctx.inv(0)

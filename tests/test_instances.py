@@ -131,6 +131,43 @@ def test_brute_solve_jobs_invariant():
     assert instances.brute_solve(inst) == instances.brute_solve(inst, jobs=3)
 
 
+def _brute_solve_oracle(inst):
+    """Fold each solution row by row with codes.fold."""
+    ranks = codes.codeword_rank_matrix(inst.spec)
+    ok = (inst.tables[np.arange(inst.n), ranks] == 0).all(axis=1)
+    mat = codes.codeword_matrix(inst.spec)
+    return [codes.fold(inst.spec, mat[idx]) for idx in np.nonzero(ok)[0]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        toy(),
+        configs.toy_selfdual_spec(),
+        codes.preset(2),
+        codes.CodeSpec(
+            kind="grs-folded", field=codes.preset(2).field, m=5, k=3,
+            gamma=codes.preset(2).gamma, v=codes.preset(2).v,
+        ),
+    ],
+    ids=["repetition", "selfdual", "preset2", "grs-k3"],
+)
+def test_brute_solve_matches_per_row_fold(spec):
+    for seed, p in ((0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 16))):
+        inst = instances.sample_instance(spec, p, seed)
+        want = _brute_solve_oracle(inst)
+        for jobs in (1, 3):
+            got = instances.brute_solve(inst, jobs=jobs)
+            assert got == want
+            assert all(type(d) is int for word in got for sym in word for d in sym)
+    shape = (spec.n, spec.sigma_size)
+    zero = instances.with_tables(inst, np.zeros(shape, np.uint8))
+    assert instances.brute_solve(zero) == _brute_solve_oracle(zero)
+    assert len(instances.brute_solve(zero)) == spec.size
+    ones = instances.with_tables(inst, np.ones(shape, np.uint8))
+    assert instances.brute_solve(ones) == []
+
+
 def test_split():
     sp = instances.Split(4, 4)
     assert sp.bits_per_side == 8
