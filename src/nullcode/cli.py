@@ -738,9 +738,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="comma-separated coefficients")
     p.add_argument("--solutions", required=True, help="';'-separated rank words")
     p.set_defaults(fn=cmd_tbnc_verify)
-    p = tb.add_parser("alg2")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
+    # alg2 always runs the toy code and takes no --n/--s, which other tbnc
+    # commands do; allow_abbrev=False keeps --s from reading as --seed
+    p = tb.add_parser("alg2", allow_abbrev=False)
     p.add_argument("--t", type=int, default=2)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_tbnc_alg2)

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .budget import DEFAULT_ENUM_BUDGET
 from .errors import BudgetExceeded, LengthMismatch, ParseError
-from .gf import FieldCtx, ensure_same_field
+from .gf import FieldCtx
 from .parallel import parallel_map
 
 Symbol = tuple[int, ...]
@@ -57,6 +57,8 @@ class CodeSpec:
                 raise ValueError("multipliers must be nonzero field elements")
             if not 0 <= self.k <= q - 2:
                 raise ValueError(f"degree k={self.k} outside [0, q-2]")
+            if not _generates(self.field, self.gamma):
+                raise ValueError(f"gamma={self.gamma} does not generate F_q^*")
             if (q - 1) % self.m:
                 raise ValueError("m must divide N = q-1")
         elif self.kind == "generic-linear":
@@ -156,8 +158,8 @@ class CodeSpec:
 
         Raises ParseError, naming the field, for an unknown kind, a field
         without s or modulus, an m, k or gamma that is not an integer, an
-        m below 1, a multiplier vector v whose length is not q-1, and an
-        empty or ragged genmat.
+        m below 1, a gamma that does not generate F_q^*, a multiplier
+        vector v whose length is not q-1, and an empty or ragged genmat.
         """
         kind = data.get("kind")
         if kind not in ("grs-folded", "generic-linear"):
@@ -170,6 +172,9 @@ class CodeSpec:
         if m < 1:
             raise ParseError("code", "m", f"folding width m = {m} is not positive")
         if kind == "grs-folded":
+            gamma = _json_int(data, "gamma")
+            if not _generates(field, gamma):
+                raise ParseError("code", "gamma", f"gamma={gamma} does not generate F_q^*")
             v = data.get("v")
             if not isinstance(v, list) or len(v) != field.q - 1:
                 raise ParseError(
@@ -180,7 +185,7 @@ class CodeSpec:
                 field=field,
                 m=m,
                 k=_json_int(data, "k"),
-                gamma=_json_int(data, "gamma"),
+                gamma=gamma,
                 v=tuple(int(x) for x in v),
             )
         genmat = data.get("genmat")
@@ -199,6 +204,11 @@ class CodeSpec:
             m=m,
             genmat=tuple(tuple(int(x) for x in r) for r in genmat),
         )
+
+
+def _generates(field: FieldCtx, gamma: int) -> bool:
+    """Whether gamma is a generator of F_q^*."""
+    return 0 < gamma < field.q and field.element_order(gamma) == field.q - 1
 
 
 def _json_int(data: dict, key: str) -> int:
@@ -308,13 +318,13 @@ def _basis_rref_cached(spec: CodeSpec) -> np.ndarray:
     return out
 
 
-def codeword_matrix(spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def codeword_matrix(spec: CodeSpec) -> np.ndarray:
     """All codewords, unfolded, as a (|C| x N) array in message-rank order.
 
     Cached per spec; treat the result as read-only.
     """
-    if spec.size > enum_budget:
-        raise BudgetExceeded(f"|C| = {spec.size} exceeds budget {enum_budget}")
+    if spec.size > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"|C| = {spec.size} exceeds budget {DEFAULT_ENUM_BUDGET}")
     return _codeword_matrix_cached(spec)
 
 
@@ -344,9 +354,9 @@ def _codeword_matrix_cached(spec: CodeSpec) -> np.ndarray:
     return acc
 
 
-def codeword_rank_matrix(spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def codeword_rank_matrix(spec: CodeSpec) -> np.ndarray:
     """All codewords as (|C| x n) symbol-rank arrays in message-rank order."""
-    codeword_matrix(spec, enum_budget)  # budget gate
+    codeword_matrix(spec)  # budget gate
     return _codeword_rank_matrix_cached(spec)
 
 
@@ -379,8 +389,8 @@ def _rank_columns_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray],
     return tuple(out)
 
 
-def iter_codewords(spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET):
-    mat = codeword_matrix(spec, enum_budget)
+def iter_codewords(spec: CodeSpec):
+    mat = codeword_matrix(spec)
     for row in mat:
         yield fold(spec, row)
 
@@ -391,11 +401,11 @@ def contains(spec: CodeSpec, word: Codeword) -> bool:
     return linalg.in_row_space(spec.field, spec.basis_rref(), vec)
 
 
-def min_distance(spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET) -> int:
+def min_distance(spec: CodeSpec) -> int:
     """Exact unfolded minimum distance; exhaustive for small codes."""
     if spec.kind == "grs-folded":
         return spec.N - spec.k
-    mat = codeword_matrix(spec, enum_budget)
+    mat = codeword_matrix(spec)
     weights = np.count_nonzero(mat, axis=1)
     nz = weights[weights > 0]
     return int(nz.min()) if nz.size else 0
@@ -455,14 +465,6 @@ def _certify_dual(spec: CodeSpec, cand: CodeSpec) -> None:
         raise AssertionError("dual dimension mismatch")
 
 
-def duals_equal(a: CodeSpec, b: CodeSpec) -> bool:
-    """Set equality of two codes over the same field, via canonical bases."""
-    ensure_same_field(a.field, b.field)
-    if a.N != b.N:
-        return False
-    return bool(np.array_equal(a.basis_rref(), b.basis_rref()))
-
-
 # -- decoding ---------------------------------------------------------------------
 
 
@@ -476,18 +478,12 @@ class DecoderParams:
     radius_unfolded: int
 
     @classmethod
-    def for_spec(
-        cls,
-        spec: CodeSpec,
-        p,
-        epsilon=Fraction(1, 100),
-        enum_budget: int = DEFAULT_ENUM_BUDGET,
-    ) -> "DecoderParams":
+    def for_spec(cls, spec: CodeSpec, p, epsilon=Fraction(1, 100)) -> "DecoderParams":
         p = Fraction(p)
         epsilon = Fraction(epsilon)
         radius = int((p + epsilon) * spec.N)  # floor for positive values
         dual_spec = dual(spec, cross_check=False)
-        d_dual = min_distance(dual_spec, enum_budget=enum_budget)
+        d_dual = min_distance(dual_spec)
         unique_frac = Fraction((d_dual - 1) // 2, spec.N)
         if p + epsilon >= unique_frac:
             raise ValueError(
@@ -495,19 +491,6 @@ class DecoderParams:
                 f"dual unique-decoding fraction {float(unique_frac):.4f}"
             )
         return cls(p=p, epsilon=epsilon, radius_unfolded=radius)
-
-
-@dataclass(frozen=True)
-class ListRecoveryParams:
-    zeta: float
-    ell: int
-    L: int
-
-    def __post_init__(self):
-        if not 0 < self.zeta <= 1:
-            raise ValueError("zeta must lie in (0, 1]")
-        if self.ell < 0 or self.L < 0:
-            raise ValueError("ell and L must be nonnegative")
 
 
 def _poly_divmod(ctx: FieldCtx, num: list[int], den: list[int]):
@@ -580,22 +563,17 @@ def _berlekamp_welch(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray |
     return cand
 
 
-def list_decode(
-    spec: CodeSpec,
-    z: Codeword,
-    radius: int,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> list[Codeword]:
+def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
     """All codewords within symbol Hamming distance `radius` of z.
 
     Small codes are decoded by exhaustive enumeration; unfolded GRS specs
     fall back to Berlekamp-Welch unique decoding, valid up to
     floor((d - 1) / 2) with d = N - k.
     """
-    if spec.size <= enum_budget:
+    if spec.size <= DEFAULT_ENUM_BUDGET:
         zr = spec.word_ranks(z)
-        ranks = codeword_rank_matrix(spec, enum_budget)
-        mat = codeword_matrix(spec, enum_budget)
+        ranks = codeword_rank_matrix(spec)
+        mat = codeword_matrix(spec)
         dist = (ranks != np.array(zr)[None, :]).sum(axis=1)
         return [fold(spec, mat[idx]) for idx in np.nonzero(dist <= radius)[0]]
     if spec.kind != "grs-folded" or spec.m != 1:
@@ -613,45 +591,27 @@ def list_decode(
     return [fold(spec, cand)]
 
 
-def dual_decode(
-    spec: CodeSpec,
-    params: DecoderParams,
-    z: Codeword,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-):
+def dual_decode(spec: CodeSpec, params: DecoderParams, z: Codeword):
     """Decode z against the dual code at the unfolded level.
 
     Unfolds z, finds the codewords of the unfolded dual within
     radius_unfolded, and returns the folded candidate when it is unique;
-    returns None otherwise.
+    returns None otherwise.  A radius beyond the unique-decoding bound of
+    a dual too large to enumerate raises BudgetExceeded (for_spec never
+    builds one).
     """
-    ctx = spec.field
-    zu = unfold(spec, z)
+    zword = tuple((int(x),) for x in unfold(spec, z))
     dspec = dual(spec, cross_check=False)
     dspec_unf = CodeSpec(
         kind=dspec.kind,
-        field=ctx,
+        field=spec.field,
         m=1,
         k=dspec.k,
         gamma=dspec.gamma,
         v=dspec.v,
         genmat=dspec.genmat,
     )
-    zword = tuple((int(x),) for x in zu)
-    if dspec_unf.size <= enum_budget:
-        cands = list_decode(dspec_unf, zword, params.radius_unfolded, enum_budget)
-    else:
-        cands = list_decode(
-            dspec_unf,
-            zword,
-            (dspec_unf.N - dspec_unf.k - 1) // 2,
-            enum_budget,
-        )
-        cands = [
-            c
-            for c in cands
-            if hw_unfolded(unfold(dspec_unf, c) ^ zu) <= params.radius_unfolded
-        ]
+    cands = list_decode(dspec_unf, zword, params.radius_unfolded)
     if len(cands) != 1:
         return None
     return fold(spec, unfold(dspec_unf, cands[0]))
@@ -664,7 +624,6 @@ def list_recover_count(
     spec: CodeSpec,
     S,
     zeta: float,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
     jobs: int = 1,
 ) -> int:
     """Exact number of codewords agreeing with the candidate sets S_i on at
@@ -679,7 +638,7 @@ def list_recover_count(
                 spec.symbol_rank(item) if isinstance(item, tuple) else int(item)
             )
         sets.append(np.array(sorted(ranks), dtype=np.int64))
-    codeword_rank_matrix(spec, enum_budget)  # budget gate
+    codeword_rank_matrix(spec)  # budget gate
     columns = _rank_columns_cached(spec)
     # membership of each coordinate's distinct codeword symbols in S_i
     members = []

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import linalg
-from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec
 from .errors import (
     BudgetExceeded,
@@ -139,24 +138,12 @@ def eval_hash_bias(family: HashFamily, key: HashKey, e_rank: int, i: int) -> int
     return int(eval_hash(family, key, e_rank, i) == (1 << family.out_bits) - 1)
 
 
-def hash_bias_tables(family: HashFamily, key: HashKey, spec: CodeSpec) -> np.ndarray:
+def hash_bias_tables(family: HashFamily, key: HashKey) -> np.ndarray:
     """Bias bit of the hash at every (coordinate, symbol) cell."""
     out = np.zeros((family.n, family.sigma_size), dtype=np.uint8)
     for i in range(1, family.n + 1):
         for e in range(family.sigma_size):
             out[i - 1, e] = eval_hash_bias(family, key, e, i)
-    return out
-
-
-def hash_unfolded_tables(family: HashFamily, key: HashKey, spec: CodeSpec) -> np.ndarray:
-    """Per-cell output blocks as (n, sigma, out_bits) bit arrays."""
-    b = family.out_bits
-    out = np.zeros((family.n, family.sigma_size, b), dtype=np.uint8)
-    for i in range(1, family.n + 1):
-        for e in range(family.sigma_size):
-            val = eval_hash(family, key, e, i)
-            for j in range(b):
-                out[i - 1, e, j] = (val >> j) & 1
     return out
 
 
@@ -214,7 +201,6 @@ def attack_solve(
     family: HashFamily,
     spec: CodeSpec,
     inst: OracleInstance,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> HashKey | None:
     """Find a key whose hash cancels the instance's bias oracle on one
     fixed codeword, by Gaussian elimination over the key bits.
@@ -228,7 +214,7 @@ def attack_solve(
         import warnings
 
         warnings.warn("lambda < n: the linear system may be infeasible", stacklevel=2)
-    x_word = codes_mod.fold(spec, codes_mod.codeword_matrix(spec, enum_budget)[1])
+    x_word = codes_mod.fold(spec, codes_mod.codeword_matrix(spec)[1])
     ranks = [spec.symbol_rank(s) for s in x_word]
     encoded = [family.encode(ranks[i], i + 1) for i in range(spec.n)]
     w = family.out_bits

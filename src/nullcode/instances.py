@@ -7,8 +7,8 @@ candidate with table lookups plus a rank-based membership test, and
 `brute_solve` enumerates the exact solution set for small codes.
 
 When p = 2**-b the bias bits can be expanded into AND-blocks of b uniform
-bits and collapsed back; tables in that unfolded form drive the total
-problem layer.
+bits whose AND gives each bit back; tables in that unfolded form drive the
+total problem layer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes
-from .budget import DEFAULT_ENUM_BUDGET, DEFAULT_TABLE_BUDGET
+from .budget import DEFAULT_TABLE_BUDGET
 from .codes import CodeSpec, Codeword
 from .errors import (
     BiasNotPowerOfTwo,
@@ -77,20 +77,15 @@ class OracleInstance:
         return self.spec.sigma_size
 
 
-def _check_table_budget(spec: CodeSpec, table_budget: int, blocks: int = 1):
+def _check_table_bits(spec: CodeSpec, blocks: int = 1):
     bits = spec.n * spec.sigma_size * blocks
-    if bits > table_budget:
+    if bits > DEFAULT_TABLE_BUDGET:
         raise BudgetExceeded(
-            f"instance needs {bits} table bits, budget is {table_budget}"
+            f"instance needs {bits} table bits, budget is {DEFAULT_TABLE_BUDGET}"
         )
 
 
-def sample_instance(
-    spec: CodeSpec,
-    p,
-    seed: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> OracleInstance:
+def sample_instance(spec: CodeSpec, p, seed: int) -> OracleInstance:
     """Sample each table bit independently with P[bit = 1] = p.
 
     The draw uses integer comparison against the exact rational bias, so
@@ -99,21 +94,16 @@ def sample_instance(
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("bias must lie in [0, 1]")
-    _check_table_budget(spec, table_budget)
+    _check_table_bits(spec)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B1A5]))
     draws = rng.integers(0, p.denominator, size=(spec.n, spec.sigma_size))
     tables = (draws < p.numerator).astype(np.uint8)
     return OracleInstance(spec=spec, p=p, seed=seed, tables=tables)
 
 
-def sample_unfolded_instance(
-    spec: CodeSpec,
-    b: int,
-    seed: int,
-    table_budget: int = DEFAULT_TABLE_BUDGET,
-) -> OracleInstance:
+def sample_unfolded_instance(spec: CodeSpec, b: int, seed: int) -> OracleInstance:
     """Sample uniform AND-block tables; the collapsed bias is p = 2**-b."""
-    _check_table_budget(spec, table_budget, blocks=b)
+    _check_table_bits(spec, blocks=b)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B1A6]))
     unfolded = rng.integers(0, 2, size=(spec.n, spec.sigma_size, b)).astype(np.uint8)
     tables = unfolded.min(axis=2)
@@ -143,14 +133,6 @@ def expand_and_blocks(inst: OracleInstance, b: int) -> OracleInstance:
     return replace(inst, unfolded=unfolded)
 
 
-def collapse_and_blocks(inst: OracleInstance) -> OracleInstance:
-    """Recompute bias tables as the AND of each block and drop the blocks."""
-    if inst.unfolded is None:
-        raise ValueError("instance carries no unfolded tables")
-    tables = inst.unfolded.min(axis=2)
-    return replace(inst, tables=tables, unfolded=None)
-
-
 def verify(inst: OracleInstance, x: Codeword) -> bool:
     """Membership in the code plus H_i(x_i) = 0 for every coordinate.
 
@@ -168,11 +150,7 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
     return codes.contains(inst.spec, x)
 
 
-def brute_solve(
-    inst: OracleInstance,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-    jobs: int = 1,
-) -> list[Codeword]:
+def brute_solve(inst: OracleInstance, jobs: int = 1) -> list[Codeword]:
     """Exact solution set, in message-rank order.
 
     The message space is scanned in chunks; the worker count never changes
@@ -180,7 +158,7 @@ def brute_solve(
     """
     from .parallel import parallel_map
 
-    ranks = codes.codeword_rank_matrix(inst.spec, enum_budget)
+    ranks = codes.codeword_rank_matrix(inst.spec)
     nrows = ranks.shape[0]
 
     def chunk_hits(bounds):
@@ -193,26 +171,20 @@ def brute_solve(
     step = max(1, nrows // max(jobs, 1))
     chunks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
     hits = np.concatenate(parallel_map(chunk_hits, chunks, jobs))
-    mat = codes.codeword_matrix(inst.spec, enum_budget)
+    mat = codes.codeword_matrix(inst.spec)
     # zip the m columns of the hit symbols into symbol tuples, then zip n
     # consecutive symbols (one shared iterator) into each codeword
     symbols = zip(*mat[hits].reshape(-1, inst.spec.m).T.tolist())
     return list(zip(*[symbols] * inst.n))
 
 
-def solution_indicator(inst: OracleInstance, enum_budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+def solution_indicator(inst: OracleInstance) -> np.ndarray:
     """Boolean vector over message ranks marking solutions."""
-    ranks = codes.codeword_rank_matrix(inst.spec, enum_budget)
+    ranks = codes.codeword_rank_matrix(inst.spec)
     ok = np.ones(ranks.shape[0], dtype=bool)
     for i in range(inst.n):
         ok &= inst.tables[i, ranks[:, i]] == 0
     return ok
-
-
-def expected_solution_count(spec: CodeSpec, p) -> float:
-    """|C| * (1-p)^n; exact by linearity of expectation."""
-    p = Fraction(p)
-    return float(spec.size * (1 - p) ** spec.n)
 
 
 # -- bipartite split -----------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +35,7 @@ from .gf import FieldCtx
 from .instances import OracleInstance
 
 _DENSE_QFT_LIMIT = 1 << 12
+_GOOD_PAIR_CAP = 1 << 20
 
 
 # -- Fourier kernels -------------------------------------------------------------
@@ -95,14 +95,12 @@ def prepare_phi(inst: OracleInstance, i: int) -> np.ndarray:
     return vec
 
 
-def prepare_psi(
-    spec: CodeSpec, enum_budget: int = DEFAULT_ENUM_BUDGET
-) -> np.ndarray:
+def prepare_psi(spec: CodeSpec) -> np.ndarray:
     """Uniform superposition over the code as a length-|Sigma|^n vector."""
     total = spec.sigma_size**spec.n
-    if total > enum_budget:
+    if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"code state over {total} strings exceeds budget")
-    flat = _code_flat_ranks(spec, enum_budget)
+    flat = _code_flat_ranks(spec)
     vec = np.zeros(total, dtype=np.complex128)
     vec[flat] = 1.0 / math.sqrt(flat.size)
     return vec
@@ -123,21 +121,17 @@ def apply_add_decode(joint: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.n
     return added, added[idx[:, None] ^ F[None, :], idx[None, :]]
 
 
-def decode_rank_table(
-    spec: CodeSpec,
-    params: DecoderParams,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> np.ndarray:
+def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
     """Flat-rank decode table over all of Sigma^n: F[z] = dual_decode(z),
     with 0 standing in for the bottom symbol."""
     sigma = spec.sigma_size
     total = sigma**spec.n
-    if total > enum_budget:
+    if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"decode table over {total} strings exceeds budget")
     out = np.zeros(total, dtype=np.int64)
     for flat in range(total):
         word = flat_to_word(spec, flat)
-        dec = codes.dual_decode(spec, params, word, enum_budget)
+        dec = codes.dual_decode(spec, params, word)
         if dec is not None:
             out[flat] = word_to_flat(spec, dec)
     return out
@@ -163,38 +157,26 @@ def word_to_flat(spec: CodeSpec, word) -> int:
 # -- good/bad bookkeeping ---------------------------------------------------------
 
 
-@dataclass
-class GoodBadSpec:
-    """Product-form GOOD set: pairs (x, e) with x in a designated set and e
-    below a symbol-weight cutoff.  The pipeline verifies F(x+e) = x on it."""
-
-    good_x_mask: np.ndarray
-    good_e_mask: np.ndarray
-    label: str = "default"
-
-
-def default_goodbad(
-    spec: CodeSpec,
-    params: DecoderParams,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> GoodBadSpec:
-    """GOOD = C-dual x {e : symbol weight of e <= (p + epsilon) n}."""
+def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Product-form GOOD set C-dual x {e : symbol weight of e <= (p +
+    epsilon) n}, as the masks (good_x, good_e) over flat ranks.  The
+    pipeline verifies F(x+e) = x on it."""
     sigma = spec.sigma_size
     total = sigma**spec.n
-    if total > enum_budget:
+    if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("good/bad masks exceed the enumeration budget")
     dual_spec = codes.dual(spec, cross_check=False)
-    dual_flat = _code_flat_ranks(dual_spec, enum_budget)
+    dual_flat = _code_flat_ranks(dual_spec)
     good_x = np.zeros(total, dtype=bool)
     good_x[dual_flat] = True
     weight_cap = int((Fraction(params.p) + Fraction(params.epsilon)) * spec.n)
     weights = _flat_symbol_weights(sigma, spec.n)
     good_e = weights <= weight_cap
-    return GoodBadSpec(good_x_mask=good_x, good_e_mask=good_e)
+    return good_x, good_e
 
 
-def _code_flat_ranks(spec: CodeSpec, enum_budget: int) -> np.ndarray:
-    ranks = codes.codeword_rank_matrix(spec, enum_budget)
+def _code_flat_ranks(spec: CodeSpec) -> np.ndarray:
+    ranks = codes.codeword_rank_matrix(spec)
     sigma = spec.sigma_size
     flat = np.zeros(ranks.shape[0], dtype=np.int64)
     for i in range(spec.n):
@@ -215,24 +197,17 @@ def _flat_symbol_weights(sigma: int, n: int) -> np.ndarray:
 # -- the main pipeline -------------------------------------------------------------
 
 
-def add_decode_pipeline(
-    spec: CodeSpec,
-    phis: list[np.ndarray],
-    params: DecoderParams,
-    goodbad: GoodBadSpec | None = None,
-    F: np.ndarray | None = None,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-    check_good: bool = True,
-) -> dict:
+def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderParams) -> dict:
     """Run the add/decode pipeline exactly on the received per-coordinate
     states and compare with the ideal state.
 
     phis holds one length-|Sigma| state per coordinate, in coordinate
     order (see prepare_phi); their tensor product is the oracle state.
-    Returns eps, delta, the Euclidean distance between actual and ideal
-    states, measurement statistics, and the states themselves (as dense
-    vectors over pairs).  Raises AssertionError if the distance bound
-    sqrt(eps) + sqrt(delta) + 1e-9 is violated.
+    Builds the decode table F and the GOOD masks and checks F(x+e) = x on
+    GOOD.  Returns eps, delta, the Euclidean distance between actual and
+    ideal states, measurement statistics, and the states themselves (as
+    dense vectors over pairs).  Raises AssertionError if GOOD is unsound
+    or the distance bound sqrt(eps) + sqrt(delta) + 1e-9 is violated.
     """
     sigma = spec.sigma_size
     n = spec.n
@@ -246,21 +221,16 @@ def add_decode_pipeline(
         raise LengthMismatch(f"expected {n} states of length {sigma}")
 
     # -- input states
-    psi = prepare_psi(spec, enum_budget)
+    psi = prepare_psi(spec)
     phi = functools.reduce(np.kron, phis)
 
     kernel = sigma_qft_matrix(spec.field, spec.m)
     vhat = apply_qft_vec(psi, kernel, n)
     what = apply_qft_vec(phi, kernel, n)
 
-    if F is None:
-        F = decode_rank_table(spec, params, enum_budget)
-    if goodbad is None:
-        goodbad = default_goodbad(spec, params, enum_budget)
-    gx, ge = goodbad.good_x_mask, goodbad.good_e_mask
-
-    if check_good:
-        _check_good_soundness(F, gx, ge)
+    F = decode_rank_table(spec, params)
+    gx, ge = default_goodbad(spec, params)
+    _assert_good_sound(F, gx, ge)
 
     # -- error masses over BAD = complement of GOOD
     px = np.abs(vhat) ** 2
@@ -311,10 +281,12 @@ def add_decode_pipeline(
     }
 
 
-def _check_good_soundness(F: np.ndarray, gx: np.ndarray, ge: np.ndarray, cap: int = 1 << 20):
+def _assert_good_sound(F: np.ndarray, gx: np.ndarray, ge: np.ndarray):
+    """F(x+e) = x on every GOOD pair, or on 1024 x 1024 seeded sampled
+    ones when GOOD has more than _GOOD_PAIR_CAP pairs."""
     xs = np.nonzero(gx)[0]
     es = np.nonzero(ge)[0]
-    if xs.size * es.size > cap:
+    if xs.size * es.size > _GOOD_PAIR_CAP:
         rng = np.random.default_rng(0)
         xs = rng.choice(xs, size=min(xs.size, 1024), replace=False)
         es = rng.choice(es, size=min(es.size, 1024), replace=False)
@@ -332,12 +304,7 @@ def _tv_distance(p: np.ndarray, q_unnorm: np.ndarray, q_mass: float) -> float:
 # -- protocol runner ----------------------------------------------------------------
 
 
-def run_smp_protocol(
-    spec: CodeSpec,
-    inst: OracleInstance,
-    params: DecoderParams,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> dict:
+def run_smp_protocol(spec: CodeSpec, inst: OracleInstance, params: DecoderParams) -> dict:
     """One-round SMP execution with explicit stage boundaries.
 
     Alice prepares the states for coordinates 1..floor(n/2), Bob the rest.
@@ -351,9 +318,7 @@ def run_smp_protocol(
     half = inst.n // 2
     alice_states = [prepare_phi(inst, i) for i in range(1, half + 1)]
     bob_states = [prepare_phi(inst, i) for i in range(half + 1, inst.n + 1)]
-    out = add_decode_pipeline(
-        spec, alice_states + bob_states, params, enum_budget=enum_budget
-    )
+    out = add_decode_pipeline(spec, alice_states + bob_states, params)
     z_dist = out["solution_distribution"]
     verified = np.zeros_like(z_dist, dtype=bool)
     for flat in np.nonzero(z_dist > 1e-12)[0]:

@@ -24,7 +24,6 @@ from . import codes as codes_mod
 from . import hashing as hashing_mod
 from . import instances as inst_mod
 from . import qsim
-from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec, DecoderParams
 from .errors import (
     BudgetExceeded,
@@ -76,7 +75,7 @@ def xored_bias_tables(
     copy: OracleInstance, family: HashFamily, key: HashKey
 ) -> np.ndarray:
     """bias H (AND-collapsed) XOR bias h_k, per (coordinate, symbol)."""
-    hash_bias = hashing_mod.hash_bias_tables(family, key, copy.spec)
+    hash_bias = hashing_mod.hash_bias_tables(family, key)
     return (copy.tables ^ hash_bias).astype(np.uint8)
 
 
@@ -102,7 +101,6 @@ def run_keyed_smp(
     seed: int,
     retry_cap: int = DEFAULT_RETRY_CAP,
     forced_key: HashKey | None = None,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Referee protocol for the total problem at toy scale.
 
@@ -134,7 +132,7 @@ def run_keyed_smp(
                     break
             retries_total += attempt - 1
         shifted = inst_mod.with_tables(copy, g)
-        report = qsim.run_smp_protocol(tb.spec, shifted, params, enum_budget)
+        report = qsim.run_smp_protocol(tb.spec, shifted, params)
         z = qsim.sample_measurement(report, rng)
         solutions.append(qsim.flat_to_word(tb.spec, z))
         diagnostics.append(
@@ -158,12 +156,8 @@ def run_keyed_smp(
 # -- totality ---------------------------------------------------------------------
 
 
-def solution_set_empty(
-    spec: CodeSpec,
-    tables: np.ndarray,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> bool:
-    ranks = codes_mod.codeword_rank_matrix(spec, enum_budget)
+def solution_set_empty(spec: CodeSpec, tables: np.ndarray) -> bool:
+    ranks = codes_mod.codeword_rank_matrix(spec)
     ok = np.ones(ranks.shape[0], dtype=bool)
     for i in range(spec.n):
         ok &= tables[i, ranks[:, i]] == 0
@@ -175,7 +169,6 @@ def exact_emptiness_probability(
     family: HashFamily,
     key: HashKey,
     b: int,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> float:
     """P over a fresh 2**-b-biased oracle that no codeword solves the
     XORed instance, by exact weighted enumeration of the touched cells.
@@ -184,12 +177,12 @@ def exact_emptiness_probability(
     some codeword matter, and the weight of each assignment is a product
     of per-cell Bernoulli masses.
     """
-    ranks = codes_mod.codeword_rank_matrix(spec, enum_budget)
+    ranks = codes_mod.codeword_rank_matrix(spec)
     cells = sorted({(i, int(r)) for row in ranks for i, r in enumerate(row)})
     if len(cells) > 22:
         raise BudgetExceeded(f"{len(cells)} touched cells is too many to enumerate")
     cell_index = {c: j for j, c in enumerate(cells)}
-    hash_bias = hashing_mod.hash_bias_tables(family, key, spec)
+    hash_bias = hashing_mod.hash_bias_tables(family, key)
     p = Fraction(1, 1 << b)
     prob_zero = []  # per cell: P[bias H ^ bias h = 0]
     for (i, r) in cells:
@@ -220,7 +213,6 @@ def totality_scan(
     key_budget: int,
     seed: int,
     b: int = 6,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> dict:
     """Sample oracles, scan keys, and report how often every copy's
     solution set is nonempty.
@@ -242,7 +234,7 @@ def totality_scan(
             all_nonempty = True
             for copy in tb.copies:
                 g = xored_bias_tables(copy, family, key)
-                if solution_set_empty(spec, g, enum_budget):
+                if solution_set_empty(spec, g):
                     all_nonempty = False
                     break
             if all_nonempty:
@@ -252,7 +244,7 @@ def totality_scan(
             good_key_hits += 1
         zero = keys[0]
         empty = any(
-            solution_set_empty(spec, xored_bias_tables(copy, family, zero), enum_budget)
+            solution_set_empty(spec, xored_bias_tables(copy, family, zero))
             for copy in tb.copies
         )
         zero_key_empty += empty

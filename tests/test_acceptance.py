@@ -178,7 +178,7 @@ def test_criterion_05_qft():
     psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = qsim.apply_qft_vec(psi, kernel, spec.n)
-    dual_flat = set(qsim._code_flat_ranks(codes.dual(spec), 1 << 16).tolist())
+    dual_flat = set(qsim._code_flat_ranks(codes.dual(spec)).tolist())
     heavy = set(np.nonzero(np.abs(hat) > 1e-10)[0].tolist())
     assert heavy == dual_flat
     mags = np.abs(hat[sorted(heavy)])

@@ -109,6 +109,7 @@ def _tiny_instance(tmp_path):
         (["code", "listrec", "--toy", "--zeta", "1.5", "--trials", "1"], None),
         (["code", "listrec", "--toy", "--zeta", "0", "--trials", "1"], None),
         (["code", "dual", "--config", "{short_v}"], None),
+        (["code", "dual", "--config", "{gamma_1}"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -123,6 +124,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
         short_v["v"] = short_v["v"][:-1]
         paths["{short_v}"] = tmp_path / "short_v.json"
         paths["{short_v}"].write_text(json.dumps(short_v))
+    if "{gamma_1}" in argv:
+        from nullcode import codes
+
+        with pytest.warns(UserWarning, match="degenerate"):
+            gamma_1 = codes.preset(1).to_json()
+        gamma_1["gamma"] = 1  # order 1, not a generator of F_4^*
+        paths["{gamma_1}"] = tmp_path / "gamma_1.json"
+        paths["{gamma_1}"].write_text(json.dumps(gamma_1))
     if "{inst}" in argv:
         paths["{inst}"] = _tiny_instance(tmp_path)
     argv = [str(paths.get(a, a)) for a in argv]
@@ -132,9 +141,19 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_jobs_only_on_instance_solve():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qsim", "lemma51", "--toy", "--jobs", "2"],
+        ["tbnc", "alg2", "--n", "3"],
+        ["tbnc", "alg2", "--s", "3"],
+    ],
+    ids=["lemma51-jobs", "alg2-n", "alg2-s"],
+)
+def test_removed_flags_exit_2(argv):
+    # --jobs exists only on instance solve; alg2 always runs the toy code
     with pytest.raises(SystemExit) as exc:
-        main(["qsim", "lemma51", "--toy", "--jobs", "2"])
+        main(argv)
     assert exc.value.code == 2
 
 

@@ -225,6 +225,51 @@ def test_dual_decode_bottom_when_far():
     assert codes.dual_decode(spec, params, z) is None
 
 
+def _decode_at_unique_radius(spec, radius, z):
+    """Oracle: Berlekamp-Welch on the unfolded dual at its unique-decoding
+    radius, then keep the candidate only if it lies within `radius`."""
+    d = codes.dual(spec)
+    d_unf = CodeSpec(kind="grs-folded", field=spec.field, m=1, k=d.k, gamma=d.gamma, v=d.v)
+    zu = codes.unfold(spec, z)
+    cand = codes._berlekamp_welch(d_unf, zu, (d_unf.N - d_unf.k - 1) // 2)
+    if cand is None or codes.hw_unfolded(cand ^ zu) > radius:
+        return None
+    return codes.fold(spec, cand)
+
+
+def test_dual_decode_matches_unique_radius_filter():
+    # the dual of preset(3) is too large to enumerate, so dual_decode runs
+    # Berlekamp-Welch at the decoder radius itself; up to the unique radius
+    # (3) that must agree with decoding at the unique radius and filtering
+    spec = codes.preset(3)
+    d = codes.dual(spec)
+    rng = np.random.default_rng(21)
+    for radius in (1, 2, 3):
+        params = DecoderParams(
+            p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=radius
+        )
+        for weight in range(6):
+            msg = [int(rng.integers(64)) for _ in range(d.dim)]
+            xu = codes.encode_unfolded(d, msg)
+            err = np.zeros(spec.N, dtype=np.int64)
+            for pos in rng.choice(spec.N, size=weight, replace=False):
+                err[pos] = int(rng.integers(1, 64))
+            z = codes.fold(spec, (xu ^ err).tolist())
+            got = codes.dual_decode(spec, params, z)
+            assert got == _decode_at_unique_radius(spec, radius, z)
+            assert (got is not None) == (weight <= radius)
+
+
+def test_dual_decode_beyond_unique_radius_raises():
+    # a hand-built radius past the dual's unique-decoding bound (3 at t=3)
+    # has no unique-decoding path; for_spec never builds one
+    spec = codes.preset(3)
+    params = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=4)
+    x = codes.encode(codes.dual(spec), [3, 1, 4, 1, 5, 9])
+    with pytest.raises(BudgetExceeded, match="unique-decoding bound 3"):
+        codes.dual_decode(spec, params, x)
+
+
 def test_good_error_separation_preset3():
     # sampled e with hw(unfold e) <= radius vs nonzero dual codewords
     spec = codes.preset(3)
@@ -337,7 +382,8 @@ def test_generic_linear_dual():
     gm = ((1, 1),)
     spec = CodeSpec(kind="generic-linear", field=FieldCtx(2), m=1, genmat=gm)
     d = codes.dual(spec)
-    assert codes.duals_equal(spec, d)  # repetition pairs are self-dual over F4
+    # repetition pairs are self-dual over F4: equal canonical bases
+    assert np.array_equal(spec.basis_rref(), d.basis_rref())
 
 
 @pytest.mark.parametrize(
@@ -353,6 +399,8 @@ def test_generic_linear_dual():
         (lambda d: d.update(k=3.5), "k"),
         (lambda d: d.pop("k"), "k"),
         (lambda d: d.update(gamma=None), "gamma"),
+        pytest.param(lambda d: d.update(gamma=0), "gamma", id="gamma-zero"),
+        pytest.param(lambda d: d.update(gamma=1), "gamma", id="gamma-one"),
         (lambda d: d.update(v=d["v"][:-1]), "v"),
         (lambda d: d.update(v=5), "v"),
     ],
@@ -362,6 +410,17 @@ def test_grs_from_json_rejects_malformed_fields(edit, field):
     edit(data)
     with pytest.raises(ParseError, match=f"^code:{field}: "):
         CodeSpec.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "gamma", [0, 1, 8, 16, -1], ids=["zero", "one", "order5", "q", "negative"]
+)
+def test_grs_spec_rejects_non_generator_gamma(gamma):
+    # 2 generates F_16^* under the default modulus; 8 = 2^3 has order 5
+    ctx = FieldCtx(4)
+    assert ctx.element_order(2) == 15 and ctx.element_order(8) == 5
+    with pytest.raises(ValueError, match="does not generate"):
+        CodeSpec(kind="grs-folded", field=ctx, m=5, k=3, gamma=gamma, v=(1,) * 15)
 
 
 @pytest.mark.parametrize(

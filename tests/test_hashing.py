@@ -138,7 +138,7 @@ def test_bias_tables_match_pointwise():
     fam = configs.toy_family(spec)
     rng = np.random.default_rng(1)
     key = hashing.random_key(fam, rng)
-    tables = hashing.hash_bias_tables(fam, key, spec)
+    tables = hashing.hash_bias_tables(fam, key)
     for i in range(1, 3):
         for e in range(4):
             assert tables[i - 1, e] == hashing.eval_hash_bias(fam, key, e, i)
@@ -149,6 +149,16 @@ def test_unfolded_tables_and_collapse():
     fam = configs.toy_family(spec)
     rng = np.random.default_rng(2)
     key = hashing.random_key(fam, rng)
-    unf = hashing.hash_unfolded_tables(fam, key, spec)
-    bias = hashing.hash_bias_tables(fam, key, spec)
+    bias = hashing.hash_bias_tables(fam, key)
+    # the bias bit is the AND of the out_bits bits of each hash block
+    unf = np.array(
+        [
+            [
+                [(hashing.eval_hash(fam, key, e, i) >> j) & 1 for j in range(fam.out_bits)]
+                for e in range(fam.sigma_size)
+            ]
+            for i in range(1, fam.n + 1)
+        ],
+        dtype=np.uint8,
+    )
     assert np.array_equal(unf.min(axis=2), bias)

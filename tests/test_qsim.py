@@ -88,7 +88,7 @@ def test_prepare_psi_support_is_dual_after_qft():
     psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = qsim.apply_qft_vec(psi, kernel, spec.n)
-    dual_flat = set(qsim._code_flat_ranks(codes.dual(spec), 1 << 16).tolist())
+    dual_flat = set(qsim._code_flat_ranks(codes.dual(spec)).tolist())
     support = set(np.nonzero(np.abs(hat) > 1e-10)[0].tolist())
     assert support == dual_flat
     mags = np.abs(hat[sorted(support)])
@@ -176,7 +176,7 @@ def test_norm_preserved_through_pipeline():
     assert abs(total - 1) <= 1e-10
 
 
-def reference_pipeline(spec, phis, F, goodbad):
+def reference_pipeline(spec, phis, F, gx, ge):
     """Slow oracle for the referee: delta from a per-x loop over the first
     register, QFT^-1 as a dense Kronecker-power matrix."""
     sigma, n = spec.sigma_size, spec.n
@@ -186,7 +186,6 @@ def reference_pipeline(spec, phis, F, goodbad):
     phi = functools.reduce(np.kron, phis)
     vhat = qsim.apply_qft_vec(psi, kernel, n)
     what = qsim.apply_qft_vec(phi, kernel, n)
-    gx, ge = goodbad.good_x_mask, goodbad.good_e_mask
     eps = float(1.0 - (np.abs(vhat) ** 2)[gx].sum() * (np.abs(what) ** 2)[ge].sum())
     idx = np.arange(K)
     conv_bad = np.zeros(K, dtype=np.complex128)
@@ -218,7 +217,7 @@ def reference_pipeline(spec, phis, F, goodbad):
 def test_pipeline_matches_reference_oracle():
     spec, params, _ = toy_setup()
     F = qsim.decode_rank_table(spec, params)
-    goodbad = qsim.default_goodbad(spec, params)
+    gx, ge = qsim.default_goodbad(spec, params)
     done = 0
     seed = 0
     while done < 20:
@@ -229,13 +228,22 @@ def test_pipeline_matches_reference_oracle():
         except EmptySupport:
             continue
         done += 1
-        out = qsim.add_decode_pipeline(spec, phis, params, goodbad=goodbad, F=F)
-        ref = reference_pipeline(spec, phis, F, goodbad)
+        out = qsim.add_decode_pipeline(spec, phis, params)
+        ref = reference_pipeline(spec, phis, F, gx, ge)
         assert out["epsilon"] == ref["epsilon"]
         assert out["delta"] == ref["delta"]
         assert np.abs(out["actual_state"] - ref["actual_state"]).max() <= 1e-12
         for key in ("l2_distance", "success_probability"):
             assert abs(out[key] - ref[key]) <= 1e-12
+
+
+def test_pipeline_always_checks_good_soundness(monkeypatch):
+    # a decode table that sends every word to 0 breaks F(x+e) = x on GOOD
+    spec, params, inst = toy_setup(seed=3)
+    zero_table = lambda spec, params: np.zeros(spec.sigma_size**spec.n, np.int64)
+    monkeypatch.setattr(qsim, "decode_rank_table", zero_table)
+    with pytest.raises(AssertionError, match="GOOD set contains a pair"):
+        qsim.add_decode_pipeline(spec, received_states(inst), params)
 
 
 def test_referee_consumes_only_received_states(monkeypatch):
@@ -293,14 +301,39 @@ def test_smp_success_bound():
         assert rep["success_probability"] >= 1 - bound - 1e-9
 
 
+LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
+
+
 def test_budget_rejects_large_preset():
     spec = codes.preset(2)
-    params = DecoderParams(
-        p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0
-    )
     base = instances.sample_instance(spec, Fraction(1, 64), 0)
     with pytest.raises(BudgetExceeded):
-        qsim.add_decode_pipeline(spec, received_states(base), params)
+        qsim.add_decode_pipeline(spec, received_states(base), LARGE_PARAMS)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        qsim.prepare_psi,
+        lambda spec: qsim.decode_rank_table(spec, LARGE_PARAMS),
+        lambda spec: qsim.default_goodbad(spec, LARGE_PARAMS),
+    ],
+    ids=["prepare_psi", "decode_rank_table", "default_goodbad"],
+)
+@pytest.mark.parametrize(
+    "spec, log_size",
+    [
+        (codes.preset(2), 60),
+        # |C| = 4 and |C-dual| = 2^16 are enumerable, so only the Sigma^n
+        # gate itself can stop this one
+        (configs.toy_repetition_spec(n=9, s=2), 18),
+    ],
+    ids=["preset2", "repetition9"],
+)
+def test_sigma_n_gates_raise_over_budget(build, spec, log_size):
+    assert spec.sigma_size**spec.n == 1 << log_size  # over the 2^16 budget
+    with pytest.raises(BudgetExceeded):
+        build(spec)
 
 
 def test_table_stats_exact_quarter():
@@ -338,5 +371,5 @@ def test_product_rule():
 def test_decode_table_good_on_dual():
     spec, params, _ = toy_setup()
     F = qsim.decode_rank_table(spec, params)
-    dual_flat = qsim._code_flat_ranks(codes.dual(spec), 1 << 16)
+    dual_flat = qsim._code_flat_ranks(codes.dual(spec))
     assert np.array_equal(F[dual_flat], dual_flat)

@@ -82,7 +82,7 @@ def test_xor_layer_convention():
     rng = np.random.default_rng(0)
     key = hashing.random_key(fam, rng)
     g = tbnc.xored_bias_tables(tb.copies[0], fam, key)
-    hash_bias = hashing.hash_bias_tables(fam, key, spec)
+    hash_bias = hashing.hash_bias_tables(fam, key)
     assert np.array_equal(g, tb.copies[0].tables ^ hash_bias)
 
 
