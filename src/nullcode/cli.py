@@ -22,23 +22,28 @@ from .errors import EmptySupport, NullcodeError, ParseError, RetriesExhausted, U
 from .gf import FieldCtx
 
 
+def _read_json(path, parse, what: str):
+    """parse(the JSON content of path); a file that cannot be read or
+    parsed is a usage error naming the path."""
+    # OSError: unreadable; ValueError: bad JSON or field values; ParseError:
+    # a malformed code field; KeyError, TypeError, AttributeError: a missing
+    # field or a value of the wrong type
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, ParseError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"{path}: bad {what} ({exc!r})") from None
+
+
 def _load_spec(args) -> CodeSpec:
     if getattr(args, "toy", False):
         return configs.toy_selfdual_spec()
     if getattr(args, "t", None) is not None:
         return codes.preset(args.t)
     if getattr(args, "config", None):
-        # OSError: unreadable; ValueError: bad JSON or field values;
-        # ParseError: a malformed code field; KeyError, TypeError,
-        # AttributeError: not a code object
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-            return CodeSpec.from_json(data.get("code", data))
-        except (
-            OSError, ValueError, ParseError, KeyError, TypeError, AttributeError
-        ) as exc:
-            raise UsageError(f"{args.config}: bad code config ({exc!r})") from None
+        return _read_json(
+            args.config, lambda data: CodeSpec.from_json(data.get("code", data)), "code config"
+        )
     raise UsageError("one of --t, --config, or --toy is required")
 
 
@@ -172,7 +177,7 @@ def cmd_instance_gen(args) -> int:
 
 
 def cmd_instance_verify(args) -> int:
-    inst = instances.load_instance(args.infile)
+    inst = _read_json(args.infile, instances.instance_from_json, "instance")
     word = _parse_word(inst.spec, args.x)
     ok = instances.verify(inst, word)
     print("valid" if ok else "invalid")
@@ -180,7 +185,7 @@ def cmd_instance_verify(args) -> int:
 
 
 def cmd_instance_solve(args) -> int:
-    inst = instances.load_instance(args.infile)
+    inst = _read_json(args.infile, instances.instance_from_json, "instance")
     sols = instances.brute_solve(inst, jobs=args.jobs)
     records = [{"solution": [list(sym) for sym in s]} for s in sols]
     _emit(records, args.out)
@@ -371,22 +376,13 @@ def cmd_proto_danger(args) -> int:
         instances.sample_instance(spec, _parse_fraction(args.p), args.seed + i)
         for i in range(args.trials)
     ]
-
-    def label_for(x_bits, y_bits):
-        tables = _tables_from_bits(spec, x_bits, y_bits)
-        inst = instances.with_tables(insts[0], tables)
-        sols = instances.brute_solve(inst)
-        return sols[0] if sols else proto.BOT
-
-    half_bits = spec.n * spec.sigma_size // 2
-    tree = proto.reveal_tree(label_for, half_bits, half_bits)
+    tree = proto.reveal_solution_tree(spec)
     out = proto.danger_track(tree, spec, insts)
     if args.out:
+        split = instances.Split(spec.n, spec.sigma_size)
         rows = [("seed", "cost", "output", "correct")]
-        for inst, ledger in zip(insts, out["ledgers"]):
-            transcript, label = proto.run(
-                tree, *(proto._bits_to_int(b) for b in instances.split_bits(inst))
-            )
+        for inst in insts:
+            transcript, label = proto.run(tree, *split.inputs(inst.tables))
             correct = label is not proto.BOT and instances.verify(inst, label)
             rows.append(
                 (
@@ -409,17 +405,6 @@ def cmd_proto_danger(args) -> int:
         )
     )
     return 0
-
-
-def _tables_from_bits(spec, x_bits: int, y_bits: int) -> np.ndarray:
-    sp = instances.Split(spec.n, spec.sigma_size)
-    tables = np.zeros((spec.n, spec.sigma_size), dtype=np.uint8)
-    for i in range(spec.n):
-        for e in range(spec.sigma_size):
-            flat = sp.flat_index(i + 1, e)
-            side = x_bits if sp.side(i + 1) == "A" else y_bits
-            tables[i, e] = (side >> flat) & 1
-    return tables
 
 
 # -- hash subcommands ------------------------------------------------------------
@@ -486,17 +471,22 @@ def cmd_tbnc_gen(args) -> int:
     return 0
 
 
+def _tbnc_from_json(payload) -> tbnc.TbncInstance:
+    return tbnc.TbncInstance(
+        t=payload["t"],
+        spec=CodeSpec.from_json(payload["code"]),
+        family=hashing.HashFamily.from_json(payload["family"]),
+        copies=tuple(instances.instance_from_json(c) for c in payload["copies"]),
+    )
+
+
 def cmd_tbnc_verify(args) -> int:
-    with open(args.infile) as fh:
-        payload = json.load(fh)
-    spec = CodeSpec.from_json(payload["code"])
-    family = hashing.HashFamily.from_json(payload["family"])
-    copies = tuple(instances.instance_from_json(c) for c in payload["copies"])
-    tb = tbnc.TbncInstance(t=payload["t"], spec=spec, family=family, copies=copies)
-    key = hashing.HashKey(tuple(int(c) for c in args.key.split(",")))
-    sols = [
-        _parse_word(spec, chunk) for chunk in args.solutions.split(";")
-    ]
+    tb = _read_json(args.infile, _tbnc_from_json, "total-problem instance")
+    try:
+        key = hashing.HashKey(tuple(int(c) for c in args.key.split(",")))
+    except ValueError:
+        raise UsageError(f"--key {args.key!r} is not a list of integers") from None
+    sols = [_parse_word(tb.spec, chunk) for chunk in args.solutions.split(";")]
     ok = tbnc.tbnc_verify(tb, key, sols)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
@@ -599,8 +589,22 @@ def _add_common(p, trials=100):
     p.add_argument("--out", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads no flag abbreviations, and a subcommand reports a flag it does
+    not know with its own usage line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self.get_default("fn") is not None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="nullcode")
+    ap = _Parser(prog="nullcode")
     sub = ap.add_subparsers(dest="group", required=True)
 
     code = sub.add_parser("code").add_subparsers(dest="cmd", required=True)
@@ -738,9 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="comma-separated coefficients")
     p.add_argument("--solutions", required=True, help="';'-separated rank words")
     p.set_defaults(fn=cmd_tbnc_verify)
-    # alg2 always runs the toy code and takes no --n/--s, which other tbnc
-    # commands do; allow_abbrev=False keeps --s from reading as --seed
-    p = tb.add_parser("alg2", allow_abbrev=False)
+    p = tb.add_parser("alg2")
     p.add_argument("--t", type=int, default=2)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_tbnc_alg2)

@@ -468,6 +468,9 @@ def _certify_dual(spec: CodeSpec, cand: CodeSpec) -> None:
 # -- decoding ---------------------------------------------------------------------
 
 
+DECODER_EPSILON = Fraction(1, 100)  # slack of the acceptance radius over p
+
+
 @dataclass(frozen=True)
 class DecoderParams:
     """Bias and slack for the dual decoder; the acceptance radius is
@@ -478,9 +481,9 @@ class DecoderParams:
     radius_unfolded: int
 
     @classmethod
-    def for_spec(cls, spec: CodeSpec, p, epsilon=Fraction(1, 100)) -> "DecoderParams":
+    def for_spec(cls, spec: CodeSpec, p) -> "DecoderParams":
         p = Fraction(p)
-        epsilon = Fraction(epsilon)
+        epsilon = DECODER_EPSILON
         radius = int((p + epsilon) * spec.N)  # floor for positive values
         dual_spec = dual(spec, cross_check=False)
         d_dual = min_distance(dual_spec)

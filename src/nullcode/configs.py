@@ -30,18 +30,16 @@ def toy_repetition_spec(n: int = 2, s: int = 2) -> CodeSpec:
     )
 
 
-def toy_family(spec: CodeSpec, lam: int | None = None, r: int | None = None) -> HashFamily:
-    """Hash family sized for the code: lambda defaults to n^2, r to the
+def toy_family(spec: CodeSpec, lam: int | None = None) -> HashFamily:
+    """Hash family sized for the code: lambda defaults to n^2, and r is the
     smallest supported degree >= 6 that encodes the domain injectively."""
     if lam is None:
         lam = spec.n**2
-    if r is None:
-        for cand in (6, 8, 12):
-            if (1 << cand) >= spec.sigma_size * spec.n:
-                r = cand
-                break
-        else:
-            raise ValueError("domain too large for the shipped key fields")
+    for r in (6, 8, 12):
+        if (1 << r) >= spec.sigma_size * spec.n:
+            break
+    else:
+        raise ValueError("domain too large for the shipped key fields")
     return HashFamily(
         key_field=FieldCtx(r), lam=lam, n=spec.n, sigma_size=spec.sigma_size
     )

@@ -217,23 +217,13 @@ class FieldCtx:
             target = self.q - 1
             for g in range(1, self.q):
                 ok = all(
-                    self._raw_pow(g, target // p) != 1
+                    self.pow(g, target // p) != 1
                     for p in _prime_factors(target)
                 )
                 if ok or target == 1:
                     self._gamma = g
                     break
         return self._gamma
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
 
     def _build_tables(self) -> None:
         """Precompute exp/log tables for vectorized multiplication.
@@ -292,8 +282,3 @@ def trace(ctx: FieldCtx, x: int) -> int:
 
 def find_generator(ctx: FieldCtx) -> int:
     return ctx.generator()
-
-
-def ensure_same_field(a: FieldCtx, b: FieldCtx) -> None:
-    if a != b:
-        raise DomainMismatch(f"field contexts differ: {a!r} vs {b!r}")

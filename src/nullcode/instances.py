@@ -150,6 +150,15 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
     return codes.contains(inst.spec, x)
 
 
+def solution_mask(tables: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """ok[j]: every table reads 0 at codeword j, where ranks holds (a row
+    slice of) codes.codeword_rank_matrix."""
+    ok = np.ones(ranks.shape[0], dtype=bool)
+    for i in range(ranks.shape[1]):
+        ok &= tables[i, ranks[:, i]] == 0
+    return ok
+
+
 def brute_solve(inst: OracleInstance, jobs: int = 1) -> list[Codeword]:
     """Exact solution set, in message-rank order.
 
@@ -163,10 +172,7 @@ def brute_solve(inst: OracleInstance, jobs: int = 1) -> list[Codeword]:
 
     def chunk_hits(bounds):
         lo, hi = bounds
-        ok = np.ones(hi - lo, dtype=bool)
-        for i in range(inst.n):
-            ok &= inst.tables[i, ranks[lo:hi, i]] == 0
-        return lo + np.nonzero(ok)[0]
+        return lo + np.nonzero(solution_mask(inst.tables, ranks[lo:hi]))[0]
 
     step = max(1, nrows // max(jobs, 1))
     chunks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
@@ -178,22 +184,15 @@ def brute_solve(inst: OracleInstance, jobs: int = 1) -> list[Codeword]:
     return list(zip(*[symbols] * inst.n))
 
 
-def solution_indicator(inst: OracleInstance) -> np.ndarray:
-    """Boolean vector over message ranks marking solutions."""
-    ranks = codes.codeword_rank_matrix(inst.spec)
-    ok = np.ones(ranks.shape[0], dtype=bool)
-    for i in range(inst.n):
-        ok &= inst.tables[i, ranks[:, i]] == 0
-    return ok
-
-
 # -- bipartite split -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Split:
-    """Alice holds tables 1..n/2, Bob the rest; each side flattens to
-    n |Sigma| / 2 bits with bit (i, e) at (i - offset) * |Sigma| + e."""
+    """Alice holds tables 1..n/2, Bob the rest.  Each player's input is an
+    int bitmask of n |Sigma| / 2 bits, of any width: bit j of a side is
+    table entry (j // |Sigma|, j % |Sigma|) of that side's half, so Bob's
+    bit j is entry (n/2 + j // |Sigma|, j % |Sigma|)."""
 
     n: int
     sigma_size: int
@@ -210,21 +209,26 @@ class Split:
     def bits_per_side(self) -> int:
         return self.half * self.sigma_size
 
-    def flat_index(self, i: int, e_rank: int) -> int:
-        """Flat bit position of table entry (i, e) within its side; i is
-        1-based as a coordinate index."""
-        offset = 0 if i <= self.half else self.half
-        return (i - 1 - offset) * self.sigma_size + e_rank
+    def inputs(self, tables: np.ndarray) -> tuple[int, int]:
+        """(x, y): the players' inputs for an (n, |Sigma|) table array."""
+        halves = np.asarray(tables, dtype=np.uint8).reshape(2, self.bits_per_side)
+        return tuple(
+            int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+            for bits in halves
+        )
 
-    def side(self, i: int) -> str:
-        return "A" if i <= self.half else "B"
+    def tables(self, x: int, y: int) -> np.ndarray:
+        """Inverse of inputs: the (n, |Sigma|) uint8 tables of inputs x, y."""
+        nbytes = (self.bits_per_side + 7) // 8
+        raw = np.frombuffer(x.to_bytes(nbytes, "little") + y.to_bytes(nbytes, "little"), np.uint8)
+        bits = np.unpackbits(raw, bitorder="little").reshape(2, -1)[:, : self.bits_per_side]
+        return bits.reshape(self.n, self.sigma_size)
 
-
-def split_bits(inst: OracleInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the two halves of the tables into per-side bit vectors."""
-    sp = Split(inst.n, inst.sigma_size)
-    flat = inst.tables.reshape(-1)
-    return flat[: sp.bits_per_side].copy(), flat[sp.bits_per_side :].copy()
+    def cell(self, owner: str, bit: int) -> tuple[int, int]:
+        """(coordinate, symbol rank) of the table entry that is bit `bit`
+        of the owner's ("A" or "B") input; coordinates count from 0."""
+        i, e = divmod(bit, self.sigma_size)
+        return (i if owner == "A" else self.half + i), e
 
 
 # -- file format -----------------------------------------------------------------

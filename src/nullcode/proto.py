@@ -21,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .density import density_restoring_partition, is_dense
 from .errors import ParseError
-from .instances import OracleInstance, Split
+from .instances import OracleInstance, Split, solution_mask
 
 
 class _Bottom:
@@ -39,6 +42,7 @@ class _Bottom:
 
 
 BOT = _Bottom()
+OWNERS = ("A", "B")
 
 
 def full_domain(n_bits: int) -> np.ndarray:
@@ -55,6 +59,26 @@ def _constant_coords(X: np.ndarray, n_bits: int) -> tuple[tuple[int, ...], tuple
             coords.append(c)
             bits.append(a)
     return tuple(coords), tuple(bits)
+
+
+class Side(NamedTuple):
+    """One player's side of a rectangle: its elements over n_bits
+    coordinates, and the fixed coordinates with their bits."""
+
+    elems: np.ndarray
+    n_bits: int
+    coords: tuple[int, ...]
+    bits: tuple[int, ...]
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        return tuple(c for c in range(self.n_bits) if c not in self.coords)
+
+
+# Rect field names of each owner's side: elements, bit count, declared
+# fixed coordinates and their bits
+_SIDE_FIELDS = {"A": ("X", "n_bits_a", "I", "a_bits"), "B": ("Y", "n_bits_b", "J", "b_bits")}
+_SIDE_GET = {owner: attrgetter(*names) for owner, names in _SIDE_FIELDS.items()}
 
 
 @dataclass
@@ -75,38 +99,38 @@ class Rect:
     J: tuple[int, ...] | None = None
     b_bits: tuple[int, ...] | None = None
 
-    def fixed_a(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self.I is not None:
-            return self.I, self.a_bits
-        return _constant_coords(self.X, self.n_bits_a)
+    def side(self, owner: str) -> Side:
+        """Alice's ("A") or Bob's ("B") side."""
+        elems, n_bits, coords, bits = _SIDE_GET[owner](self)
+        if coords is None:
+            coords, bits = _constant_coords(elems, n_bits)
+        return Side(elems, n_bits, coords, bits)
 
-    def fixed_b(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if self.J is not None:
-            return self.J, self.b_bits
-        return _constant_coords(self.Y, self.n_bits_b)
+    def narrow(self, owner: str, elems: np.ndarray, coords=(), bits=()) -> "Rect":
+        """Child rectangle whose owner side is elems.  When this rectangle
+        declares fixed coordinates, the child declares coords (set to bits)
+        on top of them."""
+        f_elems, _, f_coords, f_bits = _SIDE_FIELDS[owner]
+        child = Rect(
+            self.X, self.Y, self.n_bits_a, self.n_bits_b, self.I, self.a_bits, self.J, self.b_bits
+        )
+        setattr(child, f_elems, elems)
+        if getattr(self, f_coords) is not None:
+            setattr(child, f_coords, getattr(self, f_coords) + tuple(coords))
+            setattr(child, f_bits, getattr(self, f_bits) + tuple(bits))
+        return child
 
     @property
     def codim(self) -> int:
-        return len(self.fixed_a()[0]) + len(self.fixed_b()[0])
+        return sum(len(self.side(owner).coords) for owner in OWNERS)
 
     def is_subcube(self) -> bool:
-        ia, _ = self.fixed_a()
-        jb, _ = self.fixed_b()
-        return len(self.X) == 1 << (self.n_bits_a - len(ia)) and len(
-            self.Y
-        ) == 1 << (self.n_bits_b - len(jb))
-
-    def free_sides(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
-        """(X, free coordinates of X) and (Y, free coordinates of Y)."""
-        ia, _ = self.fixed_a()
-        jb, _ = self.fixed_b()
-        return (
-            (self.X, tuple(c for c in range(self.n_bits_a) if c not in ia)),
-            (self.Y, tuple(c for c in range(self.n_bits_b) if c not in jb)),
+        return all(
+            len(s.elems) == 1 << (s.n_bits - len(s.coords)) for s in map(self.side, OWNERS)
         )
 
     def is_subcube_like(self, gamma) -> bool:
-        return all(is_dense(side, gamma, free) for side, free in self.free_sides())
+        return all(is_dense(s.elems, gamma, s.free) for s in map(self.side, OWNERS))
 
 
 @dataclass
@@ -204,15 +228,14 @@ def tree_from_json(data: dict) -> ProtocolTree:
     """
     na, nb = int(data["n_bits_a"]), int(data["n_bits_b"])
 
-    def dec(node, X, Y, path):
-        rect = Rect(X, Y, na, nb)
+    def dec(node, rect, path):
         if "label" in node:
             label = node["label"]
             return Leaf(BOT if label is None else label, rect)
         owner = node["owner"]
-        if owner not in ("A", "B"):
+        if owner not in OWNERS:
             raise ParseError(path, "owner", f"owner {owner!r} is not 'A' or 'B'")
-        side, n_bits = (X, na) if owner == "A" else (Y, nb)
+        side, n_bits = rect.side(owner)[:2]
         subsets = [np.array(part["set"], dtype=np.int64) for part in node["parts"]]
         hits = np.zeros(1 << n_bits, dtype=np.int64)
         for i, subset in enumerate(subsets):
@@ -235,16 +258,12 @@ def tree_from_json(data: dict) -> ProtocolTree:
         parts = []
         for i, (part, subset) in enumerate(zip(node["parts"], subsets)):
             child_path = f"{path}.parts[{i}].child"
-            if owner == "A":
-                child = dec(part["child"], subset, Y, child_path)
-            else:
-                child = dec(part["child"], X, subset, child_path)
+            child = dec(part["child"], rect.narrow(owner, subset), child_path)
             parts.append((part["msg"], subset, child))
         return Node(owner, rect, parts)
 
-    return ProtocolTree(
-        dec(data["root"], full_domain(na), full_domain(nb), "root"), na, nb
-    )
+    root = Rect(full_domain(na), full_domain(nb), na, nb)
+    return ProtocolTree(dec(data["root"], root, "root"), na, nb)
 
 
 def run(tree: ProtocolTree, x: int, y: int) -> tuple[str, object]:
@@ -321,8 +340,13 @@ def transcript_stats(tree: ProtocolTree) -> dict:
 
 
 def _partition_by(X: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray]:
-    mask = np.fromiter((fn(int(v)) for v in X), dtype=bool, count=len(X))
+    """(elements where fn is 0, elements where it is 1); fn maps the whole
+    array at once."""
+    mask = fn(X).astype(bool)
     return X[~mask], X[mask]
+
+
+PARITY_PROB = 0.25  # share of random rounds that send the XOR of two coordinates
 
 
 def random_onebit_tree(
@@ -331,28 +355,25 @@ def random_onebit_tree(
     n_bits_b: int,
     depth: int,
     labels,
-    parity_prob: float = 0.25,
 ) -> ProtocolTree:
     """Random protocol tree sending one bit per round.
 
     Each internal node queries a coordinate of the owner's input (or, with
-    probability parity_prob, the XOR of two coordinates).  Leaf labels are
+    probability PARITY_PROB, the XOR of two coordinates).  Leaf labels are
     drawn from `labels`.
     """
 
     def pick_label():
         return labels[int(rng.integers(len(labels)))] if len(labels) else BOT
 
-    def build(X, Y, remaining):
-        rect = Rect(X, Y, n_bits_a, n_bits_b)
+    def build(rect, remaining):
         if remaining == 0:
             return Leaf(pick_label(), rect)
         owner = "A" if rng.random() < 0.5 else "B"
-        side = X if owner == "A" else Y
-        nb = n_bits_a if owner == "A" else n_bits_b
+        side, nb = rect.side(owner)[:2]
         fn = None
         for _ in range(10):
-            if rng.random() < parity_prob and nb >= 2:
+            if rng.random() < PARITY_PROB and nb >= 2:
                 c1, c2 = rng.choice(nb, size=2, replace=False)
                 cand = lambda v, c1=int(c1), c2=int(c2): ((v >> c1) ^ (v >> c2)) & 1
             else:
@@ -364,50 +385,54 @@ def random_onebit_tree(
                 break
         if fn is None:
             return Leaf(pick_label(), rect)
-        children = []
-        for bit, part in ((0, p0), (1, p1)):
-            if owner == "A":
-                child = build(part, Y, remaining - 1)
-            else:
-                child = build(X, part, remaining - 1)
-            children.append((str(bit), part, child))
+        children = [
+            (str(bit), part, build(rect.narrow(owner, part), remaining - 1))
+            for bit, part in ((0, p0), (1, p1))
+        ]
         return Node(owner, rect, children)
 
-    root = build(full_domain(n_bits_a), full_domain(n_bits_b), depth)
-    return ProtocolTree(root, n_bits_a, n_bits_b)
+    root = Rect(full_domain(n_bits_a), full_domain(n_bits_b), n_bits_a, n_bits_b)
+    return ProtocolTree(build(root, depth), n_bits_a, n_bits_b)
 
 
 def reveal_tree(builder_labels, n_bits_a: int, n_bits_b: int) -> ProtocolTree:
     """Baseline protocol: Alice sends all her bits, then Bob sends all of
     his; each leaf holds builder_labels(x, y)."""
 
-    def build(X, Y, coord, owner_side):
-        rect = Rect(X, Y, n_bits_a, n_bits_b)
-        if owner_side == "A" and coord == n_bits_a:
-            return build(X, Y, 0, "B")
-        if owner_side == "B" and coord == n_bits_b:
-            return Leaf(builder_labels(int(X[0]), int(Y[0])), rect)
-        owner = owner_side
-        side = X if owner == "A" else Y
-        c = coord
-        p0 = side[((side >> c) & 1) == 0]
-        p1 = side[((side >> c) & 1) == 1]
+    def build(rect, owners, coord):
+        if not owners:
+            return Leaf(builder_labels(int(rect.X[0]), int(rect.Y[0])), rect)
+        owner = owners[0]
+        side, n_bits = rect.side(owner)[:2]
+        if coord == n_bits:
+            return build(rect, owners[1:], 0)
         children = []
-        for bit, part in ((0, p0), (1, p1)):
-            if len(part) == 0:
-                continue
-            if owner == "A":
-                child = build(part, Y, coord + 1, owner_side)
-            else:
-                child = build(X, part, coord + 1, owner_side)
-            children.append((str(bit), part, child))
+        for bit in (0, 1):
+            part = side[((side >> coord) & 1) == bit]
+            if len(part):
+                child = build(rect.narrow(owner, part), owners, coord + 1)
+                children.append((str(bit), part, child))
         return Node(owner, rect, children)
 
-    return ProtocolTree(
-        build(full_domain(n_bits_a), full_domain(n_bits_b), 0, "A"),
-        n_bits_a,
-        n_bits_b,
-    )
+    root = Rect(full_domain(n_bits_a), full_domain(n_bits_b), n_bits_a, n_bits_b)
+    return ProtocolTree(build(root, OWNERS, 0), n_bits_a, n_bits_b)
+
+
+def reveal_solution_tree(spec) -> ProtocolTree:
+    """Full-reveal baseline over the bipartite split of spec's tables: each
+    leaf holds the first solution (in message-rank order) of the revealed
+    instance, or BOT when it has none."""
+    split = Split(spec.n, spec.sigma_size)
+    ranks = codes_mod.codeword_rank_matrix(spec)
+    words = codes_mod.codeword_matrix(spec)
+
+    def first_solution(x, y):
+        hits = np.flatnonzero(solution_mask(split.tables(x, y), ranks))
+        if not hits.size:
+            return BOT
+        return tuple(map(tuple, words[hits[0]].reshape(spec.n, spec.m).tolist()))
+
+    return reveal_tree(first_solution, split.bits_per_side, split.bits_per_side)
 
 
 # -- subcube-like transform -------------------------------------------------------
@@ -425,25 +450,19 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     constructed Huffman code is appended to it.
     """
 
-    def build(orig, X, Y, I, a_bits, J, b_bits):
-        rect = Rect(
-            X, Y, tree.n_bits_a, tree.n_bits_b,
-            I=tuple(I), a_bits=tuple(a_bits), J=tuple(J), b_bits=tuple(b_bits),
-        )
+    def build(orig, rect):
         if isinstance(orig, Leaf):
             return Leaf(orig.label, rect)
         if len(orig.parts) > 2:
             raise ValueError("transform needs one-bit (binary) rounds")
         owner = orig.owner
-        side = X if owner == "A" else Y
-        nb = tree.n_bits_a if owner == "A" else tree.n_bits_b
-        fixed = I if owner == "A" else J
-        free = tuple(c for c in range(nb) if c not in fixed)
+        side = rect.side(owner)
+        free = side.free
         new_parts = []
         for msg, orig_subset, child in orig.parts:
-            member = np.zeros(1 << nb, dtype=bool)
+            member = np.zeros(1 << side.n_bits, dtype=bool)
             member[orig_subset] = True
-            sub = side[member[side]]
+            sub = side.elems[member[side.elems]]
             if len(sub) == 0:
                 continue
             drp = density_restoring_partition(sub, gamma, free)
@@ -454,28 +473,13 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
                     (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
                 )
             for part, word in zip(drp, code):
-                if owner == "A":
-                    child_node = build(
-                        child, part.elems, Y,
-                        I + part.fixed_coords, a_bits + part.fixed_bits,
-                        J, b_bits,
-                    )
-                else:
-                    child_node = build(
-                        child, X, part.elems,
-                        I, a_bits,
-                        J + part.fixed_coords, b_bits + part.fixed_bits,
-                    )
-                new_parts.append((msg + word, part.elems, child_node))
+                child_rect = rect.narrow(owner, part.elems, part.fixed_coords, part.fixed_bits)
+                new_parts.append((msg + word, part.elems, build(child, child_rect)))
         return Node(owner, rect, new_parts)
 
-    root = build(
-        tree.root,
-        full_domain(tree.n_bits_a),
-        full_domain(tree.n_bits_b),
-        (), (), (), (),
-    )
-    return ProtocolTree(root, tree.n_bits_a, tree.n_bits_b)
+    na, nb = tree.n_bits_a, tree.n_bits_b
+    root = Rect(full_domain(na), full_domain(nb), na, nb, I=(), a_bits=(), J=(), b_bits=())
+    return ProtocolTree(build(tree.root, root), na, nb)
 
 
 def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
@@ -488,11 +492,12 @@ def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
     checked = set()
     count = 0
     for node in tree.nodes():
-        for side, free in node.rect.free_sides():
-            key = (np.asarray(side, dtype=np.int64).tobytes(), free)
+        for side in map(node.rect.side, OWNERS):
+            free = side.free
+            key = (np.asarray(side.elems, dtype=np.int64).tobytes(), free)
             if key in checked:
                 continue
-            if not is_dense(side, gamma, free):
+            if not is_dense(side.elems, gamma, free):
                 raise AssertionError("node rectangle is not subcube-like")
             checked.add(key)
         count += 1
@@ -545,39 +550,24 @@ def cleanup(tree: ProtocolTree, epsilon: float, valid_a, valid_b) -> ProtocolTre
     cost = tree.cost()
     threshold = math.inf if epsilon <= 0 else cost / epsilon
 
+    def verify(rect, owner, valid, label, inner):
+        """Owner sends whether label is valid for their input: "0" ends in
+        BOT, "1" goes on to inner(the narrowed rectangle)."""
+        elems = rect.side(owner).elems
+        ok = np.fromiter((valid(label, int(v)) for v in elems), dtype=bool, count=len(elems))
+        parts = []
+        for msg, part, make in (("0", elems[~ok], partial(Leaf, BOT)), ("1", elems[ok], inner)):
+            if len(part):
+                parts.append((msg, part, make(rect.narrow(owner, part))))
+        return Node(owner, rect, parts)
+
     def verify_leaf(label, rect):
         if label is BOT:
             return Leaf(BOT, rect)
-        yes_b = rect.Y[np.fromiter(
-            (valid_b(label, int(y)) for y in rect.Y), dtype=bool, count=len(rect.Y)
-        )]
-        no_b = rect.Y[np.fromiter(
-            (not valid_b(label, int(y)) for y in rect.Y), dtype=bool, count=len(rect.Y)
-        )]
-        parts_b = []
-        if len(no_b):
-            parts_b.append(
-                ("0", no_b, Leaf(BOT, Rect(rect.X, no_b, rect.n_bits_a, rect.n_bits_b)))
-            )
-        if len(yes_b):
-            inner_rect = Rect(rect.X, yes_b, rect.n_bits_a, rect.n_bits_b)
-            yes_a = rect.X[np.fromiter(
-                (valid_a(label, int(x)) for x in rect.X), dtype=bool, count=len(rect.X)
-            )]
-            no_a = rect.X[np.fromiter(
-                (not valid_a(label, int(x)) for x in rect.X), dtype=bool, count=len(rect.X)
-            )]
-            parts_a = []
-            if len(no_a):
-                parts_a.append(
-                    ("0", no_a, Leaf(BOT, Rect(no_a, yes_b, rect.n_bits_a, rect.n_bits_b)))
-                )
-            if len(yes_a):
-                parts_a.append(
-                    ("1", yes_a, Leaf(label, Rect(yes_a, yes_b, rect.n_bits_a, rect.n_bits_b)))
-                )
-            parts_b.append(("1", yes_b, Node("A", inner_rect, parts_a)))
-        return Node("B", rect, parts_b)
+        return verify(
+            rect, "B", valid_b, label,
+            lambda inner: verify(inner, "A", valid_a, label, partial(Leaf, label)),
+        )
 
     def walk(node):
         if node.rect.codim > threshold:
@@ -635,22 +625,19 @@ class DangerLedger:
 def _fixed_table_cells(rect: Rect, split: Split) -> list[set]:
     """Per-coordinate sets of symbol ranks whose table bit is fixed."""
     cells = [set() for _ in range(split.n)]
-    ia, _ = rect.fixed_a()
-    jb, _ = rect.fixed_b()
-    for flat in ia:
-        i = flat // split.sigma_size
-        cells[i].add(flat % split.sigma_size)
-    for flat in jb:
-        i = flat // split.sigma_size
-        cells[split.half + i].add(flat % split.sigma_size)
+    for owner in OWNERS:
+        for bit in rect.side(owner).coords:
+            i, e = split.cell(owner, bit)
+            cells[i].add(e)
     return cells
 
 
-def dangerous_codewords(spec, rect: Rect, split: Split, threshold=DANGER_THRESHOLD) -> frozenset:
-    """Codeword indexes with >= threshold * n of their oracle bits fixed."""
+def dangerous_codewords(spec, rect: Rect, split: Split) -> frozenset:
+    """Codeword indexes with >= DANGER_THRESHOLD * n of their oracle bits
+    fixed."""
     cells = _fixed_table_cells(rect, split)
     ranks = codes_mod.codeword_rank_matrix(spec)
-    thr = math.ceil(threshold * spec.n)
+    thr = math.ceil(DANGER_THRESHOLD * spec.n)
     counts = np.zeros(ranks.shape[0], dtype=np.int64)
     for i in range(spec.n):
         if cells[i]:
@@ -663,7 +650,6 @@ def danger_track(
     tree: ProtocolTree,
     spec,
     insts: list[OracleInstance],
-    threshold=DANGER_THRESHOLD,
 ) -> dict:
     """Run the tree on each instance and track dangerous codewords.
 
@@ -672,22 +658,19 @@ def danger_track(
     frequency with which a codeword that ever became dangerous ends up a
     solution of the instance.
     """
-    from .instances import solution_indicator, split_bits
-
     split = Split(spec.n, spec.sigma_size)
+    ranks = codes_mod.codeword_rank_matrix(spec)
     ledgers = []
     danger_events = 0
     danger_solutions = 0
     for inst in insts:
-        xa, xb = split_bits(inst)
-        x = _bits_to_int(xa)
-        y = _bits_to_int(xb)
-        sols = solution_indicator(inst)
+        x, y = split.inputs(inst.tables)
+        sols = solution_mask(inst.tables, ranks)
         node = tree.root
         rounds = []
         while True:
-            q = dangerous_codewords(spec, node.rect, split, threshold)
-            _recount_check(spec, node.rect, split, threshold, len(q))
+            q = dangerous_codewords(spec, node.rect, split)
+            _recount_check(spec, node.rect, split, len(q))
             rounds.append(q)
             if isinstance(node, Leaf):
                 break
@@ -709,16 +692,11 @@ def danger_track(
     }
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for j, b in enumerate(bits.tolist()):
-        out |= int(b) << j
-    return out
-
-
-def _recount_check(spec, rect: Rect, split: Split, threshold, expected: int) -> None:
+def _recount_check(spec, rect: Rect, split: Split, expected: int) -> None:
     cells = _fixed_table_cells(rect, split)
-    count = codes_mod.list_recover_count(spec, [frozenset(c) for c in cells], float(threshold))
+    count = codes_mod.list_recover_count(
+        spec, [frozenset(c) for c in cells], float(DANGER_THRESHOLD)
+    )
     if count != expected:
         raise AssertionError(
             f"list_recover_count disagrees with the danger recount: {count} != {expected}"

@@ -372,7 +372,6 @@ def table_fourier_stats(
 
 def _table_stats_exact(sigma: int, p: Fraction, signs: np.ndarray) -> dict:
     mean0 = Fraction(0)
-    mean0_nonempty = Fraction(0)
     means_e = [Fraction(0)] * sigma
     w1, w0 = p, 1 - p
     for table in range(1 << sigma):
@@ -382,7 +381,6 @@ def _table_stats_exact(sigma: int, p: Fraction, signs: np.ndarray) -> dict:
         if t_size == 0:
             continue
         mean0 += weight * Fraction(t_size, sigma)
-        mean0_nonempty += weight * Fraction(t_size, sigma)
         support = [z for z in range(sigma) if not (table >> z) & 1]
         for e in range(1, sigma):
             char_sum = int(sum(signs[e, z] for z in support))
@@ -393,7 +391,7 @@ def _table_stats_exact(sigma: int, p: Fraction, signs: np.ndarray) -> dict:
         "p": float(p),
         "mean_W0_sq": float(mean0),
         "mean_W0_sq_exact": mean0,
-        "mean_W0_sq_nonempty": float(mean0_nonempty / (1 - empty_mass)),
+        "mean_W0_sq_nonempty": float(mean0 / (1 - empty_mass)),
         "empty_mass": float(empty_mass),
         "per_element_means": [float(x) for x in means_e[1:]],
         "per_element_exact": means_e[1:],

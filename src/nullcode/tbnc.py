@@ -158,10 +158,7 @@ def run_keyed_smp(
 
 def solution_set_empty(spec: CodeSpec, tables: np.ndarray) -> bool:
     ranks = codes_mod.codeword_rank_matrix(spec)
-    ok = np.ones(ranks.shape[0], dtype=bool)
-    for i in range(spec.n):
-        ok &= tables[i, ranks[:, i]] == 0
-    return not ok.any()
+    return not inst_mod.solution_mask(tables, ranks).any()
 
 
 def exact_emptiness_probability(
@@ -257,11 +254,11 @@ def totality_scan(
     }
 
 
-def union_bound_calculator(c_bits: float, t: int, r: int, suc_single: float) -> float:
+def union_bound_calculator(t: int, r: int, suc_single: float) -> float:
     """Accounting of the key-union bound: 2^r * suc_single^t.
 
     The single-copy success probability at the given communication budget
-    is supplied by the caller; c_bits is recorded for bookkeeping only.
+    is supplied by the caller.
     """
     if t < 0 or r < 0 or suc_single < 0:
         raise ValueError("inputs must be nonnegative")

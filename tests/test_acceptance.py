@@ -431,17 +431,7 @@ def test_criterion_12_danger_ledger():
     start = time.time()
     spec = configs.toy_repetition_spec(n=2, s=2)
     base = instances.sample_instance(spec, Fraction(1, 4), 0)
-
-    def labeler(x_bits, y_bits):
-        from nullcode.cli import _tables_from_bits
-
-        tables = _tables_from_bits(spec, x_bits, y_bits)
-        inst = instances.with_tables(base, tables)
-        sols = instances.brute_solve(inst)
-        return sols[0] if sols else proto.BOT
-
-    half = spec.n * spec.sigma_size // 2
-    tree = proto.reveal_tree(labeler, half, half)
+    tree = proto.reveal_solution_tree(spec)
     # exhaustive: every possible instance of the toy problem
     insts = []
     for bits in range(1 << (spec.n * spec.sigma_size)):
@@ -539,9 +529,9 @@ def test_criterion_14_total_problem():
     se = math.sqrt(exact * (1 - exact) / samples)
     assert abs(rate - exact) <= 3 * se + 1e-9
 
-    assert tbnc.union_bound_calculator(0, 100, 10, 0.5) == 2.0**10 * 0.5**100
-    assert tbnc.union_bound_calculator(0, 0, 12, 0.3) == 2.0**12
-    assert tbnc.union_bound_calculator(0, 50, 0, 1.0) == 1.0
+    assert tbnc.union_bound_calculator(100, 10, 0.5) == 2.0**10 * 0.5**100
+    assert tbnc.union_bound_calculator(0, 12, 0.3) == 2.0**12
+    assert tbnc.union_bound_calculator(50, 0, 1.0) == 1.0
     elapsed = time.time() - start
     assert elapsed < 600
     report(

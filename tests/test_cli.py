@@ -110,6 +110,12 @@ def _tiny_instance(tmp_path):
         (["code", "listrec", "--toy", "--zeta", "0", "--trials", "1"], None),
         (["code", "dual", "--config", "{short_v}"], None),
         (["code", "dual", "--config", "{gamma_1}"], None),
+        (["instance", "solve", "--in", "{missing}"], None),
+        (["instance", "verify", "--in", "{missing}", "--x", "1 2"], None),
+        (["instance", "solve", "--in", "{no_code}"], None),
+        (["tbnc", "verify", "--in", "{missing}", "--key", "0", "--solutions", "1 1"], None),
+        (["tbnc", "verify", "--in", "{malformed}", "--key", "0", "--solutions", "1 1"], None),
+        (["tbnc", "verify", "--in", "{tb}", "--key", "x", "--solutions", "1 1"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -134,6 +140,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
         paths["{gamma_1}"].write_text(json.dumps(gamma_1))
     if "{inst}" in argv:
         paths["{inst}"] = _tiny_instance(tmp_path)
+    if "{no_code}" in argv:
+        data = json.loads(_tiny_instance(tmp_path).read_text())
+        del data["code"]
+        paths["{no_code}"] = tmp_path / "no_code.json"
+        paths["{no_code}"].write_text(json.dumps(data))
+    if "{tb}" in argv:
+        paths["{tb}"] = tmp_path / "tb.json"
+        assert main(["tbnc", "gen", "--t", "1", "--out", str(paths["{tb}"])]) == 0
     argv = [str(paths.get(a, a)) for a in argv]
     capsys.readouterr()
     assert main(argv) == 2
@@ -147,14 +161,17 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
         ["qsim", "lemma51", "--toy", "--jobs", "2"],
         ["tbnc", "alg2", "--n", "3"],
         ["tbnc", "alg2", "--s", "3"],
+        ["proto", "drp", "--n", "5"],
     ],
-    ids=["lemma51-jobs", "alg2-n", "alg2-s"],
+    ids=["lemma51-jobs", "alg2-n", "alg2-s", "drp-n"],
 )
-def test_removed_flags_exit_2(argv):
-    # --jobs exists only on instance solve; alg2 always runs the toy code
+def test_removed_flags_exit_2(argv, capsys):
+    # --jobs exists only on instance solve; alg2 always runs the toy code;
+    # no flag is read from a prefix (--n is not --n-bits)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: nullcode {argv[0]} {argv[1]} ")
 
 
 def test_table_stats_subcommand(capsys):

@@ -171,11 +171,48 @@ def test_brute_solve_matches_per_row_fold(spec):
 def test_split():
     sp = instances.Split(4, 4)
     assert sp.bits_per_side == 8
-    assert sp.flat_index(1, 0) == 0
-    assert sp.flat_index(2, 3) == 7
-    assert sp.flat_index(3, 0) == 0 and sp.side(3) == "B"
+    assert sp.cell("A", 0) == (0, 0)
+    assert sp.cell("A", 7) == (1, 3)
+    assert sp.cell("B", 0) == (2, 0)
     with pytest.raises(SplitRequiresEvenN):
         instances.Split(3, 4)
+
+
+def _flat_index_layout(split, x, y):
+    """Per-bit oracle of the flat layout: table entry (i, e), i counted
+    from 1, is bit (i - 1 - offset) * |Sigma| + e of Alice's input when
+    i <= n/2 (offset 0) and of Bob's otherwise (offset n/2).  Returns the
+    tables of inputs (x, y) and the map (owner, bit) -> (i - 1, e)."""
+    tables = np.zeros((split.n, split.sigma_size), dtype=np.uint8)
+    cells = {}
+    for i in range(1, split.n + 1):
+        owner, offset, value = ("A", 0, x) if i <= split.n // 2 else ("B", split.n // 2, y)
+        for e in range(split.sigma_size):
+            flat = (i - 1 - offset) * split.sigma_size + e
+            tables[i - 1, e] = (value >> flat) & 1
+            cells[(owner, flat)] = (i - 1, e)
+    return tables, cells
+
+
+@pytest.mark.parametrize(
+    "n, sigma", [(2, 4), (4, 2), (2, 64), (6, 32)], ids=["4bit", "4bit-n4", "64bit", "96bit"]
+)
+def test_split_matches_flat_index_layout(n, sigma):
+    split = instances.Split(n, sigma)
+    bits = split.bits_per_side
+    rng = np.random.default_rng(n * sigma)
+    full = (1 << bits) - 1
+    pairs = [(0, full), (full, 1 << (bits - 1))] + [
+        tuple(int.from_bytes(rng.bytes((bits + 7) // 8), "little") & full for _ in range(2))
+        for _ in range(20)
+    ]
+    for x, y in pairs:
+        tables, cells = _flat_index_layout(split, x, y)
+        assert np.array_equal(split.tables(x, y), tables)
+        assert split.inputs(tables) == (x, y)
+    assert len(cells) == 2 * bits
+    for (owner, bit), cell in cells.items():
+        assert split.cell(owner, bit) == cell
 
 
 def test_file_roundtrip_with_unfolded(tmp_path):

@@ -97,7 +97,7 @@ def test_transform_single_coordinate_round():
     proto.validate_subcube_like(out, 0.8)
     for child_msg, subset, child in out.root.parts:
         # each part fixes at least coordinate 0
-        assert 0 in child.rect.fixed_a()[0]
+        assert 0 in child.rect.side("A").coords
     pairs = list(itertools.product(range(4), range(4)))
     assert proto.outputs_agree(tree, out, pairs)
 
@@ -178,18 +178,25 @@ def danger_setup():
     insts = [
         instances.sample_instance(spec, Fraction(1, 4), seed) for seed in range(30)
     ]
+    return spec, insts, proto.reveal_solution_tree(spec)
+
+
+@pytest.mark.parametrize("n, s", [(2, 2), (4, 1)])
+def test_reveal_solution_tree_matches_brute_solve_labeler(n, s):
+    spec = configs.toy_repetition_spec(n=n, s=s)
+    base = instances.sample_instance(spec, Fraction(1, 4), 0)
+    split = instances.Split(spec.n, spec.sigma_size)  # layout checked bit by bit in test_instances
 
     def labeler(x_bits, y_bits):
-        from nullcode.cli import _tables_from_bits
-
-        tables = _tables_from_bits(spec, x_bits, y_bits)
-        inst = instances.with_tables(insts[0], tables)
-        sols = instances.brute_solve(inst)
+        sols = instances.brute_solve(instances.with_tables(base, split.tables(x_bits, y_bits)))
         return sols[0] if sols else BOT
 
     half = spec.n * spec.sigma_size // 2
-    tree = proto.reveal_tree(labeler, half, half)
-    return spec, insts, tree
+    tree = proto.reveal_solution_tree(spec)
+    assert (tree.n_bits_a, tree.n_bits_b) == (half, half)
+    for x in range(1 << half):
+        for y in range(1 << half):
+            assert proto.run(tree, x, y)[1] == labeler(x, y)
 
 
 def test_danger_monotone_and_recount():
@@ -223,17 +230,7 @@ def test_danger_decay_with_n():
             for seed in range(40)
         ]
 
-        def labeler(x_bits, y_bits, spec=spec, base=insts[0]):
-            from nullcode.cli import _tables_from_bits
-
-            tables = _tables_from_bits(spec, x_bits, y_bits)
-            inst = instances.with_tables(base, tables)
-            sols = instances.brute_solve(inst)
-            return sols[0] if sols else BOT
-
-        half = spec.n * spec.sigma_size // 2
-        tree = proto.reveal_tree(labeler, half, half)
-        out = proto.danger_track(tree, spec, insts)
+        out = proto.danger_track(proto.reveal_solution_tree(spec), spec, insts)
         rates.append(out["danger_to_solution_rate"])
     assert rates[1] <= rates[0]
 
@@ -330,7 +327,9 @@ def test_validate_checks_each_distinct_side_once(monkeypatch):
     tree = proto.subcube_like_transform(small_tree(seed=3, n_bits=6, depth=5), 0.8)
     nodes = proto.validate_subcube_like(tree, 0.8)
     distinct = {
-        (side.tobytes(), free) for node in tree.nodes() for side, free in node.rect.free_sides()
+        (side.elems.tobytes(), side.free)
+        for node in tree.nodes()
+        for side in map(node.rect.side, "AB")
     }
     assert len(calls) == len(set(calls)) == len(distinct)
     assert len(calls) < 2 * nodes

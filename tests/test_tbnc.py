@@ -162,8 +162,8 @@ def test_totality_scan_reports():
 
 
 def test_union_bound_calculator():
-    assert tbnc.union_bound_calculator(0, 0, 10, 0.5) == 2.0**10
-    assert tbnc.union_bound_calculator(0, 100, 10, 1.0) == 2.0**10
-    assert tbnc.union_bound_calculator(0, 100, 10, 0.5) == 2.0**-90
+    assert tbnc.union_bound_calculator(0, 10, 0.5) == 2.0**10
+    assert tbnc.union_bound_calculator(100, 10, 1.0) == 2.0**10
+    assert tbnc.union_bound_calculator(100, 10, 0.5) == 2.0**-90
     with pytest.raises(ValueError):
-        tbnc.union_bound_calculator(0, -1, 10, 0.5)
+        tbnc.union_bound_calculator(-1, 10, 0.5)
