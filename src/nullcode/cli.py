@@ -18,7 +18,14 @@ import numpy as np
 
 from . import codes, configs, hashing, instances, proto, qsim, tbnc
 from .codes import CodeSpec, DecoderParams
-from .errors import EmptySupport, NullcodeError, ParseError, RetriesExhausted, UsageError
+from .errors import (
+    EmptySupport,
+    LengthMismatch,
+    NullcodeError,
+    ParseError,
+    RetriesExhausted,
+    UsageError,
+)
 from .gf import FieldCtx
 
 
@@ -26,12 +33,15 @@ def _read_json(path, parse, what: str):
     """parse(the JSON content of path); a file that cannot be read or
     parsed is a usage error naming the path."""
     # OSError: unreadable; ValueError: bad JSON or field values; ParseError:
-    # a malformed code field; KeyError, TypeError, AttributeError: a missing
-    # field or a value of the wrong type
+    # a malformed code field; LengthMismatch: fields whose shapes disagree;
+    # KeyError, TypeError, AttributeError: a missing field or a value of the
+    # wrong type
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, ParseError, KeyError, TypeError, AttributeError) as exc:
+    except (
+        OSError, ValueError, ParseError, LengthMismatch, KeyError, TypeError, AttributeError
+    ) as exc:
         raise UsageError(f"{path}: bad {what} ({exc!r})") from None
 
 

@@ -24,6 +24,7 @@ ratio.  `validate_partition` re-checks that exactly anyway.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,11 +105,46 @@ def min_entropy(X, coords) -> float:
     return math.log2(len(arr) / count)
 
 
+# From this many coordinates on, the 3^f count table is large enough that
+# passes over contiguous blocks beat strided transposes and the width-order
+# gather.  Per find_violation call on random sets (2 vCPU host), f = 9 takes
+# 0.26 ms gathered against 0.27 ms in blocks, f = 10 0.49 against 0.37 and
+# f = 12 3.1 against 0.81; below f = 10 the per-pass overhead of the block
+# views costs more than it saves.
+_WIDE_F = 10
+
+
+class _Workspace(threading.local):
+    """Two byte buffers, reused by the Yates passes of wide tables and grown
+    to the largest table counted so far in the thread.  A fresh
+    megabyte-sized array costs page faults on every call, which at f = 12
+    took longer than the passes themselves."""
+
+    def __init__(self):
+        self.buffers = [np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)]
+
+    def take(self, k: int, n: int, dtype: np.dtype) -> np.ndarray:
+        nbytes = n * dtype.itemsize
+        if self.buffers[k].nbytes < nbytes:
+            self.buffers[k] = np.empty(nbytes, dtype=np.uint8)
+        return self.buffers[k][:nbytes].view(dtype)
+
+
+_WORKSPACE = _Workspace()
+
+
 def subcube_counts(X, coords) -> np.ndarray:
     """Count of every pattern (I, a) with I subseteq coords, as one array of
     length 3^f (f = len(coords)).  Index t has one ternary digit per sorted
     coordinate, the first coordinate most significant; digit 0 or 1 fixes
-    the coordinate to that bit and digit 2 leaves it free."""
+    the coordinate to that bit and digit 2 leaves it free.  The dtype is the
+    narrowest unsigned one that holds |X|, which bounds every count."""
+    return _count_table(X, coords).copy()
+
+
+def _count_table(X, coords) -> np.ndarray:
+    """`subcube_counts`, but a wide table is a view of the thread's
+    workspace, valid until the next call."""
     arr = _as_array(X)
     coords = tuple(sorted(coords))
     f = len(coords)
@@ -116,28 +152,89 @@ def subcube_counts(X, coords) -> np.ndarray:
     if 3**f > limit:
         raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed the budget {limit}")
     counts = np.bincount(project(arr, coords), minlength=1 << f)
-    # Yates's algorithm: each pass turns the least significant binary digit
-    # into the most significant ternary one, so after f passes the digits
-    # are back in coordinate order
-    for _ in range(f):
-        pair = counts.reshape(-1, 2)
-        out = np.empty((3, len(pair)), dtype=counts.dtype)
-        out[:2] = pair.T
-        np.add(pair[:, 0], pair[:, 1], out=out[2])
+    counts = counts.astype(np.min_scalar_type(len(arr)))
+    # Yates's algorithm: each pass turns one binary digit into a ternary one
+    # (bit 0, bit 1, then their sum for a free coordinate)
+    if f < _WIDE_F:
+        # the least significant binary digit becomes the most significant
+        # ternary one, so after f passes the digits are back in coordinate
+        # order
+        for _ in range(f):
+            pair = counts.reshape(-1, 2)
+            out = np.empty((3, len(pair)), dtype=counts.dtype)
+            out[:2] = pair.T
+            np.add(pair[:, 0], pair[:, 1], out=out[2])
+            counts = out.reshape(-1)
+        return counts
+    # every digit stays in place, least significant first, and each pass
+    # moves contiguous blocks of the 3^k ternary cells below it
+    block = 1
+    for k in range(f):
+        pair = counts.reshape(-1, 2, block)
+        out = _WORKSPACE.take(k % 2, 3 * pair.size // 2, counts.dtype).reshape(-1, 3, block)
+        out[:, :2] = pair
+        np.add(pair[:, 0], pair[:, 1], out=out[:, 2])
         counts = out.reshape(-1)
+        block *= 3
     return counts
+
+
+@lru_cache(maxsize=None)
+def _width_table(f: int) -> np.ndarray:
+    """The width |I| (number of fixed digits) of each of the 3^f cells."""
+    width = np.zeros(1, dtype=np.int8)
+    for _ in range(f):
+        width = (width[:, None] + np.array([1, 1, 0], dtype=np.int8)).reshape(-1)
+    return width
 
 
 @lru_cache(maxsize=None)
 def _width_order(f: int) -> tuple[np.ndarray, np.ndarray]:
     """The 3^f pattern indices sorted stably by width |I|, and where each
     width 0..f starts (and ends) in that order."""
-    width = np.zeros(1, dtype=np.int8)
-    for _ in range(f):
-        width = (width[:, None] + np.array([1, 1, 0], dtype=np.int8)).reshape(-1)
+    width = _width_table(f)
     order = np.argsort(width, kind="stable").astype(np.int32)
     starts = np.searchsorted(width[order], np.arange(f + 2))
     return order, starts
+
+
+def _width_maxima(counts: np.ndarray, f: int) -> list[int]:
+    """The largest count of each width |I| = 0..f."""
+    if f >= _WIDE_F:
+        return _width_maxima_blocks(counts, f).tolist()
+    order, starts = _width_order(f)
+    return np.maximum.reduceat(counts[order], starts[:-1]).tolist()
+
+
+def _width_maxima_blocks(counts: np.ndarray, f: int) -> np.ndarray:
+    """`_width_maxima` without an index gather: each pass reduces the most
+    significant remaining digit, and row w holds the maxima over the digits
+    reduced so far with w of them fixed."""
+    by_width = counts.reshape(1, -1)
+    for _ in range(f):
+        blocks = by_width.reshape(len(by_width), 3, -1)
+        out = np.empty((len(by_width) + 1, blocks.shape[2]), dtype=counts.dtype)
+        # a fixed digit (0 or 1) moves row w to row w + 1, a free one keeps it
+        np.maximum(blocks[:, 0], blocks[:, 1], out=out[1:])
+        np.maximum(out[1:-1], blocks[1:, 2], out=out[1:-1])
+        out[0] = blocks[0, 2]
+        by_width = out
+    return by_width[:, 0]
+
+
+def _cells_with(counts: np.ndarray, f: int, s: int, count: int) -> np.ndarray:
+    """The cells of width s that hold `count`."""
+    if f < _WIDE_F:
+        order, starts = _width_order(f)
+        cells = order[starts[s] : starts[s + 1]].astype(np.int64)
+        return cells[counts[cells] == count]
+    # no width order is kept for wide tables: take every cell with the
+    # count and drop those of another width, reading each cell's width as
+    # the sum of its two halves' widths
+    cells = np.flatnonzero(counts == count)
+    low = f // 2
+    hi, lo = np.divmod(cells, 3**low)
+    return cells[_width_table(f - low)[hi] + _width_table(low)[lo] == s]
 
 
 def is_dense(X, gamma, coords) -> bool:
@@ -160,9 +257,8 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
         return None
     gamma = _as_fraction(gamma)
     f = len(coords)
-    order, starts = _width_order(f)
-    by_width = subcube_counts(arr, coords)[order]
-    top = np.maximum.reduceat(by_width, starts[:-1]).tolist()  # max per width
+    counts = _count_table(arr, coords)
+    top = _width_maxima(counts, f)
     s = f
     for w in range(f - 1, 0, -1):
         if _ratio_gt(top[w], w, top[s], s, gamma):
@@ -171,8 +267,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     # |X|, so some pattern violates iff a ratio-maximal one does
     if top[s] <= density_cut(len(arr), gamma, s):
         return None
-    lo, hi = starts[s], starts[s + 1]
-    tied = order[lo:hi][by_width[lo:hi] == top[s]].astype(np.int64)
+    tied = _cells_with(counts, f, s, top[s])
     digits = tied[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3
     fixed = digits != 2
     # for equal |I|, lexicographically first I has the largest MSB-first
@@ -218,7 +313,7 @@ def validate_partition(X, parts: list[Part], gamma, coords) -> None:
     arr = _as_array(X)
     coords = tuple(sorted(coords))
     seen = np.concatenate([p.elems for p in parts]) if parts else np.array([])
-    if sorted(seen.tolist()) != sorted(arr.tolist()):
+    if not np.array_equal(np.sort(seen), np.sort(arr)):
         raise AssertionError("parts do not partition the input set")
     for p in parts:
         for c, b in zip(p.fixed_coords, p.fixed_bits):

@@ -635,7 +635,11 @@ def _fixed_table_cells(rect: Rect, split: Split) -> list[set]:
 def dangerous_codewords(spec, rect: Rect, split: Split) -> frozenset:
     """Codeword indexes with >= DANGER_THRESHOLD * n of their oracle bits
     fixed."""
-    cells = _fixed_table_cells(rect, split)
+    return _dangerous_in(spec, _fixed_table_cells(rect, split))
+
+
+def _dangerous_in(spec, cells: list[set]) -> frozenset:
+    """`dangerous_codewords` given the rectangle's fixed table cells."""
     ranks = codes_mod.codeword_rank_matrix(spec)
     thr = math.ceil(DANGER_THRESHOLD * spec.n)
     counts = np.zeros(ranks.shape[0], dtype=np.int64)
@@ -669,8 +673,9 @@ def danger_track(
         node = tree.root
         rounds = []
         while True:
-            q = dangerous_codewords(spec, node.rect, split)
-            _recount_check(spec, node.rect, split, len(q))
+            cells = _fixed_table_cells(node.rect, split)
+            q = _dangerous_in(spec, cells)
+            _recount_check(spec, cells, len(q))
             rounds.append(q)
             if isinstance(node, Leaf):
                 break
@@ -692,8 +697,7 @@ def danger_track(
     }
 
 
-def _recount_check(spec, rect: Rect, split: Split, expected: int) -> None:
-    cells = _fixed_table_cells(rect, split)
+def _recount_check(spec, cells: list[set], expected: int) -> None:
     count = codes_mod.list_recover_count(
         spec, [frozenset(c) for c in cells], float(DANGER_THRESHOLD)
     )

@@ -340,7 +340,7 @@ def test_criterion_09_density_restoring_partition():
             expected_codimension(parts) - (12 - min_entropy(X, coords))
         )
     elapsed = time.time() - start
-    assert elapsed < 120
+    assert elapsed < 10
     report(
         9,
         "density-restoring partition",

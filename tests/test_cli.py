@@ -116,6 +116,8 @@ def _tiny_instance(tmp_path):
         (["tbnc", "verify", "--in", "{missing}", "--key", "0", "--solutions", "1 1"], None),
         (["tbnc", "verify", "--in", "{malformed}", "--key", "0", "--solutions", "1 1"], None),
         (["tbnc", "verify", "--in", "{tb}", "--key", "x", "--solutions", "1 1"], None),
+        (["instance", "solve", "--in", "{short_tables}"], None),
+        (["tbnc", "verify", "--in", "{tb_t2}", "--key", "0", "--solutions", "1 1"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -148,11 +150,33 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
     if "{tb}" in argv:
         paths["{tb}"] = tmp_path / "tb.json"
         assert main(["tbnc", "gen", "--t", "1", "--out", str(paths["{tb}"])]) == 0
+    if "{short_tables}" in argv:  # the file parses, its shapes disagree
+        paths["{short_tables}"] = tmp_path / "short_tables.json"
+        assert main(["instance", "gen", "--toy", "--out", str(paths["{short_tables}"])]) == 0
+        data = json.loads(paths["{short_tables}"].read_text())
+        del data["tables"][-1]
+        paths["{short_tables}"].write_text(json.dumps(data))
+    if "{tb_t2}" in argv:
+        paths["{tb_t2}"] = tmp_path / "tb_t2.json"
+        assert main(["tbnc", "gen", "--t", "1", "--out", str(paths["{tb_t2}"])]) == 0
+        data = json.loads(paths["{tb_t2}"].read_text())
+        data["t"] = 2
+        paths["{tb_t2}"].write_text(json.dumps(data))
     argv = [str(paths.get(a, a)) for a in argv]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_length_mismatch_outside_parsing_exits_1(tmp_path, capsys):
+    # a well-formed file with the wrong number of solutions is a check failure
+    path = tmp_path / "tb.json"
+    assert main(["tbnc", "gen", "--t", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["tbnc", "verify", "--in", str(path), "--key", "0", "--solutions", "1 1;1 1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: need 1 solutions, got 2\n"
 
 
 @pytest.mark.parametrize(

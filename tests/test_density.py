@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nullcode import density
 from nullcode.density import (
     density_cut,
     density_restoring_partition,
@@ -217,3 +218,118 @@ def test_subcube_counts_over_budget(monkeypatch):
         subcube_counts(np.arange(16), (0, 1, 2, 3))
     with pytest.raises(BudgetExceeded):
         is_dense(np.arange(16), 0.5, (0, 1, 2, 3))
+
+
+def _embed(patterns, coords, nbits, rng):
+    """Bit j of each pattern at coords[j]; every other bit below nbits random."""
+    X = rng.integers(0, 1 << nbits, size=len(patterns))
+    for j, c in enumerate(coords):
+        X = (X & ~(1 << c)) | (((patterns >> j) & 1) << c)
+    return X
+
+
+def _subcube(space, bits, values):
+    """The elements of space with bit j equal to v for each (j, v)."""
+    return space[np.all([((space >> j) & 1) == v for j, v in zip(bits, values)], axis=0)]
+
+
+def _wide_cases():
+    """Seeded sets on f = 8..12 coordinates, some with bits varying outside
+    coords: random sets, two subcubes with tied top patterns, sets closed
+    under swapping two coordinates, constant coordinates, and
+    sets where narrower patterns hold the top count of the ratio-maximal
+    width (x_p = x_q = 0 on 2/3 of X, and x_e = 0 on as many)."""
+    gammas = (0.8, 0.5, 1.0, Fraction(2, 3), 0.3)
+    for f in range(8, 13):
+        for kind in range(6):
+            rng = np.random.default_rng([f, kind])
+            nbits = f + kind % 3
+            coords = tuple(int(c) for c in rng.choice(nbits, size=f, replace=False))
+            gamma = gammas[(f + kind) % len(gammas)]
+            space = np.arange(1 << f)
+            if kind == 0:
+                size = int(rng.integers(1, min(1 << nbits, 1500)))
+                yield rng.choice(1 << nbits, size=size, replace=False), gamma, coords
+                continue
+            if kind in (1, 2):
+                # two full subcubes whose top patterns tie: on disjoint
+                # coordinate sets (kind 1) or on one set, two bits apart (2)
+                gamma = 0.8
+                J, K = rng.permutation(f)[:6].reshape(2, 3)
+                a, b = rng.integers(0, 2, size=(2, 3))
+                if kind == 2:
+                    K, b = J, a ^ np.array([1, 1, 0])
+                B = np.union1d(_subcube(space, J, a), _subcube(space, K, b))
+            elif kind == 3:
+                B = space[rng.random(1 << f) < 0.1]
+                j, k = (int(v) for v in rng.choice(f, size=2, replace=False))
+                swapped = B & ~((1 << j) | (1 << k))
+                swapped |= (((B >> j) & 1) << k) | (((B >> k) & 1) << j)
+                B = np.union1d(B, swapped)
+            elif kind == 4:
+                B = space[rng.random(1 << f) < 0.2]
+                for j in rng.choice(f, size=1 + f % 2, replace=False):
+                    B = np.unique(B | (1 << int(j)))
+            else:
+                gamma = 0.8
+                # with sorted coords (even f), x_e = 0 is the lexicographically
+                # first pattern holding the top count of width 2
+                e, p, q = 0, f - 2, f - 1
+                coords = tuple(sorted(coords)) if f % 2 == 0 else coords
+                H = _subcube(space, (p, q), (0, 0))
+                B = np.union1d(H, _subcube(space, (e, p, q), (0, 1, 1)))
+            yield _embed(B, coords, nbits, rng), gamma, coords
+
+
+def _cell_widths(cells, f):
+    return (cells[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3 != 2).sum(axis=1)
+
+
+def test_find_violation_matches_definition_on_wide_sets():
+    tied = narrower = wide = 0
+    for X, gamma, coords in _wide_cases():
+        want = _violation_by_definition(X, gamma, coords)
+        assert find_violation(X, gamma, coords) == want
+        assert is_dense(X, gamma, coords) == (want is None)
+        if want is None:
+            continue
+        I, bits = want
+        top = int(np.all([((X >> c) & 1) == b for c, b in zip(I, bits)], axis=0).sum())
+        widths = _cell_widths(np.flatnonzero(subcube_counts(X, coords) == top), len(coords))
+        tied += int((widths == len(I)).sum() > 1)
+        narrower += int((widths < len(I)).any())
+        wide += len(coords) >= density._WIDE_F
+    # the cases reach the tie-breaks the differential check is for
+    assert tied >= 10 and narrower >= 10 and wide >= 10
+
+
+@pytest.mark.parametrize("f", range(1, 13))
+def test_width_maxima_blocks_match_width_order(f):
+    rng = np.random.default_rng(f)
+    order, starts = density._width_order(f)
+    for dtype, high in ((np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.int64, 1 << 40)):
+        table = rng.integers(0, high, size=3**f).astype(dtype)
+        want = np.maximum.reduceat(table[order], starts[:-1])
+        assert density._width_maxima_blocks(table, f).tolist() == want.tolist()
+
+
+def _subcube_counts_int64(X, coords):
+    """Yates's algorithm in int64, one concatenation per pass."""
+    f = len(coords)
+    counts = np.bincount(project(X, sorted(coords)), minlength=1 << f)
+    for _ in range(f):
+        pair = counts.reshape(-1, 2)
+        counts = np.concatenate([pair[:, 0], pair[:, 1], pair.sum(axis=1)])
+    return counts
+
+
+@pytest.mark.parametrize("f", [6, 10])
+@pytest.mark.parametrize("size", [255, 256, 65535, 65536])
+def test_subcube_counts_at_dtype_edges(size, f):
+    rng = np.random.default_rng([size, f])
+    X = rng.choice(1 << 17, size=size, replace=False)
+    coords = tuple(int(c) for c in rng.choice(17, size=f, replace=False))
+    counts = subcube_counts(X, coords)
+    assert counts.dtype == np.min_scalar_type(size)
+    assert counts[-1] == size  # every coordinate free
+    assert np.array_equal(counts, _subcube_counts_int64(X, coords))

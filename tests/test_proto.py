@@ -208,6 +208,21 @@ def test_danger_monotone_and_recount():
     assert 0 <= out["danger_to_solution_rate"] <= 1
 
 
+def test_danger_track_derives_cells_once_per_visited_node(monkeypatch):
+    calls = []
+    real = proto._fixed_table_cells
+
+    def counting(rect, split):
+        calls.append(rect)
+        return real(rect, split)
+
+    monkeypatch.setattr(proto, "_fixed_table_cells", counting)
+    spec, insts, tree = danger_setup()
+    out = proto.danger_track(tree, spec, insts)
+    visited = sum(len(ledger.rounds) for ledger in out["ledgers"])
+    assert len(calls) == visited
+
+
 def test_danger_threshold_arithmetic():
     # n = 2: one fixed oracle bit of a codeword crosses 0.4 * 2 = 0.8
     spec, insts, tree = danger_setup()
