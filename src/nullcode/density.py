@@ -107,23 +107,35 @@ def min_entropy(X, coords) -> float:
 
 # From this many coordinates on, the 3^f count table is large enough that
 # passes over contiguous blocks beat strided transposes and the width-order
-# gather.  Per find_violation call on random sets (2 vCPU host), f = 9 takes
-# 0.26 ms gathered against 0.27 ms in blocks, f = 10 0.49 against 0.37 and
-# f = 12 3.1 against 0.81; below f = 10 the per-pass overhead of the block
-# views costs more than it saves.
+# gather.  Per find_violation call on random sets of 2^(f-1) elements
+# (gamma = 1/2, 2 vCPU host), the transposed passes with the gather take
+# 0.043-0.135 ms at f = 2..8 against 0.064-0.189 ms in blocks (f = 3: 0.050
+# against 0.103, f = 6: 0.071 against 0.126, f = 8: 0.135 against 0.189),
+# f = 9 0.22 against 0.27, f = 10 0.45 against 0.26 and f = 12 3.4 against
+# 0.77.  The transform workload's sets mostly have f = 4..9, and running
+# every f in blocks took it from 14.4 to 11.0 ops/s.
 _WIDE_F = 10
+
+
+# The largest Yates pass output, in cells, that reuses the workspace; a
+# larger one is allocated per call, so no thread keeps more than two
+# buffers of this many cells.  3^12 covers the 12-coordinate tables of the
+# partition workload.
+_REUSED_CELLS = 3**12
 
 
 class _Workspace(threading.local):
     """Two byte buffers, reused by the Yates passes of wide tables and grown
-    to the largest table counted so far in the thread.  A fresh
-    megabyte-sized array costs page faults on every call, which at f = 12
-    took longer than the passes themselves."""
+    to the largest pass output of at most `_REUSED_CELLS` cells counted so
+    far in the thread.  A fresh megabyte-sized array costs page faults on
+    every call, which at f = 12 took longer than the passes themselves."""
 
     def __init__(self):
         self.buffers = [np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)]
 
     def take(self, k: int, n: int, dtype: np.dtype) -> np.ndarray:
+        if n > _REUSED_CELLS:
+            return np.empty(n, dtype=dtype)
         nbytes = n * dtype.itemsize
         if self.buffers[k].nbytes < nbytes:
             self.buffers[k] = np.empty(nbytes, dtype=np.uint8)
@@ -137,13 +149,13 @@ def subcube_counts(X, coords) -> np.ndarray:
     """Count of every pattern (I, a) with I subseteq coords, as one array of
     length 3^f (f = len(coords)).  Index t has one ternary digit per sorted
     coordinate, the first coordinate most significant; digit 0 or 1 fixes
-    the coordinate to that bit and digit 2 leaves it free.  The dtype is the
-    narrowest unsigned one that holds |X|, which bounds every count."""
-    return _count_table(X, coords).copy()
+    the coordinate to that bit and digit 2 leaves it free."""
+    return _count_table(X, coords).astype(np.int64)
 
 
 def _count_table(X, coords) -> np.ndarray:
-    """`subcube_counts`, but a wide table is a view of the thread's
+    """`subcube_counts` in the narrowest unsigned dtype that holds |X|,
+    which bounds every count; a wide table is a view of the thread's
     workspace, valid until the next call."""
     arr = _as_array(X)
     coords = tuple(sorted(coords))

@@ -1,4 +1,5 @@
 
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -329,7 +330,27 @@ def test_subcube_counts_at_dtype_edges(size, f):
     rng = np.random.default_rng([size, f])
     X = rng.choice(1 << 17, size=size, replace=False)
     coords = tuple(int(c) for c in rng.choice(17, size=f, replace=False))
+    assert density._count_table(X, coords).dtype == np.min_scalar_type(size)
     counts = subcube_counts(X, coords)
-    assert counts.dtype == np.min_scalar_type(size)
+    assert counts.dtype == np.int64
     assert counts[-1] == size  # every coordinate free
     assert np.array_equal(counts, _subcube_counts_int64(X, coords))
+
+
+def test_workspace_keeps_no_pass_above_the_reuse_limit(monkeypatch):
+    monkeypatch.setattr(density, "_REUSED_CELLS", 3**9)
+    rng = np.random.default_rng(5)
+    X = rng.choice(1 << 13, size=3000, replace=False)
+    coords = tuple(range(1, 12))
+    kept = []
+
+    def count():  # a new thread starts with an empty workspace
+        counts = subcube_counts(X, coords)
+        kept.append((counts, [b.nbytes for b in density._WORKSPACE.buffers]))
+
+    worker = threading.Thread(target=count)
+    worker.start()
+    worker.join()
+    (counts, nbytes), = kept
+    assert np.array_equal(counts, _subcube_counts_int64(X, coords))
+    assert 0 < max(nbytes) <= 3**9 * 2  # uint16 cells
