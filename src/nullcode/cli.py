@@ -11,6 +11,7 @@ import argparse
 import csv
 import glob as glob_mod
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -62,6 +63,17 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{text!r} is not a fraction") from None
+
+
+def _gamma(text: str) -> float:
+    """A --gamma value: a finite positive number."""
+    try:
+        gamma = float(text)
+    except ValueError:
+        raise UsageError(f"--gamma {text!r} is not a number") from None
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise UsageError(f"--gamma {text} is not a finite positive number")
+    return gamma
 
 
 def _decoder_params(spec: CodeSpec, p: Fraction) -> DecoderParams:
@@ -699,13 +711,13 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("proto").add_subparsers(dest="cmd", required=True)
     p = pr.add_parser("drp")
     p.add_argument("--n-bits", type=int, default=12)
-    p.add_argument("--gamma", type=float, default=0.8)
+    p.add_argument("--gamma", type=_gamma, default=0.8)
     _add_common(p, trials=50)
     p.set_defaults(fn=cmd_proto_drp)
     p = pr.add_parser("transform")
     p.add_argument("--n-bits", type=int, default=10)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--gamma", type=float, default=0.8)
+    p.add_argument("--gamma", type=_gamma, default=0.8)
     p.add_argument("--pairs", type=int, default=1000)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_transform)
@@ -777,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

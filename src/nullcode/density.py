@@ -27,7 +27,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -45,6 +45,8 @@ def _as_array(X) -> np.ndarray:
 def _as_fraction(gamma) -> Fraction:
     if isinstance(gamma, float):
         return _float_fraction(gamma)
+    if type(gamma) is Fraction:
+        return gamma
     return Fraction(gamma)
 
 
@@ -56,9 +58,15 @@ def _float_fraction(gamma: float) -> Fraction:
 def density_cut(size: int, gamma, s: int) -> int:
     """floor(size * 2^(-gamma s)) computed exactly; a pattern of width s
     violates gamma-density iff its count exceeds this."""
+    # keyed on the normalised gamma: a float and a Fraction can be equal
+    # and still normalise to different fractions
     g = _as_fraction(gamma)
-    num, den = (g * s).numerator, (g * s).denominator
-    # largest c with c^den * 2^num <= size^den
+    return _cut(size, g.numerator * s, g.denominator)
+
+
+@lru_cache(maxsize=4096)
+def _cut(size: int, num: int, den: int) -> int:
+    """floor(size * 2^(-num/den)): the largest c with c^den * 2^num <= size^den."""
     lo, hi = 0, size
     target = size**den
     shift = 1 << num
@@ -71,20 +79,52 @@ def density_cut(size: int, gamma, s: int) -> int:
     return lo
 
 
-def _ratio_gt(c1: int, s1: int, c2: int, s2: int, gamma: Fraction) -> bool:
-    """Exact test of c1 * 2^(gamma s1) > c2 * 2^(gamma s2)."""
-    num, den = gamma.numerator, gamma.denominator
-    return c1**den << (num * s1) > c2**den << (num * s2)
-
-
 def project(X: np.ndarray, coords) -> np.ndarray:
     """Pattern integers for each element; the first coordinate lands in the
     most-significant bit, so integer order equals assignment-string order."""
+    coords = tuple(coords)
+    if coords and 0 <= coords[0] and coords[-1] < 64 and all(
+        a < b for a, b in zip(coords, coords[1:])
+    ):
+        return _project_bytes(X, coords)
     s = len(coords)
     out = np.zeros(len(X), dtype=np.int64)
     for j, c in enumerate(coords):
         out |= ((X >> c) & 1) << (s - 1 - j)
     return out
+
+
+def _project_bytes(X, coords: tuple[int, ...]) -> np.ndarray:
+    """`project` for ascending coords below 64: one table lookup per input
+    byte that holds a coordinate, shifted into place."""
+    data = np.ascontiguousarray(X, dtype="<i8").view(np.uint8)
+    masks: dict[int, int] = {}  # byte -> its coordinates' bits, bytes ascending
+    for c in coords:
+        masks[c >> 3] = masks.get(c >> 3, 0) | 1 << (c & 7)
+    rest = len(coords)
+    out = None
+    for byte, mask in masks.items():
+        part = _byte_table(mask).take(data[byte::8])
+        rest -= mask.bit_count()
+        if rest:
+            part <<= rest
+        if out is None:
+            out = part
+        else:
+            out |= part
+    return out
+
+
+@lru_cache(maxsize=None)
+def _byte_table(mask: int) -> np.ndarray:
+    """The bits of every byte value selected by the 8-bit mask, packed with
+    the lowest selected bit most significant."""
+    byte = np.arange(256, dtype=np.int64)
+    table = np.zeros(256, dtype=np.int64)
+    for b in range(8):
+        if mask >> b & 1:
+            table = table << 1 | (byte >> b & 1)
+    return table
 
 
 def max_pattern_count(X: np.ndarray, coords) -> tuple[int, int]:
@@ -106,15 +146,22 @@ def min_entropy(X, coords) -> float:
 
 
 # From this many coordinates on, the 3^f count table is large enough that
-# passes over contiguous blocks beat strided transposes and the width-order
-# gather.  Per find_violation call on random sets of 2^(f-1) elements
-# (gamma = 1/2, 2 vCPU host), the transposed passes with the gather take
-# 0.043-0.135 ms at f = 2..8 against 0.064-0.189 ms in blocks (f = 3: 0.050
-# against 0.103, f = 6: 0.071 against 0.126, f = 8: 0.135 against 0.189),
-# f = 9 0.22 against 0.27, f = 10 0.45 against 0.26 and f = 12 3.4 against
-# 0.77.  The transform workload's sets mostly have f = 4..9, and running
-# every f in blocks took it from 14.4 to 11.0 ops/s.
+# passes over contiguous blocks beat the 3-digit kernel passes and the
+# width-order gather.  Per find_violation call (2 vCPU host), on the calls
+# of 20 transform ops the kernel passes take 66-69 us at f = 8, 112-115 us
+# at f = 9 and 306-308 us at f = 10 against 140-188, 186-232 and 279-304 us
+# in blocks; on random sets of 2^(f-1) elements (gamma = 1/2) 56-69 us at
+# f = 8, 106-111 us at f = 9, 290-298 us at f = 10, 0.68-0.74 ms at f = 11
+# and 2.0-2.1 ms at f = 12 against 144-168 us, 182-191 us, 235-265 us,
+# 0.31-0.34 ms and 0.64-0.65 ms.
 _WIDE_F = 10
+
+
+# Yates kernels of 1, 2 and 3 digits: row t (ternary, first digit most
+# significant) sums the columns b (binary) that agree with t on every digit
+# t fixes; digit 2 leaves the coordinate free.
+_YATES_STEP = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_YATES_KERNELS = {k: reduce(np.kron, [_YATES_STEP] * k) for k in (1, 2, 3)}
 
 
 # The largest Yates pass output, in cells, that reuses the workspace; a
@@ -164,20 +211,20 @@ def _count_table(X, coords) -> np.ndarray:
     if 3**f > limit:
         raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed the budget {limit}")
     counts = np.bincount(project(arr, coords), minlength=1 << f)
-    counts = counts.astype(np.min_scalar_type(len(arr)))
-    # Yates's algorithm: each pass turns one binary digit into a ternary one
+    dtype = np.min_scalar_type(len(arr))
+    # Yates's algorithm: each pass turns binary digits into ternary ones
     # (bit 0, bit 1, then their sum for a free coordinate)
     if f < _WIDE_F:
-        # the least significant binary digit becomes the most significant
-        # ternary one, so after f passes the digits are back in coordinate
-        # order
-        for _ in range(f):
-            pair = counts.reshape(-1, 2)
-            out = np.empty((3, len(pair)), dtype=counts.dtype)
-            out[:2] = pair.T
-            np.add(pair[:, 0], pair[:, 1], out=out[2])
-            counts = out.reshape(-1)
-        return counts
+        # up to three least significant binary digits become the most
+        # significant ternary ones, so after the last pass the digits are
+        # back in coordinate order; every partial sum is an integer of at
+        # most |X| < 2^53, so the float64 products are exact
+        counts = counts.astype(np.float64)
+        for done in range(0, f, 3):
+            kernel = _YATES_KERNELS[min(3, f - done)]
+            counts = (kernel @ counts.reshape(-1, kernel.shape[1]).T).reshape(-1)
+        return counts.astype(dtype)
+    counts = counts.astype(dtype)
     # every digit stays in place, least significant first, and each pass
     # moves contiguous blocks of the 3^k ternary cells below it
     block = 1
@@ -202,26 +249,26 @@ def _width_table(f: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _width_order(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 3^f pattern indices sorted stably by width |I|, and where each
-    width 0..f starts (and ends) in that order."""
+    """The 3^f cells sorted by width |I|, then by tie-break order, and where
+    each width 0..f starts (and ends) in that order.
+
+    For equal |I|, the lexicographically first I has the largest MSB-first
+    mask of fixed digits, i.e. the smallest mask of free ones; for equal I,
+    index order is pattern order.  So within a width the first cell holding
+    a count wins the tie-break among the cells holding it."""
+    free = np.zeros(1, dtype=np.int64)
+    for _ in range(f):
+        free = (2 * free[:, None] + np.array([0, 0, 1])).reshape(-1)
     width = _width_table(f)
-    order = np.argsort(width, kind="stable").astype(np.int32)
+    order = np.argsort((width.astype(np.int64) << f) | free, kind="stable")
     starts = np.searchsorted(width[order], np.arange(f + 2))
     return order, starts
 
 
-def _width_maxima(counts: np.ndarray, f: int) -> list[int]:
-    """The largest count of each width |I| = 0..f."""
-    if f >= _WIDE_F:
-        return _width_maxima_blocks(counts, f).tolist()
-    order, starts = _width_order(f)
-    return np.maximum.reduceat(counts[order], starts[:-1]).tolist()
-
-
 def _width_maxima_blocks(counts: np.ndarray, f: int) -> np.ndarray:
-    """`_width_maxima` without an index gather: each pass reduces the most
-    significant remaining digit, and row w holds the maxima over the digits
-    reduced so far with w of them fixed."""
+    """The largest count of each width |I| = 0..f without an index gather:
+    each pass reduces the most significant remaining digit, and row w holds
+    the maxima over the digits reduced so far with w of them fixed."""
     by_width = counts.reshape(1, -1)
     for _ in range(f):
         blocks = by_width.reshape(len(by_width), 3, -1)
@@ -234,19 +281,18 @@ def _width_maxima_blocks(counts: np.ndarray, f: int) -> np.ndarray:
     return by_width[:, 0]
 
 
-def _cells_with(counts: np.ndarray, f: int, s: int, count: int) -> np.ndarray:
-    """The cells of width s that hold `count`."""
-    if f < _WIDE_F:
-        order, starts = _width_order(f)
-        cells = order[starts[s] : starts[s + 1]].astype(np.int64)
-        return cells[counts[cells] == count]
-    # no width order is kept for wide tables: take every cell with the
-    # count and drop those of another width, reading each cell's width as
-    # the sum of its two halves' widths
+def _wide_winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
+    """The tie-break winner among the cells of width s that hold `count`,
+    without a width order: take every cell with the count and drop those of
+    another width, reading each cell's width as the sum of its two halves'
+    widths."""
     cells = np.flatnonzero(counts == count)
     low = f // 2
     hi, lo = np.divmod(cells, 3**low)
-    return cells[_width_table(f - low)[hi] + _width_table(low)[lo] == s]
+    tied = cells[_width_table(f - low)[hi] + _width_table(low)[lo] == s]
+    fixed = tied[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3 != 2
+    mask = fixed @ (1 << np.arange(f - 1, -1, -1))
+    return int(tied[np.lexsort((tied, -mask))[0]])
 
 
 def is_dense(X, gamma, coords) -> bool:
@@ -268,27 +314,38 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     if not coords:
         return None
     gamma = _as_fraction(gamma)
+    num, den = gamma.numerator, gamma.denominator
     f = len(coords)
     counts = _count_table(arr, coords)
-    top = _width_maxima(counts, f)
+    if f < _WIDE_F:
+        order, starts = _width_order(f)
+        ranked = counts.take(order)
+        top = np.maximum.reduceat(ranked, starts[:-1]).tolist()
+    else:
+        top = _width_maxima_blocks(counts, f).tolist()
+    # the ratio-maximal width: top[w] 2^(gamma w) > top[s] 2^(gamma s) for
+    # w < s, with both sides raised to the power den
+    power = [c**den for c in top]
     s = f
     for w in range(f - 1, 0, -1):
-        if _ratio_gt(top[w], w, top[s], s, gamma):
+        if power[w] > power[s] << num * (s - w):
             s = w
     # an integer count exceeds floor(|X| 2^(-gamma s)) iff its ratio exceeds
     # |X|, so some pattern violates iff a ratio-maximal one does
     if top[s] <= density_cut(len(arr), gamma, s):
         return None
-    tied = _cells_with(counts, f, s, top[s])
-    digits = tied[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3
-    fixed = digits != 2
-    # for equal |I|, lexicographically first I has the largest MSB-first
-    # mask; for equal I, index order is pattern order
-    mask = fixed @ (1 << np.arange(f - 1, -1, -1))
-    row = np.lexsort((tied, -mask))[0]
-    I = tuple(coords[p] for p in np.flatnonzero(fixed[row]))
-    bits = tuple(int(d) for d in digits[row][fixed[row]])
-    return I, bits
+    if f < _WIDE_F:
+        # argmax returns the first cell holding the maximum
+        cell = int(order[starts[s] + ranked[starts[s] : starts[s + 1]].argmax()])
+    else:
+        cell = _wide_winner(counts, f, s, top[s])
+    I, bits = [], []
+    for j, c in enumerate(coords):
+        digit = cell // 3 ** (f - 1 - j) % 3
+        if digit != 2:
+            I.append(c)
+            bits.append(digit)
+    return tuple(I), tuple(bits)
 
 
 @dataclass(frozen=True)
@@ -314,7 +371,12 @@ def density_restoring_partition(X, gamma, coords) -> list[Part]:
             parts.append(Part(residual, (), ()))
             break
         I, bits = viol
-        hit = np.all([((residual >> c) & 1) == b for c, b in zip(I, bits)], axis=0)
+        if I[-1] < 63:  # mask and value fit a non-negative int64
+            mask = sum(1 << c for c in I)
+            value = sum(b << c for c, b in zip(I, bits))
+            hit = (residual & mask) == value
+        else:
+            hit = np.all([((residual >> c) & 1) == b for c, b in zip(I, bits)], axis=0)
         parts.append(Part(residual[hit], I, bits))
         residual = residual[~hit]
     return parts

@@ -118,6 +118,12 @@ def _tiny_instance(tmp_path):
         (["tbnc", "verify", "--in", "{tb}", "--key", "x", "--solutions", "1 1"], None),
         (["instance", "solve", "--in", "{short_tables}"], None),
         (["tbnc", "verify", "--in", "{tb_t2}", "--key", "0", "--solutions", "1 1"], None),
+        (["proto", "drp", "--gamma", "nan", "--trials", "1"], None),
+        (["proto", "drp", "--gamma", "inf", "--trials", "1"], None),
+        (["proto", "drp", "--gamma", "-1", "--trials", "1"], None),
+        (["proto", "transform", "--gamma", "nan", "--trials", "1"], None),
+        (["proto", "transform", "--gamma", "inf", "--trials", "1"], None),
+        (["proto", "transform", "--gamma", "-1", "--trials", "1"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):

@@ -354,3 +354,164 @@ def test_workspace_keeps_no_pass_above_the_reuse_limit(monkeypatch):
     (counts, nbytes), = kept
     assert np.array_equal(counts, _subcube_counts_int64(X, coords))
     assert 0 < max(nbytes) <= 3**9 * 2  # uint16 cells
+
+
+def _project_bitwise(X, coords):
+    """`project` one coordinate at a time."""
+    s = len(coords)
+    out = np.zeros(len(X), dtype=np.int64)
+    for j, c in enumerate(coords):
+        out |= ((X >> c) & 1) << (s - 1 - j)
+    return out
+
+
+def test_project_matches_bitwise_loop():
+    rng = np.random.default_rng(21)
+    X = rng.integers(-(1 << 63), 1 << 63, size=300, dtype=np.int64)
+    cases = [
+        (),
+        (0,),
+        (7, 8),  # the last bit of one byte and the first of the next
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+        (3, 9, 17, 30, 41),
+        (56, 57, 60, 62, 63),  # the top byte, sign bit included
+        (5, 2, 9),  # unsorted, as min_entropy passes them
+        (63, 0, 40, 12),
+        (4, 4),
+    ]
+    cases += [tuple(int(c) for c in rng.choice(64, size=k, replace=False)) for k in range(1, 17)]
+    cases += [tuple(sorted(c)) for c in cases[-16:]]
+    for coords in cases:
+        assert np.array_equal(project(X, coords), _project_bitwise(X, coords)), coords
+    assert project(np.zeros(0, dtype=np.int64), (1, 2)).shape == (0,)
+
+
+def _count_table_transposed(X, coords):
+    """The narrow count table with one transposed Yates pass per coordinate."""
+    f = len(coords)
+    counts = np.bincount(_project_bitwise(X, sorted(coords)), minlength=1 << f)
+    counts = counts.astype(np.min_scalar_type(len(X)))
+    for _ in range(f):
+        pair = counts.reshape(-1, 2)
+        out = np.empty((3, len(pair)), dtype=counts.dtype)
+        out[:2] = pair.T
+        np.add(pair[:, 0], pair[:, 1], out=out[2])
+        counts = out.reshape(-1)
+    return counts
+
+
+@pytest.mark.parametrize("size", [255, 256, 65535, 65536])
+def test_kernel_count_table_matches_transposed_passes(size):
+    rng = np.random.default_rng(size)
+    X = rng.choice(1 << 17, size=size, replace=False)
+    for f in range(1, density._WIDE_F):
+        coords = tuple(int(c) for c in rng.choice(17, size=f, replace=False))
+        got = density._count_table(X, coords)
+        want = _count_table_transposed(X, coords)
+        assert got.dtype == want.dtype == np.min_scalar_type(size)
+        assert np.array_equal(got, want), f
+
+
+@pytest.mark.parametrize("f", range(1, density._WIDE_F))
+def test_width_order_is_sorted_by_width_then_tie_break(f):
+    cells = np.arange(3**f)
+    fixed = cells[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3 != 2
+    mask = fixed @ (1 << np.arange(f - 1, -1, -1))
+    width = fixed.sum(axis=1)
+    order, starts = density._width_order(f)
+    assert order.tolist() == np.lexsort((cells, -mask, width)).tolist()
+    assert starts.tolist() == np.searchsorted(np.sort(width), np.arange(f + 2)).tolist()
+
+
+def _tied_narrow_cases():
+    """Seeded sets on f = 8 and 9 coordinates built from full subcubes of
+    one codimension, so several patterns hold the top count of a width, and
+    random sets of up to 512 elements."""
+    gammas = (0.8, 0.5, Fraction(2, 3), 1.0, 0.3)
+    for f in (8, 9):
+        space = np.arange(1 << f)
+        for trial in range(15):
+            rng = np.random.default_rng([f, trial, 10])
+            nbits = f + trial % 3
+            coords = tuple(int(c) for c in rng.choice(nbits, size=f, replace=False))
+            gamma = gammas[trial % len(gammas)]
+            if trial % 5 == 4:
+                size = int(rng.integers(1, min(1 << nbits, 512) + 1))
+                yield rng.choice(1 << nbits, size=size, replace=False), gamma, coords
+                continue
+            codim = 2 + trial % 3
+            cubes = [
+                _subcube(space, rng.choice(f, size=codim, replace=False), rng.integers(0, 2, codim))
+                for _ in range(2 + trial % 3)
+            ]
+            yield _embed(np.unique(np.concatenate(cubes)), coords, nbits, rng), gamma, coords
+
+
+def test_find_violation_matches_definition_on_narrow_ties():
+    tied = 0
+    for X, gamma, coords in _tied_narrow_cases():
+        assert len(coords) < density._WIDE_F
+        want = _violation_by_definition(X, gamma, coords)
+        assert find_violation(X, gamma, coords) == want
+        if want is None:
+            continue
+        I, bits = want
+        top = int(np.all([((X >> c) & 1) == b for c, b in zip(I, bits)], axis=0).sum())
+        widths = _cell_widths(np.flatnonzero(subcube_counts(X, coords) == top), len(coords))
+        tied += int((widths == len(I)).sum() > 1)
+    assert tied >= 10  # the cases reach the tie-break
+
+
+def _density_cut_search(size, gamma, s):
+    """floor(size * 2^(-gamma s)) by an uncached binary search."""
+    g = Fraction(gamma).limit_denominator(1000) if isinstance(gamma, float) else Fraction(gamma)
+    lo, hi = 0, size
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**g.denominator << (g.numerator * s) <= size**g.denominator:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_density_cut_matches_uncached_search():
+    # 1/1024 as a float normalises to 1/1000, as a Fraction it stays 1/1024;
+    # the two compare (and hash) equal
+    pairs = [(1 / 1024, Fraction(1, 1024)), (0.5, Fraction(1, 2)), (0.8, Fraction(4, 5))]
+    args = [(size, s) for size in (1, 7, 64, 1000, 10**6) for s in (0, 1, 5, 10)]
+    for float_gamma, frac_gamma in pairs:
+        for first, second in ((float_gamma, frac_gamma), (frac_gamma, float_gamma)):
+            density._cut.cache_clear()
+            for gamma in (first, second, first):
+                for size, s in args:
+                    assert density_cut(size, gamma, s) == _density_cut_search(size, gamma, s)
+    assert density_cut(10**6, 1 / 1024, 10) != density_cut(10**6, Fraction(1, 1024), 10)
+
+
+def _partition_by_coordinate_peel(X, gamma, coords):
+    """The partition greedy selecting each peeled part one coordinate at a
+    time."""
+    residual, parts = np.asarray(X, dtype=np.int64), []
+    while residual.size:
+        viol = find_violation(residual, gamma, coords)
+        if viol is None:
+            parts.append((residual.tolist(), (), ()))
+            break
+        I, bits = viol
+        hit = np.all([((residual >> c) & 1) == b for c, b in zip(I, bits)], axis=0)
+        parts.append((residual[hit].tolist(), I, bits))
+        residual = residual[~hit]
+    return parts
+
+
+@pytest.mark.parametrize(
+    "coords", [tuple(range(8)), (50, 55, 58, 61, 62), (0, 57, 62, 63), (2, 40, 63, 64, 70)]
+)
+def test_peel_matches_coordinate_peel(coords):
+    rng = np.random.default_rng(len(coords))
+    X = np.unique(rng.integers(-(1 << 63), 1 << 63, size=250, dtype=np.int64))
+    for gamma in (0.8, 0.3):
+        parts = density_restoring_partition(X, gamma, coords)
+        got = [(p.elems.tolist(), p.fixed_coords, p.fixed_bits) for p in parts]
+        assert got == _partition_by_coordinate_peel(X, gamma, coords)
