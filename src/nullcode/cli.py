@@ -47,11 +47,11 @@ def _read_json(path, parse, what: str):
 
 
 def _load_spec(args) -> CodeSpec:
-    if getattr(args, "toy", False):
+    if args.toy:
         return configs.toy_selfdual_spec()
-    if getattr(args, "t", None) is not None:
+    if args.t is not None:
         return codes.preset(args.t)
-    if getattr(args, "config", None):
+    if args.config:
         return _read_json(
             args.config, lambda data: CodeSpec.from_json(data.get("code", data)), "code config"
         )
@@ -84,6 +84,12 @@ def _decoder_params(spec: CodeSpec, p: Fraction) -> DecoderParams:
         raise UsageError(str(exc)) from None
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_jsonl(path, records) -> None:
     with open(path, "w") as fh:
         for rec in records:
@@ -109,9 +115,7 @@ def cmd_code_preset(args) -> int:
         f"|C|={spec.size}"
     )
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(spec.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, spec.to_json())
     return 0
 
 
@@ -120,9 +124,7 @@ def cmd_code_dual(args) -> int:
     d = codes.dual(spec)
     print(json.dumps(d.to_json(), sort_keys=True))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(d.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, d.to_json())
     return 0
 
 
@@ -190,11 +192,12 @@ def cmd_code_lrcheck(args) -> int:
 def cmd_instance_gen(args) -> int:
     spec = _load_spec(args)
     inst = instances.sample_instance(spec, _parse_fraction(args.p), args.seed)
+    data = instances.instance_to_json(inst)
     if args.out:
-        instances.save_instance(inst, args.out)
+        _write_json(args.out, data)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(instances.instance_to_json(inst), sort_keys=True))
+        print(json.dumps(data, sort_keys=True))
     return 0
 
 
@@ -484,9 +487,7 @@ def cmd_tbnc_gen(args) -> int:
         "copies": [instances.instance_to_json(c) for c in tb.copies],
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
         print(json.dumps(payload, sort_keys=True))
@@ -605,6 +606,13 @@ def cmd_report(args) -> int:
 # -- wiring ----------------------------------------------------------------------
 
 
+def _add_code_source(p):
+    """--t, --config and --toy: the code that _load_spec builds."""
+    p.add_argument("--t", type=int)
+    p.add_argument("--config")
+    p.add_argument("--toy", action="store_true")
+
+
 def _add_common(p, trials=100):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=trials)
@@ -635,22 +643,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_code_preset)
     p = code.add_parser("dual")
-    p.add_argument("--t", type=int)
-    p.add_argument("--config")
-    p.add_argument("--toy", action="store_true")
+    _add_code_source(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_code_dual)
     p = code.add_parser("decode")
-    p.add_argument("--t", type=int)
-    p.add_argument("--config")
-    p.add_argument("--toy", action="store_true")
+    _add_code_source(p)
     p.add_argument("--p", default="1/64")
     _add_common(p)
     p.set_defaults(fn=cmd_code_decode)
     p = code.add_parser("listrec")
-    p.add_argument("--t", type=int)
-    p.add_argument("--config")
-    p.add_argument("--toy", action="store_true")
+    _add_code_source(p)
     p.add_argument("--zeta", type=float, default=0.4)
     p.add_argument("--ell", type=int, default=1)
     _add_common(p, trials=10)
@@ -665,9 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inst = sub.add_parser("instance").add_subparsers(dest="cmd", required=True)
     p = inst.add_parser("gen")
-    p.add_argument("--t", type=int)
-    p.add_argument("--config")
-    p.add_argument("--toy", action="store_true")
+    _add_code_source(p)
     p.add_argument("--p", default="1/64")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -687,16 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=2)
     p.set_defaults(fn=cmd_qsim_qft)
     p = qs.add_parser("lemma51")
-    p.add_argument("--t", type=int)
-    p.add_argument("--config")
-    p.add_argument("--toy", action="store_true")
+    _add_code_source(p)
     p.add_argument("--p", default="1/16")
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_lemma51)
     p = qs.add_parser("alg1")
-    p.add_argument("--t", type=int)
-    p.add_argument("--config")
-    p.add_argument("--toy", action="store_true")
+    _add_code_source(p)
     p.add_argument("--p", default="1/16")
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_alg1)

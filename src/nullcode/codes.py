@@ -260,11 +260,6 @@ def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:
     return np.array(z, dtype=np.int64).reshape(spec.N)
 
 
-def hw(word: Codeword) -> int:
-    """Symbol-level Hamming weight."""
-    return sum(1 for sym in word if any(sym))
-
-
 def hw_unfolded(vec) -> int:
     return int(np.count_nonzero(np.asarray(vec)))
 
@@ -389,12 +384,6 @@ def _rank_columns_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray],
     return tuple(out)
 
 
-def iter_codewords(spec: CodeSpec):
-    mat = codeword_matrix(spec)
-    for row in mat:
-        yield fold(spec, row)
-
-
 def contains(spec: CodeSpec, word: Codeword) -> bool:
     """Rank-based membership test."""
     vec = unfold(spec, word)
@@ -415,13 +404,13 @@ def min_distance(spec: CodeSpec) -> int:
 
 
 @lru_cache(maxsize=64)
-def dual(spec: CodeSpec, cross_check: bool = True) -> CodeSpec:
+def dual(spec: CodeSpec) -> CodeSpec:
     """Dual code under the unfolded coordinate-wise inner product.
 
     For GRS specs the dual is the GRS code of degree N-k-2 with
     multipliers v'_i = gamma^i / v_i (evaluation at all of F_q^*,
-    characteristic 2); the null-space computation certifies it when
-    cross_check is enabled.
+    characteristic 2); the null-space computation certifies it for
+    N <= 1024, once per spec.
     """
     ctx = spec.field
     if spec.kind == "grs-folded":
@@ -439,7 +428,7 @@ def dual(spec: CodeSpec, cross_check: bool = True) -> CodeSpec:
             gamma=spec.gamma,
             v=vdual,
         )
-        if cross_check and spec.N <= 1024:
+        if spec.N <= 1024:
             _certify_dual(spec, out)
         return out
     ns = linalg.null_space(ctx, spec.generator_matrix())
@@ -485,7 +474,7 @@ class DecoderParams:
         p = Fraction(p)
         epsilon = DECODER_EPSILON
         radius = int((p + epsilon) * spec.N)  # floor for positive values
-        dual_spec = dual(spec, cross_check=False)
+        dual_spec = dual(spec)
         d_dual = min_distance(dual_spec)
         unique_frac = Fraction((d_dual - 1) // 2, spec.N)
         if p + epsilon >= unique_frac:
@@ -604,7 +593,7 @@ def dual_decode(spec: CodeSpec, params: DecoderParams, z: Codeword):
     builds one).
     """
     zword = tuple((int(x),) for x in unfold(spec, z))
-    dspec = dual(spec, cross_check=False)
+    dspec = dual(spec)
     dspec_unf = CodeSpec(
         kind=dspec.kind,
         field=spec.field,

@@ -315,6 +315,12 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
         return None
     gamma = _as_fraction(gamma)
     num, den = gamma.numerator, gamma.denominator
+    # every gamma with 2^gamma > |X| finds what gamma = L finds (the
+    # ratio-maximal width is f and the cut is 0), so a larger gamma is
+    # clamped to L before it sizes the integer powers below
+    L = len(arr).bit_length()
+    if num > den * L:
+        gamma, num, den = Fraction(L), L, 1
     f = len(coords)
     counts = _count_table(arr, coords)
     if f < _WIDE_F:

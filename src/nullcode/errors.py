@@ -14,7 +14,7 @@ class InvOfZero(NullcodeError, ZeroDivisionError):
 
 
 class DomainMismatch(NullcodeError):
-    """Operands belong to different field contexts."""
+    """A value is not an element of the field, i.e. lies outside [0, q)."""
 
 
 class LengthMismatch(NullcodeError):

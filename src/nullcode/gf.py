@@ -259,23 +259,6 @@ class FieldCtx:
 # -- functional surface ------------------------------------------------------
 
 
-def field_arith(ctx: FieldCtx, op: str, a: int, b: int | None = None) -> int:
-    """Dispatch one arithmetic operation; validates operands against ctx."""
-    a = ctx.check_element(a)
-    if op == "inv":
-        return ctx.inv(a)
-    if b is None:
-        raise TypeError(f"operation {op!r} needs a second operand")
-    if op == "pow":
-        return ctx.pow(a, int(b))
-    b = ctx.check_element(b)
-    if op == "add":
-        return ctx.add(a, b)
-    if op == "mul":
-        return ctx.mul(a, b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def trace(ctx: FieldCtx, x: int) -> int:
     return ctx.trace(ctx.check_element(x))
 

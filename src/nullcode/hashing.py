@@ -99,9 +99,6 @@ class HashFamily:
 class HashKey:
     coeffs: tuple[int, ...]
 
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
-
 
 def key_from_int(family: HashFamily, value: int) -> HashKey:
     mask = family.key_field.q - 1

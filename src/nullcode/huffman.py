@@ -64,11 +64,3 @@ def expected_length(code: list[str], weights) -> float:
 def entropy(weights) -> float:
     probs = _normalize(weights)
     return -sum(p * math.log2(p) for p in probs)
-
-
-def is_prefix_free(code: list[str]) -> bool:
-    for i, a in enumerate(code):
-        for j, b in enumerate(code):
-            if i != j and b.startswith(a):
-                return False
-    return True

@@ -6,15 +6,14 @@ solution is a codeword x with H_i(x_i) = 0 for all i; `verify` checks a
 candidate with table lookups plus a rank-based membership test, and
 `brute_solve` enumerates the exact solution set for small codes.
 
-When p = 2**-b the bias bits can be expanded into AND-blocks of b uniform
-bits whose AND gives each bit back; tables in that unfolded form drive the
-total problem layer.
+When p = 2**-b a table can also carry AND-blocks of b uniform bits whose
+AND gives each bit back (`sample_unfolded_instance`); tables in that
+unfolded form drive the total problem layer.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -110,27 +109,6 @@ def sample_unfolded_instance(spec: CodeSpec, b: int, seed: int) -> OracleInstanc
     return OracleInstance(
         spec=spec, p=Fraction(1, 1 << b), seed=seed, tables=tables, unfolded=unfolded
     )
-
-
-def expand_and_blocks(inst: OracleInstance, b: int) -> OracleInstance:
-    """Expand each bias bit into b uniform bits whose AND equals it.
-
-    A 1-bit forces the all-ones block; a 0-bit draws uniformly from the
-    non-all-ones patterns, so fresh uniform blocks would reproduce the
-    2**-b bias.
-    """
-    exponent = bias_exponent(inst.p)
-    if exponent != b:
-        raise BiasNotPowerOfTwo(f"instance bias is 2**-{exponent}, requested b={b}")
-    rng = np.random.default_rng(np.random.SeedSequence([inst.seed, 0xE19A7D]))
-    n, sigma = inst.tables.shape
-    full = (1 << b) - 1
-    patterns = rng.integers(0, full, size=(n, sigma))  # excludes all-ones
-    patterns = np.where(inst.tables.astype(bool), full, patterns)
-    unfolded = np.empty((n, sigma, b), dtype=np.uint8)
-    for j in range(b):
-        unfolded[:, :, j] = (patterns >> j) & 1
-    return replace(inst, unfolded=unfolded)
 
 
 def verify(inst: OracleInstance, x: Codeword) -> bool:
@@ -280,17 +258,6 @@ def instance_from_json(data: dict) -> OracleInstance:
     return OracleInstance(
         spec=spec, p=p, seed=int(data["seed"]), tables=tables, unfolded=unfolded
     )
-
-
-def save_instance(inst: OracleInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_instance(path) -> OracleInstance:
-    with open(path) as fh:
-        return instance_from_json(json.load(fh))
 
 
 def with_tables(inst: OracleInstance, tables: np.ndarray) -> OracleInstance:

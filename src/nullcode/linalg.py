@@ -44,15 +44,6 @@ def matvec(ctx: FieldCtx, a, v) -> np.ndarray:
     return out
 
 
-def inner(ctx: FieldCtx, u, v) -> int:
-    """Coordinate-wise inner product sum_i u_i * v_i."""
-    prod = mul_arrays(ctx, u, v)
-    out = 0
-    for x in prod.reshape(-1):
-        out ^= int(x)
-    return out
-
-
 def rref(ctx: FieldCtx, a) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form; returns (matrix, pivot column list)."""
     r = np.array(a, dtype=np.int64, copy=True)

@@ -30,7 +30,6 @@ import numpy as np
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .density import density_restoring_partition, is_dense
-from .errors import ParseError
 from .instances import OracleInstance, Split, solution_mask
 
 
@@ -124,14 +123,6 @@ class Rect:
     def codim(self) -> int:
         return sum(len(self.side(owner).coords) for owner in OWNERS)
 
-    def is_subcube(self) -> bool:
-        return all(
-            len(s.elems) == 1 << (s.n_bits - len(s.coords)) for s in map(self.side, OWNERS)
-        )
-
-    def is_subcube_like(self, gamma) -> bool:
-        return all(is_dense(s.elems, gamma, s.free) for s in map(self.side, OWNERS))
-
 
 @dataclass
 class Leaf:
@@ -190,80 +181,6 @@ class ProtocolTree:
                 yield from walk(child, transcript + msg, rounds + 1)
 
         yield from walk(self.root, "", 0)
-
-
-def tree_to_json(tree: ProtocolTree) -> dict:
-    """JSON form: node owner, per-part membership lists, leaf labels.
-
-    Labels must be JSON-serializable; BOT maps to null.  Rectangles are
-    implied by the partition structure and rebuilt on load.
-    """
-
-    def enc(node):
-        if isinstance(node, Leaf):
-            return {"label": None if node.label is BOT else node.label}
-        return {
-            "owner": node.owner,
-            "parts": [
-                {"msg": msg, "set": subset.tolist(), "child": enc(child)}
-                for msg, subset, child in node.parts
-            ],
-        }
-
-    return {
-        "n_bits_a": tree.n_bits_a,
-        "n_bits_b": tree.n_bits_b,
-        "root": enc(tree.root),
-    }
-
-
-def tree_from_json(data: dict) -> ProtocolTree:
-    """Inverse of tree_to_json.
-
-    Raises ParseError, naming the node path and the field, when an owner is
-    not "A" or "B" or when a node's parts do not partition the owner's
-    current set: an element outside [0, 2^n_bits), two parts sharing an
-    element, an element outside the set, or an element of the set left
-    uncovered.
-    """
-    na, nb = int(data["n_bits_a"]), int(data["n_bits_b"])
-
-    def dec(node, rect, path):
-        if "label" in node:
-            label = node["label"]
-            return Leaf(BOT if label is None else label, rect)
-        owner = node["owner"]
-        if owner not in OWNERS:
-            raise ParseError(path, "owner", f"owner {owner!r} is not 'A' or 'B'")
-        side, n_bits = rect.side(owner)[:2]
-        subsets = [np.array(part["set"], dtype=np.int64) for part in node["parts"]]
-        hits = np.zeros(1 << n_bits, dtype=np.int64)
-        for i, subset in enumerate(subsets):
-            outside = subset[(subset < 0) | (subset >= 1 << n_bits)]
-            if outside.size:
-                raise ParseError(
-                    f"{path}.parts[{i}]", "set",
-                    f"element {outside[0]} is outside [0, 2^{n_bits})",
-                )
-            np.add.at(hits, subset, 1)
-        in_side = np.zeros(1 << n_bits, dtype=bool)
-        in_side[side] = True
-        for bad, problem in (
-            (hits > 1, "is in two parts"),
-            ((hits > 0) & ~in_side, "is not in the owner's set"),
-            ((hits == 0) & in_side, "is in no part"),
-        ):
-            if bad.any():
-                raise ParseError(path, "parts", f"element {np.argmax(bad)} {problem}")
-        parts = []
-        for i, (part, subset) in enumerate(zip(node["parts"], subsets)):
-            child_path = f"{path}.parts[{i}].child"
-            child = dec(part["child"], rect.narrow(owner, subset), child_path)
-            parts.append((part["msg"], subset, child))
-        return Node(owner, rect, parts)
-
-    root = Rect(full_domain(na), full_domain(nb), na, nb)
-    return ProtocolTree(dec(data["root"], root, "root"), na, nb)
 
 
 def run(tree: ProtocolTree, x: int, y: int) -> tuple[str, object]:
@@ -632,14 +549,10 @@ def _fixed_table_cells(rect: Rect, split: Split) -> list[set]:
     return cells
 
 
-def dangerous_codewords(spec, rect: Rect, split: Split) -> frozenset:
+def dangerous_codewords(spec, cells: list[set]) -> frozenset:
     """Codeword indexes with >= DANGER_THRESHOLD * n of their oracle bits
-    fixed."""
-    return _dangerous_in(spec, _fixed_table_cells(rect, split))
-
-
-def _dangerous_in(spec, cells: list[set]) -> frozenset:
-    """`dangerous_codewords` given the rectangle's fixed table cells."""
+    fixed, given per coordinate the symbol ranks whose table bit is fixed
+    (`_fixed_table_cells`)."""
     ranks = codes_mod.codeword_rank_matrix(spec)
     thr = math.ceil(DANGER_THRESHOLD * spec.n)
     counts = np.zeros(ranks.shape[0], dtype=np.int64)
@@ -674,7 +587,7 @@ def danger_track(
         rounds = []
         while True:
             cells = _fixed_table_cells(node.rect, split)
-            q = _dangerous_in(spec, cells)
+            q = dangerous_codewords(spec, cells)
             _recount_check(spec, cells, len(q))
             rounds.append(q)
             if isinstance(node, Leaf):

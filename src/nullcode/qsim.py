@@ -165,7 +165,7 @@ def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, 
     total = sigma**spec.n
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded("good/bad masks exceed the enumeration budget")
-    dual_spec = codes.dual(spec, cross_check=False)
+    dual_spec = codes.dual(spec)
     dual_flat = _code_flat_ranks(dual_spec)
     good_x = np.zeros(total, dtype=bool)
     good_x[dual_flat] = True
@@ -434,10 +434,10 @@ def _table_stats_mc(sigma: int, p: Fraction, signs: np.ndarray, trials: int, see
     }
 
 
-def product_rule_check(ctx: FieldCtx, m: int, n: int, p, seed: int = 0, tol: float = 1e-12) -> float:
+def product_rule_check(ctx: FieldCtx, m: int, n: int, p, seed: int = 0) -> float:
     """Max deviation between transforming a product state as one register
     and the tensor product of per-coordinate transforms, on one sampled
-    oracle; anything above tol raises."""
+    oracle; anything above 1e-12 raises."""
     p = Fraction(p)
     sigma = ctx.q**m
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9D0D]))
@@ -458,6 +458,6 @@ def product_rule_check(ctx: FieldCtx, m: int, n: int, p, seed: int = 0, tol: flo
         state = np.kron(state, w)
     direct = apply_qft_vec(state.astype(np.complex128), kernel, n)
     dev = float(np.max(np.abs(direct - product_of_hats)))
-    if dev > tol:
+    if dev > 1e-12:
         raise AssertionError(f"product rule violated by {dev}")
     return dev

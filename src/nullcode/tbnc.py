@@ -99,7 +99,6 @@ def run_keyed_smp(
     tb: TbncInstance,
     params: DecoderParams,
     seed: int,
-    retry_cap: int = DEFAULT_RETRY_CAP,
     forced_key: HashKey | None = None,
 ) -> dict:
     """Referee protocol for the total problem at toy scale.
@@ -107,7 +106,8 @@ def run_keyed_smp(
     Draws a key (unless forced), simulates the per-coordinate filtering
     measurements with retries, runs the one-copy pipeline per copy, and
     samples one output per copy.  Success means the verifier accepts the
-    sampled (key, solutions).
+    sampled (key, solutions).  A coordinate whose filtering fails
+    DEFAULT_RETRY_CAP times in a row raises RetriesExhausted.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA162]))
     key = forced_key if forced_key is not None else hashing_mod.random_key(tb.family, rng)
@@ -123,9 +123,9 @@ def run_keyed_smp(
             pr = support / tb.spec.sigma_size
             attempt = 0
             while True:
-                if attempt >= retry_cap:
+                if attempt >= DEFAULT_RETRY_CAP:
                     raise RetriesExhausted(
-                        f"coordinate {i + 1}: {retry_cap} filtering attempts failed"
+                        f"coordinate {i + 1}: {DEFAULT_RETRY_CAP} filtering attempts failed"
                     )
                 attempt += 1
                 if rng.random() < pr:

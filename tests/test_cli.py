@@ -204,6 +204,15 @@ def test_removed_flags_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: nullcode {argv[0]} {argv[1]} ")
 
 
+def test_drp_huge_gamma_matches_gamma_64(capsys):
+    # 2^64 exceeds every set of 4-bit values, so 1e300 finds the same parts
+    argv = ["proto", "drp", "--trials", "1", "--n-bits", "4", "--gamma"]
+    assert main(argv + ["64"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["1e300"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_table_stats_subcommand(capsys):
     assert main(["qsim", "claim66", "--sigma", "4", "--p", "1/4"]) == 0
     rec = json.loads(capsys.readouterr().out)

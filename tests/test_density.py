@@ -197,6 +197,26 @@ def test_find_violation_matches_definition_on_random_sets():
         assert is_dense(X, gamma, coords) == (want is None)
 
 
+def test_huge_gamma_acts_as_the_bit_length_of_the_set():
+    # with 2^gamma > |X| the ratio-maximal width is f and the cut is 0, so
+    # every gamma >= L = bit_length(|X|) gives what gamma = L gives
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        f = int(rng.integers(1, 11))
+        coords = tuple(range(f))
+        size = int(rng.integers(1, (1 << f) + 1))
+        X = rng.choice(1 << f, size=size, replace=False).astype(np.int64)
+        L = size.bit_length()
+        want = _violation_by_definition(X, L, coords)
+        for gamma in (1e300, Fraction(10**400, 3), 2 * L + 0.5):
+            assert find_violation(X, gamma, coords) == want
+        parts = density_restoring_partition(X, 1e300, coords)
+        base = density_restoring_partition(X, L, coords)
+        assert [(p.elems.tolist(), p.fixed_coords, p.fixed_bits) for p in parts] == [
+            (p.elems.tolist(), p.fixed_coords, p.fixed_bits) for p in base
+        ]
+
+
 def test_subcube_counts_match_direct_counts():
     rng = np.random.default_rng(2)
     X = rng.choice(1 << 6, size=23, replace=False).astype(np.int64)

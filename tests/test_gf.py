@@ -4,7 +4,6 @@ from nullcode.errors import DomainMismatch, InvOfZero
 from nullcode.gf import (
     DEFAULT_MODULI,
     FieldCtx,
-    field_arith,
     find_generator,
     trace,
 )
@@ -18,14 +17,6 @@ def test_gf4_multiplication_examples():
         assert ctx.mul(a, 1) == a
 
 
-def test_field_arith_dispatch():
-    ctx = FieldCtx(2)
-    assert field_arith(ctx, "add", 2, 3) == 1
-    assert field_arith(ctx, "mul", 2, 2) == 3
-    assert field_arith(ctx, "inv", 2) == 3
-    assert field_arith(ctx, "pow", 2, 3) == 1
-
-
 def test_inv_of_zero():
     ctx = FieldCtx(2)
     with pytest.raises(InvOfZero):
@@ -35,7 +26,7 @@ def test_inv_of_zero():
 def test_domain_mismatch_on_foreign_element():
     ctx = FieldCtx(2)
     with pytest.raises(DomainMismatch):
-        field_arith(ctx, "mul", 5, 1)
+        trace(ctx, 5)
 
 
 def test_trace_values_gf4():

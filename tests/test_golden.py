@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from nullcode.cli import main
+from nullcode import cli
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 
@@ -44,7 +44,7 @@ def run_manifest(argvs, workdir: Path) -> list[dict]:
             before = _file_digests(workdir)
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(list(argv))
+                code = cli.main(list(argv))
             after = _file_digests(workdir)
             records.append(
                 {
@@ -83,20 +83,9 @@ def test_golden_output(golden_runs, index):
 
 
 def test_manifest_covers_every_subcommand():
-    from nullcode.cli import build_parser
-
-    commands = set()
-    for action in build_parser()._subparsers._group_actions:
-        for group, sub in action.choices.items():
-            nested = [a for a in sub._actions if a.dest == "cmd"]
-            if nested:
-                commands.update(f"{group} {cmd}" for cmd in nested[0].choices)
-            else:
-                commands.add(group)
-    covered = set()
-    for rec in _EXPECTED:
-        argv = rec["argv"]
-        covered.add(argv[0] if argv[0] == "report" else f"{argv[0]} {argv[1]}")
+    # each subcommand runs one cli.cmd_<group>_<command> function
+    commands = {name[4:].replace("_", " ") for name in dir(cli) if name.startswith("cmd_")}
+    covered = {" ".join(rec["argv"][: 1 if rec["argv"][0] == "report" else 2]) for rec in _EXPECTED}
     assert commands == covered
 
 

@@ -35,28 +35,11 @@ def test_seed_determinism_bytes():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_expand_collapse_roundtrip():
-    spec = toy()
-    inst = instances.sample_instance(spec, Fraction(1, 4), 5)
-    exp = instances.expand_and_blocks(inst, 2)
-    # collapsing the blocks (AND = min over each block) gives the tables back
-    assert np.array_equal(exp.unfolded.min(axis=2), inst.tables)
-    assert np.array_equal(exp.tables, inst.tables)
-
-
-def test_expand_ones_forced():
-    spec = toy()
-    inst = instances.sample_instance(spec, Fraction(1, 4), 6)
-    exp = instances.expand_and_blocks(inst, 2)
-    ones = np.nonzero(inst.tables)
-    assert exp.unfolded[ones].all()
-
-
 def test_expand_requires_power_of_two():
-    spec = toy()
-    inst = instances.sample_instance(spec, Fraction(1, 3), 5)
+    # AND-block tables exist only for p = 2**-b; OracleInstance checks that here
+    assert instances.bias_exponent(Fraction(1, 4)) == 2
     with pytest.raises(BiasNotPowerOfTwo):
-        instances.expand_and_blocks(inst, 2)
+        instances.bias_exponent(Fraction(1, 3))
 
 
 def test_and_block_bias_monte_carlo():
@@ -107,7 +90,7 @@ def test_verify_matches_brute_solve_exhaustively():
             base, rng.integers(0, 2, size=(2, 4)).astype(np.uint8)
         )
         sols = set(instances.brute_solve(inst))
-        for word in codes.iter_codewords(spec):
+        for word in (codes.fold(spec, r) for r in codes.codeword_matrix(spec)):
             assert instances.verify(inst, word) == (word in sols)
 
 
@@ -215,14 +198,11 @@ def test_split_matches_flat_index_layout(n, sigma):
         assert split.cell(owner, bit) == cell
 
 
-def test_file_roundtrip_with_unfolded(tmp_path):
+def test_file_roundtrip_with_unfolded():
     spec = toy()
-    inst = instances.expand_and_blocks(
-        instances.sample_instance(spec, Fraction(1, 4), 8), 2
-    )
-    path = tmp_path / "inst.json"
-    instances.save_instance(inst, path)
-    back = instances.load_instance(path)
+    inst = instances.sample_unfolded_instance(spec, 2, 8)
+    text = json.dumps(instances.instance_to_json(inst), sort_keys=True)
+    back = instances.instance_from_json(json.loads(text))
     assert np.array_equal(back.tables, inst.tables)
     assert np.array_equal(back.unfolded, inst.unfolded)
     assert back.spec == inst.spec and back.p == inst.p and back.seed == inst.seed

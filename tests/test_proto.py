@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 from fractions import Fraction
@@ -6,13 +7,22 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances, proto
-from nullcode.errors import ParseError
 from nullcode.proto import BOT
 
 
 def small_tree(seed=0, n_bits=6, depth=4, labels=(0, 1, 2)):
     rng = np.random.default_rng(seed)
     return proto.random_onebit_tree(rng, n_bits, n_bits, depth, labels=list(labels))
+
+
+def is_subcube_like(rect, gamma) -> bool:
+    """Both sides of rect are gamma-dense on their free coordinates."""
+    tree = proto.ProtocolTree(proto.Leaf(0, rect), rect.n_bits_a, rect.n_bits_b)
+    try:
+        proto.validate_subcube_like(tree, gamma)
+    except AssertionError:
+        return False
+    return True
 
 
 def test_partition_exactness_every_node():
@@ -230,7 +240,7 @@ def test_danger_threshold_arithmetic():
     X = proto.full_domain(4)
     rect = proto.Rect(X[(X & 1) == 0], proto.full_domain(4), 4, 4)
     # Alice coordinate 0 fixed = table bit (1, e=0): codeword (0,0) dangerous
-    q = proto.dangerous_codewords(spec, rect, split)
+    q = proto.dangerous_codewords(spec, proto._fixed_table_cells(rect, split))
     ranks = codes.codeword_rank_matrix(spec)
     assert q == frozenset(np.nonzero(ranks[:, 0] == 0)[0].tolist())
 
@@ -250,28 +260,14 @@ def test_danger_decay_with_n():
     assert rates[1] <= rates[0]
 
 
-def test_tree_json_roundtrip():
-    tree = small_tree(seed=2, n_bits=4, depth=3, labels=(0, 1))
-    back = proto.tree_from_json(proto.tree_to_json(tree))
-    for x in range(16):
-        for y in range(16):
-            assert proto.run(tree, x, y) == proto.run(back, x, y)
-
-
-def test_tree_json_bot_label():
-    rect = proto.Rect(proto.full_domain(2), proto.full_domain(2), 2, 2)
-    tree = proto.ProtocolTree(proto.Leaf(BOT, rect), 2, 2)
-    back = proto.tree_from_json(proto.tree_to_json(tree))
-    assert back.root.label is BOT
-
-
 def test_codim_and_subcube_flags():
     X = proto.full_domain(4)
     sub = X[(X & 1) == 1]
     rect = proto.Rect(sub, proto.full_domain(4), 4, 4)
     assert rect.codim == 1
-    assert rect.is_subcube()
-    assert rect.is_subcube_like(0.8)
+    for side in map(rect.side, proto.OWNERS):
+        assert len(side.elems) == 1 << (side.n_bits - len(side.coords))
+    assert is_subcube_like(rect, 0.8)
 
 
 def test_routed_labels_match_run():
@@ -289,7 +285,7 @@ def test_routed_labels_match_run():
 
 def test_outputs_agree_detects_a_changed_label():
     tree = small_tree(seed=1, n_bits=4, depth=3)
-    other = proto.tree_from_json(proto.tree_to_json(tree))
+    other = copy.deepcopy(tree)
     leaf = next(n for n in other.nodes() if isinstance(n, proto.Leaf))
     leaf.label = "changed"
     pairs = list(itertools.product(range(16), range(16)))
@@ -325,7 +321,7 @@ def _dense_split_tree():
 
 def test_validate_keys_sides_by_fixed_coordinates():
     tree = _dense_split_tree()
-    assert tree.root.rect.is_subcube_like(0.8)
+    assert is_subcube_like(tree.root.rect, 0.8)
     with pytest.raises(AssertionError):
         proto.validate_subcube_like(tree, 0.8)
 
@@ -368,38 +364,3 @@ def test_never_wrong_matches_per_pair_check():
         ):
             expect = per_pair(tree, valid_a, valid_b)
             assert proto.never_wrong(tree, valid_a, valid_b) == expect
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda node: node.update(owner="C"), r"root:owner: owner 'C' is not"),
-        (
-            lambda node: node["parts"][0]["set"].append(node["parts"][1]["set"][0]),
-            r"root:parts: element \d+ is in two parts",
-        ),
-        (lambda node: node["parts"][0]["set"].pop(), r"root:parts: element \d+ is in no part"),
-        (
-            lambda node: node["parts"][1]["set"].append(16),
-            r"root\.parts\[1\]:set: element 16 is outside \[0, 2\^4\)",
-        ),
-        (
-            lambda node: node["parts"][0]["set"].append(-1),
-            r"root\.parts\[0\]:set: element -1 is outside",
-        ),
-        (
-            # both nodes belong to Alice; the element is in the root's other part
-            lambda node: node["parts"][0]["child"]["parts"][0]["set"].append(
-                node["parts"][1]["set"][0]
-            ),
-            r"root\.parts\[0\]\.child:parts: element \d+ is not in the owner's set",
-        ),
-    ],
-    ids=["owner", "overlap", "uncovered", "too_large", "negative", "outside_set"],
-)
-def test_tree_from_json_rejects_malformed_partitions(edit, message):
-    data = proto.tree_to_json(small_tree(seed=2, n_bits=4, depth=3, labels=(0, 1)))
-    assert data["root"]["owner"] == data["root"]["parts"][0]["child"]["owner"] == "A"
-    edit(data["root"])
-    with pytest.raises(ParseError, match=message):
-        proto.tree_from_json(data)

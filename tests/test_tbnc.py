@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +7,10 @@ import pytest
 from nullcode import codes, configs, hashing, instances, tbnc
 from nullcode.codes import DecoderParams
 from nullcode.errors import LengthMismatch, RetriesExhausted
+
+
+def codewords(spec) -> list:
+    return [codes.fold(spec, r) for r in codes.codeword_matrix(spec)]
 
 
 def rep_setup(t=1, seed=0):
@@ -33,7 +36,7 @@ def test_verify_zero_everything():
         t=2, spec=spec, family=fam, copies=(zero_copy(spec, 0), zero_copy(spec, 1))
     )
     key = hashing.zero_key(fam)
-    words = list(itertools.islice(codes.iter_codewords(spec), 2))
+    words = codewords(spec)[:2]
     assert tbnc.tbnc_verify(tb, key, [words[1], words[1]])
     assert tbnc.tbnc_verify(tb, key, [words[0], words[1]])
 
@@ -43,11 +46,11 @@ def test_verify_one_wrong_copy():
     key = hashing.zero_key(fam)
     g0 = tbnc.xored_bias_tables(tb.copies[0], fam, key)
     g1 = tbnc.xored_bias_tables(tb.copies[1], fam, key)
-    sols0 = [w for w in codes.iter_codewords(spec) if _solves(spec, g0, w)]
-    sols1 = [w for w in codes.iter_codewords(spec) if _solves(spec, g1, w)]
+    sols0 = [w for w in codewords(spec) if _solves(spec, g0, w)]
+    sols1 = [w for w in codewords(spec) if _solves(spec, g1, w)]
     if sols0 and sols1:
         assert tbnc.tbnc_verify(tb, key, [sols0[0], sols1[0]])
-        bad = [w for w in codes.iter_codewords(spec) if w not in sols1]
+        bad = [w for w in codewords(spec) if w not in sols1]
         if bad:
             assert not tbnc.tbnc_verify(tb, key, [sols0[0], bad[0]])
 
@@ -124,13 +127,14 @@ def test_keyed_smp_deterministic_under_seed():
     assert a["retries"] == b["retries"]
 
 
-def test_keyed_smp_retry_cap_zero():
+def test_keyed_smp_retry_cap_zero(monkeypatch):
     spec = configs.toy_selfdual_spec()
     fam = configs.toy_family(spec)
     params = DecoderParams.for_spec(spec, Fraction(1, 64))
     tb = tbnc.make_tbnc(spec, fam, 1, 42)
+    monkeypatch.setattr(tbnc, "DEFAULT_RETRY_CAP", 0)
     with pytest.raises(RetriesExhausted):
-        tbnc.run_keyed_smp(tb, params, seed=0, retry_cap=0)
+        tbnc.run_keyed_smp(tb, params, seed=0)
 
 
 def test_totality_zero_key_exact_vs_empirical():
