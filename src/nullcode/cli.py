@@ -65,6 +65,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"{text!r} is not a fraction") from None
 
 
+def _n_bits(text: str) -> int:
+    """A --n-bits value: a positive integer."""
+    if not text.isdigit() or int(text) < 1:
+        raise UsageError(f"--n-bits {text} is not a positive integer")
+    return int(text)
+
+
 def _gamma(text: str) -> float:
     """A --gamma value: a finite positive number."""
     try:
@@ -76,18 +83,19 @@ def _gamma(text: str) -> float:
     return gamma
 
 
-def _decoder_params(spec: CodeSpec, p: Fraction) -> DecoderParams:
-    """Decoder parameters for --p; a p the code cannot decode is a usage error."""
-    try:
-        return DecoderParams.for_spec(spec, p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _write_or_print(path, payload) -> None:
+    """Write payload to path and say so, or print it when path is None."""
+    if path:
+        _write_json(path, payload)
+        print(f"wrote {path}")
+    else:
+        print(json.dumps(payload, sort_keys=True))
 
 
 def _write_jsonl(path, records) -> None:
@@ -130,7 +138,7 @@ def cmd_code_dual(args) -> int:
 
 def cmd_code_decode(args) -> int:
     spec = _load_spec(args)
-    params = _decoder_params(spec, _parse_fraction(args.p))
+    params = DecoderParams.for_spec(spec, _parse_fraction(args.p))
     rng = np.random.default_rng(args.seed)
     dual_spec = codes.dual(spec)
     records = []
@@ -192,12 +200,7 @@ def cmd_code_lrcheck(args) -> int:
 def cmd_instance_gen(args) -> int:
     spec = _load_spec(args)
     inst = instances.sample_instance(spec, _parse_fraction(args.p), args.seed)
-    data = instances.instance_to_json(inst)
-    if args.out:
-        _write_json(args.out, data)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(data, sort_keys=True))
+    _write_or_print(args.out, instances.instance_to_json(inst))
     return 0
 
 
@@ -225,6 +228,8 @@ def _parse_word(spec: CodeSpec, text: str):
         raise UsageError(f"{text!r} is not a list of symbol ranks") from None
     if len(ranks) != spec.n:
         raise UsageError(f"expected {spec.n} symbol ranks")
+    if any(not 0 <= r < spec.sigma_size for r in ranks):
+        raise UsageError(f"{text!r}: a symbol rank lies outside [0, {spec.sigma_size})")
     return tuple(spec.rank_symbol(r) for r in ranks)
 
 
@@ -239,17 +244,13 @@ def cmd_qsim_qft(args) -> int:
     return 0 if residual <= 1e-12 else 1
 
 
-def _toy_run_config(args):
-    spec = _load_spec(args)
-    p = _parse_fraction(args.p)
-    return spec, p, _decoder_params(spec, p)
-
-
 def _trial_records(args, run) -> list[dict]:
     """Sample instances from --seed on until --trials calls of
     run(spec, inst, params) complete, with one record per instance; an
     instance with an empty table support is recorded as skipped."""
-    spec, p, params = _toy_run_config(args)
+    spec = _load_spec(args)
+    p = _parse_fraction(args.p)
+    params = DecoderParams.for_spec(spec, p)
     keys = ("epsilon", "delta", "l2_distance", "success_probability")
     records = []
     seed = args.seed
@@ -486,11 +487,7 @@ def cmd_tbnc_gen(args) -> int:
         "code": spec.to_json(),
         "copies": [instances.instance_to_json(c) for c in tb.copies],
     }
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, sort_keys=True))
+    _write_or_print(args.out, payload)
     return 0
 
 
@@ -509,6 +506,9 @@ def cmd_tbnc_verify(args) -> int:
         key = hashing.HashKey(tuple(int(c) for c in args.key.split(",")))
     except ValueError:
         raise UsageError(f"--key {args.key!r} is not a list of integers") from None
+    q = tb.family.key_field.q
+    if len(key.coeffs) != tb.family.lam or any(not 0 <= c < q for c in key.coeffs):
+        raise UsageError(f"--key {args.key!r} is not {tb.family.lam} coefficients in [0, {q})")
     sols = [_parse_word(tb.spec, chunk) for chunk in args.solutions.split(";")]
     ok = tbnc.tbnc_verify(tb, key, sols)
     print("valid" if ok else "invalid")
@@ -706,24 +706,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("proto").add_subparsers(dest="cmd", required=True)
     p = pr.add_parser("drp")
-    p.add_argument("--n-bits", type=int, default=12)
+    p.add_argument("--n-bits", type=_n_bits, default=12)
     p.add_argument("--gamma", type=_gamma, default=0.8)
     _add_common(p, trials=50)
     p.set_defaults(fn=cmd_proto_drp)
     p = pr.add_parser("transform")
-    p.add_argument("--n-bits", type=int, default=10)
+    p.add_argument("--n-bits", type=_n_bits, default=10)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--gamma", type=_gamma, default=0.8)
     p.add_argument("--pairs", type=int, default=1000)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_transform)
     p = pr.add_parser("cleanup")
-    p.add_argument("--n-bits", type=int, default=6)
+    p.add_argument("--n-bits", type=_n_bits, default=6)
     p.add_argument("--depth", type=int, default=4)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_cleanup)
     p = pr.add_parser("run")
-    p.add_argument("--n-bits", type=int, default=8)
+    p.add_argument("--n-bits", type=_n_bits, default=8)
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_proto_run)
@@ -788,7 +788,8 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # library functions raise ValueError for parameters out of range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NullcodeError as exc:

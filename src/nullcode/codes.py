@@ -62,8 +62,8 @@ class CodeSpec:
             if (q - 1) % self.m:
                 raise ValueError("m must divide N = q-1")
         elif self.kind == "generic-linear":
-            if not self.genmat:
-                raise ValueError("generic-linear needs a generator matrix")
+            if not self.genmat or not self.genmat[0]:
+                raise ValueError("generic-linear needs a non-empty generator matrix")
             ncols = len(self.genmat[0])
             if any(len(r) != ncols for r in self.genmat):
                 raise LengthMismatch("ragged generator matrix")
@@ -108,18 +108,9 @@ class CodeSpec:
         return _points_cached(self)
 
     def generator_matrix(self) -> np.ndarray:
-        """Unfolded generator matrix (dim x N)."""
-        if self.kind == "generic-linear":
-            return np.array(self.genmat, dtype=np.int64)
-        ctx = self.field
-        pts = self.points()
-        rows = np.empty((self.k + 1, self.N), dtype=np.int64)
-        row = np.array(self.v, dtype=np.int64)
-        rows[0] = row
-        for j in range(1, self.k + 1):
-            row = linalg.mul_arrays(ctx, row, pts)
-            rows[j] = row
-        return rows
+        """Unfolded generator matrix (dim x N), GRS row j = v * points^j;
+        cached per spec and read-only."""
+        return _generator_matrix_cached(self)
 
     def basis_rref(self) -> np.ndarray:
         return _basis_rref_cached(self)
@@ -273,25 +264,14 @@ def encode(spec: CodeSpec, message) -> Codeword:
 
 
 def encode_unfolded(spec: CodeSpec, message) -> np.ndarray:
-    ctx = spec.field
-    msg = [ctx.check_element(int(c)) for c in message]
-    if spec.kind == "grs-folded":
-        if len(msg) > spec.k + 1:
-            raise LengthMismatch(
-                f"message length {len(msg)} exceeds degree budget {spec.k + 1}"
-            )
-        msg = msg + [0] * (spec.k + 1 - len(msg))
-        pts = spec.points()
-        acc = np.zeros(spec.N, dtype=np.int64)
-        for c in reversed(msg):
-            acc = linalg.mul_arrays(ctx, acc, pts)
-            acc ^= c
-        return linalg.mul_arrays(ctx, acc, np.array(spec.v, dtype=np.int64))
+    """message times the generator matrix; a GRS message shorter than the
+    degree budget k + 1 is padded with zero coefficients."""
+    msg = [spec.field.check_element(int(c)) for c in message]
+    if spec.kind == "grs-folded" and len(msg) <= spec.dim:
+        msg += [0] * (spec.dim - len(msg))
     if len(msg) != spec.dim:
-        raise LengthMismatch(
-            f"message length {len(msg)} != matrix rows {spec.dim}"
-        )
-    return linalg.matvec(ctx, np.array(spec.genmat, dtype=np.int64).T, msg)
+        raise LengthMismatch(f"message length {len(msg)} != code dimension {spec.dim}")
+    return linalg.matmul(spec.field, [msg], spec.generator_matrix())[0]
 
 
 @lru_cache(maxsize=64)
@@ -304,6 +284,19 @@ def _points_cached(spec: CodeSpec) -> np.ndarray:
         x = ctx.mul(x, spec.gamma)
     pts.setflags(write=False)
     return pts
+
+
+@lru_cache(maxsize=64)
+def _generator_matrix_cached(spec: CodeSpec) -> np.ndarray:
+    if spec.kind == "generic-linear":
+        out = np.array(spec.genmat, dtype=np.int64)
+    else:
+        out = np.empty((spec.dim, spec.N), dtype=np.int64)
+        out[0] = spec.v
+        for j in range(1, spec.dim):
+            out[j] = linalg.mul_arrays(spec.field, out[j - 1], spec.points())
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -325,28 +318,15 @@ def codeword_matrix(spec: CodeSpec) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _codeword_matrix_cached(spec: CodeSpec) -> np.ndarray:
-    ctx = spec.field
-    q = ctx.q
+    q = spec.field.q
     msgs = np.empty((spec.size, spec.dim), dtype=np.int64)
     ranks = np.arange(spec.size)
     for j in range(spec.dim):
         msgs[:, j] = ranks % q
         ranks = ranks // q
-    if spec.kind == "grs-folded":
-        pts = spec.points()
-        acc = np.zeros((spec.size, spec.N), dtype=np.int64)
-        for j in range(spec.dim - 1, -1, -1):
-            acc = linalg.mul_arrays(ctx, acc, pts[None, :])
-            acc ^= msgs[:, j][:, None]
-        acc = linalg.mul_arrays(ctx, acc, np.array(spec.v, dtype=np.int64)[None, :])
-        acc.setflags(write=False)
-        return acc
-    gm = np.array(spec.genmat, dtype=np.int64)
-    acc = np.zeros((spec.size, spec.N), dtype=np.int64)
-    for j in range(spec.dim):
-        acc ^= linalg.mul_arrays(ctx, msgs[:, j][:, None], gm[j][None, :])
-    acc.setflags(write=False)
-    return acc
+    out = linalg.matmul(spec.field, msgs, spec.generator_matrix())
+    out.setflags(write=False)
+    return out
 
 
 def codeword_rank_matrix(spec: CodeSpec) -> np.ndarray:
@@ -549,7 +529,7 @@ def _berlekamp_welch(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray |
         return None
     if len(f) > k + 1:
         return None
-    cand = encode_unfolded(spec, f + [0] * (k + 1 - len(f)))
+    cand = encode_unfolded(spec, f)
     if hw_unfolded(cand ^ np.asarray(z, dtype=np.int64)) > radius:
         return None
     return cand

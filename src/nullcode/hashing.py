@@ -44,8 +44,8 @@ class HashFamily:
     out_bits: int = 6
 
     def __post_init__(self):
-        if self.lam < 1:
-            raise ValueError("lambda must be >= 1")
+        if min(self.lam, self.n, self.sigma_size) < 1:
+            raise ValueError("lambda, n and |Sigma| must be >= 1")
         if self.key_field.q < self.sigma_size * self.n:
             raise EncodingOverflow(
                 f"2^r = {self.key_field.q} cannot injectively encode "

@@ -26,21 +26,19 @@ def mul_arrays(ctx: FieldCtx, a, b) -> np.ndarray:
     return ctx.exp_np[ctx.log_np[a] + ctx.log_np[b]]
 
 
+_PRODUCT_BLOCK = 1 << 20  # entries of the (rows, inner, columns) products of one block
+
+
 def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Matrix product over the field: every a[i, k] b[k, j] at once for a
+    block of rows of a, XOR-reduced over k."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out ^= mul_arrays(ctx, a[:, k][:, None], b[k, :][None, :])
-    return out
-
-
-def matvec(ctx: FieldCtx, a, v) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    out = np.zeros(a.shape[0], dtype=np.int64)
-    for k in range(a.shape[1]):
-        out ^= mul_arrays(ctx, a[:, k], v[k])
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    step = max(1, _PRODUCT_BLOCK // max(b.size, 1))
+    for lo in range(0, a.shape[0], step):
+        prod = mul_arrays(ctx, a[lo : lo + step, :, None], b[None])
+        out[lo : lo + step] = np.bitwise_xor.reduce(prod, axis=1)
     return out
 
 

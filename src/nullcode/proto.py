@@ -19,7 +19,7 @@ Main operations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -29,7 +29,9 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import huffman as huffman_mod
+from .budget import DEFAULT_ENUM_BUDGET
 from .density import density_restoring_partition, is_dense
+from .errors import BudgetExceeded
 from .instances import OracleInstance, Split, solution_mask
 
 
@@ -135,14 +137,6 @@ class Node:
     owner: str  # "A" or "B"
     rect: Rect
     parts: list  # [(message string, owner-subset array, child node)]
-    _lookup: dict = field(default_factory=dict, repr=False)
-
-    def child_for(self, value: int):
-        if not self._lookup:
-            for msg, subset, child in self.parts:
-                for elem in subset.tolist():
-                    self._lookup[elem] = (msg, child)
-        return self._lookup[value]
 
 
 @dataclass
@@ -153,13 +147,7 @@ class ProtocolTree:
 
     def cost(self) -> int:
         """Worst-case transcript bit-length."""
-
-        def walk(node):
-            if isinstance(node, Leaf):
-                return 0
-            return max(len(msg) + walk(child) for msg, _, child in node.parts)
-
-        return walk(self.root)
+        return max(len(transcript) for _, transcript, _ in self.leaves())
 
     def nodes(self):
         stack = [self.root]
@@ -183,15 +171,38 @@ class ProtocolTree:
         yield from walk(self.root, "", 0)
 
 
+def _part_index(node: Node, values: np.ndarray, n_bits: int) -> np.ndarray:
+    """Index into node.parts of the part holding each of the owner's input
+    values; a later part wins on overlap.  Raises KeyError for a value that
+    lies in no part."""
+    bad = values[(values < 0) | (values >= 1 << n_bits)]
+    if bad.size:
+        raise KeyError(int(bad[0]))
+    which = np.full(1 << n_bits, -1, dtype=np.int32)
+    for i, (_, subset, _) in enumerate(node.parts):
+        which[subset] = i
+    which = which[values]
+    if (which < 0).any():
+        raise KeyError(int(values[np.argmax(which < 0)]))
+    return which
+
+
+def _path(tree: ProtocolTree, x: int, y: int) -> list:
+    """(message, node) pairs along the run on (x, y): ("", root), then each
+    node reached with the message sent to reach it; the last is a Leaf."""
+    path = [("", tree.root)]
+    node = tree.root
+    while isinstance(node, Node):
+        value, n_bits = (x, tree.n_bits_a) if node.owner == "A" else (y, tree.n_bits_b)
+        msg, _, node = node.parts[_part_index(node, np.array([value]), n_bits)[0]]
+        path.append((msg, node))
+    return path
+
+
 def run(tree: ProtocolTree, x: int, y: int) -> tuple[str, object]:
     """Deterministic execution; returns (transcript, output label)."""
-    node = tree.root
-    transcript = ""
-    while isinstance(node, Node):
-        value = x if node.owner == "A" else y
-        msg, node = node.child_for(value)
-        transcript += msg
-    return transcript, node.label
+    path = _path(tree, x, y)
+    return "".join(msg for msg, _ in path), path[-1][1].label
 
 
 def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
@@ -207,17 +218,7 @@ def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
                 labels[k] = node.label
             continue
         values, n_bits = (xs, tree.n_bits_a) if node.owner == "A" else (ys, tree.n_bits_b)
-        values = values[idx]
-        bad = values[(values < 0) | (values >= 1 << n_bits)]
-        if bad.size:
-            raise KeyError(int(bad[0]))
-        # a later part wins on overlap, as in Node.child_for
-        which = np.full(1 << n_bits, -1, dtype=np.int32)
-        for i, (_, subset, _) in enumerate(node.parts):
-            which[subset] = i
-        which = which[values]
-        if (which < 0).any():
-            raise KeyError(int(values[np.argmax(which < 0)]))
+        which = _part_index(node, values[idx], n_bits)
         for i, (_, _, child) in enumerate(node.parts):
             stack.append((child, idx[which == i]))
     return labels
@@ -364,10 +365,13 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     input pair.
 
     When code_stats is a list, one (entropy, expected_length) pair per
-    constructed Huffman code is appended to it.
+    constructed Huffman code is appended to it.  Raises BudgetExceeded
+    once the new tree has more than DEFAULT_ENUM_BUDGET nodes.
     """
+    nodes = 1
 
     def build(orig, rect):
+        nonlocal nodes
         if isinstance(orig, Leaf):
             return Leaf(orig.label, rect)
         if len(orig.parts) > 2:
@@ -383,6 +387,9 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
             if len(sub) == 0:
                 continue
             drp = density_restoring_partition(sub, gamma, free)
+            nodes += len(drp)
+            if nodes > DEFAULT_ENUM_BUDGET:
+                raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
             sizes = [len(p.elems) for p in drp]
             code = huffman_mod.huffman(sizes)
             if code_stats is not None:
@@ -583,17 +590,12 @@ def danger_track(
     for inst in insts:
         x, y = split.inputs(inst.tables)
         sols = solution_mask(inst.tables, ranks)
-        node = tree.root
         rounds = []
-        while True:
+        for _, node in _path(tree, x, y):
             cells = _fixed_table_cells(node.rect, split)
             q = dangerous_codewords(spec, cells)
             _recount_check(spec, cells, len(q))
             rounds.append(q)
-            if isinstance(node, Leaf):
-                break
-            value = x if node.owner == "A" else y
-            _, node = node.child_for(value)
         flags = [bool(sols[idx]) for idx in sorted(rounds[-1])]
         ledger = DangerLedger(rounds=rounds, output=node.label, solution_flags=flags)
         ledger.assert_monotone()

@@ -282,17 +282,15 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
 
 
 def _assert_good_sound(F: np.ndarray, gx: np.ndarray, ge: np.ndarray):
-    """F(x+e) = x on every GOOD pair, or on 1024 x 1024 seeded sampled
-    ones when GOOD has more than _GOOD_PAIR_CAP pairs."""
+    """F(x+e) = x on every GOOD pair, checked in blocks of at most
+    _GOOD_PAIR_CAP pairs (GOOD has at most _DENSE_QFT_LIMIT values of e)."""
     xs = np.nonzero(gx)[0]
     es = np.nonzero(ge)[0]
-    if xs.size * es.size > _GOOD_PAIR_CAP:
-        rng = np.random.default_rng(0)
-        xs = rng.choice(xs, size=min(xs.size, 1024), replace=False)
-        es = rng.choice(es, size=min(es.size, 1024), replace=False)
-    zs = xs[:, None] ^ es[None, :]
-    if not np.array_equal(F[zs], np.broadcast_to(xs[:, None], zs.shape)):
-        raise AssertionError("GOOD set contains a pair with F(x+e) != x")
+    step = max(1, _GOOD_PAIR_CAP // max(es.size, 1))
+    for lo in range(0, xs.size, step):
+        block = xs[lo : lo + step, None]
+        if (F[block ^ es] != block).any():
+            raise AssertionError("GOOD set contains a pair with F(x+e) != x")
 
 
 def _tv_distance(p: np.ndarray, q_unnorm: np.ndarray, q_mass: float) -> float:

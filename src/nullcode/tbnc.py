@@ -47,7 +47,9 @@ class TbncInstance:
     copies: tuple[OracleInstance, ...]
 
     def __post_init__(self):
-        if self.t < 1 or len(self.copies) != self.t:
+        if self.t < 1:
+            raise ValueError(f"t = {self.t}: need at least one copy")
+        if len(self.copies) != self.t:
             raise LengthMismatch("copy count mismatch")
         for c in self.copies:
             if c.spec != self.spec:
@@ -80,19 +82,15 @@ def xored_bias_tables(
 
 
 def tbnc_verify(tb: TbncInstance, key: HashKey, solutions) -> bool:
-    """Every copy's codeword is in the code and the XORed bias oracle
-    vanishes on it; polynomial-time table lookups plus rank tests."""
+    """instances.verify of every copy's codeword against that copy's
+    XORed bias tables; a malformed word is simply invalid."""
     solutions = list(solutions)
     if len(solutions) != tb.t:
         raise LengthMismatch(f"need {tb.t} solutions, got {len(solutions)}")
-    for copy, word in zip(tb.copies, solutions):
-        if not codes_mod.contains(tb.spec, word):
-            return False
-        g = xored_bias_tables(copy, tb.family, key)
-        for i, sym in enumerate(word):
-            if g[i, tb.spec.symbol_rank(sym)]:
-                return False
-    return True
+    return all(
+        inst_mod.verify(inst_mod.with_tables(copy, xored_bias_tables(copy, tb.family, key)), word)
+        for copy, word in zip(tb.copies, solutions)
+    )
 
 
 def run_keyed_smp(
@@ -218,6 +216,8 @@ def totality_scan(
     key among the scanned ones and the per-key emptiness rate of the
     zero key (compared against its exact closed form elsewhere).
     """
+    if h_samples < 1 or key_budget < 1:
+        raise ValueError("totality scan needs at least one oracle sample and one key")
     key_budget = min(key_budget, family.key_count)
     keys = [hashing_mod.key_from_int(family, kv) for kv in range(key_budget)]
     rng_seeds = [seed * 999983 + s for s in range(h_samples)]
@@ -226,25 +226,16 @@ def totality_scan(
     per_key_nonempty = np.zeros(len(keys), dtype=np.int64)
     for hs in rng_seeds:
         tb = make_tbnc(spec, family, t, hs, b=b)
-        any_good = False
-        for kidx, key in enumerate(keys):
-            all_nonempty = True
-            for copy in tb.copies:
-                g = xored_bias_tables(copy, family, key)
-                if solution_set_empty(spec, g):
-                    all_nonempty = False
-                    break
-            if all_nonempty:
-                per_key_nonempty[kidx] += 1
-                any_good = True
-        if any_good:
-            good_key_hits += 1
-        zero = keys[0]
-        empty = any(
-            solution_set_empty(spec, xored_bias_tables(copy, family, zero))
-            for copy in tb.copies
-        )
-        zero_key_empty += empty
+        nonempty = [
+            not any(
+                solution_set_empty(spec, xored_bias_tables(copy, family, key))
+                for copy in tb.copies
+            )
+            for key in keys
+        ]
+        per_key_nonempty += nonempty
+        good_key_hits += any(nonempty)
+        zero_key_empty += not nonempty[0]  # keys[0] is the zero key
     return {
         "h_samples": h_samples,
         "keys_scanned": len(keys),

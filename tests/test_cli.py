@@ -124,6 +124,30 @@ def _tiny_instance(tmp_path):
         (["proto", "transform", "--gamma", "nan", "--trials", "1"], None),
         (["proto", "transform", "--gamma", "inf", "--trials", "1"], None),
         (["proto", "transform", "--gamma", "-1", "--trials", "1"], None),
+        # ranks and key coefficients outside their alphabets
+        (["instance", "verify", "--in", "{inst}", "--x", "4 0"], None),
+        (["instance", "verify", "--in", "{inst}", "--x", "-1 0"], None),
+        (["tbnc", "verify", "--in", "{tb}", "--key", "0,0,0,0", "--solutions", "7 3"], None),
+        (["tbnc", "verify", "--in", "{tb}", "--key", "0,0,0", "--solutions", "1 1"], None),
+        (["tbnc", "verify", "--in", "{tb}", "--key", "999,0,0,0", "--solutions", "1 1"], None),
+        (["tbnc", "verify", "--in", "{tb}", "--key=-1,0,0,0", "--solutions", "1 1"], None),
+        # library parameters out of range
+        (["tbnc", "totality", "--keys", "0"], None),
+        (["tbnc", "totality", "--samples", "0"], None),
+        (["tbnc", "totality", "--t", "0", "--samples", "1"], None),
+        (["tbnc", "gen", "--t", "0"], None),
+        (["tbnc", "alg2", "--t", "0", "--trials", "1"], None),
+        (["proto", "drp", "--n-bits", "0", "--trials", "1"], None),
+        (["proto", "transform", "--n-bits", "0", "--trials", "1"], None),
+        (["proto", "cleanup", "--n-bits", "0", "--trials", "1"], None),
+        (["proto", "run", "--n-bits", "0"], None),
+        (["proto", "danger", "--n", "0", "--trials", "1"], None),
+        (["hash", "check", "--lam", "0"], None),
+        (["hash", "check", "--r", "3"], None),
+        (["hash", "check", "--n", "0"], None),
+        (["hash", "check", "--sigma", "0"], None),
+        (["code", "preset", "--t", "0"], None),
+        (["instance", "gen", "--toy", "--p", "3/2"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -180,7 +204,7 @@ def test_length_mismatch_outside_parsing_exits_1(tmp_path, capsys):
     path = tmp_path / "tb.json"
     assert main(["tbnc", "gen", "--t", "1", "--out", str(path)]) == 0
     capsys.readouterr()
-    argv = ["tbnc", "verify", "--in", str(path), "--key", "0", "--solutions", "1 1;1 1"]
+    argv = ["tbnc", "verify", "--in", str(path), "--key", "0,0,0,0", "--solutions", "1 1;1 1"]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: need 1 solutions, got 2\n"
 

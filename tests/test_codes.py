@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +57,105 @@ def test_encode_zero_poly():
 def test_encode_length_check():
     with pytest.raises(LengthMismatch):
         codes.encode(rs_f4(1), [1, 2, 3])
+
+
+def horner_encode(spec: CodeSpec, msg) -> list:
+    """v_i f(gamma^i) for f with ascending coefficients msg, by Horner's
+    rule in scalar field arithmetic."""
+    ctx = spec.field
+    out, point = [], 1
+    for vi in spec.v:
+        acc = 0
+        for c in reversed(msg):
+            acc = ctx.mul(acc, point) ^ c
+        out.append(ctx.mul(vi, acc))
+        point = ctx.mul(point, spec.gamma)
+    return out
+
+
+def row_xor_encode(spec: CodeSpec, msg) -> list:
+    """XOR over j of msg_j times row j of genmat, in scalar field arithmetic."""
+    ctx = spec.field
+    out = [0] * spec.N
+    for c, row in zip(msg, spec.genmat):
+        out = [o ^ ctx.mul(c, g) for o, g in zip(out, row)]
+    return out
+
+
+def message_of_rank(spec: CodeSpec, rank: int) -> list:
+    q = spec.field.q
+    return [(rank // q**j) % q for j in range(spec.dim)]
+
+
+def _preset(t: int) -> CodeSpec:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # preset(1) is degenerate
+        return codes.preset(t)
+
+
+def _algebra_grs() -> CodeSpec:
+    """The benchmark's |C| = 65536 code: the t = 2 preset with k = 3."""
+    base = codes.preset(2)
+    return CodeSpec(kind="grs-folded", field=base.field, m=base.m, k=3, gamma=base.gamma, v=base.v)
+
+
+@pytest.mark.parametrize(
+    "t, dual",
+    [(1, False), (1, True), (2, False), (2, True), (3, False), (3, True), (None, False)],
+    ids=["t1", "t1-dual", "t2", "t2-dual", "t3", "t3-dual", "algebra"],
+)
+def test_grs_encoding_matches_horner(t, dual):
+    spec = _algebra_grs() if t is None else _preset(t)
+    if dual:
+        spec = codes.dual(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        msg = rng.integers(spec.field.q, size=spec.dim).tolist()
+        assert codes.encode_unfolded(spec, msg).tolist() == horner_encode(spec, msg)
+    short = msg[: max(1, spec.dim // 2)]  # padded with zero coefficients
+    assert codes.encode_unfolded(spec, short).tolist() == horner_encode(spec, short)
+    if spec.size <= 1 << 16:
+        table = codes.codeword_matrix(spec)
+        ranks = {0, spec.size - 1, *rng.integers(spec.size, size=100).tolist()}
+        for rank in sorted(ranks):
+            assert table[rank].tolist() == horner_encode(spec, message_of_rank(spec, rank))
+
+
+def _generic_gf16() -> CodeSpec:
+    rng = np.random.default_rng(3)
+    while True:
+        genmat = rng.integers(16, size=(3, 6))
+        if linalg.rank(FieldCtx(4), genmat) == 3:
+            return CodeSpec(
+                kind="generic-linear", field=FieldCtx(4), m=2,
+                genmat=tuple(map(tuple, genmat.tolist())),
+            )
+
+
+@pytest.mark.parametrize("name", ["selfdual", "repetition", "gf16", "gf16-dual"])
+def test_generic_encoding_matches_row_xor(name):
+    spec = {
+        "selfdual": configs.toy_selfdual_spec,
+        "repetition": lambda: configs.toy_repetition_spec(n=3, s=2),
+        "gf16": _generic_gf16,
+        "gf16-dual": lambda: codes.dual(_generic_gf16()),
+    }[name]()
+    assert spec.kind == "generic-linear"
+    table = codes.codeword_matrix(spec)
+    for rank in range(spec.size):
+        msg = message_of_rank(spec, rank)
+        expect = row_xor_encode(spec, msg)
+        assert table[rank].tolist() == expect
+        assert codes.encode_unfolded(spec, msg).tolist() == expect
+    with pytest.raises(LengthMismatch):
+        codes.encode_unfolded(spec, [0] * (spec.dim - 1))
+
+
+def test_generator_matrix_is_cached_and_read_only():
+    for spec in (GRS_K3, configs.toy_selfdual_spec()):
+        gm = spec.generator_matrix()
+        assert gm is spec.generator_matrix()
+        assert not gm.flags.writeable
 
 
 def test_preset2_has_256_distinct_codewords():

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from nullcode import linalg
 from nullcode.errors import DomainMismatch, InvOfZero
 from nullcode.gf import (
     DEFAULT_MODULI,
@@ -140,3 +142,15 @@ def test_inverse_without_tables():
         assert ctx.mul(a, ctx.inv(a)) == 1
     with pytest.raises(InvOfZero):
         ctx.inv(0)
+
+
+def test_mul_arrays_without_tables_matches_scalar_mul():
+    ctx = FieldCtx(17, (1 << 17) | (1 << 3) | 1)  # x^17 + x^3 + 1, no tables
+    assert ctx.log_np is None
+    rng = np.random.default_rng(0)
+    a = rng.integers(ctx.q, size=(4, 5))
+    b = rng.integers(ctx.q, size=5)  # broadcast along the rows
+    a[0, 0], b[1] = 0, 0
+    got = linalg.mul_arrays(ctx, a, b)
+    assert got.shape == (4, 5)
+    assert got.tolist() == [[ctx.mul(int(x), int(y)) for x, y in zip(row, b)] for row in a]

@@ -81,6 +81,15 @@ def test_verify_and_brute_solve_examples():
     assert instances.brute_solve(ones) == []
 
 
+def test_verify_rejects_malformed_words():
+    spec = toy()  # n = 2 over Sigma = F_4
+    base = instances.sample_instance(spec, Fraction(1, 4), 0)
+    inst = instances.with_tables(base, np.zeros((2, 4), np.uint8))
+    assert instances.verify(inst, ((1,), (1,)))
+    for word in (((1,),), ((1,), (1,), (1,)), ((1,), (4,)), ((-1,), (1,)), ((1,), (1, 0))):
+        assert not instances.verify(inst, word)
+
+
 def test_verify_matches_brute_solve_exhaustively():
     spec = toy()
     base = instances.sample_instance(spec, Fraction(1, 4), 0)

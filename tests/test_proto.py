@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances, proto
+from nullcode.errors import BudgetExceeded
 from nullcode.proto import BOT
 
 
@@ -170,6 +171,46 @@ def test_cleanup_wrong_everywhere_becomes_bottom():
     assert err == 1.0
     cleaned = proto.cleanup(tree, err, never, never)
     assert proto.bottom_probability(cleaned) == 1.0
+
+
+def test_cleanup_aborts_to_bottom_above_the_codimension_threshold():
+    tree = small_tree(seed=2, n_bits=3, depth=2)
+    always = lambda label, v: True
+    # cost / epsilon < 1, so every child of the root (codimension >= 1)
+    # becomes a BOT leaf over its own rectangle
+    cleaned = proto.cleanup(tree, tree.cost() + 1, always, always)
+    assert isinstance(cleaned.root, proto.Node) and cleaned.root.rect is tree.root.rect
+    for (_, _, child), (_, _, orig) in zip(cleaned.root.parts, tree.root.parts):
+        assert isinstance(child, proto.Leaf) and child.label is BOT
+        assert child.rect is orig.rect
+    assert proto.bottom_probability(cleaned) == 1.0
+    assert proto.never_wrong(cleaned, always, always)
+
+
+def test_measure_error_counts_bottom_leaves_as_invalid():
+    X = proto.full_domain(2)
+    Y = proto.full_domain(2)
+    low, high = X[X < 1], X[X >= 1]  # one quarter, three quarters
+    parts = [
+        ("0", low, proto.Leaf(BOT, proto.Rect(low, Y, 2, 2))),
+        ("1", high, proto.Leaf(0, proto.Rect(high, Y, 2, 2))),
+    ]
+    tree = proto.ProtocolTree(proto.Node("A", proto.Rect(X, Y, 2, 2), parts), 2, 2)
+    always = lambda label, v: True
+    assert proto.measure_error(tree, always, always) == 0.25
+    assert proto.bottom_probability(tree) == 0.25
+    all_bot = proto.ProtocolTree(proto.Leaf(BOT, proto.Rect(X, Y, 2, 2)), 2, 2)
+    assert proto.measure_error(all_bot, always, always) == 1.0
+
+
+def test_transform_node_budget(monkeypatch):
+    tree = small_tree(seed=0, n_bits=6, depth=4)
+    nodes = sum(1 for _ in proto.subcube_like_transform(tree, 0.8).nodes())
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes)
+    proto.subcube_like_transform(tree, 0.8)  # exactly at the budget
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceeded):
+        proto.subcube_like_transform(tree, 0.8)
 
 
 def test_reveal_tree_labels():

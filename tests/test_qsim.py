@@ -246,6 +246,21 @@ def test_pipeline_always_checks_good_soundness(monkeypatch):
         qsim.add_decode_pipeline(spec, received_states(inst), params)
 
 
+@pytest.mark.parametrize("bad_x", [0, 1, 1000, 2047])
+def test_good_soundness_is_checked_on_every_pair(bad_x):
+    # 2048 x 1024 GOOD pairs, twice the check's block size; x = 1024 j and
+    # e < 1024 make every x + e = x | e distinct, so one wrong entry of F
+    # breaks exactly one pair
+    gx = np.zeros(1 << 21, dtype=bool)
+    gx[::1024] = True
+    ge = np.ones(1024, dtype=bool)
+    F = np.arange(1 << 21) & ~1023
+    qsim._assert_good_sound(F, gx, ge)
+    F[1024 * bad_x + 517] ^= 1024
+    with pytest.raises(AssertionError, match="GOOD set contains a pair"):
+        qsim._assert_good_sound(F, gx, ge)
+
+
 def test_referee_consumes_only_received_states(monkeypatch):
     # the players prepare each coordinate's state once; the referee works
     # from those states and never prepares its own from the tables

@@ -41,6 +41,19 @@ def test_verify_zero_everything():
     assert tbnc.tbnc_verify(tb, key, [words[0], words[1]])
 
 
+def test_verify_rejects_malformed_words():
+    spec, fam, _ = rep_setup()
+    tb = tbnc.TbncInstance(
+        t=2, spec=spec, family=fam, copies=(zero_copy(spec, 0), zero_copy(spec, 1))
+    )
+    key = hashing.zero_key(fam)
+    good = ((1,), (1,))
+    assert tbnc.tbnc_verify(tb, key, [good, good])
+    for word in (((1,),), ((1,), (1,), (1,)), ((1,), (4,))):
+        assert not tbnc.tbnc_verify(tb, key, [good, word])
+        assert not tbnc.tbnc_verify(tb, key, [word, good])
+
+
 def test_verify_one_wrong_copy():
     spec, fam, tb = rep_setup(t=2, seed=3)
     key = hashing.zero_key(fam)
