@@ -244,9 +244,9 @@ def cmd_qsim_qft(args) -> int:
     return 0 if residual <= 1e-12 else 1
 
 
-def _trial_records(args, run) -> list[dict]:
-    """Sample instances from --seed on until --trials calls of
-    run(spec, inst, params) complete, with one record per instance; an
+def _trial_records(args) -> list[dict]:
+    """Sample instances from --seed on until --trials runs of
+    qsim.run_smp_protocol complete, with one record per instance; an
     instance with an empty table support is recorded as skipped."""
     spec = _load_spec(args)
     p = _parse_fraction(args.p)
@@ -258,7 +258,7 @@ def _trial_records(args, run) -> list[dict]:
     while produced < args.trials:
         inst = instances.sample_instance(spec, p, seed)
         try:
-            out = run(spec, inst, params)
+            out = qsim.run_smp_protocol(spec, inst, params)
         except EmptySupport as exc:
             records.append({"seed": seed, "skipped": str(exc), **dict.fromkeys(keys)})
         else:
@@ -268,14 +268,9 @@ def _trial_records(args, run) -> list[dict]:
     return records
 
 
-def _referee_pipeline(spec, inst, params) -> dict:
-    phis = [qsim.prepare_phi(inst, i) for i in range(1, spec.n + 1)]
-    return qsim.add_decode_pipeline(spec, phis, params)
-
-
 def cmd_qsim_lemma51(args) -> int:
     # add_decode_pipeline raises when a run leaves the distance bound
-    records = _trial_records(args, _referee_pipeline)
+    records = _trial_records(args)
     _emit(records, args.out)
     done = sum(rec["skipped"] is None for rec in records)
     print(f"lemma51: {done}/{done} within bound")
@@ -283,7 +278,7 @@ def cmd_qsim_lemma51(args) -> int:
 
 
 def cmd_qsim_alg1(args) -> int:
-    _emit(_trial_records(args, qsim.run_smp_protocol), args.out)
+    _emit(_trial_records(args), args.out)
     return 0
 
 
@@ -405,15 +400,14 @@ def cmd_proto_danger(args) -> int:
     tree = proto.reveal_solution_tree(spec)
     out = proto.danger_track(tree, spec, insts)
     if args.out:
-        split = instances.Split(spec.n, spec.sigma_size)
         rows = [("seed", "cost", "output", "correct")]
-        for inst in insts:
-            transcript, label = proto.run(tree, *split.inputs(inst.tables))
+        for inst, ledger in zip(insts, out["ledgers"]):
+            label = ledger.output
             correct = label is not proto.BOT and instances.verify(inst, label)
             rows.append(
                 (
                     str(inst.seed),
-                    str(len(transcript)),
+                    str(len(ledger.transcript)),
                     "bot" if label is proto.BOT else str(label),
                     str(bool(correct)).lower(),
                 )

@@ -6,14 +6,18 @@ gamma^0, ..., gamma^(N-1), i.e. all of F_q^*, so N = q - 1.  Folding
 groups m consecutive F_q symbols into one symbol of Sigma = F_q^m.
 
 Codewords are tuples of n symbols; each symbol is a tuple of m field
-elements.  Unfolded vectors are numpy int64 arrays of length N.
+elements.  Unfolded vectors are numpy int64 arrays of length N.  A symbol's
+rank reads its m elements as base-q digits and a word's flat rank reads its
+n symbol ranks as base-|Sigma| digits, most significant first; so a word's
+flat rank is its unfolded vector read as one base-q number (`to_digits`,
+`from_digits`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -232,7 +236,30 @@ def preset(t: int) -> CodeSpec:
     )
 
 
-# -- fold / unfold -------------------------------------------------------------
+# -- digits, fold / unfold -----------------------------------------------------
+
+
+def _place_values(base: int, count: int) -> np.ndarray:
+    """base^(count-1), ..., base, 1 as int64; raises BudgetExceeded when
+    base**count does not fit in int64."""
+    if base**count > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"{count} base-{base} digits overflow int64")
+    return base ** np.arange(count - 1, -1, -1, dtype=np.int64)
+
+
+def to_digits(values, base: int, count: int) -> np.ndarray:
+    """The count base-`base` digits of each value, most significant first,
+    as an int64 array of shape values.shape + (count,).  Raises
+    BudgetExceeded when base**count does not fit in int64."""
+    return np.asarray(values, dtype=np.int64)[..., None] // _place_values(base, count) % base
+
+
+def from_digits(digits, base: int) -> np.ndarray:
+    """Inverse of to_digits: the last axis of digits read as one base-`base`
+    number, most significant digit first.  Raises BudgetExceeded when
+    base**(number of digits) does not fit in int64."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ _place_values(base, digits.shape[-1])
 
 
 def fold(spec: CodeSpec, x) -> Codeword:
@@ -318,12 +345,8 @@ def codeword_matrix(spec: CodeSpec) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _codeword_matrix_cached(spec: CodeSpec) -> np.ndarray:
-    q = spec.field.q
-    msgs = np.empty((spec.size, spec.dim), dtype=np.int64)
-    ranks = np.arange(spec.size)
-    for j in range(spec.dim):
-        msgs[:, j] = ranks % q
-        ranks = ranks // q
+    # message coefficient j is digit j of the rank, least significant first
+    msgs = to_digits(np.arange(spec.size), spec.field.q, spec.dim)[:, ::-1]
     out = linalg.matmul(spec.field, msgs, spec.generator_matrix())
     out.setflags(write=False)
     return out
@@ -338,14 +361,7 @@ def codeword_rank_matrix(spec: CodeSpec) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _codeword_rank_matrix_cached(spec: CodeSpec) -> np.ndarray:
     unfolded = _codeword_matrix_cached(spec)
-    q = spec.field.q
-    out = np.zeros((unfolded.shape[0], spec.n), dtype=np.int64)
-    for i in range(spec.n):
-        block = unfolded[:, i * spec.m : (i + 1) * spec.m]
-        r = np.zeros(unfolded.shape[0], dtype=np.int64)
-        for j in range(spec.m):
-            r = r * q + block[:, j]
-        out[:, i] = r
+    out = from_digits(unfolded.reshape(-1, spec.n, spec.m), spec.field.q)
     out.setflags(write=False)
     return out
 
@@ -572,17 +588,8 @@ def dual_decode(spec: CodeSpec, params: DecoderParams, z: Codeword):
     a dual too large to enumerate raises BudgetExceeded (for_spec never
     builds one).
     """
-    zword = tuple((int(x),) for x in unfold(spec, z))
-    dspec = dual(spec)
-    dspec_unf = CodeSpec(
-        kind=dspec.kind,
-        field=spec.field,
-        m=1,
-        k=dspec.k,
-        gamma=dspec.gamma,
-        v=dspec.v,
-        genmat=dspec.genmat,
-    )
+    dspec_unf = replace(dual(spec), m=1)
+    zword = fold(dspec_unf, unfold(spec, z))
     cands = list_decode(dspec_unf, zword, params.radius_unfolded)
     if len(cands) != 1:
         return None
@@ -598,18 +605,11 @@ def list_recover_count(
     zeta: float,
     jobs: int = 1,
 ) -> int:
-    """Exact number of codewords agreeing with the candidate sets S_i on at
-    least zeta * n coordinates.  S entries may hold symbols or symbol ranks."""
+    """Exact number of codewords agreeing with the candidate sets S_i of
+    symbol ranks on at least zeta * n coordinates."""
     if len(S) != spec.n:
         raise LengthMismatch(f"need {spec.n} candidate sets, got {len(S)}")
-    sets = []
-    for s in S:
-        ranks = set()
-        for item in s:
-            ranks.add(
-                spec.symbol_rank(item) if isinstance(item, tuple) else int(item)
-            )
-        sets.append(np.array(sorted(ranks), dtype=np.int64))
+    sets = [np.array(sorted({int(r) for r in s}), dtype=np.int64) for s in S]
     codeword_rank_matrix(spec)  # budget gate
     columns = _rank_columns_cached(spec)
     # membership of each coordinate's distinct codeword symbols in S_i

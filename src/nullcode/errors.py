@@ -49,7 +49,7 @@ class DistinctnessViolated(NullcodeError):
     """Hash independence checks require distinct evaluation points."""
 
 
-class EncodingOverflow(NullcodeError):
+class EncodingOverflow(NullcodeError, ValueError):
     """Domain point does not fit into the hash key field."""
 
 

@@ -199,16 +199,11 @@ def _path(tree: ProtocolTree, x: int, y: int) -> list:
     return path
 
 
-def run(tree: ProtocolTree, x: int, y: int) -> tuple[str, object]:
-    """Deterministic execution; returns (transcript, output label)."""
-    path = _path(tree, x, y)
-    return "".join(msg for msg, _ in path), path[-1][1].label
-
-
 def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
     """Output label of every pair (xs[k], ys[k]), routing all pairs through
-    the tree together; equals [run(tree, x, y)[1] ...], and like run raises
-    KeyError for a value that lies in no part of a node it reaches."""
+    the tree together; equals the leaf label that _path(tree, x, y) ends
+    at, and like _path raises KeyError for a value that lies in no part of
+    a node it reaches."""
     labels = [None] * len(xs)
     stack = [(tree.root, np.arange(len(xs)))]
     while stack:
@@ -534,9 +529,11 @@ DANGER_THRESHOLD = Fraction(2, 5)  # fraction of oracle bits fixed
 
 @dataclass
 class DangerLedger:
-    """Per-round dangerous-codeword sets along one protocol run."""
+    """Per-round dangerous-codeword sets along one protocol run, with the
+    run's transcript and output label."""
 
     rounds: list[frozenset]
+    transcript: str
     output: object
     solution_flags: list[bool]  # per round-d dangerous codeword: is it a solution?
 
@@ -591,13 +588,19 @@ def danger_track(
         x, y = split.inputs(inst.tables)
         sols = solution_mask(inst.tables, ranks)
         rounds = []
-        for _, node in _path(tree, x, y):
+        path = _path(tree, x, y)
+        for _, node in path:
             cells = _fixed_table_cells(node.rect, split)
             q = dangerous_codewords(spec, cells)
             _recount_check(spec, cells, len(q))
             rounds.append(q)
         flags = [bool(sols[idx]) for idx in sorted(rounds[-1])]
-        ledger = DangerLedger(rounds=rounds, output=node.label, solution_flags=flags)
+        ledger = DangerLedger(
+            rounds=rounds,
+            transcript="".join(msg for msg, _ in path),
+            output=node.label,
+            solution_flags=flags,
+        )
         ledger.assert_monotone()
         ledgers.append(ledger)
         danger_events += len(rounds[-1])

@@ -128,30 +128,18 @@ def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
     total = sigma**spec.n
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"decode table over {total} strings exceeds budget")
-    out = np.zeros(total, dtype=np.int64)
-    for flat in range(total):
-        word = flat_to_word(spec, flat)
-        dec = codes.dual_decode(spec, params, word)
+    q = spec.field.q
+    decoded = np.zeros((total, spec.N), dtype=np.int64)
+    for flat, vec in enumerate(codes.to_digits(np.arange(total), q, spec.N).tolist()):
+        dec = codes.dual_decode(spec, params, codes.fold(spec, vec))
         if dec is not None:
-            out[flat] = word_to_flat(spec, dec)
-    return out
+            decoded[flat] = codes.unfold(spec, dec)
+    return codes.from_digits(decoded, q)
 
 
 def flat_to_word(spec: CodeSpec, flat: int):
-    sigma = spec.sigma_size
-    ranks = []
-    for _ in range(spec.n):
-        ranks.append(flat % sigma)
-        flat //= sigma
-    return tuple(spec.rank_symbol(r) for r in reversed(ranks))
-
-
-def word_to_flat(spec: CodeSpec, word) -> int:
-    sigma = spec.sigma_size
-    flat = 0
-    for sym in word:
-        flat = flat * sigma + spec.symbol_rank(sym)
-    return flat
+    """The word whose flat rank is flat."""
+    return codes.fold(spec, codes.to_digits(flat, spec.field.q, spec.N))
 
 
 # -- good/bad bookkeeping ---------------------------------------------------------
@@ -170,28 +158,14 @@ def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, 
     good_x = np.zeros(total, dtype=bool)
     good_x[dual_flat] = True
     weight_cap = int((Fraction(params.p) + Fraction(params.epsilon)) * spec.n)
-    weights = _flat_symbol_weights(sigma, spec.n)
+    weights = np.count_nonzero(codes.to_digits(np.arange(total), sigma, spec.n), axis=-1)
     good_e = weights <= weight_cap
     return good_x, good_e
 
 
 def _code_flat_ranks(spec: CodeSpec) -> np.ndarray:
-    ranks = codes.codeword_rank_matrix(spec)
-    sigma = spec.sigma_size
-    flat = np.zeros(ranks.shape[0], dtype=np.int64)
-    for i in range(spec.n):
-        flat = flat * sigma + ranks[:, i]
-    return flat
-
-
-def _flat_symbol_weights(sigma: int, n: int) -> np.ndarray:
-    total = sigma**n
-    weights = np.zeros(total, dtype=np.int64)
-    idx = np.arange(total)
-    for _ in range(n):
-        weights += (idx % sigma) != 0
-        idx //= sigma
-    return weights
+    """Flat ranks of all codewords, in message-rank order."""
+    return codes.from_digits(codes.codeword_matrix(spec), spec.field.q)
 
 
 # -- the main pipeline -------------------------------------------------------------
@@ -205,9 +179,10 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     order (see prepare_phi); their tensor product is the oracle state.
     Builds the decode table F and the GOOD masks and checks F(x+e) = x on
     GOOD.  Returns eps, delta, the Euclidean distance between actual and
-    ideal states, measurement statistics, and the states themselves (as
-    dense vectors over pairs).  Raises AssertionError if GOOD is unsound
-    or the distance bound sqrt(eps) + sqrt(delta) + 1e-9 is violated.
+    ideal states with its bound, measurement statistics, and the actual
+    state (a dense array over pairs).  Raises AssertionError if GOOD is
+    unsound or the distance bound sqrt(eps) + sqrt(delta) + 1e-9 is
+    violated.
     """
     sigma = spec.sigma_size
     n = spec.n
@@ -264,20 +239,15 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     z_dist = meas.sum(axis=0)
     sol_mask = (np.abs(psi) > 0) & (np.abs(phi) > 0)
     success = float(z_dist[sol_mask].sum())
-    ideal_norm_sq = float(np.abs(ideal_z).__pow__(2).sum())
-    tv = _tv_distance(z_dist, np.abs(ideal_z) ** 2, ideal_norm_sq)
     return {
         "epsilon": eps,
         "delta": delta,
         "l2_distance": l2,
         "bound": bound,
-        "tv_distance": tv,
         "success_probability": success,
         "solution_distribution": z_dist,
         "solution_mask": sol_mask,
         "actual_state": actual,
-        "ideal_state": ideal_z,
-        "ideal_mass": ideal_norm_sq,
     }
 
 
@@ -291,12 +261,6 @@ def _assert_good_sound(F: np.ndarray, gx: np.ndarray, ge: np.ndarray):
         block = xs[lo : lo + step, None]
         if (F[block ^ es] != block).any():
             raise AssertionError("GOOD set contains a pair with F(x+e) != x")
-
-
-def _tv_distance(p: np.ndarray, q_unnorm: np.ndarray, q_mass: float) -> float:
-    if q_mass <= 0:
-        return 1.0
-    return float(0.5 * np.abs(p - q_unnorm / q_mass).sum())
 
 
 # -- protocol runner ----------------------------------------------------------------
@@ -319,16 +283,15 @@ def run_smp_protocol(spec: CodeSpec, inst: OracleInstance, params: DecoderParams
     out = add_decode_pipeline(spec, alice_states + bob_states, params)
     z_dist = out["solution_distribution"]
     verified = np.zeros_like(z_dist, dtype=bool)
-    for flat in np.nonzero(z_dist > 1e-12)[0]:
-        verified[flat] = instances.verify(inst, flat_to_word(spec, int(flat)))
+    support = np.nonzero(z_dist > 1e-12)[0]
+    for flat, vec in zip(support, codes.to_digits(support, spec.field.q, spec.N).tolist()):
+        verified[flat] = instances.verify(inst, codes.fold(spec, vec))
     out["verified_mass"] = float(z_dist[verified].sum())
     if not np.array_equal(verified, out["solution_mask"] & (z_dist > 1e-12)):
         mism = verified ^ (out["solution_mask"] & (z_dist > 1e-12))
         raise AssertionError(
             f"verifier disagrees with the solution mask on {mism.sum()} strings"
         )
-    out["alice_qubits"] = len(alice_states) * math.log2(spec.sigma_size)
-    out["bob_qubits"] = len(bob_states) * math.log2(spec.sigma_size)
     return out
 
 

@@ -97,18 +97,17 @@ def run_keyed_smp(
     tb: TbncInstance,
     params: DecoderParams,
     seed: int,
-    forced_key: HashKey | None = None,
 ) -> dict:
     """Referee protocol for the total problem at toy scale.
 
-    Draws a key (unless forced), simulates the per-coordinate filtering
-    measurements with retries, runs the one-copy pipeline per copy, and
-    samples one output per copy.  Success means the verifier accepts the
+    Draws a key, simulates the per-coordinate filtering measurements with
+    retries, runs the one-copy pipeline per copy, and samples one output
+    per copy.  Success means the verifier accepts the
     sampled (key, solutions).  A coordinate whose filtering fails
     DEFAULT_RETRY_CAP times in a row raises RetriesExhausted.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA162]))
-    key = forced_key if forced_key is not None else hashing_mod.random_key(tb.family, rng)
+    key = hashing_mod.random_key(tb.family, rng)
     solutions = []
     diagnostics = []
     retries_total = 0
@@ -207,7 +206,6 @@ def totality_scan(
     h_samples: int,
     key_budget: int,
     seed: int,
-    b: int = 6,
 ) -> dict:
     """Sample oracles, scan keys, and report how often every copy's
     solution set is nonempty.
@@ -225,7 +223,7 @@ def totality_scan(
     zero_key_empty = 0
     per_key_nonempty = np.zeros(len(keys), dtype=np.int64)
     for hs in rng_seeds:
-        tb = make_tbnc(spec, family, t, hs, b=b)
+        tb = make_tbnc(spec, family, t, hs)
         nonempty = [
             not any(
                 solution_set_empty(spec, xored_bias_tables(copy, family, key))

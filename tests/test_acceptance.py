@@ -490,7 +490,7 @@ def test_criterion_13_hashing():
 # -- 14: total problem -------------------------------------------------------------------------
 
 
-def test_criterion_14_total_problem():
+def test_criterion_14_total_problem(monkeypatch):
     start = time.time()
     spec = configs.toy_selfdual_spec()
     fam = configs.toy_family(spec)
@@ -509,7 +509,8 @@ def test_criterion_14_total_problem():
     tb = tbnc.TbncInstance(
         t=2, spec=spec, family=fam, copies=(zero_copy(0), zero_copy(1))
     )
-    out = tbnc.run_keyed_smp(tb, params, seed=9, forced_key=hashing.zero_key(fam))
+    monkeypatch.setattr(hashing, "random_key", lambda family, rng: hashing.zero_key(family))
+    out = tbnc.run_keyed_smp(tb, params, seed=9)
     assert out["success"]
     for d in out["per_copy"]:
         assert abs(d["success_probability"] - 1.0) <= 1e-9

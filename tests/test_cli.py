@@ -144,6 +144,7 @@ def _tiny_instance(tmp_path):
         (["proto", "danger", "--n", "0", "--trials", "1"], None),
         (["hash", "check", "--lam", "0"], None),
         (["hash", "check", "--r", "3"], None),
+        (["hash", "check", "--r", "2"], None),  # 2^r is too small for the domain
         (["hash", "check", "--n", "0"], None),
         (["hash", "check", "--sigma", "0"], None),
         (["code", "preset", "--t", "0"], None),

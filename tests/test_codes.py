@@ -229,6 +229,85 @@ def test_fold_m1_identity():
     assert codes.fold(spec, [0, 2, 0]) == ((0,), (2,), (0,))
 
 
+def test_digits_round_trip_and_match_the_scalar_ranks():
+    rng = np.random.default_rng(5)
+    for base, count in ((2, 1), (2, 62), (4, 3), (16, 5), (64, 9), (1 << 20, 3)):
+        values = rng.integers(0, base**count, size=50)
+        digits = codes.to_digits(values, base, count)
+        assert digits.shape == (50, count)
+        assert ((digits >= 0) & (digits < base)).all()
+        assert np.array_equal(codes.from_digits(digits, base), values)
+        blocks = codes.to_digits(values.reshape(5, 10), base, count)
+        assert np.array_equal(blocks, digits.reshape(5, 10, count))
+        assert codes.to_digits(int(values[0]), base, count).tolist() == digits[0].tolist()
+    specs = (_preset(1), codes.preset(2), codes.preset(3), GRS_K3, configs.toy_selfdual_spec())
+    for spec in specs:
+        q, sigma = spec.field.q, spec.sigma_size
+        ranks = [0, 1, sigma - 1, *rng.integers(sigma, size=30).tolist()]
+        syms = [spec.rank_symbol(r) for r in ranks]
+        assert [tuple(d) for d in codes.to_digits(ranks, q, spec.m).tolist()] == syms
+        assert codes.from_digits(syms, q).tolist() == [spec.symbol_rank(s) for s in syms]
+
+
+@pytest.mark.parametrize("base, count", [(2, 63), (256, 8), (256, 255), (3, 40)])
+def test_digits_past_int64_raise(base, count):
+    with pytest.raises(BudgetExceeded):
+        codes.to_digits([0, 1], base, count)
+    with pytest.raises(BudgetExceeded):
+        codes.from_digits(np.zeros((2, count), dtype=np.int64), base)
+
+
+def rank_matrix_loop(spec: CodeSpec) -> np.ndarray:
+    """Per coordinate, each codeword's symbol rank by a digit loop over its
+    m field elements, most significant first."""
+    unfolded = codes.codeword_matrix(spec)
+    q = spec.field.q
+    out = np.zeros((unfolded.shape[0], spec.n), dtype=np.int64)
+    for i in range(spec.n):
+        block = unfolded[:, i * spec.m : (i + 1) * spec.m]
+        r = np.zeros(unfolded.shape[0], dtype=np.int64)
+        for j in range(spec.m):
+            r = r * q + block[:, j]
+        out[:, i] = r
+    return out
+
+
+RANK_SPECS = {
+    "selfdual": configs.toy_selfdual_spec,
+    "repetition": configs.toy_repetition_spec,
+    "t1": lambda: _preset(1),
+    "t2": lambda: codes.preset(2),
+    "t3": lambda: codes.preset(3),
+}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["code", "dual"])
+@pytest.mark.parametrize("name", list(RANK_SPECS))
+def test_codeword_rank_matrix_matches_the_digit_loop(name, dual):
+    spec = RANK_SPECS[name]()
+    if dual:
+        spec = codes.dual(spec)
+    if spec.size > 1 << 16:
+        with pytest.raises(BudgetExceeded):
+            codes.codeword_rank_matrix(spec)
+        return
+    got = codes.codeword_rank_matrix(spec)
+    assert np.array_equal(got, rank_matrix_loop(spec))
+    assert [tuple(row) for row in got.tolist()] == [spec.word_ranks(w) for w in codewords(spec)]
+
+
+def test_rank_matrix_past_int64_raises():
+    # |Sigma| = 256^255: the rank of one symbol does not fit in int64, while
+    # the 256 codewords are well within the enumeration budget
+    ctx = FieldCtx(8)
+    spec = CodeSpec(
+        kind="grs-folded", field=ctx, m=255, k=0, gamma=ctx.generator(), v=(1,) * 255
+    )
+    assert codes.codeword_matrix(spec).shape == (256, 255)
+    with pytest.raises(BudgetExceeded):
+        codes.codeword_rank_matrix(spec)
+
+
 def test_list_decode_trivial_cases():
     spec = rs_f4(1)
     c = codes.encode(spec, [1, 2])
@@ -418,8 +497,7 @@ def _list_recover_oracle(spec, S, zeta):
     ranks = codes.codeword_rank_matrix(spec)
     agree = np.zeros(ranks.shape[0], dtype=np.int64)
     for i, s in enumerate(S):
-        wanted = [spec.symbol_rank(x) if isinstance(x, tuple) else x for x in s]
-        agree += np.isin(ranks[:, i], np.array(wanted, dtype=np.int64))
+        agree += np.isin(ranks[:, i], np.array(sorted(s), dtype=np.int64))
     return int((agree >= math.ceil(zeta * spec.n - 1e-9)).sum())
 
 
@@ -438,10 +516,8 @@ def test_list_recover_count_matches_isin(spec):
         if trial % 2:
             sets[0] = set()
         cases.append(sets)
-    # symbol tuples, and ranks no codeword symbol can have
-    cases.append(
-        [{spec.rank_symbol(int(r)) for r in ranks[:5, i]} for i in range(spec.n)]
-    )
+    # the first five codewords' symbols, and ranks no codeword symbol can have
+    cases.append([set(ranks[:5, i].tolist()) for i in range(spec.n)])
     cases.append([{-1, spec.sigma_size + 3, int(ranks[7, i])} for i in range(spec.n)])
     for S in cases:
         for zeta in (0.3, 2 / 3, 1.0):

@@ -16,6 +16,24 @@ def small_tree(seed=0, n_bits=6, depth=4, labels=(0, 1, 2)):
     return proto.random_onebit_tree(rng, n_bits, n_bits, depth, labels=list(labels))
 
 
+def run(tree, x, y):
+    """(transcript, output label) of the run on (x, y), from proto._path."""
+    path = proto._path(tree, x, y)
+    return "".join(msg for msg, _ in path), path[-1][1].label
+
+
+def walk(tree, x, y):
+    """(transcript, output label) of the run on (x, y), found by walking
+    the tree with a membership test per part; a later part wins on
+    overlap."""
+    node, transcript = tree.root, ""
+    while isinstance(node, proto.Node):
+        value = x if node.owner == "A" else y
+        msg, _, node = next(part for part in reversed(node.parts) if value in part[1])
+        transcript += msg
+    return transcript, node.label
+
+
 def is_subcube_like(rect, gamma) -> bool:
     """Both sides of rect are gamma-dense on their free coordinates."""
     tree = proto.ProtocolTree(proto.Leaf(0, rect), rect.n_bits_a, rect.n_bits_b)
@@ -42,7 +60,8 @@ def test_run_and_transcripts():
     seen = {}
     for x in range(64):
         for y in range(64):
-            transcript, label = proto.run(tree, x, y)
+            transcript, label = run(tree, x, y)
+            assert (transcript, label) == walk(tree, x, y)
             seen.setdefault(transcript, label)
     # transcripts are the leaves reached; all leaf labels consistent
     assert len(seen) <= sum(1 for _ in tree.leaves())
@@ -220,7 +239,7 @@ def test_reveal_tree_labels():
     tree = proto.reveal_tree(labeler, 3, 3)
     for x in range(8):
         for y in range(8):
-            _, label = proto.run(tree, x, y)
+            _, label = run(tree, x, y)
             assert label == (x, y)
 
 
@@ -247,7 +266,7 @@ def test_reveal_solution_tree_matches_brute_solve_labeler(n, s):
     assert (tree.n_bits_a, tree.n_bits_b) == (half, half)
     for x in range(1 << half):
         for y in range(1 << half):
-            assert proto.run(tree, x, y)[1] == labeler(x, y)
+            assert run(tree, x, y)[1] == labeler(x, y)
 
 
 def test_danger_monotone_and_recount():
@@ -257,6 +276,17 @@ def test_danger_monotone_and_recount():
         ledger.assert_monotone()  # also checked inside
         assert len(ledger.rounds[0]) == 0  # nothing fixed at the root
     assert 0 <= out["danger_to_solution_rate"] <= 1
+
+
+def test_danger_ledgers_carry_the_run():
+    spec, insts, tree = danger_setup()
+    split = instances.Split(spec.n, spec.sigma_size)
+    out = proto.danger_track(tree, spec, insts)
+    assert len(out["ledgers"]) == len(insts)
+    for inst, ledger in zip(insts, out["ledgers"]):
+        x, y = split.inputs(inst.tables)
+        assert (ledger.transcript, ledger.output) == walk(tree, x, y)
+        assert len(ledger.rounds) == len(ledger.transcript) + 1
 
 
 def test_danger_track_derives_cells_once_per_visited_node(monkeypatch):
@@ -316,7 +346,7 @@ def test_routed_labels_match_run():
         tree = small_tree(seed=seed, n_bits=5, depth=4, labels=(0, 1, 2, 3))
         for t in (tree, proto.subcube_like_transform(tree, 0.8)):
             pairs = list(itertools.product(range(32), range(32)))
-            expect = [proto.run(t, x, y)[1] for x, y in pairs]
+            expect = [run(t, x, y)[1] for x, y in pairs]
             xs, ys = proto._pair_arrays(pairs)
             assert proto._route_labels(t, xs, ys) == expect
             xs, ys = proto._pair_arrays(itertools.product(range(32), range(32)))
@@ -340,7 +370,7 @@ def test_outputs_agree_missing_value_raises_keyerror():
     node = proto.Node("A", proto.Rect(X, Y, 2, 2), [("0", p0, proto.Leaf(0, proto.Rect(p0, Y, 2, 2)))])
     tree = proto.ProtocolTree(node, 2, 2)
     with pytest.raises(KeyError):
-        proto.run(tree, 3, 0)
+        proto._path(tree, 3, 0)
     with pytest.raises(KeyError):
         proto.outputs_agree(tree, tree, [(0, 0), (3, 0)])
 
@@ -391,7 +421,7 @@ def test_never_wrong_matches_per_pair_check():
     def per_pair(tree, valid_a, valid_b):
         for x in range(16):
             for y in range(16):
-                label = proto.run(tree, x, y)[1]
+                label = run(tree, x, y)[1]
                 if label is not BOT and not (valid_a(label, x) and valid_b(label, y)):
                     return False
         return True

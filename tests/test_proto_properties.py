@@ -45,4 +45,4 @@ def test_routed_labels_equal_run_labels(seed, n_bits_a, n_bits_b, depth, transfo
     xs, ys = proto._pair_arrays(pairs)
     expect = dict_walk_labels(tree, pairs)
     assert proto._route_labels(tree, xs, ys) == expect
-    assert [proto.run(tree, x, y)[1] for x, y in pairs] == expect
+    assert [proto._path(tree, x, y)[-1][1].label for x, y in pairs] == expect

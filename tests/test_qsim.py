@@ -383,6 +383,67 @@ def test_product_rule():
     assert qsim.product_rule_check(FieldCtx(2), 1, 2, Fraction(1, 4), seed=5) <= 1e-12
 
 
+def flat_to_word_loop(spec, flat):
+    """The word of a flat rank by peeling base-|Sigma| digits, least
+    significant first, and the symbol of each by rank_symbol."""
+    ranks = []
+    for _ in range(spec.n):
+        ranks.append(flat % spec.sigma_size)
+        flat //= spec.sigma_size
+    return tuple(spec.rank_symbol(r) for r in reversed(ranks))
+
+
+def word_to_flat_loop(spec, word):
+    flat = 0
+    for sym in word:
+        flat = flat * spec.sigma_size + spec.symbol_rank(sym)
+    return flat
+
+
+@pytest.mark.filterwarnings("ignore:preset t=1 is degenerate")
+@pytest.mark.parametrize("dual", [False, True], ids=["code", "dual"])
+@pytest.mark.parametrize(
+    "build",
+    [configs.toy_selfdual_spec, configs.toy_repetition_spec]
+    + [functools.partial(codes.preset, t) for t in (1, 2, 3)],
+    ids=["selfdual", "repetition", "t1", "t2", "t3"],
+)
+def test_code_flat_ranks_match_the_digit_loops(build, dual):
+    spec = codes.dual(build()) if dual else build()
+    if spec.size > 1 << 16:
+        with pytest.raises(BudgetExceeded):
+            qsim._code_flat_ranks(spec)
+        return
+    ranks = codes.codeword_rank_matrix(spec)
+    flat = np.zeros(ranks.shape[0], dtype=np.int64)
+    for i in range(spec.n):
+        flat = flat * spec.sigma_size + ranks[:, i]
+    assert np.array_equal(qsim._code_flat_ranks(spec), flat)
+    words = [codes.fold(spec, row) for row in codes.codeword_matrix(spec)]
+    assert [word_to_flat_loop(spec, w) for w in words] == flat.tolist()
+    assert [qsim.flat_to_word(spec, f) for f in flat.tolist()] == words
+
+
+def test_flat_to_word_matches_the_digit_loop():
+    for spec in (configs.toy_selfdual_spec(), configs.toy_repetition_spec(n=3, s=2)):
+        for flat in range(spec.sigma_size**spec.n):
+            word = qsim.flat_to_word(spec, flat)
+            assert word == flat_to_word_loop(spec, flat)
+            assert word_to_flat_loop(spec, word) == flat
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 16), Fraction(1, 64)])
+def test_decode_rank_table_matches_a_per_word_loop(p):
+    spec = configs.toy_selfdual_spec()
+    params = DecoderParams.for_spec(spec, p)
+    want = np.zeros(spec.sigma_size**spec.n, dtype=np.int64)
+    for flat in range(want.size):
+        dec = codes.dual_decode(spec, params, flat_to_word_loop(spec, flat))
+        if dec is not None:
+            want[flat] = word_to_flat_loop(spec, dec)
+    assert np.array_equal(qsim.decode_rank_table(spec, params), want)
+
+
 def test_decode_table_good_on_dual():
     spec, params, _ = toy_setup()
     F = qsim.decode_rank_table(spec, params)

@@ -1,10 +1,14 @@
 """The library's surface is what the program runs.
 
-Two static checks over src/nullcode/*.py, by `ast`:
+Three static checks over src/nullcode/*.py, by `ast`:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
   kept;
+- every parameter with a default, on a public function or on a public
+  method of a public class, is set by some call in src/ or perfbench/:
+  by keyword, by position, or through `*`/`**` (functions in ALLOWED
+  are exempt).  Calls are matched by the called name alone;
 - no module other than __init__.py imports a name it never uses.
 """
 
@@ -75,6 +79,66 @@ def test_every_public_function_has_a_caller_in_the_program():
     # an allowlisted function that gains a caller leaves the list
     assert sorted(set(ALLOWED) & referenced) == []
     assert set(ALLOWED) <= public
+
+
+def _defaulted_parameters(trees):
+    """(qualified name, parameter, positional index) for every parameter
+    with a default on a public function or public method in src/; the
+    index counts the arguments a caller passes (so not self or cls) and is
+    None for a keyword-only parameter."""
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        defs = [(path.stem, node, 0) for node in tree.body]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in getattr(node, "decorator_list", ())
+                    )
+                    defs.append((f"{path.stem}.{cls.name}", node, int(not static)))
+        for owner, node, bound in defs:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            qualname = f"{owner}.{node.name}"
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][bound:]
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                yield qualname, positional[index], index
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualname, arg.arg, None
+
+
+def _sets(call: ast.Call, param: str, index) -> bool:
+    """Whether call may set param: by keyword, by position, or through a
+    starred argument or a ** mapping."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_parameter_is_set_by_the_program():
+    trees = _parsed(PROGRAM)
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{qualname}({param}=)"
+        for qualname, param, index in _defaulted_parameters(trees)
+        if qualname not in ALLOWED
+        and not any(
+            _sets(call, param, index) for call in calls.get(qualname.rsplit(".", 1)[1], ())
+        )
+    ]
+    assert sorted(unset) == []
 
 
 def test_no_unused_imports():

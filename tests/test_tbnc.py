@@ -102,14 +102,15 @@ def test_xor_layer_convention():
     assert np.array_equal(g, tb.copies[0].tables ^ hash_bias)
 
 
-def test_keyed_smp_all_zero_forced_zero_key():
+def test_keyed_smp_all_zero_forced_zero_key(monkeypatch):
     spec = configs.toy_selfdual_spec()
     fam = configs.toy_family(spec)
     params = DecoderParams.for_spec(spec, Fraction(1, 64))
     tb = tbnc.TbncInstance(
         t=2, spec=spec, family=fam, copies=(zero_copy(spec, 0), zero_copy(spec, 1))
     )
-    out = tbnc.run_keyed_smp(tb, params, seed=4, forced_key=hashing.zero_key(fam))
+    monkeypatch.setattr(hashing, "random_key", lambda family, rng: hashing.zero_key(family))
+    out = tbnc.run_keyed_smp(tb, params, seed=4)
     assert out["success"]
     assert out["retries"] == 0
     for diag in out["per_copy"]:
@@ -171,7 +172,7 @@ def test_totality_zero_key_exact_vs_empirical():
 
 def test_totality_scan_reports():
     spec, fam, _ = rep_setup()
-    out = tbnc.totality_scan(spec, fam, 1, 40, 8, seed=5, b=2)
+    out = tbnc.totality_scan(spec, fam, 1, 40, 8, seed=5)
     assert out["keys_scanned"] == 8
     assert 0 <= out["zero_key_empty_rate"] <= 1
     assert len(out["per_key_nonempty_rate"]) == 8
