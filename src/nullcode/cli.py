@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes, configs, hashing, instances, proto, qsim, tbnc
+from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec, DecoderParams
 from .errors import (
     EmptySupport,
@@ -65,11 +66,19 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"{text!r} is not a fraction") from None
 
 
-def _n_bits(text: str) -> int:
-    """A --n-bits value: a positive integer."""
-    if not text.isdigit() or int(text) < 1:
-        raise UsageError(f"--n-bits {text} is not a positive integer")
-    return int(text)
+def _int_in(flag: str, lo: int, hi: float = math.inf):
+    """The argparse type of flag: an integer in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= hi:
+            raise UsageError(f"{flag} {text} is not an integer in [{lo}, {hi}]")
+        return int(text)
+
+    return parse
+
+
+# every --n-bits run enumerates all 2^n_bits inputs of one side
+_n_bits = _int_in("--n-bits", 1, DEFAULT_ENUM_BUDGET.bit_length() - 1)
 
 
 def _gamma(text: str) -> float:
@@ -609,7 +618,7 @@ def _add_code_source(p):
 
 def _add_common(p, trials=100):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--trials", type=_int_in("--trials", 0), default=trials)
     p.add_argument("--out", default=None)
 
 
@@ -693,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = qs.add_parser("claim66")
     p.add_argument("--sigma", type=int, default=4)
     p.add_argument("--p", default="1/4")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_int_in("--trials", 0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qsim_claim66)
@@ -706,19 +715,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_proto_drp)
     p = pr.add_parser("transform")
     p.add_argument("--n-bits", type=_n_bits, default=10)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_int_in("--depth", 0), default=6)
     p.add_argument("--gamma", type=_gamma, default=0.8)
-    p.add_argument("--pairs", type=int, default=1000)
+    p.add_argument("--pairs", type=_int_in("--pairs", 0), default=1000)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_transform)
     p = pr.add_parser("cleanup")
     p.add_argument("--n-bits", type=_n_bits, default=6)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_int_in("--depth", 0), default=4)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_cleanup)
     p = pr.add_parser("run")
     p.add_argument("--n-bits", type=_n_bits, default=8)
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=_int_in("--depth", 0), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_proto_run)
     p = pr.add_parser("danger")

@@ -304,11 +304,8 @@ def encode_unfolded(spec: CodeSpec, message) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _points_cached(spec: CodeSpec) -> np.ndarray:
     ctx = spec.field
-    pts = np.empty(spec.N, dtype=np.int64)
-    x = 1
-    for i in range(spec.N):
-        pts[i] = x
-        x = ctx.mul(x, spec.gamma)
+    steps = np.arange(spec.N, dtype=np.int64) * ctx.log_np[spec.gamma]
+    pts = ctx.exp_np[steps % (ctx.q - 1)]
     pts.setflags(write=False)
     return pts
 
@@ -412,10 +409,8 @@ def dual(spec: CodeSpec) -> CodeSpec:
     if spec.kind == "grs-folded":
         if spec.k > spec.N - 2:
             raise ValueError("dual of a (near-)full GRS code is not GRS")
-        pts = spec.points()
-        vdual = tuple(
-            ctx.mul(int(pts[i]), ctx.inv(spec.v[i])) for i in range(spec.N)
-        )
+        vinv = [ctx.inv(x) for x in spec.v]
+        vdual = tuple(linalg.mul_arrays(ctx, spec.points(), vinv).tolist())
         out = CodeSpec(
             kind="grs-folded",
             field=ctx,
@@ -507,10 +502,8 @@ def _bw_constants(spec: CodeSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
     j <= k + radius."""
     ctx = spec.field
     vinv = np.array([ctx.inv(x) for x in spec.v], dtype=np.int64)
-    pts = spec.points()
-    pw = np.ones((spec.N, spec.k + radius + 1), dtype=np.int64)
-    for j in range(1, pw.shape[1]):
-        pw[:, j] = linalg.mul_arrays(ctx, pw[:, j - 1], pts)
+    steps = ctx.log_np[spec.points()][:, None] * np.arange(spec.k + radius + 1)
+    pw = ctx.exp_np[steps % (ctx.q - 1)]
     vinv.setflags(write=False)
     pw.setflags(write=False)
     return vinv, pw

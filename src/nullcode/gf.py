@@ -3,13 +3,16 @@
 Field elements are plain integers in [0, 2^s): bit i holds the coefficient
 of x^i in the polynomial basis.  Addition is XOR; multiplication reduces
 modulo a configured irreducible polynomial, encoded as an (s+1)-bit integer
-mask with the x^0 coefficient at the least-significant bit.
+mask with the x^0 coefficient at the least-significant bit, and is read
+from exp/log tables built once per field.
 
 A :class:`FieldCtx` is immutable after construction and all operations are
 pure, so contexts can be shared freely between workers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,7 +29,7 @@ DEFAULT_MODULI = {
     12: 0b1000001010011,  # x^12 + x^6 + x^4 + x + 1
 }
 
-_TABLE_LIMIT = 1 << 16  # build exp/log tables up to this field size
+_FIELD_LIMIT = 1 << 16  # largest field size; its exp/log tables hold 5 * 2^16 entries
 
 
 def _poly_deg(p: int) -> int:
@@ -94,7 +97,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class FieldCtx:
-    """Arithmetic context for GF(2^s).
+    """Arithmetic context for GF(2^s), q = 2^s <= 2^16.
+
+    The exp/log tables of the smallest generator are the arithmetic:
+    products, inverses and orders are table reads.
 
     Parameters
     ----------
@@ -109,6 +115,8 @@ class FieldCtx:
     def __init__(self, s: int, modulus: int | None = None):
         if s < 1:
             raise ValueError(f"extension degree must be >= 1, got {s}")
+        if 1 << s > _FIELD_LIMIT:
+            raise ValueError(f"GF(2^{s}) has more than {_FIELD_LIMIT} elements")
         if modulus is None:
             if s not in DEFAULT_MODULI:
                 raise ValueError(
@@ -125,11 +133,7 @@ class FieldCtx:
         self.s = s
         self.modulus = modulus
         self.q = 1 << s
-        self._gamma: int | None = None
-        self.exp_np: np.ndarray | None = None
-        self.log_np: np.ndarray | None = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- identity ----------------------------------------------------------
 
@@ -156,38 +160,13 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        return _poly_mulmod(a, b, self.modulus)
-
     def mul(self, a: int, b: int) -> int:
-        if self.log_np is not None:
-            if a == 0 or b == 0:
-                return 0
-            return int(
-                self.exp_np[int(self.log_np[a]) + int(self.log_np[b])]
-            )
-        return self._raw_mul(a, b)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return int(self.exp_np[self.log_np[a] + self.log_np[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise InvOfZero("zero has no multiplicative inverse")
-        if self.log_np is not None:
-            period = self.q - 1
-            return int(self.exp_np[(period - int(self.log_np[a])) % period])
-        # a^(q-2) = a^(-1) in GF(q)
-        return self.pow(a, self.q - 2)
+        return int(self.exp_np[self.q - 1 - self.log_np[a]])
 
     def trace(self, x: int) -> int:
         """Absolute trace to F_2: x + x^2 + x^4 + ... + x^(2^(s-1))."""
@@ -203,48 +182,36 @@ class FieldCtx:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise InvOfZero("zero has no multiplicative order")
-        order = self.q - 1
-        for p in _prime_factors(self.q - 1):
-            while order % p == 0 and self.pow(a, order // p) == 1:
-                order //= p
-        return order
+        return (self.q - 1) // math.gcd(int(self.log_np[a]), self.q - 1)
 
     # -- generator and tables ----------------------------------------------
 
     def generator(self) -> int:
         """Smallest-valued element of multiplicative order q-1."""
-        if self._gamma is None:
-            target = self.q - 1
-            for g in range(1, self.q):
-                ok = all(
-                    self.pow(g, target // p) != 1
-                    for p in _prime_factors(target)
-                )
-                if ok or target == 1:
-                    self._gamma = g
-                    break
-        return self._gamma
+        return int(self.exp_np[1])
 
     def _build_tables(self) -> None:
-        """Precompute exp/log tables for vectorized multiplication.
+        """Walk the powers of g = 1, 2, 3, ... until one returns to 1 only
+        after q-1 steps: that g is the smallest generator and its powers
+        are the exp table.
 
-        log[0] is a sentinel pointing into the zero-padded tail of the exp
-        table, so exp[log[a] + log[b]] is correct even when a or b is 0.
+        The exp table holds two periods, so exp[log[a] + log[b]] needs no
+        reduction.  log[0] is a sentinel pointing into the zero-padded
+        tail of the exp table, so the same read gives 0 when a or b is 0.
         """
-        q = self.q
-        g = self.generator()
-        period = q - 1
-        sentinel = 2 * period
-        exp = np.zeros(4 * q, dtype=np.int64)
-        log = np.full(q, sentinel, dtype=np.int64)
-        x = 1
-        for i in range(period):
-            exp[i] = x
-            exp[i + period] = x
-            log[x] = i
-            x = self._raw_mul(x, g)
-        if x != 1:
-            raise AssertionError("generator order mismatch")
+        period = self.q - 1
+        for g in range(1, self.q):
+            powers = [1]
+            x = g
+            while x != 1:
+                powers.append(x)
+                x = _poly_mulmod(x, g, self.modulus)
+            if len(powers) == period:
+                break
+        exp = np.zeros(4 * self.q, dtype=np.int64)
+        exp[:period] = exp[period : 2 * period] = powers
+        log = np.full(self.q, 2 * period, dtype=np.int64)
+        log[powers] = np.arange(period)
         self.exp_np = exp
         self.log_np = log
 

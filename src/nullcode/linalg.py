@@ -16,13 +16,6 @@ def mul_arrays(ctx: FieldCtx, a, b) -> np.ndarray:
     """Elementwise field product with numpy broadcasting."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if ctx.log_np is None:
-        out = np.empty(np.broadcast(a, b).shape, dtype=np.int64)
-        flat = out.reshape(-1)
-        aa, bb = np.broadcast_arrays(a, b)
-        for i, (x, y) in enumerate(zip(aa.reshape(-1), bb.reshape(-1))):
-            flat[i] = ctx.mul(int(x), int(y))
-        return out
     return ctx.exp_np[ctx.log_np[a] + ctx.log_np[b]]
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import codes, instances
+from . import codes, instances, linalg
 from .budget import DEFAULT_ENUM_BUDGET, amplitude_budget
 from .codes import CodeSpec, DecoderParams
 from .errors import BudgetExceeded, EmptySupport, LengthMismatch
@@ -49,12 +49,9 @@ def qft_matrix(ctx: FieldCtx) -> np.ndarray:
     q = ctx.q
     if q > _DENSE_QFT_LIMIT:
         raise BudgetExceeded(f"dense transform for q={q} exceeds the budget")
-    signs = np.empty((q, q), dtype=np.float64)
-    for x in range(q):
-        for z in range(x, q):
-            val = -1.0 if ctx.trace(ctx.mul(x, z)) else 1.0
-            signs[x, z] = val
-            signs[z, x] = val
+    elems = np.arange(q)
+    traces = np.array([ctx.trace(x) for x in range(q)], dtype=bool)
+    signs = np.where(traces[linalg.mul_arrays(ctx, elems[:, None], elems)], -1.0, 1.0)
     return signs / math.sqrt(q)
 
 

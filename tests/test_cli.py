@@ -149,6 +149,19 @@ def _tiny_instance(tmp_path):
         (["hash", "check", "--sigma", "0"], None),
         (["code", "preset", "--t", "0"], None),
         (["instance", "gen", "--toy", "--p", "3/2"], None),
+        # negative counts, and input enumerations past the budget
+        (["code", "decode", "--toy", "--trials", "-2"], None),
+        (["hash", "attack", "--trials", "-1"], None),
+        (["tbnc", "alg2", "--t", "1", "--trials", "-1"], None),
+        (["qsim", "claim66", "--trials", "-1"], None),
+        (["proto", "transform", "--pairs", "-3", "--trials", "1"], None),
+        (["proto", "run", "--n-bits", "2", "--depth", "-1"], None),
+        (["proto", "cleanup", "--depth", "-1", "--trials", "1"], None),
+        (["proto", "drp", "--n-bits", "17", "--trials", "1"], None),
+        (["proto", "cleanup", "--n-bits", "17", "--trials", "1"], None),
+        (["proto", "run", "--n-bits", "1.5"], None),
+        # a field with more than 2^16 elements
+        (["code", "dual", "--config", "{s17}"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -171,6 +184,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
         gamma_1["gamma"] = 1  # order 1, not a generator of F_4^*
         paths["{gamma_1}"] = tmp_path / "gamma_1.json"
         paths["{gamma_1}"].write_text(json.dumps(gamma_1))
+    if "{s17}" in argv:
+        from nullcode import codes
+
+        s17 = codes.preset(2).to_json()
+        s17["field"] = {"s": 17, "modulus": (1 << 17) | (1 << 3) | 1}  # irreducible
+        paths["{s17}"] = tmp_path / "s17.json"
+        paths["{s17}"].write_text(json.dumps(s17))
     if "{inst}" in argv:
         paths["{inst}"] = _tiny_instance(tmp_path)
     if "{no_code}" in argv:

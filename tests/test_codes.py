@@ -296,6 +296,19 @@ def test_codeword_rank_matrix_matches_the_digit_loop(name, dual):
     assert [tuple(row) for row in got.tolist()] == [spec.word_ranks(w) for w in codewords(spec)]
 
 
+@pytest.mark.parametrize("dual", [False, True], ids=["code", "dual"])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_points_match_repeated_multiplication(t, dual):
+    spec = _preset(t)
+    if dual:
+        spec = codes.dual(spec)
+    want, x = [], 1
+    for _ in range(spec.N):
+        want.append(x)
+        x = spec.field.mul(x, spec.gamma)
+    assert spec.points().tolist() == want
+
+
 def test_rank_matrix_past_int64_raises():
     # |Sigma| = 256^255: the rank of one symbol does not fit in int64, while
     # the 256 codewords are well within the enumeration budget

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -6,9 +9,66 @@ from nullcode.errors import DomainMismatch, InvOfZero
 from nullcode.gf import (
     DEFAULT_MODULI,
     FieldCtx,
+    _is_irreducible,
+    _poly_mulmod,
     find_generator,
     trace,
 )
+
+# -- oracles: polynomial arithmetic mod the modulus, no tables ----------------
+
+
+def _mul(ctx, a, b):
+    return _poly_mulmod(a, b, ctx.modulus)
+
+
+def _power(ctx, a, e):
+    """a^e by square-and-multiply."""
+    out = 1
+    while e:
+        if e & 1:
+            out = _mul(ctx, out, a)
+        a = _mul(ctx, a, a)
+        e >>= 1
+    return out
+
+
+def _inverse(ctx, a):
+    return _power(ctx, a, ctx.q - 2)
+
+
+def _order(ctx, a):
+    """Multiplicative order by repeated multiplication."""
+    order, x = 1, a
+    while x != 1:
+        x = _mul(ctx, x, a)
+        order += 1
+    return order
+
+
+def _smallest_generator(ctx):
+    return next(g for g in range(1, ctx.q) if _order(ctx, g) == ctx.q - 1)
+
+
+def _trace(ctx, x):
+    """x + x^2 + x^4 + ... + x^(2^(s-1))."""
+    t = 0
+    for i in range(ctx.s):
+        t ^= _power(ctx, x, 1 << i)
+    return t
+
+
+def _sampled_moduli(s, count=5):
+    """count irreducible moduli of degree s, drawn with a fixed seed (all of
+    them for s <= 4, which has fewer)."""
+    masks = [(1 << s) | low << 1 | 1 for low in range(1 << (s - 1))]
+    random.Random(s).shuffle(masks)
+    return list(itertools.islice(filter(_is_irreducible, masks), count))
+
+
+FIELDS = [(s, None) for s in sorted(DEFAULT_MODULI)] + [
+    (s, m) for s in range(2, 17) for m in _sampled_moduli(s)
+]
 
 
 def test_gf4_multiplication_examples():
@@ -45,7 +105,7 @@ def test_trace_matches_direct_power_sum():
         for x in range(min(ctx.q, 64)):
             direct = 0
             for i in range(s):
-                direct ^= ctx.pow(x, 1 << i)
+                direct ^= _power(ctx, x, 1 << i)
             assert trace(ctx, x) == direct
 
 
@@ -70,7 +130,7 @@ def test_generator_order_properties():
     for s in (2, 4, 6):
         ctx = FieldCtx(s)
         g = find_generator(ctx)
-        assert ctx.pow(g, ctx.q - 1) == 1
+        assert _power(ctx, g, ctx.q - 1) == 1
         # no proper divisor of q-1 is an order
         order = ctx.q - 1
         d = 1
@@ -78,7 +138,7 @@ def test_generator_order_properties():
             if order % d == 0:
                 for cand in (d, order // d):
                     if cand < order:
-                        assert ctx.pow(g, cand) != 1
+                        assert _power(ctx, g, cand) != 1
             d += 1
 
 
@@ -117,7 +177,7 @@ def test_table_and_raw_mul_agree():
     ctx = FieldCtx(4)
     for a in range(ctx.q):
         for b in range(ctx.q):
-            assert ctx.mul(a, b) == ctx._raw_mul(a, b)
+            assert ctx.mul(a, b) == _mul(ctx, a, b)
 
 
 def test_json_roundtrip():
@@ -128,29 +188,60 @@ def test_json_roundtrip():
 @pytest.mark.parametrize("s", sorted(DEFAULT_MODULI))
 def test_table_inverse_matches_power(s):
     ctx = FieldCtx(s)
-    assert ctx.log_np is not None
     for a in range(1, ctx.q):
         inv = ctx.inv(a)
-        assert inv == ctx.pow(a, ctx.q - 2)
+        assert inv == _inverse(ctx, a)
         assert ctx.mul(a, inv) == 1
 
 
-def test_inverse_without_tables():
-    ctx = FieldCtx(17, (1 << 17) | (1 << 3) | 1)  # x^17 + x^3 + 1, no tables
-    assert ctx.log_np is None
-    for a in (1, 2, 3, 0x1ABCD, ctx.q - 1):
-        assert ctx.mul(a, ctx.inv(a)) == 1
+def test_fields_above_2_16_are_rejected():
+    with pytest.raises(ValueError, match="more than 65536 elements"):
+        FieldCtx(17, (1 << 17) | (1 << 3) | 1)  # x^17 + x^3 + 1, irreducible
+
+
+@pytest.mark.parametrize(
+    "s, modulus", FIELDS, ids=[f"s{s}-{'default' if m is None else hex(m)}" for s, m in FIELDS]
+)
+def test_tables_match_the_oracles(s, modulus):
+    ctx = FieldCtx(s, modulus)
+    q, period = ctx.q, ctx.q - 1
+    g = _smallest_generator(ctx)
+    assert ctx.generator() == find_generator(ctx) == g
+    powers = [1]
+    for _ in range(period - 1):
+        powers.append(_mul(ctx, powers[-1], g))
+    assert ctx.exp_np[:period].tolist() == powers
+    assert ctx.exp_np[period : 2 * period].tolist() == powers
+    assert ctx.log_np[powers].tolist() == list(range(period))
+    rng = random.Random(q + (modulus or 0))
+    elems = range(q) if q <= 64 else [0, 1, 2, g, q - 1] + rng.sample(range(q), 40)
+    for a in elems:
+        for b in [0, 1, a] + [rng.randrange(q) for _ in range(3)]:
+            assert ctx.mul(a, b) == _mul(ctx, a, b)
+        assert ctx.trace(a) == _trace(ctx, a)
+        if a:
+            assert ctx.inv(a) == _inverse(ctx, a)
+    # orders: every element of a small field; elements of each small order
+    # d | q - 1 (and the generator) in a large one
+    if q <= 256:
+        order_elems = range(1, q)
+    else:
+        divisors = [d for d in range(1, 400) if period % d == 0]
+        order_elems = [g] + [_power(ctx, rng.randrange(1, q), period // d) for d in divisors]
+    for a in order_elems:
+        assert ctx.element_order(a) == _order(ctx, a)
     with pytest.raises(InvOfZero):
         ctx.inv(0)
+    with pytest.raises(InvOfZero):
+        ctx.element_order(0)
 
 
-def test_mul_arrays_without_tables_matches_scalar_mul():
-    ctx = FieldCtx(17, (1 << 17) | (1 << 3) | 1)  # x^17 + x^3 + 1, no tables
-    assert ctx.log_np is None
+def test_mul_arrays_matches_scalar_mul():
+    ctx = FieldCtx(6)
     rng = np.random.default_rng(0)
     a = rng.integers(ctx.q, size=(4, 5))
     b = rng.integers(ctx.q, size=5)  # broadcast along the rows
     a[0, 0], b[1] = 0, 0
     got = linalg.mul_arrays(ctx, a, b)
     assert got.shape == (4, 5)
-    assert got.tolist() == [[ctx.mul(int(x), int(y)) for x, y in zip(row, b)] for row in a]
+    assert got.tolist() == [[_mul(ctx, int(x), int(y)) for x, y in zip(row, b)] for row in a]

@@ -417,6 +417,22 @@ def test_validate_checks_each_distinct_side_once(monkeypatch):
     assert len(calls) < 2 * nodes
 
 
+def test_never_wrong_checks_its_budget_before_enumerating(monkeypatch):
+    always = lambda label, v: True
+    at_budget = small_tree(n_bits=8, depth=2)
+    assert proto.never_wrong(at_budget, always, always)  # 2^16 pairs
+    # 2^(9 + 8) pairs: the rectangle is never enumerated
+    rect = proto.Rect(proto.full_domain(1), proto.full_domain(1), 9, 8)
+    over = proto.ProtocolTree(proto.Leaf(0, rect), 9, 8)
+
+    def no_enumeration(n_bits):
+        raise AssertionError(f"enumerated 2^{n_bits} inputs")
+
+    monkeypatch.setattr(proto, "full_domain", no_enumeration)
+    with pytest.raises(BudgetExceeded, match="131072 input pairs"):
+        proto.never_wrong(over, always, always)
+
+
 def test_never_wrong_matches_per_pair_check():
     def per_pair(tree, valid_a, valid_b):
         for x in range(16):

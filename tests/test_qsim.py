@@ -33,6 +33,27 @@ def test_qft_q2_matrix():
     assert np.allclose(mat, want, atol=1e-15)
 
 
+def qft_matrix_loop(ctx):
+    """The trace-character transform entry by entry: one scalar product and
+    trace per pair."""
+    q = ctx.q
+    signs = np.empty((q, q), dtype=np.float64)
+    for x in range(q):
+        for z in range(x, q):
+            val = -1.0 if ctx.trace(ctx.mul(x, z)) else 1.0
+            signs[x, z] = val
+            signs[z, x] = val
+    return signs / math.sqrt(q)
+
+
+@pytest.mark.parametrize("s", [1, 2, 4, 6, 8])
+def test_qft_matrix_matches_the_scalar_loop(s):
+    ctx = FieldCtx(s)
+    got = qsim.qft_matrix(ctx)
+    want = qft_matrix_loop(ctx)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_qft_unitary_and_involutive():
     for s in (1, 2, 4):
         ctx = FieldCtx(s)
