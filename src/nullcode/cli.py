@@ -370,6 +370,7 @@ def cmd_proto_transform(args) -> int:
 
 
 def cmd_proto_cleanup(args) -> int:
+    proto.check_input_pairs(args.n_bits, args.n_bits)  # never_wrong's budget
     rng = np.random.default_rng(args.seed)
     records = []
     failures = 0

@@ -278,10 +278,6 @@ def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:
     return np.array(z, dtype=np.int64).reshape(spec.N)
 
 
-def hw_unfolded(vec) -> int:
-    return int(np.count_nonzero(np.asarray(vec)))
-
-
 # -- encoding and enumeration ---------------------------------------------------
 
 
@@ -476,80 +472,106 @@ class DecoderParams:
         return cls(p=p, epsilon=epsilon, radius_unfolded=radius)
 
 
-def _poly_divmod(ctx: FieldCtx, num: list[int], den: list[int]):
-    """Polynomial division over F_q; coefficients ascending."""
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    dd = len(den) - 1
-    lead_inv = ctx.inv(den[-1])
-    quot = [0] * max(0, len(num) - dd)
-    while len(num) - 1 >= dd and num:
-        shift = len(num) - 1 - dd
-        factor = ctx.mul(num[-1], lead_inv)
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] ^= ctx.mul(factor, c)
-        while num and num[-1] == 0:
-            num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=64)
-def _bw_constants(spec: CodeSpec, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Berlekamp-Welch constants of (spec, radius), cached and read-only:
-    the inverted multipliers 1/v_i and the point powers a_i^j for
-    j <= k + radius."""
+def _parity_check_cached(spec: CodeSpec) -> np.ndarray:
+    """Parity-check matrix of a GRS spec, cached and read-only: the
+    generator matrix of its dual, row j = (a_i / v_i) * a_i^j for
+    j < N - k - 1."""
     ctx = spec.field
-    vinv = np.array([ctx.inv(x) for x in spec.v], dtype=np.int64)
-    steps = ctx.log_np[spec.points()][:, None] * np.arange(spec.k + radius + 1)
-    pw = ctx.exp_np[steps % (ctx.q - 1)]
-    vinv.setflags(write=False)
-    pw.setflags(write=False)
-    return vinv, pw
+    steps = np.arange(1, spec.N - spec.k)[:, None] * ctx.log_np[spec.points()]
+    out = ctx.exp_np[(steps - ctx.log_np[list(spec.v)]) % (ctx.q - 1)]
+    out.setflags(write=False)
+    return out
 
 
-def _berlekamp_welch(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray | None:
+def _poly_eval(ctx: FieldCtx, coeffs, xs: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending coefficients `coeffs` at each nonzero
+    element of xs, in one pass over the table of powers xs^j."""
+    steps = np.arange(len(coeffs))[:, None] * ctx.log_np[xs]
+    powers = ctx.exp_np[steps % (ctx.q - 1)]
+    terms = linalg.mul_arrays(ctx, np.asarray(coeffs, dtype=np.int64)[:, None], powers)
+    return np.bitwise_xor.reduce(terms, axis=0)
+
+
+def _berlekamp_massey(ctx: FieldCtx, syndromes: list[int]) -> tuple[int, list[int]]:
+    """Massey's shift-register synthesis: the length L of the shortest LFSR
+    generating the sequence and its connection polynomial C (ascending,
+    C[0] = 1, at most L + 1 coefficients).  When at most len/2 errors
+    occurred, C is their locator prod_l (1 - X_l x)."""
+    # every list below has at most L + 1 <= n + 1 entries at step n
+    c, b = [1], [1]
+    length, gap, b_disc = 0, 1, 1
+    for n, s in enumerate(syndromes):
+        disc = s
+        for i in range(1, len(c)):
+            disc ^= ctx.mul(c[i], syndromes[n - i])
+        if disc == 0:
+            gap += 1
+            continue
+        scale = ctx.mul(disc, ctx.inv(b_disc))
+        new = c + [0] * (len(b) + gap - len(c))
+        for i, coef in enumerate(b):
+            new[i + gap] ^= ctx.mul(scale, coef)
+        if 2 * length <= n:
+            length, b, b_disc, gap = n + 1 - length, c, disc, 1
+        else:
+            gap += 1
+        c = new
+    return length, c
+
+
+def _syndrome_decode(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray | None:
     """Unique decoding of an unfolded GRS word within the given radius.
 
-    Solves Q(a_i) = r_i * E(a_i) with E monic of degree `radius`; valid for
-    radius <= floor((N - k - 1) / 2).  Returns the unfolded codeword or
-    None when no codeword lies within the radius.
+    With S_j = sum_i z_i (a_i / v_i) a_i^j: Berlekamp-Massey over
+    S_0 .. S_(2 radius - 1) gives the error locator, a Chien search over
+    the inverted points its roots, and Forney's formula the error values
+    e_i = v_i Omega(a_i^-1) / Lambda'(a_i^-1).  The candidate is kept only
+    if all N - k - 1 syndromes of z - e vanish; its error weight is at most
+    deg Lambda <= radius.  Valid for radius <= floor((N - k - 1) / 2).
+    Returns the unfolded codeword or None when no codeword lies within the
+    radius.
     """
     ctx = spec.field
-    N, k = spec.N, spec.k
-    vinv, pw = _bw_constants(spec, radius)
-    r = linalg.mul_arrays(ctx, np.asarray(z, dtype=np.int64), vinv)
-    e = radius
-    nq = k + e + 1  # coefficients of Q
-    cols = nq + e
-    A = np.zeros((N, cols), dtype=np.int64)
-    A[:, :nq] = pw[:, :nq]
-    if e:
-        A[:, nq:] = linalg.mul_arrays(ctx, r[:, None], pw[:, :e])
-    b = linalg.mul_arrays(ctx, r, pw[:, e])
-    sol = linalg.solve(ctx, A, b)
-    if sol is None:
+    z = np.asarray(z, dtype=np.int64)
+    check = _parity_check_cached(spec)
+    syn = linalg.matmul(ctx, check, z[:, None])[:, 0]
+    syn_list = syn.tolist()
+    length, locator = _berlekamp_massey(ctx, syn_list[: 2 * radius])
+    if length > radius:
         return None
-    qcoeffs = [int(c) for c in sol[:nq]]
-    ecoeffs = [int(c) for c in sol[nq:]] + [1]  # monic
-    f, rem = _poly_divmod(ctx, qcoeffs, ecoeffs)
-    if rem:
+    inv_points = spec.points()[-np.arange(spec.N) % spec.N]  # a_i^-1 = gamma^-i
+    pos = np.flatnonzero(_poly_eval(ctx, locator, inv_points) == 0)
+    if pos.size != length:
         return None
-    if len(f) > k + 1:
+    # Forney: Omega = S * Lambda mod x^L; in characteristic 2, Lambda' keeps
+    # the odd-degree terms of Lambda, each lowered by one degree
+    omega = [0] * length
+    for j, lam in enumerate(locator[:length]):
+        for i in range(j, length):
+            omega[i] ^= ctx.mul(lam, syn_list[i - j])
+    deriv = [coef if i % 2 == 0 else 0 for i, coef in enumerate(locator[1:])]
+    x = inv_points[pos]
+    forney = zip(pos.tolist(), _poly_eval(ctx, omega, x).tolist(), _poly_eval(ctx, deriv, x).tolist())
+    err = np.array(
+        [ctx.mul(ctx.mul(spec.v[i], o), ctx.inv(d)) for i, o, d in forney], dtype=np.int64
+    )
+    if (linalg.matmul(ctx, check[:, pos], err[:, None])[:, 0] != syn).any():
         return None
-    cand = encode_unfolded(spec, f)
-    if hw_unfolded(cand ^ np.asarray(z, dtype=np.int64)) > radius:
-        return None
+    cand = z.copy()
+    cand[pos] ^= err
     return cand
 
 
 def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
     """All codewords within symbol Hamming distance `radius` of z.
 
-    Small codes are decoded by exhaustive enumeration; unfolded GRS specs
-    fall back to Berlekamp-Welch unique decoding, valid up to
-    floor((d - 1) / 2) with d = N - k.
+    Small codes are decoded by exhaustive enumeration.  Larger unfolded
+    GRS specs are decoded from their syndromes (Berlekamp-Massey, Chien
+    search, Forney), which finds the codeword only when it is unique:
+    radius may be at most floor((d - 1) / 2) with d = N - k, else
+    BudgetExceeded is raised.  Other codes too large to enumerate raise
+    BudgetExceeded.
     """
     if spec.size <= DEFAULT_ENUM_BUDGET:
         zr = spec.word_ranks(z)
@@ -566,7 +588,7 @@ def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
         raise BudgetExceeded(
             f"radius {radius} exceeds the unique-decoding bound {unique_radius}"
         )
-    cand = _berlekamp_welch(spec, unfold(spec, z), radius)
+    cand = _syndrome_decode(spec, unfold(spec, z), radius)
     if cand is None:
         return []
     return [fold(spec, cand)]

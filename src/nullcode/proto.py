@@ -510,12 +510,18 @@ def bottom_probability(tree: ProtocolTree) -> float:
     return mass / total
 
 
+def check_input_pairs(n_bits_a: int, n_bits_b: int) -> None:
+    """Raise BudgetExceeded when the 2^(n_bits_a + n_bits_b) input pairs
+    of an exhaustive check exceed DEFAULT_ENUM_BUDGET."""
+    pairs = 1 << (n_bits_a + n_bits_b)
+    if pairs > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{pairs} input pairs exceed budget {DEFAULT_ENUM_BUDGET}")
+
+
 def never_wrong(tree: ProtocolTree, valid_a, valid_b) -> bool:
     """Exhaustive check that every non-BOT output is valid.  Raises
     BudgetExceeded when there are more than DEFAULT_ENUM_BUDGET input pairs."""
-    pairs = 1 << (tree.n_bits_a + tree.n_bits_b)
-    if pairs > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"{pairs} input pairs exceed budget {DEFAULT_ENUM_BUDGET}")
+    check_input_pairs(tree.n_bits_a, tree.n_bits_b)
     xs = np.repeat(full_domain(tree.n_bits_a), 1 << tree.n_bits_b)
     ys = np.tile(full_domain(tree.n_bits_b), 1 << tree.n_bits_a)
     labels = _route_labels(tree, xs, ys)

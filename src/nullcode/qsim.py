@@ -313,9 +313,12 @@ def table_fourier_stats(
     Exact mode (trials=None) enumerates all 2^|Sigma| tables with their
     Bernoulli(p) weights and checks E[|What(0)|^2] = 1 - p exactly, plus
     exact equality of the nonzero-frequency means.  Monte Carlo mode
-    returns empirical means with standard errors.  The product rule
+    returns empirical means with standard errors over trials >= 1 sampled
+    tables (ValueError otherwise).  The product rule
     What(e) = prod_i What_i(e_i) is checked exactly on sampled tables.
     """
+    if trials is not None and trials < 1:
+        raise ValueError(f"Monte Carlo mode needs trials >= 1, got {trials}")
     p = Fraction(p)
     sigma = ctx.q**m
     kernel_signs = np.rint(

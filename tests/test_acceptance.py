@@ -108,7 +108,7 @@ def test_criterion_03_decoder_zero_error():
         ok += got is not None and np.array_equal(codes.unfold(spec, got), x)
     assert ok == trials
 
-    # Berlekamp-Welch vs the exhaustive decoder on every input of an
+    # the syndrome decoder vs the exhaustive decoder on every input of an
     # enumerable configuration
     agreements = 0
     for k in (0, 1):
@@ -120,19 +120,17 @@ def test_criterion_03_decoder_zero_error():
             z = tuple((v,) for v in zvec)
             for rad in range(unique_radius + 1):
                 exhaustive = codes.list_decode(small, z, rad)
-                bw = codes._berlekamp_welch(
-                    small, np.array(zvec, dtype=np.int64), rad
-                )
-                bw_list = [codes.fold(small, bw)] if bw is not None else []
-                assert sorted(exhaustive) == sorted(bw_list)
+                got = codes._syndrome_decode(small, np.array(zvec, dtype=np.int64), rad)
+                got_list = [codes.fold(small, got)] if got is not None else []
+                assert sorted(exhaustive) == sorted(got_list)
                 agreements += 1
     elapsed = time.time() - start
-    assert elapsed < 30
+    assert elapsed < 10
     report(
         3,
         "decoder zero-error",
         f"{ok}/{trials} decodes at unfolded weight <= floor((p+eps)N) = {radius}; "
-        f"BW == exhaustive on {agreements} decoder calls, {elapsed:.2f}s",
+        f"syndrome decoder == exhaustive on {agreements} decoder calls, {elapsed:.2f}s",
     )
 
 
@@ -158,7 +156,7 @@ def test_criterion_04_good_error():
         if not msg.any():
             msg[0] = 1
         y = codes.encode_unfolded(dual_spec, msg.tolist())
-        ok += codes.hw_unfolded(e ^ y) > threshold
+        ok += np.count_nonzero(e ^ y) > threshold
     assert ok == trials
     elapsed = time.time() - start
     assert elapsed < 60

@@ -154,6 +154,7 @@ def _tiny_instance(tmp_path):
         (["hash", "attack", "--trials", "-1"], None),
         (["tbnc", "alg2", "--t", "1", "--trials", "-1"], None),
         (["qsim", "claim66", "--trials", "-1"], None),
+        (["qsim", "claim66", "--trials", "0"], None),  # no sample to average
         (["proto", "transform", "--pairs", "-3", "--trials", "1"], None),
         (["proto", "run", "--n-bits", "2", "--depth", "-1"], None),
         (["proto", "cleanup", "--depth", "-1", "--trials", "1"], None),
@@ -262,6 +263,20 @@ def test_table_stats_subcommand(capsys):
     assert main(["qsim", "claim66", "--sigma", "4", "--p", "1/4"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["mean_W0_sq"] == 0.75
+
+
+def test_proto_cleanup_over_budget_exits_1_before_any_trial(capsys, monkeypatch):
+    # 2^(9 + 9) input pairs: never_wrong's budget is checked up front
+    from nullcode import proto
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(proto, "random_onebit_tree", no_trial)
+    assert main(["proto", "cleanup", "--n-bits", "9", "--trials", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 262144 input pairs exceed budget 65536\n"
 
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -337,6 +337,77 @@ def test_list_decode_dual_single_error():
     assert codes.list_decode(d, corrupted, 1) == [c]
 
 
+def _poly_divmod(ctx: FieldCtx, num: list[int], den: list[int]):
+    """Polynomial division over F_q; coefficients ascending."""
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    dd = len(den) - 1
+    lead_inv = ctx.inv(den[-1])
+    quot = [0] * max(0, len(num) - dd)
+    while len(num) - 1 >= dd and num:
+        shift = len(num) - 1 - dd
+        factor = ctx.mul(num[-1], lead_inv)
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            num[shift + i] ^= ctx.mul(factor, c)
+        while num and num[-1] == 0:
+            num.pop()
+    return quot, num
+
+
+def berlekamp_welch(spec: CodeSpec, z, radius: int):
+    """Oracle: unique decoding of an unfolded GRS word by Berlekamp-Welch.
+
+    Solves Q(a_i) = r_i * E(a_i), r_i = z_i / v_i, with E monic of degree
+    `radius` by one linear solve; valid for radius <= floor((N - k - 1) / 2).
+    Returns the unfolded codeword or None when no codeword lies within the
+    radius.
+    """
+    ctx = spec.field
+    N, k, e = spec.N, spec.k, radius
+    z = np.asarray(z, dtype=np.int64)
+    r = linalg.mul_arrays(ctx, z, [ctx.inv(x) for x in spec.v])
+    steps = ctx.log_np[spec.points()][:, None] * np.arange(k + e + 1)
+    pw = ctx.exp_np[steps % (ctx.q - 1)]
+    nq = k + e + 1  # coefficients of Q
+    A = np.zeros((N, nq + e), dtype=np.int64)
+    A[:, :nq] = pw[:, :nq]
+    if e:
+        A[:, nq:] = linalg.mul_arrays(ctx, r[:, None], pw[:, :e])
+    sol = linalg.solve(ctx, A, linalg.mul_arrays(ctx, r, pw[:, e]))
+    if sol is None:
+        return None
+    ecoeffs = [int(c) for c in sol[nq:]] + [1]  # monic
+    f, rem = _poly_divmod(ctx, [int(c) for c in sol[:nq]], ecoeffs)
+    if rem or len(f) > k + 1:
+        return None
+    cand = codes.encode_unfolded(spec, f)
+    if np.count_nonzero(cand ^ z) > radius:
+        return None
+    return cand
+
+
+def _same_decoding(a, b) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b)
+    )
+
+
+def _noisy_words(spec: CodeSpec, rng, weights, per_weight: int) -> list:
+    """per_weight codewords of spec with `weight` random nonzero errors
+    added, for each weight."""
+    q = spec.field.q
+    out = []
+    for weight in weights:
+        for _ in range(per_weight):
+            x = codes.encode_unfolded(spec, rng.integers(0, q, size=spec.dim).tolist())
+            err = np.zeros(spec.N, dtype=np.int64)
+            err[rng.choice(spec.N, size=weight, replace=False)] = rng.integers(1, q, size=weight)
+            out.append(x ^ err)
+    return out
+
+
 def test_bw_agrees_with_exhaustive_gf4():
     # every input of an enumerable config, for both degrees
     for k in (0, 1):
@@ -346,9 +417,7 @@ def test_bw_agrees_with_exhaustive_gf4():
             z = tuple((v,) for v in zvec)
             for radius in range(unique_radius + 1):
                 exhaustive = codes.list_decode(spec, z, radius)
-                bw = codes._berlekamp_welch(
-                    spec, np.array(zvec, dtype=np.int64), radius
-                )
+                bw = berlekamp_welch(spec, np.array(zvec, dtype=np.int64), radius)
                 bw_list = [codes.fold(spec, bw)] if bw is not None else []
                 assert sorted(exhaustive) == sorted(bw_list)
 
@@ -363,13 +432,90 @@ def test_bw_on_preset3_dual():
         err = np.zeros(spec.N, dtype=np.int64)
         for pos in rng.choice(spec.N, size=3, replace=False):
             err[pos] = int(rng.integers(1, 64))
-        got = codes._berlekamp_welch(
+        got = berlekamp_welch(
             CodeSpec(kind="grs-folded", field=spec.field, m=1, k=dual_spec.k,
                      gamma=dual_spec.gamma, v=dual_spec.v),
             x ^ err,
             3,
         )
         assert got is not None and np.array_equal(got, x)
+
+
+def test_syndrome_decoder_matches_oracles_gf4():
+    # every input of both GF(4) codes, at every radius up to the unique one:
+    # the syndrome decoder, Berlekamp-Welch and the exhaustive branch agree
+    for k in (0, 1):
+        spec = rs_f4(k)
+        for zvec in itertools.product(range(4), repeat=3):
+            z = np.array(zvec, dtype=np.int64)
+            for radius in range((spec.N - spec.k - 1) // 2 + 1):
+                got = codes._syndrome_decode(spec, z, radius)
+                assert _same_decoding(got, berlekamp_welch(spec, z, radius))
+                want = codes.list_decode(spec, codes.fold(spec, z), radius)
+                assert ([codes.fold(spec, got)] if got is not None else []) == want
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 6, 12, 13])
+def test_syndrome_decoder_matches_bw_gf16(k):
+    # non-unit multipliers; error weights 0..N reach far past the unique
+    # radius, where either decoder must return None or the same codeword
+    ctx = FieldCtx(4)
+    rng = np.random.default_rng(100 + k)
+    spec = CodeSpec(
+        kind="grs-folded", field=ctx, m=1, k=k, gamma=ctx.generator(),
+        v=tuple(rng.integers(2, ctx.q, size=ctx.q - 1).tolist()),
+    )
+    enumerable = spec.size <= 1 << 16
+    decoded = 0
+    for z in _noisy_words(spec, rng, range(spec.N + 1), 8):
+        for radius in range((spec.N - spec.k - 1) // 2 + 1):
+            got = codes._syndrome_decode(spec, z, radius)
+            assert _same_decoding(got, berlekamp_welch(spec, z, radius))
+            if enumerable:
+                want = codes.list_decode(spec, codes.fold(spec, z), radius)
+                assert ([codes.fold(spec, got)] if got is not None else []) == want
+            decoded += got is not None
+    assert decoded > 0
+
+
+def test_syndrome_decoder_on_preset3_dual():
+    # the benchmark's decoder: the unfolded dual of preset(3) (k = 55,
+    # unique radius 3) at radii 0-3, error weights 0-7
+    d = codes.dual(codes.preset(3))
+    spec = CodeSpec(kind="grs-folded", field=d.field, m=1, k=d.k, gamma=d.gamma, v=d.v)
+    rng = np.random.default_rng(8)
+    weights = range(8)
+    words = _noisy_words(spec, rng, weights, 6)
+    for i, z in enumerate(words):
+        weight = weights[i // 6]
+        for radius in range(4):
+            got = codes._syndrome_decode(spec, z, radius)
+            assert _same_decoding(got, berlekamp_welch(spec, z, radius))
+            if weight <= radius:
+                assert got is not None and np.count_nonzero(got ^ z) == weight
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 13])
+def test_parity_check_is_the_dual_generator(k):
+    ctx = FieldCtx(4)
+    rng = np.random.default_rng(k)
+    spec = CodeSpec(
+        kind="grs-folded", field=ctx, m=1, k=k, gamma=ctx.generator(),
+        v=tuple(rng.integers(1, ctx.q, size=ctx.q - 1).tolist()),
+    )
+    check = codes._parity_check_cached(spec)
+    assert np.array_equal(check, codes.dual(spec).generator_matrix())
+    assert not linalg.matmul(ctx, spec.generator_matrix(), check.T).any()
+
+
+def test_full_grs_code_decodes_to_the_word():
+    # k = N - 1: no parity checks, every word is a codeword
+    ctx = FieldCtx(4)
+    spec = CodeSpec(kind="grs-folded", field=ctx, m=1, k=14, gamma=2, v=(1,) * 15)
+    z = tuple((v,) for v in range(15))
+    assert codes.list_decode(spec, z, 0) == [z]
+    with pytest.raises(BudgetExceeded, match="unique-decoding bound 0"):
+        codes.list_decode(spec, z, 1)
 
 
 def test_decoder_params():
@@ -422,15 +568,15 @@ def _decode_at_unique_radius(spec, radius, z):
     d = codes.dual(spec)
     d_unf = CodeSpec(kind="grs-folded", field=spec.field, m=1, k=d.k, gamma=d.gamma, v=d.v)
     zu = codes.unfold(spec, z)
-    cand = codes._berlekamp_welch(d_unf, zu, (d_unf.N - d_unf.k - 1) // 2)
-    if cand is None or codes.hw_unfolded(cand ^ zu) > radius:
+    cand = berlekamp_welch(d_unf, zu, (d_unf.N - d_unf.k - 1) // 2)
+    if cand is None or np.count_nonzero(cand ^ zu) > radius:
         return None
     return codes.fold(spec, cand)
 
 
 def test_dual_decode_matches_unique_radius_filter():
     # the dual of preset(3) is too large to enumerate, so dual_decode runs
-    # Berlekamp-Welch at the decoder radius itself; up to the unique radius
+    # the syndrome decoder at the decoder radius itself; up to the unique radius
     # (3) that must agree with decoding at the unique radius and filtering
     spec = codes.preset(3)
     d = codes.dual(spec)
@@ -475,7 +621,7 @@ def test_good_error_separation_preset3():
         if not any(msg):
             msg[0] = 1
         y = codes.encode_unfolded(d, msg)
-        assert codes.hw_unfolded(e ^ y) > params.radius_unfolded
+        assert np.count_nonzero(e ^ y) > params.radius_unfolded
 
 
 def test_list_recover_count_trivial():

@@ -394,6 +394,11 @@ def test_table_stats_monte_carlo():
             assert abs(means[i] - means[j]) <= 3 * se
 
 
+def test_table_stats_monte_carlo_needs_a_trial():
+    with pytest.raises(ValueError, match="trials >= 1"):
+        qsim.table_fourier_stats(FieldCtx(1), 2, Fraction(1, 4), trials=0)
+
+
 def test_table_stats_budget():
     with pytest.raises(BudgetExceeded):
         qsim.table_fourier_stats(FieldCtx(1), 5, Fraction(1, 4))  # |Sigma| = 32
