@@ -224,7 +224,8 @@ def cmd_instance_verify(args) -> int:
 def cmd_instance_solve(args) -> int:
     inst = _read_json(args.infile, instances.instance_from_json, "instance")
     sols = instances.brute_solve(inst, jobs=args.jobs)
-    records = [{"solution": [list(sym) for sym in s]} for s in sols]
+    words = sols.reshape(-1, inst.n, inst.spec.m).tolist()
+    records = [{"solution": word} for word in words]
     _emit(records, args.out)
     print(f"{len(sols)} solutions")
     return 0
@@ -682,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_instance_verify)
     p = inst.add_parser("solve")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_in("--jobs", 1, 64), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_instance_solve)
 

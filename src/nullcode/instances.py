@@ -137,11 +137,12 @@ def solution_mask(tables: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return ok
 
 
-def brute_solve(inst: OracleInstance, jobs: int = 1) -> list[Codeword]:
-    """Exact solution set, in message-rank order.
+def brute_solve(inst: OracleInstance, jobs: int = 1) -> np.ndarray:
+    """Exact solution set as an (S, N) int64 array, in message-rank order.
 
-    The message space is scanned in chunks; the worker count never changes
-    the (canonical) output order.
+    Its rows are the rows of codes.codeword_matrix(inst.spec) that every
+    table accepts (codes.fold turns one into a word).  The message space
+    is scanned in chunks; the worker count never changes the output.
     """
     from .parallel import parallel_map
 
@@ -155,11 +156,7 @@ def brute_solve(inst: OracleInstance, jobs: int = 1) -> list[Codeword]:
     step = max(1, nrows // max(jobs, 1))
     chunks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
     hits = np.concatenate(parallel_map(chunk_hits, chunks, jobs))
-    mat = codes.codeword_matrix(inst.spec)
-    # zip the m columns of the hit symbols into symbol tuples, then zip n
-    # consecutive symbols (one shared iterator) into each codeword
-    symbols = zip(*mat[hits].reshape(-1, inst.spec.m).T.tolist())
-    return list(zip(*[symbols] * inst.n))
+    return codes.codeword_matrix(inst.spec)[hits]
 
 
 # -- bipartite split -----------------------------------------------------------

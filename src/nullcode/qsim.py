@@ -314,7 +314,8 @@ def table_fourier_stats(
     Bernoulli(p) weights and checks E[|What(0)|^2] = 1 - p exactly, plus
     exact equality of the nonzero-frequency means.  Monte Carlo mode
     returns empirical means with standard errors over trials >= 1 sampled
-    tables (ValueError otherwise).  The product rule
+    tables (ValueError otherwise); a mean over no nonempty table, or a
+    standard error over fewer than two samples, is None.  The product rule
     What(e) = prod_i What_i(e_i) is checked exactly on sampled tables.
     """
     if trials is not None and trials < 1:
@@ -378,19 +379,22 @@ def _table_stats_mc(sigma: int, p: Fraction, signs: np.ndarray, trials: int, see
         we_sq = np.where(
             nonempty[:, None], char.astype(float) ** 2 / (t_sizes[:, None] * sigma), 0.0
         )
-    ne = nonempty.sum()
-    means = we_sq[nonempty].mean(axis=0)
-    ses = we_sq[nonempty].std(axis=0, ddof=1) / math.sqrt(ne)
+    # a mean needs one sample and a standard error two; None otherwise
+    ne = int(nonempty.sum())
+    rows = we_sq[nonempty]
+    none = [None] * (sigma - 1)
+    means = [float(x) for x in rows.mean(axis=0)[1:]] if ne else none
+    ses = [float(x) for x in rows.std(axis=0, ddof=1)[1:] / math.sqrt(ne)] if ne > 1 else none
     return {
         "sigma": sigma,
         "p": float(p),
         "trials": trials,
-        "nonempty_trials": int(ne),
+        "nonempty_trials": ne,
         "mean_W0_sq": float(w0_sq.mean()),
-        "se_W0_sq": float(w0_sq.std(ddof=1) / math.sqrt(trials)),
-        "mean_W0_sq_nonempty": float(w0_sq[nonempty].mean()),
-        "per_element_means": [float(x) for x in means[1:]],
-        "per_element_se": [float(x) for x in ses[1:]],
+        "se_W0_sq": float(w0_sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None,
+        "mean_W0_sq_nonempty": float(w0_sq[nonempty].mean()) if ne else None,
+        "per_element_means": means,
+        "per_element_se": ses,
         "mode": "mc",
     }
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -263,6 +264,47 @@ def test_table_stats_subcommand(capsys):
     assert main(["qsim", "claim66", "--sigma", "4", "--p", "1/4"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["mean_W0_sq"] == 0.75
+
+
+def _no_nan(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, nones",
+    [
+        # one table: no standard error
+        (["--trials", "1"], {"se_W0_sq", "per_element_se"}),
+        # every table all ones: no nonempty mean and no nonempty standard error
+        (
+            ["--p", "1", "--trials", "3"],
+            {"mean_W0_sq_nonempty", "per_element_means", "per_element_se"},
+        ),
+    ],
+    ids=["one-trial", "all-empty"],
+)
+def test_claim66_too_few_samples_print_null(argv, nones, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["qsim", "claim66", *argv]) == 0
+    rec = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
+    assert {k for k, v in rec.items() if v is None or v == [None] * 3} == nones
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "100000"])
+def test_instance_solve_jobs_out_of_range_exits_2_before_any_scan(
+    jobs, tmp_path, capsys, monkeypatch
+):
+    from nullcode import parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(parallel, "parallel_map", no_pool)
+    path = _tiny_instance(tmp_path)
+    capsys.readouterr()
+    assert main(["instance", "solve", "--in", str(path), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: --jobs {jobs} is not an integer in [1, 64]\n"
 
 
 def test_proto_cleanup_over_budget_exits_1_before_any_trial(capsys, monkeypatch):

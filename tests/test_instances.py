@@ -70,7 +70,9 @@ def test_verify_and_brute_solve_examples():
     tables[0, 1] = 0
     tables[1, 1] = 0
     inst = instances.with_tables(base, tables)
-    assert instances.brute_solve(inst) == [((1,), (1,))]
+    sols = instances.brute_solve(inst)
+    _assert_rows(spec, sols)
+    assert np.array_equal(sols, [[1, 1]])
     assert instances.verify(inst, ((1,), (1,)))
     assert not instances.verify(inst, ((2,), (2,)))
     assert not instances.verify(inst, ((1,), (2,)))  # not a codeword
@@ -78,7 +80,7 @@ def test_verify_and_brute_solve_examples():
     zero = instances.with_tables(base, np.zeros((2, 4), np.uint8))
     assert len(instances.brute_solve(zero)) == spec.size
     ones = instances.with_tables(base, np.ones((2, 4), np.uint8))
-    assert instances.brute_solve(ones) == []
+    assert instances.brute_solve(ones).shape == (0, spec.N)
 
 
 def test_verify_rejects_malformed_words():
@@ -98,7 +100,7 @@ def test_verify_matches_brute_solve_exhaustively():
         inst = instances.with_tables(
             base, rng.integers(0, 2, size=(2, 4)).astype(np.uint8)
         )
-        sols = set(instances.brute_solve(inst))
+        sols = {codes.fold(spec, row) for row in instances.brute_solve(inst)}
         for word in (codes.fold(spec, r) for r in codes.codeword_matrix(spec)):
             assert instances.verify(inst, word) == (word in sols)
 
@@ -120,7 +122,14 @@ def test_expected_solution_count():
 def test_brute_solve_jobs_invariant():
     spec = toy()
     inst = instances.sample_instance(spec, Fraction(1, 4), 17)
-    assert instances.brute_solve(inst) == instances.brute_solve(inst, jobs=3)
+    assert np.array_equal(instances.brute_solve(inst), instances.brute_solve(inst, jobs=3))
+
+
+def _assert_rows(spec, sols):
+    """The brute_solve contract: an (S, N) int64 array of unfolded rows."""
+    assert isinstance(sols, np.ndarray)
+    assert sols.dtype == np.int64
+    assert sols.ndim == 2 and sols.shape[1] == spec.N
 
 
 def _brute_solve_oracle(inst):
@@ -131,7 +140,12 @@ def _brute_solve_oracle(inst):
     return [codes.fold(inst.spec, mat[idx]) for idx in np.nonzero(ok)[0]]
 
 
-@pytest.mark.parametrize(
+def _unfolded(spec, words):
+    """The (S, N) int64 rows of a list of folded words."""
+    return np.array(words, dtype=np.int64).reshape(len(words), spec.N)
+
+
+BRUTE_SOLVE_SPECS = pytest.mark.parametrize(
     "spec",
     [
         toy(),
@@ -144,20 +158,40 @@ def _brute_solve_oracle(inst):
     ],
     ids=["repetition", "selfdual", "preset2", "grs-k3"],
 )
+BRUTE_SOLVE_DRAWS = ((0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 16)))
+
+
+@BRUTE_SOLVE_SPECS
 def test_brute_solve_matches_per_row_fold(spec):
-    for seed, p in ((0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 16))):
+    for seed, p in BRUTE_SOLVE_DRAWS:
         inst = instances.sample_instance(spec, p, seed)
-        want = _brute_solve_oracle(inst)
+        want = _unfolded(spec, _brute_solve_oracle(inst))
         for jobs in (1, 3):
             got = instances.brute_solve(inst, jobs=jobs)
-            assert got == want
-            assert all(type(d) is int for word in got for sym in word for d in sym)
+            _assert_rows(spec, got)
+            assert np.array_equal(got, want)
     shape = (spec.n, spec.sigma_size)
     zero = instances.with_tables(inst, np.zeros(shape, np.uint8))
-    assert instances.brute_solve(zero) == _brute_solve_oracle(zero)
+    assert np.array_equal(instances.brute_solve(zero), _unfolded(spec, _brute_solve_oracle(zero)))
     assert len(instances.brute_solve(zero)) == spec.size
     ones = instances.with_tables(inst, np.ones(shape, np.uint8))
-    assert instances.brute_solve(ones) == []
+    none = instances.brute_solve(ones)
+    _assert_rows(spec, none)
+    assert none.shape == (0, spec.N)
+
+
+@BRUTE_SOLVE_SPECS
+def test_brute_solve_rows_are_the_codewords_verify_accepts(spec):
+    # differential: the array scan against the paper's rank-based verifier
+    for seed, p in BRUTE_SOLVE_DRAWS:
+        inst = instances.sample_instance(spec, p, seed)
+        got = instances.brute_solve(inst).tolist()
+        want = [
+            row for row in codes.codeword_matrix(spec).tolist()
+            if instances.verify(inst, codes.fold(spec, row))
+        ]
+        assert len(set(map(tuple, got))) == len(got)
+        assert set(map(tuple, got)) == set(map(tuple, want))
 
 
 def test_split():

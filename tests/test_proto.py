@@ -259,7 +259,7 @@ def test_reveal_solution_tree_matches_brute_solve_labeler(n, s):
 
     def labeler(x_bits, y_bits):
         sols = instances.brute_solve(instances.with_tables(base, split.tables(x_bits, y_bits)))
-        return sols[0] if sols else BOT
+        return codes.fold(spec, sols[0]) if len(sols) else BOT
 
     half = spec.n * spec.sigma_size // 2
     tree = proto.reveal_solution_tree(spec)
