@@ -293,13 +293,10 @@ def cmd_qsim_alg1(args) -> int:
 
 
 def cmd_qsim_claim66(args) -> int:
-    ctx = FieldCtx(1)
-    if args.sigma < 1 or args.sigma & (args.sigma - 1):
+    if args.sigma & (args.sigma - 1):
         raise UsageError("--sigma must be a power of two")
     m = args.sigma.bit_length() - 1
-    stats = qsim.table_fourier_stats(
-        ctx, m, _parse_fraction(args.p), trials=args.trials, seed=args.seed
-    )
+    stats = qsim.table_fourier_stats(FieldCtx(1), m, _parse_fraction(args.p))
     printable = {k: v for k, v in stats.items() if not k.endswith("_exact")}
     print(json.dumps(printable, sort_keys=True))
     if args.out:
@@ -702,10 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_alg1)
     p = qs.add_parser("claim66")
-    p.add_argument("--sigma", type=int, default=4)
+    p.add_argument("--sigma", type=_int_in("--sigma", 1, DEFAULT_ENUM_BUDGET), default=4)
     p.add_argument("--p", default="1/4")
-    p.add_argument("--trials", type=_int_in("--trials", 0), default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qsim_claim66)
 

@@ -301,101 +301,35 @@ def sample_measurement(report: dict, rng: np.random.Generator) -> int:
 # -- table statistics ---------------------------------------------------------------
 
 
-def table_fourier_stats(
-    ctx: FieldCtx,
-    m: int,
-    p,
-    trials: int | None = None,
-    seed: int = 0,
-) -> dict:
-    """Statistics of the zero-set Fourier mass of a biased table.
+def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
+    """Exact statistics of the zero-set Fourier mass of a Bernoulli(p)
+    table over Sigma = F_q^m, as `Fraction`s in closed form.
 
-    Exact mode (trials=None) enumerates all 2^|Sigma| tables with their
-    Bernoulli(p) weights and checks E[|What(0)|^2] = 1 - p exactly, plus
-    exact equality of the nonzero-frequency means.  Monte Carlo mode
-    returns empirical means with standard errors over trials >= 1 sampled
-    tables (ValueError otherwise); a mean over no nonempty table, or a
-    standard error over fewer than two samples, is None.  The product rule
-    What(e) = prod_i What_i(e_i) is checked exactly on sampled tables.
+    The zero set T carries What = 1_T/sqrt|T| (What = 0 when T is empty).
+    Given t = |T| >= 1, |What(0)|^2 = t/|Sigma|, and a nontrivial
+    character is balanced on Sigma, so E[|What(e)|^2 | t] =
+    (|Sigma| - t)/(|Sigma| (|Sigma| - 1)) for every e != 0.  Summing over
+    t ~ Bin(|Sigma|, 1 - p) gives E|What(0)|^2 = 1 - p and
+    E|What(e)|^2 = p (1 - p^(|Sigma|-1))/(|Sigma| - 1).  The mean over
+    nonempty tables is None when every table is empty (p = 1).
     """
-    if trials is not None and trials < 1:
-        raise ValueError(f"Monte Carlo mode needs trials >= 1, got {trials}")
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("bias must lie in [0, 1]")
     sigma = ctx.q**m
-    kernel_signs = np.rint(
-        sigma_qft_matrix(ctx, m) * math.sqrt(sigma)
-    ).astype(np.int64)
-    if trials is None:
-        if sigma > 20:
-            raise BudgetExceeded(f"exact mode needs 2^{sigma} table sweeps")
-        return _table_stats_exact(sigma, p, kernel_signs)
-    return _table_stats_mc(sigma, p, kernel_signs, trials, seed)
-
-
-def _table_stats_exact(sigma: int, p: Fraction, signs: np.ndarray) -> dict:
-    mean0 = Fraction(0)
-    means_e = [Fraction(0)] * sigma
-    w1, w0 = p, 1 - p
-    for table in range(1 << sigma):
-        ones = table.bit_count()
-        weight = w1**ones * w0 ** (sigma - ones)
-        t_size = sigma - ones
-        if t_size == 0:
-            continue
-        mean0 += weight * Fraction(t_size, sigma)
-        support = [z for z in range(sigma) if not (table >> z) & 1]
-        for e in range(1, sigma):
-            char_sum = int(sum(signs[e, z] for z in support))
-            means_e[e] += weight * Fraction(char_sum * char_sum, t_size * sigma)
     empty_mass = p**sigma
-    out = {
+    mean0 = 1 - p
+    per_element = p * (1 - p ** (sigma - 1)) / (sigma - 1) if sigma > 1 else Fraction(0)
+    return {
         "sigma": sigma,
         "p": float(p),
         "mean_W0_sq": float(mean0),
         "mean_W0_sq_exact": mean0,
-        "mean_W0_sq_nonempty": float(mean0 / (1 - empty_mass)),
+        "mean_W0_sq_nonempty": float(mean0 / (1 - empty_mass)) if empty_mass != 1 else None,
         "empty_mass": float(empty_mass),
-        "per_element_means": [float(x) for x in means_e[1:]],
-        "per_element_exact": means_e[1:],
+        "per_element_means": [float(per_element)] * (sigma - 1),
+        "per_element_exact": [per_element] * (sigma - 1),
         "mode": "exact",
-    }
-    if mean0 != 1 - p:
-        raise AssertionError(f"E[|What(0)|^2] = {mean0} != 1 - p = {1 - p}")
-    if len(set(means_e[1:])) > 1:
-        raise AssertionError("nonzero-frequency means are not all equal")
-    return out
-
-
-def _table_stats_mc(sigma: int, p: Fraction, signs: np.ndarray, trials: int, seed: int) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1A166]))
-    draws = rng.integers(0, p.denominator, size=(trials, sigma))
-    tables = draws < p.numerator
-    zeros = ~tables
-    t_sizes = zeros.sum(axis=1)
-    nonempty = t_sizes > 0
-    w0_sq = np.where(nonempty, t_sizes / sigma, 0.0)
-    char = zeros.astype(np.int64) @ signs.T  # (trials, sigma): sum_z in T of sign(e, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        we_sq = np.where(
-            nonempty[:, None], char.astype(float) ** 2 / (t_sizes[:, None] * sigma), 0.0
-        )
-    # a mean needs one sample and a standard error two; None otherwise
-    ne = int(nonempty.sum())
-    rows = we_sq[nonempty]
-    none = [None] * (sigma - 1)
-    means = [float(x) for x in rows.mean(axis=0)[1:]] if ne else none
-    ses = [float(x) for x in rows.std(axis=0, ddof=1)[1:] / math.sqrt(ne)] if ne > 1 else none
-    return {
-        "sigma": sigma,
-        "p": float(p),
-        "trials": trials,
-        "nonempty_trials": ne,
-        "mean_W0_sq": float(w0_sq.mean()),
-        "se_W0_sq": float(w0_sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None,
-        "mean_W0_sq_nonempty": float(w0_sq[nonempty].mean()) if ne else None,
-        "per_element_means": means,
-        "per_element_se": ses,
-        "mode": "mc",
     }
 
 

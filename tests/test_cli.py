@@ -1,5 +1,7 @@
 import json
+import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -150,12 +152,12 @@ def _tiny_instance(tmp_path):
         (["hash", "check", "--sigma", "0"], None),
         (["code", "preset", "--t", "0"], None),
         (["instance", "gen", "--toy", "--p", "3/2"], None),
+        (["qsim", "claim66", "--p", "3/2"], None),
         # negative counts, and input enumerations past the budget
         (["code", "decode", "--toy", "--trials", "-2"], None),
         (["hash", "attack", "--trials", "-1"], None),
         (["tbnc", "alg2", "--t", "1", "--trials", "-1"], None),
-        (["qsim", "claim66", "--trials", "-1"], None),
-        (["qsim", "claim66", "--trials", "0"], None),  # no sample to average
+        (["qsim", "claim66", "--sigma", "131072"], None),  # |Sigma| is at most 2^16
         (["proto", "transform", "--pairs", "-3", "--trials", "1"], None),
         (["proto", "run", "--n-bits", "2", "--depth", "-1"], None),
         (["proto", "cleanup", "--depth", "-1", "--trials", "1"], None),
@@ -239,12 +241,15 @@ def test_length_mismatch_outside_parsing_exits_1(tmp_path, capsys):
         ["tbnc", "alg2", "--n", "3"],
         ["tbnc", "alg2", "--s", "3"],
         ["proto", "drp", "--n", "5"],
+        ["qsim", "claim66", "--trials", "1"],
+        ["qsim", "claim66", "--seed", "0"],
     ],
-    ids=["lemma51-jobs", "alg2-n", "alg2-s", "drp-n"],
+    ids=["lemma51-jobs", "alg2-n", "alg2-s", "drp-n", "claim66-trials", "claim66-seed"],
 )
 def test_removed_flags_exit_2(argv, capsys):
     # --jobs exists only on instance solve; alg2 always runs the toy code;
-    # no flag is read from a prefix (--n is not --n-bits)
+    # no flag is read from a prefix (--n is not --n-bits); claim66 is exact,
+    # with nothing to sample
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -273,22 +278,36 @@ def _no_nan(name):
 @pytest.mark.parametrize(
     "argv, nones",
     [
-        # one table: no standard error
-        (["--trials", "1"], {"se_W0_sq", "per_element_se"}),
-        # every table all ones: no nonempty mean and no nonempty standard error
-        (
-            ["--p", "1", "--trials", "3"],
-            {"mean_W0_sq_nonempty", "per_element_means", "per_element_se"},
-        ),
+        # every table all ones: no nonempty table to average over
+        (["--p", "1"], {"mean_W0_sq_nonempty"}),
     ],
-    ids=["one-trial", "all-empty"],
+    ids=["all-empty"],
 )
 def test_claim66_too_few_samples_print_null(argv, nones, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["qsim", "claim66", *argv]) == 0
     rec = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
-    assert {k for k, v in rec.items() if v is None or v == [None] * 3} == nones
+    assert {k for k, v in rec.items() if v is None} == nones
+    assert rec["empty_mass"] == 1.0 and rec["per_element_means"] == [0.0] * 3
+
+
+def test_claim66_sigma_one_has_no_nonzero_frequency(capsys):
+    assert main(["qsim", "claim66", "--sigma", "1"]) == 0
+    assert capsys.readouterr().out == (
+        '{"empty_mass": 0.25, "mean_W0_sq": 0.75, "mean_W0_sq_nonempty": 1.0, "mode": "exact", '
+        '"p": 0.25, "per_element_means": [], "sigma": 1}\n'
+    )
+
+
+def test_claim66_largest_sigma_is_exact_and_fast(capsys):
+    start = time.perf_counter()
+    assert main(["qsim", "claim66", "--sigma", "65536", "--p", "1/4"]) == 0
+    assert time.perf_counter() - start < 1
+    rec = json.loads(capsys.readouterr().out)
+    per_element = float(Fraction(1, 4) * (1 - Fraction(1, 4) ** 65535) / 65535)
+    assert rec["per_element_means"] == [per_element] * 65535
+    assert rec["mean_W0_sq"] == 0.75 and rec["mode"] == "exact"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "100000"])

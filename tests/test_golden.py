@@ -44,7 +44,10 @@ def run_manifest(argvs, workdir: Path) -> list[dict]:
             before = _file_digests(workdir)
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(list(argv))
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:  # argparse rejects an unknown flag
+                    code = exc.code
             after = _file_digests(workdir)
             records.append(
                 {

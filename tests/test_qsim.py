@@ -372,6 +372,85 @@ def test_sigma_n_gates_raise_over_budget(build, spec, log_size):
         build(spec)
 
 
+def _floats(values):
+    """float(x) for each x, converting each distinct object once: the float
+    of a Fraction with 10^5-bit terms takes tens of microseconds."""
+    memo = {}
+    return [memo[id(x)] if id(x) in memo else memo.setdefault(id(x), float(x)) for x in values]
+
+
+def stats_record(sigma, p, mean0, empty_mass, per_element):
+    """The record table_fourier_stats returns, built from exact values."""
+    return {
+        "sigma": sigma,
+        "p": float(p),
+        "mean_W0_sq": float(mean0),
+        "mean_W0_sq_exact": mean0,
+        "mean_W0_sq_nonempty": float(mean0 / (1 - empty_mass)) if empty_mass != 1 else None,
+        "empty_mass": float(empty_mass),
+        "per_element_means": _floats(per_element),
+        "per_element_exact": per_element,
+        "mode": "exact",
+    }
+
+
+@functools.cache
+def _sweep_sums(sigma):
+    """Every one of the 2^|Sigma| tables over Sigma = F_2^m, grouped by the
+    size t of its zero set T: the number of tables, and for each frequency
+    e the sum of S(e)^2, S(e) = sum over z in T of the character sign at
+    (e, z)."""
+    m = sigma.bit_length() - 1
+    signs = np.rint(qsim.sigma_qft_matrix(FieldCtx(1), m) * math.sqrt(sigma)).astype(np.int64)
+    zeros = 1 - ((np.arange(1 << sigma)[:, None] >> np.arange(sigma)) & 1)
+    t_sizes = zeros.sum(axis=1)
+    sq = np.zeros((sigma + 1, sigma), dtype=np.int64)
+    np.add.at(sq, t_sizes, (zeros @ signs.T) ** 2)
+    return np.bincount(t_sizes, minlength=sigma + 1).tolist(), sq.tolist()
+
+
+def table_stats_sweep(sigma, p):
+    """The statistics by summing over all 2^|Sigma| Bernoulli(p) tables: a
+    table whose zero set has t elements has weight p^(|Sigma| - t)
+    (1 - p)^t, |What(0)|^2 = t/|Sigma| and |What(e)|^2 = S(e)^2/(t |Sigma|);
+    the empty table contributes 0."""
+    counts, sq = _sweep_sums(sigma)
+    p = Fraction(p)
+    mean0 = Fraction(0)
+    per_element = [Fraction(0)] * sigma
+    for t in range(1, sigma + 1):
+        weight = p ** (sigma - t) * (1 - p) ** t
+        mean0 += counts[t] * weight * Fraction(t, sigma)
+        for e in range(1, sigma):
+            per_element[e] += weight * Fraction(sq[t][e], t * sigma)
+    return stats_record(sigma, p, mean0, counts[0] * p**sigma, per_element[1:])
+
+
+def table_stats_t_sum(sigma, p):
+    """The statistics for 0 < p = a/b < 1 by summing over the size
+    t ~ Bin(|Sigma|, 1 - p) of the zero set, with E[|What(0)|^2 | t] =
+    t/|Sigma| and, since a nontrivial character takes each sign on half of
+    Sigma, E[|What(e)|^2 | t] = (|Sigma| - t)/(|Sigma| (|Sigma| - 1)).  The
+    binomial weights b^|Sigma| P(t) = C(|Sigma|, t) (b - a)^t a^(|Sigma| - t)
+    are integers, each computed exactly from the one before."""
+    p = Fraction(p)
+    assert 0 < p < 1 and sigma > 1
+    a, b = p.numerator, p.denominator
+    term = empty = a**sigma
+    total = sum0 = 0
+    for t in range(1, sigma + 1):
+        term = term * ((b - a) * (sigma - t + 1)) // (t * a)
+        total += term
+        sum0 += term * t
+    assert empty + total == b**sigma  # the weights sum to 1
+    sum_e = sigma * total - sum0
+    denom = b**sigma * sigma
+    per_element = Fraction(sum_e, denom * (sigma - 1))
+    return stats_record(
+        sigma, p, Fraction(sum0, denom), Fraction(empty, b**sigma), [per_element] * (sigma - 1)
+    )
+
+
 def test_table_stats_exact_quarter():
     st = qsim.table_fourier_stats(FieldCtx(1), 2, Fraction(1, 4))
     assert st["mean_W0_sq_exact"] == Fraction(3, 4)
@@ -383,25 +462,25 @@ def test_table_stats_p_zero():
     assert st["mean_W0_sq"] == 1.0
 
 
-def test_table_stats_monte_carlo():
-    st = qsim.table_fourier_stats(FieldCtx(1), 3, Fraction(1, 8), trials=30000, seed=2)
-    assert abs(st["mean_W0_sq"] - 7 / 8) <= 3 * st["se_W0_sq"]
-    means = np.array(st["per_element_means"])
-    ses = np.array(st["per_element_se"])
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            se = math.hypot(ses[i], ses[j])
-            assert abs(means[i] - means[j]) <= 3 * se
-
-
-def test_table_stats_monte_carlo_needs_a_trial():
-    with pytest.raises(ValueError, match="trials >= 1"):
-        qsim.table_fourier_stats(FieldCtx(1), 2, Fraction(1, 4), trials=0)
-
-
 def test_table_stats_budget():
-    with pytest.raises(BudgetExceeded):
-        qsim.table_fourier_stats(FieldCtx(1), 5, Fraction(1, 4))  # |Sigma| = 32
+    # no budget caps the closed form: |Sigma| = 32 has 2^32 tables
+    st = qsim.table_fourier_stats(FieldCtx(1), 5, Fraction(1, 4))
+    assert st == table_stats_t_sum(32, Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "sigma, p",
+    [(256, Fraction(1, 4)), (256, Fraction(2, 3)), (256, Fraction(7, 9)), (65536, Fraction(1, 4))],
+)
+def test_table_stats_match_t_sum(sigma, p):
+    st = qsim.table_fourier_stats(FieldCtx(1), sigma.bit_length() - 1, p)
+    assert st == table_stats_t_sum(sigma, p)
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 4), Fraction(5, 4), Fraction(3, 2)])
+def test_table_stats_reject_a_bias_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"bias must lie in \[0, 1\]"):
+        qsim.table_fourier_stats(FieldCtx(1), 2, p)
 
 
 def test_product_rule():
