@@ -60,10 +60,14 @@ def _load_spec(args) -> CodeSpec:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """A --p value: a fraction whose reduced denominator is at most 2^64."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{text!r} is not a fraction") from None
+    if value.denominator > 1 << 64:
+        raise UsageError(f"{text!r} has a denominator above 2^64")
+    return value
 
 
 def _int_in(flag: str, lo: int, hi: float = math.inf):
@@ -223,7 +227,7 @@ def cmd_instance_verify(args) -> int:
 
 def cmd_instance_solve(args) -> int:
     inst = _read_json(args.infile, instances.instance_from_json, "instance")
-    sols = instances.brute_solve(inst, jobs=args.jobs)
+    sols = instances.brute_solve(inst)
     words = sols.reshape(-1, inst.n, inst.spec.m).tolist()
     records = [{"solution": word} for word in words]
     _emit(records, args.out)
@@ -445,11 +449,9 @@ def cmd_hash_check(args) -> int:
         n=args.n,
         sigma_size=args.sigma,
     )
-    pts = []
-    j = 0
-    while len(pts) < args.lam:
-        pts.append((j % args.sigma, (j // args.sigma) % args.n + 1))
-        j += 1
+    if args.lam > args.sigma * args.n:
+        raise UsageError(f"--lam {args.lam} exceeds the {args.sigma * args.n} points of the domain")
+    pts = [(j % args.sigma, j // args.sigma + 1) for j in range(args.lam)]
     ok = hashing.independence_check(family, pts)
     print("independent" if ok else "NOT independent")
     return 0 if ok else 1
@@ -680,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_instance_verify)
     p = inst.add_parser("solve")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--jobs", type=_int_in("--jobs", 1, 64), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_instance_solve)
 

@@ -484,15 +484,6 @@ def _parity_check_cached(spec: CodeSpec) -> np.ndarray:
     return out
 
 
-def _poly_eval(ctx: FieldCtx, coeffs, xs: np.ndarray) -> np.ndarray:
-    """The polynomial with ascending coefficients `coeffs` at each nonzero
-    element of xs, in one pass over the table of powers xs^j."""
-    steps = np.arange(len(coeffs))[:, None] * ctx.log_np[xs]
-    powers = ctx.exp_np[steps % (ctx.q - 1)]
-    terms = linalg.mul_arrays(ctx, np.asarray(coeffs, dtype=np.int64)[:, None], powers)
-    return np.bitwise_xor.reduce(terms, axis=0)
-
-
 def _berlekamp_massey(ctx: FieldCtx, syndromes: list[int]) -> tuple[int, list[int]]:
     """Massey's shift-register synthesis: the length L of the shortest LFSR
     generating the sequence and its connection polynomial C (ascending,
@@ -541,7 +532,7 @@ def _syndrome_decode(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray |
     if length > radius:
         return None
     inv_points = spec.points()[-np.arange(spec.N) % spec.N]  # a_i^-1 = gamma^-i
-    pos = np.flatnonzero(_poly_eval(ctx, locator, inv_points) == 0)
+    pos = np.flatnonzero(linalg.poly_eval(ctx, locator, inv_points) == 0)
     if pos.size != length:
         return None
     # Forney: Omega = S * Lambda mod x^L; in characteristic 2, Lambda' keeps
@@ -552,7 +543,7 @@ def _syndrome_decode(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray |
             omega[i] ^= ctx.mul(lam, syn_list[i - j])
     deriv = [coef if i % 2 == 0 else 0 for i, coef in enumerate(locator[1:])]
     x = inv_points[pos]
-    forney = zip(pos.tolist(), _poly_eval(ctx, omega, x).tolist(), _poly_eval(ctx, deriv, x).tolist())
+    forney = zip(pos.tolist(), *(linalg.poly_eval(ctx, f, x).tolist() for f in (omega, deriv)))
     err = np.array(
         [ctx.mul(ctx.mul(spec.v[i], o), ctx.inv(d)) for i, o, d in forney], dtype=np.int64
     )

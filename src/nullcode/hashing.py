@@ -7,8 +7,9 @@ the polynomial evaluated at the injective encoding of (e, i).  Truncating
 a uniform field element keeps it uniform, so any lambda distinct points
 have jointly uniform outputs over width min(out_bits, r).
 
-Every output bit is F_2-linear in the key bits, which is what the
-Gaussian-elimination attack exploits: pick one codeword, write down the
+Every output bit is F_2-linear in the key bits.  The independence check
+certifies joint uniformity by the rank of that linear map, and the
+Gaussian-elimination attack exploits it: pick one codeword, write down the
 linear system that forces the hash to cancel the oracle on it, and solve.
 """
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import linalg
+from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec
 from .errors import (
     BudgetExceeded,
@@ -30,7 +32,7 @@ from .errors import (
 from .gf import FieldCtx
 from .instances import OracleInstance
 
-_EXACT_KEYBITS_LIMIT = 24
+_GF2 = FieldCtx(1)
 
 
 @dataclass(frozen=True)
@@ -114,43 +116,44 @@ def random_key(family: HashFamily, rng: np.random.Generator) -> HashKey:
     return HashKey(tuple(int(rng.integers(family.key_field.q)) for _ in range(family.lam)))
 
 
-def eval_poly(family: HashFamily, key: HashKey, x: int) -> int:
-    if len(key.coeffs) != family.lam:
+def hash_values(family: HashFamily, keys, points) -> np.ndarray:
+    """Low out_bits bits of each key's polynomial at each encoded point,
+    as a (keys x points) array."""
+    coeffs = [key.coeffs for key in keys]
+    if any(len(c) != family.lam for c in coeffs):
         raise LengthMismatch("key length != lambda")
-    ctx = family.key_field
-    acc = 0
-    for c in reversed(key.coeffs):
-        acc = ctx.mul(acc, x) ^ c
-    return acc
-
-
-def eval_hash(family: HashFamily, key: HashKey, e_rank: int, i: int) -> int:
-    """Low out_bits bits of the polynomial at encode(e, i)."""
-    value = eval_poly(family, key, family.encode(e_rank, i))
-    return value & ((1 << family.out_bits) - 1)
-
-
-def eval_hash_bias(family: HashFamily, key: HashKey, e_rank: int, i: int) -> int:
-    """AND of the output bits (1 iff the block is all ones)."""
-    return int(eval_hash(family, key, e_rank, i) == (1 << family.out_bits) - 1)
+    coeffs = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), family.lam)
+    values = linalg.poly_eval(family.key_field, coeffs.T[:, :, None], points)
+    return values & ((1 << family.out_bits) - 1)
 
 
 def hash_bias_tables(family: HashFamily, key: HashKey) -> np.ndarray:
-    """Bias bit of the hash at every (coordinate, symbol) cell."""
-    out = np.zeros((family.n, family.sigma_size), dtype=np.uint8)
-    for i in range(1, family.n + 1):
-        for e in range(family.sigma_size):
-            out[i - 1, e] = eval_hash_bias(family, key, e, i)
-    return out
+    """Bias bit of the hash at every (coordinate, symbol) cell: the AND of
+    the output bits, 1 iff the block is all ones."""
+    points = np.arange(family.sigma_size * family.n)  # encode(e, i) = e n + i - 1
+    bias = hash_values(family, [key], points)[0] == (1 << family.out_bits) - 1
+    return np.ascontiguousarray(bias.reshape(family.sigma_size, family.n).T, dtype=np.uint8)
+
+
+def _hash_bit_matrix(family: HashFamily, encoded) -> np.ndarray:
+    """F_2 matrix of the map key bits -> concatenated output bits at the
+    given encoded points: row p out_bits + j is bit j at point p, column b
+    the image of key basis vector b."""
+    basis = [key_from_int(family, 1 << bit) for bit in range(family.key_bits)]
+    values = hash_values(family, basis, encoded)
+    bits = (values[:, :, None] >> np.arange(family.out_bits)) & 1
+    return bits.reshape(family.key_bits, -1).T
 
 
 def independence_check(family: HashFamily, points) -> bool:
-    """Exact joint-uniformity over all keys at lambda distinct points.
+    """Exact joint uniformity over all keys at lambda distinct points.
 
-    The joint distribution over width-w outputs, w = min(out_bits, r), must
-    hit every one of 2^(w lambda) outcomes equally often (2^(w lambda)
-    outcomes need w lambda <= key bits, which the polynomial construction
-    guarantees since w <= r).
+    Every output bit is F_2-linear in the key bits, so the width-w outputs,
+    w = min(out_bits, r), hit all 2^(w lambda) outcomes equally often over
+    the 2^(r lambda) keys exactly when the linear map from key bits to
+    output bits is onto, i.e. when its (w lambda) x (r lambda) bit matrix
+    has rank w lambda.  The entries of that matrix are bounded by the
+    enumeration budget.
     """
     points = list(points)
     if len(points) != family.lam:
@@ -158,40 +161,15 @@ def independence_check(family: HashFamily, points) -> bool:
     encoded = [family.encode(e, i) for e, i in points]
     if len(set(encoded)) != len(encoded):
         raise DistinctnessViolated("evaluation points must be distinct")
-    if family.key_bits > _EXACT_KEYBITS_LIMIT:
-        raise BudgetExceeded(
-            f"exact mode enumerates 2^{family.key_bits} keys; over budget"
-        )
-    w = family.effective_width
-    mask = (1 << w) - 1
-    counts = np.zeros(1 << (w * family.lam), dtype=np.int64)
-    for kv in range(family.key_count):
-        key = key_from_int(family, kv)
-        outcome = 0
-        for x in encoded:
-            outcome = (outcome << w) | (eval_poly(family, key, x) & mask)
-        counts[outcome] += 1
-    expected = family.key_count >> (w * family.lam)
-    return bool(np.all(counts == expected))
+    entries = family.out_bits * family.lam * family.key_bits
+    if entries > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"{entries} key-bit matrix entries exceed budget {DEFAULT_ENUM_BUDGET}")
+    # output bits at or above r are zero rows, which leave the rank alone
+    rank = linalg.rank(_GF2, _hash_bit_matrix(family, encoded))
+    return rank == family.effective_width * family.lam
 
 
 # -- the key-recovery attack ---------------------------------------------------
-
-
-def _hash_bit_matrix(family: HashFamily, encoded: list[int]) -> np.ndarray:
-    """F_2 matrix of the map key bits -> concatenated output bits at the
-    given encoded points, built by probing key basis vectors."""
-    w = family.out_bits
-    rows = w * len(encoded)
-    cols = family.key_bits
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    for bit in range(cols):
-        key = key_from_int(family, 1 << bit)
-        for pi, x in enumerate(encoded):
-            val = eval_poly(family, key, x) & ((1 << w) - 1)
-            for j in range(w):
-                mat[pi * w + j, bit] = (val >> j) & 1
-    return mat
 
 
 def attack_solve(
@@ -211,28 +189,16 @@ def attack_solve(
         import warnings
 
         warnings.warn("lambda < n: the linear system may be infeasible", stacklevel=2)
-    x_word = codes_mod.fold(spec, codes_mod.codeword_matrix(spec)[1])
-    ranks = [spec.symbol_rank(s) for s in x_word]
-    encoded = [family.encode(ranks[i], i + 1) for i in range(spec.n)]
-    w = family.out_bits
-    full_block = (1 << w) - 1
-    targets = []
-    for i in range(spec.n):
-        bias_bit = int(inst.tables[i, ranks[i]])
-        block = full_block if bias_bit else 0
-        for j in range(w):
-            targets.append((block >> j) & 1)
-    gf2 = FieldCtx(1)
-    mat = _hash_bit_matrix(family, encoded)
-    sol = linalg.solve(gf2, mat, np.array(targets, dtype=np.int64))
+    ranks = codes_mod.codeword_rank_matrix(spec)[1]
+    encoded = [family.encode(int(e), i + 1) for i, e in enumerate(ranks)]
+    bias = inst.tables[np.arange(spec.n), ranks]
+    # an all-ones block where the bias bit is 1, all zeros where it is 0
+    targets = np.repeat(bias.astype(np.int64), family.out_bits)
+    sol = linalg.solve(_GF2, _hash_bit_matrix(family, encoded), targets)
     if sol is None:
         return None
-    key_int = 0
-    for bit, val in enumerate(sol.tolist()):
-        key_int |= int(val) << bit
-    key = key_from_int(family, key_int)
-    for i in range(spec.n):
-        want = int(inst.tables[i, ranks[i]])
-        if eval_hash_bias(family, key, ranks[i], i + 1) != want:
-            raise AssertionError("solved key fails the bias constraint")
+    key = key_from_int(family, sum(int(v) << bit for bit, v in enumerate(sol.tolist())))
+    hashed = hash_values(family, [key], encoded)[0]
+    if not np.array_equal(hashed == (1 << family.out_bits) - 1, bias == 1):
+        raise AssertionError("solved key fails the bias constraint")
     return key

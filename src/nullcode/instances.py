@@ -25,6 +25,7 @@ from .errors import (
     BiasNotPowerOfTwo,
     BudgetExceeded,
     LengthMismatch,
+    ParseError,
     SplitRequiresEvenN,
 )
 
@@ -213,9 +214,17 @@ def _pack_hex(bits: np.ndarray) -> str:
     return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes().hex()
 
 
-def _unpack_hex(payload: str, nbits: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(payload), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:nbits]
+def _unpack_hex_rows(rows, count: int, nbits: int, field: str) -> np.ndarray:
+    """The (count, nbits) bits of a list of count hex rows of nbits bits each."""
+    nbytes = (nbits + 7) // 8
+    try:
+        raw = [bytes.fromhex(row) for row in rows]
+    except (TypeError, ValueError):
+        raw = []
+    if len(raw) != count or any(len(row) != nbytes for row in raw):
+        raise ParseError("instance", field, f"need {count} rows of {2 * nbytes} hex digits")
+    bits = np.frombuffer(b"".join(raw), np.uint8).reshape(count, nbytes)
+    return np.unpackbits(bits, axis=1, bitorder="little")[:, :nbits]
 
 
 def instance_to_json(inst: OracleInstance) -> dict:
@@ -236,25 +245,31 @@ def instance_to_json(inst: OracleInstance) -> dict:
 
 
 def instance_from_json(data: dict) -> OracleInstance:
+    """Inverse of instance_to_json.  Raises ParseError, naming the field,
+    for a p other than "num/den" in [0, 1], a seed that is not an integer,
+    tables of the wrong count or hex length, and an unfolded block whose b
+    is not the exponent of p = 2^-b or whose tables have the wrong shape."""
     spec = CodeSpec.from_json(data["code"])
-    num, den = data["p"].split("/")
+    num, _, den = str(data["p"]).partition("/")
+    if not (num.isdecimal() and den.isdecimal() and 0 < int(den) and int(num) <= int(den)):
+        raise ParseError("instance", "p", f"p must be 'num/den' in [0, 1], got {data['p']!r}")
     p = Fraction(int(num), int(den))
+    seed = data["seed"]
+    if type(seed) is not int:
+        raise ParseError("instance", "seed", f"seed must be an integer, got {seed!r}")
     sigma = spec.sigma_size
-    tables = np.stack(
-        [_unpack_hex(row, sigma) for row in data["tables"]]
-    ).astype(np.uint8)
+    tables = _unpack_hex_rows(data["tables"], spec.n, sigma, "tables")
     unfolded = None
-    if data.get("unfolded"):
-        b = int(data["unfolded"]["b"])
-        unfolded = np.stack(
-            [
-                _unpack_hex(row, sigma * b).reshape(sigma, b)
-                for row in data["unfolded"]["tables"]
-            ]
-        ).astype(np.uint8)
-    return OracleInstance(
-        spec=spec, p=p, seed=int(data["seed"]), tables=tables, unfolded=unfolded
-    )
+    block = data.get("unfolded")
+    if block:
+        b = block.get("b")
+        # b is bounded before the shift: p = 2^-b needs 2^b = den
+        bounded = type(b) is int and 1 <= b <= p.denominator.bit_length()
+        if not (bounded and p == Fraction(1, 1 << b)):
+            raise ParseError("instance", "unfolded.b", f"b must satisfy p = 2^-b, got {b!r}")
+        rows = _unpack_hex_rows(block.get("tables"), spec.n, sigma * b, "unfolded.tables")
+        unfolded = rows.reshape(spec.n, sigma, b)
+    return OracleInstance(spec=spec, p=p, seed=seed, tables=tables, unfolded=unfolded)
 
 
 def with_tables(inst: OracleInstance, tables: np.ndarray) -> OracleInstance:

@@ -19,6 +19,19 @@ def mul_arrays(ctx: FieldCtx, a, b) -> np.ndarray:
     return ctx.exp_np[ctx.log_np[a] + ctx.log_np[b]]
 
 
+def poly_eval(ctx: FieldCtx, coeffs, xs) -> np.ndarray:
+    """The polynomials with ascending coefficients along the first axis of
+    coeffs at the points xs, by Horner's rule.  Each coefficient broadcasts
+    against xs, so coeffs of shape (deg + 1, keys, 1) and xs of shape
+    (points,) give a (keys, points) array; xs may hold 0."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    xs = np.asarray(xs, dtype=np.int64)
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[1:], xs.shape), dtype=np.int64)
+    for c in coeffs[::-1]:
+        acc = mul_arrays(ctx, acc, xs) ^ c
+    return acc
+
+
 _PRODUCT_BLOCK = 1 << 20  # entries of the (rows, inner, columns) products of one block
 
 

@@ -153,6 +153,17 @@ def _tiny_instance(tmp_path):
         (["code", "preset", "--t", "0"], None),
         (["instance", "gen", "--toy", "--p", "3/2"], None),
         (["qsim", "claim66", "--p", "3/2"], None),
+        # --lam past the sigma x n distinct points of the domain
+        (["hash", "check", "--lam", "9"], None),
+        (["hash", "check", "--lam", "5", "--sigma", "2"], None),
+        # every --p has a denominator of at most 2^64
+        (["qsim", "claim66", "--sigma", "65536", "--p", f"1/{2**64 + 1}"], None),
+        (["qsim", "claim66", "--p", f"1/{10**30}"], None),
+        (["instance", "gen", "--toy", "--p", f"3/{2**65}"], None),
+        (["code", "decode", "--toy", "--p", f"1/{2**64 + 1}", "--trials", "1"], None),
+        (["qsim", "lemma51", "--toy", "--p", f"1/{2**64 + 1}", "--trials", "1"], None),
+        (["qsim", "alg1", "--toy", "--p", f"1/{2**64 + 1}", "--trials", "1"], None),
+        (["proto", "danger", "--p", f"1/{2**64 + 1}", "--trials", "1"], None),
         # negative counts, and input enumerations past the budget
         (["code", "decode", "--toy", "--trials", "-2"], None),
         (["hash", "attack", "--trials", "-1"], None),
@@ -243,11 +254,15 @@ def test_length_mismatch_outside_parsing_exits_1(tmp_path, capsys):
         ["proto", "drp", "--n", "5"],
         ["qsim", "claim66", "--trials", "1"],
         ["qsim", "claim66", "--seed", "0"],
+        ["instance", "solve", "--in", "a.json", "--jobs", "2"],
     ],
-    ids=["lemma51-jobs", "alg2-n", "alg2-s", "drp-n", "claim66-trials", "claim66-seed"],
+    ids=[
+        "lemma51-jobs", "alg2-n", "alg2-s", "drp-n", "claim66-trials", "claim66-seed",
+        "instance-solve-jobs",
+    ],
 )
 def test_removed_flags_exit_2(argv, capsys):
-    # --jobs exists only on instance solve; alg2 always runs the toy code;
+    # no subcommand takes --jobs; alg2 always runs the toy code;
     # no flag is read from a prefix (--n is not --n-bits); claim66 is exact,
     # with nothing to sample
     with pytest.raises(SystemExit) as exc:
@@ -314,6 +329,7 @@ def test_claim66_largest_sigma_is_exact_and_fast(capsys):
 def test_instance_solve_jobs_out_of_range_exits_2_before_any_scan(
     jobs, tmp_path, capsys, monkeypatch
 ):
+    # instance solve has no --jobs: every value is an unknown flag
     from nullcode import parallel
 
     def no_pool(*args, **kwargs):
@@ -322,8 +338,82 @@ def test_instance_solve_jobs_out_of_range_exits_2_before_any_scan(
     monkeypatch.setattr(parallel, "parallel_map", no_pool)
     path = _tiny_instance(tmp_path)
     capsys.readouterr()
-    assert main(["instance", "solve", "--in", str(path), "--jobs", jobs]) == 2
-    assert capsys.readouterr().err == f"error: --jobs {jobs} is not an integer in [1, 64]\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["instance", "solve", "--in", str(path), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: nullcode instance solve ")
+
+
+def test_p_denominator_of_2_to_the_64_is_accepted(capsys):
+    assert main(["qsim", "claim66", "--sigma", "2", "--p", f"3/{2**65}"]) == 2
+    capsys.readouterr()
+    assert main(["qsim", "claim66", "--sigma", "2", "--p", f"2/{2**65}"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 2.0**-64
+
+
+def test_hash_check_lambda_2_at_r_12_is_certified_fast(capsys):
+    # 24 key bits: 2^24 keys to enumerate, or the rank of a 12 x 24 bit matrix
+    start = time.perf_counter()
+    assert main(["hash", "check", "--lam", "2", "--r", "12"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "independent\n"
+
+
+def _malformed(copy: dict, field: str, value):
+    """The instance copy with field (a.b for a nested one) set to value;
+    a value that is a function of the old one maps it."""
+    copy = json.loads(json.dumps(copy))
+    owner = copy
+    *path, last = field.split(".")
+    for key in path:
+        owner = owner[key]
+    owner[last] = value(owner[last]) if callable(value) else value
+    return copy
+
+
+MALFORMED = [
+    ("p", "3/2"),
+    ("p", "-1/2"),
+    ("p", "1/0"),
+    ("p", "1/64/2"),
+    ("p", 0.015625),
+    ("seed", "7"),
+    ("seed", 1.5),
+    ("seed", True),
+    ("tables", lambda rows: rows[:-1]),
+    ("tables", lambda rows: rows + rows[:1]),
+    ("tables", lambda rows: [rows[0] + "00"] + rows[1:]),
+    ("tables", lambda rows: [rows[0][:-2]] + rows[1:]),
+    ("tables", lambda rows: ["zz"] + rows[1:]),
+    ("unfolded.b", 5),
+    ("unfolded.b", "6"),
+    ("unfolded.tables", lambda rows: rows[:-1]),
+    ("unfolded.tables", lambda rows: [rows[0][:-2]] + rows[1:]),
+]
+
+
+@pytest.mark.parametrize("command", ["instance verify", "instance solve", "tbnc verify"])
+@pytest.mark.parametrize(
+    "field, value", MALFORMED, ids=[f"{f}-{i}" for i, (f, _) in enumerate(MALFORMED)]
+)
+def test_malformed_instance_fields_exit_2(command, field, value, tmp_path, capsys):
+    tb_path = tmp_path / "tb.json"
+    assert main(["tbnc", "gen", "--t", "1", "--out", str(tb_path)]) == 0
+    tb = json.loads(tb_path.read_text())
+    bad = _malformed(tb["copies"][0], field, value)
+    path = tmp_path / "bad.json"
+    if command == "tbnc verify":
+        path.write_text(json.dumps({**tb, "copies": [bad]}))
+        argv = ["tbnc", "verify", "--in", str(path), "--key", "0,0,0,0", "--solutions", "0 0"]
+    else:
+        path.write_text(json.dumps(bad))
+        argv = [*command.split(), "--in", str(path)] + (["--x", "0 0"] if "verify" in command else [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert f"instance:{field}:" in out.err
 
 
 def test_proto_cleanup_over_budget_exits_1_before_any_trial(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,39 +8,95 @@ from nullcode.errors import (
     BudgetExceeded,
     DistinctnessViolated,
     EncodingOverflow,
+    LengthMismatch,
 )
 from nullcode.gf import FieldCtx
 from nullcode.hashing import HashFamily, HashKey
+
+# -- scalar oracles ---------------------------------------------------------------
+
+
+def horner(ctx, coeffs, x) -> int:
+    """The polynomial with ascending coefficients at x, one scalar product
+    per step: the oracle of linalg.poly_eval."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ctx.mul(acc, x) ^ c
+    return acc
+
+
+def hash_oracle(fam, key, e, i) -> int:
+    """Low out_bits bits of the key's polynomial at encode(e, i)."""
+    return horner(fam.key_field, key.coeffs, fam.encode(e, i)) & ((1 << fam.out_bits) - 1)
+
+
+def bias_oracle(fam, key, e, i) -> int:
+    """AND of the output bits: 1 iff the block is all ones."""
+    return int(hash_oracle(fam, key, e, i) == (1 << fam.out_bits) - 1)
+
+
+def independence_oracle(fam, points) -> bool:
+    """Joint uniformity of the width-w outputs, w = min(out_bits, r), at the
+    points, by counting the outcomes of all 2^(r lambda) keys.  Horner's
+    rule runs on every key at once through a table of products by x built
+    with the scalar product."""
+    ctx, w, lam = fam.key_field, fam.effective_width, fam.lam
+    kv = np.arange(fam.key_count)
+    coeffs = [(kv >> (j * fam.r)) & (ctx.q - 1) for j in range(lam)]
+    outcome = np.zeros_like(kv)
+    for e, i in points:
+        x = fam.encode(e, i)
+        times_x = np.array([ctx.mul(a, x) for a in range(ctx.q)], dtype=np.int64)
+        acc = np.zeros_like(kv)
+        for c in reversed(coeffs):
+            acc = times_x[acc] ^ c
+        outcome = (outcome << w) | (acc & ((1 << w) - 1))
+    counts = np.bincount(outcome, minlength=1 << (w * lam))
+    return bool(np.all(counts == fam.key_count >> (w * lam)))
 
 
 def family(r=6, lam=4, n=2, sigma=4):
     return HashFamily(key_field=FieldCtx(r), lam=lam, n=n, sigma_size=sigma)
 
 
+def _cells(fam):
+    return [(e, i) for i in range(1, fam.n + 1) for e in range(fam.sigma_size)]
+
+
+def _hash_at(fam, key, cells):
+    """hash_values at the encoded cells, as a list."""
+    return hashing.hash_values(fam, [key], [fam.encode(e, i) for e, i in cells])[0].tolist()
+
+
 def test_zero_key_all_zero():
     fam = family()
     key = hashing.zero_key(fam)
-    assert all(
-        hashing.eval_hash(fam, key, e, i) == 0 for e in range(4) for i in (1, 2)
-    )
+    assert _hash_at(fam, key, _cells(fam)) == [0] * 8
+    assert all(hash_oracle(fam, key, e, i) == 0 for e, i in _cells(fam))
 
 
 def test_constant_key_constant_output():
     fam = family()
     key = HashKey((13, 0, 0, 0))
-    outs = {hashing.eval_hash(fam, key, e, i) for e in range(4) for i in (1, 2)}
-    assert outs == {13}
+    assert set(_hash_at(fam, key, _cells(fam))) == {13}
+    assert {hash_oracle(fam, key, e, i) for e, i in _cells(fam)} == {13}
 
 
 def test_two_term_polynomial():
     fam = family(r=4, lam=2, n=2, sigma=4)
     ctx = fam.key_field
     key = HashKey((5, 9))
-    for e in range(4):
-        for i in (1, 2):
-            x = fam.encode(e, i)
-            want = (5 ^ ctx.mul(9, x)) & 0b111111
-            assert hashing.eval_hash(fam, key, e, i) == want
+    got = _hash_at(fam, key, _cells(fam))
+    for (e, i), value in zip(_cells(fam), got):
+        x = fam.encode(e, i)
+        want = (5 ^ ctx.mul(9, x)) & 0b111111
+        assert value == want == hash_oracle(fam, key, e, i)
+
+
+def test_hash_values_rejects_a_key_of_the_wrong_length():
+    fam = family(r=4, lam=2, n=2, sigma=4)
+    with pytest.raises(LengthMismatch):
+        hashing.hash_values(fam, [HashKey((1, 2)), HashKey((1, 2, 3))], [0, 1])
 
 
 def test_encode_injective_and_bounds():
@@ -57,26 +115,28 @@ def test_encode_injective_and_bounds():
 def test_key_linearity_exhaustive_basis():
     fam = family(r=4, lam=2, n=2, sigma=4)
     rng = np.random.default_rng(0)
+    cells = _cells(fam)
     for _ in range(20):
         k1 = hashing.random_key(fam, rng)
         k2 = hashing.random_key(fam, rng)
         ks = HashKey(tuple(a ^ b for a, b in zip(k1.coeffs, k2.coeffs)))
-        for e in range(4):
-            for i in (1, 2):
-                assert hashing.eval_hash(fam, ks, e, i) == hashing.eval_hash(
-                    fam, k1, e, i
-                ) ^ hashing.eval_hash(fam, k2, e, i)
+        h1, h2, hs = (_hash_at(fam, k, cells) for k in (k1, k2, ks))
+        assert hs == [a ^ b for a, b in zip(h1, h2)]
+        for (e, i), value in zip(cells, hs):
+            assert value == hash_oracle(fam, k1, e, i) ^ hash_oracle(fam, k2, e, i)
 
 
 def test_independence_lambda2_r4():
     fam = family(r=4, lam=2, n=2, sigma=4)
-    assert hashing.independence_check(fam, [(0, 1), (1, 1)])
-    assert hashing.independence_check(fam, [(3, 1), (2, 2)])
+    for points in ([(0, 1), (1, 1)], [(3, 1), (2, 2)]):
+        assert hashing.independence_check(fam, points)
+        assert independence_oracle(fam, points)
 
 
 def test_independence_lambda1():
     fam = family(r=4, lam=1, n=2, sigma=4)
     assert hashing.independence_check(fam, [(2, 1)])
+    assert independence_oracle(fam, [(2, 1)])
 
 
 def test_independence_rejects_duplicates():
@@ -86,17 +146,22 @@ def test_independence_rejects_duplicates():
 
 
 def test_independence_budget():
-    fam = family(r=8, lam=4, n=2, sigma=4)  # 32 key bits
+    # 32 key bits: the enumeration would visit 2^32 keys, the certificate is
+    # the rank of a 24 x 32 bit matrix
+    fam = family(r=8, lam=4, n=2, sigma=4)
+    start = time.perf_counter()
+    assert hashing.independence_check(fam, [(0, 1), (1, 1), (2, 1), (3, 1)])
+    assert time.perf_counter() - start < 1
+    # the bit matrix itself is bounded: 6 lambda x 12 lambda > 2^16 entries
+    big = HashFamily(key_field=FieldCtx(12), lam=31, n=1, sigma_size=64)
     with pytest.raises(BudgetExceeded):
-        hashing.independence_check(fam, [(0, 1), (1, 1), (2, 1), (3, 1)])
+        hashing.independence_check(big, [(e, 1) for e in range(31)])
 
 
 def test_more_points_than_lambda_dependent():
     # evaluating a degree <lam polynomial at lam+1 points is never jointly
     # uniform; the checker requires exactly lambda points
     fam = family(r=4, lam=2, n=2, sigma=4)
-    from nullcode.errors import LengthMismatch
-
     with pytest.raises(LengthMismatch):
         hashing.independence_check(fam, [(0, 1), (1, 1), (2, 1)])
 
@@ -116,8 +181,6 @@ def test_attack_zero_oracle_zero_key_ok():
     spec = configs.toy_repetition_spec(n=2, s=2)
     fam = configs.toy_family(spec)
     tb = tbnc.make_tbnc(spec, fam, 1, 1)
-    import numpy as np
-
     from nullcode import instances
 
     zero = instances.OracleInstance(
@@ -129,8 +192,10 @@ def test_attack_zero_oracle_zero_key_ok():
     key = hashing.attack_solve(fam, spec, zero)
     assert key is not None
     word = codes.fold(spec, codes.codeword_matrix(spec)[1])
+    bias = hashing.hash_bias_tables(fam, key)
     for i, sym in enumerate(word):
-        assert hashing.eval_hash_bias(fam, key, spec.symbol_rank(sym), i + 1) == 0
+        assert bias_oracle(fam, key, spec.symbol_rank(sym), i + 1) == 0
+        assert bias[i, spec.symbol_rank(sym)] == 0
 
 
 def test_bias_tables_match_pointwise():
@@ -139,9 +204,10 @@ def test_bias_tables_match_pointwise():
     rng = np.random.default_rng(1)
     key = hashing.random_key(fam, rng)
     tables = hashing.hash_bias_tables(fam, key)
+    assert tables.shape == (2, 4) and tables.dtype == np.uint8
     for i in range(1, 3):
         for e in range(4):
-            assert tables[i - 1, e] == hashing.eval_hash_bias(fam, key, e, i)
+            assert tables[i - 1, e] == bias_oracle(fam, key, e, i)
 
 
 def test_unfolded_tables_and_collapse():
@@ -154,7 +220,7 @@ def test_unfolded_tables_and_collapse():
     unf = np.array(
         [
             [
-                [(hashing.eval_hash(fam, key, e, i) >> j) & 1 for j in range(fam.out_bits)]
+                [(hash_oracle(fam, key, e, i) >> j) & 1 for j in range(fam.out_bits)]
                 for e in range(fam.sigma_size)
             ]
             for i in range(1, fam.n + 1)
