@@ -3,9 +3,10 @@
 The amplitude budget caps the number of nonzero amplitudes a simulated
 state may carry; the enumeration budget caps exhaustive sweeps over
 codewords or over Sigma^n, and the hash family's key-bit matrix; the table
-budget caps the oracle table bits of one instance.  ``NULLCODE_BUDGET`` in the environment overrides the
-amplitude budget, and only it; it must be an integer >= 1.  The other two
-are fixed.
+budget caps the oracle table bits of one instance and the hash tables a
+totality scan holds.  ``NULLCODE_BUDGET`` in the environment overrides
+the amplitude budget, and only it; it must be an integer >= 1.  The
+other two are fixed.
 """
 
 import os

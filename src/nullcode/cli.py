@@ -405,11 +405,9 @@ def cmd_proto_run(args) -> int:
 
 def cmd_proto_danger(args) -> int:
     spec = configs.toy_repetition_spec(n=args.n, s=args.s)
-    insts = [
-        instances.sample_instance(spec, _parse_fraction(args.p), args.seed + i)
-        for i in range(args.trials)
-    ]
+    p = _parse_fraction(args.p)
     tree = proto.reveal_solution_tree(spec)
+    insts = [instances.sample_instance(spec, p, args.seed + i) for i in range(args.trials)]
     out = proto.danger_track(tree, spec, insts)
     if args.out:
         rows = [("seed", "cost", "output", "correct")]
@@ -771,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--lam", type=int, default=4)
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--keys", type=int, default=16)
+    p.add_argument("--keys", type=_int_in("--keys", 1, DEFAULT_ENUM_BUDGET), default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tbnc_totality)

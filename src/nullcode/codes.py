@@ -643,10 +643,10 @@ def list_recover_count(
 def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
     """Numeric check of the two folded-RS list-recoverability inequalities;
     returns their truth values and the guaranteed list bound q^s."""
+    if not (min(N, m, k, r) > 0 and min(ell, s) >= 0):
+        raise ValueError("N, m, k and r must be positive, ell and s nonnegative")
     if m - s + 1 == 0:
-        raise ZeroDivisionError("m - s + 1 must be nonzero")
-    if k == 0:
-        raise ZeroDivisionError("degree k must be nonzero")
+        raise ValueError("m - s + 1 must be nonzero")
     lhs1 = zeta * N / m
     rhs1 = (1 + s / r) * (N * ell * k**s) ** (1.0 / (s + 1)) / (m - s + 1)
     ineq1 = lhs1 >= rhs1

@@ -29,7 +29,7 @@ class BiasNotPowerOfTwo(NullcodeError):
     """AND-block operations require a bias of the form 2**-b."""
 
 
-class SplitRequiresEvenN(NullcodeError):
+class SplitRequiresEvenN(NullcodeError, ValueError):
     """Bipartite splits need an even number of oracle coordinates."""
 
 

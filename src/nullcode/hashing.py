@@ -70,9 +70,10 @@ class HashFamily:
     def effective_width(self) -> int:
         return min(self.out_bits, self.r)
 
-    def encode(self, e_rank: int, i: int) -> int:
-        """Injective map (e, i) -> field element; i is 1-based."""
-        if not 0 <= e_rank < self.sigma_size or not 1 <= i <= self.n:
+    def encode(self, e_rank, i):
+        """Injective map (e, i) -> field element, elementwise; i is 1-based."""
+        e_rank, i = np.asarray(e_rank), np.asarray(i)
+        if not ((0 <= e_rank) & (e_rank < self.sigma_size) & (1 <= i) & (i <= self.n)).all():
             raise EncodingOverflow(f"point ({e_rank}, {i}) outside the domain")
         return e_rank * self.n + (i - 1)
 
@@ -127,12 +128,14 @@ def hash_values(family: HashFamily, keys, points) -> np.ndarray:
     return values & ((1 << family.out_bits) - 1)
 
 
-def hash_bias_tables(family: HashFamily, key: HashKey) -> np.ndarray:
-    """Bias bit of the hash at every (coordinate, symbol) cell: the AND of
-    the output bits, 1 iff the block is all ones."""
-    points = np.arange(family.sigma_size * family.n)  # encode(e, i) = e n + i - 1
-    bias = hash_values(family, [key], points)[0] == (1 << family.out_bits) - 1
-    return np.ascontiguousarray(bias.reshape(family.sigma_size, family.n).T, dtype=np.uint8)
+def hash_bias_tables(family: HashFamily, keys) -> np.ndarray:
+    """Bias bit of each key's hash at every (coordinate, symbol) cell, as a
+    (keys x n x |Sigma|) uint8 array: the AND of the output bits, 1 iff
+    the block is all ones."""
+    i, e = np.indices((family.n, family.sigma_size))
+    values = hash_values(family, keys, family.encode(e, i + 1).ravel())
+    bias = values == (1 << family.out_bits) - 1
+    return bias.astype(np.uint8).reshape(-1, family.n, family.sigma_size)
 
 
 def _hash_bit_matrix(family: HashFamily, encoded) -> np.ndarray:
@@ -158,8 +161,8 @@ def independence_check(family: HashFamily, points) -> bool:
     points = list(points)
     if len(points) != family.lam:
         raise LengthMismatch("need exactly lambda points")
-    encoded = [family.encode(e, i) for e, i in points]
-    if len(set(encoded)) != len(encoded):
+    encoded = family.encode(*np.array(points).T)
+    if np.unique(encoded).size != encoded.size:
         raise DistinctnessViolated("evaluation points must be distinct")
     entries = family.out_bits * family.lam * family.key_bits
     if entries > DEFAULT_ENUM_BUDGET:
@@ -190,7 +193,7 @@ def attack_solve(
 
         warnings.warn("lambda < n: the linear system may be infeasible", stacklevel=2)
     ranks = codes_mod.codeword_rank_matrix(spec)[1]
-    encoded = [family.encode(int(e), i + 1) for i, e in enumerate(ranks)]
+    encoded = family.encode(ranks, np.arange(1, spec.n + 1))
     bias = inst.tables[np.arange(spec.n), ranks]
     # an all-ones block where the bias bit is 1, all zeros where it is 0
     targets = np.repeat(bias.astype(np.int64), family.out_bits)

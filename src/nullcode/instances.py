@@ -77,12 +77,12 @@ class OracleInstance:
         return self.spec.sigma_size
 
 
-def _check_table_bits(spec: CodeSpec, blocks: int = 1):
+def check_table_bits(spec: CodeSpec, blocks: int = 1):
+    """Raise BudgetExceeded when `blocks` (n x |Sigma|) tables over spec
+    hold more than DEFAULT_TABLE_BUDGET bits."""
     bits = spec.n * spec.sigma_size * blocks
     if bits > DEFAULT_TABLE_BUDGET:
-        raise BudgetExceeded(
-            f"instance needs {bits} table bits, budget is {DEFAULT_TABLE_BUDGET}"
-        )
+        raise BudgetExceeded(f"{bits} table bits exceed budget {DEFAULT_TABLE_BUDGET}")
 
 
 def sample_instance(spec: CodeSpec, p, seed: int) -> OracleInstance:
@@ -94,7 +94,7 @@ def sample_instance(spec: CodeSpec, p, seed: int) -> OracleInstance:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("bias must lie in [0, 1]")
-    _check_table_bits(spec)
+    check_table_bits(spec)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B1A5]))
     draws = rng.integers(0, p.denominator, size=(spec.n, spec.sigma_size))
     tables = (draws < p.numerator).astype(np.uint8)
@@ -103,7 +103,7 @@ def sample_instance(spec: CodeSpec, p, seed: int) -> OracleInstance:
 
 def sample_unfolded_instance(spec: CodeSpec, b: int, seed: int) -> OracleInstance:
     """Sample uniform AND-block tables; the collapsed bias is p = 2**-b."""
-    _check_table_bits(spec, blocks=b)
+    check_table_bits(spec, blocks=b)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B1A6]))
     unfolded = rng.integers(0, 2, size=(spec.n, spec.sigma_size, b)).astype(np.uint8)
     tables = unfolded.min(axis=2)
@@ -130,11 +130,12 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
 
 
 def solution_mask(tables: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """ok[j]: every table reads 0 at codeword j, where ranks holds (a row
-    slice of) codes.codeword_rank_matrix."""
-    ok = np.ones(ranks.shape[0], dtype=bool)
+    """ok[..., j]: every table reads 0 at codeword j, for tables of shape
+    (..., n, |Sigma|) and ranks holding (a row slice of)
+    codes.codeword_rank_matrix."""
+    ok = np.ones(tables.shape[:-2] + ranks.shape[:1], dtype=bool)
     for i in range(ranks.shape[1]):
-        ok &= tables[i, ranks[:, i]] == 0
+        ok &= tables[..., i, ranks[:, i]] == 0
     return ok
 
 
@@ -246,12 +247,15 @@ def instance_to_json(inst: OracleInstance) -> dict:
 
 def instance_from_json(data: dict) -> OracleInstance:
     """Inverse of instance_to_json.  Raises ParseError, naming the field,
-    for a p other than "num/den" in [0, 1], a seed that is not an integer,
-    tables of the wrong count or hex length, and an unfolded block whose b
-    is not the exponent of p = 2^-b or whose tables have the wrong shape."""
+    for a p other than "num/den" in [0, 1] with at most 4300 digits a side
+    (what int() converts by default), a seed that is not an integer,
+    tables of the wrong count or hex length, an unfolded that is not an
+    object, and an unfolded block whose b is not the exponent of p = 2^-b
+    or whose tables have the wrong shape."""
     spec = CodeSpec.from_json(data["code"])
     num, _, den = str(data["p"]).partition("/")
-    if not (num.isdecimal() and den.isdecimal() and 0 < int(den) and int(num) <= int(den)):
+    digits = num.isdecimal() and den.isdecimal() and max(len(num), len(den)) <= 4300
+    if not (digits and 0 < int(den) and int(num) <= int(den)):
         raise ParseError("instance", "p", f"p must be 'num/den' in [0, 1], got {data['p']!r}")
     p = Fraction(int(num), int(den))
     seed = data["seed"]
@@ -261,7 +265,9 @@ def instance_from_json(data: dict) -> OracleInstance:
     tables = _unpack_hex_rows(data["tables"], spec.n, sigma, "tables")
     unfolded = None
     block = data.get("unfolded")
-    if block:
+    if block is not None:
+        if not isinstance(block, dict):
+            raise ParseError("instance", "unfolded", f"unfolded must be an object, got {block!r}")
         b = block.get("b")
         # b is bounded before the shift: p = 2^-b needs 2^b = den
         bounded = type(b) is int and 1 <= b <= p.denominator.bit_length()

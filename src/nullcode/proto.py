@@ -334,8 +334,10 @@ def reveal_tree(builder_labels, n_bits_a: int, n_bits_b: int) -> ProtocolTree:
 def reveal_solution_tree(spec) -> ProtocolTree:
     """Full-reveal baseline over the bipartite split of spec's tables: each
     leaf holds the first solution (in message-rank order) of the revealed
-    instance, or BOT when it has none."""
+    instance, or BOT when it has none.  Raises BudgetExceeded first when
+    it would have more than DEFAULT_ENUM_BUDGET leaves."""
     split = Split(spec.n, spec.sigma_size)
+    check_input_pairs(split.bits_per_side, split.bits_per_side)
     ranks = codes_mod.codeword_rank_matrix(spec)
     words = codes_mod.codeword_matrix(spec)
 

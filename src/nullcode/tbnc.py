@@ -77,8 +77,7 @@ def xored_bias_tables(
     copy: OracleInstance, family: HashFamily, key: HashKey
 ) -> np.ndarray:
     """bias H (AND-collapsed) XOR bias h_k, per (coordinate, symbol)."""
-    hash_bias = hashing_mod.hash_bias_tables(family, key)
-    return (copy.tables ^ hash_bias).astype(np.uint8)
+    return copy.tables ^ hashing_mod.hash_bias_tables(family, [key])[0]
 
 
 def tbnc_verify(tb: TbncInstance, key: HashKey, solutions) -> bool:
@@ -118,16 +117,14 @@ def run_keyed_smp(
             if support == 0:
                 raise EmptySupport(f"coordinate {i + 1} has no zero cell")
             pr = support / tb.spec.sigma_size
-            attempt = 0
-            while True:
-                if attempt >= DEFAULT_RETRY_CAP:
-                    raise RetriesExhausted(
-                        f"coordinate {i + 1}: {DEFAULT_RETRY_CAP} filtering attempts failed"
-                    )
-                attempt += 1
+            for retries in range(DEFAULT_RETRY_CAP):
                 if rng.random() < pr:
                     break
-            retries_total += attempt - 1
+            else:
+                raise RetriesExhausted(
+                    f"coordinate {i + 1}: {DEFAULT_RETRY_CAP} filtering attempts failed"
+                )
+            retries_total += retries
         shifted = inst_mod.with_tables(copy, g)
         report = qsim.run_smp_protocol(tb.spec, shifted, params)
         z = qsim.sample_measurement(report, rng)
@@ -163,40 +160,33 @@ def exact_emptiness_probability(
     family: HashFamily,
     key: HashKey,
     b: int,
-) -> float:
+) -> Fraction:
     """P over a fresh 2**-b-biased oracle that no codeword solves the
-    XORed instance, by exact weighted enumeration of the touched cells.
+    XORed instance, exactly, by enumerating the c cells codewords read.
 
-    This is the brute-force closed form: only table cells actually read by
-    some codeword matter, and the weight of each assignment is a product
-    of per-cell Bernoulli masses.
+    A cell reads 0 with probability 1 - 2^-b where the hash bit is 0 and
+    2^-b where it is 1, so the likelier value of a cell is its hash bit,
+    and an assignment (bit j set: cell j reads 1) that differs from the
+    likelier values on k cells weighs (2^b - 1)^(c - k) / 2^(bc).  An
+    assignment has no solution when it meets every codeword's cell mask.
     """
     ranks = codes_mod.codeword_rank_matrix(spec)
-    cells = sorted({(i, int(r)) for row in ranks for i, r in enumerate(row)})
-    if len(cells) > 22:
-        raise BudgetExceeded(f"{len(cells)} touched cells is too many to enumerate")
-    cell_index = {c: j for j, c in enumerate(cells)}
-    hash_bias = hashing_mod.hash_bias_tables(family, key)
-    p = Fraction(1, 1 << b)
-    prob_zero = []  # per cell: P[bias H ^ bias h = 0]
-    for (i, r) in cells:
-        prob_zero.append(1 - p if hash_bias[i, r] == 0 else p)
-    total = Fraction(0)
-    word_cells = [
-        [cell_index[(i, int(r))] for i, r in enumerate(row)] for row in ranks
-    ]
-    for assignment in range(1 << len(cells)):
-        weight = Fraction(1)
-        for j, pz in enumerate(prob_zero):
-            weight *= pz if not (assignment >> j) & 1 else 1 - pz
-        if weight == 0:
-            continue
-        has_solution = any(
-            all(not (assignment >> j) & 1 for j in wc) for wc in word_cells
-        )
-        if not has_solution:
-            total += weight
-    return float(total)
+    flat = ranks + np.arange(spec.n) * spec.sigma_size  # cell i |Sigma| + rank
+    cells = np.unique(flat)
+    c = cells.size
+    if c > 22:
+        raise BudgetExceeded(f"{c} touched cells is too many to enumerate")
+    assignments = np.arange(1 << c)
+    empty = np.ones(1 << c, dtype=bool)
+    # a codeword's n cells are distinct, so its mask is the sum of their bits
+    for mask in (1 << np.searchsorted(cells, flat)).sum(axis=1).tolist():
+        empty &= (assignments & mask) != 0
+    flips = np.zeros(1, dtype=np.int64)  # flips[a] = k, built one cell at a time
+    for h in hashing_mod.hash_bias_tables(family, [key])[0].ravel()[cells].tolist():
+        flips = np.concatenate([flips + h, flips + 1 - h])
+    den = 1 << b
+    counts = np.bincount(flips[empty], minlength=c + 1)
+    return Fraction(sum(int(n) * (den - 1) ** (c - k) for k, n in enumerate(counts)), den**c)
 
 
 def totality_scan(
@@ -212,33 +202,32 @@ def totality_scan(
 
     Returns the fraction of sampled oracles admitting at least one good
     key among the scanned ones and the per-key emptiness rate of the
-    zero key (compared against its exact closed form elsewhere).
+    zero key (compared against its exact closed form elsewhere).  The
+    scanned keys' hash tables are computed once; raises BudgetExceeded
+    when they hold more than DEFAULT_TABLE_BUDGET bits.
     """
     if h_samples < 1 or key_budget < 1:
         raise ValueError("totality scan needs at least one oracle sample and one key")
     key_budget = min(key_budget, family.key_count)
+    inst_mod.check_table_bits(spec, blocks=key_budget)
     keys = [hashing_mod.key_from_int(family, kv) for kv in range(key_budget)]
-    rng_seeds = [seed * 999983 + s for s in range(h_samples)]
+    hash_bias = hashing_mod.hash_bias_tables(family, keys)
+    ranks = codes_mod.codeword_rank_matrix(spec)
     good_key_hits = 0
-    zero_key_empty = 0
     per_key_nonempty = np.zeros(len(keys), dtype=np.int64)
-    for hs in rng_seeds:
-        tb = make_tbnc(spec, family, t, hs)
-        nonempty = [
-            not any(
-                solution_set_empty(spec, xored_bias_tables(copy, family, key))
-                for copy in tb.copies
-            )
-            for key in keys
-        ]
+    for s in range(h_samples):
+        tb = make_tbnc(spec, family, t, seed * 999983 + s)
+        nonempty = np.ones(len(keys), dtype=bool)
+        for copy in tb.copies:
+            nonempty &= inst_mod.solution_mask(copy.tables ^ hash_bias, ranks).any(axis=1)
         per_key_nonempty += nonempty
-        good_key_hits += any(nonempty)
-        zero_key_empty += not nonempty[0]  # keys[0] is the zero key
+        good_key_hits += bool(nonempty.any())
+    # keys[0] is the zero key
     return {
         "h_samples": h_samples,
         "keys_scanned": len(keys),
         "good_key_fraction": good_key_hits / h_samples,
-        "zero_key_empty_rate": zero_key_empty / h_samples,
+        "zero_key_empty_rate": (h_samples - int(per_key_nonempty[0])) / h_samples,
         "per_key_nonempty_rate": (per_key_nonempty / h_samples).tolist(),
     }
 

@@ -540,6 +540,6 @@ def test_criterion_14_total_problem(monkeypatch):
         14,
         "total problem",
         f"forced-zero-key run exact; zero-key emptiness {rate:.3f} vs closed "
-        f"form {exact:.3f} over {samples} samples; union bound exact, "
+        f"form {float(exact):.3f} over {samples} samples; union bound exact, "
         f"{elapsed:.2f}s",
     )

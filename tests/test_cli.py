@@ -92,6 +92,10 @@ def _tiny_instance(tmp_path):
     return path
 
 
+# code lrcheck's flags of a passing check; argparse keeps the last of a repeated flag
+LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
+
+
 @pytest.mark.parametrize(
     "argv, env",
     [
@@ -177,6 +181,14 @@ def _tiny_instance(tmp_path):
         (["proto", "run", "--n-bits", "1.5"], None),
         # a field with more than 2^16 elements
         (["code", "dual", "--config", "{s17}"], None),
+        # an odd split, lr_param_check outside its domain, --keys past the enumeration budget
+        (["proto", "danger", "--n", "3", "--trials", "1"], None),  # a split needs an even n
+        (["code", "lrcheck", *LRCHECK, "--k", "0"], None),
+        (["code", "lrcheck", *LRCHECK, "--m", "2", "--s", "3"], None),  # m - s + 1 = 0
+        (["code", "lrcheck", *LRCHECK, "--m", "0"], None),
+        (["code", "lrcheck", *LRCHECK, "--r", "0"], None),
+        (["code", "lrcheck", *LRCHECK, "--s", "-1"], None),
+        (["tbnc", "totality", "--keys", "65537"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
@@ -389,6 +401,8 @@ MALFORMED = [
     ("unfolded.b", "6"),
     ("unfolded.tables", lambda rows: rows[:-1]),
     ("unfolded.tables", lambda rows: [rows[0][:-2]] + rows[1:]),
+    ("p", "1/" + "1" * 5000),  # past int()'s digit limit
+    ("unfolded", 5),
 ]
 
 
@@ -428,6 +442,22 @@ def test_proto_cleanup_over_budget_exits_1_before_any_trial(capsys, monkeypatch)
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: 262144 input pairs exceed budget 65536\n"
+
+
+def test_proto_danger_over_budget_exits_1_before_anything_is_built(capsys, monkeypatch):
+    # 16 bits per side: a reveal tree of 2^32 leaves
+    from nullcode import instances
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("an instance was sampled")
+
+    monkeypatch.setattr(instances, "sample_instance", no_sample)
+    start = time.perf_counter()
+    assert main(["proto", "danger", "--n", "2", "--s", "4", "--trials", "1"]) == 1
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 4294967296 input pairs exceed budget 65536\n"
 
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -691,10 +691,15 @@ def test_lr_param_check():
     # huge ell breaks the second inequality
     bad = codes.lr_param_check(63, 9, 6, 64**3, 2, 8, 0.4, 64)
     assert not bad["ineq2"]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError):
         codes.lr_param_check(63, 9, 0, 2, 2, 8, 0.4, 64)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError):
         codes.lr_param_check(63, 9, 6, 2, 10, 8, 0.4, 64)
+    # each of these divided by zero or raised a negative base to a fractional power
+    for bad in ({"m": 0}, {"r": 0}, {"s": -1}, {"k": -6}, {"N": -63}, {"ell": -2}):
+        args = {"N": 63, "m": 9, "k": 6, "ell": 2, "s": 2, "r": 8, "zeta": 0.4, "q": 64} | bad
+        with pytest.raises(ValueError):
+            codes.lr_param_check(**args)
 
 
 def test_membership():

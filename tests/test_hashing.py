@@ -192,7 +192,7 @@ def test_attack_zero_oracle_zero_key_ok():
     key = hashing.attack_solve(fam, spec, zero)
     assert key is not None
     word = codes.fold(spec, codes.codeword_matrix(spec)[1])
-    bias = hashing.hash_bias_tables(fam, key)
+    bias = hashing.hash_bias_tables(fam, [key])[0]
     for i, sym in enumerate(word):
         assert bias_oracle(fam, key, spec.symbol_rank(sym), i + 1) == 0
         assert bias[i, spec.symbol_rank(sym)] == 0
@@ -203,11 +203,34 @@ def test_bias_tables_match_pointwise():
     fam = configs.toy_family(spec)
     rng = np.random.default_rng(1)
     key = hashing.random_key(fam, rng)
-    tables = hashing.hash_bias_tables(fam, key)
+    tables = hashing.hash_bias_tables(fam, [key])[0]
     assert tables.shape == (2, 4) and tables.dtype == np.uint8
     for i in range(1, 3):
         for e in range(4):
             assert tables[i - 1, e] == bias_oracle(fam, key, e, i)
+
+
+def test_bias_tables_of_many_keys_are_the_single_key_rows():
+    spec = configs.toy_selfdual_spec()
+    fam = configs.toy_family(spec)
+    rng = np.random.default_rng(3)
+    keys = [hashing.zero_key(fam)] + [hashing.random_key(fam, rng) for _ in range(6)]
+    tables = hashing.hash_bias_tables(fam, keys)
+    assert tables.shape == (7, fam.n, fam.sigma_size) and tables.dtype == np.uint8
+    for key, row in zip(keys, tables):
+        assert np.array_equal(row, hashing.hash_bias_tables(fam, [key])[0])
+
+
+def test_encode_is_elementwise_over_arrays():
+    fam = family()
+    e, i = np.meshgrid(np.arange(4), np.arange(1, 3))
+    assert fam.encode(e, i).tolist() == [
+        [fam.encode(int(a), int(b)) for a, b in zip(row_e, row_i)] for row_e, row_i in zip(e, i)
+    ]
+    with pytest.raises(EncodingOverflow):
+        fam.encode(np.array([0, 4]), np.array([1, 1]))
+    with pytest.raises(EncodingOverflow):
+        fam.encode(np.array([0, 1]), np.array([1, 0]))
 
 
 def test_unfolded_tables_and_collapse():
@@ -215,7 +238,7 @@ def test_unfolded_tables_and_collapse():
     fam = configs.toy_family(spec)
     rng = np.random.default_rng(2)
     key = hashing.random_key(fam, rng)
-    bias = hashing.hash_bias_tables(fam, key)
+    bias = hashing.hash_bias_tables(fam, [key])[0]
     # the bias bit is the AND of the out_bits bits of each hash block
     unf = np.array(
         [

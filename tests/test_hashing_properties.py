@@ -65,12 +65,18 @@ def test_hash_values_equal_the_scalar_oracle(data):
     cells = [(e, i) for i in range(1, fam.n + 1) for e in range(fam.sigma_size)]
     got = hashing.hash_values(fam, keys, [fam.encode(e, i) for e, i in cells])
     assert got.tolist() == [[hash_oracle(fam, key, e, i) for e, i in cells] for key in keys]
-    bias = hashing.hash_bias_tables(fam, keys[0])
+    bias = hashing.hash_bias_tables(fam, keys)
     full = (1 << fam.out_bits) - 1
+    assert bias.shape == (len(keys), fam.n, fam.sigma_size) and bias.dtype == np.uint8
     assert bias.tolist() == [
-        [int(hash_oracle(fam, keys[0], e, i) == full) for e in range(fam.sigma_size)]
-        for i in range(1, fam.n + 1)
+        [
+            [int(hash_oracle(fam, key, e, i) == full) for e in range(fam.sigma_size)]
+            for i in range(1, fam.n + 1)
+        ]
+        for key in keys
     ]
+    for key, row in zip(keys, bias):
+        assert np.array_equal(hashing.hash_bias_tables(fam, [key])[0], row)
 
 
 @pytest.mark.parametrize("r, lam", [(1, 3), (2, 2), (4, 2), (6, 1), (4, 3)])

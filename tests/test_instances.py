@@ -202,6 +202,7 @@ def test_split():
     assert sp.cell("B", 0) == (2, 0)
     with pytest.raises(SplitRequiresEvenN):
         instances.Split(3, 4)
+    assert issubclass(SplitRequiresEvenN, ValueError)  # a usage error on the command line
 
 
 def _flat_index_layout(split, x, y):

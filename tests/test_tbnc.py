@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from nullcode import codes, configs, hashing, instances, tbnc
 from nullcode.codes import DecoderParams
-from nullcode.errors import LengthMismatch, RetriesExhausted
+from nullcode.errors import BudgetExceeded, LengthMismatch, RetriesExhausted
 
 
 def codewords(spec) -> list:
@@ -98,7 +100,7 @@ def test_xor_layer_convention():
     rng = np.random.default_rng(0)
     key = hashing.random_key(fam, rng)
     g = tbnc.xored_bias_tables(tb.copies[0], fam, key)
-    hash_bias = hashing.hash_bias_tables(fam, key)
+    hash_bias = hashing.hash_bias_tables(fam, [key])[0]
     assert np.array_equal(g, tb.copies[0].tables ^ hash_bias)
 
 
@@ -151,6 +153,77 @@ def test_keyed_smp_retry_cap_zero(monkeypatch):
         tbnc.run_keyed_smp(tb, params, seed=0)
 
 
+# -- exact emptiness ------------------------------------------------------------
+
+
+def _touched_cells(spec) -> list:
+    ranks = codes.codeword_rank_matrix(spec)
+    return sorted({(i, int(r)) for row in ranks for i, r in enumerate(row)})
+
+
+@functools.cache
+def _empty_assignments(spec) -> list:
+    """Every assignment of the touched cells (bit j set: cell j reads 1)
+    under which no codeword reads 0 on all of its cells."""
+    cells = _touched_cells(spec)
+    index = {c: j for j, c in enumerate(cells)}
+    word_cells = [
+        [index[(i, int(r))] for i, r in enumerate(row)] for row in codes.codeword_rank_matrix(spec)
+    ]
+    return [
+        a
+        for a in range(1 << len(cells))
+        if not any(all(not (a >> j) & 1 for j in wc) for wc in word_cells)
+    ]
+
+
+def emptiness_oracle(spec, fam, key, b) -> Fraction:
+    """The 2^cells enumeration: the total weight of the empty assignments,
+    each weighing the product of its per-cell Bernoulli masses.  Masses
+    are kept as integers over the common denominator 2^b, and the weights
+    of all assignments are built one cell at a time."""
+    cells = _touched_cells(spec)
+    hash_bias = hashing.hash_bias_tables(fam, [key])[0]
+    den = 1 << b
+    p = Fraction(1, den)
+    weights = [1]
+    for i, r in cells:
+        prob_zero = 1 - p if hash_bias[i, r] == 0 else p  # P[bias H ^ bias h = 0]
+        zero, one = int(prob_zero * den), int((1 - prob_zero) * den)
+        weights = [w * zero for w in weights] + [w * one for w in weights]
+    return Fraction(sum(weights[a] for a in _empty_assignments(spec)), den ** len(cells))
+
+
+EMPTINESS_SPECS = {
+    "rep(2,2)": lambda: configs.toy_repetition_spec(n=2, s=2),
+    "rep(3,1)": lambda: configs.toy_repetition_spec(n=3, s=1),
+    "rep(2,1)": lambda: configs.toy_repetition_spec(n=2, s=1),
+    "selfdual": configs.toy_selfdual_spec,
+}
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 6])
+@pytest.mark.parametrize("name", list(EMPTINESS_SPECS))
+def test_exact_emptiness_equals_the_enumeration(name, b):
+    spec = EMPTINESS_SPECS[name]()
+    fam = configs.toy_family(spec)
+    rng = np.random.default_rng(0)  # the same five keys at every b
+    keys = [hashing.zero_key(fam)] + [hashing.random_key(fam, rng) for _ in range(4)]
+    for key in keys:
+        exact = tbnc.exact_emptiness_probability(spec, fam, key, b)
+        assert type(exact) is Fraction
+        assert exact == emptiness_oracle(spec, fam, key, b)
+
+
+def test_exact_emptiness_on_the_selfdual_code_is_fast():
+    spec = configs.toy_selfdual_spec()
+    fam = configs.toy_family(spec)
+    start = time.perf_counter()
+    exact = tbnc.exact_emptiness_probability(spec, fam, hashing.zero_key(fam), 6)
+    assert time.perf_counter() - start < 0.1
+    assert 0 < exact < 1
+
+
 def test_totality_zero_key_exact_vs_empirical():
     spec, fam, _ = rep_setup()
     b = 2  # bias 1/4 makes emptiness non-negligible
@@ -177,6 +250,44 @@ def test_totality_scan_reports():
     assert 0 <= out["zero_key_empty_rate"] <= 1
     assert len(out["per_key_nonempty_rate"]) == 8
     assert out["per_key_nonempty_rate"][0] == 1 - out["zero_key_empty_rate"]
+
+
+def totality_oracle(spec, fam, t, h_samples, key_budget, seed) -> list:
+    """Per sample, per key: every copy's solution set is nonempty, by
+    solution_set_empty over each key's xored_bias_tables."""
+    keys = [hashing.key_from_int(fam, kv) for kv in range(min(key_budget, fam.key_count))]
+    return [
+        [
+            not any(
+                tbnc.solution_set_empty(spec, tbnc.xored_bias_tables(copy, fam, key))
+                for copy in tbnc.make_tbnc(spec, fam, t, seed * 999983 + s).copies
+            )
+            for key in keys
+        ]
+        for s in range(h_samples)
+    ]
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_totality_scan_equals_the_per_key_oracle(t, seed):
+    spec, fam, _ = rep_setup()
+    samples, budget = 12, 32
+    nonempty = np.array(totality_oracle(spec, fam, t, samples, budget, seed))
+    out = tbnc.totality_scan(spec, fam, t, samples, budget, seed)
+    assert out["keys_scanned"] == budget
+    assert out["per_key_nonempty_rate"] == (nonempty.sum(axis=0) / samples).tolist()
+    assert out["good_key_fraction"] == nonempty.any(axis=1).sum() / samples
+    assert out["zero_key_empty_rate"] == (~nonempty[:, 0]).sum() / samples
+
+
+def test_totality_scan_checks_the_table_budget_before_it_allocates():
+    spec, fam, _ = rep_setup()
+    # 2^24 keys x 2 x 4 cells = 2^27 > 2^26
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="134217728 table bits"):
+        tbnc.totality_scan(spec, fam, 1, 1, fam.key_count, seed=0)
+    assert time.perf_counter() - start < 1
 
 
 def test_union_bound_calculator():
