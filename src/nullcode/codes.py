@@ -642,14 +642,18 @@ def list_recover_count(
 
 def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
     """Numeric check of the two folded-RS list-recoverability inequalities;
-    returns their truth values and the guaranteed list bound q^s."""
+    returns their truth values and the guaranteed list bound q^s.  Raises
+    ValueError for parameters out of domain and for powers such as q^s or
+    k^s that overflow a float."""
     if not (min(N, m, k, r) > 0 and min(ell, s) >= 0):
         raise ValueError("N, m, k and r must be positive, ell and s nonnegative")
     if m - s + 1 == 0:
         raise ValueError("m - s + 1 must be nonzero")
-    lhs1 = zeta * N / m
-    rhs1 = (1 + s / r) * (N * ell * k**s) ** (1.0 / (s + 1)) / (m - s + 1)
-    ineq1 = lhs1 >= rhs1
-    lhs2 = (r + s) * (N * ell / k) ** (1.0 / (s + 1))
-    ineq2 = lhs2 < q
-    return {"ineq1": bool(ineq1), "ineq2": bool(ineq2), "L": q**s}
+    try:
+        lhs1 = zeta * N / m
+        rhs1 = (1 + s / r) * (N * ell * k**s) ** (1.0 / (s + 1)) / (m - s + 1)
+        lhs2 = (r + s) * (N * ell / k) ** (1.0 / (s + 1))
+        bound = q**s
+    except OverflowError as exc:
+        raise ValueError(f"parameters overflow float arithmetic: {exc}") from None
+    return {"ineq1": bool(lhs1 >= rhs1), "ineq2": bool(lhs2 < q), "L": bound}

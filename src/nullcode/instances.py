@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import codes
+from . import codes, linalg
 from .budget import DEFAULT_TABLE_BUDGET
 from .codes import CodeSpec, Codeword
 from .errors import (
@@ -127,6 +127,20 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
         if inst.tables[i, inst.spec.symbol_rank(sym)]:
             return False
     return codes.contains(inst.spec, x)
+
+
+def verify_flat(inst: OracleInstance, flat) -> np.ndarray:
+    """`verify` on a 1-D array of flat ranks at once: a rank outside
+    [0, |Sigma|^n) is invalid; otherwise every table must read 0 at its
+    symbol and every parity check of the code (a generator row of its
+    dual) must vanish on its unfolded word."""
+    spec = inst.spec
+    flat = np.asarray(flat, dtype=np.int64)
+    ranks = codes.to_digits(flat, spec.sigma_size, spec.n)
+    accepted = (inst.tables[np.arange(spec.n), ranks] == 0).all(axis=1)
+    checks = codes.dual(spec).generator_matrix()
+    syndromes = linalg.matmul(spec.field, codes.to_digits(flat, spec.field.q, spec.N), checks.T)
+    return accepted & ~syndromes.any(axis=1) & (flat >= 0) & (flat < spec.sigma_size**spec.n)
 
 
 def solution_mask(tables: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -120,18 +120,31 @@ def apply_add_decode(joint: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.n
 
 def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
     """Flat-rank decode table over all of Sigma^n: F[z] = dual_decode(z),
-    with 0 standing in for the bottom symbol."""
-    sigma = spec.sigma_size
-    total = sigma**spec.n
+    with 0 standing in for the bottom symbol.
+
+    One dual_decode per coset of the dual: the parity checks of C-dual are
+    the generator rows of C, so the words of one syndrome form a coset
+    leader + C-dual, the leader being the coset's smallest flat rank.  The
+    codewords of C-dual within the radius of leader + c are those of the
+    leader shifted by c, so uniqueness and bottom carry over and
+    F[leader + c] = dual_decode(leader) + c; in characteristic 2 that sum
+    is the XOR of flat ranks.
+    """
+    total = spec.sigma_size**spec.n
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"decode table over {total} strings exceeds budget")
     q = spec.field.q
-    decoded = np.zeros((total, spec.N), dtype=np.int64)
-    for flat, vec in enumerate(codes.to_digits(np.arange(total), q, spec.N).tolist()):
-        dec = codes.dual_decode(spec, params, codes.fold(spec, vec))
+    words = codes.to_digits(np.arange(total), q, spec.N)
+    syndromes = codes.from_digits(linalg.matmul(spec.field, words, spec.generator_matrix().T), q)
+    _, leaders, coset = np.unique(syndromes, return_index=True, return_inverse=True)
+    found = np.zeros(leaders.size, dtype=bool)
+    shift = np.zeros(leaders.size, dtype=np.int64)
+    for j, leader in enumerate(leaders.tolist()):
+        dec = codes.dual_decode(spec, params, codes.fold(spec, words[leader]))
         if dec is not None:
-            decoded[flat] = codes.unfold(spec, dec)
-    return codes.from_digits(decoded, q)
+            found[j] = True
+            shift[j] = leader ^ int(codes.from_digits(codes.unfold(spec, dec), q))
+    return np.where(found[coset], np.arange(total) ^ shift[coset], 0)
 
 
 def flat_to_word(spec: CodeSpec, flat: int):
@@ -281,8 +294,7 @@ def run_smp_protocol(spec: CodeSpec, inst: OracleInstance, params: DecoderParams
     z_dist = out["solution_distribution"]
     verified = np.zeros_like(z_dist, dtype=bool)
     support = np.nonzero(z_dist > 1e-12)[0]
-    for flat, vec in zip(support, codes.to_digits(support, spec.field.q, spec.N).tolist()):
-        verified[flat] = instances.verify(inst, codes.fold(spec, vec))
+    verified[support] = instances.verify_flat(inst, support)
     out["verified_mass"] = float(z_dist[verified].sum())
     if not np.array_equal(verified, out["solution_mask"] & (z_dist > 1e-12)):
         mism = verified ^ (out["solution_mask"] & (z_dist > 1e-12))

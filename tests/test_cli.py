@@ -189,6 +189,7 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
         (["code", "lrcheck", *LRCHECK, "--r", "0"], None),
         (["code", "lrcheck", *LRCHECK, "--s", "-1"], None),
         (["tbnc", "totality", "--keys", "65537"], None),
+        (["code", "lrcheck", *LRCHECK, "--s", "200", "--q", "1e10"], None),  # q^s overflows a float
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):

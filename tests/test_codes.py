@@ -702,6 +702,21 @@ def test_lr_param_check():
             codes.lr_param_check(**args)
 
 
+@pytest.mark.parametrize(
+    "big",
+    [
+        {"s": 200, "q": 1e10},  # q^s overflows a float
+        {"s": 2000.0},  # k^s overflows a float
+        {"s": 2000},  # the int k^s is too large to convert to a float
+        {"k": 10**400},  # and so is N ell k^s here
+    ],
+)
+def test_lr_param_check_rejects_overflowing_powers(big):
+    args = {"N": 63, "m": 9, "k": 6, "ell": 2, "s": 2, "r": 8, "zeta": 0.4, "q": 64} | big
+    with pytest.raises(ValueError, match="overflow"):
+        codes.lr_param_check(**args)
+
+
 def test_membership():
     spec = codes.preset(2)
     cw = codes.encode(spec, [7, 11])

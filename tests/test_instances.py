@@ -7,10 +7,39 @@ import pytest
 
 from nullcode import codes, configs, instances
 from nullcode.errors import BiasNotPowerOfTwo, BudgetExceeded, SplitRequiresEvenN
+from nullcode.gf import FieldCtx
 
 
 def toy():
     return configs.toy_repetition_spec(n=2, s=2)
+
+
+def grs4(m, k):
+    """Degree-k GRS code over F_4 (N = 3), m-folded."""
+    ctx = FieldCtx(2)
+    return codes.CodeSpec(kind="grs-folded", field=ctx, m=m, k=k, gamma=ctx.generator(), v=(1, 2, 3))
+
+
+# small codes whose |Sigma|^n words can all be enumerated: the self-dual toy,
+# repetition codes over F_2 and F_4, and F_4 GRS codes folded to m = 1 and 3
+SMALL_SPECS = {
+    "selfdual": configs.toy_selfdual_spec,
+    "rep4-s1": lambda: configs.toy_repetition_spec(n=4, s=1),
+    "rep5-s1": lambda: configs.toy_repetition_spec(n=5, s=1),
+    "rep3-s2": lambda: configs.toy_repetition_spec(n=3, s=2),
+    "rep4-s2": lambda: configs.toy_repetition_spec(n=4, s=2),
+    "grs4-m1-k0": lambda: grs4(1, 0),
+    "grs4-m1-k1": lambda: grs4(1, 1),
+    "grs4-m3-k0": lambda: grs4(3, 0),
+    "grs4-m3-k1": lambda: grs4(3, 1),
+}
+
+
+def verify_each(inst, flats):
+    """The scalar verifier on the word of each flat rank."""
+    spec = inst.spec
+    words = codes.to_digits(flats, spec.field.q, spec.N)
+    return np.array([instances.verify(inst, codes.fold(spec, w)) for w in words], dtype=bool)
 
 
 def test_extreme_biases():
@@ -256,3 +285,32 @@ def test_table_budget():
     spec = codes.preset(3)  # |Sigma| = 64^9 is far over any table budget
     with pytest.raises(BudgetExceeded):
         instances.sample_instance(spec, Fraction(1, 64), 0)
+
+
+@pytest.mark.parametrize("name", SMALL_SPECS)
+def test_verify_flat_equals_verify_on_every_flat_rank(name):
+    spec = SMALL_SPECS[name]()
+    flats = np.arange(spec.sigma_size**spec.n)
+    base = instances.sample_instance(spec, Fraction(1, 4), 0)
+    cases = [instances.with_tables(base, np.zeros_like(base.tables))]
+    cases += [instances.sample_instance(spec, p, seed) for p in (Fraction(1, 4), Fraction(1, 2)) for seed in range(3)]
+    for inst in cases:
+        got = instances.verify_flat(inst, flats)
+        assert got.dtype == bool and got.shape == flats.shape
+        assert np.array_equal(got, verify_each(inst, flats))
+    # the all-zero tables accept exactly the codewords
+    assert instances.verify_flat(cases[0], flats).sum() == spec.size
+
+
+def test_verify_flat_rejects_ranks_outside_sigma_n():
+    spec = configs.toy_selfdual_spec()
+    inst = instances.with_tables(
+        instances.sample_instance(spec, Fraction(1, 4), 0),
+        np.zeros((spec.n, spec.sigma_size), dtype=np.uint8),
+    )
+    total = spec.sigma_size**spec.n
+    # the codewords 0 and all-ones (total - 1), and their aliases modulo
+    # |Sigma|^n, which are not words at all
+    flats = np.array([0, -total, total, 2 * total, -1, total - 1])
+    got = instances.verify_flat(inst, flats)
+    assert got.tolist() == [True, False, False, False, False, True]

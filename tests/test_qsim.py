@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from nullcode import codes, configs, instances, qsim
 from nullcode.codes import DecoderParams
 from nullcode.errors import BudgetExceeded, EmptySupport, LengthMismatch
 from nullcode.gf import FieldCtx
+from test_instances import SMALL_SPECS
 
 
 def toy_setup(seed=0, p=Fraction(1, 16)):
@@ -537,16 +539,54 @@ def test_flat_to_word_matches_the_digit_loop():
             assert word_to_flat_loop(spec, word) == flat
 
 
-@pytest.mark.parametrize("p", [Fraction(1, 16), Fraction(1, 64)])
-def test_decode_rank_table_matches_a_per_word_loop(p):
-    spec = configs.toy_selfdual_spec()
-    params = DecoderParams.for_spec(spec, p)
+def decode_table_loop(spec, params):
+    """The decode table with one dual_decode per word of Sigma^n."""
     want = np.zeros(spec.sigma_size**spec.n, dtype=np.int64)
     for flat in range(want.size):
         dec = codes.dual_decode(spec, params, flat_to_word_loop(spec, flat))
         if dec is not None:
             want[flat] = word_to_flat_loop(spec, dec)
-    assert np.array_equal(qsim.decode_rank_table(spec, params), want)
+    return want
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 16), Fraction(1, 64)])
+def test_decode_rank_table_matches_a_per_word_loop(p):
+    spec = configs.toy_selfdual_spec()
+    params = DecoderParams.for_spec(spec, p)
+    assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
+
+
+@pytest.mark.parametrize("name", SMALL_SPECS)
+def test_decode_rank_table_matches_a_per_word_loop_at_every_radius(name):
+    # radii past unique decoding included: there a word with two or more
+    # dual codewords in reach decodes to bottom, i.e. 0
+    spec = SMALL_SPECS[name]()
+    for radius in range(spec.N + 1):
+        params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+        assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_decode_rank_table_is_0_where_the_list_is_ambiguous(radius):
+    # the self-dual toy's dual has distance 4, so radius 2 is past unique decoding
+    spec = configs.toy_selfdual_spec()
+    dual_unf = replace(codes.dual(spec), m=1)
+    params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+    F = qsim.decode_rank_table(spec, params)
+    words = codes.to_digits(np.arange(F.size), 2, spec.N)
+    sizes = np.array([len(codes.list_decode(dual_unf, codes.fold(dual_unf, w), radius)) for w in words])
+    assert (sizes > 1).any()
+    assert not F[sizes != 1].any()
+
+
+@pytest.mark.parametrize("name", [name for name in SMALL_SPECS if name.startswith("grs")])
+def test_decode_rank_table_matches_the_loop_through_the_syndrome_decoder(name, monkeypatch):
+    # no dual fits the enumeration budget, so each decode is a syndrome decode
+    spec = SMALL_SPECS[name]()
+    monkeypatch.setattr(codes, "DEFAULT_ENUM_BUDGET", 1)
+    for radius in range((spec.N - codes.dual(spec).k - 1) // 2 + 1):
+        params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+        assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
 
 
 def test_decode_table_good_on_dual():
