@@ -253,9 +253,9 @@ def _parse_word(spec: CodeSpec, text: str):
 def cmd_qsim_qft(args) -> int:
     ctx = FieldCtx(args.s)
     mat = qsim.qft_matrix(ctx)
-    residual = float(np.abs(mat @ mat.T - np.eye(ctx.q)).max())
+    residual = float(np.abs(mat @ mat.T - ctx.q * np.eye(ctx.q)).max()) / ctx.q
     print(f"q={ctx.q} unitarity residual {residual:.2e}")
-    return 0 if residual <= 1e-12 else 1
+    return 0 if residual == 0 else 1
 
 
 def _trial_records(args) -> list[dict]:
@@ -441,6 +441,10 @@ def cmd_proto_danger(args) -> int:
 
 
 def cmd_hash_check(args) -> int:
+    """Certify lambda-wise independence at the first --lam domain points.
+    The points are distinct, so the Vandermonde map of the key is
+    invertible and the certificate always holds: the `NOT independent`
+    branch (exit 1) reports the check's output and is never reached."""
     family = hashing.HashFamily(
         key_field=FieldCtx(args.r),
         lam=args.lam,

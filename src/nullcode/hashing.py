@@ -157,6 +157,11 @@ def independence_check(family: HashFamily, points) -> bool:
     output bits is onto, i.e. when its (w lambda) x (r lambda) bit matrix
     has rank w lambda.  The entries of that matrix are bounded by the
     enumeration budget.
+
+    For lambda distinct points the map from a key to its lambda values is
+    a Vandermonde matrix, which is invertible, and taking the low w bits of
+    each value is onto; so the certificate always holds and False is never
+    returned.  It stays the check's output, not an assumption.
     """
     points = list(points)
     if len(points) != family.lam:

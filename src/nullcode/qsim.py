@@ -1,21 +1,22 @@
-"""Exact dense simulation of the one-round SMP protocol and numerical
+"""Exact dense simulation of the one-round SMP protocol and exact
 verification of its error analysis.
 
-States are dense vectors over Sigma^n, Sigma = F_q^m, indexed by flat
-symbol rank with the first coordinate most significant; pair states are
-(K, K) arrays, K = |Sigma|^n.  The Fourier transform is the n m-fold tensor
-power of the trace-character transform on F_q.  In characteristic 2 that
-matrix is real (entries +-1/sqrt(q)) and involutive, but amplitudes are
-kept complex so odd characteristic is not structurally excluded.
+States are vectors over Sigma^n, Sigma = F_q^m, indexed by flat symbol
+rank with the first coordinate most significant; K = |Sigma|^n.  Every
+field is GF(2^s), so the Fourier transform over Sigma^n is the n m-fold
+tensor power of the +-1 sign matrix (-1)^Tr(x z) on F_q, over sqrt(q).
+States are integer-valued float64 vectors (exact below 2^53), and every
+normalisation is an integer denominator.
 
 The main pipeline computes, exactly:
 
 - the two error masses eps = sum over BAD pairs of |Vhat(x) What(e)|^2 and
   delta = sum_z |sum over BAD pairs with x+e=z of Vhat(x) What(e)|^2,
 - the actual output state (I x QFT^-1) U_F U_add (QFT x QFT) |psi>|phi>,
-- the ideal state |Sigma|^(n/2) sum_z (V.W)(z) |0>|z>,
+  one block of first-register rows at a time,
+- its distance from the ideal state |Sigma|^(n/2) sum_z (V.W)(z) |0>|z>,
 
-and asserts that their Euclidean distance is at most sqrt(eps) +
+and checks in integers that the distance is at most sqrt(eps) +
 sqrt(delta), which is the guarantee the protocol's analysis rests on.
 """
 
@@ -35,29 +36,30 @@ from .gf import FieldCtx
 from .instances import OracleInstance
 
 _DENSE_QFT_LIMIT = 1 << 12
-_GOOD_PAIR_CAP = 1 << 20
+_CELL_CAP = 1 << 14
 
 
 # -- Fourier kernels -------------------------------------------------------------
 
 
 def qft_matrix(ctx: FieldCtx) -> np.ndarray:
-    """Trace-character transform on F_q: entry (z, x) = (-1)^Tr(x z)/sqrt(q).
+    """Trace-character sign matrix on F_q: entry (z, x) = (-1)^Tr(x z).
 
-    Real in characteristic 2; unitary and involutive.
+    The unitary transform is this matrix over sqrt(q); the matrix is
+    symmetric and squares to q I.
     """
     q = ctx.q
     if q > _DENSE_QFT_LIMIT:
         raise BudgetExceeded(f"dense transform for q={q} exceeds the budget")
     elems = np.arange(q)
     traces = np.array([ctx.trace(x) for x in range(q)], dtype=bool)
-    signs = np.where(traces[linalg.mul_arrays(ctx, elems[:, None], elems)], -1.0, 1.0)
-    return signs / math.sqrt(q)
+    return np.where(traces[linalg.mul_arrays(ctx, elems[:, None], elems)], -1.0, 1.0)
 
 
 def sigma_qft_matrix(ctx: FieldCtx, m: int) -> np.ndarray:
-    """Transform over Sigma = F_q^m as an m-fold Kronecker power; symbol
-    ranks put the first F_q digit in the most-significant position."""
+    """Sign matrix over Sigma = F_q^m as an m-fold Kronecker power, squaring
+    to |Sigma| I; symbol ranks put the first F_q digit in the
+    most-significant position."""
     base = qft_matrix(ctx)
     if ctx.q**m > _DENSE_QFT_LIMIT:
         raise BudgetExceeded(f"|Sigma| = {ctx.q ** m} exceeds the dense budget")
@@ -82,40 +84,26 @@ def apply_qft_vec(vec: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
 
 
 def prepare_phi(inst: OracleInstance, i: int) -> np.ndarray:
-    """Uniform superposition over T_i = {e : H_i(e) = 0}; i is 1-based."""
+    """Indicator vector of T_i = {e : H_i(e) = 0}; i is 1-based.  The
+    uniform superposition over T_i is this vector over sqrt|T_i|."""
     support = inst.tables[i - 1] == 0
-    size = int(support.sum())
-    if size == 0:
+    if not support.any():
         raise EmptySupport(f"table {i} maps every symbol to 1")
-    vec = np.zeros(support.size, dtype=np.complex128)
-    vec[support] = 1.0 / math.sqrt(size)
-    return vec
+    return support.astype(np.float64)
 
 
 def prepare_psi(spec: CodeSpec) -> np.ndarray:
-    """Uniform superposition over the code as a length-|Sigma|^n vector."""
+    """Indicator vector of the code over Sigma^n; the uniform superposition
+    over the code is this vector over sqrt|C|."""
     total = spec.sigma_size**spec.n
     if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"code state over {total} strings exceeds budget")
-    flat = _code_flat_ranks(spec)
-    vec = np.zeros(total, dtype=np.complex128)
-    vec[flat] = 1.0 / math.sqrt(flat.size)
+    vec = np.zeros(total)
+    vec[_code_flat_ranks(spec)] = 1.0
     return vec
 
 
-# -- permutation unitaries -----------------------------------------------------------
-
-
-def apply_add_decode(joint: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U_add then U_F on a (K, K) pair array indexed by flat ranks, as two
-    exact gathers: U_add maps |x>|e> to |x>|x+e> and U_F maps |x>|z> to
-    |x - F(z)>|z>.  Symbol-wise addition and subtraction are rank XOR in
-    characteristic 2, so both steps are permutations and preserve the norm
-    exactly.  Returns the array after U_add and the array after U_F.
-    """
-    idx = np.arange(joint.shape[0])
-    added = np.take_along_axis(joint, idx[:, None] ^ idx[None, :], axis=1)
-    return added, added[idx[:, None] ^ F[None, :], idx[None, :]]
+# -- decoding --------------------------------------------------------------------
 
 
 def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
@@ -185,14 +173,15 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     """Run the add/decode pipeline exactly on the received per-coordinate
     states and compare with the ideal state.
 
-    phis holds one length-|Sigma| state per coordinate, in coordinate
-    order (see prepare_phi); their tensor product is the oracle state.
-    Builds the decode table F and the GOOD masks and checks F(x+e) = x on
-    GOOD.  Returns eps, delta, the Euclidean distance between actual and
-    ideal states with its bound, measurement statistics, and the actual
-    state (a dense array over pairs).  Raises AssertionError if GOOD is
-    unsound or the distance bound sqrt(eps) + sqrt(delta) + 1e-9 is
-    violated.
+    phis holds one length-|Sigma| indicator vector per coordinate, in
+    coordinate order (see prepare_phi); their tensor product is 1_T for the
+    oracle's zero set T.  Builds the decode table F and the GOOD masks and
+    checks F(x+e) = x on GOOD.  Returns eps, delta, the distance between
+    actual and ideal states with its bound sqrt(eps) + sqrt(delta), the
+    success probability (the *_exact keys hold these as `Fraction`s over
+    S K^3, S = |C| |T|; l2 squared), the measurement distribution and the
+    solution mask.  Raises AssertionError if GOOD is unsound, if the norm
+    changes or if the distance exceeds the bound.
     """
     sigma = spec.sigma_size
     n = spec.n
@@ -205,68 +194,76 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     if len(phis) != n or any(v.shape != (sigma,) for v in phis):
         raise LengthMismatch(f"expected {n} states of length {sigma}")
 
-    # -- input states
+    # -- input states; Vhat = v/sqrt(K |C|) with v = |C| 1_{C-dual}, and
+    # What = w/sqrt(K |T|)
     psi = prepare_psi(spec)
     phi = functools.reduce(np.kron, phis)
-
     kernel = sigma_qft_matrix(spec.field, spec.m)
-    vhat = apply_qft_vec(psi, kernel, n)
-    what = apply_qft_vec(phi, kernel, n)
+    v = apply_qft_vec(psi, kernel, n)
+    w = apply_qft_vec(phi, kernel, n)
+    S = int(psi.sum()) * int(phi.sum())
 
     F = decode_rank_table(spec, params)
     gx, ge = default_goodbad(spec, params)
     _assert_good_sound(F, gx, ge)
 
-    # -- error masses over BAD = complement of GOOD
-    px = np.abs(vhat) ** 2
-    pe = np.abs(what) ** 2
-    eps = float(1.0 - px[gx].sum() * pe[ge].sum())
-    eps = max(eps, 0.0)
-
-    # After U_add, entry (x, z) holds Vhat(x) What(x+z); in rank space
-    # x+e=z iff e = x^z.  conv_bad[z] sums it over BAD pairs, row by row.
-    added, joint = apply_add_decode(np.outer(vhat, what), F)
+    # After U_add and U_F, row y of the pair state holds v[x] w[x+z] at
+    # column z, x = y + F(z) (rank XOR in characteristic 2), over K sqrt(S);
+    # the inverse transform of the second register puts it over
+    # K sqrt(S K).  Per block of rows, conv[z] sums column z over BAD pairs
+    # and mass[z] sums the squares of column z after the transform.
     idx = np.arange(K)
-    bad = np.where(gx[:, None] & ge[idx[:, None] ^ idx[None, :]], 0.0, added)
-    delta = float((np.abs(bad.sum(axis=0)) ** 2).sum())
+    conv = np.zeros(K, dtype=np.int64)
+    mass = np.zeros(K, dtype=np.int64)
+    step = max(1, _CELL_CAP // K)
+    for lo in range(0, K, step):
+        x = idx[lo : lo + step, None] ^ F
+        e = x ^ idx
+        pairs = v[x] * w[e]
+        conv += np.where(gx[x] & ge[e], 0.0, pairs).sum(axis=0).astype(np.int64)
+        rows = apply_qft_vec(pairs, kernel, n).astype(np.int64)
+        if lo == 0:
+            row0 = rows[0]
+        mass += (rows * rows).sum(axis=0)
+    total = S * K**3
+    if int(mass.sum()) != total:
+        raise AssertionError("the add and decode unitaries changed the norm")
 
-    # -- actual state: QFT^-1 on the second register (involutive)
-    actual = apply_qft_vec(joint, kernel, n)
-
-    # -- ideal state
-    ideal_z = (sigma ** (n / 2)) * psi * phi
-    diff = actual.copy()
-    diff[0] -= ideal_z
-    l2 = float(np.linalg.norm(diff))
-
-    bound = math.sqrt(eps) + math.sqrt(delta) + 1e-9
-    if l2 > bound:
-        raise AssertionError(
-            f"distance {l2} exceeds sqrt(eps)+sqrt(delta) = {bound}"
-        )
-
-    meas = np.abs(actual) ** 2
-    z_dist = meas.sum(axis=0)
-    sol_mask = (np.abs(psi) > 0) & (np.abs(phi) > 0)
-    success = float(z_dist[sol_mask].sum())
+    # -- eps, delta and the squared distance from the ideal state, which is
+    # K^2 1_{C and T} in row 0, all over S K^3
+    sol = (psi > 0) & (phi > 0)
+    E = (S * K * K - int(v[gx] @ v[gx]) * int(w[ge] @ w[ge])) * K
+    D = int(conv @ conv) * K
+    L = total - 2 * K * K * int(row0[sol].sum()) + K**4 * int(sol.sum())
+    eps = Fraction(E, total)
+    delta = Fraction(D, total)
+    l2_squared = Fraction(L, total)
+    # sqrt(L) <= sqrt(E) + sqrt(D) iff L - E - D <= 2 sqrt(E D)
+    excess = L - E - D
+    if excess > 0 and excess * excess > 4 * E * D:
+        raise AssertionError(f"squared distance {l2_squared} exceeds (sqrt({eps}) + sqrt({delta}))^2")
+    success = Fraction(int(mass[sol].sum()), total)
     return {
-        "epsilon": eps,
-        "delta": delta,
-        "l2_distance": l2,
-        "bound": bound,
-        "success_probability": success,
-        "solution_distribution": z_dist,
-        "solution_mask": sol_mask,
-        "actual_state": actual,
+        "epsilon": float(eps),
+        "delta": float(delta),
+        "l2_distance": math.sqrt(l2_squared),
+        "bound": math.sqrt(eps) + math.sqrt(delta),
+        "success_probability": float(success),
+        "solution_distribution": mass / total,
+        "solution_mask": sol,
+        "epsilon_exact": eps,
+        "delta_exact": delta,
+        "l2_squared_exact": l2_squared,
+        "success_exact": success,
     }
 
 
 def _assert_good_sound(F: np.ndarray, gx: np.ndarray, ge: np.ndarray):
     """F(x+e) = x on every GOOD pair, checked in blocks of at most
-    _GOOD_PAIR_CAP pairs (GOOD has at most _DENSE_QFT_LIMIT values of e)."""
+    _CELL_CAP pairs (GOOD has at most _DENSE_QFT_LIMIT values of e)."""
     xs = np.nonzero(gx)[0]
     es = np.nonzero(ge)[0]
-    step = max(1, _GOOD_PAIR_CAP // max(es.size, 1))
+    step = max(1, _CELL_CAP // max(es.size, 1))
     for lo in range(0, xs.size, step):
         block = xs[lo : lo + step, None]
         if (F[block ^ es] != block).any():
@@ -292,12 +289,12 @@ def run_smp_protocol(spec: CodeSpec, inst: OracleInstance, params: DecoderParams
     bob_states = [prepare_phi(inst, i) for i in range(half + 1, inst.n + 1)]
     out = add_decode_pipeline(spec, alice_states + bob_states, params)
     z_dist = out["solution_distribution"]
-    verified = np.zeros_like(z_dist, dtype=bool)
-    support = np.nonzero(z_dist > 1e-12)[0]
-    verified[support] = instances.verify_flat(inst, support)
+    live = z_dist > 0
+    verified = np.zeros_like(live)
+    verified[live] = instances.verify_flat(inst, np.nonzero(live)[0])
     out["verified_mass"] = float(z_dist[verified].sum())
-    if not np.array_equal(verified, out["solution_mask"] & (z_dist > 1e-12)):
-        mism = verified ^ (out["solution_mask"] & (z_dist > 1e-12))
+    if not np.array_equal(verified, out["solution_mask"] & live):
+        mism = verified ^ (out["solution_mask"] & live)
         raise AssertionError(
             f"verifier disagrees with the solution mask on {mism.sum()} strings"
         )
@@ -346,29 +343,22 @@ def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
 
 
 def product_rule_check(ctx: FieldCtx, m: int, n: int, p, seed: int = 0) -> float:
-    """Max deviation between transforming a product state as one register
-    and the tensor product of per-coordinate transforms, on one sampled
-    oracle; anything above 1e-12 raises."""
+    """Max deviation between transforming the indicator of a product set as
+    one register and the tensor product of per-coordinate transforms, on
+    one sampled oracle.  Both are integer vectors under the sign kernel,
+    so any deviation raises and the return value is 0."""
     p = Fraction(p)
     sigma = ctx.q**m
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9D0D]))
     kernel = sigma_qft_matrix(ctx, m)
     ws = []
-    for _ in range(n):
-        while True:
-            table = rng.integers(0, p.denominator, size=sigma) < p.numerator
-            if not table.all():
-                break
-        w = (~table).astype(float)
-        w /= math.sqrt(w.sum())
-        ws.append(w)
-    product_of_hats = ws[0] @ kernel
-    state = ws[0]
-    for w in ws[1:]:
-        product_of_hats = np.kron(product_of_hats, w @ kernel)
-        state = np.kron(state, w)
-    direct = apply_qft_vec(state.astype(np.complex128), kernel, n)
+    while len(ws) < n:
+        table = rng.integers(0, p.denominator, size=sigma) < p.numerator
+        if not table.all():
+            ws.append((~table).astype(float))
+    product_of_hats = functools.reduce(np.kron, [kernel @ w for w in ws])
+    direct = apply_qft_vec(functools.reduce(np.kron, ws), kernel, n)
     dev = float(np.max(np.abs(direct - product_of_hats)))
-    if dev > 1e-12:
+    if dev:
         raise AssertionError(f"product rule violated by {dev}")
     return dev

@@ -17,7 +17,7 @@ from nullcode.codes import CodeSpec, DecoderParams
 from nullcode.errors import EmptySupport
 from nullcode.gf import FieldCtx, find_generator, trace
 from test_hashing import independence_oracle
-from test_qsim import table_stats_sweep, table_stats_t_sum
+from test_qsim import table_stats_sweep, table_stats_t_sum, within_bound
 
 
 def report(num: int, name: str, detail: str) -> None:
@@ -173,25 +173,22 @@ def test_criterion_05_qft():
     for s in (1, 2, 4):
         ctx = FieldCtx(s)
         mat = qsim.qft_matrix(ctx)
-        assert np.abs(mat @ mat.T - np.eye(ctx.q)).max() <= 1e-12
+        assert np.array_equal(mat @ mat.T, ctx.q * np.eye(ctx.q))
     spec = configs.toy_selfdual_spec()
     psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = qsim.apply_qft_vec(psi, kernel, spec.n)
-    dual_flat = set(qsim._code_flat_ranks(codes.dual(spec)).tolist())
-    heavy = set(np.nonzero(np.abs(hat) > 1e-10)[0].tolist())
-    assert heavy == dual_flat
-    mags = np.abs(hat[sorted(heavy)])
-    assert mags.max() - mags.min() <= 1e-10
-    off = np.abs(hat[[i for i in range(hat.size) if i not in heavy]])
-    assert off.max() <= 1e-10 if off.size else True
+    dual_flat = qsim._code_flat_ranks(codes.dual(spec))
+    want = np.zeros(hat.size)
+    want[dual_flat] = spec.size
+    assert np.array_equal(hat, want)
     elapsed = time.time() - start
     assert elapsed < 5
     report(
         5,
         "QFT checks",
-        f"unitarity <= 1e-12 for q in (2,4,16); code transform supported on "
-        f"{len(heavy)} dual words, {elapsed:.2f}s",
+        f"H H^T = q I exactly for q in (2,4,16); code transform = |C| on "
+        f"{dual_flat.size} dual words, {elapsed:.2f}s",
     )
 
 
@@ -216,9 +213,7 @@ def test_criterion_06_pipeline_bound():
             skipped += 1
             continue
         done += 1
-        assert out["l2_distance"] <= math.sqrt(out["epsilon"]) + math.sqrt(
-            out["delta"]
-        ) + 1e-9
+        assert within_bound(out)
         worst_margin = max(
             worst_margin,
             out["l2_distance"]
@@ -230,7 +225,7 @@ def test_criterion_06_pipeline_bound():
     report(
         6,
         "pipeline error bound",
-        f"100/100 runs within sqrt(eps)+sqrt(delta)+1e-9 "
+        f"100/100 runs within sqrt(eps)+sqrt(delta), checked exactly "
         f"(worst margin {worst_margin:.2e}, {skipped} empty-support seeds "
         f"skipped), {elapsed:.2f}s",
     )
@@ -246,7 +241,7 @@ def test_criterion_07_protocol_end_to_end():
     base = instances.sample_instance(spec, Fraction(1, 16), 0)
     zero = instances.with_tables(base, np.zeros_like(base.tables))
     rep = qsim.run_smp_protocol(spec, zero, params)
-    assert abs(rep["success_probability"] - 1.0) <= 1e-9
+    assert rep["success_exact"] == 1
 
     rng = np.random.default_rng(88)
     done = 0
@@ -297,7 +292,7 @@ def test_criterion_08_table_statistics():
     assert swept == table_stats_sweep(8, Fraction(1, 8))
     summed = qsim.table_fourier_stats(FieldCtx(1), 8, Fraction(1, 8))
     assert summed == table_stats_t_sum(256, Fraction(1, 8))
-    assert qsim.product_rule_check(FieldCtx(1), 3, 2, Fraction(1, 8), seed=7) <= 1e-12
+    assert qsim.product_rule_check(FieldCtx(1), 3, 2, Fraction(1, 8), seed=7) == 0
     elapsed = time.time() - start
     assert elapsed < 5
     report(

@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +10,8 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances, qsim
-from nullcode.codes import DecoderParams
+from nullcode.budget import amplitude_budget
+from nullcode.codes import CodeSpec, DecoderParams
 from nullcode.errors import BudgetExceeded, EmptySupport, LengthMismatch
 from nullcode.gf import FieldCtx
 from test_instances import SMALL_SPECS
@@ -31,12 +35,11 @@ def zero_tables_instance(spec, p=Fraction(1, 16)):
 
 def test_qft_q2_matrix():
     mat = qsim.qft_matrix(FieldCtx(1))
-    want = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    assert np.allclose(mat, want, atol=1e-15)
+    assert mat.tobytes() == np.array([[1.0, 1.0], [1.0, -1.0]]).tobytes()
 
 
 def qft_matrix_loop(ctx):
-    """The trace-character transform entry by entry: one scalar product and
+    """The trace-character signs entry by entry: one scalar product and
     trace per pair."""
     q = ctx.q
     signs = np.empty((q, q), dtype=np.float64)
@@ -45,7 +48,7 @@ def qft_matrix_loop(ctx):
             val = -1.0 if ctx.trace(ctx.mul(x, z)) else 1.0
             signs[x, z] = val
             signs[z, x] = val
-    return signs / math.sqrt(q)
+    return signs
 
 
 @pytest.mark.parametrize("s", [1, 2, 4, 6, 8])
@@ -57,22 +60,27 @@ def test_qft_matrix_matches_the_scalar_loop(s):
 
 
 def test_qft_unitary_and_involutive():
+    # the sign matrix is symmetric and squares to q I, so over sqrt(q) it
+    # is a unitary involution
     for s in (1, 2, 4):
         ctx = FieldCtx(s)
         mat = qsim.qft_matrix(ctx)
-        assert np.abs(mat @ mat.T - np.eye(ctx.q)).max() <= 1e-12
-        assert np.abs(mat @ mat - np.eye(ctx.q)).max() <= 1e-12
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(mat @ mat.T, ctx.q * np.eye(ctx.q))
+        assert np.array_equal(mat @ mat, ctx.q * np.eye(ctx.q))
+    for s, m in ((1, 2), (2, 2), (1, 4)):
+        mat = qsim.sigma_qft_matrix(FieldCtx(s), m)
+        sigma = FieldCtx(s).q ** m
+        assert np.array_equal(mat @ mat, sigma * np.eye(sigma))
 
 
 def test_qft_uniform_to_zero():
     for s in (1, 2, 4):
         ctx = FieldCtx(s)
         mat = qsim.qft_matrix(ctx)
-        uniform = np.full(ctx.q, 1 / math.sqrt(ctx.q))
-        out = mat @ uniform
         want = np.zeros(ctx.q)
-        want[0] = 1.0
-        assert np.abs(out - want).max() <= 1e-12
+        want[0] = ctx.q
+        assert np.array_equal(mat @ np.ones(ctx.q), want)
 
 
 def test_prepare_phi():
@@ -81,20 +89,19 @@ def test_prepare_phi():
     tables = np.zeros((4, 4), dtype=np.uint8)
     inst = instances.with_tables(base, tables)
     vec = qsim.prepare_phi(inst, 1)
-    assert vec.shape == (4,) and np.count_nonzero(vec) == 4
-    assert abs(np.linalg.norm(vec) - 1) < 1e-12
+    assert vec.dtype == np.float64 and vec.tolist() == [1, 1, 1, 1]
     # singleton support
     tables2 = np.ones((4, 4), dtype=np.uint8)
     tables2[2, 3] = 0
     vec2 = qsim.prepare_phi(instances.with_tables(base, tables2), 3)
-    assert vec2.tolist() == [0, 0, 0, 1.0]
+    assert vec2.tolist() == [0, 0, 0, 1]
     # empty support
     with pytest.raises(EmptySupport):
         qsim.prepare_phi(instances.with_tables(base, np.ones((4, 4), np.uint8)), 1)
 
 
 def test_phi_hat_zero_amplitude():
-    # What_i(0) = sqrt(|T_i| / |Sigma|)
+    # What_i(0) = sqrt(|T_i| / |Sigma|): the sign transform of 1_T is |T| at 0
     spec = configs.toy_selfdual_spec()
     base = instances.sample_instance(spec, Fraction(1, 16), 1)
     tables = np.zeros((4, 4), dtype=np.uint8)
@@ -103,76 +110,51 @@ def test_phi_hat_zero_amplitude():
     vec = qsim.prepare_phi(inst, 1)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = kernel @ vec
-    assert abs(hat[0] - math.sqrt(3 / 4)) < 1e-12
+    assert hat[0] == 3 and (hat * hat).sum() == 4 * 3
 
 
 def test_prepare_psi_support_is_dual_after_qft():
     spec = configs.toy_selfdual_spec()
     psi = qsim.prepare_psi(spec)
+    want_psi = np.zeros(psi.size)
+    want_psi[qsim._code_flat_ranks(spec)] = 1
+    assert np.array_equal(psi, want_psi)
     kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
     hat = qsim.apply_qft_vec(psi, kernel, spec.n)
-    dual_flat = set(qsim._code_flat_ranks(codes.dual(spec)).tolist())
-    support = set(np.nonzero(np.abs(hat) > 1e-10)[0].tolist())
-    assert support == dual_flat
-    mags = np.abs(hat[sorted(support)])
-    assert mags.max() - mags.min() <= 1e-10
-    assert abs(np.linalg.norm(hat) - 1) <= 1e-12
+    want = np.zeros(psi.size)
+    want[qsim._code_flat_ranks(codes.dual(spec))] = spec.size
+    assert np.array_equal(hat, want)
 
 
 def test_trivial_code_qft():
-    # C = {0}: psi = |0..0>, QFT(psi) uniform
+    # C = {0}: the transform of |0..0> is uniform
     spec = configs.toy_repetition_spec(n=1, s=2)
-    psi = qsim.prepare_psi(spec)
     kernel = qsim.sigma_qft_matrix(spec.field, 1)
-    # repetition n=1 is the full code; use the zero-only generic code instead
-    zero_vec = np.zeros(4, dtype=np.complex128)
+    zero_vec = np.zeros(4)
     zero_vec[0] = 1
-    hat = kernel @ zero_vec
-    assert np.abs(hat - 0.5).max() <= 1e-12
-
-
-def test_apply_add_decode_permutation():
-    # exhaustive bijection check on Sigma = F_4, n = 2: every pair array
-    # entry lands on its own output entry, for any decode table
-    K = 16
-    joint = np.arange(K * K, dtype=np.complex128).reshape(K, K)
-    rng = np.random.default_rng(0)
-    for F in (np.arange(K), np.zeros(K, np.int64), rng.integers(0, K, size=K)):
-        added, out = qsim.apply_add_decode(joint, F)
-        for arr in (added, out):
-            assert sorted(arr.real.ravel().tolist()) == list(range(K * K))
-    # a unit amplitude at ((1, 2), (1, 2)) with F = identity: z = x + e = 0
-    # and F(0) = 0, so the pair lands at ((1, 2), (0, 0))
-    single = np.zeros((K, K), dtype=np.complex128)
-    single[6, 6] = 1.0
-    _, res = qsim.apply_add_decode(single, np.arange(K))
-    assert list(zip(*np.nonzero(res))) == [(6, 0)]
-
-
-def test_apply_add_decode_good_case():
-    # F(x+e) = x implies output pair (0, x+e): x = (1, 2), e = (3, 1)
-    K = 16
-    single = np.zeros((K, K), dtype=np.complex128)
-    single[1 * 4 + 2, 3 * 4 + 1] = 1.0
-    _, res = qsim.apply_add_decode(single, np.full(K, 1 * 4 + 2))
-    assert list(zip(*np.nonzero(res))) == [(0, 2 * 4 + 3)]
+    assert np.array_equal(kernel @ zero_vec, np.ones(4))
 
 
 def test_pipeline_all_zero_oracle():
     spec, params, _ = toy_setup()
     inst = zero_tables_instance(spec)
     out = qsim.add_decode_pipeline(spec, received_states(inst), params)
-    assert out["epsilon"] <= 1e-12
-    assert out["delta"] <= 1e-12
-    assert out["l2_distance"] <= 1e-9
-    assert abs(out["success_probability"] - 1) <= 1e-9
+    assert out["epsilon_exact"] == 0 and out["delta_exact"] == 0
+    assert out["l2_squared_exact"] == 0 and out["success_exact"] == 1
+    assert (out["epsilon"], out["delta"], out["l2_distance"]) == (0, 0, 0)
+    assert out["success_probability"] == 1
+
+
+def within_bound(out):
+    """l2 <= sqrt(eps) + sqrt(delta), decided exactly on the Fractions."""
+    excess = out["l2_squared_exact"] - out["epsilon_exact"] - out["delta_exact"]
+    return excess <= 0 or excess**2 <= 4 * out["epsilon_exact"] * out["delta_exact"]
 
 
 def test_pipeline_bound_on_random_instance():
-    # GOOD = all pairs with a perfect decoder on the full space: take the
-    # identity-on-codewords decoder with GOOD restricted to x in dual, e=0
     spec, params, inst = toy_setup(seed=3)
     out = qsim.add_decode_pipeline(spec, received_states(inst), params)
+    assert within_bound(out)
     assert out["l2_distance"] <= out["bound"]
 
 
@@ -188,42 +170,92 @@ def test_pipeline_bound_random_seeds():
         except EmptySupport:
             continue
         done += 1
+        assert within_bound(out)
         assert out["l2_distance"] <= out["bound"]
-        assert out["epsilon"] >= 0 and out["delta"] >= 0
+        assert out["epsilon_exact"] >= 0 and out["delta_exact"] >= 0
 
 
 def test_norm_preserved_through_pipeline():
+    # the measurement mass over S K^3 sums to exactly 1, and the reported
+    # distribution is that mass over its denominator
     spec, params, inst = toy_setup(seed=12)
-    out = qsim.add_decode_pipeline(spec, received_states(inst), params)
-    total = float((np.abs(out["actual_state"]) ** 2).sum())
-    assert abs(total - 1) <= 1e-10
+    phis = received_states(inst)
+    out = qsim.add_decode_pipeline(spec, phis, params)
+    F = qsim.decode_rank_table(spec, params)
+    gx, ge = qsim.default_goodbad(spec, params)
+    exact = exact_pipeline_loop(spec, phis, F, gx, ge)
+    assert sum(exact["mass"]) == exact["total"]
+    want = np.array(exact["mass"], dtype=np.int64) / exact["total"]
+    assert np.array_equal(out["solution_distribution"], want)
+
+
+def sign_matrix_loop(spec):
+    """The sign kernel over Sigma^n as a dense int64 Kronecker power of
+    qft_matrix_loop's signs on F_q."""
+    base = qft_matrix_loop(spec.field).astype(np.int64)
+    return functools.reduce(np.kron, [base] * (spec.m * spec.n))
+
+
+def exact_pipeline_loop(spec, phis, F, gx, ge):
+    """Exact oracle for the referee in integers over S K^3, S = |C| |T|:
+    the sign transforms of 1_C and 1_T by the dense Kronecker-power
+    matrix, delta's column sums and the pair state after U_add and U_F by
+    a loop over the first register's x, the inverse transform as one
+    dense product, and the distance entry by entry from the ideal state
+    K^2 1_{C and T} in row 0."""
+    K = spec.sigma_size**spec.n
+    H = sign_matrix_loop(spec)
+    psi = np.zeros(K, dtype=np.int64)
+    psi[qsim._code_flat_ranks(spec)] = 1
+    phi = functools.reduce(np.kron, [v.astype(np.int64) for v in phis])
+    v, w = H @ psi, H @ phi
+    S = int(psi.sum()) * int(phi.sum())
+    z = np.arange(K)
+    conv = np.zeros(K, dtype=np.int64)
+    joint = np.zeros((K, K), dtype=np.int64)
+    for x in range(K):
+        amp = v[x] * w[x ^ z]
+        conv += np.where(gx[x] & ge[x ^ z], 0, amp)
+        joint[x ^ F, z] = amp
+    actual = joint @ H.T
+    diff = actual.copy()
+    diff[0] -= K * K * psi * phi
+    mass = [int(col) for col in (actual * actual).sum(axis=0)]
+    good_v = sum(int(v[x]) ** 2 for x in np.nonzero(gx)[0])
+    good_w = sum(int(w[e]) ** 2 for e in np.nonzero(ge)[0])
+    total = S * K**3
+    return {
+        "epsilon_exact": Fraction(S * K * K - good_v * good_w, S * K * K),
+        "delta_exact": Fraction(sum(int(c) ** 2 for c in conv), S * K * K),
+        "l2_squared_exact": Fraction(int((diff * diff).sum()), total),
+        "success_exact": Fraction(sum(mass[i] for i in np.nonzero(psi * phi)[0]), total),
+        "mass": mass,
+        "total": total,
+    }
 
 
 def reference_pipeline(spec, phis, F, gx, ge):
-    """Slow oracle for the referee: delta from a per-x loop over the first
-    register, QFT^-1 as a dense Kronecker-power matrix."""
+    """Slow float oracle for the referee on normalised complex states:
+    delta from a per-x loop over the first register, QFT^-1 as a dense
+    Kronecker-power matrix."""
     sigma, n = spec.sigma_size, spec.n
     K = sigma**n
-    kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
-    psi = qsim.prepare_psi(spec)
-    phi = functools.reduce(np.kron, phis)
+    kernel = qsim.sigma_qft_matrix(spec.field, spec.m) / math.sqrt(sigma)
+    psi = qsim.prepare_psi(spec).astype(np.complex128)
+    psi /= np.linalg.norm(psi)
+    phi = functools.reduce(np.kron, [v / np.linalg.norm(v) for v in phis]).astype(np.complex128)
     vhat = qsim.apply_qft_vec(psi, kernel, n)
     what = qsim.apply_qft_vec(phi, kernel, n)
     eps = float(1.0 - (np.abs(vhat) ** 2)[gx].sum() * (np.abs(what) ** 2)[ge].sum())
     idx = np.arange(K)
     conv_bad = np.zeros(K, dtype=np.complex128)
+    joint = np.zeros((K, K), dtype=np.complex128)
     for x in range(K):
-        if vhat[x] == 0:
-            continue
         contrib = vhat[x] * what[idx ^ x]
+        joint[x ^ F, idx] = contrib
         if gx[x]:
             contrib = np.where(ge[idx ^ x], 0.0, contrib)
         conv_bad += contrib
-    joint = np.zeros((K, K), dtype=np.complex128)
-    for x in range(K):
-        for e in range(K):
-            z = x ^ e
-            joint[x ^ F[z], z] = vhat[x] * what[e]
     actual = joint @ functools.reduce(np.kron, [kernel] * n).T
     diff = actual.copy()
     diff[0] -= sigma ** (n / 2) * psi * phi
@@ -231,16 +263,42 @@ def reference_pipeline(spec, phis, F, gx, ge):
     return {
         "epsilon": max(eps, 0.0),
         "delta": float((np.abs(conv_bad) ** 2).sum()),
-        "actual_state": actual,
         "l2_distance": float(np.linalg.norm(diff)),
         "success_probability": float(z_dist[(psi != 0) & (phi != 0)].sum()),
+        "solution_distribution": z_dist,
     }
+
+
+EXACT_KEYS = {
+    "epsilon": "epsilon_exact",
+    "delta": "delta_exact",
+    "success_probability": "success_exact",
+}
+
+
+def check_against_oracles(spec, phis, params):
+    """The pipeline's exact keys equal the integer loop oracle, each float
+    key is the float of its Fraction, the float keys lie within 1e-12 of
+    the complex oracle, and the bound holds exactly."""
+    F = qsim.decode_rank_table(spec, params)
+    gx, ge = qsim.default_goodbad(spec, params)
+    out = qsim.add_decode_pipeline(spec, phis, params)
+    exact = exact_pipeline_loop(spec, phis, F, gx, ge)
+    ref = reference_pipeline(spec, phis, F, gx, ge)
+    for key in ("l2_squared_exact", *EXACT_KEYS.values()):
+        assert out[key] == exact[key], key
+    for key, exact_key in EXACT_KEYS.items():
+        assert out[key] == float(out[exact_key]), key
+    assert out["l2_distance"] == math.sqrt(out["l2_squared_exact"])
+    assert out["bound"] == math.sqrt(out["epsilon_exact"]) + math.sqrt(out["delta_exact"])
+    for key in ("l2_distance", *EXACT_KEYS):
+        assert abs(out[key] - ref[key]) <= 1e-12, key
+    assert np.abs(out["solution_distribution"] - ref["solution_distribution"]).max() <= 1e-12
+    assert within_bound(out)
 
 
 def test_pipeline_matches_reference_oracle():
     spec, params, _ = toy_setup()
-    F = qsim.decode_rank_table(spec, params)
-    gx, ge = qsim.default_goodbad(spec, params)
     done = 0
     seed = 0
     while done < 20:
@@ -251,13 +309,7 @@ def test_pipeline_matches_reference_oracle():
         except EmptySupport:
             continue
         done += 1
-        out = qsim.add_decode_pipeline(spec, phis, params)
-        ref = reference_pipeline(spec, phis, F, gx, ge)
-        assert out["epsilon"] == ref["epsilon"]
-        assert out["delta"] == ref["delta"]
-        assert np.abs(out["actual_state"] - ref["actual_state"]).max() <= 1e-12
-        for key in ("l2_distance", "success_probability"):
-            assert abs(out[key] - ref[key]) <= 1e-12
+        check_against_oracles(spec, phis, params)
 
 
 def test_pipeline_always_checks_good_soundness(monkeypatch):
@@ -269,9 +321,21 @@ def test_pipeline_always_checks_good_soundness(monkeypatch):
         qsim.add_decode_pipeline(spec, received_states(inst), params)
 
 
+def test_pipeline_checks_the_bound_exactly(monkeypatch):
+    # with the GOOD check skipped, the all-zero decode table leaves the
+    # actual state far from the ideal one, beyond sqrt(eps) + sqrt(delta)
+    spec, params, inst = toy_setup(seed=3)
+    zero_table = lambda spec, params: np.zeros(spec.sigma_size**spec.n, np.int64)
+    monkeypatch.setattr(qsim, "decode_rank_table", zero_table)
+    monkeypatch.setattr(qsim, "_assert_good_sound", lambda F, gx, ge: None)
+    want = r"squared distance 15/8 exceeds \(sqrt\(7/16\) \+ sqrt\(7/16\)\)\^2"
+    with pytest.raises(AssertionError, match=want):
+        qsim.add_decode_pipeline(spec, received_states(inst), params)
+
+
 @pytest.mark.parametrize("bad_x", [0, 1, 1000, 2047])
 def test_good_soundness_is_checked_on_every_pair(bad_x):
-    # 2048 x 1024 GOOD pairs, twice the check's block size; x = 1024 j and
+    # 2048 x 1024 GOOD pairs, 128 of the check's blocks; x = 1024 j and
     # e < 1024 make every x + e = x | e distinct, so one wrong entry of F
     # breaks exactly one pair
     gx = np.zeros(1 << 21, dtype=bool)
@@ -302,17 +366,36 @@ def test_referee_consumes_only_received_states(monkeypatch):
         qsim.add_decode_pipeline(spec, received_states(inst)[:-1], params)
 
 
+def test_referee_verifies_every_string_with_positive_mass(monkeypatch):
+    # seed 1 puts masses as small as 1/3072 on some strings
+    spec, params, inst = toy_setup(seed=1)
+    seen = []
+    verify_flat = instances.verify_flat
+
+    def recording_verify_flat(inst, flats):
+        seen.append(flats)
+        return verify_flat(inst, flats)
+
+    monkeypatch.setattr(instances, "verify_flat", recording_verify_flat)
+    rep = qsim.run_smp_protocol(spec, inst, params)
+    F = qsim.decode_rank_table(spec, params)
+    gx, ge = qsim.default_goodbad(spec, params)
+    mass = np.array(exact_pipeline_loop(spec, received_states(inst), F, gx, ge)["mass"])
+    assert np.array_equal(np.concatenate(seen), np.nonzero(mass > 0)[0])
+    assert abs(rep["verified_mass"] - rep["success_probability"]) <= 1e-15
+
+
 def test_smp_all_zero():
     spec, params, _ = toy_setup()
     inst = zero_tables_instance(spec)
     rep = qsim.run_smp_protocol(spec, inst, params)
-    assert abs(rep["success_probability"] - 1) <= 1e-9
-    assert abs(rep["verified_mass"] - rep["success_probability"]) <= 1e-12
+    assert rep["success_exact"] == 1
+    assert rep["verified_mass"] == rep["success_probability"] == 1
     # uniform over the code
     dist = rep["solution_distribution"]
-    live = dist[dist > 1e-12]
+    live = dist[dist > 0]
     assert len(live) == spec.size
-    assert np.abs(live - 1 / spec.size).max() <= 1e-9
+    assert (live == 1 / spec.size).all()
 
 
 def test_smp_all_ones_raises():
@@ -337,6 +420,49 @@ def test_smp_success_bound():
         done += 1
         bound = math.sqrt(rep["epsilon"]) + math.sqrt(rep["delta"])
         assert rep["success_probability"] >= 1 - bound - 1e-9
+
+
+# One referee run on the F_16 parity code [3, 2] at p = 1/8: K = 16^3 = 4096,
+# the largest K the dense transform admits, with K^2 = 2^24 amplitudes
+# within the default budget.
+K4096_RUN = """
+from fractions import Fraction
+from nullcode import instances, qsim
+from nullcode.codes import CodeSpec, DecoderParams
+from nullcode.gf import FieldCtx
+
+spec = CodeSpec(kind="generic-linear", field=FieldCtx(4), m=1, genmat=((1, 0, 1), (0, 1, 1)))
+p = Fraction(1, 8)
+inst = instances.sample_instance(spec, p, 0)
+out = qsim.run_smp_protocol(spec, inst, DecoderParams.for_spec(spec, p))
+assert out["success_exact"] > 0
+"""
+
+
+# A spawned process starts with its parent's peak RSS as its own, so a small
+# launcher runs K4096_RUN and reads the run's peak (kilobytes on Linux) with
+# getrusage(RUSAGE_CHILDREN), which covers the launcher's one child.
+LAUNCHER = """
+import resource, subprocess, sys, time
+start = time.monotonic()
+subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, time.monotonic() - start)
+"""
+
+
+def test_referee_at_k_4096_runs_in_a_child_under_200_mb():
+    spec = CodeSpec(kind="generic-linear", field=FieldCtx(4), m=1, genmat=((1, 0, 1), (0, 1, 1)))
+    K = spec.sigma_size**spec.n
+    assert K == 4096 and K * K <= amplitude_budget()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, K4096_RUN], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_kb, elapsed = proc.stdout.split()
+    assert int(peak_kb) < 200 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
+    assert float(elapsed) < 20, f"{float(elapsed):.1f} s"
 
 
 LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
@@ -403,7 +529,7 @@ def _sweep_sums(sigma):
     e the sum of S(e)^2, S(e) = sum over z in T of the character sign at
     (e, z)."""
     m = sigma.bit_length() - 1
-    signs = np.rint(qsim.sigma_qft_matrix(FieldCtx(1), m) * math.sqrt(sigma)).astype(np.int64)
+    signs = qsim.sigma_qft_matrix(FieldCtx(1), m).astype(np.int64)
     zeros = 1 - ((np.arange(1 << sigma)[:, None] >> np.arange(sigma)) & 1)
     t_sizes = zeros.sum(axis=1)
     sq = np.zeros((sigma + 1, sigma), dtype=np.int64)
@@ -486,8 +612,8 @@ def test_table_stats_reject_a_bias_outside_the_unit_interval(p):
 
 
 def test_product_rule():
-    assert qsim.product_rule_check(FieldCtx(1), 2, 3, Fraction(1, 8), seed=4) <= 1e-12
-    assert qsim.product_rule_check(FieldCtx(2), 1, 2, Fraction(1, 4), seed=5) <= 1e-12
+    assert qsim.product_rule_check(FieldCtx(1), 2, 3, Fraction(1, 8), seed=4) == 0
+    assert qsim.product_rule_check(FieldCtx(2), 1, 2, Fraction(1, 4), seed=5) == 0
 
 
 def flat_to_word_loop(spec, flat):
