@@ -116,9 +116,6 @@ class CodeSpec:
         cached per spec and read-only."""
         return _generator_matrix_cached(self)
 
-    def basis_rref(self) -> np.ndarray:
-        return _basis_rref_cached(self)
-
     # -- symbol <-> rank -------------------------------------------------------
 
     def symbol_rank(self, sym: Symbol) -> int:
@@ -319,13 +316,6 @@ def _generator_matrix_cached(spec: CodeSpec) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _basis_rref_cached(spec: CodeSpec) -> np.ndarray:
-    out = linalg.row_space_canonical(spec.field, spec.generator_matrix())
-    out.setflags(write=False)
-    return out
-
-
 def codeword_matrix(spec: CodeSpec) -> np.ndarray:
     """All codewords, unfolded, as a (|C| x N) array in message-rank order.
 
@@ -371,12 +361,6 @@ def _rank_columns_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray],
         index.setflags(write=False)
         out.append((values, index))
     return tuple(out)
-
-
-def contains(spec: CodeSpec, word: Codeword) -> bool:
-    """Rank-based membership test."""
-    vec = unfold(spec, word)
-    return linalg.in_row_space(spec.field, spec.basis_rref(), vec)
 
 
 def min_distance(spec: CodeSpec) -> int:

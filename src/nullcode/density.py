@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .budget import amplitude_budget
+from .budget import DEFAULT_CELL_BUDGET
 from .errors import BudgetExceeded, EmptySet
 
 
@@ -207,9 +207,8 @@ def _count_table(X, coords) -> np.ndarray:
     arr = _as_array(X)
     coords = tuple(sorted(coords))
     f = len(coords)
-    limit = amplitude_budget()
-    if 3**f > limit:
-        raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed the budget {limit}")
+    if 3**f > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed budget {DEFAULT_CELL_BUDGET}")
     counts = np.bincount(project(arr, coords), minlength=1 << f)
     dtype = np.min_scalar_type(len(arr))
     # Yates's algorithm: each pass turns binary digits into ternary ones

@@ -58,7 +58,7 @@ class RetriesExhausted(NullcodeError):
 
 
 class UsageError(NullcodeError):
-    """A command-line argument or environment setting is malformed."""
+    """A command-line argument, or a file one names, is malformed."""
 
 
 class ParseError(NullcodeError):

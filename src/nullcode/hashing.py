@@ -131,11 +131,17 @@ def hash_values(family: HashFamily, keys, points) -> np.ndarray:
 def hash_bias_tables(family: HashFamily, keys) -> np.ndarray:
     """Bias bit of each key's hash at every (coordinate, symbol) cell, as a
     (keys x n x |Sigma|) uint8 array: the AND of the output bits, 1 iff
-    the block is all ones."""
+    the block is all ones.  The keys are hashed in blocks of at most
+    DEFAULT_ENUM_BUDGET cells, so only one block's int64 values are held
+    at a time."""
     i, e = np.indices((family.n, family.sigma_size))
-    values = hash_values(family, keys, family.encode(e, i + 1).ravel())
-    bias = values == (1 << family.out_bits) - 1
-    return bias.astype(np.uint8).reshape(-1, family.n, family.sigma_size)
+    points = family.encode(e, i + 1).ravel()
+    out = np.empty((len(keys), points.size), dtype=np.uint8)
+    step = max(1, DEFAULT_ENUM_BUDGET // points.size)
+    for lo in range(0, len(keys), step):
+        values = hash_values(family, keys[lo : lo + step], points)
+        out[lo : lo + step] = values == (1 << family.out_bits) - 1
+    return out.reshape(-1, family.n, family.sigma_size)
 
 
 def _hash_bit_matrix(family: HashFamily, encoded) -> np.ndarray:

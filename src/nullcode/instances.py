@@ -3,7 +3,7 @@
 An instance carries n bit-tables H_1..H_n, one per code coordinate; table
 i maps every symbol of Sigma to a bit that is 1 with probability p.  A
 solution is a codeword x with H_i(x_i) = 0 for all i; `verify` checks a
-candidate with table lookups plus a rank-based membership test, and
+candidate with table lookups plus the code's parity checks, and
 `brute_solve` enumerates the exact solution set for small codes.
 
 When p = 2**-b a table can also carry AND-blocks of b uniform bits whose
@@ -115,8 +115,8 @@ def sample_unfolded_instance(spec: CodeSpec, b: int, seed: int) -> OracleInstanc
 def verify(inst: OracleInstance, x: Codeword) -> bool:
     """Membership in the code plus H_i(x_i) = 0 for every coordinate.
 
-    Runs in poly(n, log |Sigma|) table lookups on top of the rank test;
-    malformed words are simply invalid.
+    Runs in poly(n, log |Sigma|) table lookups on top of the parity-check
+    test; malformed words are simply invalid.
     """
     if len(x) != inst.n:
         return False
@@ -126,21 +126,29 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
             return False
         if inst.tables[i, inst.spec.symbol_rank(sym)]:
             return False
-    return codes.contains(inst.spec, x)
+    return bool(_in_code(inst.spec, codes.unfold(inst.spec, x)[None])[0])
 
 
 def verify_flat(inst: OracleInstance, flat) -> np.ndarray:
     """`verify` on a 1-D array of flat ranks at once: a rank outside
     [0, |Sigma|^n) is invalid; otherwise every table must read 0 at its
-    symbol and every parity check of the code (a generator row of its
-    dual) must vanish on its unfolded word."""
+    symbol and the unfolded word must be a codeword."""
     spec = inst.spec
     flat = np.asarray(flat, dtype=np.int64)
     ranks = codes.to_digits(flat, spec.sigma_size, spec.n)
     accepted = (inst.tables[np.arange(spec.n), ranks] == 0).all(axis=1)
+    in_code = _in_code(spec, codes.to_digits(flat, spec.field.q, spec.N))
+    return accepted & in_code & (flat >= 0) & (flat < spec.sigma_size**spec.n)
+
+
+def _in_code(spec: CodeSpec, words: np.ndarray) -> np.ndarray:
+    """Per row of unfolded words: every parity check of the code (a
+    generator row of its dual) vanishes on it.  A code of dimension N has
+    no parity checks and holds every word."""
+    if spec.dim == spec.N:
+        return np.ones(len(words), dtype=bool)
     checks = codes.dual(spec).generator_matrix()
-    syndromes = linalg.matmul(spec.field, codes.to_digits(flat, spec.field.q, spec.N), checks.T)
-    return accepted & ~syndromes.any(axis=1) & (flat >= 0) & (flat < spec.sigma_size**spec.n)
+    return ~linalg.matmul(spec.field, words, checks.T).any(axis=1)
 
 
 def solution_mask(tables: np.ndarray, ranks: np.ndarray) -> np.ndarray:

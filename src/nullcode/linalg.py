@@ -82,12 +82,6 @@ def rank(ctx: FieldCtx, a) -> int:
     return len(rref(ctx, a)[1])
 
 
-def row_space_canonical(ctx: FieldCtx, a) -> np.ndarray:
-    """Canonical basis (rref rows, zero rows dropped) of the row space."""
-    r, pivots = rref(ctx, a)
-    return r[: len(pivots)]
-
-
 def solve(ctx: FieldCtx, a, b) -> np.ndarray | None:
     """One solution of A x = b, or None if the system is inconsistent.
 
@@ -119,15 +113,3 @@ def null_space(ctx: FieldCtx, a) -> np.ndarray:
             basis[bi, pc] = int(r[ri, fc])  # -r = r in char 2
     return basis
 
-
-def in_row_space(ctx: FieldCtx, basis_rref: np.ndarray, v) -> bool:
-    """Membership test against a basis already in rref form."""
-    v = np.array(v, dtype=np.int64, copy=True)
-    for row in basis_rref:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        lead = int(nz[0])
-        if v[lead]:
-            v ^= mul_arrays(ctx, row, int(v[lead]))
-    return not v.any()

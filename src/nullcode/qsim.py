@@ -29,12 +29,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import codes, instances, linalg
-from .budget import DEFAULT_ENUM_BUDGET, amplitude_budget
 from .codes import CodeSpec, DecoderParams
 from .errors import BudgetExceeded, EmptySupport, LengthMismatch
 from .gf import FieldCtx
 from .instances import OracleInstance
 
+# The largest K = |Sigma|^n, and |Sigma|, the dense referee admits.  It
+# is the exactness bound: every partial sum of a transform is at most
+# K S <= 2^36 < 2^53, and the total mass S K^3 <= K^5 = 2^60 < 2^63.
 _DENSE_QFT_LIMIT = 1 << 12
 _CELL_CAP = 1 << 14
 
@@ -50,7 +52,7 @@ def qft_matrix(ctx: FieldCtx) -> np.ndarray:
     """
     q = ctx.q
     if q > _DENSE_QFT_LIMIT:
-        raise BudgetExceeded(f"dense transform for q={q} exceeds the budget")
+        raise BudgetExceeded(f"dense transform for q = {q} exceeds the limit {_DENSE_QFT_LIMIT}")
     elems = np.arange(q)
     traces = np.array([ctx.trace(x) for x in range(q)], dtype=bool)
     return np.where(traces[linalg.mul_arrays(ctx, elems[:, None], elems)], -1.0, 1.0)
@@ -62,7 +64,7 @@ def sigma_qft_matrix(ctx: FieldCtx, m: int) -> np.ndarray:
     most-significant position."""
     base = qft_matrix(ctx)
     if ctx.q**m > _DENSE_QFT_LIMIT:
-        raise BudgetExceeded(f"|Sigma| = {ctx.q ** m} exceeds the dense budget")
+        raise BudgetExceeded(f"|Sigma| = {ctx.q ** m} exceeds the dense limit {_DENSE_QFT_LIMIT}")
     out = np.array([[1.0]])
     for _ in range(m):
         out = np.kron(out, base)
@@ -80,6 +82,17 @@ def apply_qft_vec(vec: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     return t.reshape(vec.shape)
 
 
+def _dense_size(spec: CodeSpec) -> int:
+    """K = |Sigma|^n, or raise BudgetExceeded above _DENSE_QFT_LIMIT."""
+    K = spec.sigma_size**spec.n
+    if K > _DENSE_QFT_LIMIT:
+        raise BudgetExceeded(
+            f"K = |Sigma|^n = {K} exceeds the dense limit {_DENSE_QFT_LIMIT}; over budget. "
+            "Use a smaller generic-code toy configuration."
+        )
+    return K
+
+
 # -- state preparation -------------------------------------------------------------
 
 
@@ -95,10 +108,7 @@ def prepare_phi(inst: OracleInstance, i: int) -> np.ndarray:
 def prepare_psi(spec: CodeSpec) -> np.ndarray:
     """Indicator vector of the code over Sigma^n; the uniform superposition
     over the code is this vector over sqrt|C|."""
-    total = spec.sigma_size**spec.n
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"code state over {total} strings exceeds budget")
-    vec = np.zeros(total)
+    vec = np.zeros(_dense_size(spec))
     vec[_code_flat_ranks(spec)] = 1.0
     return vec
 
@@ -118,9 +128,7 @@ def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
     F[leader + c] = dual_decode(leader) + c; in characteristic 2 that sum
     is the XOR of flat ranks.
     """
-    total = spec.sigma_size**spec.n
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(f"decode table over {total} strings exceeds budget")
+    total = _dense_size(spec)
     q = spec.field.q
     words = codes.to_digits(np.arange(total), q, spec.N)
     syndromes = codes.from_digits(linalg.matmul(spec.field, words, spec.generator_matrix().T), q)
@@ -148,9 +156,7 @@ def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, 
     epsilon) n}, as the masks (good_x, good_e) over flat ranks.  The
     pipeline verifies F(x+e) = x on it."""
     sigma = spec.sigma_size
-    total = sigma**spec.n
-    if total > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded("good/bad masks exceed the enumeration budget")
+    total = _dense_size(spec)
     dual_spec = codes.dual(spec)
     dual_flat = _code_flat_ranks(dual_spec)
     good_x = np.zeros(total, dtype=bool)
@@ -185,12 +191,7 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     """
     sigma = spec.sigma_size
     n = spec.n
-    K = sigma**n
-    if K * K > amplitude_budget() or K > _DENSE_QFT_LIMIT:
-        raise BudgetExceeded(
-            f"pair state needs {K * K} amplitudes and a {K}-point transform; "
-            "over budget. Use a smaller generic-code toy configuration."
-        )
+    K = _dense_size(spec)
     if len(phis) != n or any(v.shape != (sigma,) for v in phis):
         raise LengthMismatch(f"expected {n} states of length {sigma}")
 

@@ -24,6 +24,7 @@ from . import codes as codes_mod
 from . import hashing as hashing_mod
 from . import instances as inst_mod
 from . import qsim
+from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec, DecoderParams
 from .errors import (
     BudgetExceeded,
@@ -174,8 +175,8 @@ def exact_emptiness_probability(
     flat = ranks + np.arange(spec.n) * spec.sigma_size  # cell i |Sigma| + rank
     cells = np.unique(flat)
     c = cells.size
-    if c > 22:
-        raise BudgetExceeded(f"{c} touched cells is too many to enumerate")
+    if 1 << c > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(f"2^{c} touched-cell assignments exceed budget {DEFAULT_ENUM_BUDGET}")
     assignments = np.arange(1 << c)
     empty = np.ones(1 << c, dtype=bool)
     # a codeword's n cells are distinct, so its mask is the sum of their bits

@@ -64,7 +64,7 @@ def test_criterion_02_dual_code_exactness():
     mat = codes.codeword_matrix(spec)
     assert mat.shape[0] == 256
     dual_spec = codes.dual(spec)
-    dual_basis = dual_spec.basis_rref()
+    dual_basis = linalg.rref(spec.field, dual_spec.generator_matrix())[0]
     prods = linalg.matmul(spec.field, mat, dual_basis.T)
     assert not prods.any()
     assert codes.dual(dual_spec) == spec
@@ -72,7 +72,8 @@ def test_criterion_02_dual_code_exactness():
         kind="grs-folded", field=spec.field, m=1, k=spec.k,
         gamma=spec.gamma, v=spec.v,
     )
-    assert np.array_equal(codes.dual(unfolded).basis_rref(), dual_basis)
+    unfolded_dual = codes.dual(unfolded).generator_matrix()
+    assert np.array_equal(linalg.rref(spec.field, unfolded_dual)[0], dual_basis)
     assert dual_spec.m == spec.m and dual_spec.n == spec.n
     elapsed = time.time() - start
     assert elapsed < 10
@@ -161,7 +162,7 @@ def test_criterion_04_good_error():
         ok += np.count_nonzero(e ^ y) > threshold
     assert ok == trials
     elapsed = time.time() - start
-    assert elapsed < 60
+    assert elapsed < 10
     report(4, "good-error claim", f"{ok}/{trials} separations, {elapsed:.2f}s")
 
 
@@ -221,7 +222,7 @@ def test_criterion_06_pipeline_bound():
             - math.sqrt(out["delta"]),
         )
     elapsed = time.time() - start
-    assert elapsed < 30
+    assert elapsed < 10
     report(
         6,
         "pipeline error bound",
@@ -270,7 +271,7 @@ def test_criterion_07_protocol_end_to_end():
     mean_bound = float(np.mean(bounds))
     assert mean_success >= 1 - mean_bound - 1e-6
     elapsed = time.time() - start
-    assert elapsed < 30
+    assert elapsed < 10
     report(
         7,
         "protocol end-to-end",
@@ -409,7 +410,7 @@ def test_criterion_11_cleanup():
         assert proto.never_wrong(cleaned, valid_a, valid_b)
         assert proto.bottom_probability(cleaned) <= 2 * err + 1e-12
     elapsed = time.time() - start
-    assert elapsed < 300
+    assert elapsed < 10
     report(
         11,
         "cleanup",
@@ -439,7 +440,7 @@ def test_criterion_12_danger_ledger():
     for ledger in out["ledgers"]:
         ledger.assert_monotone()
     elapsed = time.time() - start
-    assert elapsed < 300
+    assert elapsed < 10
     report(
         12,
         "danger ledger",
@@ -530,7 +531,7 @@ def test_criterion_14_total_problem(monkeypatch):
     assert tbnc.union_bound_calculator(0, 12, 0.3) == 2.0**12
     assert tbnc.union_bound_calculator(50, 0, 1.0) == 1.0
     elapsed = time.time() - start
-    assert elapsed < 600
+    assert elapsed < 10
     report(
         14,
         "total problem",

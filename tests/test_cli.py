@@ -97,7 +97,7 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv, message",
     [
         (["code", "dual"], None),  # no code given
         (["instance", "verify", "--in", "{inst}", "--x", "1 2 3"], None),
@@ -105,8 +105,14 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
         (["qsim", "claim66", "--sigma", "3"], None),
         (["qsim", "claim66", "--sigma", "0"], None),
         (["qsim", "lemma51", "--toy", "--p", "abc", "--trials", "1"], None),
-        (["qsim", "lemma51", "--toy", "--trials", "1"], "lots"),
-        (["tbnc", "alg2", "--t", "1", "--trials", "2"], "lots"),
+        (
+            ["qsim", "lemma51", "--toy", "--p", "1/3", "--trials", "1"],
+            "p + epsilon = 0.3433 is not below the dual unique-decoding fraction 0.1250",
+        ),
+        (
+            ["tbnc", "totality", "--s", "0", "--samples", "1"],
+            "extension degree must be >= 1, got 0",
+        ),
         (["qsim", "lemma51", "--t", "2", "--p", "1/16", "--trials", "1"], None),
         (["code", "decode", "--toy", "--p", "1/4", "--trials", "1"], None),
         (["code", "dual", "--config", "{missing}"], None),
@@ -192,9 +198,8 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
         (["code", "lrcheck", *LRCHECK, "--s", "200", "--q", "1e10"], None),  # q^s overflows a float
     ],
 )
-def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("NULLCODE_BUDGET", env)
+def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    # message, where a row gives one, is the exact error line
     paths = {"{missing}": tmp_path / "missing.json", "{malformed}": tmp_path / "bad.json"}
     paths["{malformed}"].write_text('{"kind": ')
     if "{short_v}" in argv:
@@ -246,6 +251,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, env):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
 
 
 def test_length_mismatch_outside_parsing_exits_1(tmp_path, capsys):
@@ -617,20 +623,15 @@ def test_result_files_regenerate_bit_identically(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_env_budget_override(monkeypatch):
-    from nullcode import budget
 
+
+def test_the_environment_cannot_change_a_run(tmp_path, monkeypatch):
+    # no size limit is read from the environment: with the variable that
+    # once overrode the amplitude budget set far below the toy's needs, the
+    # golden lemma51 run still writes its recorded stdout and file
+    from test_golden import _EXPECTED, run_manifest
+
+    argv = ["qsim", "lemma51", "--toy", "--p", "1/16", "--trials", "3", "--out", "runs.jsonl"]
+    (expected,) = [rec for rec in _EXPECTED if rec["argv"] == argv]
     monkeypatch.setenv("NULLCODE_BUDGET", "16")
-    assert budget.amplitude_budget() == 16
-    monkeypatch.delenv("NULLCODE_BUDGET")
-    assert budget.amplitude_budget() == budget.DEFAULT_AMPLITUDE_BUDGET
-
-
-@pytest.mark.parametrize("raw", ["lots", "0", "-4", "1.5", ""])
-def test_env_budget_rejects_non_positive_integers(monkeypatch, raw):
-    from nullcode import budget
-    from nullcode.errors import UsageError
-
-    monkeypatch.setenv("NULLCODE_BUDGET", raw)
-    with pytest.raises(UsageError, match="NULLCODE_BUDGET"):
-        budget.amplitude_budget()
+    assert run_manifest([argv], tmp_path) == [expected]

@@ -20,6 +20,7 @@ from nullcode.density import (
     validate_partition,
 )
 from nullcode.errors import BudgetExceeded, EmptySet
+from test_qsim import child_peak
 
 
 def test_min_entropy_uniform_cube():
@@ -234,11 +235,34 @@ def test_subcube_counts_match_direct_counts():
 
 
 def test_subcube_counts_over_budget(monkeypatch):
-    monkeypatch.setenv("NULLCODE_BUDGET", str(3**4 - 1))
+    # 3^17 cells are over the 2^26 budget: the gate raises before the set
+    # is projected or any count is allocated
+    def no_projection(*args):
+        raise AssertionError("the set was projected")
+
+    monkeypatch.setattr(density, "project", no_projection)
+    coords = tuple(range(17))
+    message = "3\\^17 = 129140163 subcube counts exceed budget 67108864"
+    with pytest.raises(BudgetExceeded, match=message):
+        subcube_counts(np.arange(16), coords)
     with pytest.raises(BudgetExceeded):
-        subcube_counts(np.arange(16), (0, 1, 2, 3))
-    with pytest.raises(BudgetExceeded):
-        is_dense(np.arange(16), 0.5, (0, 1, 2, 3))
+        is_dense(np.arange(16), 0.5, coords)
+
+
+# The largest count table the budget admits, 3^16 cells, for 2^16 distinct
+# elements (every count needs a uint32).
+DENSITY_F16_RUN = """
+import numpy as np
+from nullcode import density
+
+assert density.find_violation(np.arange(1 << 16), 0.5, range(16)) is None
+"""
+
+
+def test_density_at_f_16_runs_in_a_child_under_512_mb():
+    peak_mb, elapsed = child_peak(DENSITY_F16_RUN)
+    assert peak_mb < 512, f"peak RSS {peak_mb:.0f} MB"
+    assert elapsed < 20, f"{elapsed:.1f} s"
 
 
 def _embed(patterns, coords, nbits, rng):

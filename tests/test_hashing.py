@@ -221,6 +221,18 @@ def test_bias_tables_of_many_keys_are_the_single_key_rows():
         assert np.array_equal(row, hashing.hash_bias_tables(fam, [key])[0])
 
 
+def test_bias_tables_span_key_blocks():
+    # 4 x 64 cells per key: blocks of 2^16 cells hold 256 keys, so 513 keys
+    # take two full blocks and one of a single key
+    spec = configs.toy_repetition_spec(n=4, s=6)
+    fam = configs.toy_family(spec, lam=4)
+    keys = [hashing.key_from_int(fam, 7919 * j) for j in range(513)]
+    tables = hashing.hash_bias_tables(fam, keys)
+    assert tables.shape == (513, 4, 64) and tables.dtype == np.uint8
+    for key, row in zip(keys, tables):
+        assert np.array_equal(row, hashing.hash_bias_tables(fam, [key])[0])
+
+
 def test_encode_is_elementwise_over_arrays():
     fam = family()
     e, i = np.meshgrid(np.arange(4), np.arange(1, 3))

@@ -314,3 +314,21 @@ def test_verify_flat_rejects_ranks_outside_sigma_n():
     flats = np.array([0, -total, total, 2 * total, -1, total - 1])
     got = instances.verify_flat(inst, flats)
     assert got.tolist() == [True, False, False, False, False, True]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        grs4(1, 2),
+        codes.CodeSpec(kind="generic-linear", field=FieldCtx(1), m=1, genmat=((1, 0), (0, 1))),
+    ],
+    ids=["grs4-m1-k2", "generic-identity"],
+)
+def test_a_code_of_dimension_n_holds_every_word(spec):
+    # such a code has no dual code, and no parity check to fail
+    assert spec.dim == spec.N
+    base = instances.sample_instance(spec, Fraction(1, 4), 0)
+    inst = instances.with_tables(base, np.zeros_like(base.tables))
+    flats = np.arange(spec.sigma_size**spec.n)
+    assert instances.verify_flat(inst, flats).all()
+    assert verify_each(inst, flats).all()

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances, qsim
-from nullcode.budget import amplitude_budget
 from nullcode.codes import CodeSpec, DecoderParams
 from nullcode.errors import BudgetExceeded, EmptySupport, LengthMismatch
 from nullcode.gf import FieldCtx
@@ -422,9 +421,33 @@ def test_smp_success_bound():
         assert rep["success_probability"] >= 1 - bound - 1e-9
 
 
+# A spawned process starts with its parent's peak RSS as its own, so a small
+# launcher runs the code in a grandchild and reads the run's peak (kilobytes
+# on Linux) with getrusage(RUSAGE_CHILDREN), which covers the launcher's one
+# child.
+LAUNCHER = """
+import resource, subprocess, sys, time
+start = time.monotonic()
+subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, time.monotonic() - start)
+"""
+
+
+def child_peak(code: str) -> tuple[float, float]:
+    """Peak RSS in MB and wall time in seconds of code run in a fresh
+    interpreter that imports this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_kb, elapsed = proc.stdout.split()
+    return int(peak_kb) / 1024, float(elapsed)
+
+
 # One referee run on the F_16 parity code [3, 2] at p = 1/8: K = 16^3 = 4096,
-# the largest K the dense transform admits, with K^2 = 2^24 amplitudes
-# within the default budget.
+# the largest K the dense referee admits.
 K4096_RUN = """
 from fractions import Fraction
 from nullcode import instances, qsim
@@ -439,30 +462,12 @@ assert out["success_exact"] > 0
 """
 
 
-# A spawned process starts with its parent's peak RSS as its own, so a small
-# launcher runs K4096_RUN and reads the run's peak (kilobytes on Linux) with
-# getrusage(RUSAGE_CHILDREN), which covers the launcher's one child.
-LAUNCHER = """
-import resource, subprocess, sys, time
-start = time.monotonic()
-subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, time.monotonic() - start)
-"""
-
-
 def test_referee_at_k_4096_runs_in_a_child_under_200_mb():
     spec = CodeSpec(kind="generic-linear", field=FieldCtx(4), m=1, genmat=((1, 0, 1), (0, 1, 1)))
-    K = spec.sigma_size**spec.n
-    assert K == 4096 and K * K <= amplitude_budget()
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qsim.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, K4096_RUN], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak_kb, elapsed = proc.stdout.split()
-    assert int(peak_kb) < 200 * 1024, f"peak RSS {int(peak_kb) // 1024} MB"
-    assert float(elapsed) < 20, f"{float(elapsed):.1f} s"
+    assert spec.sigma_size**spec.n == 4096 == qsim._DENSE_QFT_LIMIT
+    peak_mb, elapsed = child_peak(K4096_RUN)
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+    assert elapsed < 20, f"{elapsed:.1f} s"
 
 
 LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
@@ -481,22 +486,25 @@ def test_budget_rejects_large_preset():
         qsim.prepare_psi,
         lambda spec: qsim.decode_rank_table(spec, LARGE_PARAMS),
         lambda spec: qsim.default_goodbad(spec, LARGE_PARAMS),
+        lambda spec: qsim.add_decode_pipeline(spec, [], LARGE_PARAMS),
     ],
-    ids=["prepare_psi", "decode_rank_table", "default_goodbad"],
+    ids=["prepare_psi", "decode_rank_table", "default_goodbad", "add_decode_pipeline"],
 )
 @pytest.mark.parametrize(
     "spec, log_size",
     [
         (codes.preset(2), 60),
-        # |C| = 4 and |C-dual| = 2^16 are enumerable, so only the Sigma^n
-        # gate itself can stop this one
+        # |C| = 4 and |C-dual| = 2^16 are enumerable, so only the gate on
+        # K = |Sigma|^n itself can stop this one
         (configs.toy_repetition_spec(n=9, s=2), 18),
+        # one step over the limit
+        (configs.toy_repetition_spec(n=13, s=1), 13),
     ],
-    ids=["preset2", "repetition9"],
+    ids=["preset2", "repetition9", "repetition13"],
 )
 def test_sigma_n_gates_raise_over_budget(build, spec, log_size):
-    assert spec.sigma_size**spec.n == 1 << log_size  # over the 2^16 budget
-    with pytest.raises(BudgetExceeded):
+    assert spec.sigma_size**spec.n == 1 << log_size  # over the 2^12 limit
+    with pytest.raises(BudgetExceeded, match=f"= {1 << log_size} exceeds the dense limit 4096"):
         build(spec)
 
 

@@ -1,6 +1,6 @@
 """The library's surface is what the program runs.
 
-Three static checks over src/nullcode/*.py, by `ast`:
+Four static checks over src/nullcode/*.py, by `ast`:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
@@ -12,7 +12,9 @@ Three static checks over src/nullcode/*.py, by `ast`:
   is resolved through module aliases, from-imports and the caller's own
   module, as for the first check; a call to a method is matched by the
   method's name alone, since the type of its receiver is not known;
-- no module other than __init__.py imports a name it never uses.
+- no module other than __init__.py imports a name it never uses;
+- no module reads the environment, so a run's outputs depend only on its
+  arguments.
 """
 
 import ast
@@ -183,3 +185,18 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert sorted(unused) == []
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for path, tree in _parsed(sorted(SRC.glob("*.py"))).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+                reads.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names} & ENVIRONMENT_READS
+                reads += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names)]
+    assert reads == []

@@ -9,6 +9,7 @@ import pytest
 from nullcode import codes, configs, hashing, instances, tbnc
 from nullcode.codes import DecoderParams
 from nullcode.errors import BudgetExceeded, LengthMismatch, RetriesExhausted
+from test_qsim import child_peak
 
 
 def codewords(spec) -> list:
@@ -224,6 +225,17 @@ def test_exact_emptiness_on_the_selfdual_code_is_fast():
     assert 0 < exact < 1
 
 
+def test_exact_emptiness_checks_the_enumeration_budget():
+    # rep(4, 2) touches 16 cells, 2^16 assignments; rep(5, 2) touches 20
+    at_budget = configs.toy_repetition_spec(n=4, s=2)
+    fam = configs.toy_family(at_budget)
+    assert 0 < tbnc.exact_emptiness_probability(at_budget, fam, hashing.zero_key(fam), 2) < 1
+    over = configs.toy_repetition_spec(n=5, s=2)
+    fam = configs.toy_family(over)
+    with pytest.raises(BudgetExceeded, match="2\\^20 touched-cell assignments exceed budget 65536"):
+        tbnc.exact_emptiness_probability(over, fam, hashing.zero_key(fam), 2)
+
+
 def test_totality_zero_key_exact_vs_empirical():
     spec, fam, _ = rep_setup()
     b = 2  # bias 1/4 makes emptiness non-negligible
@@ -288,6 +300,23 @@ def test_totality_scan_checks_the_table_budget_before_it_allocates():
     with pytest.raises(BudgetExceeded, match="134217728 table bits"):
         tbnc.totality_scan(spec, fam, 1, 1, fam.key_count, seed=0)
     assert time.perf_counter() - start < 1
+
+
+# keys x n x |Sigma| = 2^16 x 4 x 64 = 2^24 hash-table cells, a quarter of
+# the table budget
+TOTALITY_2_24_RUN = """
+from nullcode import configs, tbnc
+
+spec = configs.toy_repetition_spec(n=4, s=6)
+out = tbnc.totality_scan(spec, configs.toy_family(spec, lam=4), 1, 2, 1 << 16, 0)
+assert out["keys_scanned"] == 1 << 16
+"""
+
+
+def test_totality_at_2_24_cells_runs_in_a_child_under_200_mb():
+    peak_mb, elapsed = child_peak(TOTALITY_2_24_RUN)
+    assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+    assert elapsed < 20, f"{elapsed:.1f} s"
 
 
 def test_union_bound_calculator():
