@@ -456,18 +456,6 @@ class DecoderParams:
         return cls(p=p, epsilon=epsilon, radius_unfolded=radius)
 
 
-@lru_cache(maxsize=64)
-def _parity_check_cached(spec: CodeSpec) -> np.ndarray:
-    """Parity-check matrix of a GRS spec, cached and read-only: the
-    generator matrix of its dual, row j = (a_i / v_i) * a_i^j for
-    j < N - k - 1."""
-    ctx = spec.field
-    steps = np.arange(1, spec.N - spec.k)[:, None] * ctx.log_np[spec.points()]
-    out = ctx.exp_np[(steps - ctx.log_np[list(spec.v)]) % (ctx.q - 1)]
-    out.setflags(write=False)
-    return out
-
-
 def _berlekamp_massey(ctx: FieldCtx, syndromes: list[int]) -> tuple[int, list[int]]:
     """Massey's shift-register synthesis: the length L of the shortest LFSR
     generating the sequence and its connection polynomial C (ascending,
@@ -498,18 +486,20 @@ def _berlekamp_massey(ctx: FieldCtx, syndromes: list[int]) -> tuple[int, list[in
 def _syndrome_decode(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray | None:
     """Unique decoding of an unfolded GRS word within the given radius.
 
-    With S_j = sum_i z_i (a_i / v_i) a_i^j: Berlekamp-Massey over
+    The parity checks are the generator rows of the dual, so with
+    S_j = sum_i z_i (a_i / v_i) a_i^j: Berlekamp-Massey over
     S_0 .. S_(2 radius - 1) gives the error locator, a Chien search over
     the inverted points its roots, and Forney's formula the error values
     e_i = v_i Omega(a_i^-1) / Lambda'(a_i^-1).  The candidate is kept only
     if all N - k - 1 syndromes of z - e vanish; its error weight is at most
-    deg Lambda <= radius.  Valid for radius <= floor((N - k - 1) / 2).
+    deg Lambda <= radius.  Valid for k <= N - 2 and radius <=
+    floor((N - k - 1) / 2).
     Returns the unfolded codeword or None when no codeword lies within the
     radius.
     """
     ctx = spec.field
     z = np.asarray(z, dtype=np.int64)
-    check = _parity_check_cached(spec)
+    check = dual(spec).generator_matrix()
     syn = linalg.matmul(ctx, check, z[:, None])[:, 0]
     syn_list = syn.tolist()
     length, locator = _berlekamp_massey(ctx, syn_list[: 2 * radius])
@@ -563,7 +553,8 @@ def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
         raise BudgetExceeded(
             f"radius {radius} exceeds the unique-decoding bound {unique_radius}"
         )
-    cand = _syndrome_decode(spec, unfold(spec, z), radius)
+    word = unfold(spec, z)  # with no parity checks (dimension N) it is a codeword
+    cand = word if spec.dim == spec.N else _syndrome_decode(spec, word, radius)
     if cand is None:
         return []
     return [fold(spec, cand)]

@@ -269,11 +269,15 @@ def instance_to_json(inst: OracleInstance) -> dict:
 
 def instance_from_json(data: dict) -> OracleInstance:
     """Inverse of instance_to_json.  Raises ParseError, naming the field,
-    for a p other than "num/den" in [0, 1] with at most 4300 digits a side
-    (what int() converts by default), a seed that is not an integer,
-    tables of the wrong count or hex length, an unfolded that is not an
-    object, and an unfolded block whose b is not the exponent of p = 2^-b
-    or whose tables have the wrong shape."""
+    for a format other than the integer FORMAT_VERSION, a p other than
+    "num/den" in [0, 1] with at most 4300 digits a side (what int()
+    converts by default), a seed that is not an integer, tables of the
+    wrong count or hex length, an unfolded that is not an object, and an
+    unfolded block whose b is not the exponent of p = 2^-b or whose tables
+    have the wrong shape."""
+    version = data.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError("instance", "format", f"format must be {FORMAT_VERSION}, got {version!r}")
     spec = CodeSpec.from_json(data["code"])
     num, _, den = str(data["p"]).partition("/")
     digits = num.isdecimal() and den.isdecimal() and max(len(num), len(den)) <= 4300

@@ -187,35 +187,32 @@ def _part_index(node: Node, values: np.ndarray, n_bits: int) -> np.ndarray:
     return which
 
 
-def _path(tree: ProtocolTree, x: int, y: int) -> list:
-    """(message, node) pairs along the run on (x, y): ("", root), then each
-    node reached with the message sent to reach it; the last is a Leaf."""
-    path = [("", tree.root)]
-    node = tree.root
-    while isinstance(node, Node):
-        value, n_bits = (x, tree.n_bits_a) if node.owner == "A" else (y, tree.n_bits_b)
-        msg, _, node = node.parts[_part_index(node, np.array([value]), n_bits)[0]]
-        path.append((msg, node))
-    return path
+def _route(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray):
+    """Run the tree on every pair (xs[k], ys[k]) at once.  Yields (message,
+    node, idx) for each node that some pair reaches, parents first: the
+    message sent to reach it ("" at the root) and the indexes of the pairs
+    that reach it.  Raises KeyError for a value that lies in no part of a
+    node it reaches."""
+    stack = [("", tree.root, np.arange(len(xs)))]
+    while stack:
+        msg, node, idx = stack.pop()
+        if not idx.size:
+            continue
+        yield msg, node, idx
+        if isinstance(node, Node):
+            values, n_bits = (xs, tree.n_bits_a) if node.owner == "A" else (ys, tree.n_bits_b)
+            which = _part_index(node, values[idx], n_bits)
+            for i, (part_msg, _, child) in enumerate(node.parts):
+                stack.append((part_msg, child, idx[which == i]))
 
 
 def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
-    """Output label of every pair (xs[k], ys[k]), routing all pairs through
-    the tree together; equals the leaf label that _path(tree, x, y) ends
-    at, and like _path raises KeyError for a value that lies in no part of
-    a node it reaches."""
+    """Output label of every pair (xs[k], ys[k])."""
     labels = [None] * len(xs)
-    stack = [(tree.root, np.arange(len(xs)))]
-    while stack:
-        node, idx = stack.pop()
+    for _, node, idx in _route(tree, xs, ys):
         if isinstance(node, Leaf):
             for k in idx.tolist():
                 labels[k] = node.label
-            continue
-        values, n_bits = (xs, tree.n_bits_a) if node.owner == "A" else (ys, tree.n_bits_b)
-        which = _part_index(node, values[idx], n_bits)
-        for i, (_, _, child) in enumerate(node.parts):
-            stack.append((child, idx[which == i]))
     return labels
 
 
@@ -439,12 +436,19 @@ def outputs_agree(tree_a: ProtocolTree, tree_b: ProtocolTree, pairs) -> bool:
 # -- cleanup ----------------------------------------------------------------------
 
 
+def _holds(valid, label, values: np.ndarray) -> np.ndarray:
+    """valid(label, values) as a bool array shaped like values; a scalar
+    result holds for every value."""
+    return np.broadcast_to(np.asarray(valid(label, values), dtype=bool), values.shape)
+
+
 def measure_error(tree: ProtocolTree, valid_a, valid_b) -> float:
     """Probability over uniform inputs that the output is not valid.
 
     Validity must factor through the two sides: a label is correct for
-    (x, y) iff valid_a(label, x) and valid_b(label, y).  BOT labels count
-    as invalid here.
+    (x, y) iff valid_a(label, x) and valid_b(label, y).  Each predicate
+    maps an int64 array of one side's inputs to a bool array (or one bool
+    for all) and runs once per leaf side.  BOT labels count as invalid.
     """
     total = (1 << tree.n_bits_a) * (1 << tree.n_bits_b)
     bad = 0
@@ -454,8 +458,8 @@ def measure_error(tree: ProtocolTree, valid_a, valid_b) -> float:
         if leaf.label is BOT:
             bad += size
             continue
-        ok_a = sum(1 for x in rect.X.tolist() if valid_a(leaf.label, x))
-        ok_b = sum(1 for y in rect.Y.tolist() if valid_b(leaf.label, y))
+        ok_a = int(np.count_nonzero(_holds(valid_a, leaf.label, rect.X)))
+        ok_b = int(np.count_nonzero(_holds(valid_b, leaf.label, rect.Y)))
         bad += size - ok_a * ok_b
     return bad / total
 
@@ -466,7 +470,9 @@ def cleanup(tree: ProtocolTree, epsilon: float, valid_a, valid_b) -> ProtocolTre
     Aborts to BOT whenever the rectangle codimension exceeds cost/epsilon,
     and appends a verification round at every surviving leaf: the solution
     owner's counterpart checks the label against her own input (one bit
-    each way), so an incorrect non-BOT label can never be emitted.
+    each way), so an incorrect non-BOT label can never be emitted.  Each
+    check calls its array predicate (as in measure_error) once, on all of
+    the owner's elements.
     """
     cost = tree.cost()
     threshold = math.inf if epsilon <= 0 else cost / epsilon
@@ -475,7 +481,7 @@ def cleanup(tree: ProtocolTree, epsilon: float, valid_a, valid_b) -> ProtocolTre
         """Owner sends whether label is valid for their input: "0" ends in
         BOT, "1" goes on to inner(the narrowed rectangle)."""
         elems = rect.side(owner).elems
-        ok = np.fromiter((valid(label, int(v)) for v in elems), dtype=bool, count=len(elems))
+        ok = _holds(valid, label, elems)
         parts = []
         for msg, part, make in (("0", elems[~ok], partial(Leaf, BOT)), ("1", elems[ok], inner)):
             if len(part):
@@ -521,16 +527,18 @@ def check_input_pairs(n_bits_a: int, n_bits_b: int) -> None:
 
 
 def never_wrong(tree: ProtocolTree, valid_a, valid_b) -> bool:
-    """Exhaustive check that every non-BOT output is valid.  Raises
+    """Exhaustive check that every non-BOT output is valid, routing all
+    input pairs at once; each array predicate (as in measure_error) runs
+    once per reached non-BOT leaf, on the pairs that reach it.  Raises
     BudgetExceeded when there are more than DEFAULT_ENUM_BUDGET input pairs."""
     check_input_pairs(tree.n_bits_a, tree.n_bits_b)
     xs = np.repeat(full_domain(tree.n_bits_a), 1 << tree.n_bits_b)
     ys = np.tile(full_domain(tree.n_bits_b), 1 << tree.n_bits_a)
-    labels = _route_labels(tree, xs, ys)
-    for x, y, label in zip(xs.tolist(), ys.tolist(), labels):
-        if label is not BOT and not (valid_a(label, x) and valid_b(label, y)):
-            return False
-    return True
+    return all(
+        (_holds(valid_a, node.label, xs[idx]) & _holds(valid_b, node.label, ys[idx])).all()
+        for _, node, idx in _route(tree, xs, ys)
+        if isinstance(node, Leaf) and node.label is not BOT
+    )
 
 
 # -- dangerous codewords ------------------------------------------------------------
@@ -584,46 +592,37 @@ def danger_track(
     spec,
     insts: list[OracleInstance],
 ) -> dict:
-    """Run the tree on each instance and track dangerous codewords.
+    """Run the tree on every instance at once and track dangerous codewords.
 
     Returns per-run ledgers (monotonicity asserted), the cross-check
-    against list_recover_count at every visited node, and the aggregate
+    against list_recover_count at every reached node, and the aggregate
     frequency with which a codeword that ever became dangerous ends up a
-    solution of the instance.
+    solution of the instance.  Each reached node's dangerous set is
+    computed once, however many runs pass through it.
     """
     split = Split(spec.n, spec.sigma_size)
-    ranks = codes_mod.codeword_rank_matrix(spec)
-    ledgers = []
-    danger_events = 0
-    danger_solutions = 0
-    for inst in insts:
-        x, y = split.inputs(inst.tables)
-        sols = solution_mask(inst.tables, ranks)
-        rounds = []
-        path = _path(tree, x, y)
-        for _, node in path:
-            cells = _fixed_table_cells(node.rect, split)
-            q = dangerous_codewords(spec, cells)
-            _recount_check(spec, cells, len(q))
-            rounds.append(q)
-        flags = [bool(sols[idx]) for idx in sorted(rounds[-1])]
-        ledger = DangerLedger(
-            rounds=rounds,
-            transcript="".join(msg for msg, _ in path),
-            output=node.label,
-            solution_flags=flags,
-        )
+    tables = np.reshape([inst.tables for inst in insts], (-1, spec.n, spec.sigma_size))
+    ledgers = [DangerLedger([], "", None, []) for _ in insts]
+    for msg, node, idx in _route(tree, *_pair_arrays(map(split.inputs, tables))):
+        cells = _fixed_table_cells(node.rect, split)
+        q = dangerous_codewords(spec, cells)
+        _recount_check(spec, cells, len(q))
+        label = node.label if isinstance(node, Leaf) else None  # the leaf comes last
+        for k in idx.tolist():
+            ledgers[k].rounds.append(q)
+            ledgers[k].transcript += msg
+            ledgers[k].output = label
+    sols = solution_mask(tables, codes_mod.codeword_rank_matrix(spec))
+    for ledger, ok in zip(ledgers, sols):
+        ledger.solution_flags = [bool(ok[j]) for j in sorted(ledger.rounds[-1])]
         ledger.assert_monotone()
-        ledgers.append(ledger)
-        danger_events += len(rounds[-1])
-        danger_solutions += sum(flags)
+    danger_events = sum(len(ledger.rounds[-1]) for ledger in ledgers)
+    danger_solutions = sum(sum(ledger.solution_flags) for ledger in ledgers)
     return {
         "ledgers": ledgers,
         "danger_events": danger_events,
         "danger_solutions": danger_solutions,
-        "danger_to_solution_rate": (
-            danger_solutions / danger_events if danger_events else 0.0
-        ),
+        "danger_to_solution_rate": danger_solutions / danger_events if danger_events else 0.0,
     }
 
 

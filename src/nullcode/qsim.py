@@ -185,9 +185,10 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     checks F(x+e) = x on GOOD.  Returns eps, delta, the distance between
     actual and ideal states with its bound sqrt(eps) + sqrt(delta), the
     success probability (the *_exact keys hold these as `Fraction`s over
-    S K^3, S = |C| |T|; l2 squared), the measurement distribution and the
-    solution mask.  Raises AssertionError if GOOD is unsound, if the norm
-    changes or if the distance exceeds the bound.
+    S K^3, S = |C| |T|; l2 squared), the measurement distribution (also as
+    integer masses over S K^3) and the solution mask.  Raises
+    AssertionError if GOOD is unsound, if the norm changes or if the
+    distance exceeds the bound.
     """
     sigma = spec.sigma_size
     n = spec.n
@@ -251,6 +252,7 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
         "bound": math.sqrt(eps) + math.sqrt(delta),
         "success_probability": float(success),
         "solution_distribution": mass / total,
+        "solution_masses": mass,
         "solution_mask": sol,
         "epsilon_exact": eps,
         "delta_exact": delta,
@@ -283,17 +285,17 @@ def run_smp_protocol(spec: CodeSpec, inst: OracleInstance, params: DecoderParams
     measures the second register.  The instance is used afterwards only to
     cross-check the measurement against the verifier.  Returns the exact
     measurement distribution and the probability mass on verifier-accepted
-    strings.
+    strings, summed exactly from the integer masses.
     """
     half = inst.n // 2
     alice_states = [prepare_phi(inst, i) for i in range(1, half + 1)]
     bob_states = [prepare_phi(inst, i) for i in range(half + 1, inst.n + 1)]
     out = add_decode_pipeline(spec, alice_states + bob_states, params)
-    z_dist = out["solution_distribution"]
-    live = z_dist > 0
+    masses = out["solution_masses"]
+    live = masses > 0
     verified = np.zeros_like(live)
     verified[live] = instances.verify_flat(inst, np.nonzero(live)[0])
-    out["verified_mass"] = float(z_dist[verified].sum())
+    out["verified_mass"] = float(Fraction(int(masses[verified].sum()), int(masses.sum())))
     if not np.array_equal(verified, out["solution_mask"] & live):
         mism = verified ^ (out["solution_mask"] & live)
         raise AssertionError(

@@ -263,7 +263,7 @@ def test_criterion_07_protocol_end_to_end():
         bounds.append(math.sqrt(out["epsilon"]) + math.sqrt(out["delta"]))
         # measured solutions pass the verifier: the verified mass is the
         # success mass, and sampled outcomes verify iff they carry mass
-        assert abs(out["verified_mass"] - out["success_probability"]) <= 1e-12
+        assert out["verified_mass"] == out["success_probability"]
         z = qsim.sample_measurement(out, rng)
         word = qsim.flat_to_word(spec, z)
         assert instances.verify(inst, word) == bool(out["solution_mask"][z])

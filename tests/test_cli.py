@@ -410,6 +410,8 @@ MALFORMED = [
     ("unfolded.tables", lambda rows: [rows[0][:-2]] + rows[1:]),
     ("p", "1/" + "1" * 5000),  # past int()'s digit limit
     ("unfolded", 5),
+    ("format", 2),
+    ("format", "1"),
 ]
 
 

@@ -499,19 +499,6 @@ def test_syndrome_decoder_on_preset3_dual():
                 assert got is not None and np.count_nonzero(got ^ z) == weight
 
 
-@pytest.mark.parametrize("k", [0, 1, 7, 13])
-def test_parity_check_is_the_dual_generator(k):
-    ctx = FieldCtx(4)
-    rng = np.random.default_rng(k)
-    spec = CodeSpec(
-        kind="grs-folded", field=ctx, m=1, k=k, gamma=ctx.generator(),
-        v=tuple(rng.integers(1, ctx.q, size=ctx.q - 1).tolist()),
-    )
-    check = codes._parity_check_cached(spec)
-    assert np.array_equal(check, codes.dual(spec).generator_matrix())
-    assert not linalg.matmul(ctx, spec.generator_matrix(), check.T).any()
-
-
 def test_full_grs_code_decodes_to_the_word():
     # k = N - 1: no parity checks, every word is a codeword
     ctx = FieldCtx(4)

@@ -8,6 +8,10 @@ step can read the files that earlier steps wrote (`instance solve` reads
 change only with an intended output change; regenerate the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or add invocations at its end, failing if any existing record changed, with
+
+    PYTHONPATH=src python tests/test_golden.py --append "proto run --seed 4" ...
 """
 
 import contextlib
@@ -15,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,10 +97,49 @@ def test_manifest_covers_every_subcommand():
     assert commands == covered
 
 
-if __name__ == "__main__":
+def test_append_keeps_the_manifest_when_a_record_changed(tmp_path, monkeypatch, capsys):
+    # two records that read no earlier step's files
+    argvs = (["code", "dual", "--t", "2"], ["proto", "run", "--seed", "3"])
+    records = [rec for rec in _EXPECTED if rec["argv"] in argvs]
+    manifest = tmp_path / "manifest.json"
+    monkeypatch.setattr(sys.modules[__name__], "MANIFEST", manifest)
+    changed = [records[0], {**records[1], "stdout": "0" * 64}]
+    manifest.write_text(json.dumps({"invocations": changed}))
+    assert main(["--append", "proto run --seed 4"]) == 1
+    assert capsys.readouterr().out == f"changed: {' '.join(records[1]['argv'])}\n"
+    assert json.loads(manifest.read_text())["invocations"] == changed
+    manifest.write_text(json.dumps({"invocations": records}))
+    assert main(["--append", "proto run --seed 4"]) == 0
+    written = json.loads(manifest.read_text())["invocations"]
+    assert written[:2] == records and written[2]["argv"] == ["proto", "run", "--seed", "4"]
+
+
+def main(argv=None) -> int:
+    """Rewrite the manifest from a fresh run of its invocations; with
+    --append, also run the given invocations (each one shell-quoted
+    string) after them, and write the manifest only if no existing record
+    changed.  Exits 1, naming the changed records, otherwise."""
+    import argparse
+    import shlex
     import tempfile
 
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--append", nargs="+", default=[], metavar="ARGV")
+    args = parser.parse_args(argv)
+    expected = _load_manifest()
+    argvs = [rec["argv"] for rec in expected] + [shlex.split(a) for a in args.append]
     with tempfile.TemporaryDirectory() as tmp:
-        runs = run_manifest([rec["argv"] for rec in _load_manifest()], Path(tmp))
+        runs = run_manifest(argvs, Path(tmp))
+    if args.append:
+        changed = [" ".join(rec["argv"]) for rec, run in zip(expected, runs) if rec != run]
+        if changed:
+            for name in changed:
+                print(f"changed: {name}")
+            return 1
     MANIFEST.write_text(json.dumps({"invocations": runs}, indent=1) + "\n")
     print(f"wrote {len(runs)} invocations to {MANIFEST}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances
-from nullcode.errors import BiasNotPowerOfTwo, BudgetExceeded, SplitRequiresEvenN
+from nullcode.errors import BiasNotPowerOfTwo, BudgetExceeded, ParseError, SplitRequiresEvenN
 from nullcode.gf import FieldCtx
 
 
@@ -279,6 +279,15 @@ def test_file_roundtrip_with_unfolded():
     assert np.array_equal(back.tables, inst.tables)
     assert np.array_equal(back.unfolded, inst.unfolded)
     assert back.spec == inst.spec and back.p == inst.p and back.seed == inst.seed
+
+
+@pytest.mark.parametrize("version", [1.0, True, None])
+def test_file_format_other_than_the_current_one_is_rejected(version):
+    data = instances.instance_to_json(instances.sample_instance(toy(), Fraction(1, 4), 0))
+    assert data["format"] == instances.FORMAT_VERSION
+    data["format"] = version
+    with pytest.raises(ParseError, match="instance:format:"):
+        instances.instance_from_json(data)
 
 
 def test_table_budget():

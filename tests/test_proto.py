@@ -17,21 +17,29 @@ def small_tree(seed=0, n_bits=6, depth=4, labels=(0, 1, 2)):
 
 
 def run(tree, x, y):
-    """(transcript, output label) of the run on (x, y), from proto._path."""
-    path = proto._path(tree, x, y)
-    return "".join(msg for msg, _ in path), path[-1][1].label
+    """(transcript, output label) of the run on (x, y), from proto._route
+    on that one pair."""
+    steps = list(proto._route(tree, np.array([x]), np.array([y])))
+    return "".join(msg for msg, _, _ in steps), steps[-1][1].label
+
+
+def walk_path(tree, x, y):
+    """(message, node) pairs along the run on (x, y): ("", root), then each
+    node reached with the message sent to reach it.  Found by walking the
+    tree with a membership test per part; a later part wins on overlap."""
+    path = [("", tree.root)]
+    while isinstance(path[-1][1], proto.Node):
+        node = path[-1][1]
+        value = x if node.owner == "A" else y
+        msg, _, child = next(part for part in reversed(node.parts) if value in part[1])
+        path.append((msg, child))
+    return path
 
 
 def walk(tree, x, y):
-    """(transcript, output label) of the run on (x, y), found by walking
-    the tree with a membership test per part; a later part wins on
-    overlap."""
-    node, transcript = tree.root, ""
-    while isinstance(node, proto.Node):
-        value = x if node.owner == "A" else y
-        msg, _, node = next(part for part in reversed(node.parts) if value in part[1])
-        transcript += msg
-    return transcript, node.label
+    """(transcript, output label) of the run on (x, y), from walk_path."""
+    path = walk_path(tree, x, y)
+    return "".join(msg for msg, _ in path), path[-1][1].label
 
 
 def is_subcube_like(rect, gamma) -> bool:
@@ -281,12 +289,15 @@ def test_danger_monotone_and_recount():
 def test_danger_ledgers_carry_the_run():
     spec, insts, tree = danger_setup()
     split = instances.Split(spec.n, spec.sigma_size)
+    ranks = codes.codeword_rank_matrix(spec)
     out = proto.danger_track(tree, spec, insts)
     assert len(out["ledgers"]) == len(insts)
     for inst, ledger in zip(insts, out["ledgers"]):
         x, y = split.inputs(inst.tables)
         assert (ledger.transcript, ledger.output) == walk(tree, x, y)
         assert len(ledger.rounds) == len(ledger.transcript) + 1
+        sols = instances.solution_mask(inst.tables, ranks)
+        assert ledger.solution_flags == [bool(sols[j]) for j in sorted(ledger.rounds[-1])]
 
 
 def test_danger_track_derives_cells_once_per_visited_node(monkeypatch):
@@ -299,9 +310,20 @@ def test_danger_track_derives_cells_once_per_visited_node(monkeypatch):
 
     monkeypatch.setattr(proto, "_fixed_table_cells", counting)
     spec, insts, tree = danger_setup()
+    split = instances.Split(spec.n, spec.sigma_size)
     out = proto.danger_track(tree, spec, insts)
-    visited = sum(len(ledger.rounds) for ledger in out["ledgers"])
-    assert len(calls) == visited
+    reached = {
+        id(node) for inst in insts for _, node in walk_path(tree, *split.inputs(inst.tables))
+    }
+    assert len(calls) == len(reached)
+    # runs share their first rounds, so per-run derivation would cost more
+    assert len(calls) < sum(len(ledger.rounds) for ledger in out["ledgers"])
+
+
+def test_danger_track_of_no_instances():
+    spec, _, tree = danger_setup()
+    out = proto.danger_track(tree, spec, [])
+    assert (out["ledgers"], out["danger_events"], out["danger_to_solution_rate"]) == ([], 0, 0.0)
 
 
 def test_danger_threshold_arithmetic():
@@ -346,7 +368,7 @@ def test_routed_labels_match_run():
         tree = small_tree(seed=seed, n_bits=5, depth=4, labels=(0, 1, 2, 3))
         for t in (tree, proto.subcube_like_transform(tree, 0.8)):
             pairs = list(itertools.product(range(32), range(32)))
-            expect = [run(t, x, y)[1] for x, y in pairs]
+            expect = [walk(t, x, y)[1] for x, y in pairs]
             xs, ys = proto._pair_arrays(pairs)
             assert proto._route_labels(t, xs, ys) == expect
             xs, ys = proto._pair_arrays(itertools.product(range(32), range(32)))
@@ -370,7 +392,7 @@ def test_outputs_agree_missing_value_raises_keyerror():
     node = proto.Node("A", proto.Rect(X, Y, 2, 2), [("0", p0, proto.Leaf(0, proto.Rect(p0, Y, 2, 2)))])
     tree = proto.ProtocolTree(node, 2, 2)
     with pytest.raises(KeyError):
-        proto._path(tree, 3, 0)
+        list(proto._route(tree, np.array([0, 3]), np.array([0, 0])))
     with pytest.raises(KeyError):
         proto.outputs_agree(tree, tree, [(0, 0), (3, 0)])
 
@@ -451,3 +473,46 @@ def test_never_wrong_matches_per_pair_check():
         ):
             expect = per_pair(tree, valid_a, valid_b)
             assert proto.never_wrong(tree, valid_a, valid_b) == expect
+
+
+def counting_predicate(calls, n_bits):
+    """Elementwise validity predicate that records each call's input size."""
+
+    def valid(label, values):
+        assert values.dtype == np.int64
+        calls.append(values.size)
+        return ((values >> (label % n_bits)) & 1) == 0
+
+    return valid
+
+
+def test_predicates_run_once_per_leaf_side():
+    tree = small_tree(seed=1, n_bits=5, depth=4)
+    calls = []
+    valid = counting_predicate(calls, 5)
+    leaves = sum(1 for leaf, _, _ in tree.leaves() if leaf.label is not BOT)
+    err = proto.measure_error(tree, valid, valid)
+    assert len(calls) == 2 * leaves
+    calls.clear()
+    cleaned = proto.cleanup(tree, err, valid, valid)
+    assert 0 < len(calls) <= 2 * leaves  # one per verification round
+    calls.clear()
+    assert proto.never_wrong(cleaned, valid, valid)
+    labelled = sum(1 for leaf, _, _ in cleaned.leaves() if leaf.label is not BOT)
+    assert 0 < len(calls) <= 2 * labelled
+    assert sum(calls) == 2 * (1 << 10) * (1 - proto.bottom_probability(cleaned))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_scalar_predicates_match_elementwise_ones(value):
+    tree = small_tree(seed=2, n_bits=4, depth=3)
+    scalar = lambda label, v: value
+    elementwise = lambda label, v: np.full(v.shape, value)
+    results = []
+    for valid in (scalar, elementwise):
+        err = proto.measure_error(tree, valid, valid)
+        cleaned = proto.cleanup(tree, err, valid, valid)
+        results.append(
+            (err, proto.bottom_probability(cleaned), proto.never_wrong(cleaned, valid, valid))
+        )
+    assert results[0] == results[1] == [(0.0, 0.0, True), (1.0, 1.0, True)][not value]

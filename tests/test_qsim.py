@@ -381,7 +381,9 @@ def test_referee_verifies_every_string_with_positive_mass(monkeypatch):
     gx, ge = qsim.default_goodbad(spec, params)
     mass = np.array(exact_pipeline_loop(spec, received_states(inst), F, gx, ge)["mass"])
     assert np.array_equal(np.concatenate(seen), np.nonzero(mass > 0)[0])
-    assert abs(rep["verified_mass"] - rep["success_probability"]) <= 1e-15
+    assert rep["verified_mass"] == rep["success_probability"]
+    masses = rep["solution_masses"]
+    assert np.array_equal(masses / masses.sum(), rep["solution_distribution"])
 
 
 def test_smp_all_zero():
