@@ -1,8 +1,8 @@
 """Min-entropy, gamma-density, and density-restoring partitions.
 
 Sets are numpy arrays of distinct bitmask integers over a fixed number of
-coordinates.  Coordinate j of element x is bit (x >> j) & 1.  All checks
-are exact: the density threshold comparison
+coordinates, distinct integers j in [0, 64); coordinate j of element x is
+bit (x >> j) & 1.  All checks are exact: the density threshold comparison
 
     count > |X| * 2^(-gamma |I|)
 
@@ -19,11 +19,22 @@ larger |I|, then lexicographically smaller (I, a).  Maximality makes each
 peeled part gamma-dense on its free coordinates by construction: a
 violation inside the part would extend the pattern to a strictly larger
 ratio.  `validate_partition` re-checks that exactly anyway.
+
+A subcube has the maximal pattern in closed form, with no count table.
+Say X holds every pattern of the coordinates V where it varies exactly
+once, and is constant on the rest K of coords.  A pattern that agrees with
+X on K' subseteq K and fixes W subseteq V has count |X| 2^(-|W|), so its
+ratio is |X| 2^(gamma |K'| - (1 - gamma) |W|).  For 0 < gamma < 1 that is
+maximal only at K' = K, W = {}, so the constant coordinates at their bits
+are the answer, or None when K is empty; for gamma = 0 no pattern
+violates.  At gamma >= 1 free coordinates tie or win, so those sets take
+the count table like every other set.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,13 +158,11 @@ def min_entropy(X, coords) -> float:
 
 # From this many coordinates on, the 3^f count table is large enough that
 # passes over contiguous blocks beat the 3-digit kernel passes and the
-# width-order gather.  Per find_violation call (2 vCPU host), on the calls
-# of 20 transform ops the kernel passes take 66-69 us at f = 8, 112-115 us
-# at f = 9 and 306-308 us at f = 10 against 140-188, 186-232 and 279-304 us
-# in blocks; on random sets of 2^(f-1) elements (gamma = 1/2) 56-69 us at
+# width-order gather.  Per find_violation call (2 vCPU host), on random
+# sets of 2^(f-1) elements (gamma = 1/2) the kernel passes take 56-69 us at
 # f = 8, 106-111 us at f = 9, 290-298 us at f = 10, 0.68-0.74 ms at f = 11
 # and 2.0-2.1 ms at f = 12 against 144-168 us, 182-191 us, 235-265 us,
-# 0.31-0.34 ms and 0.64-0.65 ms.
+# 0.31-0.34 ms and 0.64-0.65 ms in blocks.
 _WIDE_F = 10
 
 
@@ -192,23 +201,41 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
+def _as_coords(coords) -> tuple[int, ...]:
+    """coords as ascending ints; each must be a distinct integer in [0, 64),
+    a bit of the int64 elements."""
+    coords = tuple(sorted(map(operator.index, coords)))
+    if coords and not 0 <= coords[0] <= coords[-1] < 64:
+        bad = coords[0] if coords[0] < 0 else coords[-1]
+        raise ValueError(f"coordinate {bad} is outside [0, 64)")
+    if len(set(coords)) < len(coords):
+        bad = next(a for a, b in zip(coords, coords[1:]) if a == b)
+        raise ValueError(f"coordinate {bad} is given twice")
+    return coords
+
+
+def _check_cells(f: int) -> None:
+    if 3**f > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed budget {DEFAULT_CELL_BUDGET}")
+
+
 def subcube_counts(X, coords) -> np.ndarray:
     """Count of every pattern (I, a) with I subseteq coords, as one array of
     length 3^f (f = len(coords)).  Index t has one ternary digit per sorted
     coordinate, the first coordinate most significant; digit 0 or 1 fixes
     the coordinate to that bit and digit 2 leaves it free."""
-    return _count_table(X, coords).astype(np.int64)
+    arr, coords = _as_array(X), _as_coords(coords)
+    _check_cells(len(coords))
+    return _count_table(arr, coords).astype(np.int64)
 
 
 def _count_table(X, coords) -> np.ndarray:
     """`subcube_counts` in the narrowest unsigned dtype that holds |X|,
     which bounds every count; a wide table is a view of the thread's
-    workspace, valid until the next call."""
+    workspace, valid until the next call.  Callers check the cell budget."""
     arr = _as_array(X)
     coords = tuple(sorted(coords))
     f = len(coords)
-    if 3**f > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed budget {DEFAULT_CELL_BUDGET}")
     counts = np.bincount(project(arr, coords), minlength=1 << f)
     dtype = np.min_scalar_type(len(arr))
     # Yates's algorithm: each pass turns binary digits into ternary ones
@@ -294,6 +321,24 @@ def _wide_winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
     return int(tied[np.lexsort((tied, -mask))[0]])
 
 
+def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The coordinates on which X is constant, when X takes every pattern
+    of the other coordinates V exactly once; None for any other X.  The
+    check is exact for repeated elements and for bits that vary outside
+    coords: |X| = 2^|V| patterns on V are each taken once iff they are
+    distinct."""
+    low = int(np.bitwise_and.reduce(arr))
+    varies = low ^ int(np.bitwise_or.reduce(arr))
+    V = [c for c in coords if varies >> c & 1]
+    if len(arr) != 1 << len(V):
+        return None
+    patterns = arr.view(np.uint64) & np.uint64(sum(1 << c for c in V))
+    patterns.sort()
+    if (patterns[1:] == patterns[:-1]).any():
+        return None
+    return tuple(c for c in coords if not varies >> c & 1)
+
+
 def is_dense(X, gamma, coords) -> bool:
     """Exact check: no pattern (I, a) over nonempty I subseteq coords has
     count exceeding |X| * 2^(-gamma |I|)."""
@@ -306,21 +351,30 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
 
     Maximal means the largest violation ratio count * 2^(gamma |I|); ties
     prefer larger |I|, then lexicographically smaller (I, a).  I is an
-    ascending coordinate tuple, a the matching bits.
+    ascending coordinate tuple, a the matching bits.  A coordinate outside
+    [0, 64) or given twice, or a negative gamma, raises ValueError.
     """
-    arr = _as_array(X)
-    coords = tuple(sorted(coords))
+    arr, coords = _as_array(X), _as_coords(coords)
+    g = _as_fraction(gamma)
+    num, den = g.numerator, g.denominator
+    if num < 0:
+        raise ValueError(f"gamma {gamma} is negative")
     if not coords:
         return None
-    gamma = _as_fraction(gamma)
-    num, den = gamma.numerator, gamma.denominator
     # every gamma with 2^gamma > |X| finds what gamma = L finds (the
     # ratio-maximal width is f and the cut is 0), so a larger gamma is
     # clamped to L before it sizes the integer powers below
-    L = len(arr).bit_length()
+    n, f = len(arr), len(coords)
+    L = n.bit_length()
     if num > den * L:
-        gamma, num, den = Fraction(L), L, 1
-    f = len(coords)
+        g, num, den = Fraction(L), L, 1
+    _check_cells(f)
+    if num < den and n & (n - 1) == 0:
+        # the closed form for a subcube (module docstring): with gamma < 1
+        # its constant coordinates K, at their bits, violate maximally
+        K = _subcube_fixed(arr, coords)
+        if K is not None:
+            return (K, tuple(int(arr[0]) >> c & 1 for c in K)) if K and num else None
     counts = _count_table(arr, coords)
     if f < _WIDE_F:
         order, starts = _width_order(f)
@@ -337,7 +391,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
             s = w
     # an integer count exceeds floor(|X| 2^(-gamma s)) iff its ratio exceeds
     # |X|, so some pattern violates iff a ratio-maximal one does
-    if top[s] <= density_cut(len(arr), gamma, s):
+    if top[s] <= density_cut(n, g, s):
         return None
     if f < _WIDE_F:
         # argmax returns the first cell holding the maximum
@@ -367,8 +421,7 @@ class Part:
 def density_restoring_partition(X, gamma, coords) -> list[Part]:
     """Partition X so each part is fixed on its coordinates and gamma-dense
     on the rest of `coords`; parts appear in peel order."""
-    residual = _as_array(X)
-    coords = tuple(sorted(coords))
+    residual, coords = _as_array(X), _as_coords(coords)
     parts: list[Part] = []
     while residual.size:
         viol = find_violation(residual, gamma, coords)

@@ -250,12 +250,16 @@ def test_subcube_counts_over_budget(monkeypatch):
 
 
 # The largest count table the budget admits, 3^16 cells, for 2^16 distinct
-# elements (every count needs a uint32).
+# elements (every count needs a uint32).  Element 1 moves to bit 16, so two
+# elements share pattern 0: the set is no subcube and is counted.
 DENSITY_F16_RUN = """
 import numpy as np
 from nullcode import density
 
-assert density.find_violation(np.arange(1 << 16), 0.5, range(16)) is None
+X = np.arange(1 << 16)
+X[1] = 1 << 16
+assert density._subcube_fixed(X, tuple(range(16))) is None
+assert density.find_violation(X, 0.5, range(16)) is None
 """
 
 
@@ -550,7 +554,7 @@ def _partition_by_coordinate_peel(X, gamma, coords):
 
 
 @pytest.mark.parametrize(
-    "coords", [tuple(range(8)), (50, 55, 58, 61, 62), (0, 57, 62, 63), (2, 40, 63, 64, 70)]
+    "coords", [tuple(range(8)), (50, 55, 58, 61, 62), (0, 57, 62, 63), (2, 31, 32, 40, 63)]
 )
 def test_peel_matches_coordinate_peel(coords):
     rng = np.random.default_rng(len(coords))
@@ -559,3 +563,95 @@ def test_peel_matches_coordinate_peel(coords):
         parts = density_restoring_partition(X, gamma, coords)
         got = [(p.elems.tolist(), p.fixed_coords, p.fixed_bits) for p in parts]
         assert got == _partition_by_coordinate_peel(X, gamma, coords)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda coords: find_violation(np.arange(8), 0.5, coords),
+        lambda coords: subcube_counts(np.arange(8), coords),
+        lambda coords: density_restoring_partition(np.arange(8), 0.5, coords),
+    ],
+    ids=["find_violation", "subcube_counts", "density_restoring_partition"],
+)
+def test_bad_coordinates_raise_value_error(call):
+    with pytest.raises(ValueError, match="coordinate -1 is outside"):
+        call((-1, 0))
+    with pytest.raises(ValueError, match="coordinate 64 is outside"):
+        call((0, 64))
+    with pytest.raises(ValueError, match="coordinate 1 is given twice"):
+        call((1, 0, 1))
+
+
+def test_negative_gamma_raises_value_error():
+    for X in (np.arange(8), np.array([0, 2, 1])):  # a subcube and another set
+        with pytest.raises(ValueError, match="gamma -0.5 is negative"):
+            find_violation(X, -0.5, (0, 1, 2))
+        with pytest.raises(ValueError, match="gamma -1/3 is negative"):
+            density_restoring_partition(X, Fraction(-1, 3), (0, 1))
+
+
+SUBCUBE_GAMMAS = (0, Fraction(1, 3), 0.8, 1, Fraction(3, 2), 5)
+
+
+def subcube(rng, coords, nbits, outside=False):
+    """A random subcube on coords: a random subset of coords varies over
+    every pattern once, and the rest of coords is constant.  Bits below
+    nbits outside coords are constant too, or with outside=True random."""
+    V = [c for c in coords if rng.integers(2)]
+    X = np.full(1 << len(V), int(rng.integers(0, 1 << nbits)), dtype=np.int64)
+    for c in V:
+        X &= ~(1 << c)
+    for j, c in enumerate(V):
+        X |= ((np.arange(len(X)) >> j) & 1) << c
+    if outside:
+        rest = sum(1 << c for c in range(nbits) if c not in coords)
+        X = (X & ~rest) | (rng.integers(0, 1 << nbits, size=len(X)) & rest)
+    return X
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (BudgetExceeded, EmptySet, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_subcube_certificate_matches_the_count_table(monkeypatch):
+    rng = np.random.default_rng(24)
+    cases = [(np.zeros(0, dtype=np.int64), (0, 1)), (np.arange(16), tuple(range(17)))]
+    for trial in range(200):
+        f = int(rng.integers(1, 8))
+        nbits = f + trial % 3
+        coords = tuple(int(c) for c in rng.choice(nbits, size=f, replace=False))
+        X = subcube(rng, coords, nbits, outside=trial % 3 == 2)
+        if trial % 4 == 1 and len(X) > 1:  # one element repeated in place of another
+            X[int(rng.integers(1, len(X)))] = X[0]
+        if trial % 5 == 4:  # bit b moved to bit position[b], coords[0] to the sign bit
+            position = rng.choice(63, size=nbits, replace=False)
+            position[coords[0]] = 63
+            X = np.bitwise_or.reduce([((X >> b) & 1) << p for b, p in enumerate(position)])
+            coords = tuple(int(position[c]) for c in coords)
+        cases.append((rng.permutation(X), coords))
+    gammas = SUBCUBE_GAMMAS + (-0.5,)
+    fixed, answered = density._subcube_fixed, []
+
+    def recorded(arr, coords):
+        answered.append(fixed(arr, coords))
+        return answered[-1]
+
+    monkeypatch.setattr(density, "_subcube_fixed", recorded)
+    got = [_outcome(find_violation, X, g, coords) for X, coords in cases for g in gammas]
+    monkeypatch.setattr(density, "_subcube_fixed", lambda *a: None)
+    want = [_outcome(find_violation, X, g, coords) for X, coords in cases for g in gammas]
+    assert got == want
+    # subcubes with and without constant coordinates, other sets, and
+    # every exception
+    assert sum(K is not None and len(K) > 0 for K in answered) >= 300
+    assert sum(K == () for K in answered) >= 20
+    assert sum(K is None for K in answered) >= 100
+    assert {w[0] for w in want if type(w) is tuple and type(w[0]) is type} == {
+        BudgetExceeded,
+        EmptySet,
+        ValueError,
+    }
