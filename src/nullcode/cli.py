@@ -111,19 +111,14 @@ def _write_or_print(path, payload) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _write_jsonl(path, records) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
-
-
 def _emit(records, out) -> None:
+    """Records as JSON lines, written to the file out or printed."""
+    lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     if out:
-        _write_jsonl(out, records)
+        with open(out, "w") as fh:
+            fh.write(lines)
     else:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
+        print(lines, end="")
 
 
 # -- code subcommands ------------------------------------------------------------
@@ -304,7 +299,7 @@ def cmd_qsim_claim66(args) -> int:
     printable = {k: v for k, v in stats.items() if not k.endswith("_exact")}
     print(json.dumps(printable, sort_keys=True))
     if args.out:
-        _write_jsonl(args.out, [printable])
+        _emit([printable], args.out)
     return 0
 
 
@@ -558,7 +553,7 @@ def cmd_tbnc_totality(args) -> int:
     )
     print(json.dumps(out, sort_keys=True))
     if args.out:
-        _write_jsonl(args.out, [out])
+        _emit([out], args.out)
     return 0
 
 

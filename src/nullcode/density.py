@@ -2,7 +2,10 @@
 
 Sets are numpy arrays of distinct bitmask integers over a fixed number of
 coordinates, distinct integers j in [0, 64); coordinate j of element x is
-bit (x >> j) & 1.  All checks are exact: the density threshold comparison
+bit (x >> j) & 1.  Every public function that takes coordinates reads
+them in ascending order and raises ValueError for one outside [0, 64) or
+given twice; the private helpers it calls take them as normalised.  All
+checks are exact: the density threshold comparison
 
     count > |X| * 2^(-gamma |I|)
 
@@ -90,40 +93,22 @@ def _cut(size: int, num: int, den: int) -> int:
     return lo
 
 
-def project(X: np.ndarray, coords) -> np.ndarray:
-    """Pattern integers for each element; the first coordinate lands in the
-    most-significant bit, so integer order equals assignment-string order."""
-    coords = tuple(coords)
-    if coords and 0 <= coords[0] and coords[-1] < 64 and all(
-        a < b for a, b in zip(coords, coords[1:])
-    ):
-        return _project_bytes(X, coords)
-    s = len(coords)
-    out = np.zeros(len(X), dtype=np.int64)
-    for j, c in enumerate(coords):
-        out |= ((X >> c) & 1) << (s - 1 - j)
-    return out
-
-
-def _project_bytes(X, coords: tuple[int, ...]) -> np.ndarray:
-    """`project` for ascending coords below 64: one table lookup per input
-    byte that holds a coordinate, shifted into place."""
+def _project(X, coords: tuple[int, ...]) -> np.ndarray:
+    """Pattern integers for each element, for ascending coords in [0, 64);
+    the first coordinate lands in the most-significant bit, so integer
+    order equals assignment-string order.  One table lookup per input byte
+    that holds a coordinate, from the byte's table shifted into place."""
+    if not coords:
+        return np.zeros(len(X), dtype=np.int64)
     data = np.ascontiguousarray(X, dtype="<i8").view(np.uint8)
     masks: dict[int, int] = {}  # byte -> its coordinates' bits, bytes ascending
     for c in coords:
         masks[c >> 3] = masks.get(c >> 3, 0) | 1 << (c & 7)
-    rest = len(coords)
-    out = None
+    rest, parts = len(coords), []
     for byte, mask in masks.items():
-        part = _byte_table(mask).take(data[byte::8])
         rest -= mask.bit_count()
-        if rest:
-            part <<= rest
-        if out is None:
-            out = part
-        else:
-            out |= part
-    return out
+        parts.append((_byte_table(mask) << rest).take(data[byte::8]))
+    return reduce(operator.ior, parts)
 
 
 @lru_cache(maxsize=None)
@@ -138,11 +123,12 @@ def _byte_table(mask: int) -> np.ndarray:
     return table
 
 
-def max_pattern_count(X: np.ndarray, coords) -> tuple[int, int]:
-    """(count, pattern) of the most frequent assignment on coords; ties go
-    to the smallest pattern."""
-    proj = project(X, coords)
-    counts = np.bincount(proj, minlength=1 << len(coords))
+def max_pattern_count(X, coords) -> tuple[int, int]:
+    """(count, pattern) of the most frequent assignment on coords, the
+    pattern read in ascending coordinate order (its one caller,
+    `min_entropy`, ignores it); ties go to the smallest pattern."""
+    coords = _as_coords(coords)
+    counts = np.bincount(_project(X, coords), minlength=1 << len(coords))
     best = int(counts.argmax())  # argmax returns the first (smallest) index
     return int(counts[best]), best
 
@@ -150,10 +136,7 @@ def max_pattern_count(X: np.ndarray, coords) -> tuple[int, int]:
 def min_entropy(X, coords) -> float:
     """Exact min-entropy of the uniform marginal on coords."""
     arr = _as_array(X)
-    if not coords:
-        return 0.0
-    count, _ = max_pattern_count(arr, tuple(coords))
-    return math.log2(len(arr) / count)
+    return math.log2(len(arr) / max_pattern_count(arr, coords)[0])
 
 
 # From this many coordinates on, the 3^f count table is large enough that
@@ -229,14 +212,13 @@ def subcube_counts(X, coords) -> np.ndarray:
     return _count_table(arr, coords).astype(np.int64)
 
 
-def _count_table(X, coords) -> np.ndarray:
+def _count_table(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
     """`subcube_counts` in the narrowest unsigned dtype that holds |X|,
     which bounds every count; a wide table is a view of the thread's
-    workspace, valid until the next call.  Callers check the cell budget."""
-    arr = _as_array(X)
-    coords = tuple(sorted(coords))
+    workspace, valid until the next call.  Callers normalise both
+    arguments and check the cell budget."""
     f = len(coords)
-    counts = np.bincount(project(arr, coords), minlength=1 << f)
+    counts = np.bincount(_project(arr, coords), minlength=1 << f)
     dtype = np.min_scalar_type(len(arr))
     # Yates's algorithm: each pass turns binary digits into ternary ones
     # (bit 0, bit 1, then their sum for a free coordinate)
@@ -321,22 +303,42 @@ def _wide_winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
     return int(tied[np.lexsort((tied, -mask))[0]])
 
 
-def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The coordinates on which X is constant, when X takes every pattern
-    of the other coordinates V exactly once; None for any other X.  The
-    check is exact for repeated elements and for bits that vary outside
-    coords: |X| = 2^|V| patterns on V are each taken once iff they are
-    distinct."""
+def constant_coords(X, coords) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coordinates of coords on which every element of X has the same
+    bit, ascending, and those bits; none for an empty X."""
+    return _constant_coords(np.asarray(X, dtype=np.int64), _as_coords(coords))
+
+
+def _constant_coords(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tuple]:
     low = int(np.bitwise_and.reduce(arr))
     varies = low ^ int(np.bitwise_or.reduce(arr))
-    V = [c for c in coords if varies >> c & 1]
-    if len(arr) != 1 << len(V):
+    K = tuple(c for c in coords if not varies >> c & 1)
+    return K, tuple(low >> c & 1 for c in K)
+
+
+def _matches(arr: np.ndarray, coords, bits) -> np.ndarray:
+    """Which elements of the int64 array have the given bits on coords, as
+    one mask test on their uint64 view (coordinate 63 included)."""
+    mask = sum(1 << c for c in coords)
+    value = sum(b << c for c, b in zip(coords, bits))
+    return (arr.view(np.uint64) & np.uint64(mask)) == np.uint64(value)
+
+
+def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tuple] | None:
+    """(K, bits): the coordinates on which X is constant and their bits,
+    when X takes every pattern of the other coordinates V exactly once;
+    None for any other X.  The check is exact for repeated elements and
+    for bits that vary outside coords: |X| = 2^|V| patterns on V are each
+    taken once iff they are distinct."""
+    K, bits = _constant_coords(arr, coords)
+    if len(arr) != 1 << (len(coords) - len(K)):
         return None
-    patterns = arr.view(np.uint64) & np.uint64(sum(1 << c for c in V))
+    V = sum(1 << c for c in coords) - sum(1 << c for c in K)
+    patterns = arr.view(np.uint64) & np.uint64(V)
     patterns.sort()
     if (patterns[1:] == patterns[:-1]).any():
         return None
-    return tuple(c for c in coords if not varies >> c & 1)
+    return K, bits
 
 
 def is_dense(X, gamma, coords) -> bool:
@@ -372,9 +374,9 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     if num < den and n & (n - 1) == 0:
         # the closed form for a subcube (module docstring): with gamma < 1
         # its constant coordinates K, at their bits, violate maximally
-        K = _subcube_fixed(arr, coords)
-        if K is not None:
-            return (K, tuple(int(arr[0]) >> c & 1 for c in K)) if K and num else None
+        fixed = _subcube_fixed(arr, coords)
+        if fixed is not None:
+            return fixed if fixed[0] and num else None
     counts = _count_table(arr, coords)
     if f < _WIDE_F:
         order, starts = _width_order(f)
@@ -429,12 +431,7 @@ def density_restoring_partition(X, gamma, coords) -> list[Part]:
             parts.append(Part(residual, (), ()))
             break
         I, bits = viol
-        if I[-1] < 63:  # mask and value fit a non-negative int64
-            mask = sum(1 << c for c in I)
-            value = sum(b << c for c, b in zip(I, bits))
-            hit = (residual & mask) == value
-        else:
-            hit = np.all([((residual >> c) & 1) == b for c, b in zip(I, bits)], axis=0)
+        hit = _matches(residual, I, bits)
         parts.append(Part(residual[hit], I, bits))
         residual = residual[~hit]
     return parts
@@ -442,17 +439,16 @@ def density_restoring_partition(X, gamma, coords) -> list[Part]:
 
 def validate_partition(X, parts: list[Part], gamma, coords) -> None:
     """Exact re-check of the partition postconditions; raises on failure."""
-    arr = _as_array(X)
-    coords = tuple(sorted(coords))
+    arr, coords = _as_array(X), _as_coords(coords)
     seen = np.concatenate([p.elems for p in parts]) if parts else np.array([])
     if not np.array_equal(np.sort(seen), np.sort(arr)):
         raise AssertionError("parts do not partition the input set")
     for p in parts:
-        for c, b in zip(p.fixed_coords, p.fixed_bits):
-            if not np.all(((p.elems >> c) & 1) == b):
-                raise AssertionError("part is not fixed on its coordinates")
+        elems = np.asarray(p.elems, dtype=np.int64)
+        if p.fixed_coords and not _matches(elems, p.fixed_coords, p.fixed_bits).all():
+            raise AssertionError("part is not fixed on its coordinates")
         free = tuple(c for c in coords if c not in p.fixed_coords)
-        if not is_dense(p.elems, gamma, free):
+        if not is_dense(elems, gamma, free):
             raise AssertionError("part free coordinates are not dense")
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .budget import DEFAULT_ENUM_BUDGET
-from .density import density_restoring_partition, is_dense
+from .density import constant_coords, density_restoring_partition, is_dense
 from .errors import BudgetExceeded
 from .instances import OracleInstance, Split, solution_mask
 
@@ -48,18 +48,6 @@ OWNERS = ("A", "B")
 
 def full_domain(n_bits: int) -> np.ndarray:
     return np.arange(1 << n_bits, dtype=np.int64)
-
-
-def _constant_coords(X: np.ndarray, n_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    andv = int(np.bitwise_and.reduce(X))
-    orv = int(np.bitwise_or.reduce(X))
-    coords, bits = [], []
-    for c in range(n_bits):
-        a, o = (andv >> c) & 1, (orv >> c) & 1
-        if a == o:
-            coords.append(c)
-            bits.append(a)
-    return tuple(coords), tuple(bits)
 
 
 class Side(NamedTuple):
@@ -104,7 +92,7 @@ class Rect:
         """Alice's ("A") or Bob's ("B") side."""
         elems, n_bits, coords, bits = _SIDE_GET[owner](self)
         if coords is None:
-            coords, bits = _constant_coords(elems, n_bits)
+            coords, bits = constant_coords(elems, range(n_bits))
         return Side(elems, n_bits, coords, bits)
 
     def narrow(self, owner: str, elems: np.ndarray, coords=(), bits=()) -> "Rect":

@@ -8,6 +8,7 @@ import pytest
 
 from nullcode import density
 from nullcode.density import (
+    Part,
     density_cut,
     density_restoring_partition,
     expected_codimension,
@@ -15,7 +16,6 @@ from nullcode.density import (
     is_dense,
     max_pattern_count,
     min_entropy,
-    project,
     subcube_counts,
     validate_partition,
 )
@@ -161,7 +161,7 @@ def _violation_by_definition(X, gamma, coords):
     best = None  # (count, |I|, I, pattern)
     for s in range(len(coords), 0, -1):
         for I in combinations(coords, s):
-            counts = np.bincount(project(X, I), minlength=1 << s)
+            counts = np.bincount(density._project(X, I), minlength=1 << s)
             a = int(counts.argmax())
             c = int(counts[a])
             if c**den << (num * s) <= len(X) ** den:
@@ -240,7 +240,7 @@ def test_subcube_counts_over_budget(monkeypatch):
     def no_projection(*args):
         raise AssertionError("the set was projected")
 
-    monkeypatch.setattr(density, "project", no_projection)
+    monkeypatch.setattr(density, "_project", no_projection)
     coords = tuple(range(17))
     message = "3\\^17 = 129140163 subcube counts exceed budget 67108864"
     with pytest.raises(BudgetExceeded, match=message):
@@ -365,7 +365,7 @@ def test_width_maxima_blocks_match_width_order(f):
 def _subcube_counts_int64(X, coords):
     """Yates's algorithm in int64, one concatenation per pass."""
     f = len(coords)
-    counts = np.bincount(project(X, sorted(coords)), minlength=1 << f)
+    counts = np.bincount(density._project(X, tuple(sorted(coords))), minlength=1 << f)
     for _ in range(f):
         pair = counts.reshape(-1, 2)
         counts = np.concatenate([pair[:, 0], pair[:, 1], pair.sum(axis=1)])
@@ -377,7 +377,7 @@ def _subcube_counts_int64(X, coords):
 def test_subcube_counts_at_dtype_edges(size, f):
     rng = np.random.default_rng([size, f])
     X = rng.choice(1 << 17, size=size, replace=False)
-    coords = tuple(int(c) for c in rng.choice(17, size=f, replace=False))
+    coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
     assert density._count_table(X, coords).dtype == np.min_scalar_type(size)
     counts = subcube_counts(X, coords)
     assert counts.dtype == np.int64
@@ -405,7 +405,7 @@ def test_workspace_keeps_no_pass_above_the_reuse_limit(monkeypatch):
 
 
 def _project_bitwise(X, coords):
-    """`project` one coordinate at a time."""
+    """`_project` one coordinate at a time."""
     s = len(coords)
     out = np.zeros(len(X), dtype=np.int64)
     for j, c in enumerate(coords):
@@ -423,15 +423,15 @@ def test_project_matches_bitwise_loop():
         (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
         (3, 9, 17, 30, 41),
         (56, 57, 60, 62, 63),  # the top byte, sign bit included
-        (5, 2, 9),  # unsorted, as min_entropy passes them
+        (5, 2, 9),
         (63, 0, 40, 12),
-        (4, 4),
     ]
     cases += [tuple(int(c) for c in rng.choice(64, size=k, replace=False)) for k in range(1, 17)]
     cases += [tuple(sorted(c)) for c in cases[-16:]]
     for coords in cases:
-        assert np.array_equal(project(X, coords), _project_bitwise(X, coords)), coords
-    assert project(np.zeros(0, dtype=np.int64), (1, 2)).shape == (0,)
+        coords = tuple(sorted(coords))
+        assert np.array_equal(density._project(X, coords), _project_bitwise(X, coords)), coords
+    assert density._project(np.zeros(0, dtype=np.int64), (1, 2)).shape == (0,)
 
 
 def _count_table_transposed(X, coords):
@@ -453,7 +453,7 @@ def test_kernel_count_table_matches_transposed_passes(size):
     rng = np.random.default_rng(size)
     X = rng.choice(1 << 17, size=size, replace=False)
     for f in range(1, density._WIDE_F):
-        coords = tuple(int(c) for c in rng.choice(17, size=f, replace=False))
+        coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
         got = density._count_table(X, coords)
         want = _count_table_transposed(X, coords)
         assert got.dtype == want.dtype == np.min_scalar_type(size)
@@ -571,8 +571,18 @@ def test_peel_matches_coordinate_peel(coords):
         lambda coords: find_violation(np.arange(8), 0.5, coords),
         lambda coords: subcube_counts(np.arange(8), coords),
         lambda coords: density_restoring_partition(np.arange(8), 0.5, coords),
+        lambda coords: min_entropy(np.arange(8), coords),
+        lambda coords: max_pattern_count(np.arange(8), coords),
+        lambda coords: validate_partition(np.arange(8), [], 0.5, coords),
     ],
-    ids=["find_violation", "subcube_counts", "density_restoring_partition"],
+    ids=[
+        "find_violation",
+        "subcube_counts",
+        "density_restoring_partition",
+        "min_entropy",
+        "max_pattern_count",
+        "validate_partition",
+    ],
 )
 def test_bad_coordinates_raise_value_error(call):
     with pytest.raises(ValueError, match="coordinate -1 is outside"):
@@ -581,6 +591,78 @@ def test_bad_coordinates_raise_value_error(call):
         call((0, 64))
     with pytest.raises(ValueError, match="coordinate 1 is given twice"):
         call((1, 0, 1))
+
+
+def _fixed_by_loop(elems, coords, bits):
+    """The per-coordinate test of declared bits that `validate_partition`
+    made before its single mask test."""
+    elems = np.asarray(elems, dtype=np.int64)
+    return all(np.all(((elems >> c) & 1) == b) for c, b in zip(coords, bits))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
+def test_validate_partition_checks_fixed_bits_like_the_coordinate_loop(dtype):
+    # parts of negative elements, in the caller's dtype, split on their
+    # patterns over coordinates that include the sign bit 63; half the
+    # trials flip one declared bit of one part
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    info = np.iinfo(dtype)
+    X = np.unique(rng.integers(info.min, info.max, size=120, dtype=dtype, endpoint=True))
+    wide = X.astype(np.int64)
+    rejected = 0
+    for trial in range(60):
+        size = int(rng.integers(1, 4))
+        coords = tuple(sorted(int(c) for c in rng.choice([0, 5, 14, 30, 62, 63], size, False)))
+        pattern = sum(((wide >> c) & 1) << j for j, c in enumerate(coords))
+        parts = []
+        for p in np.unique(pattern):
+            hit = pattern == p
+            parts.append(Part(X[hit], coords, tuple(int(wide[hit][0] >> c & 1) for c in coords)))
+        if trial % 2:
+            k, j = int(rng.integers(len(parts))), int(rng.integers(size))
+            bits = list(parts[k].fixed_bits)
+            bits[j] ^= 1
+            parts[k] = Part(parts[k].elems, coords, tuple(bits))
+        fixed = all(_fixed_by_loop(p.elems, p.fixed_coords, p.fixed_bits) for p in parts)
+        if fixed:
+            validate_partition(X, parts, 0.5, coords)
+        else:
+            rejected += 1
+            with pytest.raises(AssertionError, match="part is not fixed on its coordinates"):
+                validate_partition(X, parts, 0.5, coords)
+    assert rejected == 30
+    assert (X < 0).any()
+
+
+def _constant_coords_by_loop(X, coords):
+    """The and/or test, one coordinate at a time, that `proto.Rect.side`
+    made before it read `density.constant_coords`."""
+    andv = int(np.bitwise_and.reduce(X))
+    orv = int(np.bitwise_or.reduce(X))
+    out, bits = [], []
+    for c in coords:
+        a, o = (andv >> c) & 1, (orv >> c) & 1
+        if a == o:
+            out.append(c)
+            bits.append(a)
+    return tuple(out), tuple(bits)
+
+
+def test_constant_coords_matches_the_coordinate_loop():
+    rng = np.random.default_rng(26)
+    cube = np.arange(1 << 10, dtype=np.int64)
+    cases = [cube, cube - (1 << 9), np.zeros(0, dtype=np.int64)]  # full cubes, the empty set
+    for trial in range(200):
+        size = (1, 2, 5, 40)[trial % 4]  # singletons among them
+        X = rng.integers(-(1 << 63), 1 << 63, size=size, dtype=np.int64)
+        if trial % 3:  # the bits of a random mask constant
+            mask, value = rng.integers(-(1 << 63), 1 << 63, size=2, dtype=np.int64)
+            X = (X & ~mask) | (value & mask)
+        cases.append(X)
+    for X in cases:
+        for coords in (range(10), range(64), (3, 17, 40, 62, 63)):
+            assert density.constant_coords(X, coords) == _constant_coords_by_loop(X, coords)
+    assert density.constant_coords([-1], (63,)) == ((63,), (1,))
 
 
 def test_negative_gamma_raises_value_error():
@@ -647,9 +729,9 @@ def test_subcube_certificate_matches_the_count_table(monkeypatch):
     assert got == want
     # subcubes with and without constant coordinates, other sets, and
     # every exception
-    assert sum(K is not None and len(K) > 0 for K in answered) >= 300
-    assert sum(K == () for K in answered) >= 20
-    assert sum(K is None for K in answered) >= 100
+    assert sum(a is not None and len(a[0]) > 0 for a in answered) >= 300
+    assert sum(a is not None and a[0] == () for a in answered) >= 20
+    assert sum(a is None for a in answered) >= 100
     assert {w[0] for w in want if type(w) is tuple and type(w[0]) is type} == {
         BudgetExceeded,
         EmptySet,
