@@ -382,8 +382,8 @@ def cmd_proto_cleanup(args) -> int:
         cleaned = proto.cleanup(tree, err, valid_a, valid_b)
         ok = proto.never_wrong(cleaned, valid_a, valid_b)
         bot = proto.bottom_probability(cleaned)
-        failures += not (ok and bot <= 2 * err + 1e-12)
-        records.append({"trial": trial, "error": err, "bot": bot, "sound": bool(ok)})
+        failures += not (ok and bot <= 2 * err)
+        records.append({"trial": trial, "error": float(err), "bot": float(bot), "sound": bool(ok)})
     _emit(records, args.out)
     return 1 if failures else 0
 

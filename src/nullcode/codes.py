@@ -619,7 +619,9 @@ def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
     """Numeric check of the two folded-RS list-recoverability inequalities;
     returns their truth values and the guaranteed list bound q^s.  Raises
     ValueError for parameters out of domain and for powers such as q^s or
-    k^s that overflow a float."""
+    k^s that overflow a float, and for a NaN or infinite parameter."""
+    if not all(-math.inf < v < math.inf for v in (N, m, k, ell, s, r, zeta, q)):
+        raise ValueError("every parameter must be finite")
     if not (min(N, m, k, r) > 0 and min(ell, s) >= 0):
         raise ValueError("N, m, k and r must be positive, ell and s nonnegative")
     if m - s + 1 == 0:

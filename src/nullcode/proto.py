@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .budget import DEFAULT_ENUM_BUDGET
-from .density import constant_coords, density_restoring_partition, is_dense
+from .density import constant_coords, density_cut, density_restoring_partition, is_dense
 from .errors import BudgetExceeded
 from .instances import OracleInstance, Split, solution_mask
 
@@ -52,62 +51,45 @@ def full_domain(n_bits: int) -> np.ndarray:
 
 class Side(NamedTuple):
     """One player's side of a rectangle: its elements over n_bits
-    coordinates, and the fixed coordinates with their bits."""
+    coordinates, and the fixed coordinates, where the elements agree."""
 
     elems: np.ndarray
     n_bits: int
     coords: tuple[int, ...]
-    bits: tuple[int, ...]
 
     @property
     def free(self) -> tuple[int, ...]:
         return tuple(c for c in range(self.n_bits) if c not in self.coords)
 
 
-# Rect field names of each owner's side: elements, bit count, declared
-# fixed coordinates and their bits
-_SIDE_FIELDS = {"A": ("X", "n_bits_a", "I", "a_bits"), "B": ("Y", "n_bits_b", "J", "b_bits")}
-_SIDE_GET = {owner: attrgetter(*names) for owner, names in _SIDE_FIELDS.items()}
-
-
 @dataclass
 class Rect:
-    """Explicit rectangle with declared fixed coordinates.
+    """Explicit rectangle X x Y over n_bits_a + n_bits_b coordinates.
 
-    When built by the subcube-like transform, (I, J) are the coordinates
-    fixed by the construction; otherwise they default to the coordinates
-    that happen to be constant.
+    A side's fixed coordinates are the ones where its elements agree, so
+    they are derived (`side`), never stored: for gamma > 0 a side that is
+    gamma-dense on its free coordinates is constant on none of them.
     """
 
     X: np.ndarray
     Y: np.ndarray
     n_bits_a: int
     n_bits_b: int
-    I: tuple[int, ...] | None = None
-    a_bits: tuple[int, ...] | None = None
-    J: tuple[int, ...] | None = None
-    b_bits: tuple[int, ...] | None = None
+
+    def elems_of(self, owner: str) -> tuple[np.ndarray, int]:
+        """Alice's ("A") or Bob's ("B") elements and bit count."""
+        return (self.X, self.n_bits_a) if owner == "A" else (self.Y, self.n_bits_b)
 
     def side(self, owner: str) -> Side:
         """Alice's ("A") or Bob's ("B") side."""
-        elems, n_bits, coords, bits = _SIDE_GET[owner](self)
-        if coords is None:
-            coords, bits = constant_coords(elems, range(n_bits))
-        return Side(elems, n_bits, coords, bits)
+        elems, n_bits = self.elems_of(owner)
+        return Side(elems, n_bits, constant_coords(elems, range(n_bits))[0])
 
-    def narrow(self, owner: str, elems: np.ndarray, coords=(), bits=()) -> "Rect":
-        """Child rectangle whose owner side is elems.  When this rectangle
-        declares fixed coordinates, the child declares coords (set to bits)
-        on top of them."""
-        f_elems, _, f_coords, f_bits = _SIDE_FIELDS[owner]
-        child = Rect(
-            self.X, self.Y, self.n_bits_a, self.n_bits_b, self.I, self.a_bits, self.J, self.b_bits
-        )
-        setattr(child, f_elems, elems)
-        if getattr(self, f_coords) is not None:
-            setattr(child, f_coords, getattr(self, f_coords) + tuple(coords))
-            setattr(child, f_bits, getattr(self, f_bits) + tuple(bits))
-        return child
+    def narrow(self, owner: str, elems: np.ndarray) -> "Rect":
+        """Child rectangle whose owner side is elems."""
+        if owner == "A":
+            return Rect(elems, self.Y, self.n_bits_a, self.n_bits_b)
+        return Rect(self.X, elems, self.n_bits_a, self.n_bits_b)
 
     @property
     def codim(self) -> int:
@@ -237,13 +219,6 @@ def transcript_stats(tree: ProtocolTree) -> dict:
 # -- tree construction ----------------------------------------------------------
 
 
-def _partition_by(X: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray]:
-    """(elements where fn is 0, elements where it is 1); fn maps the whole
-    array at once."""
-    mask = fn(X).astype(bool)
-    return X[~mask], X[mask]
-
-
 PARITY_PROB = 0.25  # share of random rounds that send the XOR of two coordinates
 
 
@@ -268,7 +243,7 @@ def random_onebit_tree(
         if remaining == 0:
             return Leaf(pick_label(), rect)
         owner = "A" if rng.random() < 0.5 else "B"
-        side, nb = rect.side(owner)[:2]
+        side, nb = rect.elems_of(owner)
         fn = None
         for _ in range(10):
             if rng.random() < PARITY_PROB and nb >= 2:
@@ -277,7 +252,8 @@ def random_onebit_tree(
             else:
                 c = int(rng.integers(nb))
                 cand = lambda v, c=c: (v >> c) & 1
-            p0, p1 = _partition_by(side, cand)
+            mask = cand(side).astype(bool)  # cand maps the whole array at once
+            p0, p1 = side[~mask], side[mask]
             if len(p0) and len(p1):
                 fn = cand
                 break
@@ -301,7 +277,7 @@ def reveal_tree(builder_labels, n_bits_a: int, n_bits_b: int) -> ProtocolTree:
         if not owners:
             return Leaf(builder_labels(int(rect.X[0]), int(rect.Y[0])), rect)
         owner = owners[0]
-        side, n_bits = rect.side(owner)[:2]
+        side, n_bits = rect.elems_of(owner)
         if coord == n_bits:
             return build(rect, owners[1:], 0)
         children = []
@@ -347,28 +323,32 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     input pair.
 
     When code_stats is a list, one (entropy, expected_length) pair per
-    constructed Huffman code is appended to it.  Raises BudgetExceeded
-    once the new tree has more than DEFAULT_ENUM_BUDGET nodes.
+    constructed Huffman code is appended to it.  Raises ValueError for a
+    gamma above 1 (after density's normalisation), where the full domain
+    is not gamma-dense, and BudgetExceeded once the new tree has more than
+    DEFAULT_ENUM_BUDGET nodes.
     """
+    if density_cut(2, gamma, 1) == 0:  # floor(2^(1 - gamma)) = 0 iff gamma > 1
+        raise ValueError(f"gamma {gamma} exceeds 1: the full domain is not gamma-dense")
     nodes = 1
 
-    def build(orig, rect):
+    def build(orig, rect, free):
+        """free maps each owner to the coordinates its side is not fixed on."""
         nonlocal nodes
         if isinstance(orig, Leaf):
             return Leaf(orig.label, rect)
         if len(orig.parts) > 2:
             raise ValueError("transform needs one-bit (binary) rounds")
         owner = orig.owner
-        side = rect.side(owner)
-        free = side.free
+        elems, n_bits = rect.elems_of(owner)
         new_parts = []
         for msg, orig_subset, child in orig.parts:
-            member = np.zeros(1 << side.n_bits, dtype=bool)
+            member = np.zeros(1 << n_bits, dtype=bool)
             member[orig_subset] = True
-            sub = side.elems[member[side.elems]]
+            sub = elems[member[elems]]
             if len(sub) == 0:
                 continue
-            drp = density_restoring_partition(sub, gamma, free)
+            drp = density_restoring_partition(sub, gamma, free[owner])
             nodes += len(drp)
             if nodes > DEFAULT_ENUM_BUDGET:
                 raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
@@ -379,31 +359,34 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
                     (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
                 )
             for part, word in zip(drp, code):
-                child_rect = rect.narrow(owner, part.elems, part.fixed_coords, part.fixed_bits)
-                new_parts.append((msg + word, part.elems, build(child, child_rect)))
+                left = tuple(c for c in free[owner] if c not in part.fixed_coords)
+                child_node = build(child, rect.narrow(owner, part.elems), {**free, owner: left})
+                new_parts.append((msg + word, part.elems, child_node))
         return Node(owner, rect, new_parts)
 
     na, nb = tree.n_bits_a, tree.n_bits_b
-    root = Rect(full_domain(na), full_domain(nb), na, nb, I=(), a_bits=(), J=(), b_bits=())
-    return ProtocolTree(build(tree.root, root), na, nb)
+    root = Rect(full_domain(na), full_domain(nb), na, nb)
+    free = {"A": tuple(range(na)), "B": tuple(range(nb))}
+    return ProtocolTree(build(tree.root, root, free), na, nb)
 
 
 def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
     """Exact density check at every node; returns the node count.
 
-    Siblings and descendants share the side that does not speak, so each
-    distinct (elements, free coordinates) is checked once: density depends
-    on nothing else.
+    Each side must be gamma-dense on its free coordinates, the ones where
+    its elements vary.  Siblings and descendants share the side that does
+    not speak, so each distinct (bit count, elements) is checked once:
+    density depends on nothing else.
     """
     checked = set()
     count = 0
     for node in tree.nodes():
-        for side in map(node.rect.side, OWNERS):
-            free = side.free
-            key = (np.asarray(side.elems, dtype=np.int64).tobytes(), free)
+        for owner in OWNERS:
+            elems, n_bits = node.rect.elems_of(owner)
+            key = (n_bits, np.asarray(elems, dtype=np.int64).tobytes())
             if key in checked:
                 continue
-            if not is_dense(side.elems, gamma, free):
+            if not is_dense(elems, gamma, node.rect.side(owner).free):
                 raise AssertionError("node rectangle is not subcube-like")
             checked.add(key)
         count += 1
@@ -430,8 +413,8 @@ def _holds(valid, label, values: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(valid(label, values), dtype=bool), values.shape)
 
 
-def measure_error(tree: ProtocolTree, valid_a, valid_b) -> float:
-    """Probability over uniform inputs that the output is not valid.
+def measure_error(tree: ProtocolTree, valid_a, valid_b) -> Fraction:
+    """Exact probability over uniform inputs that the output is not valid.
 
     Validity must factor through the two sides: a label is correct for
     (x, y) iff valid_a(label, x) and valid_b(label, y).  Each predicate
@@ -449,10 +432,10 @@ def measure_error(tree: ProtocolTree, valid_a, valid_b) -> float:
         ok_a = int(np.count_nonzero(_holds(valid_a, leaf.label, rect.X)))
         ok_b = int(np.count_nonzero(_holds(valid_b, leaf.label, rect.Y)))
         bad += size - ok_a * ok_b
-    return bad / total
+    return Fraction(bad, total)
 
 
-def cleanup(tree: ProtocolTree, epsilon: float, valid_a, valid_b) -> ProtocolTree:
+def cleanup(tree: ProtocolTree, epsilon, valid_a, valid_b) -> ProtocolTree:
     """Zero-error version of the tree.
 
     Aborts to BOT whenever the rectangle codimension exceeds cost/epsilon,
@@ -468,7 +451,7 @@ def cleanup(tree: ProtocolTree, epsilon: float, valid_a, valid_b) -> ProtocolTre
     def verify(rect, owner, valid, label, inner):
         """Owner sends whether label is valid for their input: "0" ends in
         BOT, "1" goes on to inner(the narrowed rectangle)."""
-        elems = rect.side(owner).elems
+        elems = rect.elems_of(owner)[0]
         ok = _holds(valid, label, elems)
         parts = []
         for msg, part, make in (("0", elems[~ok], partial(Leaf, BOT)), ("1", elems[ok], inner)):
@@ -497,13 +480,14 @@ def cleanup(tree: ProtocolTree, epsilon: float, valid_a, valid_b) -> ProtocolTre
     return ProtocolTree(walk(tree.root), tree.n_bits_a, tree.n_bits_b)
 
 
-def bottom_probability(tree: ProtocolTree) -> float:
+def bottom_probability(tree: ProtocolTree) -> Fraction:
+    """Exact probability over uniform inputs that the output is BOT."""
     total = (1 << tree.n_bits_a) * (1 << tree.n_bits_b)
     mass = 0
     for leaf, _, _ in tree.leaves():
         if leaf.label is BOT:
             mass += len(leaf.rect.X) * len(leaf.rect.Y)
-    return mass / total
+    return Fraction(mass, total)
 
 
 def check_input_pairs(n_bits_a: int, n_bits_b: int) -> None:

@@ -408,7 +408,7 @@ def test_criterion_11_cleanup():
         err = proto.measure_error(tree, valid_a, valid_b)
         cleaned = proto.cleanup(tree, err, valid_a, valid_b)
         assert proto.never_wrong(cleaned, valid_a, valid_b)
-        assert proto.bottom_probability(cleaned) <= 2 * err + 1e-12
+        assert proto.bottom_probability(cleaned) <= 2 * err
     elapsed = time.time() - start
     assert elapsed < 10
     report(

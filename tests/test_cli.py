@@ -196,6 +196,14 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
         (["code", "lrcheck", *LRCHECK, "--s", "-1"], None),
         (["tbnc", "totality", "--keys", "65537"], None),
         (["code", "lrcheck", *LRCHECK, "--s", "200", "--q", "1e10"], None),  # q^s overflows a float
+        # non-finite lrcheck parameters, and a transform gamma above 1
+        (["code", "lrcheck", *LRCHECK, "--zeta", "nan"], "every parameter must be finite"),
+        (["code", "lrcheck", *LRCHECK, "--N", "inf"], "every parameter must be finite"),
+        (["code", "lrcheck", *LRCHECK, "--q=-inf"], "every parameter must be finite"),
+        (
+            ["proto", "transform", "--gamma", "1.5", "--trials", "1"],
+            "gamma 1.5 exceeds 1: the full domain is not gamma-dense",
+        ),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):

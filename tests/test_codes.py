@@ -708,6 +708,14 @@ def test_lr_param_check_rejects_overflowing_powers(big):
         codes.lr_param_check(**args)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["N", "m", "k", "ell", "s", "r", "zeta", "q"])
+def test_lr_param_check_rejects_non_finite(name, value):
+    args = {"N": 63, "m": 9, "k": 6, "ell": 2, "s": 2, "r": 8, "zeta": 0.4, "q": 64}
+    with pytest.raises(ValueError, match="finite"):
+        codes.lr_param_check(**(args | {name: value}))
+
+
 def test_membership():
     spec = codes.preset(2)
     base = instances.sample_instance(spec, Fraction(1, 64), 0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nullcode import codes, configs, instances, proto
+from nullcode import codes, configs, density, huffman, instances, proto
 from nullcode.errors import BudgetExceeded
 from nullcode.proto import BOT
 
@@ -152,6 +152,48 @@ def test_transform_random_trees_exhaustive_small():
             assert elen <= h + 1 + 1e-9
 
 
+@pytest.mark.parametrize("gamma", [0.0001, 0.25, 0.5, 1, Fraction(1), 1.0001])
+def test_transform_and_validation_across_gamma(gamma):
+    # 0.0001 normalises to 0 and 1.0001 to 1; at gamma = 1 ties do not violate
+    for seed in range(4):
+        tree = small_tree(seed=seed, n_bits=5, depth=4)
+        out = proto.subcube_like_transform(tree, gamma)
+        assert proto.validate_subcube_like(out, gamma) == sum(1 for _ in out.nodes())
+        assert proto.outputs_agree(tree, out, itertools.product(range(32), range(32)))
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.8, 1])
+def test_transform_parts_repeel_from_each_side_free_coordinates(gamma):
+    # each node's parts, grouped by the original bit, are the Huffman-coded
+    # density-restoring partition of their union on the free coordinates
+    # that the node's side derives
+    for seed in range(4):
+        out = proto.subcube_like_transform(small_tree(seed=seed, n_bits=6, depth=5), gamma)
+        for node in out.nodes():
+            if isinstance(node, proto.Leaf):
+                continue
+            free = node.rect.side(node.owner).free
+            for bit in "01":
+                group = [(msg, elems.tolist()) for msg, elems, _ in node.parts if msg[0] == bit]
+                if not group:
+                    continue
+                sub = np.sort(np.concatenate([elems for _, elems in group]))
+                drp = density.density_restoring_partition(sub, gamma, free)
+                code = huffman.huffman([len(p.elems) for p in drp])
+                assert [(bit + word, p.elems.tolist()) for p, word in zip(drp, code)] == group
+
+
+@pytest.mark.parametrize("gamma", [1.002, 1.5, Fraction(3, 2), 7])
+def test_transform_rejects_gamma_above_one_before_building(gamma, monkeypatch):
+    # the full domain {0, 1} has x0 = 0 once: 1 > floor(2 * 2^(-gamma)) = 0
+    def no_partition(*args):
+        raise AssertionError("partitioned a set")
+
+    monkeypatch.setattr(proto, "density_restoring_partition", no_partition)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        proto.subcube_like_transform(small_tree(), gamma)
+
+
 def test_transform_rejects_wide_nodes():
     X = proto.full_domain(2)
     Y = proto.full_domain(2)
@@ -173,7 +215,7 @@ def test_cleanup_soundness_and_bottom_rate():
         err = proto.measure_error(tree, valid_a, valid_b)
         cleaned = proto.cleanup(tree, err, valid_a, valid_b)
         assert proto.never_wrong(cleaned, valid_a, valid_b)
-        assert proto.bottom_probability(cleaned) <= 2 * err + 1e-12
+        assert proto.bottom_probability(cleaned) <= 2 * err
 
 
 def test_cleanup_zero_error_tree_unchanged_behavior():
@@ -397,26 +439,18 @@ def test_outputs_agree_missing_value_raises_keyerror():
         proto.outputs_agree(tree, tree, [(0, 0), (3, 0)])
 
 
-def _dense_split_tree():
-    """Root fixes coordinate 2 of X = {0, 1, 2, 3} (dense on the free
-    coordinates 0 and 1); its children carry the same X content with no
-    fixed coordinate, where the constant bit 2 makes X not dense."""
-    X = proto.full_domain(2)  # bit 2 is 0 throughout
-    Y = proto.full_domain(3)
-    root_rect = proto.Rect(X, Y, 3, 3, I=(2,), a_bits=(0,), J=(), b_bits=())
-    parts = []
-    for bit in (0, 1):
-        half = Y[(Y & 1) == bit]
-        rect = proto.Rect(X.copy(), half, 3, 3, I=(), a_bits=(), J=(0,), b_bits=(bit,))
-        parts.append((str(bit), half, proto.Leaf(bit, rect)))
-    return proto.ProtocolTree(proto.Node("B", root_rect, parts), 3, 3)
-
-
-def test_validate_keys_sides_by_fixed_coordinates():
-    tree = _dense_split_tree()
-    assert is_subcube_like(tree.root.rect, 0.8)
-    with pytest.raises(AssertionError):
-        proto.validate_subcube_like(tree, 0.8)
+def test_validate_rejects_a_side_not_dense_where_it_varies():
+    # X = {0, 1, 2} varies on coordinates 0 and 1, and x0 = 0 holds for 2 of
+    # its 3 elements: 2 > floor(3 * 2^(-0.8)) = 1.  Over a third coordinate
+    # X is fixed there and its free coordinates stay (0, 1).
+    X = np.array([0, 1, 2], dtype=np.int64)
+    for n_bits in (2, 3):
+        rect = proto.Rect(X, proto.full_domain(n_bits), n_bits, n_bits)
+        assert rect.side("A").free == (0, 1)
+        assert not is_subcube_like(rect, 0.8)
+    # X + 4 over three coordinates: dense on (0, 1) at gamma = 1/4
+    rect = proto.Rect(X + 4, proto.full_domain(3), 3, 3)
+    assert rect.side("A").coords == (2,) and is_subcube_like(rect, 0.25)
 
 
 def test_validate_checks_each_distinct_side_once(monkeypatch):
