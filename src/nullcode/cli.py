@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import codes, configs, hashing, instances, proto, qsim, tbnc
+from . import codes, configs, density, hashing, instances, proto, qsim, tbnc
 from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec, DecoderParams
 from .errors import (
@@ -86,13 +86,15 @@ _n_bits = _int_in("--n-bits", 1, DEFAULT_ENUM_BUDGET.bit_length() - 1)
 
 
 def _gamma(text: str) -> float:
-    """A --gamma value: a finite positive number."""
+    """A --gamma value: a finite positive number that does not read as 0."""
     try:
         gamma = float(text)
     except ValueError:
         raise UsageError(f"--gamma {text!r} is not a number") from None
     if not (math.isfinite(gamma) and gamma > 0):
         raise UsageError(f"--gamma {text} is not a finite positive number")
+    if density.density_cut(2, gamma, 1) == 2:  # floor(2^(1 - gamma)) = 2 iff gamma reads as 0
+        raise UsageError(f"--gamma {text} reads as 0 at the 1/1000 resolution of gamma")
     return gamma
 
 
@@ -307,28 +309,21 @@ def cmd_qsim_claim66(args) -> int:
 
 
 def cmd_proto_drp(args) -> int:
-    from .density import (
-        density_restoring_partition,
-        expected_codimension,
-        min_entropy,
-        validate_partition,
-    )
-
     rng = np.random.default_rng(args.seed)
-    records = []
+    records, coords = [], tuple(range(args.n_bits))
     for trial in range(args.trials):
         universe = 1 << args.n_bits
         size = int(rng.integers(2, universe + 1))
         X = rng.choice(universe, size=size, replace=False)
-        parts = density_restoring_partition(X, args.gamma, tuple(range(args.n_bits)))
-        validate_partition(X, parts, args.gamma, tuple(range(args.n_bits)))
+        parts = density.density_restoring_partition(X, args.gamma, coords)
+        density.validate_partition(X, parts, args.gamma, coords)
         records.append(
             {
                 "trial": trial,
                 "set_size": size,
                 "parts": len(parts),
-                "expected_codim": expected_codimension(parts),
-                "gap_reference": args.n_bits - min_entropy(X, tuple(range(args.n_bits))),
+                "expected_codim": density.expected_codimension(parts),
+                "gap_reference": args.n_bits - density.min_entropy(X, coords),
             }
         )
     _emit(records, args.out)

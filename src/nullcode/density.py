@@ -81,6 +81,8 @@ def density_cut(size: int, gamma, s: int) -> int:
 @lru_cache(maxsize=4096)
 def _cut(size: int, num: int, den: int) -> int:
     """floor(size * 2^(-num/den)): the largest c with c^den * 2^num <= size^den."""
+    if num > den * size.bit_length():  # 2^(num/den) > size: no 2^num to build
+        return 0
     lo, hi = 0, size
     target = size**den
     shift = 1 << num
@@ -123,20 +125,11 @@ def _byte_table(mask: int) -> np.ndarray:
     return table
 
 
-def max_pattern_count(X, coords) -> tuple[int, int]:
-    """(count, pattern) of the most frequent assignment on coords, the
-    pattern read in ascending coordinate order (its one caller,
-    `min_entropy`, ignores it); ties go to the smallest pattern."""
-    coords = _as_coords(coords)
-    counts = np.bincount(_project(X, coords), minlength=1 << len(coords))
-    best = int(counts.argmax())  # argmax returns the first (smallest) index
-    return int(counts[best]), best
-
-
 def min_entropy(X, coords) -> float:
     """Exact min-entropy of the uniform marginal on coords."""
     arr = _as_array(X)
-    return math.log2(len(arr) / max_pattern_count(arr, coords)[0])
+    _, counts = np.unique(_project(arr, _as_coords(coords)), return_counts=True)
+    return math.log2(len(arr) / counts.max())
 
 
 # From this many coordinates on, the 3^f count table is large enough that

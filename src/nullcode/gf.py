@@ -228,7 +228,3 @@ class FieldCtx:
 
 def trace(ctx: FieldCtx, x: int) -> int:
     return ctx.trace(ctx.check_element(x))
-
-
-def find_generator(ctx: FieldCtx) -> int:
-    return ctx.generator()

@@ -48,6 +48,8 @@ class HashFamily:
     def __post_init__(self):
         if min(self.lam, self.n, self.sigma_size) < 1:
             raise ValueError("lambda, n and |Sigma| must be >= 1")
+        if not 1 <= self.out_bits <= 63:  # an all-ones mask of out_bits bits fits in int64
+            raise ValueError(f"out_bits {self.out_bits} is outside [1, 63]")
         if self.key_field.q < self.sigma_size * self.n:
             raise EncodingOverflow(
                 f"2^r = {self.key_field.q} cannot injectively encode "

@@ -1,66 +1,56 @@
-"""Optimal prefix codes with deterministic tie-breaking.
+"""Optimal prefix codes over positive integer weights (the transform's part
+sizes), so merging adds exact integers and equal sums always tie.
 
-Ties during tree merging are broken by the smallest symbol index contained
-in a subtree, so the same distribution always yields the same code.  A
-single-symbol distribution gets the empty codeword (length 0).
+Ties are broken by the smallest symbol index contained in a subtree, so the
+same weights always yield the same code.  A single symbol gets the empty
+codeword (length 0).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 from .errors import BadDistribution
 
 
-def _normalize(weights) -> list[float]:
-    ws = [float(w) for w in weights]
+def _weights(weights) -> list[int]:
+    ws = [operator.index(w) for w in weights]
     if not ws:
         raise BadDistribution("empty distribution")
-    if any(w <= 0 for w in ws):
-        raise BadDistribution("probabilities must be positive")
-    total = sum(ws)
-    if abs(total - 1.0) > 1e-9:
-        ws = [w / total for w in ws]
+    if min(ws) <= 0:
+        raise BadDistribution("weights must be positive")
     return ws
 
 
 def huffman(weights) -> list[str]:
-    """Codewords (as 0/1 strings) for each symbol index.
-
-    Accepts probabilities or unnormalized positive weights.
-    """
-    probs = _normalize(weights)
-    if len(probs) == 1:
-        return [""]
-    # heap entries: (probability, smallest symbol index in subtree, node)
-    # node is either an int (symbol) or a (left, right) pair
-    heap = [(p, i, i) for i, p in enumerate(probs)]
+    """Codewords (as 0/1 strings) for each symbol index."""
+    ws = _weights(weights)
+    code = [""] * len(ws)
+    # heap entries: (weight, smallest symbol index in subtree, its symbols)
+    heap = [(w, i, [i]) for i, w in enumerate(ws)]
     heapq.heapify(heap)
     while len(heap) > 1:
-        p0, i0, n0 = heapq.heappop(heap)
-        p1, i1, n1 = heapq.heappop(heap)
-        heapq.heappush(heap, (p0 + p1, min(i0, i1), (n0, n1)))
-    code = [""] * len(probs)
-
-    def walk(node, prefix):
-        if isinstance(node, int):
-            code[node] = prefix
-            return
-        walk(node[0], prefix + "0")
-        walk(node[1], prefix + "1")
-
-    walk(heap[0][2], "")
+        w0, i0, s0 = heapq.heappop(heap)
+        w1, i1, s1 = heapq.heappop(heap)
+        for s in s0:
+            code[s] = "0" + code[s]
+        for s in s1:
+            code[s] = "1" + code[s]
+        heapq.heappush(heap, (w0 + w1, min(i0, i1), s0 + s1))
     return code
 
 
 def expected_length(code: list[str], weights) -> float:
-    probs = _normalize(weights)
-    if len(code) != len(probs):
+    """sum(w * len(c)) / sum(w), one correctly rounded division."""
+    ws = _weights(weights)
+    if len(code) != len(ws):
         raise BadDistribution("code and distribution lengths differ")
-    return sum(p * len(c) for p, c in zip(probs, code))
+    return sum(w * len(c) for w, c in zip(ws, code)) / sum(ws)
 
 
 def entropy(weights) -> float:
-    probs = _normalize(weights)
-    return -sum(p * math.log2(p) for p in probs)
+    ws = _weights(weights)
+    total = sum(ws)
+    return -sum(w / total * math.log2(w / total) for w in ws)

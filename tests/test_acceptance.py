@@ -15,8 +15,9 @@ import pytest
 from nullcode import codes, configs, hashing, instances, linalg, proto, qsim, tbnc
 from nullcode.codes import CodeSpec, DecoderParams
 from nullcode.errors import EmptySupport
-from nullcode.gf import FieldCtx, find_generator, trace
+from nullcode.gf import FieldCtx, trace
 from test_hashing import independence_oracle
+from test_proto import codes_hold_the_bound
 from test_qsim import table_stats_sweep, table_stats_t_sum, within_bound
 
 
@@ -48,7 +49,7 @@ def test_criterion_01_field_algebra():
                     assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
                     assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
                     checked += 1
-        g = find_generator(ctx)
+        g = ctx.generator()
         assert ctx.element_order(g) == q - 1
     elapsed = time.time() - start
     assert elapsed < 5
@@ -358,8 +359,7 @@ def test_criterion_10_transform():
         stats = []
         out = proto.subcube_like_transform(tree, 0.8, code_stats=stats)
         proto.validate_subcube_like(out, 0.8)
-        for h, elen in stats:
-            assert elen <= h + 1 + 1e-9
+        assert codes_hold_the_bound(out, stats)
         pairs = itertools.product(range(64), range(64))
         assert proto.outputs_agree(tree, out, pairs)
     # sampled equivalence at 10 bits per side
@@ -369,8 +369,7 @@ def test_criterion_10_transform():
         stats = []
         out = proto.subcube_like_transform(tree, 0.8, code_stats=stats)
         proto.validate_subcube_like(out, 0.8)
-        for h, elen in stats:
-            assert elen <= h + 1 + 1e-9
+        assert codes_hold_the_bound(out, stats)
         pairs = [
             (int(rng.integers(1024)), int(rng.integers(1024))) for _ in range(500)
         ]

@@ -204,6 +204,25 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             ["proto", "transform", "--gamma", "1.5", "--trials", "1"],
             "gamma 1.5 exceeds 1: the full domain is not gamma-dense",
         ),
+        (
+            ["proto", "transform", "--gamma", "1e300", "--n-bits", "4", "--depth", "3"],
+            "gamma 1e+300 exceeds 1: the full domain is not gamma-dense",
+        ),
+        # a gamma that reads as 0 at density's 1/1000 resolution does nothing
+        (
+            ["proto", "transform", "--gamma", "0.0004", "--trials", "1"],
+            "--gamma 0.0004 reads as 0 at the 1/1000 resolution of gamma",
+        ),
+        (["proto", "drp", "--gamma", "0.0004", "--trials", "1"], None),
+        # a family whose all-ones hash block does not fit in int64, or is empty
+        (
+            ["tbnc", "verify", "--in", "{tb_out_bits_0}", "--key", "0,0,0,0", "--solutions", "0 0"],
+            None,
+        ),
+        (
+            ["tbnc", "verify", "--in", "{tb_out_bits_64}", "--key", "0,0,0,0", "--solutions", "0 0"],
+            None,
+        ),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
@@ -254,6 +273,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
         data = json.loads(paths["{tb_t2}"].read_text())
         data["t"] = 2
         paths["{tb_t2}"].write_text(json.dumps(data))
+    for out_bits in (0, 64):
+        if f"{{tb_out_bits_{out_bits}}}" in argv:
+            path = paths[f"{{tb_out_bits_{out_bits}}}"] = tmp_path / f"tb_{out_bits}.json"
+            assert main(["tbnc", "gen", "--t", "1", "--out", str(path)]) == 0
+            data = json.loads(path.read_text())
+            data["family"]["out_bits"] = out_bits
+            path.write_text(json.dumps(data))
     argv = [str(paths.get(a, a)) for a in argv]
     capsys.readouterr()
     assert main(argv) == 2

@@ -14,7 +14,6 @@ from nullcode.density import (
     expected_codimension,
     find_violation,
     is_dense,
-    max_pattern_count,
     min_entropy,
     subcube_counts,
     validate_partition,
@@ -28,6 +27,8 @@ def test_min_entropy_uniform_cube():
     assert min_entropy(X, (0, 1)) == 2.0
     assert min_entropy(X, (0, 1, 2)) == 3.0
     assert min_entropy(X, ()) == 0.0
+    # counted over the |X| patterns present, with no 2^40 count array
+    assert min_entropy(X, range(40)) == 3.0
 
 
 def test_min_entropy_requires_nonempty():
@@ -54,6 +55,8 @@ def test_density_cut_exact_ties():
     assert density_cut(16, 0.8, 5) == 1
     assert density_cut(16, 0.8, 4) == 1  # floor(16 * 2^-3.2) = floor(1.74)
     assert density_cut(1024, 0.5, 2) == 512
+    # 2^(gamma s) above size: 0, without building 2^(gamma s) as an integer
+    assert density_cut(2, 1e300, 1) == density_cut(2, Fraction(10**9), 1) == 0
 
 
 def test_exact_tie_is_dense():
@@ -143,12 +146,6 @@ def test_expected_codimension_versus_entropy_gap():
         gaps.append(gap)
     # the gap is a small constant, reported rather than asserted tightly
     assert max(abs(g) for g in gaps) < 12
-
-
-def test_max_pattern_count_tie_smallest():
-    X = np.array([0b00, 0b01, 0b10, 0b11])
-    count, pattern = max_pattern_count(X, (0, 1))
-    assert count == 1 and pattern == 0
 
 
 def _violation_by_definition(X, gamma, coords):
@@ -572,7 +569,6 @@ def test_peel_matches_coordinate_peel(coords):
         lambda coords: subcube_counts(np.arange(8), coords),
         lambda coords: density_restoring_partition(np.arange(8), 0.5, coords),
         lambda coords: min_entropy(np.arange(8), coords),
-        lambda coords: max_pattern_count(np.arange(8), coords),
         lambda coords: validate_partition(np.arange(8), [], 0.5, coords),
     ],
     ids=[
@@ -580,7 +576,6 @@ def test_peel_matches_coordinate_peel(coords):
         "subcube_counts",
         "density_restoring_partition",
         "min_entropy",
-        "max_pattern_count",
         "validate_partition",
     ],
 )

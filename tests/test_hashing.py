@@ -99,6 +99,20 @@ def test_hash_values_rejects_a_key_of_the_wrong_length():
         hashing.hash_values(fam, [HashKey((1, 2)), HashKey((1, 2, 3))], [0, 1])
 
 
+@pytest.mark.parametrize("out_bits", [0, -1, 64, 1000])
+def test_family_rejects_out_bits_outside_1_63(out_bits):
+    # 0 made every bias bit 1, -1 a negative shift, 64 an int64 overflow
+    with pytest.raises(ValueError, match="out_bits"):
+        HashFamily(key_field=FieldCtx(4), lam=2, n=2, sigma_size=4, out_bits=out_bits)
+
+
+def test_family_out_bits_63_hashes_like_the_oracle():
+    fam = HashFamily(key_field=FieldCtx(4), lam=2, n=2, sigma_size=4, out_bits=63)
+    key = HashKey((5, 9))
+    got = _hash_at(fam, key, _cells(fam))
+    assert got == [hash_oracle(fam, key, e, i) for e, i in _cells(fam)]
+
+
 def test_encode_injective_and_bounds():
     fam = family()
     points = {(e, i) for e in range(4) for i in (1, 2)}

@@ -26,7 +26,6 @@ PROGRAM = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 # public functions kept without a caller in the program
 ALLOWED = {
-    "gf.find_generator": "acceptance criterion 1 checks a generator of every shipped field",
     "gf.trace": "acceptance criterion 1 checks the trace map's additivity through it",
     "qsim.product_rule_check": "acceptance criterion 8 checks the Fourier product rule",
     "tbnc.exact_emptiness_probability": "acceptance criterion 14 checks the closed form",
