@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .budget import DEFAULT_ENUM_BUDGET
 from .errors import BudgetExceeded, LengthMismatch, ParseError
-from .gf import FieldCtx
+from .gf import FieldCtx, json_int
 from .parallel import parallel_map
 
 Symbol = tuple[int, ...]
@@ -151,7 +151,9 @@ class CodeSpec:
         Raises ParseError, naming the field, for an unknown kind, a field
         without s or modulus, an m, k or gamma that is not an integer, an
         m below 1, a gamma that does not generate F_q^*, a multiplier
-        vector v whose length is not q-1, and an empty or ragged genmat.
+        vector v whose length is not q-1, and an empty or ragged genmat;
+        TypeError for an s, modulus, v entry or genmat entry that is not an
+        integer.
         """
         kind = data.get("kind")
         if kind not in ("grs-folded", "generic-linear"):
@@ -178,7 +180,7 @@ class CodeSpec:
                 m=m,
                 k=_json_int(data, "k"),
                 gamma=gamma,
-                v=tuple(int(x) for x in v),
+                v=tuple(json_int(x, "v") for x in v),
             )
         genmat = data.get("genmat")
         if (
@@ -194,7 +196,7 @@ class CodeSpec:
             kind=kind,
             field=field,
             m=m,
-            genmat=tuple(tuple(int(x) for x in r) for r in genmat),
+            genmat=tuple(tuple(json_int(x, "genmat") for x in r) for r in genmat),
         )
 
 
@@ -204,10 +206,10 @@ def _generates(field: FieldCtx, gamma: int) -> bool:
 
 
 def _json_int(data: dict, key: str) -> int:
-    value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError("code", key, f"{key} must be an integer, got {value!r}")
-    return value
+    try:
+        return json_int(data.get(key), key)
+    except TypeError as exc:
+        raise ParseError("code", key, str(exc)) from None
 
 
 def preset(t: int) -> CodeSpec:

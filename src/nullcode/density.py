@@ -323,15 +323,16 @@ def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tup
     None for any other X.  The check is exact for repeated elements and
     for bits that vary outside coords: |X| = 2^|V| patterns on V are each
     taken once iff they are distinct."""
-    K, bits = _constant_coords(arr, coords)
-    if len(arr) != 1 << (len(coords) - len(K)):
+    low = int(np.bitwise_and.reduce(arr))
+    V = (low ^ int(np.bitwise_or.reduce(arr))) & sum(1 << c for c in coords)
+    if len(arr) != 1 << V.bit_count():
         return None
-    V = sum(1 << c for c in coords) - sum(1 << c for c in K)
     patterns = arr.view(np.uint64) & np.uint64(V)
     patterns.sort()
     if (patterns[1:] == patterns[:-1]).any():
         return None
-    return K, bits
+    K = tuple(c for c in coords if not V >> c & 1)
+    return K, tuple(low >> c & 1 for c in K)
 
 
 def is_dense(X, gamma, coords) -> bool:
@@ -425,6 +426,9 @@ def density_restoring_partition(X, gamma, coords) -> list[Part]:
             break
         I, bits = viol
         hit = _matches(residual, I, bits)
+        if hit.all():
+            parts.append(Part(residual, I, bits))
+            break
         parts.append(Part(residual[hit], I, bits))
         residual = residual[~hit]
     return parts

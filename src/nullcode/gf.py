@@ -13,6 +13,7 @@ pure, so contexts can be shared freely between workers.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -220,7 +221,18 @@ class FieldCtx:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldCtx":
-        return cls(int(data["s"]), int(data["modulus"]))
+        return cls(json_int(data["s"], "s"), json_int(data["modulus"], "modulus"))
+
+
+def json_int(value, name: str) -> int:
+    """The integer value of the JSON field name; a float, string or bool
+    raises TypeError, where int() would truncate or parse it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 # -- functional surface ------------------------------------------------------

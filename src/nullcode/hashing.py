@@ -29,7 +29,7 @@ from .errors import (
     EncodingOverflow,
     LengthMismatch,
 )
-from .gf import FieldCtx
+from .gf import FieldCtx, json_int
 from .instances import OracleInstance
 
 _GF2 = FieldCtx(1)
@@ -91,12 +91,13 @@ class HashFamily:
 
     @classmethod
     def from_json(cls, data: dict) -> "HashFamily":
+        """Inverse of to_json; TypeError for a field that is not an integer."""
         return cls(
-            key_field=FieldCtx(int(data["r"]), int(data["modulus"])),
-            lam=int(data["lambda"]),
-            n=int(data["n"]),
-            sigma_size=int(data["sigma"]),
-            out_bits=int(data.get("out_bits", 6)),
+            key_field=FieldCtx(json_int(data["r"], "r"), json_int(data["modulus"], "modulus")),
+            lam=json_int(data["lambda"], "lambda"),
+            n=json_int(data["n"], "n"),
+            sigma_size=json_int(data["sigma"], "sigma"),
+            out_bits=json_int(data.get("out_bits", 6), "out_bits"),
         )
 
 

@@ -331,6 +331,38 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     if density_cut(2, gamma, 1) == 0:  # floor(2^(1 - gamma)) = 0 iff gamma > 1
         raise ValueError(f"gamma {gamma} exceeds 1: the full domain is not gamma-dense")
     nodes = 1
+    # The speaker's refinement depends only on the original node and the
+    # speaker's side, so siblings that differ only in the other side share
+    # it: (id(orig), free coordinates, side bytes) -> refinement.  Keyed
+    # on id because a Node is unhashable; the input tree keeps it alive.
+    refined = {}
+
+    def refine(orig, elems, n_bits, coords):
+        """The speaker's refinement of elems on its free coordinates: per
+        original bit with a nonempty subset, its code's (entropy,
+        expected_length) and a (message, part elems, free coordinates left,
+        child) tuple per density-restoring part."""
+        key = (id(orig), coords, elems.tobytes())
+        if key in refined:
+            return refined[key]
+        groups = []
+        for msg, orig_subset, child in orig.parts:
+            member = np.zeros(1 << n_bits, dtype=bool)
+            member[orig_subset] = True
+            sub = elems[member[elems]]
+            if len(sub) == 0:
+                continue
+            drp = density_restoring_partition(sub, gamma, coords)
+            sizes = [len(p.elems) for p in drp]
+            code = huffman_mod.huffman(sizes)
+            stats = (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
+            parts = []
+            for part, word in zip(drp, code):
+                left = tuple(c for c in coords if c not in part.fixed_coords)
+                parts.append((msg + word, part.elems, left, child))
+            groups.append((stats, parts))
+        refined[key] = groups
+        return groups
 
     def build(orig, rect, free):
         """free maps each owner to the coordinates its side is not fixed on."""
@@ -340,34 +372,27 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
         if len(orig.parts) > 2:
             raise ValueError("transform needs one-bit (binary) rounds")
         owner = orig.owner
-        elems, n_bits = rect.elems_of(owner)
         new_parts = []
-        for msg, orig_subset, child in orig.parts:
-            member = np.zeros(1 << n_bits, dtype=bool)
-            member[orig_subset] = True
-            sub = elems[member[elems]]
-            if len(sub) == 0:
-                continue
-            drp = density_restoring_partition(sub, gamma, free[owner])
-            nodes += len(drp)
+        for stats, parts in refine(orig, *rect.elems_of(owner), free[owner]):
+            nodes += len(parts)
             if nodes > DEFAULT_ENUM_BUDGET:
                 raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
-            sizes = [len(p.elems) for p in drp]
-            code = huffman_mod.huffman(sizes)
             if code_stats is not None:
-                code_stats.append(
-                    (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
-                )
-            for part, word in zip(drp, code):
-                left = tuple(c for c in free[owner] if c not in part.fixed_coords)
-                child_node = build(child, rect.narrow(owner, part.elems), {**free, owner: left})
-                new_parts.append((msg + word, part.elems, child_node))
+                code_stats.append(stats)
+            for msg, elems, left, child in parts:
+                child_node = build(child, rect.narrow(owner, elems), {**free, owner: left})
+                new_parts.append((msg, elems, child_node))
         return Node(owner, rect, new_parts)
 
     na, nb = tree.n_bits_a, tree.n_bits_b
     root = Rect(full_domain(na), full_domain(nb), na, nb)
     free = {"A": tuple(range(na)), "B": tuple(range(nb))}
-    return ProtocolTree(build(tree.root, root, free), na, nb)
+    try:
+        return ProtocolTree(build(tree.root, root, free), na, nb)
+    finally:
+        # build is a recursive closure, so a reference cycle holds the memo
+        # and every part array in it until a gc pass
+        refined.clear()
 
 
 def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
@@ -378,11 +403,16 @@ def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
     not speak, so each distinct (bit count, elements) is checked once:
     density depends on nothing else.
     """
-    checked = set()
+    seen, checked = set(), set()
     count = 0
     for node in tree.nodes():
         for owner in OWNERS:
             elems, n_bits = node.rect.elems_of(owner)
+            # a side object seen before needs no hashing: the tree keeps it
+            # alive, so its id is not reused during the walk
+            if (n_bits, id(elems)) in seen:
+                continue
+            seen.add((n_bits, id(elems)))
             key = (n_bits, np.asarray(elems, dtype=np.int64).tobytes())
             if key in checked:
                 continue

@@ -380,7 +380,7 @@ def test_criterion_10_transform():
             ratios.append(ts["entropy"] / tree.cost())
     assert sampled_pairs == 100000
     elapsed = time.time() - start
-    assert elapsed < 30
+    assert elapsed < 20
     report(
         10,
         "message-compression transform",

@@ -223,6 +223,12 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             ["tbnc", "verify", "--in", "{tb_out_bits_64}", "--key", "0,0,0,0", "--solutions", "0 0"],
             None,
         ),
+        # integer fields that int() would truncate: out_bits 6.9 read as 6, s 1.5 as 1
+        (
+            ["tbnc", "verify", "--in", "{tb_out_bits_6.9}", "--key", "0,0,0,0", "--solutions", "0 0"],
+            None,
+        ),
+        (["code", "dual", "--config", "{s_1.5}"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
@@ -273,7 +279,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
         data = json.loads(paths["{tb_t2}"].read_text())
         data["t"] = 2
         paths["{tb_t2}"].write_text(json.dumps(data))
-    for out_bits in (0, 64):
+    if "{s_1.5}" in argv:
+        from nullcode import configs
+
+        s_half = configs.toy_selfdual_spec().to_json()
+        s_half["field"]["s"] = 1.5
+        paths["{s_1.5}"] = tmp_path / "s_half.json"
+        paths["{s_1.5}"].write_text(json.dumps(s_half))
+    for out_bits in (0, 64, 6.9):
         if f"{{tb_out_bits_{out_bits}}}" in argv:
             path = paths[f"{{tb_out_bits_{out_bits}}}"] = tmp_path / f"tb_{out_bits}.json"
             assert main(["tbnc", "gen", "--t", "1", "--out", str(path)]) == 0

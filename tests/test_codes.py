@@ -790,6 +790,19 @@ def test_generic_from_json_rejects_bad_genmat(genmat):
         CodeSpec.from_json(data)
 
 
+@pytest.mark.parametrize("value", [1.0, 0.5, "1", True], ids=repr)
+@pytest.mark.parametrize("field", ["v", "genmat"])
+def test_from_json_rejects_an_entry_that_is_not_an_integer(field, value):
+    spec = codes.preset(2) if field == "v" else configs.toy_selfdual_spec()
+    data = spec.to_json()
+    if field == "v":
+        data["v"][3] = value
+    else:
+        data["genmat"][1][2] = value
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+        CodeSpec.from_json(data)
+
+
 def test_from_json_roundtrips_both_kinds():
     for spec in (codes.preset(2), GRS_K3, configs.toy_selfdual_spec()):
         assert CodeSpec.from_json(spec.to_json()) == spec

@@ -184,6 +184,15 @@ def test_json_roundtrip():
     assert FieldCtx.from_json(ctx.to_json()) == ctx
 
 
+@pytest.mark.parametrize("field", ["s", "modulus"])
+@pytest.mark.parametrize("value", [1.5, 2.0, "2", True, None], ids=repr)
+def test_from_json_rejects_a_field_that_is_not_an_integer(field, value):
+    # int() truncated 1.5 to the toy field's s = 1 and parsed "2"
+    data = {"s": 2, "modulus": 7, field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+        FieldCtx.from_json(data)
+
+
 @pytest.mark.parametrize("s", sorted(DEFAULT_MODULI))
 def test_table_inverse_matches_power(s):
     ctx = FieldCtx(s)

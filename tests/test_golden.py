@@ -4,8 +4,11 @@ file it writes.
 
 The invocations run in-process, in manifest order, in one directory, so a
 step can read the files that earlier steps wrote (`instance solve` reads
-`instance gen`'s file, `report` reads the JSON-lines runs).  A digest may
-change only with an intended output change; regenerate the manifest with
+`instance gen`'s file, `report` reads the JSON-lines runs).  The
+directory starts with a copy of golden/inputs/, hand-edited files that no
+step can write (a family whose out_bits is not an integer).  A digest
+may change only with an intended output change; regenerate the manifest
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -19,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -27,6 +31,7 @@ import pytest
 from nullcode import cli
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _sha256(data: bytes) -> str:
@@ -41,6 +46,8 @@ def run_manifest(argvs, workdir: Path) -> list[dict]:
     """Run each argv through cli.main in workdir; one record per argv with
     its exit code, the digest of its stdout and of each file it wrote or
     changed."""
+    for path in INPUTS.iterdir():
+        shutil.copy(path, workdir)
     records = []
     cwd = os.getcwd()
     os.chdir(workdir)

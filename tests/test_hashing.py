@@ -106,6 +106,17 @@ def test_family_rejects_out_bits_outside_1_63(out_bits):
         HashFamily(key_field=FieldCtx(4), lam=2, n=2, sigma_size=4, out_bits=out_bits)
 
 
+@pytest.mark.parametrize("field", ["r", "modulus", "lambda", "n", "sigma", "out_bits"])
+@pytest.mark.parametrize("value", [6.9, "2", True], ids=repr)
+def test_family_from_json_rejects_a_field_that_is_not_an_integer(field, value):
+    # int() read "out_bits": 6.9 as 6, so the family hashed as if it were 6
+    data = family().to_json()
+    assert HashFamily.from_json(data) == family()
+    data[field] = value
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+        HashFamily.from_json(data)
+
+
 def test_family_out_bits_63_hashes_like_the_oracle():
     fam = HashFamily(key_field=FieldCtx(4), lam=2, n=2, sigma_size=4, out_bits=63)
     key = HashKey((5, 9))

@@ -1,5 +1,7 @@
 import copy
+import gc
 import itertools
+import weakref
 
 from fractions import Fraction
 
@@ -287,6 +289,116 @@ def test_measure_error_counts_bottom_leaves_as_invalid():
     assert proto.bottom_probability(tree) == 0.25
     all_bot = proto.ProtocolTree(proto.Leaf(BOT, proto.Rect(X, Y, 2, 2)), 2, 2)
     assert proto.measure_error(all_bot, always, always) == 1.0
+
+
+def unmemoised_transform(tree, gamma, code_stats):
+    """The transform re-peeling the speaker's side at every node, with no
+    memo shared between siblings: the reference for
+    proto.subcube_like_transform."""
+    nodes = 1
+
+    def build(orig, rect, free):
+        nonlocal nodes
+        if isinstance(orig, proto.Leaf):
+            return proto.Leaf(orig.label, rect)
+        owner = orig.owner
+        elems, n_bits = rect.elems_of(owner)
+        new_parts = []
+        for msg, orig_subset, child in orig.parts:
+            member = np.zeros(1 << n_bits, dtype=bool)
+            member[orig_subset] = True
+            sub = elems[member[elems]]
+            if len(sub) == 0:
+                continue
+            drp = density.density_restoring_partition(sub, gamma, free[owner])
+            nodes += len(drp)
+            if nodes > proto.DEFAULT_ENUM_BUDGET:
+                raise BudgetExceeded(f"transformed tree exceeds {proto.DEFAULT_ENUM_BUDGET} nodes")
+            sizes = [len(p.elems) for p in drp]
+            code = huffman.huffman(sizes)
+            code_stats.append((huffman.entropy(sizes), huffman.expected_length(code, sizes)))
+            for part, word in zip(drp, code):
+                left = tuple(c for c in free[owner] if c not in part.fixed_coords)
+                child_node = build(child, rect.narrow(owner, part.elems), {**free, owner: left})
+                new_parts.append((msg + word, part.elems, child_node))
+        return proto.Node(owner, rect, new_parts)
+
+    na, nb = tree.n_bits_a, tree.n_bits_b
+    root = proto.Rect(proto.full_domain(na), proto.full_domain(nb), na, nb)
+    free = {"A": tuple(range(na)), "B": tuple(range(nb))}
+    return proto.ProtocolTree(build(tree.root, root, free), na, nb)
+
+
+def assert_same_tree(got, want):
+    """Node by node: owners, messages, subsets, both rectangle sides and
+    leaf labels."""
+    pending = [(got.root, want.root)]
+    while pending:
+        a, b = pending.pop()
+        assert type(a) is type(b)
+        assert np.array_equal(a.rect.X, b.rect.X) and np.array_equal(a.rect.Y, b.rect.Y)
+        if isinstance(a, proto.Leaf):
+            assert a.label == b.label
+            continue
+        assert a.owner == b.owner and len(a.parts) == len(b.parts)
+        for (msg_a, sub_a, child_a), (msg_b, sub_b, child_b) in zip(a.parts, b.parts):
+            assert msg_a == msg_b and np.array_equal(sub_a, sub_b)
+            pending.append((child_a, child_b))
+
+
+def transform_outcome(transform, tree, gamma):
+    """(the transformed tree or the BudgetExceeded message, the code_stats
+    appended)."""
+    stats = []
+    try:
+        return transform(tree, gamma, stats), stats
+    except BudgetExceeded as exc:
+        return str(exc), stats
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.8, 1])
+@pytest.mark.parametrize("n_bits, depth", [(6, 5), (10, 6)])
+def test_memoised_transform_matches_the_unmemoised_one(n_bits, depth, gamma, monkeypatch):
+    # at gamma = 1 the 6-bit trees have 12417 and 14433 nodes and the
+    # 10-bit ones exceed any budget up to the default; a lower one ends
+    # them sooner
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", 1 << 14)
+    for seed in range(2):
+        tree = small_tree(seed=seed, n_bits=n_bits, depth=depth, labels=(0, 1, 2, 3))
+        out, stats = transform_outcome(proto.subcube_like_transform, tree, gamma)
+        want, want_stats = transform_outcome(unmemoised_transform, tree, gamma)
+        assert stats == want_stats
+        if isinstance(want, str):
+            assert out == want
+        else:
+            assert_same_tree(out, want)
+
+
+def test_memoised_transform_exceeds_the_budget_where_the_unmemoised_one_does(monkeypatch):
+    tree = small_tree(seed=1, n_bits=10, depth=6)
+    nodes = sum(1 for _ in unmemoised_transform(tree, 0.8, []).nodes())
+    for budget in (1, nodes // 3, nodes - 1):
+        monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
+        message = f"transformed tree exceeds {budget} nodes"
+        assert transform_outcome(proto.subcube_like_transform, tree, 0.8) == (
+            message, transform_outcome(unmemoised_transform, tree, 0.8)[1]
+        )
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes)
+    assert sum(1 for _ in proto.subcube_like_transform(tree, 0.8).nodes()) == nodes
+
+
+def test_transform_keeps_no_array_alive_after_it_returns():
+    # the memo sits in build's reference cycle, which only a gc pass frees
+    tree = small_tree(seed=2, n_bits=8, depth=5)
+    gc.disable()
+    try:
+        out = proto.subcube_like_transform(tree, 0.8)
+        refs = [weakref.ref(arr) for node in out.nodes() for arr in (node.rect.X, node.rect.Y)]
+        del out
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert refs and alive == 0
 
 
 def test_transform_node_budget(monkeypatch):
