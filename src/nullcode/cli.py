@@ -28,7 +28,7 @@ from .errors import (
     RetriesExhausted,
     UsageError,
 )
-from .gf import FieldCtx
+from .gf import FieldCtx, json_int
 
 
 def _read_json(path, parse, what: str):
@@ -155,8 +155,7 @@ def cmd_code_decode(args) -> int:
     failures = 0
     for trial in range(args.trials):
         msg = [int(rng.integers(spec.field.q)) for _ in range(dual_spec.dim)]
-        x = codes.encode(dual_spec, msg)
-        xu = codes.unfold(dual_spec, x)
+        xu = codes.encode_unfolded(dual_spec, msg)
         err = np.zeros(spec.N, dtype=np.int64)
         weight = int(rng.integers(params.radius_unfolded + 1))
         pos = rng.choice(spec.N, size=weight, replace=False)
@@ -164,7 +163,7 @@ def cmd_code_decode(args) -> int:
             err[pidx] = int(rng.integers(1, spec.field.q))
         z = codes.fold(spec, (xu ^ err).tolist())
         got = codes.dual_decode(spec, params, z)
-        ok = got == x
+        ok = got == codes.fold(spec, xu)
         failures += not ok
         records.append({"trial": trial, "weight": weight, "decoded": bool(ok)})
     _emit(records, args.out)
@@ -241,7 +240,7 @@ def _parse_word(spec: CodeSpec, text: str):
         raise UsageError(f"expected {spec.n} symbol ranks")
     if any(not 0 <= r < spec.sigma_size for r in ranks):
         raise UsageError(f"{text!r}: a symbol rank lies outside [0, {spec.sigma_size})")
-    return tuple(spec.rank_symbol(r) for r in ranks)
+    return codes.fold(spec, codes.to_digits(ranks, spec.field.q, spec.m).reshape(-1))
 
 
 # -- qsim subcommands ------------------------------------------------------------
@@ -489,7 +488,7 @@ def cmd_tbnc_gen(args) -> int:
 
 def _tbnc_from_json(payload) -> tbnc.TbncInstance:
     return tbnc.TbncInstance(
-        t=payload["t"],
+        t=json_int(payload["t"], "t"),
         spec=CodeSpec.from_json(payload["code"]),
         family=hashing.HashFamily.from_json(payload["family"]),
         copies=tuple(instances.instance_from_json(c) for c in payload["copies"]),

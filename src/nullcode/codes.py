@@ -9,8 +9,9 @@ Codewords are tuples of n symbols; each symbol is a tuple of m field
 elements.  Unfolded vectors are numpy int64 arrays of length N.  A symbol's
 rank reads its m elements as base-q digits and a word's flat rank reads its
 n symbol ranks as base-|Sigma| digits, most significant first; so a word's
-flat rank is its unfolded vector read as one base-q number (`to_digits`,
-`from_digits`).
+flat rank is its unfolded vector read as one base-q number.  `fold`,
+`unfold`, `to_digits` and `from_digits` are the only conversions between
+these forms.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class CodeSpec:
 
     def __post_init__(self):
         q = self.field.q
+        if self.m < 1:
+            raise ValueError(f"folding width m = {self.m} is not positive")
         if self.kind == "grs-folded":
             if self.gamma is None or self.k is None or self.v is None:
                 raise ValueError("grs-folded needs gamma, k and v")
@@ -115,26 +118,6 @@ class CodeSpec:
         """Unfolded generator matrix (dim x N), GRS row j = v * points^j;
         cached per spec and read-only."""
         return _generator_matrix_cached(self)
-
-    # -- symbol <-> rank -------------------------------------------------------
-
-    def symbol_rank(self, sym: Symbol) -> int:
-        q = self.field.q
-        r = 0
-        for d in sym:
-            r = r * q + int(d)
-        return r
-
-    def rank_symbol(self, rank: int) -> Symbol:
-        q = self.field.q
-        out = []
-        for _ in range(self.m):
-            out.append(rank % q)
-            rank //= q
-        return tuple(reversed(out))
-
-    def word_ranks(self, word: Codeword) -> tuple[int, ...]:
-        return tuple(self.symbol_rank(s) for s in word)
 
     def to_json(self) -> dict:
         data = {"kind": self.kind, "field": self.field.to_json(), "m": self.m}
@@ -278,11 +261,6 @@ def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:
 
 
 # -- encoding and enumeration ---------------------------------------------------
-
-
-def encode(spec: CodeSpec, message) -> Codeword:
-    """Encode a coefficient sequence (ascending degree for GRS) and fold."""
-    return fold(spec, encode_unfolded(spec, message))
 
 
 def encode_unfolded(spec: CodeSpec, message) -> np.ndarray:
@@ -533,19 +511,21 @@ def _syndrome_decode(spec: CodeSpec, z: np.ndarray, radius: int) -> np.ndarray |
 def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
     """All codewords within symbol Hamming distance `radius` of z.
 
-    Small codes are decoded by exhaustive enumeration.  Larger unfolded
-    GRS specs are decoded from their syndromes (Berlekamp-Massey, Chien
-    search, Forney), which finds the codeword only when it is unique:
-    radius may be at most floor((d - 1) / 2) with d = N - k, else
-    BudgetExceeded is raised.  Other codes too large to enumerate raise
-    BudgetExceeded.
+    Both branches read z through unfold, so a word whose length or symbol
+    width does not match the code raises LengthMismatch.  Small codes are
+    decoded by exhaustive enumeration, symbol block by symbol block.
+    Larger unfolded GRS specs are decoded from their syndromes
+    (Berlekamp-Massey, Chien search, Forney), which finds the codeword
+    only when it is unique: radius may be at most floor((d - 1) / 2) with
+    d = N - k, else BudgetExceeded is raised.  Other codes too large to
+    enumerate raise BudgetExceeded.
     """
+    word = unfold(spec, z)
     if spec.size <= DEFAULT_ENUM_BUDGET:
-        zr = spec.word_ranks(z)
-        ranks = codeword_rank_matrix(spec)
         mat = codeword_matrix(spec)
-        dist = (ranks != np.array(zr)[None, :]).sum(axis=1)
-        return [fold(spec, mat[idx]) for idx in np.nonzero(dist <= radius)[0]]
+        blocks = (-1, spec.n, spec.m)
+        dist = (mat.reshape(blocks) != word.reshape(blocks)).any(axis=2).sum(axis=1)
+        return [fold(spec, mat[idx]) for idx in np.flatnonzero(dist <= radius)]
     if spec.kind != "grs-folded" or spec.m != 1:
         raise BudgetExceeded(
             "code too large for exhaustive decoding and not an unfolded GRS"
@@ -555,7 +535,7 @@ def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
         raise BudgetExceeded(
             f"radius {radius} exceeds the unique-decoding bound {unique_radius}"
         )
-    word = unfold(spec, z)  # with no parity checks (dimension N) it is a codeword
+    # with no parity checks (dimension N) the word is a codeword
     cand = word if spec.dim == spec.N else _syndrome_decode(spec, word, radius)
     if cand is None:
         return []

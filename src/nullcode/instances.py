@@ -118,15 +118,16 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
     Runs in poly(n, log |Sigma|) table lookups on top of the parity-check
     test; malformed words are simply invalid.
     """
+    spec, q = inst.spec, inst.spec.field.q
     if len(x) != inst.n:
         return False
-    q = inst.spec.field.q
-    for i, sym in enumerate(x):
-        if len(sym) != inst.spec.m or any(not 0 <= d < q for d in sym):
-            return False
-        if inst.tables[i, inst.spec.symbol_rank(sym)]:
-            return False
-    return bool(_in_code(inst.spec, codes.unfold(inst.spec, x)[None])[0])
+    if any(len(sym) != spec.m or any(not 0 <= d < q for d in sym) for sym in x):
+        return False
+    word = codes.unfold(spec, x)
+    ranks = codes.from_digits(word.reshape(inst.n, spec.m), q)
+    if inst.tables[np.arange(inst.n), ranks].any():
+        return False
+    return bool(_in_code(spec, word[None])[0])
 
 
 def verify_flat(inst: OracleInstance, flat) -> np.ndarray:

@@ -306,7 +306,7 @@ def reveal_solution_tree(spec) -> ProtocolTree:
         hits = np.flatnonzero(solution_mask(split.tables(x, y), ranks))
         if not hits.size:
             return BOT
-        return tuple(map(tuple, words[hits[0]].reshape(spec.n, spec.m).tolist()))
+        return codes_mod.fold(spec, words[hits[0]])
 
     return reveal_tree(first_solution, split.bits_per_side, split.bits_per_side)
 

@@ -50,6 +50,11 @@ class TbncInstance:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"t = {self.t}: need at least one copy")
+        if (self.family.n, self.family.sigma_size) != (self.spec.n, self.spec.sigma_size):
+            raise ValueError(
+                f"family domain {self.family.sigma_size} x {self.family.n} does not match "
+                f"the code's {self.spec.sigma_size} x {self.spec.n}"
+            )
         if len(self.copies) != self.t:
             raise LengthMismatch("copy count mismatch")
         for c in self.copies:

@@ -229,6 +229,15 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             None,
         ),
         (["code", "dual", "--config", "{s_1.5}"], None),
+        # a copy count that is not an integer, and a family that does not
+        # match the code (its tables would broadcast over the coordinates)
+        *(
+            (
+                ["tbnc", "verify", "--in", f"{{tb_{edit}}}", "--key", "0,0,3,5", "--solutions", "2 2"],
+                None,
+            )
+            for edit in ("t_1.0", "t_true", "family_n_1", "family_sigma_2")
+        ),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
@@ -286,6 +295,18 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
         s_half["field"]["s"] = 1.5
         paths["{s_1.5}"] = tmp_path / "s_half.json"
         paths["{s_1.5}"].write_text(json.dumps(s_half))
+    for edit, (section, field, value) in {
+        "t_1.0": (None, "t", 1.0),
+        "t_true": (None, "t", True),
+        "family_n_1": ("family", "n", 1),
+        "family_sigma_2": ("family", "sigma", 2),
+    }.items():
+        if f"{{tb_{edit}}}" in argv:
+            path = paths[f"{{tb_{edit}}}"] = tmp_path / f"tb_{edit}.json"
+            assert main(["tbnc", "gen", "--t", "1", "--out", str(path)]) == 0
+            data = json.loads(path.read_text())
+            (data[section] if section else data)[field] = value
+            path.write_text(json.dumps(data))
     for out_bits in (0, 64, 6.9):
         if f"{{tb_out_bits_{out_bits}}}" in argv:
             path = paths[f"{{tb_out_bits_{out_bits}}}"] = tmp_path / f"tb_{out_bits}.json"

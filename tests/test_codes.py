@@ -16,6 +16,24 @@ def codewords(spec: CodeSpec) -> list:
     return [codes.fold(spec, r) for r in codes.codeword_matrix(spec)]
 
 
+def symbol_rank_loop(spec: CodeSpec, sym) -> int:
+    """A symbol's rank by a digit loop over its m field elements, most
+    significant first."""
+    r = 0
+    for d in sym:
+        r = r * spec.field.q + int(d)
+    return r
+
+
+def rank_symbol_loop(spec: CodeSpec, rank: int) -> tuple:
+    """Inverse of symbol_rank_loop, by peeling base-q digits."""
+    out = []
+    for _ in range(spec.m):
+        out.append(rank % spec.field.q)
+        rank //= spec.field.q
+    return tuple(reversed(out))
+
+
 def inner(ctx: FieldCtx, u, v) -> int:
     """Coordinate-wise inner product sum_i u_i v_i over the field."""
     return int(np.bitwise_xor.reduce(linalg.mul_arrays(ctx, u, v)))
@@ -52,17 +70,17 @@ def test_preset_degenerate_warns():
 
 
 def test_encode_identity_poly():
-    cw = codes.encode(rs_f4(1), [0, 1])  # f(x) = x
+    cw = codes.fold(rs_f4(1), codes.encode_unfolded(rs_f4(1), [0, 1]))  # f(x) = x
     assert cw == ((1,), (2,), (3,))
 
 
 def test_encode_zero_poly():
-    assert codes.encode(rs_f4(1), [0]) == ((0,), (0,), (0,))
+    assert codes.fold(rs_f4(1), codes.encode_unfolded(rs_f4(1), [0])) == ((0,), (0,), (0,))
 
 
 def test_encode_length_check():
     with pytest.raises(LengthMismatch):
-        codes.encode(rs_f4(1), [1, 2, 3])
+        codes.fold(rs_f4(1), codes.encode_unfolded(rs_f4(1), [1, 2, 3]))
 
 
 def horner_encode(spec: CodeSpec, msg) -> list:
@@ -248,9 +266,9 @@ def test_digits_round_trip_and_match_the_scalar_ranks():
     for spec in specs:
         q, sigma = spec.field.q, spec.sigma_size
         ranks = [0, 1, sigma - 1, *rng.integers(sigma, size=30).tolist()]
-        syms = [spec.rank_symbol(r) for r in ranks]
+        syms = [rank_symbol_loop(spec, r) for r in ranks]
         assert [tuple(d) for d in codes.to_digits(ranks, q, spec.m).tolist()] == syms
-        assert codes.from_digits(syms, q).tolist() == [spec.symbol_rank(s) for s in syms]
+        assert codes.from_digits(syms, q).tolist() == [symbol_rank_loop(spec, s) for s in syms]
 
 
 @pytest.mark.parametrize("base, count", [(2, 63), (256, 8), (256, 255), (3, 40)])
@@ -297,7 +315,9 @@ def test_codeword_rank_matrix_matches_the_digit_loop(name, dual):
         return
     got = codes.codeword_rank_matrix(spec)
     assert np.array_equal(got, rank_matrix_loop(spec))
-    assert [tuple(row) for row in got.tolist()] == [spec.word_ranks(w) for w in codewords(spec)]
+    assert [tuple(row) for row in got.tolist()] == [
+        tuple(symbol_rank_loop(spec, s) for s in w) for w in codewords(spec)
+    ]
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["code", "dual"])
@@ -327,7 +347,7 @@ def test_rank_matrix_past_int64_raises():
 
 def test_list_decode_trivial_cases():
     spec = rs_f4(1)
-    c = codes.encode(spec, [1, 2])
+    c = codes.fold(spec, codes.encode_unfolded(spec, [1, 2]))
     assert codes.list_decode(spec, c, 0) == [c]
     everything = codes.list_decode(spec, c, spec.N)
     assert len(everything) == spec.size
@@ -339,6 +359,38 @@ def test_list_decode_dual_single_error():
     c = ((1,), (2,), (3,))
     corrupted = ((1,), (0,), (3,))
     assert codes.list_decode(d, corrupted, 1) == [c]
+
+
+def test_list_decode_keeps_out_of_range_digits_apart():
+    # (0, 2) is no symbol of F_2^2; read as base-2 digits it would alias
+    # (1, 0), and (1, 0) x 4 is a codeword of the toy code
+    spec = configs.toy_selfdual_spec()
+    assert ((1, 0),) * 4 in codewords(spec)
+    assert codes.list_decode(spec, ((0, 2),) * 4, 0) == []
+    assert codes.list_decode(spec, ((0, 2),) + ((1, 0),) * 3, 1) == [((1, 0),) * 4]
+
+
+def _unfolded_dual_preset3() -> CodeSpec:
+    d = codes.dual(codes.preset(3))
+    return CodeSpec(kind="grs-folded", field=d.field, m=1, k=d.k, gamma=d.gamma, v=d.v)
+
+
+@pytest.mark.parametrize(
+    "build", [configs.toy_selfdual_spec, _unfolded_dual_preset3], ids=["exhaustive", "syndrome"]
+)
+def test_list_decode_branches_reject_a_malformed_word_alike(build):
+    # a 1-symbol word must not be broadcast over every coordinate
+    spec = build()
+    assert (spec.size <= 1 << 16) == (build is configs.toy_selfdual_spec)
+    zero = ((0,) * spec.m,)
+    for word, message in (
+        (zero, f"expected {spec.n} symbols, got 1"),
+        (zero * (spec.n - 1), f"expected {spec.n} symbols, got {spec.n - 1}"),
+        (zero * (spec.n + 1), f"expected {spec.n} symbols, got {spec.n + 1}"),
+        (((0,) * (spec.m + 1),) * spec.n, "symbol width does not match folding"),
+    ):
+        with pytest.raises(LengthMismatch, match=message):
+            codes.list_decode(spec, word, 0)
 
 
 def _poly_divmod(ctx: FieldCtx, num: list[int], den: list[int]):
@@ -521,7 +573,7 @@ def test_dual_decode_zero_error():
     spec = codes.preset(3)
     params = DecoderParams.for_spec(spec, Fraction(1, 64))
     d = codes.dual(spec)
-    x = codes.encode(d, [3, 1, 4, 1, 5, 9])
+    x = codes.fold(d, codes.encode_unfolded(d, [3, 1, 4, 1, 5, 9]))
     assert codes.dual_decode(spec, params, x) == x
 
 
@@ -531,7 +583,7 @@ def test_dual_decode_one_error():
     d = codes.dual(spec)
     rng = np.random.default_rng(11)
     msg = [int(rng.integers(64)) for _ in range(d.dim)]
-    x = codes.encode(d, msg)
+    x = codes.fold(d, codes.encode_unfolded(d, msg))
     xu = codes.unfold(d, x)
     err = np.zeros(spec.N, dtype=np.int64)
     err[30] = 7
@@ -593,7 +645,8 @@ def test_dual_decode_beyond_unique_radius_raises():
     # has no unique-decoding path; for_spec never builds one
     spec = codes.preset(3)
     params = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=4)
-    x = codes.encode(codes.dual(spec), [3, 1, 4, 1, 5, 9])
+    d = codes.dual(spec)
+    x = codes.fold(d, codes.encode_unfolded(d, [3, 1, 4, 1, 5, 9]))
     with pytest.raises(BudgetExceeded, match="unique-decoding bound 3"):
         codes.dual_decode(spec, params, x)
 
@@ -720,7 +773,7 @@ def test_membership():
     spec = codes.preset(2)
     base = instances.sample_instance(spec, Fraction(1, 64), 0)
     inst = instances.with_tables(base, np.zeros_like(base.tables))  # only the code decides
-    cw = codes.encode(spec, [7, 11])
+    cw = codes.fold(spec, codes.encode_unfolded(spec, [7, 11]))
     assert instances.verify(inst, cw)
     bad = [list(sym) for sym in cw]
     bad[0][0] ^= 1
@@ -801,6 +854,15 @@ def test_from_json_rejects_an_entry_that_is_not_an_integer(field, value):
         data["genmat"][1][2] = value
     with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
         CodeSpec.from_json(data)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_spec_rejects_a_folding_width_below_one(m):
+    # from_json rejects these first; a direct build must too
+    with pytest.raises(ValueError, match=f"folding width m = {m} is not positive"):
+        CodeSpec(kind="grs-folded", field=FieldCtx(2), m=m, k=0, gamma=2, v=(1, 1, 1))
+    with pytest.raises(ValueError, match=f"folding width m = {m} is not positive"):
+        CodeSpec(kind="generic-linear", field=FieldCtx(1), m=m, genmat=((1, 1),))
 
 
 def test_from_json_roundtrips_both_kinds():

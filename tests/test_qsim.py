@@ -13,6 +13,7 @@ from nullcode import codes, configs, instances, qsim
 from nullcode.codes import CodeSpec, DecoderParams
 from nullcode.errors import BudgetExceeded, EmptySupport, LengthMismatch
 from nullcode.gf import FieldCtx
+from test_codes import rank_symbol_loop, symbol_rank_loop
 from test_instances import SMALL_SPECS
 
 
@@ -628,18 +629,18 @@ def test_product_rule():
 
 def flat_to_word_loop(spec, flat):
     """The word of a flat rank by peeling base-|Sigma| digits, least
-    significant first, and the symbol of each by rank_symbol."""
+    significant first, and the symbol of each by rank_symbol_loop."""
     ranks = []
     for _ in range(spec.n):
         ranks.append(flat % spec.sigma_size)
         flat //= spec.sigma_size
-    return tuple(spec.rank_symbol(r) for r in reversed(ranks))
+    return tuple(rank_symbol_loop(spec, r) for r in reversed(ranks))
 
 
 def word_to_flat_loop(spec, word):
     flat = 0
     for sym in word:
-        flat = flat * spec.sigma_size + spec.symbol_rank(sym)
+        flat = flat * spec.sigma_size + symbol_rank_loop(spec, sym)
     return flat
 
 

@@ -1,10 +1,12 @@
 """The library's surface is what the program runs.
 
-Four static checks over src/nullcode/*.py, by `ast`:
+Five static checks over src/nullcode/*.py, by `ast`:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
   kept;
+- every public method or property of a public class is referenced by
+  attribute name from src/ or perfbench/;
 - every parameter with a default, on a public function or on a public
   method of a public class, is set by some call in src/ or perfbench/:
   by keyword, by position, or through `*`/`**` (functions in ALLOWED
@@ -89,6 +91,30 @@ def test_every_public_function_has_a_caller_in_the_program():
     # an allowlisted function that gains a caller leaves the list
     assert sorted(set(ALLOWED) & referenced) == []
     assert set(ALLOWED) <= public
+
+
+def test_every_public_method_has_a_caller_in_the_program():
+    # a method's receiver type is not known, so any attribute of that name
+    # in src/ or perfbench/ counts as a reference
+    trees = _parsed(PROGRAM)
+    attributes = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unreferenced = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in attributes
+    ]
+    assert sorted(unreferenced) == []
 
 
 def _defaulted_parameters(trees):

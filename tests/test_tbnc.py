@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import time
@@ -9,6 +10,7 @@ import pytest
 from nullcode import codes, configs, hashing, instances, tbnc
 from nullcode.codes import DecoderParams
 from nullcode.errors import BudgetExceeded, LengthMismatch, RetriesExhausted
+from test_codes import symbol_rank_loop
 from test_qsim import child_peak
 
 
@@ -72,7 +74,17 @@ def test_verify_one_wrong_copy():
 
 
 def _solves(spec, g, word):
-    return all(not g[i, spec.symbol_rank(s)] for i, s in enumerate(word))
+    return all(not g[i, symbol_rank_loop(spec, s)] for i, s in enumerate(word))
+
+
+@pytest.mark.parametrize("field, value", [("n", 1), ("n", 3), ("sigma_size", 2)])
+def test_instance_rejects_a_family_that_does_not_match_the_code(field, value):
+    # a family over a smaller domain would broadcast its hash tables over
+    # the code's coordinates or symbols
+    spec, fam, tb = rep_setup()
+    bad = dataclasses.replace(fam, **{field: value})
+    with pytest.raises(ValueError, match="does not match the code's 4 x 2"):
+        tbnc.TbncInstance(t=1, spec=spec, family=bad, copies=tb.copies)
 
 
 def test_verify_length_check():
