@@ -83,6 +83,8 @@ def _int_in(flag: str, lo: int, hi: float = math.inf):
 
 # every --n-bits run enumerates all 2^n_bits inputs of one side
 _n_bits = _int_in("--n-bits", 1, DEFAULT_ENUM_BUDGET.bit_length() - 1)
+# every copy of a total problem holds its own oracle instance
+_copies = _int_in("--t", 1, DEFAULT_ENUM_BUDGET)
 
 
 def _gamma(text: str) -> float:
@@ -96,21 +98,6 @@ def _gamma(text: str) -> float:
     if density.density_cut(2, gamma, 1) == 2:  # floor(2^(1 - gamma)) = 2 iff gamma reads as 0
         raise UsageError(f"--gamma {text} reads as 0 at the 1/1000 resolution of gamma")
     return gamma
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_or_print(path, payload) -> None:
-    """Write payload to path and say so, or print it when path is None."""
-    if path:
-        _write_json(path, payload)
-        print(f"wrote {path}")
-    else:
-        print(json.dumps(payload, sort_keys=True))
 
 
 def _emit(records, out) -> None:
@@ -133,7 +120,7 @@ def cmd_code_preset(args) -> int:
         f"|C|={spec.size}"
     )
     if args.out:
-        _write_json(args.out, spec.to_json())
+        _emit([spec.to_json()], args.out)
     return 0
 
 
@@ -142,7 +129,7 @@ def cmd_code_dual(args) -> int:
     d = codes.dual(spec)
     print(json.dumps(d.to_json(), sort_keys=True))
     if args.out:
-        _write_json(args.out, d.to_json())
+        _emit([d.to_json()], args.out)
     return 0
 
 
@@ -209,7 +196,9 @@ def cmd_code_lrcheck(args) -> int:
 def cmd_instance_gen(args) -> int:
     spec = _load_spec(args)
     inst = instances.sample_instance(spec, _parse_fraction(args.p), args.seed)
-    _write_or_print(args.out, instances.instance_to_json(inst))
+    _emit([instances.instance_to_json(inst)], args.out)
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -482,7 +471,9 @@ def cmd_tbnc_gen(args) -> int:
         "code": spec.to_json(),
         "copies": [instances.instance_to_json(c) for c in tb.copies],
     }
-    _write_or_print(args.out, payload)
+    _emit([payload], args.out)
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -541,6 +532,9 @@ def cmd_tbnc_alg2(args) -> int:
 
 def cmd_tbnc_totality(args) -> int:
     spec = configs.toy_repetition_spec(n=args.n, s=args.s)
+    points = spec.n * spec.sigma_size
+    if args.lam > points:
+        raise UsageError(f"--lam {args.lam} exceeds the {points} points of the domain")
     family = configs.toy_family(spec, lam=args.lam)
     out = tbnc.totality_scan(
         spec, family, args.t, args.samples, args.keys, args.seed
@@ -743,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = tb.add_parser("gen")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t", type=int, default=4)
+    p.add_argument("--t", type=_copies, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tbnc_gen)
@@ -753,13 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solutions", required=True, help="';'-separated rank words")
     p.set_defaults(fn=cmd_tbnc_verify)
     p = tb.add_parser("alg2")
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=_copies, default=2)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_tbnc_alg2)
     p = tb.add_parser("totality")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--t", type=_copies, default=1)
     p.add_argument("--lam", type=int, default=4)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--keys", type=_int_in("--keys", 1, DEFAULT_ENUM_BUDGET), default=16)

@@ -21,12 +21,13 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from . import linalg
 from .budget import DEFAULT_ENUM_BUDGET
-from .errors import BudgetExceeded, LengthMismatch, ParseError
+from .errors import BudgetExceeded, DomainMismatch, LengthMismatch, ParseError
 from .gf import FieldCtx, json_int
 from .parallel import parallel_map
 
@@ -253,11 +254,23 @@ def fold(spec: CodeSpec, x) -> Codeword:
 
 
 def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:
+    """The N digits of the folded word z as an int64 vector.  Raises
+    LengthMismatch unless z has n symbols of m digits, and DomainMismatch
+    for a digit that is not an integer in [0, q); a bool is not one."""
     if len(z) != spec.n:
         raise LengthMismatch(f"expected {spec.n} symbols, got {len(z)}")
     if any(len(sym) != spec.m for sym in z):
         raise LengthMismatch("symbol width does not match folding")
-    return np.array(z, dtype=np.int64).reshape(spec.N)
+    digits = list(chain.from_iterable(z))
+    # one check per distinct digit type, then one range check on the extremes
+    types = set(map(type, digits))
+    if (
+        bool in types
+        or not all(issubclass(t, (int, np.integer)) for t in types)
+        or not 0 <= min(digits) <= max(digits) < spec.field.q
+    ):
+        raise DomainMismatch(f"every digit must be an integer in [0, {spec.field.q})")
+    return np.array(digits, dtype=np.int64)
 
 
 # -- encoding and enumeration ---------------------------------------------------
@@ -512,9 +525,10 @@ def list_decode(spec: CodeSpec, z: Codeword, radius: int) -> list[Codeword]:
     """All codewords within symbol Hamming distance `radius` of z.
 
     Both branches read z through unfold, so a word whose length or symbol
-    width does not match the code raises LengthMismatch.  Small codes are
-    decoded by exhaustive enumeration, symbol block by symbol block.
-    Larger unfolded GRS specs are decoded from their syndromes
+    width does not match the code raises LengthMismatch, and one with a
+    digit that is not an integer in [0, q) raises DomainMismatch.  Small
+    codes are decoded by exhaustive enumeration, symbol block by symbol
+    block.  Larger unfolded GRS specs are decoded from their syndromes
     (Berlekamp-Massey, Chien search, Forney), which finds the codeword
     only when it is unique: radius may be at most floor((d - 1) / 2) with
     d = N - k, else BudgetExceeded is raised.  Other codes too large to

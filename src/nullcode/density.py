@@ -296,19 +296,6 @@ def _wide_winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
     return int(tied[np.lexsort((tied, -mask))[0]])
 
 
-def constant_coords(X, coords) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The coordinates of coords on which every element of X has the same
-    bit, ascending, and those bits; none for an empty X."""
-    return _constant_coords(np.asarray(X, dtype=np.int64), _as_coords(coords))
-
-
-def _constant_coords(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tuple]:
-    low = int(np.bitwise_and.reduce(arr))
-    varies = low ^ int(np.bitwise_or.reduce(arr))
-    K = tuple(c for c in coords if not varies >> c & 1)
-    return K, tuple(low >> c & 1 for c in K)
-
-
 def _matches(arr: np.ndarray, coords, bits) -> np.ndarray:
     """Which elements of the int64 array have the given bits on coords, as
     one mask test on their uint64 view (coordinate 63 included)."""

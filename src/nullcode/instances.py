@@ -24,6 +24,7 @@ from .codes import CodeSpec, Codeword
 from .errors import (
     BiasNotPowerOfTwo,
     BudgetExceeded,
+    DomainMismatch,
     LengthMismatch,
     ParseError,
     SplitRequiresEvenN,
@@ -118,13 +119,12 @@ def verify(inst: OracleInstance, x: Codeword) -> bool:
     Runs in poly(n, log |Sigma|) table lookups on top of the parity-check
     test; malformed words are simply invalid.
     """
-    spec, q = inst.spec, inst.spec.field.q
-    if len(x) != inst.n:
+    spec = inst.spec
+    try:
+        word = codes.unfold(spec, x)
+    except (LengthMismatch, DomainMismatch):
         return False
-    if any(len(sym) != spec.m or any(not 0 <= d < q for d in sym) for sym in x):
-        return False
-    word = codes.unfold(spec, x)
-    ranks = codes.from_digits(word.reshape(inst.n, spec.m), q)
+    ranks = codes.from_digits(word.reshape(inst.n, spec.m), spec.field.q)
     if inst.tables[np.arange(inst.n), ranks].any():
         return False
     return bool(_in_code(spec, word[None])[0])

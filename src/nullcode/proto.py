@@ -22,14 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .budget import DEFAULT_ENUM_BUDGET
-from .density import constant_coords, density_cut, density_restoring_partition, is_dense
+from .density import density_cut, density_restoring_partition, is_dense
 from .errors import BudgetExceeded
 from .instances import OracleInstance, Split, solution_mask
 
@@ -49,25 +48,12 @@ def full_domain(n_bits: int) -> np.ndarray:
     return np.arange(1 << n_bits, dtype=np.int64)
 
 
-class Side(NamedTuple):
-    """One player's side of a rectangle: its elements over n_bits
-    coordinates, and the fixed coordinates, where the elements agree."""
-
-    elems: np.ndarray
-    n_bits: int
-    coords: tuple[int, ...]
-
-    @property
-    def free(self) -> tuple[int, ...]:
-        return tuple(c for c in range(self.n_bits) if c not in self.coords)
-
-
 @dataclass
 class Rect:
     """Explicit rectangle X x Y over n_bits_a + n_bits_b coordinates.
 
-    A side's fixed coordinates are the ones where its elements agree, so
-    they are derived (`side`), never stored: for gamma > 0 a side that is
+    A side's free coordinates are the ones where its elements vary, so
+    they are derived (`free`), never stored: for gamma > 0 a side that is
     gamma-dense on its free coordinates is constant on none of them.
     """
 
@@ -80,10 +66,12 @@ class Rect:
         """Alice's ("A") or Bob's ("B") elements and bit count."""
         return (self.X, self.n_bits_a) if owner == "A" else (self.Y, self.n_bits_b)
 
-    def side(self, owner: str) -> Side:
-        """Alice's ("A") or Bob's ("B") side."""
+    def free(self, owner: str) -> tuple[int, ...]:
+        """The coordinates where the owner's elements vary, ascending; the
+        rest are the side's fixed coordinates."""
         elems, n_bits = self.elems_of(owner)
-        return Side(elems, n_bits, constant_coords(elems, range(n_bits))[0])
+        varies = int(np.bitwise_and.reduce(elems)) ^ int(np.bitwise_or.reduce(elems))
+        return tuple(c for c in range(n_bits) if varies >> c & 1)
 
     def narrow(self, owner: str, elems: np.ndarray) -> "Rect":
         """Child rectangle whose owner side is elems."""
@@ -93,7 +81,7 @@ class Rect:
 
     @property
     def codim(self) -> int:
-        return sum(len(self.side(owner).coords) for owner in OWNERS)
+        return self.n_bits_a + self.n_bits_b - sum(len(self.free(owner)) for owner in OWNERS)
 
 
 @dataclass
@@ -333,18 +321,20 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     nodes = 1
     # The speaker's refinement depends only on the original node and the
     # speaker's side, so siblings that differ only in the other side share
-    # it: (id(orig), free coordinates, side bytes) -> refinement.  Keyed
-    # on id because a Node is unhashable; the input tree keeps it alive.
+    # it: (id(orig), side bytes) -> refinement.  Keyed on id because a
+    # Node is unhashable; the input tree keeps it alive.
     refined = {}
 
-    def refine(orig, elems, n_bits, coords):
-        """The speaker's refinement of elems on its free coordinates: per
-        original bit with a nonempty subset, its code's (entropy,
-        expected_length) and a (message, part elems, free coordinates left,
-        child) tuple per density-restoring part."""
-        key = (id(orig), coords, elems.tobytes())
+    def refine(orig, rect):
+        """The speaker's refinement of its side of rect on the side's free
+        coordinates: per original bit with a nonempty subset, its code's
+        (entropy, expected_length) and a (message, part elems, child)
+        tuple per density-restoring part."""
+        elems, n_bits = rect.elems_of(orig.owner)
+        key = (id(orig), elems.tobytes())
         if key in refined:
             return refined[key]
+        coords = rect.free(orig.owner)
         groups = []
         for msg, orig_subset, child in orig.parts:
             member = np.zeros(1 << n_bits, dtype=bool)
@@ -356,16 +346,12 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
             sizes = [len(p.elems) for p in drp]
             code = huffman_mod.huffman(sizes)
             stats = (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
-            parts = []
-            for part, word in zip(drp, code):
-                left = tuple(c for c in coords if c not in part.fixed_coords)
-                parts.append((msg + word, part.elems, left, child))
+            parts = [(msg + word, part.elems, child) for part, word in zip(drp, code)]
             groups.append((stats, parts))
         refined[key] = groups
         return groups
 
-    def build(orig, rect, free):
-        """free maps each owner to the coordinates its side is not fixed on."""
+    def build(orig, rect):
         nonlocal nodes
         if isinstance(orig, Leaf):
             return Leaf(orig.label, rect)
@@ -373,22 +359,20 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
             raise ValueError("transform needs one-bit (binary) rounds")
         owner = orig.owner
         new_parts = []
-        for stats, parts in refine(orig, *rect.elems_of(owner), free[owner]):
+        for stats, parts in refine(orig, rect):
             nodes += len(parts)
             if nodes > DEFAULT_ENUM_BUDGET:
                 raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
             if code_stats is not None:
                 code_stats.append(stats)
-            for msg, elems, left, child in parts:
-                child_node = build(child, rect.narrow(owner, elems), {**free, owner: left})
-                new_parts.append((msg, elems, child_node))
+            for msg, elems, child in parts:
+                new_parts.append((msg, elems, build(child, rect.narrow(owner, elems))))
         return Node(owner, rect, new_parts)
 
     na, nb = tree.n_bits_a, tree.n_bits_b
     root = Rect(full_domain(na), full_domain(nb), na, nb)
-    free = {"A": tuple(range(na)), "B": tuple(range(nb))}
     try:
-        return ProtocolTree(build(tree.root, root, free), na, nb)
+        return ProtocolTree(build(tree.root, root), na, nb)
     finally:
         # build is a recursive closure, so a reference cycle holds the memo
         # and every part array in it until a gc pass
@@ -416,7 +400,7 @@ def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
             key = (n_bits, np.asarray(elems, dtype=np.int64).tobytes())
             if key in checked:
                 continue
-            if not is_dense(elems, gamma, node.rect.side(owner).free):
+            if not is_dense(elems, gamma, node.rect.free(owner)):
                 raise AssertionError("node rectangle is not subcube-like")
             checked.add(key)
         count += 1
@@ -569,9 +553,11 @@ def _fixed_table_cells(rect: Rect, split: Split) -> list[set]:
     """Per-coordinate sets of symbol ranks whose table bit is fixed."""
     cells = [set() for _ in range(split.n)]
     for owner in OWNERS:
-        for bit in rect.side(owner).coords:
-            i, e = split.cell(owner, bit)
-            cells[i].add(e)
+        free = rect.free(owner)
+        for bit in range(rect.elems_of(owner)[1]):
+            if bit not in free:
+                i, e = split.cell(owner, bit)
+                cells[i].add(e)
     return cells
 
 

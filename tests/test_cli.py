@@ -238,6 +238,17 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             )
             for edit in ("t_1.0", "t_true", "family_n_1", "family_sigma_2")
         ),
+        # --lam past the n x |Sigma| = 8 points of the totality scan's domain,
+        # and copy counts past the enumeration budget
+        (["tbnc", "totality", "--lam", "9"], "--lam 9 exceeds the 8 points of the domain"),
+        (
+            ["tbnc", "totality", "--lam", "100000"],
+            "--lam 100000 exceeds the 8 points of the domain",
+        ),
+        (["tbnc", "totality", "--lam", "0"], None),
+        (["tbnc", "gen", "--t", "65537"], "--t 65537 is not an integer in [1, 65536]"),
+        (["tbnc", "alg2", "--t", "65537", "--trials", "1"], None),
+        (["tbnc", "totality", "--t", "65537"], None),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):

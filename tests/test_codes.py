@@ -8,7 +8,7 @@ import pytest
 
 from nullcode import codes, configs, instances, linalg
 from nullcode.codes import CodeSpec, DecoderParams
-from nullcode.errors import BudgetExceeded, LengthMismatch, ParseError
+from nullcode.errors import BudgetExceeded, DomainMismatch, LengthMismatch, ParseError
 from nullcode.gf import FieldCtx
 
 
@@ -361,15 +361,6 @@ def test_list_decode_dual_single_error():
     assert codes.list_decode(d, corrupted, 1) == [c]
 
 
-def test_list_decode_keeps_out_of_range_digits_apart():
-    # (0, 2) is no symbol of F_2^2; read as base-2 digits it would alias
-    # (1, 0), and (1, 0) x 4 is a codeword of the toy code
-    spec = configs.toy_selfdual_spec()
-    assert ((1, 0),) * 4 in codewords(spec)
-    assert codes.list_decode(spec, ((0, 2),) * 4, 0) == []
-    assert codes.list_decode(spec, ((0, 2),) + ((1, 0),) * 3, 1) == [((1, 0),) * 4]
-
-
 def _unfolded_dual_preset3() -> CodeSpec:
     d = codes.dual(codes.preset(3))
     return CodeSpec(kind="grs-folded", field=d.field, m=1, k=d.k, gamma=d.gamma, v=d.v)
@@ -379,8 +370,12 @@ def _unfolded_dual_preset3() -> CodeSpec:
     "build", [configs.toy_selfdual_spec, _unfolded_dual_preset3], ids=["exhaustive", "syndrome"]
 )
 def test_list_decode_branches_reject_a_malformed_word_alike(build):
-    # a 1-symbol word must not be broadcast over every coordinate
+    # a 1-symbol word must not be broadcast over every coordinate, and a
+    # digit outside [0, q) must not alias another symbol (on the toy code
+    # (0, 2) read as base-2 digits is (1, 0), and (1, 0) x 4 is a codeword)
+    # nor index past the syndrome branch's log table
     spec = build()
+    q = spec.field.q
     assert (spec.size <= 1 << 16) == (build is configs.toy_selfdual_spec)
     zero = ((0,) * spec.m,)
     for word, message in (
@@ -391,6 +386,14 @@ def test_list_decode_branches_reject_a_malformed_word_alike(build):
     ):
         with pytest.raises(LengthMismatch, match=message):
             codes.list_decode(spec, word, 0)
+    message = rf"every digit must be an integer in \[0, {q}\)"
+    for digit in (q, -1, 2**70, 0.0, 1.0, True, False, np.True_):
+        symbol = (0,) * (spec.m - 1) + (digit,)
+        for word in ((symbol,) * spec.n, (symbol,) + zero * (spec.n - 1)):
+            with pytest.raises(DomainMismatch, match=message):
+                codes.list_decode(spec, word, 1)
+    # numpy integers are digits
+    assert codes.list_decode(spec, ((np.int64(0),) * spec.m,) * spec.n, 0) == [zero * spec.n]
 
 
 def _poly_divmod(ctx: FieldCtx, num: list[int], den: list[int]):

@@ -629,37 +629,6 @@ def test_validate_partition_checks_fixed_bits_like_the_coordinate_loop(dtype):
     assert (X < 0).any()
 
 
-def _constant_coords_by_loop(X, coords):
-    """The and/or test, one coordinate at a time, that `proto.Rect.side`
-    made before it read `density.constant_coords`."""
-    andv = int(np.bitwise_and.reduce(X))
-    orv = int(np.bitwise_or.reduce(X))
-    out, bits = [], []
-    for c in coords:
-        a, o = (andv >> c) & 1, (orv >> c) & 1
-        if a == o:
-            out.append(c)
-            bits.append(a)
-    return tuple(out), tuple(bits)
-
-
-def test_constant_coords_matches_the_coordinate_loop():
-    rng = np.random.default_rng(26)
-    cube = np.arange(1 << 10, dtype=np.int64)
-    cases = [cube, cube - (1 << 9), np.zeros(0, dtype=np.int64)]  # full cubes, the empty set
-    for trial in range(200):
-        size = (1, 2, 5, 40)[trial % 4]  # singletons among them
-        X = rng.integers(-(1 << 63), 1 << 63, size=size, dtype=np.int64)
-        if trial % 3:  # the bits of a random mask constant
-            mask, value = rng.integers(-(1 << 63), 1 << 63, size=2, dtype=np.int64)
-            X = (X & ~mask) | (value & mask)
-        cases.append(X)
-    for X in cases:
-        for coords in (range(10), range(64), (3, 17, 40, 62, 63)):
-            assert density.constant_coords(X, coords) == _constant_coords_by_loop(X, coords)
-    assert density.constant_coords([-1], (63,)) == ((63,), (1,))
-
-
 def test_negative_gamma_raises_value_error():
     for X in (np.arange(8), np.array([0, 2, 1])):  # a subcube and another set
         with pytest.raises(ValueError, match="gamma -0.5 is negative"):

@@ -117,7 +117,11 @@ def test_verify_rejects_malformed_words():
     base = instances.sample_instance(spec, Fraction(1, 4), 0)
     inst = instances.with_tables(base, np.zeros((2, 4), np.uint8))
     assert instances.verify(inst, ((1,), (1,)))
+    assert instances.verify(inst, ((np.int64(1),), (np.uint8(1),)))
     for word in (((1,),), ((1,), (1,), (1,)), ((1,), (4,)), ((-1,), (1,)), ((1,), (1, 0))):
+        assert not instances.verify(inst, word)
+    # digits that are not integers: 1.0 and True would read as the digit 1
+    for word in (((1.0,), (1,)), ((True,), (True,)), ((np.True_,), (1,)), ((1,), (2**70,))):
         assert not instances.verify(inst, word)
 
 

@@ -155,7 +155,7 @@ def test_transform_single_coordinate_round():
     proto.validate_subcube_like(out, 0.8)
     for child_msg, subset, child in out.root.parts:
         # each part fixes at least coordinate 0
-        assert 0 in child.rect.side("A").coords
+        assert 0 not in child.rect.free("A")
     pairs = list(itertools.product(range(4), range(4)))
     assert proto.outputs_agree(tree, out, pairs)
 
@@ -191,7 +191,7 @@ def test_transform_parts_repeel_from_each_side_free_coordinates(gamma):
         for node in out.nodes():
             if isinstance(node, proto.Leaf):
                 continue
-            free = node.rect.side(node.owner).free
+            free = node.rect.free(node.owner)
             for bit in "01":
                 group = [(msg, elems.tolist()) for msg, elems, _ in node.parts if msg[0] == bit]
                 if not group:
@@ -294,11 +294,16 @@ def test_measure_error_counts_bottom_leaves_as_invalid():
 def unmemoised_transform(tree, gamma, code_stats):
     """The transform re-peeling the speaker's side at every node, with no
     memo shared between siblings: the reference for
-    proto.subcube_like_transform."""
+    proto.subcube_like_transform.  It tracks each side's free coordinates
+    as the parts fix them, and for a gamma that does not read as 0 asserts
+    at every node that they are the ones where the side varies."""
     nodes = 1
+    derived = density.density_cut(2, gamma, 1) < 2  # floor(2^(1 - gamma)) = 2 iff gamma reads as 0
 
     def build(orig, rect, free):
         nonlocal nodes
+        if derived:
+            assert all(free[owner] == rect.free(owner) for owner in proto.OWNERS)
         if isinstance(orig, proto.Leaf):
             return proto.Leaf(orig.label, rect)
         owner = orig.owner
@@ -356,7 +361,7 @@ def transform_outcome(transform, tree, gamma):
         return str(exc), stats
 
 
-@pytest.mark.parametrize("gamma", [0.5, 0.8, 1])
+@pytest.mark.parametrize("gamma", [0.0001, 0.25, 0.5, 0.8, 1])  # 0.0001 reads as 0
 @pytest.mark.parametrize("n_bits, depth", [(6, 5), (10, 6)])
 def test_memoised_transform_matches_the_unmemoised_one(n_bits, depth, gamma, monkeypatch):
     # at gamma = 1 the 6-bit trees have 12417 and 14433 nodes and the
@@ -529,8 +534,9 @@ def test_codim_and_subcube_flags():
     sub = X[(X & 1) == 1]
     rect = proto.Rect(sub, proto.full_domain(4), 4, 4)
     assert rect.codim == 1
-    for side in map(rect.side, proto.OWNERS):
-        assert len(side.elems) == 1 << (side.n_bits - len(side.coords))
+    assert (rect.free("A"), rect.free("B")) == ((1, 2, 3), (0, 1, 2, 3))
+    for owner in proto.OWNERS:
+        assert len(rect.elems_of(owner)[0]) == 1 << len(rect.free(owner))
     assert is_subcube_like(rect, 0.8)
 
 
@@ -568,6 +574,34 @@ def test_outputs_agree_missing_value_raises_keyerror():
         proto.outputs_agree(tree, tree, [(0, 0), (3, 0)])
 
 
+def _free_by_loop(X, n_bits):
+    """The and/or test, one coordinate at a time: the coordinates of
+    range(n_bits) where the elements of X do not all agree."""
+    andv = int(np.bitwise_and.reduce(X))
+    orv = int(np.bitwise_or.reduce(X))
+    return tuple(c for c in range(n_bits) if (andv >> c) & 1 != (orv >> c) & 1)
+
+
+def test_rect_free_matches_the_coordinate_loop():
+    rng = np.random.default_rng(26)
+    cube = np.arange(1 << 10, dtype=np.int64)
+    cases = [cube, cube - (1 << 9), np.zeros(0, dtype=np.int64)]  # full cubes, the empty set
+    for trial in range(200):
+        size = (1, 2, 5, 40)[trial % 4]  # singletons among them
+        X = rng.integers(-(1 << 63), 1 << 63, size=size, dtype=np.int64)
+        if trial % 3:  # the bits of a random mask constant
+            mask, value = rng.integers(-(1 << 63), 1 << 63, size=2, dtype=np.int64)
+            X = (X & ~mask) | (value & mask)
+        cases.append(X)
+    for X in cases:
+        for n_bits in (10, 64):
+            rect = proto.Rect(X, X[::-1], n_bits, n_bits)
+            assert rect.free("A") == rect.free("B") == _free_by_loop(X, n_bits)
+    # two elements that differ only in the sign bit
+    X = np.array([-1, (1 << 63) - 1], dtype=np.int64)
+    assert proto.Rect(X, X, 64, 64).free("A") == (63,)
+
+
 def test_validate_rejects_a_side_not_dense_where_it_varies():
     # X = {0, 1, 2} varies on coordinates 0 and 1, and x0 = 0 holds for 2 of
     # its 3 elements: 2 > floor(3 * 2^(-0.8)) = 1.  Over a third coordinate
@@ -575,11 +609,11 @@ def test_validate_rejects_a_side_not_dense_where_it_varies():
     X = np.array([0, 1, 2], dtype=np.int64)
     for n_bits in (2, 3):
         rect = proto.Rect(X, proto.full_domain(n_bits), n_bits, n_bits)
-        assert rect.side("A").free == (0, 1)
+        assert rect.free("A") == (0, 1)
         assert not is_subcube_like(rect, 0.8)
     # X + 4 over three coordinates: dense on (0, 1) at gamma = 1/4
     rect = proto.Rect(X + 4, proto.full_domain(3), 3, 3)
-    assert rect.side("A").coords == (2,) and is_subcube_like(rect, 0.25)
+    assert rect.free("A") == (0, 1) and is_subcube_like(rect, 0.25)
 
 
 def test_validate_checks_each_distinct_side_once(monkeypatch):
@@ -594,9 +628,9 @@ def test_validate_checks_each_distinct_side_once(monkeypatch):
     tree = proto.subcube_like_transform(small_tree(seed=3, n_bits=6, depth=5), 0.8)
     nodes = proto.validate_subcube_like(tree, 0.8)
     distinct = {
-        (side.elems.tobytes(), side.free)
+        (node.rect.elems_of(owner)[0].tobytes(), node.rect.free(owner))
         for node in tree.nodes()
-        for side in map(node.rect.side, "AB")
+        for owner in "AB"
     }
     assert len(calls) == len(set(calls)) == len(distinct)
     assert len(calls) < 2 * nodes
