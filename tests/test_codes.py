@@ -361,6 +361,19 @@ def test_list_decode_dual_single_error():
     assert codes.list_decode(d, corrupted, 1) == [c]
 
 
+def test_list_decode_keeps_out_of_range_digits_apart():
+    # (0, 2) is no symbol of F_2^2; read as base-2 digits it would alias
+    # (1, 0), and (1, 0) x 4 is a codeword of the toy code, so the word is
+    # rejected rather than decoded
+    spec = configs.toy_selfdual_spec()
+    assert ((1, 0),) * 4 in codewords(spec)
+    message = r"every digit must be an integer in \[0, 2\)"
+    with pytest.raises(DomainMismatch, match=message):
+        codes.list_decode(spec, ((0, 2),) * 4, 0)
+    with pytest.raises(DomainMismatch, match=message):
+        codes.list_decode(spec, ((0, 2),) + ((1, 0),) * 3, 1)
+
+
 def _unfolded_dual_preset3() -> CodeSpec:
     d = codes.dual(codes.preset(3))
     return CodeSpec(kind="grs-folded", field=d.field, m=1, k=d.k, gamma=d.gamma, v=d.v)
@@ -371,9 +384,8 @@ def _unfolded_dual_preset3() -> CodeSpec:
 )
 def test_list_decode_branches_reject_a_malformed_word_alike(build):
     # a 1-symbol word must not be broadcast over every coordinate, and a
-    # digit outside [0, q) must not alias another symbol (on the toy code
-    # (0, 2) read as base-2 digits is (1, 0), and (1, 0) x 4 is a codeword)
-    # nor index past the syndrome branch's log table
+    # digit outside [0, q) must not alias another symbol nor index past the
+    # syndrome branch's log table
     spec = build()
     q = spec.field.q
     assert (spec.size <= 1 << 16) == (build is configs.toy_selfdual_spec)
