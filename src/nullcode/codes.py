@@ -570,7 +570,7 @@ def dual_decode(spec: CodeSpec, params: DecoderParams, z: Codeword):
     cands = list_decode(dspec_unf, zword, params.radius_unfolded)
     if len(cands) != 1:
         return None
-    return fold(spec, unfold(dspec_unf, cands[0]))
+    return fold(spec, chain.from_iterable(cands[0]))
 
 
 # -- list recovery -----------------------------------------------------------------

@@ -12,8 +12,9 @@ The main pipeline computes, exactly:
 
 - the two error masses eps = sum over BAD pairs of |Vhat(x) What(e)|^2 and
   delta = sum_z |sum over BAD pairs with x+e=z of Vhat(x) What(e)|^2,
-- the actual output state (I x QFT^-1) U_F U_add (QFT x QFT) |psi>|phi>,
-  one block of first-register rows at a time,
+- the actual output state (I x QFT^-1) U_F U_add (QFT x QFT) |psi>|phi>
+  on the only first-register rows it can occupy, supp(Vhat) + range(F) =
+  C-dual, one block of those rows at a time,
 - its distance from the ideal state |Sigma|^(n/2) sum_z (V.W)(z) |0>|z>,
 
 and checks in integers that the distance is at most sqrt(eps) +
@@ -58,27 +59,30 @@ def qft_matrix(ctx: FieldCtx) -> np.ndarray:
     return np.where(traces[linalg.mul_arrays(ctx, elems[:, None], elems)], -1.0, 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def sigma_qft_matrix(ctx: FieldCtx, m: int) -> np.ndarray:
     """Sign matrix over Sigma = F_q^m as an m-fold Kronecker power, squaring
     to |Sigma| I; symbol ranks put the first F_q digit in the
-    most-significant position."""
+    most-significant position.  Cached per (field, m); read-only."""
     base = qft_matrix(ctx)
     if ctx.q**m > _DENSE_QFT_LIMIT:
         raise BudgetExceeded(f"|Sigma| = {ctx.q ** m} exceeds the dense limit {_DENSE_QFT_LIMIT}")
     out = np.array([[1.0]])
     for _ in range(m):
         out = np.kron(out, base)
+    out.setflags(write=False)
     return out
 
 
 def apply_qft_vec(vec: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
-    """Apply kernel to each of the n symbol axes of the last axis of vec
-    (length |Sigma|^n); any leading axes are carried along."""
+    """Apply the symmetric kernel to each of the n symbol axes of the last
+    axis of vec (length |Sigma|^n); any leading axes are carried along.
+    Each pass is one matmul on the last symbol axis and a transpose that
+    rotates it to the front, so n passes put every axis back in place."""
     s = kernel.shape[0]
-    t = vec.reshape(vec.shape[:-1] + (s,) * n)
-    for axis in range(vec.ndim - 1, t.ndim):
-        t = np.tensordot(kernel, t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
+    t = vec.reshape(-1, s ** (n - 1), s)
+    for _ in range(n):
+        t = (t @ kernel).transpose(0, 2, 1).reshape(t.shape)
     return t.reshape(vec.shape)
 
 
@@ -182,7 +186,9 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     phis holds one length-|Sigma| indicator vector per coordinate, in
     coordinate order (see prepare_phi); their tensor product is 1_T for the
     oracle's zero set T.  Builds the decode table F and the GOOD masks and
-    checks F(x+e) = x on GOOD.  Returns eps, delta, the distance between
+    checks F(x+e) = x on GOOD.  Forms only the first-register rows in
+    supp(Vhat) + range(F), which is C-dual, so the norm check also fails
+    if a live row is missed.  Returns eps, delta, the distance between
     actual and ideal states with its bound sqrt(eps) + sqrt(delta), the
     success probability (the *_exact keys hold these as `Fraction`s over
     S K^3, S = |C| |T|; l2 squared), the measurement distribution (also as
@@ -212,19 +218,28 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     # After U_add and U_F, row y of the pair state holds v[x] w[x+z] at
     # column z, x = y + F(z) (rank XOR in characteristic 2), over K sqrt(S);
     # the inverse transform of the second register puts it over
-    # K sqrt(S K).  Per block of rows, conv[z] sums column z over BAD pairs
-    # and mass[z] sums the squares of column z after the transform.
+    # K sqrt(S K).  Only the rows in supp(v) + range(F), which is C-dual,
+    # can be nonzero; every other row has v[y + F(z)] = 0 for every z.  Per
+    # block of those rows, conv[z] sums column z over BAD pairs and mass[z]
+    # sums the squares of column z after the transform.
     idx = np.arange(K)
+    live = np.zeros(K, dtype=bool)
+    xs, fs = np.flatnonzero(v), np.unique(F)
+    step = max(1, _CELL_CAP // fs.size)
+    for lo in range(0, xs.size, step):
+        live[xs[lo : lo + step, None] ^ fs] = True
+    ys = np.flatnonzero(live)
     conv = np.zeros(K, dtype=np.int64)
     mass = np.zeros(K, dtype=np.int64)
+    row0 = np.zeros(K, dtype=np.int64)
     step = max(1, _CELL_CAP // K)
-    for lo in range(0, K, step):
-        x = idx[lo : lo + step, None] ^ F
+    for lo in range(0, ys.size, step):
+        x = ys[lo : lo + step, None] ^ F
         e = x ^ idx
         pairs = v[x] * w[e]
         conv += np.where(gx[x] & ge[e], 0.0, pairs).sum(axis=0).astype(np.int64)
         rows = apply_qft_vec(pairs, kernel, n).astype(np.int64)
-        if lo == 0:
+        if ys[lo] == 0:
             row0 = rows[0]
         mass += (rows * rows).sum(axis=0)
     total = S * K**3

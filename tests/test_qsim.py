@@ -83,6 +83,44 @@ def test_qft_uniform_to_zero():
         assert np.array_equal(mat @ np.ones(ctx.q), want)
 
 
+def apply_qft_vec_tensordot(vec, kernel, n):
+    """The Fourier pass as n tensordots, one per symbol axis, each followed
+    by a moveaxis that puts the transformed axis back in place."""
+    s = kernel.shape[0]
+    t = vec.reshape(vec.shape[:-1] + (s,) * n)
+    for axis in range(vec.ndim - 1, t.ndim):
+        t = np.tensordot(kernel, t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    return t.reshape(vec.shape)
+
+
+@pytest.mark.parametrize("s, m", [(s, m) for s in (1, 2, 4) for m in range(1, 5) if s * m <= 4])
+def test_apply_qft_vec_matches_the_tensordot_passes(s, m):
+    # |Sigma| = 2^(s m) in {2, 4, 8, 16}, every n with |Sigma|^n <= 4096; a
+    # bare vector, a 1-row block, a multi-row block and two leading axes.
+    # Integer inputs keep every partial sum exact: equal bit for bit.
+    ctx = FieldCtx(s)
+    sigma = ctx.q**m
+    kernel = qsim.sigma_qft_matrix(ctx, m)
+    rng = np.random.default_rng([s, m])
+    n = 1
+    while sigma**n <= qsim._DENSE_QFT_LIMIT:
+        for lead in ((), (1,), (5,), (2, 3)):
+            vec = rng.integers(-1000, 1001, size=lead + (sigma**n,)).astype(np.float64)
+            got = qsim.apply_qft_vec(vec, kernel, n)
+            want = apply_qft_vec_tensordot(vec, kernel, n)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (lead, n)
+        n += 1
+
+
+def test_sigma_qft_matrix_is_cached_and_read_only():
+    mat = qsim.sigma_qft_matrix(FieldCtx(2), 2)
+    assert qsim.sigma_qft_matrix(FieldCtx(2), 2) is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+
+
 def test_prepare_phi():
     spec = configs.toy_selfdual_spec()
     base = instances.sample_instance(spec, Fraction(1, 16), 0)
@@ -187,6 +225,42 @@ def test_norm_preserved_through_pipeline():
     assert sum(exact["mass"]) == exact["total"]
     want = np.array(exact["mass"], dtype=np.int64) / exact["total"]
     assert np.array_equal(out["solution_distribution"], want)
+
+
+def f16_parity_spec():
+    """The F_16 parity code [3, 2]: K = 16^3 = 4096, the largest K the dense
+    referee admits, and |C-dual| = 16."""
+    return CodeSpec(kind="generic-linear", field=FieldCtx(4), m=1, genmat=((1, 0, 1), (0, 1, 1)))
+
+
+@pytest.mark.parametrize("build, p", [(configs.toy_selfdual_spec, Fraction(1, 16)), (f16_parity_spec, Fraction(1, 8))])
+def test_pipeline_forms_only_the_rows_of_the_dual(build, p, monkeypatch):
+    # the transform sees psi, phi and then the pair-state rows y in C-dual,
+    # in rank order: 16 rows of 256 in one block on the toy code, 16 rows
+    # of 4096 in four blocks on the parity code
+    spec = build()
+    params = DecoderParams.for_spec(spec, p)
+    phis = received_states(instances.sample_instance(spec, p, 0))
+    calls = []
+    apply = qsim.apply_qft_vec
+
+    def recording_apply(vec, kernel, n):
+        calls.append(vec.copy())
+        return apply(vec, kernel, n)
+
+    monkeypatch.setattr(qsim, "apply_qft_vec", recording_apply)
+    qsim.add_decode_pipeline(spec, phis, params)
+    K = spec.sigma_size**spec.n
+    psi, phi, *blocks = calls
+    rows = np.sort(qsim._code_flat_ranks(codes.dual(spec)))
+    assert psi.shape == phi.shape == (K,) and all(b.ndim == 2 for b in blocks)
+    assert sum(len(b) for b in blocks) == rows.size == K // spec.size
+    assert len(blocks) == -(-rows.size // max(1, qsim._CELL_CAP // K))
+    kernel = qsim.sigma_qft_matrix(spec.field, spec.m)
+    v = apply_qft_vec_tensordot(psi, kernel, spec.n)
+    w = apply_qft_vec_tensordot(phi, kernel, spec.n)
+    x = rows[:, None] ^ qsim.decode_rank_table(spec, params)
+    assert np.array_equal(np.concatenate(blocks), v[x] * w[x ^ np.arange(K)])
 
 
 def sign_matrix_loop(spec):
@@ -466,11 +540,11 @@ assert out["success_exact"] > 0
 
 
 def test_referee_at_k_4096_runs_in_a_child_under_200_mb():
-    spec = CodeSpec(kind="generic-linear", field=FieldCtx(4), m=1, genmat=((1, 0, 1), (0, 1, 1)))
+    spec = f16_parity_spec()
     assert spec.sigma_size**spec.n == 4096 == qsim._DENSE_QFT_LIMIT
     peak_mb, elapsed = child_peak(K4096_RUN)
     assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
-    assert elapsed < 20, f"{elapsed:.1f} s"
+    assert elapsed < 5, f"{elapsed:.1f} s"
 
 
 LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
