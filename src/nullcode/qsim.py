@@ -124,23 +124,38 @@ def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
     """Flat-rank decode table over all of Sigma^n: F[z] = dual_decode(z),
     with 0 standing in for the bottom symbol.
 
-    One dual_decode per coset of the dual: the parity checks of C-dual are
-    the generator rows of C, so the words of one syndrome form a coset
-    leader + C-dual, the leader being the coset's smallest flat rank.  The
-    codewords of C-dual within the radius of leader + c are those of the
-    leader shifted by c, so uniqueness and bottom carry over and
-    F[leader + c] = dual_decode(leader) + c; in characteristic 2 that sum
-    is the XOR of flat ranks.
+    At most one dual_decode per coset of the dual: the parity checks of
+    C-dual are the generator rows of C, so the words of one syndrome form
+    a coset leader + C-dual, the leader being the coset's smallest flat
+    rank.  The codewords of C-dual within the radius of leader + c are
+    those of the leader shifted by c, so uniqueness and bottom carry over
+    and F[leader + c] = dual_decode(leader) + c; in characteristic 2 that
+    sum is the XOR of flat ranks.
+
+    The leader's candidates are the codewords c with wt(leader - c) <= r,
+    wt the unfolded digit weight and r the unfolded radius: one for each
+    word e = leader - c of the coset with wt(e) <= r.  So a census of the
+    words within the radius per coset counts every coset's list exactly.
+    Only the cosets that hold such a word are decoded; every other one
+    decodes to bottom.  For r >= 0 the zero coset always holds one (the
+    zero word), so a radius the decoder rejects still raises.  Each decode
+    is checked against its census (AssertionError): it returns a codeword
+    exactly when the coset holds one word within the radius.
     """
     total = _dense_size(spec)
     q = spec.field.q
     words = codes.to_digits(np.arange(total), q, spec.N)
     syndromes = codes.from_digits(linalg.matmul(spec.field, words, spec.generator_matrix().T), q)
     _, leaders, coset = np.unique(syndromes, return_index=True, return_inverse=True)
+    near = np.count_nonzero(words, axis=1) <= params.radius_unfolded
+    reach = np.bincount(coset[near], minlength=leaders.size)
     found = np.zeros(leaders.size, dtype=bool)
     shift = np.zeros(leaders.size, dtype=np.int64)
-    for j, leader in enumerate(leaders.tolist()):
+    for j in np.flatnonzero(reach).tolist():
+        leader = int(leaders[j])
         dec = codes.dual_decode(spec, params, codes.fold(spec, words[leader]))
+        if (dec is not None) != (reach[j] == 1):
+            raise AssertionError(f"coset of {leader} holds {reach[j]} words within the radius")
         if dec is not None:
             found[j] = True
             shift[j] = leader ^ int(codes.from_digits(codes.unfold(spec, dec), q))

@@ -223,7 +223,7 @@ def test_criterion_06_pipeline_bound():
             - math.sqrt(out["delta"]),
         )
     elapsed = time.time() - start
-    assert elapsed < 5
+    assert elapsed < 2
     report(
         6,
         "pipeline error bound",
@@ -272,7 +272,7 @@ def test_criterion_07_protocol_end_to_end():
     mean_bound = float(np.mean(bounds))
     assert mean_success >= 1 - mean_bound - 1e-6
     elapsed = time.time() - start
-    assert elapsed < 5
+    assert elapsed < 2
     report(
         7,
         "protocol end-to-end",

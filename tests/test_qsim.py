@@ -544,7 +544,7 @@ def test_referee_at_k_4096_runs_in_a_child_under_200_mb():
     assert spec.sigma_size**spec.n == 4096 == qsim._DENSE_QFT_LIMIT
     peak_mb, elapsed = child_peak(K4096_RUN)
     assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
-    assert elapsed < 5, f"{elapsed:.1f} s"
+    assert elapsed < 2, f"{elapsed:.1f} s"
 
 
 LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
@@ -767,11 +767,13 @@ def test_decode_rank_table_matches_a_per_word_loop(p):
     assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
 
 
-@pytest.mark.parametrize("name", SMALL_SPECS)
+@pytest.mark.parametrize("name", [*SMALL_SPECS, "f16-parity"])
 def test_decode_rank_table_matches_a_per_word_loop_at_every_radius(name):
     # radii past unique decoding included: there a word with two or more
-    # dual codewords in reach decodes to bottom, i.e. 0
-    spec = SMALL_SPECS[name]()
+    # dual codewords in reach decodes to bottom, i.e. 0.  The F_16 parity
+    # code (K = 4096) has a dual of distance 3, so radii 2 and 3 are
+    # ambiguous, and at radius 0 only 1 of its 256 cosets is decoded.
+    spec = {**SMALL_SPECS, "f16-parity": f16_parity_spec}[name]()
     for radius in range(spec.N + 1):
         params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
         assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
@@ -798,6 +800,60 @@ def test_decode_rank_table_matches_the_loop_through_the_syndrome_decoder(name, m
     for radius in range((spec.N - codes.dual(spec).k - 1) // 2 + 1):
         params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
         assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
+
+
+def decode_calls(spec, params, monkeypatch):
+    """The number of dual_decode calls that build the decode table."""
+    calls = []
+    decode = codes.dual_decode
+
+    def counting_decode(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(codes, "dual_decode", counting_decode)
+    qsim.decode_rank_table(spec, params)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("build, p", [(configs.toy_selfdual_spec, Fraction(1, 16)), (f16_parity_spec, Fraction(1, 8))])
+def test_decode_rank_table_decodes_only_the_zero_coset_at_radius_0(build, p, monkeypatch):
+    # 16 cosets on the toy code and 256 on the parity code; at radius 0
+    # only the zero word is within reach
+    spec = build()
+    params = DecoderParams.for_spec(spec, p)
+    assert params.radius_unfolded == 0
+    assert decode_calls(spec, params, monkeypatch) == 1
+
+
+@pytest.mark.parametrize("radius, want", [(1, 9), (2, 16), (3, 16)])
+def test_decode_rank_table_decodes_each_coset_with_a_word_in_reach(radius, want, monkeypatch):
+    # a word's list size is the number of words of its coset within the
+    # radius, the same for every word of the coset, so the cosets holding
+    # such a word number the words with a nonempty list over |C-dual|: at
+    # radius 1 the zero coset and the 8 of weight 1, from radius 2 (the
+    # covering radius) all 16
+    spec = configs.toy_selfdual_spec()
+    dual_unf = replace(codes.dual(spec), m=1)
+    words = codes.to_digits(np.arange(spec.sigma_size**spec.n), 2, spec.N)
+    sizes = np.array([len(codes.list_decode(dual_unf, codes.fold(dual_unf, w), radius)) for w in words])
+    nonempty, rem = divmod(np.count_nonzero(sizes), codes.dual(spec).size)
+    assert rem == 0 and nonempty == want
+    params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+    assert decode_calls(spec, params, monkeypatch) == nonempty
+
+
+@pytest.mark.parametrize("radius, decodes", [(0, False), (2, True)])
+def test_decode_rank_table_checks_each_decode_against_its_census(radius, decodes, monkeypatch):
+    # a decoder that finds nothing contradicts the zero word in reach at
+    # radius 0; one that always finds the leader contradicts the cosets
+    # with four words in reach at radius 2
+    spec = configs.toy_selfdual_spec()
+    params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+    monkeypatch.setattr(codes, "dual_decode", lambda spec, params, z: z if decodes else None)
+    with pytest.raises(AssertionError, match="words within the radius"):
+        qsim.decode_rank_table(spec, params)
 
 
 def test_decode_table_good_on_dual():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, hashing, instances, tbnc
+from nullcode.budget import DEFAULT_TABLE_BUDGET
 from nullcode.codes import DecoderParams
 from nullcode.errors import BudgetExceeded, LengthMismatch, RetriesExhausted
 from test_codes import symbol_rank_loop
@@ -328,6 +329,25 @@ assert out["keys_scanned"] == 1 << 16
 def test_totality_at_2_24_cells_runs_in_a_child_under_200_mb():
     peak_mb, elapsed = child_peak(TOTALITY_2_24_RUN)
     assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
+    assert elapsed < 20, f"{elapsed:.1f} s"
+
+
+# keys x n x |Sigma| = 2^16 x 4 x 256 = 2^26 hash-table cells, the whole
+# table budget
+TOTALITY_2_26_RUN = """
+from nullcode import configs, tbnc
+
+spec = configs.toy_repetition_spec(n=4, s=8)
+out = tbnc.totality_scan(spec, configs.toy_family(spec, lam=4), 1, 2, 1 << 16, 0)
+assert out["keys_scanned"] == 1 << 16
+"""
+
+
+def test_totality_at_the_table_budget_runs_in_a_child_under_300_mb():
+    spec = configs.toy_repetition_spec(n=4, s=8)
+    assert (1 << 16) * spec.n * spec.sigma_size == DEFAULT_TABLE_BUDGET
+    peak_mb, elapsed = child_peak(TOTALITY_2_26_RUN)
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
     assert elapsed < 20, f"{elapsed:.1f} s"
 
 
