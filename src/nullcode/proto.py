@@ -129,6 +129,7 @@ class ProtocolTree:
         yield from walk(self.root, "", 0)
 
 
+# a 2^n_bits table per call beats searchsorted over the parts and np.isin
 def _part_index(node: Node, values: np.ndarray, n_bits: int) -> np.ndarray:
     """Index into node.parts of the part holding each of the owner's input
     values; a later part wins on overlap.  Raises KeyError for a value that
@@ -172,6 +173,30 @@ def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
             for k in idx.tolist():
                 labels[k] = node.label
     return labels
+
+
+def _reaching_rects(*trees: ProtocolTree):
+    """Run the trees at once on every pair of the first tree's domain;
+    yield (leaves, X, Y), one leaf per tree, for each nonempty rectangle
+    X x Y of the pairs that reach them.  Nodes split their owner's side by
+    _part_index as in _route (a later part wins; KeyError for a value in
+    no part), and the trees take turns, so they descend together."""
+    na, nb, n = trees[0].n_bits_a, trees[0].n_bits_b, len(trees)
+    stack = [(tuple(t.root for t in trees), Rect(full_domain(na), full_domain(nb), na, nb), 0)]
+    while stack:
+        nodes, rect, turn = stack.pop()
+        k = next((k % n for k in range(turn, turn + n) if isinstance(nodes[k % n], Node)), None)
+        if k is None:
+            yield nodes, rect.X, rect.Y
+            continue
+        node = nodes[k]
+        side, n_bits = rect.elems_of(node.owner)
+        which = _part_index(node, side, n_bits)
+        for i, (_, _, child) in enumerate(node.parts):
+            part = side[which == i]
+            if part.size:
+                rest = nodes[:k] + (child,) + nodes[k + 1 :]
+                stack.append((rest, rect.narrow(node.owner, part), k + 1))
 
 
 def transcript_stats(tree: ProtocolTree) -> dict:
@@ -418,6 +443,12 @@ def outputs_agree(tree_a: ProtocolTree, tree_b: ProtocolTree, pairs) -> bool:
     return _route_labels(tree_a, xs, ys) == _route_labels(tree_b, xs, ys)
 
 
+def trees_agree(tree_a: ProtocolTree, tree_b: ProtocolTree) -> bool:
+    """Whether both trees output the same label on every input pair, read
+    once per pair of leaves that some rectangle of pairs reaches."""
+    return all(a.label == b.label for (a, b), _, _ in _reaching_rects(tree_a, tree_b))
+
+
 # -- cleanup ----------------------------------------------------------------------
 
 
@@ -513,17 +544,14 @@ def check_input_pairs(n_bits_a: int, n_bits_b: int) -> None:
 
 
 def never_wrong(tree: ProtocolTree, valid_a, valid_b) -> bool:
-    """Exhaustive check that every non-BOT output is valid, routing all
-    input pairs at once; each array predicate (as in measure_error) runs
-    once per reached non-BOT leaf, on the pairs that reach it.  Raises
-    BudgetExceeded when there are more than DEFAULT_ENUM_BUDGET input pairs."""
-    check_input_pairs(tree.n_bits_a, tree.n_bits_b)
-    xs = np.repeat(full_domain(tree.n_bits_a), 1 << tree.n_bits_b)
-    ys = np.tile(full_domain(tree.n_bits_b), 1 << tree.n_bits_a)
+    """Exact check that every non-BOT output is valid, on every input pair.
+    Validity factors through the sides (as in measure_error), so a leaf
+    never errs iff valid_a holds on all of X and valid_b on all of Y, where
+    X x Y reaches it; each predicate runs at most once per such side."""
     return all(
-        (_holds(valid_a, node.label, xs[idx]) & _holds(valid_b, node.label, ys[idx])).all()
-        for _, node, idx in _route(tree, xs, ys)
-        if isinstance(node, Leaf) and node.label is not BOT
+        _holds(valid_a, leaf.label, X).all() and _holds(valid_b, leaf.label, Y).all()
+        for (leaf,), X, Y in _reaching_rects(tree)
+        if leaf.label is not BOT
     )
 
 

@@ -233,17 +233,13 @@ def add_decode_pipeline(spec: CodeSpec, phis: list[np.ndarray], params: DecoderP
     # After U_add and U_F, row y of the pair state holds v[x] w[x+z] at
     # column z, x = y + F(z) (rank XOR in characteristic 2), over K sqrt(S);
     # the inverse transform of the second register puts it over
-    # K sqrt(S K).  Only the rows in supp(v) + range(F), which is C-dual,
-    # can be nonzero; every other row has v[y + F(z)] = 0 for every z.  Per
-    # block of those rows, conv[z] sums column z over BAD pairs and mass[z]
-    # sums the squares of column z after the transform.
+    # K sqrt(S K).  Only the rows in supp(v) + range(F) = C-dual (range(F)
+    # lies in C-dual and holds 0), the GOOD x rows, can be nonzero; every
+    # other row has v[y + F(z)] = 0 for every z, and the norm check fails if
+    # F leaves C-dual.  Per block of those rows, conv[z] sums column z over
+    # BAD pairs and mass[z] sums the squares of column z after the transform.
     idx = np.arange(K)
-    live = np.zeros(K, dtype=bool)
-    xs, fs = np.flatnonzero(v), np.unique(F)
-    step = max(1, _CELL_CAP // fs.size)
-    for lo in range(0, xs.size, step):
-        live[xs[lo : lo + step, None] ^ fs] = True
-    ys = np.flatnonzero(live)
+    ys = np.flatnonzero(gx)
     conv = np.zeros(K, dtype=np.int64)
     mass = np.zeros(K, dtype=np.int64)
     row0 = np.zeros(K, dtype=np.int64)

@@ -14,7 +14,6 @@ verify the sampled outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,20 +237,13 @@ def totality_scan(
     }
 
 
-def union_bound_calculator(t: int, r: int, suc_single: float) -> float:
-    """Accounting of the key-union bound: 2^r * suc_single^t.
+def union_bound_calculator(t: int, r: int, suc_single) -> Fraction:
+    """Accounting of the key-union bound, exactly: 2^r * suc_single^t.
 
     The single-copy success probability at the given communication budget
-    is supplied by the caller.
+    is supplied by the caller, as a float (read exactly) or a Fraction.
     """
-    if t < 0 or r < 0 or suc_single < 0:
+    suc = Fraction(suc_single)
+    if t < 0 or r < 0 or suc < 0:
         raise ValueError("inputs must be nonnegative")
-    if suc_single == 0.0:
-        return 2.0**r if t == 0 else 0.0
-    try:
-        return (2.0**r) * (suc_single**t)
-    except OverflowError:
-        log2val = r + t * math.log2(suc_single)
-        if log2val < -1074:
-            return 0.0
-        return math.inf if log2val >= 1024 else 2.0**log2val
+    return 2**r * suc**t

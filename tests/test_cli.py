@@ -179,7 +179,7 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
         (["hash", "attack", "--trials", "-1"], None),
         (["tbnc", "alg2", "--t", "1", "--trials", "-1"], None),
         (["qsim", "claim66", "--sigma", "131072"], None),  # |Sigma| is at most 2^16
-        (["proto", "transform", "--pairs", "-3", "--trials", "1"], None),
+        (["proto", "transform", "--depth", "-1", "--trials", "1"], None),
         (["proto", "run", "--n-bits", "2", "--depth", "-1"], None),
         (["proto", "cleanup", "--depth", "-1", "--trials", "1"], None),
         (["proto", "drp", "--n-bits", "17", "--trials", "1"], None),
@@ -353,16 +353,18 @@ def test_length_mismatch_outside_parsing_exits_1(tmp_path, capsys):
         ["qsim", "claim66", "--trials", "1"],
         ["qsim", "claim66", "--seed", "0"],
         ["instance", "solve", "--in", "a.json", "--jobs", "2"],
+        ["proto", "transform", "--pairs", "5"],
+        ["proto", "transform", "--pairs", "-3", "--trials", "1"],
     ],
     ids=[
         "lemma51-jobs", "alg2-n", "alg2-s", "drp-n", "claim66-trials", "claim66-seed",
-        "instance-solve-jobs",
+        "instance-solve-jobs", "transform-pairs", "transform-pairs-negative",
     ],
 )
 def test_removed_flags_exit_2(argv, capsys):
     # no subcommand takes --jobs; alg2 always runs the toy code;
     # no flag is read from a prefix (--n is not --n-bits); claim66 is exact,
-    # with nothing to sample
+    # with nothing to sample; transform checks every input pair
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -518,20 +520,6 @@ def test_malformed_instance_fields_exit_2(command, field, value, tmp_path, capsy
     assert f"instance:{field}:" in out.err
 
 
-def test_proto_cleanup_over_budget_exits_1_before_any_trial(capsys, monkeypatch):
-    # 2^(9 + 9) input pairs: never_wrong's budget is checked up front
-    from nullcode import proto
-
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial started")
-
-    monkeypatch.setattr(proto, "random_onebit_tree", no_trial)
-    assert main(["proto", "cleanup", "--n-bits", "9", "--trials", "1"]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: 262144 input pairs exceed budget 65536\n"
-
-
 def test_proto_danger_over_budget_exits_1_before_anything_is_built(capsys, monkeypatch):
     # 16 bits per side: a reveal tree of 2^32 leaves
     from nullcode import instances
@@ -619,7 +607,7 @@ def test_proto_subcommands(tmp_path, capsys):
         main(
             [
                 "proto", "transform", "--n-bits", "6", "--depth", "3",
-                "--trials", "2", "--pairs", "50", "--seed", "2",
+                "--trials", "2", "--seed", "2",
             ]
         )
         == 0

@@ -572,6 +572,10 @@ def test_outputs_agree_missing_value_raises_keyerror():
         list(proto._route(tree, np.array([0, 3]), np.array([0, 0])))
     with pytest.raises(KeyError):
         proto.outputs_agree(tree, tree, [(0, 0), (3, 0)])
+    with pytest.raises(KeyError):
+        proto.trees_agree(tree, tree)
+    with pytest.raises(KeyError):
+        proto.never_wrong(tree, lambda label, v: True, lambda label, v: True)
 
 
 def _free_by_loop(X, n_bits):
@@ -636,22 +640,6 @@ def test_validate_checks_each_distinct_side_once(monkeypatch):
     assert len(calls) < 2 * nodes
 
 
-def test_never_wrong_checks_its_budget_before_enumerating(monkeypatch):
-    always = lambda label, v: True
-    at_budget = small_tree(n_bits=8, depth=2)
-    assert proto.never_wrong(at_budget, always, always)  # 2^16 pairs
-    # 2^(9 + 8) pairs: the rectangle is never enumerated
-    rect = proto.Rect(proto.full_domain(1), proto.full_domain(1), 9, 8)
-    over = proto.ProtocolTree(proto.Leaf(0, rect), 9, 8)
-
-    def no_enumeration(n_bits):
-        raise AssertionError(f"enumerated 2^{n_bits} inputs")
-
-    monkeypatch.setattr(proto, "full_domain", no_enumeration)
-    with pytest.raises(BudgetExceeded, match="131072 input pairs"):
-        proto.never_wrong(over, always, always)
-
-
 def test_never_wrong_matches_per_pair_check():
     def per_pair(tree, valid_a, valid_b):
         for x in range(16):
@@ -670,6 +658,95 @@ def test_never_wrong_matches_per_pair_check():
         ):
             expect = per_pair(tree, valid_a, valid_b)
             assert proto.never_wrong(tree, valid_a, valid_b) == expect
+
+
+def never_wrong_by_pairs(tree, valid_a, valid_b) -> bool:
+    """never_wrong by enumeration: route all 2^(n_bits_a + n_bits_b) input
+    pairs at once and check the pairs that reach each labelled leaf."""
+    xs = np.repeat(proto.full_domain(tree.n_bits_a), 1 << tree.n_bits_b)
+    ys = np.tile(proto.full_domain(tree.n_bits_b), 1 << tree.n_bits_a)
+    return all(
+        (proto._holds(valid_a, node.label, xs[idx]) & proto._holds(valid_b, node.label, ys[idx])).all()
+        for _, node, idx in proto._route(tree, xs, ys)
+        if isinstance(node, proto.Leaf) and node.label is not BOT
+    )
+
+
+@pytest.mark.parametrize("n_bits", [6, 8])
+def test_never_wrong_matches_the_pair_enumeration(n_bits):
+    # 100 erring trees (every third one transformed) and their cleanups per
+    # size; each cleanup is also checked against predicates it was not
+    # cleaned for, which it may violate
+    rng = np.random.default_rng(n_bits)
+    valid = lambda label, v: (v >> (label % n_bits)) & 1 == 0
+    other = lambda label, v: (v >> ((label + 1) % n_bits)) & 1 == 0
+    verdicts = []
+    for trial in range(100):
+        depth = int(rng.integers(2, 7))
+        tree = proto.random_onebit_tree(rng, n_bits, n_bits, depth, labels=[0, 1, 2])
+        if trial % 3 == 0:
+            tree = proto.subcube_like_transform(tree, 0.8)
+        err = proto.measure_error(tree, valid, valid)
+        assert err > 0
+        cleaned = proto.cleanup(tree, err, valid, valid)
+        for t, valid_b in ((tree, valid), (cleaned, valid), (cleaned, other)):
+            expect = never_wrong_by_pairs(t, valid, valid_b)
+            assert proto.never_wrong(t, valid, valid_b) == expect
+            verdicts.append(expect)
+    assert verdicts[0::3] == [False] * 100 and verdicts[1::3] == [True] * 100
+    assert False in verdicts[2::3]
+
+
+def test_never_wrong_checks_every_pair_at_10_plus_10_bits():
+    # 2^20 input pairs per tree, 16 times what the pair enumeration allowed
+    rng = np.random.default_rng(10)
+    valid = lambda label, v: (v >> (label % 10)) & 1 == 0
+    for trial in range(3):
+        tree = proto.random_onebit_tree(rng, 10, 10, 8, labels=[0, 1, 2])
+        err = proto.measure_error(tree, valid, valid)
+        assert err > 0 and not proto.never_wrong(tree, valid, valid)
+        assert proto.never_wrong(proto.cleanup(tree, err, valid, valid), valid, valid)
+
+
+def test_trees_agree_matches_outputs_agree_over_every_pair():
+    # criterion 10's 30 trees at 6 + 6 bits, each against its transform and
+    # against the transform with one leaf relabelled
+    rng = np.random.default_rng(1234)
+    pairs = list(itertools.product(range(64), range(64)))
+    for trial in range(30):
+        tree = proto.random_onebit_tree(rng, 6, 6, 5, labels=list(range(4)))
+        out = proto.subcube_like_transform(tree, 0.8)
+        assert proto.trees_agree(tree, out) and proto.outputs_agree(tree, out, pairs)
+        mutant = copy.deepcopy(out)
+        leaves = [node for node in mutant.nodes() if isinstance(node, proto.Leaf)]
+        leaves[trial % len(leaves)].label = "changed"
+        assert not proto.outputs_agree(tree, mutant, pairs)
+        assert not proto.trees_agree(tree, mutant) and not proto.trees_agree(mutant, tree)
+
+
+def test_reaching_rects_partition_the_domain_by_routed_leaf():
+    # every pair lies in exactly one rectangle, and the rectangle's leaves
+    # are the ones _route sends the pair to
+    xs, ys = proto._pair_arrays(itertools.product(range(32), range(32)))
+
+    def routed_leaves(tree):
+        leaves = [None] * len(xs)
+        for _, node, idx in proto._route(tree, xs, ys):
+            if isinstance(node, proto.Leaf):
+                for k in idx.tolist():
+                    leaves[k] = node
+        return leaves
+
+    for seed in range(4):
+        tree = small_tree(seed=seed, n_bits=5, depth=4, labels=(0, 1, 2, 3))
+        out = proto.subcube_like_transform(tree, 0.8)
+        expect = list(zip(routed_leaves(tree), routed_leaves(out)))
+        covered = []
+        for leaves, X, Y in proto._reaching_rects(tree, out):
+            for k in (X[:, None] * 32 + Y).ravel().tolist():
+                assert all(a is b for a, b in zip(expect[k], leaves))
+                covered.append(k)
+        assert sorted(covered) == list(range(1024))
 
 
 def counting_predicate(calls, n_bits):
@@ -695,9 +772,14 @@ def test_predicates_run_once_per_leaf_side():
     assert 0 < len(calls) <= 2 * leaves  # one per verification round
     calls.clear()
     assert proto.never_wrong(cleaned, valid, valid)
-    labelled = sum(1 for leaf, _, _ in cleaned.leaves() if leaf.label is not BOT)
-    assert 0 < len(calls) <= 2 * labelled
-    assert sum(calls) == 2 * (1 << 10) * (1 - proto.bottom_probability(cleaned))
+    # once per side of each labelled leaf, on the side itself, not on pairs
+    sides = [
+        len(side)
+        for leaf, _, _ in cleaned.leaves()
+        if leaf.label is not BOT
+        for side in (leaf.rect.X, leaf.rect.Y)
+    ]
+    assert sides and sorted(calls) == sorted(sides)
 
 
 @pytest.mark.parametrize("value", [True, False])

@@ -355,5 +355,8 @@ def test_union_bound_calculator():
     assert tbnc.union_bound_calculator(0, 10, 0.5) == 2.0**10
     assert tbnc.union_bound_calculator(100, 10, 1.0) == 2.0**10
     assert tbnc.union_bound_calculator(100, 10, 0.5) == 2.0**-90
+    # below the smallest float, and still exact
+    assert tbnc.union_bound_calculator(2000, 10, 0.5) == Fraction(1, 2**1990)
+    assert tbnc.union_bound_calculator(3, 0, "1/3") == Fraction(1, 27)
     with pytest.raises(ValueError):
         tbnc.union_bound_calculator(-1, 10, 0.5)
