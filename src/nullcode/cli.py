@@ -60,7 +60,8 @@ def _load_spec(args) -> CodeSpec:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """A --p value: a fraction whose reduced denominator is at most 2^64."""
+    """A --p or --zeta value: a fraction whose reduced denominator is at
+    most 2^64."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -87,16 +88,20 @@ _n_bits = _int_in("--n-bits", 1, DEFAULT_ENUM_BUDGET.bit_length() - 1)
 _copies = _int_in("--t", 1, DEFAULT_ENUM_BUDGET)
 
 
-def _gamma(text: str) -> float:
-    """A --gamma value: a finite positive number that does not read as 0."""
+def _gamma(text: str) -> Fraction:
+    """A --gamma value: a finite positive number, read exactly, whose reduced
+    denominator is at most `density.MAX_GAMMA_DEN`."""
     try:
-        gamma = float(text)
+        value = float(text)
     except ValueError:
         raise UsageError(f"--gamma {text!r} is not a number") from None
-    if not (math.isfinite(gamma) and gamma > 0):
+    if not (math.isfinite(value) and value > 0):
         raise UsageError(f"--gamma {text} is not a finite positive number")
-    if density.density_cut(2, gamma, 1) == 2:  # floor(2^(1 - gamma)) = 2 iff gamma reads as 0
-        raise UsageError(f"--gamma {text} reads as 0 at the 1/1000 resolution of gamma")
+    gamma = Fraction(text)  # the float's range bounds the power of ten built here
+    if gamma.denominator > density.MAX_GAMMA_DEN:
+        raise UsageError(
+            f"--gamma {text} has a reduced denominator above {density.MAX_GAMMA_DEN}"
+        )
     return gamma
 
 
@@ -637,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_code_decode)
     p = code.add_parser("listrec")
     _add_code_source(p)
-    p.add_argument("--zeta", type=float, default=0.4)
+    p.add_argument("--zeta", type=_parse_fraction, default="0.4")
     p.add_argument("--ell", type=int, default=1)
     _add_common(p, trials=10)
     p.set_defaults(fn=cmd_code_listrec)

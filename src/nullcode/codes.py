@@ -579,11 +579,12 @@ def dual_decode(spec: CodeSpec, params: DecoderParams, z: Codeword):
 def list_recover_count(
     spec: CodeSpec,
     S,
-    zeta: float,
+    zeta,
     jobs: int = 1,
 ) -> int:
     """Exact number of codewords agreeing with the candidate sets S_i of
-    symbol ranks on at least zeta * n coordinates."""
+    symbol ranks on at least zeta * n coordinates.  zeta is read as a
+    Fraction, a float exactly as the decimal its repr prints."""
     if len(S) != spec.n:
         raise LengthMismatch(f"need {spec.n} candidate sets, got {len(S)}")
     sets = [np.array(sorted({int(r) for r in s}), dtype=np.int64) for s in S]
@@ -596,7 +597,8 @@ def list_recover_count(
         pos = np.searchsorted(values, s).clip(max=values.size - 1)
         member[pos[values[pos] == s]] = True
         members.append(member)
-    threshold = math.ceil(zeta * spec.n - 1e-9)
+    zeta = Fraction(repr(zeta)) if isinstance(zeta, float) else Fraction(zeta)
+    threshold = math.ceil(zeta * spec.n)
 
     def chunk_count(bounds):
         lo, hi = bounds

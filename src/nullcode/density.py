@@ -9,12 +9,15 @@ checks are exact: the density threshold comparison
 
     count > |X| * 2^(-gamma |I|)
 
-is evaluated in integer arithmetic (gamma is treated as a rational), so
-exact ties never violate.  One subcube count (Yates's algorithm over
-{0, 1, *}^f) gives the count of every pattern (I, a) on the f coordinates
-at once.  For an integer count, count > floor(|X| 2^(-gamma |I|)) iff the
-violation ratio count * 2^(gamma |I|) exceeds |X|, so a single threshold
-test at the ratio-maximal width decides density.
+is evaluated in integer arithmetic, so exact ties never violate.  gamma is
+a rational: a float is read exactly by its repr (0.8 is 4/5), and one
+whose reduced denominator is above `MAX_GAMMA_DEN` raises ValueError,
+since the denominator is the power the comparisons raise |X| to.  One
+subcube count (Yates's algorithm over {0, 1, *}^f) gives the count of
+every pattern (I, a) on the f coordinates at once.  For an integer count,
+count > floor(|X| 2^(-gamma |I|)) iff the violation ratio
+count * 2^(gamma |I|) exceeds |X|, so a single threshold test at the
+ratio-maximal width decides density.
 
 The partition greedy peels the *maximally violating* pattern: the (I, a)
 maximizing the violation ratio Pr[x_I = a] * 2^(gamma |I|), ties broken by
@@ -32,6 +35,19 @@ maximal only at K' = K, W = {}, so the constant coordinates at their bits
 are the answer, or None when K is empty; for gamma = 0 no pattern
 violates.  At gamma >= 1 free coordinates tie or win, so those sets take
 the count table like every other set.
+
+Most other large sets are certified dense by counting, with no count
+table either.  Let M be the largest count of one full pattern on the f
+coordinates (1 for distinct elements).  A pattern of width w spans
+2^(f - w) full patterns, so its count is at most M 2^(f - w), and no
+pattern of width w violates when (M 2^(f - w))^den 2^(num w) <= |X|^den
+(gamma = num/den).  For gamma < 1 that clears every width from
+(f - log2(|X|/M)) / (1 - gamma) up.  When it clears every width >= 3, the
+counts of widths 1 and 2 come from the 2^f histogram as h B and
+B^T diag(h) B, with B the f pattern bits of each histogram cell; if
+neither width violates, X is dense.  The certificate only ever answers
+"dense", so the maximal pattern and its tie-break always come from the
+table.
 """
 
 from __future__ import annotations
@@ -56,6 +72,11 @@ def _as_array(X) -> np.ndarray:
     return arr
 
 
+# The largest reduced denominator of a float gamma: `_cut` raises sizes to
+# this power, and a float such as 0.123456789 would make it 10^9.
+MAX_GAMMA_DEN = 1000
+
+
 def _as_fraction(gamma) -> Fraction:
     if isinstance(gamma, float):
         return _float_fraction(gamma)
@@ -66,7 +87,11 @@ def _as_fraction(gamma) -> Fraction:
 
 @lru_cache(maxsize=256)
 def _float_fraction(gamma: float) -> Fraction:
-    return Fraction(gamma).limit_denominator(1000)
+    """A float gamma read exactly as the decimal its repr prints."""
+    g = Fraction(repr(gamma))
+    if g.denominator > MAX_GAMMA_DEN:
+        raise ValueError(f"gamma {gamma!r} has a reduced denominator above {MAX_GAMMA_DEN}")
+    return g
 
 
 def density_cut(size: int, gamma, s: int) -> int:
@@ -202,17 +227,23 @@ def subcube_counts(X, coords) -> np.ndarray:
     the coordinate to that bit and digit 2 leaves it free."""
     arr, coords = _as_array(X), _as_coords(coords)
     _check_cells(len(coords))
-    return _count_table(arr, coords).astype(np.int64)
+    return _count_table(_histogram(arr, coords), len(arr)).astype(np.int64)
 
 
-def _count_table(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
-    """`subcube_counts` in the narrowest unsigned dtype that holds |X|,
-    which bounds every count; a wide table is a view of the thread's
-    workspace, valid until the next call.  Callers normalise both
-    arguments and check the cell budget."""
-    f = len(coords)
-    counts = np.bincount(_project(arr, coords), minlength=1 << f)
-    dtype = np.min_scalar_type(len(arr))
+def _histogram(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+    """The count of each of the 2^f full patterns on coords, in `_project`'s
+    pattern order."""
+    return np.bincount(_project(arr, coords), minlength=1 << len(coords))
+
+
+def _count_table(hist: np.ndarray, size: int) -> np.ndarray:
+    """`subcube_counts` from the histogram of a set of `size` elements, in
+    the narrowest unsigned dtype that holds the size, which bounds every
+    count; a wide table is a view of the thread's workspace, valid until
+    the next call.  Callers check the cell budget."""
+    f = hist.size.bit_length() - 1
+    counts = hist
+    dtype = np.min_scalar_type(size)
     # Yates's algorithm: each pass turns binary digits into ternary ones
     # (bit 0, bit 1, then their sum for a free coordinate)
     if f < _WIDE_F:
@@ -322,6 +353,48 @@ def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tup
     return K, tuple(low >> c & 1 for c in K)
 
 
+@lru_cache(maxsize=None)
+def _pattern_bits(f: int) -> np.ndarray:
+    """B: row p holds the f bits of pattern p, least significant first, as
+    float64."""
+    return (np.arange(1 << f)[:, None] >> np.arange(f) & 1).astype(np.float64)
+
+
+def _dense_by_counting(hist: np.ndarray, size: int, num: int, den: int) -> bool:
+    """True when the histogram of a set of `size` elements shows it
+    (num/den)-dense without a count table (module docstring); False when
+    it cannot tell."""
+    f = hist.size.bit_length() - 1
+    target = size**den
+    # (M 2^(f - w))^den 2^(num w) > |X|^den: widths the bound leaves open
+    top = int(hist.max()) ** den
+    open_widths = [w for w in range(1, f + 1) if top << den * (f - w) + num * w > target]
+    if not open_widths:
+        return True
+    if open_widths[-1] > 2:
+        return False
+    # exact counts of widths 1 and 2 from both = B^T diag(h) B: both[j, k]
+    # counts the elements whose pattern bits j and k are 1.  It is built
+    # over the low and high halves of the bits, so no operand has more
+    # cells than h; every entry is an integer of at most |X| < 2^53, so
+    # the float64 products are exact.
+    lo = f // 2
+    H = hist.reshape(-1, 1 << lo).astype(np.float64)
+    low, high = _pattern_bits(lo), _pattern_bits(f - lo)
+    both = np.empty((f, f))
+    both[:lo, :lo] = (low.T * H.sum(axis=0)) @ low
+    both[lo:, lo:] = (high.T * H.sum(axis=1)) @ high
+    both[lo:, :lo] = high.T @ H @ low
+    both[:lo, lo:] = both[lo:, :lo].T
+    ones = both.diagonal().copy()
+    one_zero = ones[:, None] - both  # bit j 1 and bit k 0 (its transpose: k 1, j 0)
+    zeros = size - ones - one_zero  # both bits 0
+    np.fill_diagonal(both, 0)
+    np.fill_diagonal(zeros, 0)
+    widest = max(ones.max(), size - ones.min()), max(both.max(), one_zero.max(), zeros.max())
+    return all(int(c) ** den << num * w <= target for w, c in zip((1, 2), widest))
+
+
 def is_dense(X, gamma, coords) -> bool:
     """Exact check: no pattern (I, a) over nonempty I subseteq coords has
     count exceeding |X| * 2^(-gamma |I|)."""
@@ -335,7 +408,8 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     Maximal means the largest violation ratio count * 2^(gamma |I|); ties
     prefer larger |I|, then lexicographically smaller (I, a).  I is an
     ascending coordinate tuple, a the matching bits.  A coordinate outside
-    [0, 64) or given twice, or a negative gamma, raises ValueError.
+    [0, 64) or given twice, a negative gamma, or a float gamma whose
+    reduced denominator is above `MAX_GAMMA_DEN`, raises ValueError.
     """
     arr, coords = _as_array(X), _as_coords(coords)
     g = _as_fraction(gamma)
@@ -358,7 +432,10 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
         fixed = _subcube_fixed(arr, coords)
         if fixed is not None:
             return fixed if fixed[0] and num else None
-    counts = _count_table(arr, coords)
+    hist = _histogram(arr, coords)
+    if _dense_by_counting(hist, n, num, den):
+        return None
+    counts = _count_table(hist, n)
     if f < _WIDE_F:
         order, starts = _width_order(f)
         ranked = counts.take(order)

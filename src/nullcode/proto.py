@@ -342,7 +342,9 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     DEFAULT_ENUM_BUDGET nodes.
     """
     if density_cut(2, gamma, 1) == 0:  # floor(2^(1 - gamma)) = 0 iff gamma > 1
-        raise ValueError(f"gamma {gamma} exceeds 1: the full domain is not gamma-dense")
+        # a Fraction such as the CLI's 3/2 prints as the decimal 1.5
+        shown = float(gamma) if isinstance(gamma, Fraction) else gamma
+        raise ValueError(f"gamma {shown} exceeds 1: the full domain is not gamma-dense")
     nodes = 1
     # The speaker's refinement depends only on the original node and the
     # speaker's side, so siblings that differ only in the other side share
@@ -643,9 +645,7 @@ def danger_track(
 
 
 def _recount_check(spec, cells: list[set], expected: int) -> None:
-    count = codes_mod.list_recover_count(
-        spec, [frozenset(c) for c in cells], float(DANGER_THRESHOLD)
-    )
+    count = codes_mod.list_recover_count(spec, [frozenset(c) for c in cells], DANGER_THRESHOLD)
     if count != expected:
         raise AssertionError(
             f"list_recover_count disagrees with the danger recount: {count} != {expected}"

@@ -208,10 +208,10 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             ["proto", "transform", "--gamma", "1e300", "--n-bits", "4", "--depth", "3"],
             "gamma 1e+300 exceeds 1: the full domain is not gamma-dense",
         ),
-        # a gamma that reads as 0 at density's 1/1000 resolution does nothing
+        # gamma is read exactly, and its reduced denominator is capped
         (
             ["proto", "transform", "--gamma", "0.0004", "--trials", "1"],
-            "--gamma 0.0004 reads as 0 at the 1/1000 resolution of gamma",
+            "--gamma 0.0004 has a reduced denominator above 1000",
         ),
         (["proto", "drp", "--gamma", "0.0004", "--trials", "1"], None),
         # a family whose all-ones hash block does not fit in int64, or is empty
@@ -249,6 +249,12 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
         (["tbnc", "gen", "--t", "65537"], "--t 65537 is not an integer in [1, 65536]"),
         (["tbnc", "alg2", "--t", "65537", "--trials", "1"], None),
         (["tbnc", "totality", "--t", "65537"], None),
+        # gamma and zeta are read exactly: 0.8001 is 8001/10000, not 4/5
+        (
+            ["proto", "drp", "--gamma", "0.8001", "--trials", "1"],
+            "--gamma 0.8001 has a reduced denominator above 1000",
+        ),
+        (["code", "listrec", "--toy", "--zeta", "abc", "--trials", "1"], "'abc' is not a fraction"),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):

@@ -710,13 +710,18 @@ def test_list_recover_count_jobs_invariant():
     )
 
 
-def _list_recover_oracle(spec, S, zeta):
-    """Count agreements with np.isin over the full rank columns."""
+def _agreements(spec, S):
+    """Each codeword's agreements with S, by np.isin over the full rank
+    columns."""
     ranks = codes.codeword_rank_matrix(spec)
     agree = np.zeros(ranks.shape[0], dtype=np.int64)
     for i, s in enumerate(S):
         agree += np.isin(ranks[:, i], np.array(sorted(s), dtype=np.int64))
-    return int((agree >= math.ceil(zeta * spec.n - 1e-9)).sum())
+    return agree
+
+
+def _list_recover_oracle(spec, S, zeta):
+    return int((_agreements(spec, S) >= math.ceil(zeta * spec.n - 1e-9)).sum())
 
 
 @pytest.mark.parametrize("spec", [codes.preset(2), GRS_K3], ids=["preset2", "grs-k3"])
@@ -742,6 +747,25 @@ def test_list_recover_count_matches_isin(spec):
             want = _list_recover_oracle(spec, S, zeta)
             for jobs in (1, 3):
                 assert codes.list_recover_count(spec, S, zeta, jobs=jobs) == want
+
+
+def test_list_recover_count_reads_zeta_exactly():
+    # the threshold is ceil(zeta n) with no slack: at zeta n = t + 10^-12
+    # a codeword needs t + 1 agreements (a 1e-9 slack made it t)
+    spec = GRS_K3
+    ranks = codes.codeword_rank_matrix(spec)
+    rng = np.random.default_rng(7)
+    S = [set(ranks[rng.random(len(ranks)) < 0.4, i].tolist()) for i in range(spec.n)]
+    agree, n = _agreements(spec, S), spec.n
+    assert set(agree.tolist()) == set(range(n + 1))
+    for t in range(n + 1):
+        assert codes.list_recover_count(spec, S, Fraction(t, n)) == (agree >= t).sum()
+        above = Fraction(t * 10**12 + 1, n * 10**12)
+        assert codes.list_recover_count(spec, S, above) == (agree >= t + 1).sum()
+        assert codes.list_recover_count(spec, S, float(above)) == (agree >= t + 1).sum()
+    # a float is read as the decimal its repr prints: 2/3 as 0.6666666666666666
+    assert codes.list_recover_count(spec, S, 2 / 3) == (agree >= 2).sum()
+    assert codes.list_recover_count(spec, S, "0.8") == (agree >= 3).sum()
 
 
 def test_lr_param_check():

@@ -1,4 +1,5 @@
 
+import re
 import threading
 from fractions import Fraction
 from itertools import combinations
@@ -152,7 +153,7 @@ def _violation_by_definition(X, gamma, coords):
     """Every I subseteq coords, one bincount each: the largest exact ratio
     count * 2^(gamma |I|) among violating patterns, ties to larger |I|, then
     the lexicographically first I, then the smallest pattern."""
-    g = Fraction(gamma).limit_denominator(1000)
+    g = Fraction(repr(gamma)) if isinstance(gamma, float) else Fraction(gamma)
     num, den = g.numerator, g.denominator
     coords = tuple(sorted(coords))
     best = None  # (count, |I|, I, pattern)
@@ -375,7 +376,8 @@ def test_subcube_counts_at_dtype_edges(size, f):
     rng = np.random.default_rng([size, f])
     X = rng.choice(1 << 17, size=size, replace=False)
     coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
-    assert density._count_table(X, coords).dtype == np.min_scalar_type(size)
+    table = density._count_table(density._histogram(X, coords), len(X))
+    assert table.dtype == np.min_scalar_type(size)
     counts = subcube_counts(X, coords)
     assert counts.dtype == np.int64
     assert counts[-1] == size  # every coordinate free
@@ -451,7 +453,7 @@ def test_kernel_count_table_matches_transposed_passes(size):
     X = rng.choice(1 << 17, size=size, replace=False)
     for f in range(1, density._WIDE_F):
         coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
-        got = density._count_table(X, coords)
+        got = density._count_table(density._histogram(X, coords), len(X))
         want = _count_table_transposed(X, coords)
         assert got.dtype == want.dtype == np.min_scalar_type(size)
         assert np.array_equal(got, want), f
@@ -509,7 +511,7 @@ def test_find_violation_matches_definition_on_narrow_ties():
 
 def _density_cut_search(size, gamma, s):
     """floor(size * 2^(-gamma s)) by an uncached binary search."""
-    g = Fraction(gamma).limit_denominator(1000) if isinstance(gamma, float) else Fraction(gamma)
+    g = Fraction(repr(gamma)) if isinstance(gamma, float) else Fraction(gamma)
     lo, hi = 0, size
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -521,9 +523,9 @@ def _density_cut_search(size, gamma, s):
 
 
 def test_density_cut_matches_uncached_search():
-    # 1/1024 as a float normalises to 1/1000, as a Fraction it stays 1/1024;
-    # the two compare (and hash) equal
-    pairs = [(1 / 1024, Fraction(1, 1024)), (0.5, Fraction(1, 2)), (0.8, Fraction(4, 5))]
+    # a float is read exactly as the decimal its repr prints, so 0.001 is
+    # 1/1000 although the float and the Fraction differ (and hash apart)
+    pairs = [(0.001, Fraction(1, 1000)), (0.5, Fraction(1, 2)), (0.8, Fraction(4, 5))]
     args = [(size, s) for size in (1, 7, 64, 1000, 10**6) for s in (0, 1, 5, 10)]
     for float_gamma, frac_gamma in pairs:
         for first, second in ((float_gamma, frac_gamma), (frac_gamma, float_gamma)):
@@ -531,7 +533,19 @@ def test_density_cut_matches_uncached_search():
             for gamma in (first, second, first):
                 for size, s in args:
                     assert density_cut(size, gamma, s) == _density_cut_search(size, gamma, s)
-    assert density_cut(10**6, 1 / 1024, 10) != density_cut(10**6, Fraction(1, 1024), 10)
+    assert 0.001 != Fraction(1, 1000)
+    assert density_cut(1024, Fraction(8001, 10000), 10) == 3
+
+
+@pytest.mark.parametrize("gamma", [1 / 1024, 0.8001, 0.0001, 2 / 3, 5e-324])
+def test_float_gamma_with_a_denominator_above_the_cap_raises(gamma):
+    # 0.8001 once read as 4/5 and 0.0001 as 0; a Fraction is taken as given
+    message = re.escape(f"gamma {gamma!r} has a reduced denominator above 1000")
+    with pytest.raises(ValueError, match=message):
+        density_cut(1024, gamma, 10)
+    for X in (np.arange(8), np.array([0, 2, 1])):  # a subcube and another set
+        with pytest.raises(ValueError, match=message):
+            find_violation(X, gamma, (0, 1, 2))
 
 
 def _partition_by_coordinate_peel(X, gamma, coords):
@@ -701,3 +715,125 @@ def test_subcube_certificate_matches_the_count_table(monkeypatch):
         EmptySet,
         ValueError,
     }
+
+
+CRITERION_9_ALPHAS = (0.3, 0.5, 0.7, 0.9)
+COUNTING_GAMMAS = (0, Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), 1, 2)
+
+
+def _criterion_9_sets(count):
+    """Criterion 9's first sets: random 12-bit sets at each alpha in turn."""
+    rng = np.random.default_rng(99)
+    sets = []
+    for trial in range(count):
+        mask = rng.random(4096) < CRITERION_9_ALPHAS[trial % 4]
+        if not mask.any():
+            mask[0] = True
+        sets.append(np.nonzero(mask)[0].astype(np.int64))
+    return sets
+
+
+def _counting_cases():
+    """Sets on up to 12 coordinates: criterion 9's, random ones at several
+    densities, ones with few elements that have some bit on one
+    coordinate (or two), so that width 1 or 2 violates while the bound
+    clears the wider widths, with repeated elements, with bits outside coords varying, and
+    with a coordinate at the sign bit."""
+    rng = np.random.default_rng(34)
+    cases = [(X, tuple(range(12))) for X in _criterion_9_sets(4)]
+    for trial in range(150):
+        f = int(rng.integers(1, 13))
+        nbits = f + trial % 3
+        coords = tuple(int(c) for c in rng.choice(nbits, size=f, replace=False))
+        cube = np.arange(1 << nbits)
+        keep = rng.random(cube.size) < (0.3, 0.5, 0.7, 0.9, 0.97, 1)[trial % 6]
+        if trial % 4 == 1:
+            thin = (cube >> coords[0] & 1) == trial % 3 % 2
+            if trial % 8 == 5 and f > 1:
+                thin &= (cube >> coords[1] & 1) == trial % 5 % 2
+            keep &= ~thin | (rng.random(cube.size) < rng.uniform(0.1, 0.7))
+        keep[0] = True
+        X = cube[keep]
+        if trial % 7 == 3:  # repeated elements
+            X = np.append(X, X[rng.integers(0, len(X), size=len(X) // 3 + 1)])
+        if trial % 5 == 4:  # bit b moved to bit position[b], coords[0] to the sign bit
+            position = rng.choice(63, size=nbits, replace=False)
+            position[coords[0]] = 63
+            X = np.bitwise_or.reduce([((X >> b) & 1) << p for b, p in enumerate(position)])
+            coords = tuple(int(position[c]) for c in coords)
+        cases.append((rng.permutation(X), coords))
+    return cases
+
+
+def test_counting_certificate_matches_the_count_table(monkeypatch):
+    cases = _counting_cases()
+    certify, pattern_bits = density._dense_by_counting, density._pattern_bits
+    exact, answered = [], []  # _pattern_bits runs only for the exact widths 1 and 2
+
+    def recorded(*args):
+        before = len(exact)
+        answered.append((certify(*args), len(exact) > before))
+        return answered[-1][0]
+
+    monkeypatch.setattr(density, "_pattern_bits", lambda f: exact.append(f) or pattern_bits(f))
+    monkeypatch.setattr(density, "_dense_by_counting", recorded)
+    got = [_outcome(find_violation, X, g, coords) for X, coords in cases for g in COUNTING_GAMMAS]
+    monkeypatch.setattr(density, "_dense_by_counting", lambda *a: False)
+    want = [_outcome(find_violation, X, g, coords) for X, coords in cases for g in COUNTING_GAMMAS]
+    assert got == want
+    # dense by the bound alone, dense after counting widths 1 and 2, a
+    # violation at width 1 or 2, and sets left to the table
+    assert sum(answer and not counted for answer, counted in answered) >= 50
+    assert sum(answer and counted for answer, counted in answered) >= 50
+    assert sum(not answer and counted for answer, counted in answered) >= 20
+    assert sum(not answer and not counted for answer, counted in answered) >= 100
+    assert sum(w is not None and type(w[0]) is tuple for w in want) >= 100
+
+
+def test_dense_criterion_9_sets_build_no_count_table(monkeypatch):
+    count_table, built = density._count_table, []
+
+    def counted(hist, size):
+        built.append(size)
+        return count_table(hist, size)
+
+    monkeypatch.setattr(density, "_count_table", counted)
+    coords = tuple(range(12))
+    for trial, X in enumerate(_criterion_9_sets(8)):
+        built.clear()
+        parts = density_restoring_partition(X, 0.8, coords)
+        validate_partition(X, parts, 0.8, coords)
+        alpha = CRITERION_9_ALPHAS[trial % 4]
+        assert (alpha, len(built) > 0) in {(0.3, True), (0.5, True), (0.7, False), (0.9, False)}
+    # exact ties do not violate: the full cube at gamma = 1 meets the bound
+    # with equality at every width; at gamma = 1/2 this set meets it at
+    # width 2, and its pattern x0 = x1 = 0 holds exactly |X|/2 elements
+    built.clear()
+    assert is_dense(np.arange(1 << 12), 1, coords) and not built
+    tie = np.array([0] * 6 + [4] * 6 + [1, 2, 3, 5, 6, 7] * 2)
+    assert is_dense(tie, Fraction(1, 2), (0, 1, 2)) and not built
+    assert _violation_by_definition(tie, Fraction(1, 2), (0, 1, 2)) is None
+
+
+def test_budget_and_value_errors_come_before_the_histogram(monkeypatch):
+    def no_histogram(*args):
+        raise AssertionError("built a histogram")
+
+    monkeypatch.setattr(density, "_histogram", no_histogram)
+    dense = np.arange((1 << 17) - 1)  # not a subcube; dense by counting for gamma < 1
+    with pytest.raises(BudgetExceeded):
+        find_violation(dense, 0.5, range(17))
+    small = np.arange(7)
+    with pytest.raises(ValueError, match="gamma -0.5 is negative"):
+        find_violation(small, -0.5, range(3))
+    with pytest.raises(ValueError, match="above 1000"):
+        find_violation(small, 0.0001, range(3))
+    with pytest.raises(ValueError, match="coordinate 64 is outside"):
+        find_violation(small, 0.5, (0, 64))
+    with pytest.raises(EmptySet):
+        find_violation(small[:0], 0.5, range(3))
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceeded):
+        find_violation(dense, 0.5, range(17))
+    assert density._dense_by_counting(density._histogram(small, (0, 1, 2)), 7, 1, 2)
+    assert find_violation(small, 0.5, range(3)) is None

@@ -18,6 +18,10 @@ def make_set(kind, seed, f, extra):
     if kind == "random":
         size = int(rng.integers(1, (1 << nbits) + 1))
         return rng.choice(1 << nbits, size=size, replace=False), coords
+    if kind == "dense":  # most of the cube, which counting can certify dense
+        keep = rng.random(1 << nbits) < rng.uniform(0.75, 1)
+        keep[0] = True
+        return rng.permutation(np.flatnonzero(keep)), coords
     X = subcube(rng, coords, nbits, outside=kind == "outside")
     if kind == "duplicate":  # |X| stays a power of two when X[0] replaces X[-1]
         X = np.append(X[:-1], X[0]) if len(X) > 1 else np.append(X, X)
@@ -26,7 +30,7 @@ def make_set(kind, seed, f, extra):
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
-    kind=st.sampled_from(["subcube", "duplicate", "outside", "random"]),
+    kind=st.sampled_from(["subcube", "duplicate", "outside", "random", "dense"]),
     seed=st.integers(0, 2**32 - 1),
     f=st.integers(1, 6),
     extra=st.integers(0, 2),

@@ -171,9 +171,9 @@ def test_transform_random_trees_exhaustive_small():
         assert codes_hold_the_bound(out, stats)
 
 
-@pytest.mark.parametrize("gamma", [0.0001, 0.25, 0.5, 1, Fraction(1), 1.0001])
+@pytest.mark.parametrize("gamma", [0, 0.25, 0.5, 1, Fraction(1)])
 def test_transform_and_validation_across_gamma(gamma):
-    # 0.0001 normalises to 0 and 1.0001 to 1; at gamma = 1 ties do not violate
+    # at gamma = 1 ties do not violate
     for seed in range(4):
         tree = small_tree(seed=seed, n_bits=5, depth=4)
         out = proto.subcube_like_transform(tree, gamma)
@@ -295,10 +295,10 @@ def unmemoised_transform(tree, gamma, code_stats):
     """The transform re-peeling the speaker's side at every node, with no
     memo shared between siblings: the reference for
     proto.subcube_like_transform.  It tracks each side's free coordinates
-    as the parts fix them, and for a gamma that does not read as 0 asserts
-    at every node that they are the ones where the side varies."""
+    as the parts fix them, and for a gamma above 0 asserts at every node
+    that they are the ones where the side varies."""
     nodes = 1
-    derived = density.density_cut(2, gamma, 1) < 2  # floor(2^(1 - gamma)) = 2 iff gamma reads as 0
+    derived = density.density_cut(2, gamma, 1) < 2  # floor(2^(1 - gamma)) = 2 iff gamma is 0
 
     def build(orig, rect, free):
         nonlocal nodes
@@ -361,7 +361,7 @@ def transform_outcome(transform, tree, gamma):
         return str(exc), stats
 
 
-@pytest.mark.parametrize("gamma", [0.0001, 0.25, 0.5, 0.8, 1])  # 0.0001 reads as 0
+@pytest.mark.parametrize("gamma", [0, 0.25, 0.5, 0.8, 1])
 @pytest.mark.parametrize("n_bits, depth", [(6, 5), (10, 6)])
 def test_memoised_transform_matches_the_unmemoised_one(n_bits, depth, gamma, monkeypatch):
     # at gamma = 1 the 6-bit trees have 12417 and 14433 nodes and the
