@@ -12,6 +12,7 @@ import csv
 import glob as glob_mod
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -59,9 +60,22 @@ def _load_spec(args) -> CodeSpec:
     raise UsageError("one of --t, --config, or --toy is required")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """A --p or --zeta value: a fraction whose reduced denominator is at
-    most 2^64."""
+# The largest decimal exponent magnitude a --p or --zeta value may carry:
+# Fraction("1e<x>") builds 10^|x|, and CPython caps the digits of an
+# integer read from a string at this count.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _parse_fraction(text: str, flag: str) -> Fraction:
+    """The value of flag (--p or --zeta): a fraction whose reduced
+    denominator is at most 2^64 and whose decimal exponent, if any, is at
+    most _MAX_EXPONENT in magnitude."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise UsageError(f"{flag} {text} has a decimal exponent above {_MAX_EXPONENT} in magnitude")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -140,7 +154,7 @@ def cmd_code_dual(args) -> int:
 
 def cmd_code_decode(args) -> int:
     spec = _load_spec(args)
-    params = DecoderParams.for_spec(spec, _parse_fraction(args.p))
+    params = DecoderParams.for_spec(spec, _parse_fraction(args.p, "--p"))
     rng = np.random.default_rng(args.seed)
     dual_spec = codes.dual(spec)
     records = []
@@ -200,7 +214,7 @@ def cmd_code_lrcheck(args) -> int:
 
 def cmd_instance_gen(args) -> int:
     spec = _load_spec(args)
-    inst = instances.sample_instance(spec, _parse_fraction(args.p), args.seed)
+    inst = instances.sample_instance(spec, _parse_fraction(args.p, "--p"), args.seed)
     _emit([instances.instance_to_json(inst)], args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -253,7 +267,7 @@ def _trial_records(args) -> list[dict]:
     qsim.run_smp_protocol complete, with one record per instance; an
     instance with an empty table support is recorded as skipped."""
     spec = _load_spec(args)
-    p = _parse_fraction(args.p)
+    p = _parse_fraction(args.p, "--p")
     params = DecoderParams.for_spec(spec, p)
     keys = ("epsilon", "delta", "l2_distance", "success_probability")
     records = []
@@ -290,7 +304,7 @@ def cmd_qsim_claim66(args) -> int:
     if args.sigma & (args.sigma - 1):
         raise UsageError("--sigma must be a power of two")
     m = args.sigma.bit_length() - 1
-    stats = qsim.table_fourier_stats(FieldCtx(1), m, _parse_fraction(args.p))
+    stats = qsim.table_fourier_stats(FieldCtx(1), m, _parse_fraction(args.p, "--p"))
     printable = {k: v for k, v in stats.items() if not k.endswith("_exact")}
     print(json.dumps(printable, sort_keys=True))
     if args.out:
@@ -383,7 +397,7 @@ def cmd_proto_run(args) -> int:
 
 def cmd_proto_danger(args) -> int:
     spec = configs.toy_repetition_spec(n=args.n, s=args.s)
-    p = _parse_fraction(args.p)
+    p = _parse_fraction(args.p, "--p")
     tree = proto.reveal_solution_tree(spec)
     insts = [instances.sample_instance(spec, p, args.seed + i) for i in range(args.trials)]
     out = proto.danger_track(tree, spec, insts)
@@ -642,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_code_decode)
     p = code.add_parser("listrec")
     _add_code_source(p)
-    p.add_argument("--zeta", type=_parse_fraction, default="0.4")
+    p.add_argument("--zeta", type=lambda text: _parse_fraction(text, "--zeta"), default="0.4")
     p.add_argument("--ell", type=int, default=1)
     _add_common(p, trials=10)
     p.set_defaults(fn=cmd_code_listrec)

@@ -246,11 +246,12 @@ def from_digits(digits, base: int) -> np.ndarray:
 
 
 def fold(spec: CodeSpec, x) -> Codeword:
-    x = list(int(v) for v in x)
+    """The N field elements of x (any iterable; each is passed through int)
+    grouped into n symbols of m.  Raises LengthMismatch unless x has N."""
+    x = list(map(int, x))
     if len(x) != spec.N:
         raise LengthMismatch(f"expected {spec.N} field symbols, got {len(x)}")
-    m = spec.m
-    return tuple(tuple(x[i * m : (i + 1) * m]) for i in range(spec.n))
+    return tuple(zip(*[iter(x)] * spec.m))
 
 
 def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:

@@ -109,15 +109,40 @@ def prepare_phi(inst: OracleInstance, i: int) -> np.ndarray:
     return support.astype(np.float64)
 
 
+@functools.lru_cache(maxsize=16)
 def prepare_psi(spec: CodeSpec) -> np.ndarray:
     """Indicator vector of the code over Sigma^n; the uniform superposition
-    over the code is this vector over sqrt|C|."""
+    over the code is this vector over sqrt|C|.  Cached per spec; the
+    vector is shared and read-only."""
     vec = np.zeros(_dense_size(spec))
     vec[_code_flat_ranks(spec)] = 1.0
+    vec.setflags(write=False)
     return vec
 
 
 # -- decoding --------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def _coset_census(spec: CodeSpec, radius: int):
+    """The syndrome cosets of C-dual in Sigma^n and the words of each within
+    the unfolded radius, cached per (spec, radius), all read-only:
+
+    - words: the (K, N) digits of every flat rank;
+    - leaders: each coset's smallest flat rank, in syndrome order;
+    - coset: the coset index of every flat rank;
+    - reach: the number of words of weight at most radius in each coset.
+    """
+    total = _dense_size(spec)
+    q = spec.field.q
+    words = codes.to_digits(np.arange(total), q, spec.N)
+    syndromes = codes.from_digits(linalg.matmul(spec.field, words, spec.generator_matrix().T), q)
+    _, leaders, coset = np.unique(syndromes, return_index=True, return_inverse=True)
+    near = np.count_nonzero(words, axis=1) <= radius
+    reach = np.bincount(coset[near], minlength=leaders.size)
+    for arr in (words, leaders, coset, reach):
+        arr.setflags(write=False)
+    return words, leaders, coset, reach
 
 
 def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
@@ -136,19 +161,16 @@ def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
     wt the unfolded digit weight and r the unfolded radius: one for each
     word e = leader - c of the coset with wt(e) <= r.  So a census of the
     words within the radius per coset counts every coset's list exactly.
-    Only the cosets that hold such a word are decoded; every other one
-    decodes to bottom.  For r >= 0 the zero coset always holds one (the
-    zero word), so a radius the decoder rejects still raises.  Each decode
-    is checked against its census (AssertionError): it returns a codeword
-    exactly when the coset holds one word within the radius.
+    The census depends only on (spec, r) and is cached (_coset_census);
+    the decodes are not: every call decodes each coset that holds such a
+    word, and every other one decodes to bottom.  For r >= 0 the zero
+    coset always holds one (the zero word), so a radius the decoder
+    rejects still raises.  Each decode is checked against its census
+    (AssertionError): it returns a codeword exactly when the coset holds
+    one word within the radius.
     """
-    total = _dense_size(spec)
+    words, leaders, coset, reach = _coset_census(spec, params.radius_unfolded)
     q = spec.field.q
-    words = codes.to_digits(np.arange(total), q, spec.N)
-    syndromes = codes.from_digits(linalg.matmul(spec.field, words, spec.generator_matrix().T), q)
-    _, leaders, coset = np.unique(syndromes, return_index=True, return_inverse=True)
-    near = np.count_nonzero(words, axis=1) <= params.radius_unfolded
-    reach = np.bincount(coset[near], minlength=leaders.size)
     found = np.zeros(leaders.size, dtype=bool)
     shift = np.zeros(leaders.size, dtype=np.int64)
     for j in np.flatnonzero(reach).tolist():
@@ -159,7 +181,7 @@ def decode_rank_table(spec: CodeSpec, params: DecoderParams) -> np.ndarray:
         if dec is not None:
             found[j] = True
             shift[j] = leader ^ int(codes.from_digits(codes.unfold(spec, dec), q))
-    return np.where(found[coset], np.arange(total) ^ shift[coset], 0)
+    return np.where(found[coset], np.arange(coset.size) ^ shift[coset], 0)
 
 
 def flat_to_word(spec: CodeSpec, flat: int):
@@ -170,10 +192,12 @@ def flat_to_word(spec: CodeSpec, flat: int):
 # -- good/bad bookkeeping ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, np.ndarray]:
     """Product-form GOOD set C-dual x {e : symbol weight of e <= (p +
     epsilon) n}, as the masks (good_x, good_e) over flat ranks.  The
-    pipeline verifies F(x+e) = x on it."""
+    pipeline verifies F(x+e) = x on it on every call.  Cached per (spec,
+    params); the masks are shared and read-only."""
     sigma = spec.sigma_size
     total = _dense_size(spec)
     dual_spec = codes.dual(spec)
@@ -183,6 +207,8 @@ def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, 
     weight_cap = int((Fraction(params.p) + Fraction(params.epsilon)) * spec.n)
     weights = np.count_nonzero(codes.to_digits(np.arange(total), sigma, spec.n), axis=-1)
     good_e = weights <= weight_cap
+    good_x.setflags(write=False)
+    good_e.setflags(write=False)
     return good_x, good_e
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from nullcode import cli
 from nullcode.cli import main
+from nullcode.errors import UsageError
 
 
 def test_code_preset_output(capsys):
@@ -255,6 +257,15 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             "--gamma 0.8001 has a reduced denominator above 1000",
         ),
         (["code", "listrec", "--toy", "--zeta", "abc", "--trials", "1"], "'abc' is not a fraction"),
+        # a decimal exponent is bounded before Fraction builds 10^|exponent|
+        (
+            ["instance", "gen", "--toy", "--p", "1e1000000000"],
+            "--p 1e1000000000 has a decimal exponent above 4300 in magnitude",
+        ),
+        (
+            ["code", "listrec", "--toy", "--zeta", "1E-1_000_000_000", "--trials", "1"],
+            "--zeta 1E-1_000_000_000 has a decimal exponent above 4300 in magnitude",
+        ),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
@@ -448,6 +459,26 @@ def test_instance_solve_jobs_out_of_range_exits_2_before_any_scan(
         main(["instance", "solve", "--in", str(path), "--jobs", jobs])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: nullcode instance solve ")
+
+
+@pytest.mark.parametrize(
+    "text, ok",
+    [
+        ("1e4300", True),
+        ("0e-4300", True),
+        ("2.5E+0000000000004300", True),  # leading zeros do not count
+        ("1e4_300", True),
+        ("1e4301", False),
+        ("-1e-4301", False),
+        ("1e43000000000000000000000000000000", False),
+    ],
+)
+def test_fraction_exponent_bound(text, ok):
+    if ok:
+        assert cli._parse_fraction(text, "--p") == Fraction(text)
+    else:
+        with pytest.raises(UsageError, match=f"^--zeta {text} has a decimal exponent above 4300"):
+            cli._parse_fraction(text, "--zeta")
 
 
 def test_p_denominator_of_2_to_the_64_is_accepted(capsys):

@@ -246,6 +246,47 @@ def test_fold_unfold_roundtrip():
     assert codes.unfold(spec, codes.fold(spec, x)).tolist() == x
 
 
+def fold_loop(spec: CodeSpec, x):
+    """fold by slicing: symbol i is elements i m .. (i + 1) m - 1."""
+    x = list(int(v) for v in x)
+    if len(x) != spec.N:
+        raise LengthMismatch(f"expected {spec.N} field symbols, got {len(x)}")
+    m = spec.m
+    return tuple(tuple(x[i * m : (i + 1) * m]) for i in range(spec.n))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        configs.toy_selfdual_spec,
+        lambda: GRS_K3,
+        lambda: codes.preset(2),
+        lambda: _unfolded_dual_preset3(),  # defined below
+    ],
+    ids=["selfdual", "grs-k3-m5", "preset2", "preset3-dual-unfolded"],
+)
+def test_fold_matches_the_slicing_loop(build):
+    spec = build()
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, spec.field.q, size=spec.N)
+    half = spec.N // 2
+    inputs = [
+        x,
+        x.tolist(),
+        itertools.chain(x[:half].tolist(), x[half:]),
+        (x + 0.75).tolist(),  # floats truncate through int
+        x.astype(np.uint8),
+    ]
+    for value in inputs:
+        got = codes.fold(spec, value)
+        assert got == fold_loop(spec, x) and type(got[0][0]) is int
+    for length in (0, spec.N - 1, spec.N + 1, spec.N + spec.m):
+        word = x.tolist()[:length] + [0] * max(0, length - spec.N)
+        for fold in (codes.fold, fold_loop):
+            with pytest.raises(LengthMismatch, match=f"expected {spec.N} field symbols, got {length}"):
+                fold(spec, word)
+
+
 def test_fold_m1_identity():
     spec = rs_f4(1)
     assert codes.fold(spec, [0, 2, 0]) == ((0,), (2,), (0,))

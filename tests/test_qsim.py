@@ -581,8 +581,9 @@ def test_budget_rejects_large_preset():
 )
 def test_sigma_n_gates_raise_over_budget(build, spec, log_size):
     assert spec.sigma_size**spec.n == 1 << log_size  # over the 2^12 limit
-    with pytest.raises(BudgetExceeded, match=f"= {1 << log_size} exceeds the dense limit 4096"):
-        build(spec)
+    for _ in range(2):  # the gate raises before anything is cached, so again
+        with pytest.raises(BudgetExceeded, match=f"= {1 << log_size} exceeds the dense limit 4096"):
+            build(spec)
 
 
 def _floats(values):
@@ -861,3 +862,86 @@ def test_decode_table_good_on_dual():
     F = qsim.decode_rank_table(spec, params)
     dual_flat = qsim._code_flat_ranks(codes.dual(spec))
     assert np.array_equal(F[dual_flat], dual_flat)
+
+
+# -- the (code, decoder)-only structures, cached per process ------------------------
+
+
+def cached_structures(spec, params):
+    """(name, cached value, uncached recomputation) for the coset census,
+    the GOOD masks and psi; each value is a tuple of arrays."""
+    radius = params.radius_unfolded
+    return [
+        ("census", qsim._coset_census(spec, radius), qsim._coset_census.__wrapped__(spec, radius)),
+        ("goodbad", qsim.default_goodbad(spec, params), qsim.default_goodbad.__wrapped__(spec, params)),
+        ("psi", (qsim.prepare_psi(spec),), (qsim.prepare_psi.__wrapped__(spec),)),
+    ]
+
+
+@pytest.mark.parametrize("name", [*SMALL_SPECS, "f16-parity"])
+def test_cached_structures_equal_uncached_recomputations(name):
+    spec = {**SMALL_SPECS, "f16-parity": f16_parity_spec}[name]()
+    for radius in range(spec.N + 1):
+        params = DecoderParams(Fraction(radius, spec.N), codes.DECODER_EPSILON, radius)
+        for what, cached, fresh in cached_structures(spec, params):
+            assert len(cached) == len(fresh), what
+            for got, want in zip(cached, fresh):
+                assert got.dtype == want.dtype and np.array_equal(got, want), what
+                assert not got.flags.writeable, what
+        # a second call returns the same objects
+        for (_, first, _), (_, again, _) in zip(cached_structures(spec, params), cached_structures(spec, params)):
+            assert all(a is b for a, b in zip(first, again))
+
+
+def test_each_cached_array_raises_when_written():
+    spec, params, _ = toy_setup()
+    for what, cached, _ in cached_structures(spec, params):
+        for arr in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+    # the decode table itself is built afresh on every call
+    assert qsim.decode_rank_table(spec, params).flags.writeable
+
+
+def _same_report(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+        else:
+            assert a[key] == b[key], key
+
+
+@pytest.mark.parametrize(
+    "build, radius",
+    [(configs.toy_selfdual_spec, 0), (configs.toy_selfdual_spec, 1), (lambda: configs.toy_repetition_spec(n=4, s=1), 1)],
+)
+def test_warm_cache_report_equals_the_cold_one_and_still_decodes(build, radius, monkeypatch):
+    # the per-op work stays per op: each call decodes every coset with a
+    # word in reach and checks GOOD once, cold or warm
+    spec = build()
+    params = DecoderParams(Fraction(0), codes.DECODER_EPSILON, radius)
+    phis = received_states(zero_tables_instance(spec))
+    calls = {"decode": 0, "sound": 0}
+    decode, sound = codes.dual_decode, qsim._assert_good_sound
+
+    def counting_decode(*args):
+        calls["decode"] += 1
+        return decode(*args)
+
+    def counting_sound(*args):
+        calls["sound"] += 1
+        return sound(*args)
+
+    monkeypatch.setattr(codes, "dual_decode", counting_decode)
+    monkeypatch.setattr(qsim, "_assert_good_sound", counting_sound)
+    for cache in (qsim._coset_census, qsim.default_goodbad, qsim.prepare_psi):
+        cache.cache_clear()
+    reached = np.count_nonzero(qsim._coset_census.__wrapped__(spec, radius)[3])
+    reports = []
+    for _ in range(2):
+        reports.append(qsim.add_decode_pipeline(spec, phis, params))
+        assert calls == {"decode": reached, "sound": 1}
+        calls.update(decode=0, sound=0)
+    assert qsim._coset_census.cache_info().hits == 1
+    _same_report(*reports)
