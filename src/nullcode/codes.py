@@ -248,7 +248,11 @@ def from_digits(digits, base: int) -> np.ndarray:
 def fold(spec: CodeSpec, x) -> Codeword:
     """The N field elements of x (any iterable; each is passed through int)
     grouped into n symbols of m.  Raises LengthMismatch unless x has N."""
-    x = list(map(int, x))
+    # tolist gives a 1-D integer array's values as int() would, in one call
+    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "iu":
+        x = x.tolist()
+    else:
+        x = list(map(int, x))
     if len(x) != spec.N:
         raise LengthMismatch(f"expected {spec.N} field symbols, got {len(x)}")
     return tuple(zip(*[iter(x)] * spec.m))
@@ -264,14 +268,15 @@ def unfold(spec: CodeSpec, z: Codeword) -> np.ndarray:
         raise LengthMismatch("symbol width does not match folding")
     digits = list(chain.from_iterable(z))
     # one check per distinct digit type, then one range check on the extremes
-    types = set(map(type, digits))
-    if (
-        bool in types
-        or not all(issubclass(t, (int, np.integer)) for t in types)
-        or not 0 <= min(digits) <= max(digits) < spec.field.q
-    ):
+    if not _all_integers(digits) or not 0 <= min(digits) <= max(digits) < spec.field.q:
         raise DomainMismatch(f"every digit must be an integer in [0, {spec.field.q})")
     return np.array(digits, dtype=np.int64)
+
+
+def _all_integers(values) -> bool:
+    """Whether every value is an int or a numpy integer; a bool is not one."""
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, (int, np.integer)) for t in types)
 
 
 # -- encoding and enumeration ---------------------------------------------------
@@ -330,7 +335,11 @@ def _codeword_matrix_cached(spec: CodeSpec) -> np.ndarray:
 
 
 def codeword_rank_matrix(spec: CodeSpec) -> np.ndarray:
-    """All codewords as (|C| x n) symbol-rank arrays in message-rank order."""
+    """All codewords as (|C| x n) symbol-rank arrays in message-rank order.
+
+    Cached per spec and read-only; column-major, so each coordinate's
+    ranks are one contiguous column.
+    """
     codeword_matrix(spec)  # budget gate
     return _codeword_rank_matrix_cached(spec)
 
@@ -338,22 +347,24 @@ def codeword_rank_matrix(spec: CodeSpec) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _codeword_rank_matrix_cached(spec: CodeSpec) -> np.ndarray:
     unfolded = _codeword_matrix_cached(spec)
-    out = from_digits(unfolded.reshape(-1, spec.n, spec.m), spec.field.q)
+    out = np.asfortranarray(from_digits(unfolded.reshape(-1, spec.n, spec.m), spec.field.q))
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=16)
-def _rank_columns_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per coordinate i, the sorted distinct symbol ranks of the codewords
-    and each codeword's index into them; read-only.  Both are bounded by
-    |C|, whatever |Sigma| is."""
+def _symbol_index_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per coordinate i, the codeword ids grouped by symbol (a stable
+    argsort of column i) and the symbol ranks in that order; read-only.
+    The codewords with symbol r at i are ids[lo:hi], with [lo, hi) the
+    searchsorted run of r in the sorted ranks."""
     out = []
     for col in _codeword_rank_matrix_cached(spec).T:
-        values, index = np.unique(col, return_inverse=True)
-        values.setflags(write=False)
-        index.setflags(write=False)
-        out.append((values, index))
+        ids = np.argsort(col, kind="stable")
+        ranks = col[ids]
+        ids.setflags(write=False)
+        ranks.setflags(write=False)
+        out.append((ids, ranks))
     return tuple(out)
 
 
@@ -585,30 +596,37 @@ def list_recover_count(
 ) -> int:
     """Exact number of codewords agreeing with the candidate sets S_i of
     symbol ranks on at least zeta * n coordinates.  zeta is read as a
-    Fraction, a float exactly as the decimal its repr prints."""
+    Fraction, a float exactly as the decimal its repr prints.  Raises
+    DomainMismatch for a rank that is not an integer (a bool is not one);
+    an integer no codeword symbol has matches nothing."""
     if len(S) != spec.n:
         raise LengthMismatch(f"need {spec.n} candidate sets, got {len(S)}")
-    sets = [np.array(sorted({int(r) for r in s}), dtype=np.int64) for s in S]
-    codeword_rank_matrix(spec)  # budget gate
-    columns = _rank_columns_cached(spec)
-    # membership of each coordinate's distinct codeword symbols in S_i
-    members = []
-    for (values, _), s in zip(columns, sets):
-        member = np.zeros(values.size, dtype=bool)
-        pos = np.searchsorted(values, s).clip(max=values.size - 1)
-        member[pos[values[pos] == s]] = True
-        members.append(member)
+    sets = [set(s) for s in S]
+    if not _all_integers(chain.from_iterable(sets)):
+        raise DomainMismatch("every candidate rank must be an integer")
+    codeword_rank_matrix(spec)  # budget gate; |Sigma| fits in int64 past it
+    sigma = spec.sigma_size
+    # the ids of the codewords whose symbol at i lies in S_i, over every i
+    hits = []
+    for (ids, ranks), s in zip(_symbol_index_cached(spec), sets):
+        if s and not 0 <= min(s) <= max(s) < sigma:
+            s = {r for r in s if 0 <= r < sigma}
+        s = np.fromiter(s, np.int64, len(s))
+        lo = np.searchsorted(ranks, s, "left")
+        lens = np.searchsorted(ranks, s, "right") - lo
+        # the runs [lo, lo + lens) laid end to end, from offsets cumsum - lens
+        offsets = np.cumsum(lens) - lens
+        hits.append(ids[np.repeat(lo - offsets, lens) + np.arange(lens.sum())])
+    hits = np.concatenate(hits)
     zeta = Fraction(repr(zeta)) if isinstance(zeta, float) else Fraction(zeta)
     threshold = math.ceil(zeta * spec.n)
 
     def chunk_count(bounds):
         lo, hi = bounds
-        agree = np.zeros(hi - lo, dtype=np.int64)
-        for member, (_, index) in zip(members, columns):
-            agree += member[index[lo:hi]]
-        return int((agree >= threshold).sum())
+        chunk = hits[(hits >= lo) & (hits < hi)] - lo
+        return int((np.bincount(chunk, minlength=hi - lo) >= threshold).sum())
 
-    nrows = columns[0][1].shape[0]
+    nrows = spec.size
     step = max(1, nrows // max(jobs, 1))
     chunks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
     return sum(parallel_map(chunk_count, chunks, jobs))

@@ -155,10 +155,10 @@ def _in_code(spec: CodeSpec, words: np.ndarray) -> np.ndarray:
 def solution_mask(tables: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """ok[..., j]: every table reads 0 at codeword j, for tables of shape
     (..., n, |Sigma|) and ranks holding (a row slice of)
-    codes.codeword_rank_matrix."""
+    codes.codeword_rank_matrix, whose columns are contiguous."""
     ok = np.ones(tables.shape[:-2] + ranks.shape[:1], dtype=bool)
     for i in range(ranks.shape[1]):
-        ok &= tables[..., i, ranks[:, i]] == 0
+        ok &= tables[..., i, :].take(ranks[:, i], axis=-1) == 0
     return ok
 
 

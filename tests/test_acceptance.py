@@ -129,7 +129,7 @@ def test_criterion_03_decoder_zero_error():
                 assert sorted(exhaustive) == sorted(got_list)
                 agreements += 1
     elapsed = time.time() - start
-    assert elapsed < 10
+    assert elapsed < 2
     report(
         3,
         "decoder zero-error",
@@ -434,7 +434,7 @@ def test_criterion_12_danger_ledger():
     for ledger in out["ledgers"]:
         ledger.assert_monotone()
     elapsed = time.time() - start
-    assert elapsed < 10
+    assert elapsed < 2
     report(
         12,
         "danger ledger",
@@ -468,7 +468,7 @@ def test_criterion_13_hashing():
         solved += 1
     assert solved == trials
     elapsed = time.time() - start
-    assert elapsed < 10
+    assert elapsed < 2
     report(
         13,
         "hashing",
@@ -525,7 +525,7 @@ def test_criterion_14_total_problem(monkeypatch):
     assert tbnc.union_bound_calculator(0, 12, 0.3) == 2.0**12
     assert tbnc.union_bound_calculator(50, 0, 1.0) == 1.0
     elapsed = time.time() - start
-    assert elapsed < 10
+    assert elapsed < 2
     report(
         14,
         "total problem",

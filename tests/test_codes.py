@@ -10,6 +10,7 @@ from nullcode import codes, configs, instances, linalg
 from nullcode.codes import CodeSpec, DecoderParams
 from nullcode.errors import BudgetExceeded, DomainMismatch, LengthMismatch, ParseError
 from nullcode.gf import FieldCtx
+from test_instances import SMALL_SPECS
 
 
 def codewords(spec: CodeSpec) -> list:
@@ -359,6 +360,23 @@ def test_codeword_rank_matrix_matches_the_digit_loop(name, dual):
     assert [tuple(row) for row in got.tolist()] == [
         tuple(symbol_rank_loop(spec, s) for s in w) for w in codewords(spec)
     ]
+
+
+@pytest.mark.parametrize(
+    "name, dual",
+    [(name, False) for name in RANK_SPECS if name != "t3"]
+    + [(name, True) for name in ("selfdual", "repetition", "t1")],
+)
+def test_codeword_rank_matrix_is_a_read_only_column_major_table(name, dual):
+    spec = RANK_SPECS[name]()
+    if dual:
+        spec = codes.dual(spec)
+    got = codes.codeword_rank_matrix(spec)
+    unfolded = codes.codeword_matrix(spec)
+    assert np.array_equal(got, codes.from_digits(unfolded.reshape(-1, spec.n, spec.m), spec.field.q))
+    assert got.shape == (spec.size, spec.n) and got.dtype == np.int64
+    assert got.flags.f_contiguous and not got.flags.writeable
+    assert codes.codeword_rank_matrix(spec) is got
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["code", "dual"])
@@ -765,7 +783,13 @@ def _list_recover_oracle(spec, S, zeta):
     return int((_agreements(spec, S) >= math.ceil(zeta * spec.n - 1e-9)).sum())
 
 
-@pytest.mark.parametrize("spec", [codes.preset(2), GRS_K3], ids=["preset2", "grs-k3"])
+# selfdual and grs4-m1-k1 have 16 codewords over 4 symbols per coordinate, so
+# each symbol is shared by several codewords
+@pytest.mark.parametrize(
+    "spec",
+    [codes.preset(2), GRS_K3, configs.toy_selfdual_spec(), SMALL_SPECS["grs4-m1-k1"]()],
+    ids=["preset2", "grs-k3", "selfdual", "grs4-m1-k1"],
+)
 def test_list_recover_count_matches_isin(spec):
     rng = np.random.default_rng(11)
     ranks = codes.codeword_rank_matrix(spec)
@@ -788,6 +812,33 @@ def test_list_recover_count_matches_isin(spec):
             want = _list_recover_oracle(spec, S, zeta)
             for jobs in (1, 3):
                 assert codes.list_recover_count(spec, S, zeta, jobs=jobs) == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, True, "3", np.float64(2.0), np.bool_(False), None],
+    ids=["float", "bool", "str", "np-float", "np-bool", "none"],
+)
+def test_list_recover_count_rejects_a_rank_that_is_not_an_integer(bad):
+    # a rank that is not an integer is rejected, not truncated by int()
+    spec = configs.toy_selfdual_spec()
+    S = [{0, 1}, {bad}, {2}, set()]
+    with pytest.raises(DomainMismatch, match="every candidate rank must be an integer"):
+        codes.list_recover_count(spec, S, 0.5)
+
+
+def test_list_recover_count_matches_nothing_past_int64():
+    # a rank past int64, like -1 or |Sigma|, is a rank no symbol has
+    spec = configs.toy_selfdual_spec()
+    ranks = codes.codeword_rank_matrix(spec)
+    far = (2**70, -(2**70), np.uint64(2**64 - 1), spec.sigma_size, -1)
+    S = [{int(ranks[5, i]), np.int64(ranks[9, i]), *far} for i in range(spec.n)]
+    for zeta in (0.25, 0.75, 1.0):
+        want = _list_recover_oracle(spec, [{int(ranks[j, i]) for j in (5, 9)} for i in range(spec.n)], zeta)
+        for jobs in (1, 3):
+            assert codes.list_recover_count(spec, S, zeta, jobs=jobs) == want
+    assert codes.list_recover_count(spec, [{2**70}] * spec.n, 0) == spec.size
+    assert codes.list_recover_count(spec, [{2**70}] * spec.n, 0.25) == 0
 
 
 def test_list_recover_count_reads_zeta_exactly():

@@ -227,6 +227,32 @@ def test_brute_solve_rows_are_the_codewords_verify_accepts(spec):
         assert set(map(tuple, got)) == set(map(tuple, want))
 
 
+@pytest.mark.parametrize("name", ["selfdual", "rep3-s2", "grs4-m1-k1", "grs4-m3-k1"])
+def test_solution_mask_matches_a_per_codeword_loop(name):
+    spec = SMALL_SPECS[name]()
+    ranks = codes.codeword_rank_matrix(spec)
+    rng = np.random.default_rng(5)
+    # a leading batch axis of tables, as the totality scan passes them
+    tables = (rng.random((4, 2, spec.n, spec.sigma_size)) < 0.3).astype(np.uint8)
+    want = np.array(
+        [
+            [all(t[i, r] == 0 for i, r in enumerate(row)) for row in ranks.tolist()]
+            for t in tables.reshape(-1, spec.n, spec.sigma_size)
+        ]
+    ).reshape(4, 2, -1)
+    assert want.any() and not want.all()
+    assert np.array_equal(instances.solution_mask(tables, ranks), want)
+    assert np.array_equal(instances.solution_mask(tables[1, 0], ranks), want[1, 0])
+    # brute_solve's row chunks of the column-major table, and a C-ordered copy
+    for lo, hi in ((0, 5), (3, ranks.shape[0] - 2), (ranks.shape[0], ranks.shape[0])):
+        got = instances.solution_mask(tables, ranks[lo:hi])
+        assert np.array_equal(got, want[..., lo:hi])
+    c_ranks = np.ascontiguousarray(ranks)
+    assert c_ranks.flags.c_contiguous
+    assert np.array_equal(instances.solution_mask(tables, c_ranks), want)
+    assert np.array_equal(instances.solution_mask(tables, c_ranks[2:9]), want[..., 2:9])
+
+
 def test_split():
     sp = instances.Split(4, 4)
     assert sp.bits_per_side == 8
