@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def _load_spec(args) -> CodeSpec:
     raise UsageError("one of --t, --config, or --toy is required")
 
 
-# The largest decimal exponent magnitude a --p or --zeta value may carry:
+# The largest decimal exponent magnitude a --p, --zeta or --gamma value may carry:
 # Fraction("1e<x>") builds 10^|x|, and CPython caps the digits of an
 # integer read from a string at this count.
 _MAX_EXPONENT = 4300
@@ -68,9 +69,9 @@ _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
-    """The value of flag (--p or --zeta): a fraction whose reduced
-    denominator is at most 2^64 and whose decimal exponent, if any, is at
-    most _MAX_EXPONENT in magnitude."""
+    """The value of flag (--p, --zeta or --gamma), a decimal or a/b: a fraction
+    whose reduced denominator is at most 2^64 and whose decimal exponent, if
+    any, is at most _MAX_EXPONENT in magnitude."""
     exponent = _EXPONENT.search(text)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
@@ -103,19 +104,13 @@ _copies = _int_in("--t", 1, DEFAULT_ENUM_BUDGET)
 
 
 def _gamma(text: str) -> Fraction:
-    """A --gamma value: a finite positive number, read exactly, whose reduced
-    denominator is at most `density.MAX_GAMMA_DEN`."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"--gamma {text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"--gamma {text} is not a finite positive number")
-    gamma = Fraction(text)  # the float's range bounds the power of ten built here
+    """A --gamma value: a positive fraction read by _parse_fraction whose
+    reduced denominator is at most `density.MAX_GAMMA_DEN`."""
+    gamma = _parse_fraction(text, "--gamma")
+    if gamma <= 0:
+        raise UsageError(f"--gamma {text} is not a positive number")
     if gamma.denominator > density.MAX_GAMMA_DEN:
-        raise UsageError(
-            f"--gamma {text} has a reduced denominator above {density.MAX_GAMMA_DEN}"
-        )
+        raise UsageError(f"--gamma {text} has a reduced denominator above {density.MAX_GAMMA_DEN}")
     return gamma
 
 
@@ -154,7 +149,7 @@ def cmd_code_dual(args) -> int:
 
 def cmd_code_decode(args) -> int:
     spec = _load_spec(args)
-    params = DecoderParams.for_spec(spec, _parse_fraction(args.p, "--p"))
+    params = DecoderParams.for_spec(spec, args.p)
     rng = np.random.default_rng(args.seed)
     dual_spec = codes.dual(spec)
     records = []
@@ -214,7 +209,7 @@ def cmd_code_lrcheck(args) -> int:
 
 def cmd_instance_gen(args) -> int:
     spec = _load_spec(args)
-    inst = instances.sample_instance(spec, _parse_fraction(args.p, "--p"), args.seed)
+    inst = instances.sample_instance(spec, args.p, args.seed)
     _emit([instances.instance_to_json(inst)], args.out)
     if args.out:
         print(f"wrote {args.out}")
@@ -267,14 +262,13 @@ def _trial_records(args) -> list[dict]:
     qsim.run_smp_protocol complete, with one record per instance; an
     instance with an empty table support is recorded as skipped."""
     spec = _load_spec(args)
-    p = _parse_fraction(args.p, "--p")
-    params = DecoderParams.for_spec(spec, p)
+    params = DecoderParams.for_spec(spec, args.p)
     keys = ("epsilon", "delta", "l2_distance", "success_probability")
     records = []
     seed = args.seed
     produced = 0
     while produced < args.trials:
-        inst = instances.sample_instance(spec, p, seed)
+        inst = instances.sample_instance(spec, args.p, seed)
         try:
             out = qsim.run_smp_protocol(spec, inst, params)
         except EmptySupport as exc:
@@ -304,7 +298,7 @@ def cmd_qsim_claim66(args) -> int:
     if args.sigma & (args.sigma - 1):
         raise UsageError("--sigma must be a power of two")
     m = args.sigma.bit_length() - 1
-    stats = qsim.table_fourier_stats(FieldCtx(1), m, _parse_fraction(args.p, "--p"))
+    stats = qsim.table_fourier_stats(FieldCtx(1), m, args.p)
     printable = {k: v for k, v in stats.items() if not k.endswith("_exact")}
     print(json.dumps(printable, sort_keys=True))
     if args.out:
@@ -397,9 +391,8 @@ def cmd_proto_run(args) -> int:
 
 def cmd_proto_danger(args) -> int:
     spec = configs.toy_repetition_spec(n=args.n, s=args.s)
-    p = _parse_fraction(args.p, "--p")
     tree = proto.reveal_solution_tree(spec)
-    insts = [instances.sample_instance(spec, p, args.seed + i) for i in range(args.trials)]
+    insts = [instances.sample_instance(spec, args.p, args.seed + i) for i in range(args.trials)]
     out = proto.danger_track(tree, spec, insts)
     if args.out:
         rows = [("seed", "cost", "output", "correct")]
@@ -651,12 +644,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_code_dual)
     p = code.add_parser("decode")
     _add_code_source(p)
-    p.add_argument("--p", default="1/64")
+    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/64")
     _add_common(p)
     p.set_defaults(fn=cmd_code_decode)
     p = code.add_parser("listrec")
     _add_code_source(p)
-    p.add_argument("--zeta", type=lambda text: _parse_fraction(text, "--zeta"), default="0.4")
+    p.add_argument("--zeta", type=partial(_parse_fraction, flag="--zeta"), default="0.4")
     p.add_argument("--ell", type=int, default=1)
     _add_common(p, trials=10)
     p.set_defaults(fn=cmd_code_listrec)
@@ -671,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     inst = sub.add_parser("instance").add_subparsers(dest="cmd", required=True)
     p = inst.add_parser("gen")
     _add_code_source(p)
-    p.add_argument("--p", default="1/64")
+    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/64")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_instance_gen)
@@ -690,30 +683,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_qsim_qft)
     p = qs.add_parser("lemma51")
     _add_code_source(p)
-    p.add_argument("--p", default="1/16")
+    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/16")
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_lemma51)
     p = qs.add_parser("alg1")
     _add_code_source(p)
-    p.add_argument("--p", default="1/16")
+    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/16")
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_alg1)
     p = qs.add_parser("claim66")
     p.add_argument("--sigma", type=_int_in("--sigma", 1, DEFAULT_ENUM_BUDGET), default=4)
-    p.add_argument("--p", default="1/4")
+    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/4")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qsim_claim66)
 
     pr = sub.add_parser("proto").add_subparsers(dest="cmd", required=True)
     p = pr.add_parser("drp")
     p.add_argument("--n-bits", type=_n_bits, default=12)
-    p.add_argument("--gamma", type=_gamma, default=0.8)
+    p.add_argument("--gamma", type=_gamma, default="0.8")
     _add_common(p, trials=50)
     p.set_defaults(fn=cmd_proto_drp)
     p = pr.add_parser("transform")
     p.add_argument("--n-bits", type=_n_bits, default=10)
     p.add_argument("--depth", type=_int_in("--depth", 0), default=6)
-    p.add_argument("--gamma", type=_gamma, default=0.8)
+    p.add_argument("--gamma", type=_gamma, default="0.8")
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_transform)
     p = pr.add_parser("cleanup")
@@ -729,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = pr.add_parser("danger")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--p", default="1/4")
+    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/4")
     _add_common(p, trials=50)
     p.set_defaults(fn=cmd_proto_danger)
 

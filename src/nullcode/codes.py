@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .budget import DEFAULT_ENUM_BUDGET
 from .errors import BudgetExceeded, DomainMismatch, LengthMismatch, ParseError
-from .gf import FieldCtx, json_int
+from .gf import FieldCtx, exact, json_int
 from .parallel import parallel_map
 
 Symbol = tuple[int, ...]
@@ -111,14 +111,28 @@ class CodeSpec:
 
     # -- evaluation points and basis -----------------------------------------
 
+    @lru_cache(maxsize=64)
     def points(self) -> np.ndarray:
         """gamma^0, ..., gamma^(N-1); cached per spec and read-only."""
-        return _points_cached(self)
+        ctx = self.field
+        steps = np.arange(self.N, dtype=np.int64) * ctx.log_np[self.gamma]
+        pts = ctx.exp_np[steps % (ctx.q - 1)]
+        pts.setflags(write=False)
+        return pts
 
+    @lru_cache(maxsize=64)
     def generator_matrix(self) -> np.ndarray:
         """Unfolded generator matrix (dim x N), GRS row j = v * points^j;
         cached per spec and read-only."""
-        return _generator_matrix_cached(self)
+        if self.kind == "generic-linear":
+            out = np.array(self.genmat, dtype=np.int64)
+        else:
+            out = np.empty((self.dim, self.N), dtype=np.int64)
+            out[0] = self.v
+            for j in range(1, self.dim):
+                out[j] = linalg.mul_arrays(self.field, out[j - 1], self.points())
+        out.setflags(write=False)
+        return out
 
     def to_json(self) -> dict:
         data = {"kind": self.kind, "field": self.field.to_json(), "m": self.m}
@@ -293,40 +307,14 @@ def encode_unfolded(spec: CodeSpec, message) -> np.ndarray:
     return linalg.matmul(spec.field, [msg], spec.generator_matrix())[0]
 
 
-@lru_cache(maxsize=64)
-def _points_cached(spec: CodeSpec) -> np.ndarray:
-    ctx = spec.field
-    steps = np.arange(spec.N, dtype=np.int64) * ctx.log_np[spec.gamma]
-    pts = ctx.exp_np[steps % (ctx.q - 1)]
-    pts.setflags(write=False)
-    return pts
-
-
-@lru_cache(maxsize=64)
-def _generator_matrix_cached(spec: CodeSpec) -> np.ndarray:
-    if spec.kind == "generic-linear":
-        out = np.array(spec.genmat, dtype=np.int64)
-    else:
-        out = np.empty((spec.dim, spec.N), dtype=np.int64)
-        out[0] = spec.v
-        for j in range(1, spec.dim):
-            out[j] = linalg.mul_arrays(spec.field, out[j - 1], spec.points())
-    out.setflags(write=False)
-    return out
-
-
+@lru_cache(maxsize=16)
 def codeword_matrix(spec: CodeSpec) -> np.ndarray:
     """All codewords, unfolded, as a (|C| x N) array in message-rank order.
 
-    Cached per spec; treat the result as read-only.
+    Cached per spec and read-only; every call past the enumeration budget raises.
     """
     if spec.size > DEFAULT_ENUM_BUDGET:
         raise BudgetExceeded(f"|C| = {spec.size} exceeds budget {DEFAULT_ENUM_BUDGET}")
-    return _codeword_matrix_cached(spec)
-
-
-@lru_cache(maxsize=16)
-def _codeword_matrix_cached(spec: CodeSpec) -> np.ndarray:
     # message coefficient j is digit j of the rank, least significant first
     msgs = to_digits(np.arange(spec.size), spec.field.q, spec.dim)[:, ::-1]
     out = linalg.matmul(spec.field, msgs, spec.generator_matrix())
@@ -334,19 +322,15 @@ def _codeword_matrix_cached(spec: CodeSpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
 def codeword_rank_matrix(spec: CodeSpec) -> np.ndarray:
     """All codewords as (|C| x n) symbol-rank arrays in message-rank order.
 
     Cached per spec and read-only; column-major, so each coordinate's
-    ranks are one contiguous column.
+    ranks are one contiguous column.  Raises BudgetExceeded like
+    codeword_matrix.
     """
-    codeword_matrix(spec)  # budget gate
-    return _codeword_rank_matrix_cached(spec)
-
-
-@lru_cache(maxsize=16)
-def _codeword_rank_matrix_cached(spec: CodeSpec) -> np.ndarray:
-    unfolded = _codeword_matrix_cached(spec)
+    unfolded = codeword_matrix(spec)
     out = np.asfortranarray(from_digits(unfolded.reshape(-1, spec.n, spec.m), spec.field.q))
     out.setflags(write=False)
     return out
@@ -359,7 +343,7 @@ def _symbol_index_cached(spec: CodeSpec) -> tuple[tuple[np.ndarray, np.ndarray],
     The codewords with symbol r at i are ids[lo:hi], with [lo, hi) the
     searchsorted run of r in the sorted ranks."""
     out = []
-    for col in _codeword_rank_matrix_cached(spec).T:
+    for col in codeword_rank_matrix(spec).T:
         ids = np.argsort(col, kind="stable")
         ranks = col[ids]
         ids.setflags(write=False)
@@ -447,7 +431,9 @@ class DecoderParams:
 
     @classmethod
     def for_spec(cls, spec: CodeSpec, p) -> "DecoderParams":
-        p = Fraction(p)
+        """The parameters for bias p, read by `gf.exact` (0.1 is 1/10); raises
+        ValueError when p + epsilon reaches the dual unique-decoding fraction."""
+        p = exact(p)
         epsilon = DECODER_EPSILON
         radius = int((p + epsilon) * spec.N)  # floor for positive values
         dual_spec = dual(spec)
@@ -595,8 +581,8 @@ def list_recover_count(
     jobs: int = 1,
 ) -> int:
     """Exact number of codewords agreeing with the candidate sets S_i of
-    symbol ranks on at least zeta * n coordinates.  zeta is read as a
-    Fraction, a float exactly as the decimal its repr prints.  Raises
+    symbol ranks on at least zeta * n coordinates.  zeta is read by
+    `gf.exact`, a float as the decimal its repr prints.  Raises
     DomainMismatch for a rank that is not an integer (a bool is not one);
     an integer no codeword symbol has matches nothing."""
     if len(S) != spec.n:
@@ -604,9 +590,9 @@ def list_recover_count(
     sets = [set(s) for s in S]
     if not _all_integers(chain.from_iterable(sets)):
         raise DomainMismatch("every candidate rank must be an integer")
-    codeword_rank_matrix(spec)  # budget gate; |Sigma| fits in int64 past it
     sigma = spec.sigma_size
-    # the ids of the codewords whose symbol at i lies in S_i, over every i
+    # the ids of the codewords whose symbol at i lies in S_i, over every i;
+    # the index passes the budget gate, so |Sigma| fits in int64 below
     hits = []
     for (ids, ranks), s in zip(_symbol_index_cached(spec), sets):
         if s and not 0 <= min(s) <= max(s) < sigma:
@@ -618,8 +604,7 @@ def list_recover_count(
         offsets = np.cumsum(lens) - lens
         hits.append(ids[np.repeat(lo - offsets, lens) + np.arange(lens.sum())])
     hits = np.concatenate(hits)
-    zeta = Fraction(repr(zeta)) if isinstance(zeta, float) else Fraction(zeta)
-    threshold = math.ceil(zeta * spec.n)
+    threshold = math.ceil(exact(zeta) * spec.n)
 
     def chunk_count(bounds):
         lo, hi = bounds

@@ -10,9 +10,9 @@ checks are exact: the density threshold comparison
     count > |X| * 2^(-gamma |I|)
 
 is evaluated in integer arithmetic, so exact ties never violate.  gamma is
-a rational: a float is read exactly by its repr (0.8 is 4/5), and one
-whose reduced denominator is above `MAX_GAMMA_DEN` raises ValueError,
-since the denominator is the power the comparisons raise |X| to.  One
+read by `gf.exact` (0.8 is 4/5); a negative one, or one of any type whose
+reduced denominator is above `MAX_GAMMA_DEN` (the power the comparisons
+raise |X| to), raises ValueError at every entry point.  One
 subcube count (Yates's algorithm over {0, 1, *}^f) gives the count of
 every pattern (I, a) on the f coordinates at once.  For an integer count,
 count > floor(|X| 2^(-gamma |I|)) iff the violation ratio
@@ -56,13 +56,13 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .budget import DEFAULT_CELL_BUDGET
 from .errors import BudgetExceeded, EmptySet
+from .gf import exact
 
 
 def _as_array(X) -> np.ndarray:
@@ -72,26 +72,21 @@ def _as_array(X) -> np.ndarray:
     return arr
 
 
-# The largest reduced denominator of a float gamma: `_cut` raises sizes to
-# this power, and a float such as 0.123456789 would make it 10^9.
+# The largest reduced denominator of gamma: `_cut` raises sizes to this
+# power, and a gamma such as 0.123456789 would make it 10^9.
 MAX_GAMMA_DEN = 1000
 
 
-def _as_fraction(gamma) -> Fraction:
-    if isinstance(gamma, float):
-        return _float_fraction(gamma)
-    if type(gamma) is Fraction:
-        return gamma
-    return Fraction(gamma)
-
-
-@lru_cache(maxsize=256)
-def _float_fraction(gamma: float) -> Fraction:
-    """A float gamma read exactly as the decimal its repr prints."""
-    g = Fraction(repr(gamma))
-    if g.denominator > MAX_GAMMA_DEN:
-        raise ValueError(f"gamma {gamma!r} has a reduced denominator above {MAX_GAMMA_DEN}")
-    return g
+def _ratio(gamma) -> tuple[int, int]:
+    """(num, den) of gamma read by `gf.exact`; a negative gamma, or one
+    whose reduced denominator is above MAX_GAMMA_DEN, raises ValueError."""
+    g = exact(gamma)
+    num, den = g.numerator, g.denominator
+    if num < 0:
+        raise ValueError(f"gamma {gamma} is negative")
+    if den > MAX_GAMMA_DEN:
+        raise ValueError(f"gamma {gamma} has a reduced denominator above {MAX_GAMMA_DEN}")
+    return num, den
 
 
 def density_cut(size: int, gamma, s: int) -> int:
@@ -99,8 +94,8 @@ def density_cut(size: int, gamma, s: int) -> int:
     violates gamma-density iff its count exceeds this."""
     # keyed on the normalised gamma: a float and a Fraction can be equal
     # and still normalise to different fractions
-    g = _as_fraction(gamma)
-    return _cut(size, g.numerator * s, g.denominator)
+    num, den = _ratio(gamma)
+    return _cut(size, num * s, den)
 
 
 @lru_cache(maxsize=4096)
@@ -408,14 +403,11 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     Maximal means the largest violation ratio count * 2^(gamma |I|); ties
     prefer larger |I|, then lexicographically smaller (I, a).  I is an
     ascending coordinate tuple, a the matching bits.  A coordinate outside
-    [0, 64) or given twice, a negative gamma, or a float gamma whose
-    reduced denominator is above `MAX_GAMMA_DEN`, raises ValueError.
+    [0, 64) or given twice, a negative gamma, or a gamma whose reduced
+    denominator is above `MAX_GAMMA_DEN`, raises ValueError.
     """
     arr, coords = _as_array(X), _as_coords(coords)
-    g = _as_fraction(gamma)
-    num, den = g.numerator, g.denominator
-    if num < 0:
-        raise ValueError(f"gamma {gamma} is negative")
+    num, den = _ratio(gamma)
     if not coords:
         return None
     # every gamma with 2^gamma > |X| finds what gamma = L finds (the
@@ -424,7 +416,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     n, f = len(arr), len(coords)
     L = n.bit_length()
     if num > den * L:
-        g, num, den = Fraction(L), L, 1
+        gamma, num, den = L, L, 1
     _check_cells(f)
     if num < den and n & (n - 1) == 0:
         # the closed form for a subcube (module docstring): with gamma < 1
@@ -451,7 +443,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
             s = w
     # an integer count exceeds floor(|X| 2^(-gamma s)) iff its ratio exceeds
     # |X|, so some pattern violates iff a ratio-maximal one does
-    if top[s] <= density_cut(n, g, s):
+    if top[s] <= density_cut(n, gamma, s):
         return None
     if f < _WIDE_F:
         # argmax returns the first cell holding the maximum

@@ -7,13 +7,16 @@ mask with the x^0 coefficient at the least-significant bit, and is read
 from exp/log tables built once per field.
 
 A :class:`FieldCtx` is immutable after construction and all operations are
-pure, so contexts can be shared freely between workers.
+pure, so contexts can be shared freely between workers.  The package's
+exact parameter readers live here too: `json_int` and `exact`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -233,6 +236,25 @@ def json_int(value, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def exact(value) -> Fraction:
+    """value as an exact rational: a Python or numpy float is the decimal its
+    repr prints (0.1 is 1/10, not 3602879701896397/2^55), a Fraction itself,
+    a numpy integer its int, and anything else Fraction(value) ("1/3")."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, np.floating)):
+        return _decimal(value)
+    if isinstance(value, np.integer):
+        value = int(value)
+    return Fraction(value)
+
+
+@lru_cache(maxsize=256)
+def _decimal(value) -> Fraction:
+    # keyed on the value: a numpy float equals the float it converts to
+    return Fraction(repr(float(value)))
 
 
 # -- functional surface ------------------------------------------------------

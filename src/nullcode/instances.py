@@ -29,13 +29,14 @@ from .errors import (
     ParseError,
     SplitRequiresEvenN,
 )
+from .gf import exact
 
 FORMAT_VERSION = 1
 
 
-def bias_exponent(p: Fraction) -> int:
-    """b such that p = 2**-b, or raise BiasNotPowerOfTwo."""
-    p = Fraction(p)
+def bias_exponent(p) -> int:
+    """b such that p = 2**-b, p read by `gf.exact`, or raise BiasNotPowerOfTwo."""
+    p = exact(p)
     if p.numerator != 1 or p.denominator & (p.denominator - 1):
         raise BiasNotPowerOfTwo(f"bias {p} is not of the form 2**-b")
     return p.denominator.bit_length() - 1
@@ -89,10 +90,12 @@ def check_table_bits(spec: CodeSpec, blocks: int = 1):
 def sample_instance(spec: CodeSpec, p, seed: int) -> OracleInstance:
     """Sample each table bit independently with P[bit = 1] = p.
 
-    The draw uses integer comparison against the exact rational bias, so
+    p is read by `gf.exact`, so 0.1 draws what Fraction(1, 10) and the
+    CLI's --p 0.1 draw.  The draw uses integer comparison against the exact
+    rational bias, so
     identical (spec, p, seed) give bit-identical instances on any platform.
     """
-    p = Fraction(p)
+    p = exact(p)
     if not 0 <= p <= 1:
         raise ValueError("bias must lie in [0, 1]")
     check_table_bits(spec)

@@ -19,6 +19,7 @@ Main operations:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -342,8 +343,8 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     DEFAULT_ENUM_BUDGET nodes.
     """
     if density_cut(2, gamma, 1) == 0:  # floor(2^(1 - gamma)) = 0 iff gamma > 1
-        # a Fraction such as the CLI's 3/2 prints as the decimal 1.5
-        shown = float(gamma) if isinstance(gamma, Fraction) else gamma
+        # a Fraction such as the CLI's 3/2 prints as the decimal 1.5 (as itself past floats)
+        shown = float(gamma) if isinstance(gamma, Fraction) and gamma <= sys.float_info.max else gamma
         raise ValueError(f"gamma {shown} exceeds 1: the full domain is not gamma-dense")
     nodes = 1
     # The speaker's refinement depends only on the original node and the
@@ -619,7 +620,8 @@ def danger_track(
     computed once, however many runs pass through it.
     """
     split = Split(spec.n, spec.sigma_size)
-    tables = np.reshape([inst.tables for inst in insts], (-1, spec.n, spec.sigma_size))
+    # uint8 table bits, shaped (0, n, |Sigma|) too when there are no instances
+    tables = np.array([inst.tables for inst in insts], np.uint8).reshape(-1, spec.n, spec.sigma_size)
     ledgers = [DangerLedger([], "", None, []) for _ in insts]
     for msg, node, idx in _route(tree, *_pair_arrays(map(split.inputs, tables))):
         cells = _fixed_table_cells(node.rect, split)

@@ -32,7 +32,7 @@ import numpy as np
 from . import codes, instances, linalg
 from .codes import CodeSpec, DecoderParams
 from .errors import BudgetExceeded, EmptySupport, LengthMismatch
-from .gf import FieldCtx
+from .gf import FieldCtx, exact
 from .instances import OracleInstance
 
 # The largest K = |Sigma|^n, and |Sigma|, the dense referee admits.  It
@@ -204,7 +204,7 @@ def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, 
     dual_flat = _code_flat_ranks(dual_spec)
     good_x = np.zeros(total, dtype=bool)
     good_x[dual_flat] = True
-    weight_cap = int((Fraction(params.p) + Fraction(params.epsilon)) * spec.n)
+    weight_cap = int((params.p + params.epsilon) * spec.n)
     weights = np.count_nonzero(codes.to_digits(np.arange(total), sigma, spec.n), axis=-1)
     good_e = weights <= weight_cap
     good_x.setflags(write=False)
@@ -367,7 +367,7 @@ def sample_measurement(report: dict, rng: np.random.Generator) -> int:
 
 def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
     """Exact statistics of the zero-set Fourier mass of a Bernoulli(p)
-    table over Sigma = F_q^m, as `Fraction`s in closed form.
+    table over Sigma = F_q^m, as `Fraction`s in closed form; p is read by `gf.exact`.
 
     The zero set T carries What = 1_T/sqrt|T| (What = 0 when T is empty).
     Given t = |T| >= 1, |What(0)|^2 = t/|Sigma|, and a nontrivial
@@ -377,7 +377,7 @@ def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
     E|What(e)|^2 = p (1 - p^(|Sigma|-1))/(|Sigma| - 1).  The mean over
     nonempty tables is None when every table is empty (p = 1).
     """
-    p = Fraction(p)
+    p = exact(p)
     if not 0 <= p <= 1:
         raise ValueError("bias must lie in [0, 1]")
     sigma = ctx.q**m
@@ -401,8 +401,8 @@ def product_rule_check(ctx: FieldCtx, m: int, n: int, p, seed: int = 0) -> float
     """Max deviation between transforming the indicator of a product set as
     one register and the tensor product of per-coordinate transforms, on
     one sampled oracle.  Both are integer vectors under the sign kernel,
-    so any deviation raises and the return value is 0."""
-    p = Fraction(p)
+    so any deviation raises and the return value is 0; p is read by `gf.exact`."""
+    p = exact(p)
     sigma = ctx.q**m
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9D0D]))
     kernel = sigma_qft_matrix(ctx, m)

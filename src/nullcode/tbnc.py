@@ -31,6 +31,7 @@ from .errors import (
     LengthMismatch,
     RetriesExhausted,
 )
+from .gf import exact
 from .hashing import HashFamily, HashKey
 from .instances import OracleInstance
 
@@ -241,9 +242,9 @@ def union_bound_calculator(t: int, r: int, suc_single) -> Fraction:
     """Accounting of the key-union bound, exactly: 2^r * suc_single^t.
 
     The single-copy success probability at the given communication budget
-    is supplied by the caller, as a float (read exactly) or a Fraction.
+    is supplied by the caller and read by `gf.exact` (0.3 is 3/10).
     """
-    suc = Fraction(suc_single)
+    suc = exact(suc_single)
     if t < 0 or r < 0 or suc < 0:
         raise ValueError("inputs must be nonnegative")
     return 2**r * suc**t

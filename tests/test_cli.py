@@ -397,6 +397,15 @@ def test_drp_huge_gamma_matches_gamma_64(capsys):
     assert capsys.readouterr().out == want
 
 
+def test_gamma_reads_a_decimal_and_a_fraction_alike(capsys):
+    # --gamma is read like --p: 4/5 and 0.8 are one gamma, the default
+    outs = []
+    for extra in (["--gamma", "4/5"], ["--gamma", "0.8"], []):
+        assert main(["proto", "drp", "--trials", "2", "--n-bits", "5", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_table_stats_subcommand(capsys):
     assert main(["qsim", "claim66", "--sigma", "4", "--p", "1/4"]) == 0
     rec = json.loads(capsys.readouterr().out)

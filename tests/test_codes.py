@@ -183,6 +183,38 @@ def test_generator_matrix_is_cached_and_read_only():
         assert not gm.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["selfdual", "repetition", "t1", "t2"])
+def test_every_code_table_is_cached_and_read_only(name):
+    spec = RANK_SPECS[name]()
+    tables = {
+        "generator_matrix": spec.generator_matrix,
+        "codeword_matrix": lambda: codes.codeword_matrix(spec),
+        "codeword_rank_matrix": lambda: codes.codeword_rank_matrix(spec),
+    }
+    if spec.kind == "grs-folded":
+        tables["points"] = spec.points
+    for table in tables.values():
+        got = table()
+        assert table() is got and not got.flags.writeable
+    # an equal spec built apart reads the same cached tables
+    twin = CodeSpec.from_json(spec.to_json())
+    assert twin is not spec and codes.codeword_rank_matrix(twin) is tables["codeword_rank_matrix"]()
+    assert codes.codeword_rank_matrix(spec).flags.f_contiguous
+
+
+def test_an_over_budget_code_raises_on_every_call():
+    # the cache holds no exception, so the gate inside each cached table
+    # raises again on every call
+    spec = codes.preset(3)
+    assert spec.size > 1 << 16
+    for _ in range(3):
+        for table in (codes.codeword_matrix, codes.codeword_rank_matrix):
+            with pytest.raises(BudgetExceeded, match=f"^\\|C\\| = {spec.size} exceeds budget 65536$"):
+                table(spec)
+        with pytest.raises(BudgetExceeded):
+            codes.list_recover_count(spec, [{0}] * spec.n, 1)
+
+
 def test_preset2_has_256_distinct_codewords():
     spec = codes.preset(2)
     assert spec.size == 256
@@ -608,6 +640,14 @@ def test_syndrome_decoder_matches_bw_gf16(k):
     assert decoded > 0
 
 
+def test_decoder_params_read_p_as_a_decimal():
+    spec = configs.toy_selfdual_spec()
+    want = DecoderParams.for_spec(spec, Fraction(1, 10))
+    assert DecoderParams.for_spec(spec, 0.1) == want
+    assert DecoderParams.for_spec(spec, np.float64(0.1)) == want
+    assert DecoderParams.for_spec(spec, "1/10") == want
+
+
 def test_syndrome_decoder_on_preset3_dual():
     # the benchmark's decoder: the unfolded dual of preset(3) (k = 55,
     # unique radius 3) at radii 0-3, error weights 0-7
@@ -858,6 +898,9 @@ def test_list_recover_count_reads_zeta_exactly():
     # a float is read as the decimal its repr prints: 2/3 as 0.6666666666666666
     assert codes.list_recover_count(spec, S, 2 / 3) == (agree >= 2).sum()
     assert codes.list_recover_count(spec, S, "0.8") == (agree >= 3).sum()
+    # a numpy float too, whose repr under numpy 2 is not a decimal
+    assert codes.list_recover_count(spec, S, np.float64(0.8)) == (agree >= 3).sum()
+    assert codes.list_recover_count(spec, S, np.float64(2 / 3)) == (agree >= 2).sum()
 
 
 def test_lr_param_check():

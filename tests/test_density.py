@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nullcode import density
+from nullcode import density, proto
 from nullcode.density import (
     Part,
     density_cut,
@@ -534,12 +534,14 @@ def test_density_cut_matches_uncached_search():
                 for size, s in args:
                     assert density_cut(size, gamma, s) == _density_cut_search(size, gamma, s)
     assert 0.001 != Fraction(1, 1000)
-    assert density_cut(1024, Fraction(8001, 10000), 10) == 3
+    # a Fraction is taken as given: 801/1000 cuts at 3, where 4/5 cuts at 4
+    assert density_cut(1024, Fraction(801, 1000), 10) == 3
+    assert density_cut(1024, Fraction(4, 5), 10) == 4
 
 
 @pytest.mark.parametrize("gamma", [1 / 1024, 0.8001, 0.0001, 2 / 3, 5e-324])
 def test_float_gamma_with_a_denominator_above_the_cap_raises(gamma):
-    # 0.8001 once read as 4/5 and 0.0001 as 0; a Fraction is taken as given
+    # 0.8001 once read as 4/5 and 0.0001 as 0
     message = re.escape(f"gamma {gamma!r} has a reduced denominator above 1000")
     with pytest.raises(ValueError, match=message):
         density_cut(1024, gamma, 10)
@@ -641,6 +643,50 @@ def test_validate_partition_checks_fixed_bits_like_the_coordinate_loop(dtype):
                 validate_partition(X, parts, 0.5, coords)
     assert rejected == 30
     assert (X < 0).any()
+
+
+# every entry point reads gamma through one checked reader
+GAMMA_READERS = {
+    "density_cut": lambda gamma: density_cut(1024, gamma, 10),
+    "find_violation": lambda gamma: find_violation(np.array([0, 2, 1]), gamma, (0, 1, 2)),
+    "is_dense": lambda gamma: is_dense(np.arange(8), gamma, (0, 1, 2)),
+    "subcube_like_transform": lambda gamma: proto.subcube_like_transform(
+        proto.random_onebit_tree(np.random.default_rng(0), 4, 4, 3, labels=[0, 1]), gamma
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "gamma, message",
+    [
+        # the cap once held for floats only: 1/1001 took a 1001st-power search
+        (Fraction(1, 1001), "gamma 1/1001 has a reduced denominator above 1000"),
+        ("1/1001", "gamma 1/1001 has a reduced denominator above 1000"),
+        (np.float64(0.0004), "gamma 0.0004 has a reduced denominator above 1000"),
+        # density_cut and the transform once raised 'negative shift count'
+        (-0.5, "gamma -0.5 is negative"),
+        (np.float64(-0.5), "gamma -0.5 is negative"),
+        (Fraction(-1, 3), "gamma -1/3 is negative"),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("reader", list(GAMMA_READERS))
+def test_every_gamma_reader_checks_the_sign_and_the_cap(reader, gamma, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GAMMA_READERS[reader](gamma)
+
+
+def test_numpy_gamma_is_read_as_its_value():
+    # under numpy 2 the repr of np.float64(0.8) is not a decimal
+    assert density_cut(1024, np.float64(0.8), 10) == density_cut(1024, Fraction(4, 5), 10) == 4
+    # and a numpy integer as its int: np.int64(70) once overflowed a C long
+    assert density_cut(10**30, np.int64(70), 1) == density_cut(10**30, 70, 1) == 847032947
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        X = rng.choice(64, size=int(rng.integers(1, 40)), replace=False)
+        want = find_violation(X, Fraction(4, 5), range(6))
+        assert find_violation(X, np.float64(0.8), range(6)) == want
+        assert find_violation(X, np.float32(0.5), range(6)) == find_violation(X, 0.5, range(6))
 
 
 def test_negative_gamma_raises_value_error():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nullcode.gf import (
     FieldCtx,
     _is_irreducible,
     _poly_mulmod,
+    exact,
     trace,
 )
 
@@ -191,6 +193,65 @@ def test_from_json_rejects_a_field_that_is_not_an_integer(field, value):
     data = {"s": 2, "modulus": 7, field: value}
     with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
         FieldCtx.from_json(data)
+
+
+def exact_by_the_old_rules(value) -> Fraction:
+    """The readers `exact` replaced: density and list_recover_count read a
+    Python float as the decimal its repr prints and returned a Fraction as
+    given; every other site called Fraction(value)."""
+    if isinstance(value, float):
+        return Fraction(repr(value))
+    if type(value) is Fraction:
+        return value
+    return Fraction(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.8, 0.1, 2 / 3, 1e-6, 5e-324, 1.7976931348623157e308, -0.5, 0.0, -0.0, 1e300, 3.0,
+     Fraction(1, 3), Fraction(-7, 1001), Fraction(10**40, 3), 0, 7, -3, 10**40, True,
+     "1/3", "0.8001", " -2.5e-3 ", "1e300", "4"],
+    ids=repr,
+)
+def test_exact_matches_the_old_rules(value):
+    got = exact(value)
+    assert type(got) is Fraction and got == exact_by_the_old_rules(value)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    if type(value) is Fraction:
+        assert got is value
+
+
+def test_exact_reads_a_float_as_its_repr_and_caches_it():
+    assert exact(0.1) == Fraction(1, 10) != Fraction(0.1)
+    assert exact(0.8) is exact(0.8)
+    assert exact(2 / 3) == Fraction(6666666666666666, 10**16)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (np.float64(0.8), Fraction(4, 5)),  # repr is 'np.float64(0.8)' under numpy 2
+        (np.float64(-0.5), Fraction(-1, 2)),
+        (np.float32(0.5), Fraction(1, 2)),
+        (np.float32(0.1), Fraction("0.10000000149011612")),  # the float it converts to
+        (np.float16(0.25), Fraction(1, 4)),
+        (np.int64(-3), Fraction(-3)),
+        (np.uint64(2**64 - 1), Fraction(2**64 - 1)),
+    ],
+    ids=repr,
+)
+def test_exact_reads_numpy_scalars(value, want):
+    got = exact(value)
+    assert got == want
+    assert type(got.numerator) is int and type(got.denominator) is int
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), "abc", "1/0"], ids=repr
+)
+def test_exact_rejects_what_is_not_a_rational(value):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        exact(value)
 
 
 @pytest.mark.parametrize("s", sorted(DEFAULT_MODULI))

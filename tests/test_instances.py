@@ -57,6 +57,21 @@ def test_bias_concentration():
     assert abs(int(inst.tables.sum()) - nbits * p) <= 3 * sigma
 
 
+def test_sample_instance_reads_p_as_the_cli_does(tmp_path, capsys):
+    # 0.1 is 1/10, as the CLI's --p 0.1 reads it, not its binary value
+    # 3602879701896397/2^55, which draws other tables
+    from nullcode.cli import main
+
+    path = tmp_path / "inst.json"
+    assert main(["instance", "gen", "--toy", "--p", "0.1", "--seed", "3", "--out", str(path)]) == 0
+    written = instances.instance_from_json(json.loads(path.read_text()))
+    for p in (0.1, np.float64(0.1), "0.1"):
+        inst = instances.sample_instance(configs.toy_selfdual_spec(), p, 3)
+        assert inst.p == written.p == Fraction(1, 10)
+        assert np.array_equal(inst.tables, written.tables)
+    assert instances.bias_exponent(0.25) == instances.bias_exponent(np.float64(0.25)) == 2
+
+
 def test_seed_determinism_bytes():
     spec = toy()
     a = instances.instance_to_json(instances.sample_instance(spec, Fraction(1, 4), 3))

@@ -202,7 +202,8 @@ def test_transform_parts_repeel_from_each_side_free_coordinates(gamma):
                 assert [(bit + word, p.elems.tolist()) for p, word in zip(drp, code)] == group
 
 
-@pytest.mark.parametrize("gamma", [1.002, 1.5, Fraction(3, 2), 7])
+# 10^400 is past the float range, and prints as itself
+@pytest.mark.parametrize("gamma", [1.002, 1.5, Fraction(3, 2), 7, Fraction(10**400)])
 def test_transform_rejects_gamma_above_one_before_building(gamma, monkeypatch):
     # the full domain {0, 1} has x0 = 0 once: 1 > floor(2 * 2^(-gamma)) = 0
     def no_partition(*args):
@@ -496,10 +497,20 @@ def test_danger_track_derives_cells_once_per_visited_node(monkeypatch):
     assert len(calls) < sum(len(ledger.rounds) for ledger in out["ledgers"])
 
 
-def test_danger_track_of_no_instances():
-    spec, _, tree = danger_setup()
+def test_danger_track_of_no_instances(monkeypatch):
+    spec, insts, tree = danger_setup()
+    seen = []
+
+    def recording_mask(tables, ranks):
+        seen.append((tables.dtype, tables.shape))
+        return instances.solution_mask(tables, ranks)
+
+    monkeypatch.setattr(proto, "solution_mask", recording_mask)
     out = proto.danger_track(tree, spec, [])
     assert (out["ledgers"], out["danger_events"], out["danger_to_solution_rate"]) == ([], 0, 0.0)
+    # the stacked tables are uint8 bits whatever the instance count
+    proto.danger_track(tree, spec, insts[:2])
+    assert seen == [(np.uint8, (k, spec.n, spec.sigma_size)) for k in (0, 2)]
 
 
 def test_danger_threshold_arithmetic():

@@ -691,6 +691,12 @@ def test_table_stats_match_t_sum(sigma, p):
     assert st == table_stats_t_sum(sigma, p)
 
 
+def test_table_stats_read_a_float_bias_as_its_decimal():
+    exact = qsim.table_fourier_stats(FieldCtx(1), 2, Fraction(1, 10))
+    assert qsim.table_fourier_stats(FieldCtx(1), 2, 0.1) == exact
+    assert exact["mean_W0_sq_exact"] == Fraction(9, 10)
+
+
 @pytest.mark.parametrize("p", [Fraction(-1, 4), Fraction(5, 4), Fraction(3, 2)])
 def test_table_stats_reject_a_bias_outside_the_unit_interval(p):
     with pytest.raises(ValueError, match=r"bias must lie in \[0, 1\]"):
@@ -699,6 +705,7 @@ def test_table_stats_reject_a_bias_outside_the_unit_interval(p):
 
 def test_product_rule():
     assert qsim.product_rule_check(FieldCtx(1), 2, 3, Fraction(1, 8), seed=4) == 0
+    assert qsim.product_rule_check(FieldCtx(1), 2, 3, 0.1, seed=4) == 0
     assert qsim.product_rule_check(FieldCtx(2), 1, 2, Fraction(1, 4), seed=5) == 0
 
 

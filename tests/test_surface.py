@@ -1,6 +1,6 @@
 """The library's surface is what the program runs.
 
-Five static checks over src/nullcode/*.py, by `ast`:
+Seven static checks over src/nullcode/*.py, by `ast`:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
@@ -16,9 +16,14 @@ Five static checks over src/nullcode/*.py, by `ast`:
   method's name alone, since the type of its receiver is not known;
 - no module other than __init__.py imports a name it never uses;
 - no module reads the environment, so a run's outputs depend only on its
-  arguments.
+  arguments;
+- no module builds Fraction(repr(...)) outside `gf.exact`'s cached
+  helper, so every rational parameter is read by one rule;
+- in cli.py only the argparse types use `_parse_fraction`, so no
+  subcommand re-reads a rational flag from its text.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -225,3 +230,65 @@ def test_no_module_reads_the_environment():
                 names = {alias.name for alias in node.names} & ENVIRONMENT_READS
                 reads += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names)]
     assert reads == []
+
+
+def _nodes_by_function(tree: ast.Module, test) -> list:
+    """Names of the top-level functions whose bodies hold a node that
+    passes test, once per such node."""
+    return [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if test(node)
+    ]
+
+
+def _is_fraction_of_repr(call) -> bool:
+    if not isinstance(call, ast.Call):
+        return False
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return (
+        name == "Fraction"
+        and len(call.args) == 1
+        and isinstance(call.args[0], ast.Call)
+        and isinstance(call.args[0].func, ast.Name)
+        and call.args[0].func.id == "repr"
+    )
+
+
+def test_one_module_reads_a_float_by_its_repr():
+    trees = _parsed(sorted(SRC.glob("*.py")))
+    sites = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name in _nodes_by_function(tree, _is_fraction_of_repr)
+    ]
+    # a module-level statement is counted here only
+    flat = sum(_is_fraction_of_repr(node) for tree in trees.values() for node in ast.walk(tree))
+    assert sites == ["gf._decimal"] and flat == 1
+
+
+def test_only_the_argparse_types_parse_a_fraction():
+    # the reader is named only by --gamma's type and by the parser, whose
+    # --p and --zeta types are partials of it
+    tree = ast.parse((SRC / "cli.py").read_text())
+    users = _nodes_by_function(
+        tree, lambda node: isinstance(node, ast.Name) and node.id == "_parse_fraction"
+    )
+    assert sorted(set(users)) == ["_gamma", "build_parser"]
+    # and every rational flag of every subcommand, its default included, is
+    # parsed by its type (code lrcheck's float --zeta among them)
+    from nullcode import cli
+
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    flags = [a for a in actions(cli.build_parser()) if a.dest in ("p", "zeta", "gamma")]
+    assert len(flags) == 10
+    assert [a for a in flags if a.type is None or not (a.required or isinstance(a.default, str))] == []

@@ -358,5 +358,7 @@ def test_union_bound_calculator():
     # below the smallest float, and still exact
     assert tbnc.union_bound_calculator(2000, 10, 0.5) == Fraction(1, 2**1990)
     assert tbnc.union_bound_calculator(3, 0, "1/3") == Fraction(1, 27)
+    # a float is read as the decimal its repr prints
+    assert tbnc.union_bound_calculator(2, 1, 0.1) == Fraction(2, 100)
     with pytest.raises(ValueError):
         tbnc.union_bound_calculator(-1, 10, 0.5)
