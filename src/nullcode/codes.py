@@ -77,6 +77,8 @@ class CodeSpec:
                 raise LengthMismatch("ragged generator matrix")
             if ncols % self.m:
                 raise ValueError("m must divide the matrix width")
+            if any(not 0 <= x < q for row in self.genmat for x in row):
+                raise ValueError("generator matrix entries must be field elements")
             gm = np.array(self.genmat, dtype=np.int64)
             if linalg.rank(self.field, gm) != len(self.genmat):
                 raise ValueError("generator matrix rows must be independent")

@@ -25,10 +25,6 @@ class BudgetExceeded(NullcodeError):
     """An enumeration or state-size budget would be exceeded."""
 
 
-class BiasNotPowerOfTwo(NullcodeError):
-    """AND-block operations require a bias of the form 2**-b."""
-
-
 class SplitRequiresEvenN(NullcodeError, ValueError):
     """Bipartite splits need an even number of oracle coordinates."""
 

@@ -6,14 +6,14 @@ solution is a codeword x with H_i(x_i) = 0 for all i; `verify` checks a
 candidate with table lookups plus the code's parity checks, and
 `brute_solve` enumerates the exact solution set for small codes.
 
-When p = 2**-b a table can also carry AND-blocks of b uniform bits whose
-AND gives each bit back (`sample_unfolded_instance`); tables in that
-unfolded form drive the total problem layer.
+When p = 2**-b, `sample_unfolded_instance` draws each bit as the AND of
+b uniform bits, as the total problem layer samples its copies; the
+instance keeps only the ANDed tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +22,6 @@ from . import codes, linalg
 from .budget import DEFAULT_TABLE_BUDGET
 from .codes import CodeSpec, Codeword
 from .errors import (
-    BiasNotPowerOfTwo,
     BudgetExceeded,
     DomainMismatch,
     LengthMismatch,
@@ -34,41 +33,23 @@ from .gf import exact
 FORMAT_VERSION = 1
 
 
-def bias_exponent(p) -> int:
-    """b such that p = 2**-b, p read by `gf.exact`, or raise BiasNotPowerOfTwo."""
-    p = exact(p)
-    if p.numerator != 1 or p.denominator & (p.denominator - 1):
-        raise BiasNotPowerOfTwo(f"bias {p} is not of the form 2**-b")
-    return p.denominator.bit_length() - 1
-
-
 @dataclass(frozen=True)
 class OracleInstance:
-    """n oracle tables over Sigma, plus an optional AND-block unfolding.
+    """n oracle tables over Sigma.
 
     tables: uint8 array of shape (n, |Sigma|), entry (i, e) = H_i(e).
-    unfolded: uint8 array of shape (n, |Sigma|, b) whose per-entry AND
-    reproduces `tables`, or None.
     """
 
     spec: CodeSpec
     p: Fraction
     seed: int
     tables: np.ndarray
-    unfolded: np.ndarray | None = None
 
     def __post_init__(self):
         n, sigma = self.tables.shape
         if n != self.spec.n or sigma != self.spec.sigma_size:
             raise LengthMismatch("table shape does not match the code")
         self.tables.setflags(write=False)
-        if self.unfolded is not None:
-            b = bias_exponent(self.p)
-            if self.unfolded.shape != (n, sigma, b):
-                raise LengthMismatch("unfolded table shape mismatch")
-            if not np.array_equal(self.unfolded.min(axis=2), self.tables):
-                raise ValueError("AND of unfolded blocks != bias tables")
-            self.unfolded.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -106,14 +87,12 @@ def sample_instance(spec: CodeSpec, p, seed: int) -> OracleInstance:
 
 
 def sample_unfolded_instance(spec: CodeSpec, b: int, seed: int) -> OracleInstance:
-    """Sample uniform AND-block tables; the collapsed bias is p = 2**-b."""
+    """Sample each table bit as the AND of b uniform bits, so p = 2**-b;
+    all n |Sigma| b drawn bits count against the table budget."""
     check_table_bits(spec, blocks=b)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0B1A6]))
-    unfolded = rng.integers(0, 2, size=(spec.n, spec.sigma_size, b)).astype(np.uint8)
-    tables = unfolded.min(axis=2)
-    return OracleInstance(
-        spec=spec, p=Fraction(1, 1 << b), seed=seed, tables=tables, unfolded=unfolded
-    )
+    blocks = rng.integers(0, 2, size=(spec.n, spec.sigma_size, b)).astype(np.uint8)
+    return OracleInstance(spec=spec, p=Fraction(1, 1 << b), seed=seed, tables=blocks.min(axis=2))
 
 
 def verify(inst: OracleInstance, x: Codeword) -> bool:
@@ -255,7 +234,7 @@ def _unpack_hex_rows(rows, count: int, nbits: int, field: str) -> np.ndarray:
 
 
 def instance_to_json(inst: OracleInstance) -> dict:
-    data = {
+    return {
         "format": FORMAT_VERSION,
         "code": inst.spec.to_json(),
         "p": f"{inst.p.numerator}/{inst.p.denominator}",
@@ -263,22 +242,16 @@ def instance_to_json(inst: OracleInstance) -> dict:
         "split": None if inst.n % 2 else {"n": inst.n, "sigma": inst.sigma_size},
         "tables": [_pack_hex(row) for row in inst.tables],
     }
-    if inst.unfolded is not None:
-        data["unfolded"] = {
-            "b": inst.unfolded.shape[2],
-            "tables": [_pack_hex(row.reshape(-1)) for row in inst.unfolded],
-        }
-    return data
 
 
 def instance_from_json(data: dict) -> OracleInstance:
     """Inverse of instance_to_json.  Raises ParseError, naming the field,
     for a format other than the integer FORMAT_VERSION, a p other than
     "num/den" in [0, 1] with at most 4300 digits a side (what int()
-    converts by default), a seed that is not an integer, tables of the
-    wrong count or hex length, an unfolded that is not an object, and an
-    unfolded block whose b is not the exponent of p = 2^-b or whose tables
-    have the wrong shape."""
+    converts by default), a seed that is not an integer, and tables of the
+    wrong count or hex length.  Other keys are ignored: the "split" header
+    instance_to_json writes, and the AND-block "unfolded" object that
+    older files carry."""
     version = data.get("format")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("instance", "format", f"format must be {FORMAT_VERSION}, got {version!r}")
@@ -287,33 +260,13 @@ def instance_from_json(data: dict) -> OracleInstance:
     digits = num.isdecimal() and den.isdecimal() and max(len(num), len(den)) <= 4300
     if not (digits and 0 < int(den) and int(num) <= int(den)):
         raise ParseError("instance", "p", f"p must be 'num/den' in [0, 1], got {data['p']!r}")
-    p = Fraction(int(num), int(den))
     seed = data["seed"]
     if type(seed) is not int:
         raise ParseError("instance", "seed", f"seed must be an integer, got {seed!r}")
-    sigma = spec.sigma_size
-    tables = _unpack_hex_rows(data["tables"], spec.n, sigma, "tables")
-    unfolded = None
-    block = data.get("unfolded")
-    if block is not None:
-        if not isinstance(block, dict):
-            raise ParseError("instance", "unfolded", f"unfolded must be an object, got {block!r}")
-        b = block.get("b")
-        # b is bounded before the shift: p = 2^-b needs 2^b = den
-        bounded = type(b) is int and 1 <= b <= p.denominator.bit_length()
-        if not (bounded and p == Fraction(1, 1 << b)):
-            raise ParseError("instance", "unfolded.b", f"b must satisfy p = 2^-b, got {b!r}")
-        rows = _unpack_hex_rows(block.get("tables"), spec.n, sigma * b, "unfolded.tables")
-        unfolded = rows.reshape(spec.n, sigma, b)
-    return OracleInstance(spec=spec, p=p, seed=seed, tables=tables, unfolded=unfolded)
+    tables = _unpack_hex_rows(data["tables"], spec.n, spec.sigma_size, "tables")
+    return OracleInstance(spec=spec, p=Fraction(int(num), int(den)), seed=seed, tables=tables)
 
 
 def with_tables(inst: OracleInstance, tables: np.ndarray) -> OracleInstance:
-    """Same spec and bookkeeping, different bias tables (unfolding dropped)."""
-    return OracleInstance(
-        spec=inst.spec,
-        p=inst.p,
-        seed=inst.seed,
-        tables=np.ascontiguousarray(tables, dtype=np.uint8),
-        unfolded=None,
-    )
+    """Same spec and bookkeeping, different bias tables."""
+    return replace(inst, tables=np.ascontiguousarray(tables, dtype=np.uint8))

@@ -343,8 +343,11 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     DEFAULT_ENUM_BUDGET nodes.
     """
     if density_cut(2, gamma, 1) == 0:  # floor(2^(1 - gamma)) = 0 iff gamma > 1
-        # a Fraction such as the CLI's 3/2 prints as the decimal 1.5 (as itself past floats)
-        shown = float(gamma) if isinstance(gamma, Fraction) and gamma <= sys.float_info.max else gamma
+        # a Fraction such as the CLI's 3/2 prints as the decimal 1.5, and one
+        # past the float range as a bound rather than its hundreds of digits
+        shown = gamma
+        if isinstance(gamma, Fraction):
+            shown = float(gamma) if gamma <= sys.float_info.max else f"above {sys.float_info.max:.2g}"
         raise ValueError(f"gamma {shown} exceeds 1: the full domain is not gamma-dense")
     nodes = 1
     # The speaker's refinement depends only on the original node and the

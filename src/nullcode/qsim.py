@@ -374,8 +374,9 @@ def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
     character is balanced on Sigma, so E[|What(e)|^2 | t] =
     (|Sigma| - t)/(|Sigma| (|Sigma| - 1)) for every e != 0.  Summing over
     t ~ Bin(|Sigma|, 1 - p) gives E|What(0)|^2 = 1 - p and
-    E|What(e)|^2 = p (1 - p^(|Sigma|-1))/(|Sigma| - 1).  The mean over
-    nonempty tables is None when every table is empty (p = 1).
+    E|What(e)|^2 = p (1 - p^(|Sigma|-1))/(|Sigma| - 1) for every e != 0,
+    returned once (None at |Sigma| = 1).  The mean over nonempty tables is
+    None when every table is empty (p = 1).
     """
     p = exact(p)
     if not 0 <= p <= 1:
@@ -383,7 +384,7 @@ def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
     sigma = ctx.q**m
     empty_mass = p**sigma
     mean0 = 1 - p
-    per_element = p * (1 - p ** (sigma - 1)) / (sigma - 1) if sigma > 1 else Fraction(0)
+    per_element = p * (1 - p ** (sigma - 1)) / (sigma - 1) if sigma > 1 else None
     return {
         "sigma": sigma,
         "p": float(p),
@@ -391,8 +392,8 @@ def table_fourier_stats(ctx: FieldCtx, m: int, p) -> dict:
         "mean_W0_sq_exact": mean0,
         "mean_W0_sq_nonempty": float(mean0 / (1 - empty_mass)) if empty_mass != 1 else None,
         "empty_mass": float(empty_mass),
-        "per_element_means": [float(per_element)] * (sigma - 1),
-        "per_element_exact": [per_element] * (sigma - 1),
+        "per_element_mean": None if per_element is None else float(per_element),
+        "per_element_exact": per_element,
         "mode": "exact",
     }
 

@@ -3,7 +3,7 @@
 A solution is a key plus one codeword per copy such that, on every copy,
 the copy's bias oracle XOR the keyed hash vanishes on the codeword.  The
 bias bits are produced by AND-collapsing each side separately and only
-then XORing; collapsing the XOR of the unfolded tables would give a
+then XORing; collapsing the XOR of the AND-blocks would give a
 different (wrong) oracle.
 
 `run_keyed_smp` simulates the referee protocol at toy scale: draw a key,
@@ -40,7 +40,7 @@ DEFAULT_RETRY_CAP = 64
 
 @dataclass(frozen=True)
 class TbncInstance:
-    """t unfolded oracle copies over one code, sharing one hash family."""
+    """t oracle copies over one code, sharing one hash family."""
 
     t: int
     spec: CodeSpec
@@ -60,8 +60,6 @@ class TbncInstance:
         for c in self.copies:
             if c.spec != self.spec:
                 raise ValueError("all copies must share the code spec")
-            if c.unfolded is None:
-                raise ValueError("copies must carry unfolded tables")
 
 
 def make_tbnc(
@@ -71,7 +69,7 @@ def make_tbnc(
     seed: int,
     b: int = 6,
 ) -> TbncInstance:
-    """Sample t copies with uniform unfolded tables (bias 2**-b each)."""
+    """Sample t copies, each bit the AND of b uniform bits (bias 2**-b)."""
     copies = tuple(
         inst_mod.sample_unfolded_instance(spec, b, seed * 1000003 + i)
         for i in range(t)

@@ -301,7 +301,7 @@ def test_criterion_08_table_statistics():
         8,
         "table Fourier statistics",
         f"exact mean 3/4; closed form == sweep over all 2^8 tables (E|What(e)|^2 = "
-        f"{swept['per_element_exact'][0]} for e != 0) and == t-sum at |Sigma| = 256, "
+        f"{swept['per_element_exact']} for e != 0) and == t-sum at |Sigma| = 256, "
         f"{elapsed:.2f}s",
     )
 
@@ -494,7 +494,6 @@ def test_criterion_14_total_problem(monkeypatch):
             p=c.p,
             seed=seed,
             tables=np.zeros_like(c.tables),
-            unfolded=np.zeros_like(c.unfolded),
         )
 
     tb = tbnc.TbncInstance(

@@ -266,6 +266,14 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             ["code", "listrec", "--toy", "--zeta", "1E-1_000_000_000", "--trials", "1"],
             "--zeta 1E-1_000_000_000 has a decimal exponent above 4300 in magnitude",
         ),
+        # a generator-matrix entry outside F_2 = [0, 2)
+        (["code", "dual", "--config", "{genmat_-1}"], None),
+        (["code", "dual", "--config", "{genmat_2}"], None),
+        # a gamma past the float range is shown as a bound, not as its 401 digits
+        (
+            ["proto", "transform", "--gamma", "1e400", "--n-bits", "4", "--depth", "3"],
+            "gamma above 1.8e+308 exceeds 1: the full domain is not gamma-dense",
+        ),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
@@ -287,6 +295,14 @@ def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
         gamma_1["gamma"] = 1  # order 1, not a generator of F_4^*
         paths["{gamma_1}"] = tmp_path / "gamma_1.json"
         paths["{gamma_1}"].write_text(json.dumps(gamma_1))
+    for entry in (-1, 2):
+        if f"{{genmat_{entry}}}" in argv:
+            from nullcode import configs
+
+            data = configs.toy_selfdual_spec().to_json()
+            data["genmat"][1][2] = entry
+            paths[f"{{genmat_{entry}}}"] = tmp_path / f"genmat_{entry}.json"
+            paths[f"{{genmat_{entry}}}"].write_text(json.dumps(data))
     if "{s17}" in argv:
         from nullcode import codes
 
@@ -430,14 +446,14 @@ def test_claim66_too_few_samples_print_null(argv, nones, capsys):
         assert main(["qsim", "claim66", *argv]) == 0
     rec = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
     assert {k for k, v in rec.items() if v is None} == nones
-    assert rec["empty_mass"] == 1.0 and rec["per_element_means"] == [0.0] * 3
+    assert rec["empty_mass"] == 1.0 and rec["per_element_mean"] == 0.0
 
 
 def test_claim66_sigma_one_has_no_nonzero_frequency(capsys):
     assert main(["qsim", "claim66", "--sigma", "1"]) == 0
     assert capsys.readouterr().out == (
         '{"empty_mass": 0.25, "mean_W0_sq": 0.75, "mean_W0_sq_nonempty": 1.0, "mode": "exact", '
-        '"p": 0.25, "per_element_means": [], "sigma": 1}\n'
+        '"p": 0.25, "per_element_mean": null, "sigma": 1}\n'
     )
 
 
@@ -447,7 +463,7 @@ def test_claim66_largest_sigma_is_exact_and_fast(capsys):
     assert time.perf_counter() - start < 1
     rec = json.loads(capsys.readouterr().out)
     per_element = float(Fraction(1, 4) * (1 - Fraction(1, 4) ** 65535) / 65535)
-    assert rec["per_element_means"] == [per_element] * 65535
+    assert rec["per_element_mean"] == per_element
     assert rec["mean_W0_sq"] == 0.75 and rec["mode"] == "exact"
 
 
@@ -531,12 +547,12 @@ MALFORMED = [
     ("tables", lambda rows: [rows[0] + "00"] + rows[1:]),
     ("tables", lambda rows: [rows[0][:-2]] + rows[1:]),
     ("tables", lambda rows: ["zz"] + rows[1:]),
-    ("unfolded.b", 5),
-    ("unfolded.b", "6"),
-    ("unfolded.tables", lambda rows: rows[:-1]),
-    ("unfolded.tables", lambda rows: [rows[0][:-2]] + rows[1:]),
+    ("tables", 5),  # not a list of rows
+    ("tables", lambda rows: [5] + rows[1:]),  # a row that is not a string
+    ("p", 1),
+    ("seed", None),
     ("p", "1/" + "1" * 5000),  # past int()'s digit limit
-    ("unfolded", 5),
+    ("format", None),
     ("format", 2),
     ("format", "1"),
 ]
@@ -696,7 +712,6 @@ def test_tbnc_verify_subcommand(tmp_path, capsys):
                 p=c.p,
                 seed=i,
                 tables=np.zeros_like(c.tables),
-                unfolded=np.zeros_like(c.unfolded),
             )
         )
     payload = {
@@ -727,6 +742,59 @@ def test_tbnc_verify_subcommand(tmp_path, capsys):
         )
         == 1
     )
+
+
+def _with_and_blocks(copy: dict) -> dict:
+    """An instance file's dict in the older layout, with the "unfolded"
+    object beside the tables: per coordinate, the hex of the b uniform
+    bits of every symbol, as sample_unfolded_instance draws them from the
+    copy's seed, whose AND must be the file's table bit."""
+    import numpy as np
+
+    from nullcode import instances
+    from nullcode.codes import CodeSpec
+
+    spec = CodeSpec.from_json(copy["code"])
+    b = Fraction(copy["p"]).denominator.bit_length() - 1
+    rng = np.random.default_rng(np.random.SeedSequence([copy["seed"], 0x0B1A6]))
+    blocks = rng.integers(0, 2, size=(spec.n, spec.sigma_size, b)).astype(np.uint8)
+    assert np.array_equal(blocks.min(axis=2), instances.instance_from_json(copy).tables)
+    rows = [np.packbits(row.reshape(-1), bitorder="little").tobytes().hex() for row in blocks]
+    return {**copy, "unfolded": {"b": b, "tables": rows}}
+
+
+def test_files_with_and_blocks_read_as_without(tmp_path, capsys):
+    # files of earlier versions carry an "unfolded" object; it is ignored
+    import numpy as np
+
+    from nullcode import configs, instances
+
+    fresh = instances.instance_to_json(
+        instances.sample_unfolded_instance(configs.toy_selfdual_spec(), 2, 8)
+    )
+    tb_path, old_tb_path = tmp_path / "tb.json", tmp_path / "tb_old.json"
+    assert main(["tbnc", "gen", "--t", "2", "--seed", "1", "--out", str(tb_path)]) == 0
+    tb = json.loads(tb_path.read_text())
+    old_tb = {**tb, "copies": [_with_and_blocks(c) for c in tb["copies"]]}
+    old_tb_path.write_text(json.dumps(old_tb))
+    pairs = [(fresh, _with_and_blocks(fresh)), *zip(tb["copies"], old_tb["copies"])]
+    for new, old in pairs:
+        assert "unfolded" not in new
+        back = instances.instance_from_json(old)
+        assert np.array_equal(back.tables, instances.instance_from_json(new).tables)
+    # the repetition code's codewords are "a a"; "0 1" is not one
+    solutions = [f"{a} {a};{b} {b}" for a in range(4) for b in range(4)] + ["0 1;0 0"]
+    verdicts = set()
+    for key in ("0,0,0,0", "0,0,3,5"):
+        for words in solutions:
+            capsys.readouterr()
+            runs = []
+            for path in (tb_path, old_tb_path):
+                code = main(["tbnc", "verify", "--in", str(path), "--key", key, "--solutions", words])
+                runs.append((code, capsys.readouterr().out))
+            assert runs[0] == runs[1]
+            verdicts.add(runs[0][0])
+    assert verdicts == {0, 1}
 
 
 def test_result_files_regenerate_bit_identically(tmp_path):

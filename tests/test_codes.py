@@ -1005,6 +1005,16 @@ def test_grs_spec_rejects_non_generator_gamma(gamma):
         CodeSpec(kind="grs-folded", field=ctx, m=5, k=3, gamma=gamma, v=(1,) * 15)
 
 
+@pytest.mark.parametrize("entry", [-1, 2, 5])
+def test_generic_spec_rejects_an_entry_outside_the_field(entry):
+    # as a GRS multiplier outside (0, q) is; numpy would wrap -1 around the
+    # log tables and index past them at 2 or 5
+    rows = [list(row) for row in configs.toy_selfdual_spec().genmat]
+    rows[1][2] = entry
+    with pytest.raises(ValueError, match="generator matrix entries must be field elements"):
+        CodeSpec(kind="generic-linear", field=FieldCtx(1), m=2, genmat=tuple(map(tuple, rows)))
+
+
 @pytest.mark.parametrize(
     "genmat",
     [[], [[1, 1], [1]], [[]], "11", [[1, 1], 1]],

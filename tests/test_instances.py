@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nullcode import codes, configs, instances
-from nullcode.errors import BiasNotPowerOfTwo, BudgetExceeded, ParseError, SplitRequiresEvenN
+from nullcode.errors import BudgetExceeded, ParseError, SplitRequiresEvenN
 from nullcode.gf import FieldCtx
 
 
@@ -69,7 +69,6 @@ def test_sample_instance_reads_p_as_the_cli_does(tmp_path, capsys):
         inst = instances.sample_instance(configs.toy_selfdual_spec(), p, 3)
         assert inst.p == written.p == Fraction(1, 10)
         assert np.array_equal(inst.tables, written.tables)
-    assert instances.bias_exponent(0.25) == instances.bias_exponent(np.float64(0.25)) == 2
 
 
 def test_seed_determinism_bytes():
@@ -77,13 +76,6 @@ def test_seed_determinism_bytes():
     a = instances.instance_to_json(instances.sample_instance(spec, Fraction(1, 4), 3))
     b = instances.instance_to_json(instances.sample_instance(spec, Fraction(1, 4), 3))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_expand_requires_power_of_two():
-    # AND-block tables exist only for p = 2**-b; OracleInstance checks that here
-    assert instances.bias_exponent(Fraction(1, 4)) == 2
-    with pytest.raises(BiasNotPowerOfTwo):
-        instances.bias_exponent(Fraction(1, 3))
 
 
 def test_and_block_bias_monte_carlo():
@@ -322,7 +314,6 @@ def test_file_roundtrip_with_unfolded():
     text = json.dumps(instances.instance_to_json(inst), sort_keys=True)
     back = instances.instance_from_json(json.loads(text))
     assert np.array_equal(back.tables, inst.tables)
-    assert np.array_equal(back.unfolded, inst.unfolded)
     assert back.spec == inst.spec and back.p == inst.p and back.seed == inst.seed
 
 

@@ -202,7 +202,7 @@ def test_transform_parts_repeel_from_each_side_free_coordinates(gamma):
                 assert [(bit + word, p.elems.tolist()) for p, word in zip(drp, code)] == group
 
 
-# 10^400 is past the float range, and prints as itself
+# 10^400 is past the float range, and prints as a bound
 @pytest.mark.parametrize("gamma", [1.002, 1.5, Fraction(3, 2), 7, Fraction(10**400)])
 def test_transform_rejects_gamma_above_one_before_building(gamma, monkeypatch):
     # the full domain {0, 1} has x0 = 0 once: 1 > floor(2 * 2^(-gamma)) = 0

@@ -586,15 +586,11 @@ def test_sigma_n_gates_raise_over_budget(build, spec, log_size):
             build(spec)
 
 
-def _floats(values):
-    """float(x) for each x, converting each distinct object once: the float
-    of a Fraction with 10^5-bit terms takes tens of microseconds."""
-    memo = {}
-    return [memo[id(x)] if id(x) in memo else memo.setdefault(id(x), float(x)) for x in values]
-
-
 def stats_record(sigma, p, mean0, empty_mass, per_element):
-    """The record table_fourier_stats returns, built from exact values."""
+    """The record table_fourier_stats returns, built from exact values;
+    per_element holds E|What(e)|^2 for every e != 0, and they must agree."""
+    value = per_element[0] if per_element else None
+    assert len(per_element) == sigma - 1 and all(x == value for x in per_element)
     return {
         "sigma": sigma,
         "p": float(p),
@@ -602,8 +598,8 @@ def stats_record(sigma, p, mean0, empty_mass, per_element):
         "mean_W0_sq_exact": mean0,
         "mean_W0_sq_nonempty": float(mean0 / (1 - empty_mass)) if empty_mass != 1 else None,
         "empty_mass": float(empty_mass),
-        "per_element_means": _floats(per_element),
-        "per_element_exact": per_element,
+        "per_element_mean": None if value is None else float(value),
+        "per_element_exact": value,
         "mode": "exact",
     }
 
@@ -668,7 +664,7 @@ def table_stats_t_sum(sigma, p):
 def test_table_stats_exact_quarter():
     st = qsim.table_fourier_stats(FieldCtx(1), 2, Fraction(1, 4))
     assert st["mean_W0_sq_exact"] == Fraction(3, 4)
-    assert len(set(st["per_element_exact"])) == 1
+    assert st["per_element_exact"] == Fraction(21, 256)  # (1/4)(1 - 1/64)/3
 
 
 def test_table_stats_p_zero():

@@ -1,6 +1,6 @@
 """The library's surface is what the program runs.
 
-Seven static checks over src/nullcode/*.py, by `ast`:
+Eight static checks over src/nullcode/*.py, by `ast`:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
@@ -20,7 +20,9 @@ Seven static checks over src/nullcode/*.py, by `ast`:
 - no module builds Fraction(repr(...)) outside `gf.exact`'s cached
   helper, so every rational parameter is read by one rule;
 - in cli.py only the argparse types use `_parse_fraction`, so no
-  subcommand re-reads a rational flag from its text.
+  subcommand re-reads a rational flag from its text;
+- every exception class in errors.py but the base NullcodeError is
+  raised somewhere in src/, so no class outlives its last raise.
 """
 
 import argparse
@@ -292,3 +294,15 @@ def test_only_the_argparse_types_parse_a_fraction():
     flags = [a for a in actions(cli.build_parser()) if a.dest in ("p", "zeta", "gamma")]
     assert len(flags) == 10
     assert [a for a in flags if a.type is None or not (a.required or isinstance(a.default, str))] == []
+
+
+def test_every_exception_class_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in _parsed(sorted(SRC.glob("*.py"))).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    assert sorted(classes - raised - {"NullcodeError"}) == []

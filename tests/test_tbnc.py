@@ -32,7 +32,6 @@ def zero_copy(spec, seed=0, b=6):
         p=c.p,
         seed=seed,
         tables=np.zeros_like(c.tables),
-        unfolded=np.zeros_like(c.unfolded),
     )
 
 
