@@ -33,6 +33,16 @@ from .errors import (
 from .gf import FieldCtx, json_int
 
 
+def _open(path, mode: str = "r"):
+    """open(path, mode) with newlines untranslated, the one way the CLI
+    opens a file; a path that cannot be opened is a usage error naming it."""
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        verb = "write" if "w" in mode else "read"
+        raise UsageError(f"{path}: cannot {verb} ({exc.strerror})") from None
+
+
 def _read_json(path, parse, what: str):
     """parse(the JSON content of path); a file that cannot be read or
     parsed is a usage error naming the path."""
@@ -41,7 +51,7 @@ def _read_json(path, parse, what: str):
     # KeyError, TypeError, AttributeError: a missing field or a value of the
     # wrong type
     try:
-        with open(path) as fh:
+        with _open(path) as fh:
             return parse(json.load(fh))
     except (
         OSError, ValueError, ParseError, LengthMismatch, KeyError, TypeError, AttributeError
@@ -118,7 +128,7 @@ def _emit(records, out) -> None:
     """Records as JSON lines, written to the file out or printed."""
     lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     if out:
-        with open(out, "w") as fh:
+        with _open(out, "w") as fh:
             fh.write(lines)
     else:
         print(lines, end="")
@@ -407,7 +417,7 @@ def cmd_proto_danger(args) -> int:
                     str(bool(correct)).lower(),
                 )
             )
-        with open(args.out, "w", newline="") as fh:
+        with _open(args.out, "w") as fh:
             csv.writer(fh).writerows(rows)
     print(
         json.dumps(
@@ -560,7 +570,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in paths:
         schema = None
-        with open(path) as fh:
+        with _open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -590,7 +600,7 @@ def cmd_report(args) -> int:
             (path, key, str(len(vals)), f"{arr.mean():.6g}", f"{arr.std():.6g}")
         )
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with _open(args.out, "w") as fh:
             csv.writer(fh).writerows(lines)
         print(f"wrote {args.out}")
     else:

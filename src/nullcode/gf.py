@@ -57,47 +57,11 @@ def _poly_mulmod(a: int, b: int, m: int) -> int:
     return out
 
 
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
-
-
 def _is_irreducible(m: int) -> bool:
-    """Rabin test over F_2: x^(2^s) == x mod m and gcd checks for each
-    maximal proper divisor s/p of the degree s."""
+    """Trial division over F_2: no polynomial of degree 1 to s/2 divides
+    the degree-s mask m."""
     s = _poly_deg(m)
-    if s < 1:
-        return False
-    x = 0b10
-
-    def frob(power: int) -> int:
-        # x^(2^power) mod m
-        t = x
-        for _ in range(power):
-            t = _poly_mulmod(t, t, m)
-        return t
-
-    if frob(s) != _poly_mod(x, m):
-        return False
-    for p in _prime_factors(s):
-        if _poly_gcd(frob(s // p) ^ _poly_mod(x, m), m) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return s >= 1 and all(_poly_mod(m, d) for d in range(2, 1 << (s // 2 + 1)))
 
 
 class FieldCtx:
@@ -112,7 +76,8 @@ class FieldCtx:
         Extension degree; the field has q = 2^s elements.
     modulus : int or None
         Irreducible polynomial mask.  Bit i is the coefficient of x^i and
-        bit s must be set.  ``None`` selects the shipped default for
+        bit s must be the highest set bit; any other integer raises
+        ValueError.  ``None`` selects the shipped default for
         s in {1, 2, 4, 6, 8, 12}.
     """
 
@@ -128,10 +93,8 @@ class FieldCtx:
                     f"(defaults exist for {sorted(DEFAULT_MODULI)})"
                 )
             modulus = DEFAULT_MODULI[s]
-        if _poly_deg(modulus) != s:
-            raise ValueError(
-                f"modulus 0b{modulus:b} does not have degree {s}"
-            )
+        if modulus >> s != 1:  # bit s is the highest set bit, so modulus > 0
+            raise ValueError(f"modulus {modulus:#b} does not have degree {s}")
         if not _is_irreducible(modulus):
             raise ValueError(f"modulus 0b{modulus:b} is reducible over F_2")
         self.s = s

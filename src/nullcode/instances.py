@@ -206,12 +206,6 @@ class Split:
         bits = np.unpackbits(raw, bitorder="little").reshape(2, -1)[:, : self.bits_per_side]
         return bits.reshape(self.n, self.sigma_size)
 
-    def cell(self, owner: str, bit: int) -> tuple[int, int]:
-        """(coordinate, symbol rank) of the table entry that is bit `bit`
-        of the owner's ("A" or "B") input; coordinates count from 0."""
-        i, e = divmod(bit, self.sigma_size)
-        return (i if owner == "A" else self.half + i), e
-
 
 # -- file format -----------------------------------------------------------------
 
@@ -247,7 +241,7 @@ def instance_to_json(inst: OracleInstance) -> dict:
 def instance_from_json(data: dict) -> OracleInstance:
     """Inverse of instance_to_json.  Raises ParseError, naming the field,
     for a format other than the integer FORMAT_VERSION, a p other than
-    "num/den" in [0, 1] with at most 4300 digits a side (what int()
+    "num/den" in [0, 1] with at most 4300 ASCII digits a side (what int()
     converts by default), a seed that is not an integer, and tables of the
     wrong count or hex length.  Other keys are ignored: the "split" header
     instance_to_json writes, and the AND-block "unfolded" object that
@@ -256,9 +250,10 @@ def instance_from_json(data: dict) -> OracleInstance:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError("instance", "format", f"format must be {FORMAT_VERSION}, got {version!r}")
     spec = CodeSpec.from_json(data["code"])
-    num, _, den = str(data["p"]).partition("/")
+    text = str(data["p"])
+    num, _, den = text.partition("/")
     digits = num.isdecimal() and den.isdecimal() and max(len(num), len(den)) <= 4300
-    if not (digits and 0 < int(den) and int(num) <= int(den)):
+    if not (text.isascii() and digits and 0 < int(den) and int(num) <= int(den)):
         raise ParseError("instance", "p", f"p must be 'num/den' in [0, 1], got {data['p']!r}")
     seed = data["seed"]
     if type(seed) is not int:

@@ -583,30 +583,23 @@ class DangerLedger:
                 raise AssertionError("dangerous-codeword set shrank")
 
 
-def _fixed_table_cells(rect: Rect, split: Split) -> list[set]:
-    """Per-coordinate sets of symbol ranks whose table bit is fixed."""
-    cells = [set() for _ in range(split.n)]
-    for owner in OWNERS:
-        free = rect.free(owner)
-        for bit in range(rect.elems_of(owner)[1]):
-            if bit not in free:
-                i, e = split.cell(owner, bit)
-                cells[i].add(e)
-    return cells
+def _fixed_table_cells(rect: Rect, split: Split) -> np.ndarray:
+    """The (n, |Sigma|) bool mask of the table cells whose bit the
+    rectangle fixes: each side's coordinates other than its free ones."""
+    fixed = [
+        (1 << rect.elems_of(owner)[1]) - 1 - sum(1 << c for c in rect.free(owner))
+        for owner in OWNERS
+    ]
+    return split.tables(*fixed).astype(bool)
 
 
-def dangerous_codewords(spec, cells: list[set]) -> frozenset:
+def dangerous_codewords(spec, fixed: np.ndarray) -> frozenset:
     """Codeword indexes with >= DANGER_THRESHOLD * n of their oracle bits
-    fixed, given per coordinate the symbol ranks whose table bit is fixed
+    fixed, given the (n, |Sigma|) mask of fixed table cells
     (`_fixed_table_cells`)."""
     ranks = codes_mod.codeword_rank_matrix(spec)
-    thr = math.ceil(DANGER_THRESHOLD * spec.n)
-    counts = np.zeros(ranks.shape[0], dtype=np.int64)
-    for i in range(spec.n):
-        if cells[i]:
-            cell = np.array(sorted(cells[i]), dtype=np.int64)
-            counts += np.isin(ranks[:, i], cell)
-    return frozenset(np.nonzero(counts >= thr)[0].tolist())
+    counts = fixed[np.arange(spec.n), ranks].sum(axis=1)
+    return frozenset(np.nonzero(counts >= math.ceil(DANGER_THRESHOLD * spec.n))[0].tolist())
 
 
 def danger_track(
@@ -627,9 +620,9 @@ def danger_track(
     tables = np.array([inst.tables for inst in insts], np.uint8).reshape(-1, spec.n, spec.sigma_size)
     ledgers = [DangerLedger([], "", None, []) for _ in insts]
     for msg, node, idx in _route(tree, *_pair_arrays(map(split.inputs, tables))):
-        cells = _fixed_table_cells(node.rect, split)
-        q = dangerous_codewords(spec, cells)
-        _recount_check(spec, cells, len(q))
+        fixed = _fixed_table_cells(node.rect, split)
+        q = dangerous_codewords(spec, fixed)
+        _recount_check(spec, fixed, len(q))
         label = node.label if isinstance(node, Leaf) else None  # the leaf comes last
         for k in idx.tolist():
             ledgers[k].rounds.append(q)
@@ -649,8 +642,9 @@ def danger_track(
     }
 
 
-def _recount_check(spec, cells: list[set], expected: int) -> None:
-    count = codes_mod.list_recover_count(spec, [frozenset(c) for c in cells], DANGER_THRESHOLD)
+def _recount_check(spec, fixed: np.ndarray, expected: int) -> None:
+    cells = [np.flatnonzero(row).tolist() for row in fixed]
+    count = codes_mod.list_recover_count(spec, cells, DANGER_THRESHOLD)
     if count != expected:
         raise AssertionError(
             f"list_recover_count disagrees with the danger recount: {count} != {expected}"

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -555,6 +559,7 @@ MALFORMED = [
     ("format", None),
     ("format", 2),
     ("format", "1"),
+    ("p", "\u0661/\u0664"),  # Arabic-Indic digits: decimal, but not ASCII
 ]
 
 
@@ -818,3 +823,88 @@ def test_the_environment_cannot_change_a_run(tmp_path, monkeypatch):
     (expected,) = [rec for rec in _EXPECTED if rec["argv"] == argv]
     monkeypatch.setenv("NULLCODE_BUDGET", "16")
     assert run_manifest([argv], tmp_path) == [expected]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["code", "dual", "--config", "code_modulus_-3.json"],
+        ["instance", "solve", "--in", "instance_modulus_-7.json"],
+        ["tbnc", "verify", "--in", "tb_family_modulus_-67.json", "--key", "0,0,0,0", "--solutions", "0,0"],
+    ],
+    ids=["code-field", "instance-code-field", "tbnc-family"],
+)
+def test_negative_modulus_exits_2(argv):
+    # in a child process: a modulus check that loops fails here on the
+    # timeout instead of stalling the suite
+    from test_golden import INPUTS
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullcode.cli", *argv],
+        cwd=INPUTS,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {argv[3]}: ") and proc.stderr.count("\n") == 1
+    assert "does not have degree" in proc.stderr
+
+
+def _subcommands_with_out(parser, prefix=()):
+    """The subcommands (as argv prefixes) whose parser takes --out."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands_with_out(sub, (*prefix, name))
+        elif "--out" in action.option_strings:
+            yield " ".join(prefix)
+
+
+# the fastest run of each subcommand that takes --out
+OUT_RUNS = {
+    "code preset": "--t 2",
+    "code dual": "--toy",
+    "code decode": "--toy --trials 1",
+    "code listrec": "--toy --trials 1",
+    "instance gen": "--toy",
+    "instance solve": "--in {inst}",
+    "qsim lemma51": "--toy --trials 1",
+    "qsim alg1": "--toy --trials 1",
+    "qsim claim66": "",
+    "proto drp": "--n-bits 4 --trials 1",
+    "proto transform": "--n-bits 4 --depth 2 --trials 1",
+    "proto cleanup": "--n-bits 4 --depth 2 --trials 1",
+    "proto danger": "--trials 1",
+    "hash attack": "--trials 1",
+    "tbnc gen": "--t 1",
+    "tbnc alg2": "--t 1 --trials 1",
+    "tbnc totality": "--samples 2 --keys 1",
+    "report": "--glob {runs}",
+}
+
+
+def test_out_runs_cover_every_subcommand_with_out():
+    assert sorted(_subcommands_with_out(cli.build_parser())) == sorted(OUT_RUNS)
+
+
+@pytest.mark.parametrize("command", OUT_RUNS)
+def test_out_into_a_missing_directory_exits_2(command, tmp_path, capsys):
+    paths = {"{inst}": str(_tiny_instance(tmp_path)), "{runs}": str(tmp_path / "runs.jsonl")}
+    (tmp_path / "runs.jsonl").write_text('{"a": 1.0}\n')
+    out = tmp_path / "missing" / "out.txt"
+    argv = [*command.split(), *(paths.get(a, a) for a in OUT_RUNS[command].split())]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: cannot write (No such file or directory)\n"
+
+
+def test_out_naming_a_directory_or_a_glob_matching_one_exits_2(tmp_path, capsys):
+    assert main(["qsim", "claim66", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: cannot write (Is a directory)\n"
+    (tmp_path / "dir.jsonl").mkdir()
+    assert main(["report", "--glob", str(tmp_path / "*.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'dir.jsonl'}: cannot read (Is a directory)\n"

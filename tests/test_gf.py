@@ -174,6 +174,42 @@ def test_reducible_modulus_rejected():
         FieldCtx(2, 0b101)  # x^2 + 1 = (x+1)^2
 
 
+def _gauss_count(s):
+    """Number of monic irreducible polynomials of degree s over F_2:
+    (1/s) * sum over d | s of mu(d) 2^(s/d)."""
+
+    def mobius(d):
+        primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % r for r in range(2, p))]
+        if any(d % (p * p) == 0 for p in primes):
+            return 0
+        return (-1) ** len(primes)
+
+    return sum(mobius(d) << (s // d) for d in range(1, s + 1) if s % d == 0) // s
+
+
+def _accepts(s, modulus):
+    try:
+        FieldCtx(s, modulus)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_accepted_moduli_per_degree_match_gauss(s):
+    accepted = [m for m in range(1 << s, 1 << (s + 1)) if _accepts(s, m)]
+    assert len(accepted) == _gauss_count(s)
+    if s <= 6:
+        # F_2[x]/(m) is a field iff every nonzero residue has an inverse
+        units = range(1, 1 << s)
+        fields = [
+            m
+            for m in range(1 << s, 1 << (s + 1))
+            if all(any(_poly_mulmod(a, b, m) == 1 for b in units) for a in units)
+        ]
+        assert accepted == fields
+
+
 def test_table_and_raw_mul_agree():
     ctx = FieldCtx(4)
     for a in range(ctx.q):

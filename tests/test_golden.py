@@ -7,7 +7,8 @@ step can read the files that earlier steps wrote (`instance solve` reads
 `instance gen`'s file, `report` reads the JSON-lines runs).  The
 directory starts with a copy of golden/inputs/, hand-edited files that no
 step can write (a family whose out_bits is not an integer, a copy count
-t of 1.0, a family over one coordinate of a two-coordinate code).  A digest
+t of 1.0, a family over one coordinate of a two-coordinate code, and a
+negative field modulus in a code config, an instance and a family).  A digest
 may change only with an intended output change; regenerate the manifest
 with
 

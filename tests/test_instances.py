@@ -263,9 +263,9 @@ def test_solution_mask_matches_a_per_codeword_loop(name):
 def test_split():
     sp = instances.Split(4, 4)
     assert sp.bits_per_side == 8
-    assert sp.cell("A", 0) == (0, 0)
-    assert sp.cell("A", 7) == (1, 3)
-    assert sp.cell("B", 0) == (2, 0)
+    assert np.argwhere(sp.tables(1, 0)).tolist() == [[0, 0]]
+    assert np.argwhere(sp.tables(1 << 7, 0)).tolist() == [[1, 3]]
+    assert np.argwhere(sp.tables(0, 1)).tolist() == [[2, 0]]
     with pytest.raises(SplitRequiresEvenN):
         instances.Split(3, 4)
     assert issubclass(SplitRequiresEvenN, ValueError)  # a usage error on the command line
@@ -305,7 +305,8 @@ def test_split_matches_flat_index_layout(n, sigma):
         assert split.inputs(tables) == (x, y)
     assert len(cells) == 2 * bits
     for (owner, bit), cell in cells.items():
-        assert split.cell(owner, bit) == cell
+        one_hot = split.tables(*(1 << bit if side == owner else 0 for side in "AB"))
+        assert np.argwhere(one_hot).tolist() == [list(cell)]
 
 
 def test_file_roundtrip_with_unfolded():

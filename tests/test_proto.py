@@ -513,6 +513,21 @@ def test_danger_track_of_no_instances(monkeypatch):
     assert seen == [(np.uint8, (k, spec.n, spec.sigma_size)) for k in (0, 2)]
 
 
+def test_fixed_table_cells_match_the_per_bit_loop():
+    # the reference: each fixed input bit of a side names one table cell
+    spec, _, tree = danger_setup()
+    split = instances.Split(spec.n, spec.sigma_size)
+    for node in tree.nodes():
+        want = np.zeros((spec.n, spec.sigma_size), dtype=bool)
+        for owner, first in (("A", 0), ("B", split.half)):
+            free = node.rect.free(owner)
+            for bit in range(node.rect.elems_of(owner)[1]):
+                if bit not in free:
+                    i, e = divmod(bit, spec.sigma_size)
+                    want[first + i, e] = True
+        assert np.array_equal(proto._fixed_table_cells(node.rect, split), want)
+
+
 def test_danger_threshold_arithmetic():
     # n = 2: one fixed oracle bit of a codeword crosses 0.4 * 2 = 0.8
     spec, insts, tree = danger_setup()
