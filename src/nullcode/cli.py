@@ -71,6 +71,10 @@ def _load_spec(args) -> CodeSpec:
     raise UsageError("one of --t, --config, or --toy is required")
 
 
+def _repetition_spec(args) -> CodeSpec:
+    return configs.toy_repetition_spec(n=args.n, s=args.s)
+
+
 # The largest decimal exponent magnitude a --p, --zeta or --gamma value may carry:
 # Fraction("1e<x>") builds 10^|x|, and CPython caps the digits of an
 # integer read from a string at this count.
@@ -78,11 +82,18 @@ _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
+def _ascii(text: str, flag: str) -> str:
+    """text, if ASCII: int(), float() and Fraction() also read digits like '\u0663'."""
+    if not text.isascii():
+        raise UsageError(f"{flag} {text!r} is not written in ASCII")
+    return text
+
+
 def _parse_fraction(text: str, flag: str) -> Fraction:
     """The value of flag (--p, --zeta or --gamma), a decimal or a/b: a fraction
     whose reduced denominator is at most 2^64 and whose decimal exponent, if
     any, is at most _MAX_EXPONENT in magnitude."""
-    exponent = _EXPONENT.search(text)
+    exponent = _EXPONENT.search(_ascii(text, flag))
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
@@ -96,17 +107,36 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
     return value
 
 
-def _int_in(flag: str, lo: int, hi: float = math.inf):
-    """The argparse type of flag: an integer in [lo, hi]."""
-
-    def parse(text: str) -> int:
-        if not text.removeprefix("-").isdecimal() or not lo <= int(text) <= hi:
-            raise UsageError(f"{flag} {text} is not an integer in [{lo}, {hi}]")
-        return int(text)
-
-    return parse
+def _integer(text: str, flag: str, lo=-math.inf, hi=math.inf) -> int:
+    """The value of flag: an integer in [lo, hi], in ASCII digits after an optional -."""
+    if not _ascii(text, flag).removeprefix("-").isdigit() or not lo <= int(text) <= hi:
+        raise UsageError(f"{flag} {text} is not an integer in [{lo}, {hi}]")
+    return int(text)
 
 
+def _integers(text: str, flag: str, count: int, bound: int) -> list[int]:
+    """The value of flag: count integers in [0, bound), separated by commas or spaces."""
+    values = [_integer(tok, flag, 0, bound - 1) for tok in _ascii(text, flag).replace(",", " ").split()]
+    if len(values) != count:
+        raise UsageError(f"{flag} {text!r} is not {count} integers in [0, {bound})")
+    return values
+
+
+def _real(text: str, flag: str) -> float:
+    """The value of flag, a float in ASCII; nan and inf pass, for lr_param_check to reject."""
+    try:
+        return float(_ascii(text, flag))
+    except ValueError:
+        raise UsageError(f"{flag} {text!r} is not a real number") from None
+
+
+def _int_in(flag: str, lo=-math.inf, hi=math.inf):
+    """The argparse type of flag: an integer in [lo, hi], read by _integer."""
+    return partial(_integer, flag=flag, lo=lo, hi=hi)
+
+
+_p = partial(_parse_fraction, flag="--p")
+_depth = _int_in("--depth", 0)
 # every --n-bits run enumerates all 2^n_bits inputs of one side
 _n_bits = _int_in("--n-bits", 1, DEFAULT_ENUM_BUDGET.bit_length() - 1)
 # every copy of a total problem holds its own oracle instance
@@ -124,14 +154,18 @@ def _gamma(text: str) -> Fraction:
     return gamma
 
 
-def _emit(records, out) -> None:
-    """Records as JSON lines, written to the file out or printed."""
+def _emit(records, out, summary=None, echo=False) -> None:
+    """Records as JSON lines, written to the file out if given and printed if
+    not (or if echo), then the line summary, if any.  The file is written
+    first, so a run whose out cannot be written prints nothing."""
     lines = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     if out:
         with _open(out, "w") as fh:
             fh.write(lines)
-    else:
+    if echo or not out:
         print(lines, end="")
+    if summary is not None:
+        print(summary)
 
 
 # -- code subcommands ------------------------------------------------------------
@@ -139,21 +173,14 @@ def _emit(records, out) -> None:
 
 def cmd_code_preset(args) -> int:
     spec = codes.preset(args.t)
-    print(
-        f"n={spec.n} q={spec.field.q} N={spec.N} m={spec.m} k={spec.k} "
-        f"|C|={spec.size}"
-    )
-    if args.out:
-        _emit([spec.to_json()], args.out)
+    summary = f"n={spec.n} q={spec.field.q} N={spec.N} m={spec.m} k={spec.k} |C|={spec.size}"
+    _emit([spec.to_json()] if args.out else [], args.out, summary)
     return 0
 
 
 def cmd_code_dual(args) -> int:
     spec = _load_spec(args)
-    d = codes.dual(spec)
-    print(json.dumps(d.to_json(), sort_keys=True))
-    if args.out:
-        _emit([d.to_json()], args.out)
+    _emit([codes.dual(spec).to_json()], args.out, echo=True)
     return 0
 
 
@@ -177,8 +204,7 @@ def cmd_code_decode(args) -> int:
         ok = got == codes.fold(spec, xu)
         failures += not ok
         records.append({"trial": trial, "weight": weight, "decoded": bool(ok)})
-    _emit(records, args.out)
-    print(f"decode: {args.trials - failures}/{args.trials} ok")
+    _emit(records, args.out, f"decode: {args.trials - failures}/{args.trials} ok")
     return 1 if failures else 0
 
 
@@ -220,15 +246,13 @@ def cmd_code_lrcheck(args) -> int:
 def cmd_instance_gen(args) -> int:
     spec = _load_spec(args)
     inst = instances.sample_instance(spec, args.p, args.seed)
-    _emit([instances.instance_to_json(inst)], args.out)
-    if args.out:
-        print(f"wrote {args.out}")
+    _emit([instances.instance_to_json(inst)], args.out, f"wrote {args.out}" if args.out else None)
     return 0
 
 
 def cmd_instance_verify(args) -> int:
     inst = _read_json(args.infile, instances.instance_from_json, "instance")
-    word = _parse_word(inst.spec, args.x)
+    word = _parse_word(inst.spec, args.x, "--x")
     ok = instances.verify(inst, word)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
@@ -239,20 +263,13 @@ def cmd_instance_solve(args) -> int:
     sols = instances.brute_solve(inst)
     words = sols.reshape(-1, inst.n, inst.spec.m).tolist()
     records = [{"solution": word} for word in words]
-    _emit(records, args.out)
-    print(f"{len(sols)} solutions")
+    _emit(records, args.out, f"{len(sols)} solutions")
     return 0
 
 
-def _parse_word(spec: CodeSpec, text: str):
-    try:
-        ranks = [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"{text!r} is not a list of symbol ranks") from None
-    if len(ranks) != spec.n:
-        raise UsageError(f"expected {spec.n} symbol ranks")
-    if any(not 0 <= r < spec.sigma_size for r in ranks):
-        raise UsageError(f"{text!r}: a symbol rank lies outside [0, {spec.sigma_size})")
+def _parse_word(spec: CodeSpec, text: str, flag: str):
+    """The word of the n symbol ranks that text, the value of flag, lists."""
+    ranks = _integers(text, flag, spec.n, spec.sigma_size)
     return codes.fold(spec, codes.to_digits(ranks, spec.field.q, spec.m).reshape(-1))
 
 
@@ -293,9 +310,8 @@ def _trial_records(args) -> list[dict]:
 def cmd_qsim_lemma51(args) -> int:
     # add_decode_pipeline raises when a run leaves the distance bound
     records = _trial_records(args)
-    _emit(records, args.out)
     done = sum(rec["skipped"] is None for rec in records)
-    print(f"lemma51: {done}/{done} within bound")
+    _emit(records, args.out, f"lemma51: {done}/{done} within bound")
     return 0
 
 
@@ -310,9 +326,7 @@ def cmd_qsim_claim66(args) -> int:
     m = args.sigma.bit_length() - 1
     stats = qsim.table_fourier_stats(FieldCtx(1), m, args.p)
     printable = {k: v for k, v in stats.items() if not k.endswith("_exact")}
-    print(json.dumps(printable, sort_keys=True))
-    if args.out:
-        _emit([printable], args.out)
+    _emit([printable], args.out, echo=True)
     return 0
 
 
@@ -400,7 +414,7 @@ def cmd_proto_run(args) -> int:
 
 
 def cmd_proto_danger(args) -> int:
-    spec = configs.toy_repetition_spec(n=args.n, s=args.s)
+    spec = _repetition_spec(args)
     tree = proto.reveal_solution_tree(spec)
     insts = [instances.sample_instance(spec, args.p, args.seed + i) for i in range(args.trials)]
     out = proto.danger_track(tree, spec, insts)
@@ -455,7 +469,7 @@ def cmd_hash_check(args) -> int:
 
 
 def cmd_hash_attack(args) -> int:
-    spec = configs.toy_repetition_spec(n=args.n, s=args.s)
+    spec = _repetition_spec(args)
     family = configs.toy_family(spec)
     failures = 0
     records = []
@@ -470,8 +484,7 @@ def cmd_hash_attack(args) -> int:
         ok = tbnc.tbnc_verify(tb, key, [word])
         failures += not ok
         records.append({"trial": trial, "solved": True, "verified": bool(ok)})
-    _emit(records, args.out)
-    print(f"attack: {args.trials - failures}/{args.trials} verified")
+    _emit(records, args.out, f"attack: {args.trials - failures}/{args.trials} verified")
     return 1 if failures else 0
 
 
@@ -479,7 +492,7 @@ def cmd_hash_attack(args) -> int:
 
 
 def cmd_tbnc_gen(args) -> int:
-    spec = configs.toy_repetition_spec(n=args.n, s=args.s)
+    spec = _repetition_spec(args)
     family = configs.toy_family(spec)
     tb = tbnc.make_tbnc(spec, family, args.t, args.seed)
     payload = {
@@ -488,9 +501,7 @@ def cmd_tbnc_gen(args) -> int:
         "code": spec.to_json(),
         "copies": [instances.instance_to_json(c) for c in tb.copies],
     }
-    _emit([payload], args.out)
-    if args.out:
-        print(f"wrote {args.out}")
+    _emit([payload], args.out, f"wrote {args.out}" if args.out else None)
     return 0
 
 
@@ -505,14 +516,8 @@ def _tbnc_from_json(payload) -> tbnc.TbncInstance:
 
 def cmd_tbnc_verify(args) -> int:
     tb = _read_json(args.infile, _tbnc_from_json, "total-problem instance")
-    try:
-        key = hashing.HashKey(tuple(int(c) for c in args.key.split(",")))
-    except ValueError:
-        raise UsageError(f"--key {args.key!r} is not a list of integers") from None
-    q = tb.family.key_field.q
-    if len(key.coeffs) != tb.family.lam or any(not 0 <= c < q for c in key.coeffs):
-        raise UsageError(f"--key {args.key!r} is not {tb.family.lam} coefficients in [0, {q})")
-    sols = [_parse_word(tb.spec, chunk) for chunk in args.solutions.split(";")]
+    key = hashing.HashKey(tuple(_integers(args.key, "--key", tb.family.lam, tb.family.key_field.q)))
+    sols = [_parse_word(tb.spec, chunk, "--solutions") for chunk in args.solutions.split(";")]
     ok = tbnc.tbnc_verify(tb, key, sols)
     print("valid" if ok else "invalid")
     return 0 if ok else 1
@@ -542,13 +547,12 @@ def cmd_tbnc_alg2(args) -> int:
                 "retries": out["retries"],
             }
         )
-    _emit(records, args.out)
-    print(f"alg2: {successes}/{args.trials} succeeded")
+    _emit(records, args.out, f"alg2: {successes}/{args.trials} succeeded")
     return 0
 
 
 def cmd_tbnc_totality(args) -> int:
-    spec = configs.toy_repetition_spec(n=args.n, s=args.s)
+    spec = _repetition_spec(args)
     points = spec.n * spec.sigma_size
     if args.lam > points:
         raise UsageError(f"--lam {args.lam} exceeds the {points} points of the domain")
@@ -556,9 +560,7 @@ def cmd_tbnc_totality(args) -> int:
     out = tbnc.totality_scan(
         spec, family, args.t, args.samples, args.keys, args.seed
     )
-    print(json.dumps(out, sort_keys=True))
-    if args.out:
-        _emit([out], args.out)
+    _emit([out], args.out, echo=True)
     return 0
 
 
@@ -614,13 +616,19 @@ def cmd_report(args) -> int:
 
 def _add_code_source(p):
     """--t, --config and --toy: the code that _load_spec builds."""
-    p.add_argument("--t", type=int)
+    p.add_argument("--t", type=_int_in("--t"))
     p.add_argument("--config")
     p.add_argument("--toy", action="store_true")
 
 
+def _add_repetition(p):
+    """--n and --s: the toy repetition code that _repetition_spec builds."""
+    p.add_argument("--n", type=_int_in("--n"), default=2)
+    p.add_argument("--s", type=_int_in("--s"), default=2)
+
+
 def _add_common(p, trials=100):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in("--seed"), default=0)
     p.add_argument("--trials", type=_int_in("--trials", 0), default=trials)
     p.add_argument("--out", default=None)
 
@@ -645,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     code = sub.add_parser("code").add_subparsers(dest="cmd", required=True)
     p = code.add_parser("preset")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_in("--t"), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_code_preset)
     p = code.add_parser("dual")
@@ -654,28 +662,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_code_dual)
     p = code.add_parser("decode")
     _add_code_source(p)
-    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/64")
+    p.add_argument("--p", type=_p, default="1/64")
     _add_common(p)
     p.set_defaults(fn=cmd_code_decode)
     p = code.add_parser("listrec")
     _add_code_source(p)
     p.add_argument("--zeta", type=partial(_parse_fraction, flag="--zeta"), default="0.4")
-    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--ell", type=_int_in("--ell"), default=1)
     _add_common(p, trials=10)
     p.set_defaults(fn=cmd_code_listrec)
     p = code.add_parser("lrcheck")
-    for name, typ in (
-        ("N", float), ("m", float), ("k", float), ("ell", float),
-        ("s", float), ("r", float), ("zeta", float), ("q", float),
-    ):
-        p.add_argument(f"--{name}", type=typ, required=True)
+    for name in ("N", "m", "k", "ell", "s", "r", "zeta", "q"):
+        p.add_argument(f"--{name}", type=partial(_real, flag=f"--{name}"), required=True)
     p.set_defaults(fn=cmd_code_lrcheck)
 
     inst = sub.add_parser("instance").add_subparsers(dest="cmd", required=True)
     p = inst.add_parser("gen")
     _add_code_source(p)
-    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/64")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_p, default="1/64")
+    p.add_argument("--seed", type=_int_in("--seed"), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_instance_gen)
     p = inst.add_parser("verify")
@@ -689,21 +694,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     qs = sub.add_parser("qsim").add_subparsers(dest="cmd", required=True)
     p = qs.add_parser("qft")
-    p.add_argument("--s", type=int, default=2)
+    p.add_argument("--s", type=_int_in("--s"), default=2)
     p.set_defaults(fn=cmd_qsim_qft)
     p = qs.add_parser("lemma51")
     _add_code_source(p)
-    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/16")
+    p.add_argument("--p", type=_p, default="1/16")
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_lemma51)
     p = qs.add_parser("alg1")
     _add_code_source(p)
-    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/16")
+    p.add_argument("--p", type=_p, default="1/16")
     _add_common(p)
     p.set_defaults(fn=cmd_qsim_alg1)
     p = qs.add_parser("claim66")
     p.add_argument("--sigma", type=_int_in("--sigma", 1, DEFAULT_ENUM_BUDGET), default=4)
-    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/4")
+    p.add_argument("--p", type=_p, default="1/4")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qsim_claim66)
 
@@ -715,51 +720,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_proto_drp)
     p = pr.add_parser("transform")
     p.add_argument("--n-bits", type=_n_bits, default=10)
-    p.add_argument("--depth", type=_int_in("--depth", 0), default=6)
+    p.add_argument("--depth", type=_depth, default=6)
     p.add_argument("--gamma", type=_gamma, default="0.8")
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_transform)
     p = pr.add_parser("cleanup")
     p.add_argument("--n-bits", type=_n_bits, default=6)
-    p.add_argument("--depth", type=_int_in("--depth", 0), default=4)
+    p.add_argument("--depth", type=_depth, default=4)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_proto_cleanup)
     p = pr.add_parser("run")
     p.add_argument("--n-bits", type=_n_bits, default=8)
-    p.add_argument("--depth", type=_int_in("--depth", 0), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--depth", type=_depth, default=5)
+    p.add_argument("--seed", type=_int_in("--seed"), default=0)
     p.set_defaults(fn=cmd_proto_run)
     p = pr.add_parser("danger")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--p", type=partial(_parse_fraction, flag="--p"), default="1/4")
+    _add_repetition(p)
+    p.add_argument("--p", type=_p, default="1/4")
     _add_common(p, trials=50)
     p.set_defaults(fn=cmd_proto_danger)
 
     ha = sub.add_parser("hash").add_subparsers(dest="cmd", required=True)
     p = ha.add_parser("check")
-    p.add_argument("--lam", type=int, default=2)
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--sigma", type=int, default=4)
+    p.add_argument("--lam", type=_int_in("--lam"), default=2)
+    p.add_argument("--r", type=_int_in("--r"), default=4)
+    p.add_argument("--n", type=_int_in("--n"), default=2)
+    p.add_argument("--sigma", type=_int_in("--sigma"), default=4)
     p.set_defaults(fn=cmd_hash_check)
     p = ha.add_parser("attack")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
+    _add_repetition(p)
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_hash_attack)
 
     tb = sub.add_parser("tbnc").add_subparsers(dest="cmd", required=True)
     p = tb.add_parser("gen")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
+    _add_repetition(p)
     p.add_argument("--t", type=_copies, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in("--seed"), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tbnc_gen)
     p = tb.add_parser("verify")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--key", required=True, help="comma-separated coefficients")
+    p.add_argument("--key", required=True, help="comma- or space-separated coefficients")
     p.add_argument("--solutions", required=True, help="';'-separated rank words")
     p.set_defaults(fn=cmd_tbnc_verify)
     p = tb.add_parser("alg2")
@@ -767,13 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trials=20)
     p.set_defaults(fn=cmd_tbnc_alg2)
     p = tb.add_parser("totality")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--s", type=int, default=2)
+    _add_repetition(p)
     p.add_argument("--t", type=_copies, default=1)
-    p.add_argument("--lam", type=int, default=4)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--lam", type=_int_in("--lam"), default=4)
+    p.add_argument("--samples", type=_int_in("--samples"), default=50)
     p.add_argument("--keys", type=_int_in("--keys", 1, DEFAULT_ENUM_BUDGET), default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in("--seed"), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_tbnc_totality)
 

@@ -424,11 +424,10 @@ DECODER_EPSILON = Fraction(1, 100)  # slack of the acceptance radius over p
 
 @dataclass(frozen=True)
 class DecoderParams:
-    """Bias and slack for the dual decoder; the acceptance radius is
-    floor((p + epsilon) * N) at the unfolded level."""
+    """Bias for the dual decoder; the acceptance radius is
+    floor((p + epsilon) * N) at the unfolded level, epsilon = DECODER_EPSILON."""
 
     p: Fraction
-    epsilon: Fraction
     radius_unfolded: int
 
     @classmethod
@@ -436,17 +435,17 @@ class DecoderParams:
         """The parameters for bias p, read by `gf.exact` (0.1 is 1/10); raises
         ValueError when p + epsilon reaches the dual unique-decoding fraction."""
         p = exact(p)
-        epsilon = DECODER_EPSILON
-        radius = int((p + epsilon) * spec.N)  # floor for positive values
+        slack = p + DECODER_EPSILON
+        radius = int(slack * spec.N)  # floor for positive values
         dual_spec = dual(spec)
         d_dual = min_distance(dual_spec)
         unique_frac = Fraction((d_dual - 1) // 2, spec.N)
-        if p + epsilon >= unique_frac:
+        if slack >= unique_frac:
             raise ValueError(
-                f"p + epsilon = {float(p + epsilon):.4f} is not below the "
+                f"p + epsilon = {float(slack):.4f} is not below the "
                 f"dual unique-decoding fraction {float(unique_frac):.4f}"
             )
-        return cls(p=p, epsilon=epsilon, radius_unfolded=radius)
+        return cls(p=p, radius_unfolded=radius)
 
 
 def _berlekamp_massey(ctx: FieldCtx, syndromes: list[int]) -> tuple[int, list[int]]:

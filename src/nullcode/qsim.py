@@ -204,7 +204,7 @@ def default_goodbad(spec: CodeSpec, params: DecoderParams) -> tuple[np.ndarray, 
     dual_flat = _code_flat_ranks(dual_spec)
     good_x = np.zeros(total, dtype=bool)
     good_x[dual_flat] = True
-    weight_cap = int((params.p + params.epsilon) * spec.n)
+    weight_cap = int((params.p + codes.DECODER_EPSILON) * spec.n)
     weights = np.count_nonzero(codes.to_digits(np.arange(total), sigma, spec.n), axis=-1)
     good_e = weights <= weight_cap
     good_x.setflags(write=False)

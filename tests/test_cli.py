@@ -853,14 +853,15 @@ def test_negative_modulus_exits_2(argv):
     assert "does not have degree" in proc.stderr
 
 
-def _subcommands_with_out(parser, prefix=()):
-    """The subcommands (as argv prefixes) whose parser takes --out."""
+def _flags(parser, prefix=()):
+    """(subcommand as an argv prefix, action) for every flag of every
+    subcommand."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _subcommands_with_out(sub, (*prefix, name))
-        elif "--out" in action.option_strings:
-            yield " ".join(prefix)
+                yield from _flags(sub, (*prefix, name))
+        else:
+            yield " ".join(prefix), action
 
 
 # the fastest run of each subcommand that takes --out
@@ -887,7 +888,8 @@ OUT_RUNS = {
 
 
 def test_out_runs_cover_every_subcommand_with_out():
-    assert sorted(_subcommands_with_out(cli.build_parser())) == sorted(OUT_RUNS)
+    with_out = [cmd for cmd, action in _flags(cli.build_parser()) if "--out" in action.option_strings]
+    assert sorted(with_out) == sorted(OUT_RUNS)
 
 
 @pytest.mark.parametrize("command", OUT_RUNS)
@@ -898,13 +900,43 @@ def test_out_into_a_missing_directory_exits_2(command, tmp_path, capsys):
     argv = [*command.split(), *(paths.get(a, a) for a in OUT_RUNS[command].split())]
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {out}: cannot write (No such file or directory)\n"
+    # the file is written before anything is printed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: cannot write (No such file or directory)\n"
 
 
 def test_out_naming_a_directory_or_a_glob_matching_one_exits_2(tmp_path, capsys):
     assert main(["qsim", "claim66", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"error: {tmp_path}: cannot write (Is a directory)\n"
+    assert capsys.readouterr() == ("", f"error: {tmp_path}: cannot write (Is a directory)\n")
     (tmp_path / "dir.jsonl").mkdir()
     assert main(["report", "--glob", str(tmp_path / "*.jsonl")]) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / 'dir.jsonl'}: cannot read (Is a directory)\n"
+
+
+# each numeric flag (every flag with an argparse type) with an Arabic-Indic
+# 2, then the three lists of integers
+NON_ASCII = {
+    **{
+        f"{cmd} {action.option_strings[0]}": [*cmd.split(), action.option_strings[0], "\u0662"]
+        for cmd, action in _flags(cli.build_parser())
+        if action.type is not None
+    },
+    "instance verify --x": ["instance", "verify", "--in", "{inst}", "--x", "\u0660 0"],
+    "tbnc verify --key": ["tbnc", "verify", "--in", "{tb}", "--key", "\u0660,0,0,0", "--solutions", "0 0"],
+    "tbnc verify --solutions": ["tbnc", "verify", "--in", "{tb}", "--key", "0,0,0,0", "--solutions", "\u0660 0"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_ASCII.values(), ids=NON_ASCII)
+def test_non_ascii_digits_exit_2(argv, tmp_path, capsys):
+    # int(), float() and Fraction() read '\u0662' as 2; no flag takes it
+    paths = {"{tb}": str(tmp_path / "tb.json")}
+    if "{inst}" in argv:
+        paths["{inst}"] = str(_tiny_instance(tmp_path))
+    if "{tb}" in argv:
+        assert main(["tbnc", "gen", "--t", "1", "--out", paths["{tb}"]]) == 0
+    ((flag, value),) = [(f, v) for f, v in zip(argv, argv[1:]) if not v.isascii()]
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {value!r} is not written in ASCII\n")

@@ -708,7 +708,7 @@ def test_dual_decode_one_error():
 def test_dual_decode_bottom_when_far():
     # exhaustive toy: corrupt more than the radius allows at t=2-like scale
     spec = rs_f4(1)
-    params = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
+    params = DecoderParams(p=Fraction(1, 64), radius_unfolded=0)
     z = ((1,), (0,), (3,))  # distance 1 from (1,2,3), distance >0 from all
     d = codes.dual(spec)
     dists = [
@@ -739,9 +739,7 @@ def test_dual_decode_matches_unique_radius_filter():
     d = codes.dual(spec)
     rng = np.random.default_rng(21)
     for radius in (1, 2, 3):
-        params = DecoderParams(
-            p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=radius
-        )
+        params = DecoderParams(p=Fraction(1, 64), radius_unfolded=radius)
         for weight in range(6):
             msg = [int(rng.integers(64)) for _ in range(d.dim)]
             xu = codes.encode_unfolded(d, msg)
@@ -758,7 +756,7 @@ def test_dual_decode_beyond_unique_radius_raises():
     # a hand-built radius past the dual's unique-decoding bound (3 at t=3)
     # has no unique-decoding path; for_spec never builds one
     spec = codes.preset(3)
-    params = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=4)
+    params = DecoderParams(p=Fraction(1, 64), radius_unfolded=4)
     d = codes.dual(spec)
     x = codes.fold(d, codes.encode_unfolded(d, [3, 1, 4, 1, 5, 9]))
     with pytest.raises(BudgetExceeded, match="unique-decoding bound 3"):

@@ -547,7 +547,7 @@ def test_referee_at_k_4096_runs_in_a_child_under_200_mb():
     assert elapsed < 2, f"{elapsed:.1f} s"
 
 
-LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), epsilon=Fraction(1, 100), radius_unfolded=0)
+LARGE_PARAMS = DecoderParams(p=Fraction(1, 64), radius_unfolded=0)
 
 
 def test_budget_rejects_large_preset():
@@ -779,7 +779,7 @@ def test_decode_rank_table_matches_a_per_word_loop_at_every_radius(name):
     # ambiguous, and at radius 0 only 1 of its 256 cosets is decoded.
     spec = {**SMALL_SPECS, "f16-parity": f16_parity_spec}[name]()
     for radius in range(spec.N + 1):
-        params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+        params = DecoderParams(Fraction(1, 16), radius)
         assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
 
 
@@ -788,7 +788,7 @@ def test_decode_rank_table_is_0_where_the_list_is_ambiguous(radius):
     # the self-dual toy's dual has distance 4, so radius 2 is past unique decoding
     spec = configs.toy_selfdual_spec()
     dual_unf = replace(codes.dual(spec), m=1)
-    params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+    params = DecoderParams(Fraction(1, 16), radius)
     F = qsim.decode_rank_table(spec, params)
     words = codes.to_digits(np.arange(F.size), 2, spec.N)
     sizes = np.array([len(codes.list_decode(dual_unf, codes.fold(dual_unf, w), radius)) for w in words])
@@ -802,7 +802,7 @@ def test_decode_rank_table_matches_the_loop_through_the_syndrome_decoder(name, m
     spec = SMALL_SPECS[name]()
     monkeypatch.setattr(codes, "DEFAULT_ENUM_BUDGET", 1)
     for radius in range((spec.N - codes.dual(spec).k - 1) // 2 + 1):
-        params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+        params = DecoderParams(Fraction(1, 16), radius)
         assert np.array_equal(qsim.decode_rank_table(spec, params), decode_table_loop(spec, params))
 
 
@@ -844,7 +844,7 @@ def test_decode_rank_table_decodes_each_coset_with_a_word_in_reach(radius, want,
     sizes = np.array([len(codes.list_decode(dual_unf, codes.fold(dual_unf, w), radius)) for w in words])
     nonempty, rem = divmod(np.count_nonzero(sizes), codes.dual(spec).size)
     assert rem == 0 and nonempty == want
-    params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+    params = DecoderParams(Fraction(1, 16), radius)
     assert decode_calls(spec, params, monkeypatch) == nonempty
 
 
@@ -854,7 +854,7 @@ def test_decode_rank_table_checks_each_decode_against_its_census(radius, decodes
     # radius 0; one that always finds the leader contradicts the cosets
     # with four words in reach at radius 2
     spec = configs.toy_selfdual_spec()
-    params = DecoderParams(Fraction(1, 16), codes.DECODER_EPSILON, radius)
+    params = DecoderParams(Fraction(1, 16), radius)
     monkeypatch.setattr(codes, "dual_decode", lambda spec, params, z: z if decodes else None)
     with pytest.raises(AssertionError, match="words within the radius"):
         qsim.decode_rank_table(spec, params)
@@ -885,7 +885,7 @@ def cached_structures(spec, params):
 def test_cached_structures_equal_uncached_recomputations(name):
     spec = {**SMALL_SPECS, "f16-parity": f16_parity_spec}[name]()
     for radius in range(spec.N + 1):
-        params = DecoderParams(Fraction(radius, spec.N), codes.DECODER_EPSILON, radius)
+        params = DecoderParams(Fraction(radius, spec.N), radius)
         for what, cached, fresh in cached_structures(spec, params):
             assert len(cached) == len(fresh), what
             for got, want in zip(cached, fresh):
@@ -923,7 +923,7 @@ def test_warm_cache_report_equals_the_cold_one_and_still_decodes(build, radius, 
     # the per-op work stays per op: each call decodes every coset with a
     # word in reach and checks GOOD once, cold or warm
     spec = build()
-    params = DecoderParams(Fraction(0), codes.DECODER_EPSILON, radius)
+    params = DecoderParams(Fraction(0), radius)
     phis = received_states(zero_tables_instance(spec))
     calls = {"decode": 0, "sound": 0}
     decode, sound = codes.dual_decode, qsim._assert_good_sound

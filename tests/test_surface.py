@@ -1,6 +1,6 @@
 """The library's surface is what the program runs.
 
-Eight static checks over src/nullcode/*.py, by `ast`:
+Nine static checks over src/nullcode/*.py, by `ast`:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
@@ -21,6 +21,8 @@ Eight static checks over src/nullcode/*.py, by `ast`:
   helper, so every rational parameter is read by one rule;
 - in cli.py only the argparse types use `_parse_fraction`, so no
   subcommand re-reads a rational flag from its text;
+- no flag in cli.py is read by `int` or `float`, which take digits such
+  as '\u0663', so every number goes through an ASCII-gated reader;
 - every exception class in errors.py but the base NullcodeError is
   raised somewhere in src/, so no class outlives its last raise.
 """
@@ -272,28 +274,48 @@ def test_one_module_reads_a_float_by_its_repr():
     assert sites == ["gf._decimal"] and flat == 1
 
 
+def _actions(parser):
+    """Every action of parser and of its subcommands' parsers."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
 def test_only_the_argparse_types_parse_a_fraction():
     # the reader is named only by --gamma's type and by the parser, whose
-    # --p and --zeta types are partials of it
+    # --zeta type is a partial of it (the --p type is one at module level)
     tree = ast.parse((SRC / "cli.py").read_text())
     users = _nodes_by_function(
         tree, lambda node: isinstance(node, ast.Name) and node.id == "_parse_fraction"
     )
     assert sorted(set(users)) == ["_gamma", "build_parser"]
     # and every rational flag of every subcommand, its default included, is
-    # parsed by its type (code lrcheck's float --zeta among them)
+    # parsed by its type (code lrcheck's real --zeta among them)
     from nullcode import cli
 
-    def actions(parser):
-        for action in parser._actions:
-            yield action
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    yield from actions(sub)
-
-    flags = [a for a in actions(cli.build_parser()) if a.dest in ("p", "zeta", "gamma")]
+    flags = [a for a in _actions(cli.build_parser()) if a.dest in ("p", "zeta", "gamma")]
     assert len(flags) == 10
     assert [a for a in flags if a.type is None or not (a.required or isinstance(a.default, str))] == []
+
+
+def test_no_flag_is_read_by_int_or_float():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    declared = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg == "type"
+        and isinstance(keyword.value, ast.Name)
+        and keyword.value.id in ("int", "float")
+    ]
+    assert declared == []
+    # nor through a variable, as a loop over (name, type) pairs would pass it
+    from nullcode import cli
+
+    assert [a.dest for a in _actions(cli.build_parser()) if a.type in (int, float)] == []
 
 
 def test_every_exception_class_is_raised():
