@@ -622,9 +622,12 @@ def _add_code_source(p):
 
 
 def _add_repetition(p):
-    """--n and --s: the toy repetition code that _repetition_spec builds."""
-    p.add_argument("--n", type=_int_in("--n"), default=2)
-    p.add_argument("--s", type=_int_in("--s"), default=2)
+    """--n and --s: the toy repetition code that _repetition_spec builds,
+    bounded before its row of n ones is built: toy_family's widest key
+    field, GF(2^12), encodes at most 2^11 coordinates over GF(2), and a
+    field has at most 2^16 elements (FieldCtx reports an s below 1)."""
+    p.add_argument("--n", type=_int_in("--n", 1, 1 << 11), default=2)
+    p.add_argument("--s", type=_int_in("--s", hi=16), default=2)
 
 
 def _add_common(p, trials=100):

@@ -618,22 +618,55 @@ def list_recover_count(
     return sum(parallel_map(chunk_count, chunks, jobs))
 
 
+# The most bits a numerator or denominator in lr_param_check may have:
+# the float range, as when the check ran in floats.
+_POWER_BITS = 1024
+
+
+def _power(x: Fraction, e: int) -> Fraction:
+    """x^e for e >= 0; ValueError when its numerator or denominator needs
+    more than _POWER_BITS bits, told from x's bits before a huge power is
+    built."""
+    bits = lambda v: max(v.numerator.bit_length(), v.denominator.bit_length())
+    if e * (bits(x) - 1) >= _POWER_BITS or bits(x := x**e) > _POWER_BITS:
+        raise ValueError(f"parameters overflow: a power in the check passes 2^{_POWER_BITS}")
+    return x
+
+
 def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
-    """Numeric check of the two folded-RS list-recoverability inequalities;
-    returns their truth values and the guaranteed list bound q^s.  Raises
-    ValueError for parameters out of domain and for powers such as q^s or
-    k^s that overflow a float, and for a NaN or infinite parameter."""
+    """Exact check of the two folded-RS list-recoverability inequalities
+
+        zeta N / m >= (1 + s/r) (N ell k^s)^(1/(s+1)) / (m - s + 1),
+        (r + s) (N ell / k)^(1/(s+1)) < q;
+
+    returns their truth values and the guaranteed list bound L = q**s in
+    the arguments' own arithmetic (a float when q or s is one).  The
+    parameters are read by `gf.exact` (0.4 is 2/5), and with s + 1 = c/b
+    in lowest terms both sides are raised to the power c, which clears
+    every root, so each comparison is between rationals.  Raises
+    ValueError for a NaN or infinite parameter, for parameters out of
+    domain, when a power the comparisons take would need more than 1024
+    bits (`_power`), and when q**s overflows a float."""
     if not all(-math.inf < v < math.inf for v in (N, m, k, ell, s, r, zeta, q)):
         raise ValueError("every parameter must be finite")
-    if not (min(N, m, k, r) > 0 and min(ell, s) >= 0):
-        raise ValueError("N, m, k and r must be positive, ell and s nonnegative")
+    given_q, given_s = q, s
+    N, m, k, ell, s, r, zeta, q = map(exact, (N, m, k, ell, s, r, zeta, q))
+    if not (min(N, m, k, r, q) > 0 and min(ell, s) >= 0):
+        raise ValueError("N, m, k, r and q must be positive, ell and s nonnegative")
     if m - s + 1 == 0:
         raise ValueError("m - s + 1 must be nonzero")
+    c, b = (s + 1).numerator, (s + 1).denominator  # s = (c - b)/b
+    # ineq1 times (m - s + 1)/(1 + s/r): u against the root T, where
+    # T^c = (N ell)^b k^(c - b) >= 0; a negative m - s + 1 flips it
+    u = zeta * N / m * (m - s + 1) / (1 + s / r)
+    root_c = _power(N * ell, b) * _power(k, c - b)
+    if m - s + 1 > 0:
+        ineq1 = u >= 0 and _power(u, c) >= root_c
+    else:
+        ineq1 = u <= 0 or _power(u, c) <= root_c
+    ineq2 = _power(r + s, c) * _power(N * ell / k, b) < _power(q, c)
     try:
-        lhs1 = zeta * N / m
-        rhs1 = (1 + s / r) * (N * ell * k**s) ** (1.0 / (s + 1)) / (m - s + 1)
-        lhs2 = (r + s) * (N * ell / k) ** (1.0 / (s + 1))
-        bound = q**s
+        bound = given_q**given_s
     except OverflowError as exc:
         raise ValueError(f"parameters overflow float arithmetic: {exc}") from None
-    return {"ineq1": bool(lhs1 >= rhs1), "ineq2": bool(lhs2 < q), "L": bound}
+    return {"ineq1": ineq1, "ineq2": ineq2, "L": bound}

@@ -34,7 +34,12 @@ ratio is |X| 2^(gamma |K'| - (1 - gamma) |W|).  For 0 < gamma < 1 that is
 maximal only at K' = K, W = {}, so the constant coordinates at their bits
 are the answer, or None when K is empty; for gamma = 0 no pattern
 violates.  At gamma >= 1 free coordinates tie or win, so those sets take
-the count table like every other set.
+the count table like every other set.  Whether X is a subcube needs no
+sort when X varies on no bit outside coords and is strictly ascending:
+its elements are then distinct and agree off V, so they take distinct
+patterns on V, and |X| = 2^|V| of them are every pattern once.
+`_subcube_fixed` sorts the patterns only for other sets, and
+`certified_subcubes` decides many sets at once, declining every other set.
 
 Most other large sets are certified dense by counting, with no count
 table either.  Let M be the largest count of one full pattern on the f
@@ -335,17 +340,52 @@ def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tup
     when X takes every pattern of the other coordinates V exactly once;
     None for any other X.  The check is exact for repeated elements and
     for bits that vary outside coords: |X| = 2^|V| patterns on V are each
-    taken once iff they are distinct."""
-    low = int(np.bitwise_and.reduce(arr))
-    V = (low ^ int(np.bitwise_or.reduce(arr))) & sum(1 << c for c in coords)
+    taken once iff they are distinct, which a strictly ascending X that
+    varies only on coords shows with no sort (module docstring)."""
+    bits = arr.view(np.uint64)
+    low = int(np.bitwise_and.reduce(bits))
+    varies = low ^ int(np.bitwise_or.reduce(bits))
+    V = varies & sum(1 << c for c in coords)
     if len(arr) != 1 << V.bit_count():
         return None
-    patterns = arr.view(np.uint64) & np.uint64(V)
-    patterns.sort()
-    if (patterns[1:] == patterns[:-1]).any():
-        return None
+    if varies != V or not (arr[1:] > arr[:-1]).all():
+        patterns = np.sort(bits & np.uint64(V))
+        if (patterns[1:] == patterns[:-1]).any():
+            return None
     K = tuple(c for c in coords if not V >> c & 1)
     return K, tuple(low >> c & 1 for c in K)
+
+
+def certified_subcubes(elems: np.ndarray, sizes, masks: np.ndarray, gamma) -> np.ndarray:
+    """Which of many sets the subcube closed form settles with no sort.
+    Set i is the next sizes[i] > 0 elements of the int64 array elems, on
+    the coordinates set in the uint64 masks[i].  With 0 <= gamma < 1, a
+    set that is strictly ascending, varies on no bit outside its mask and
+    has 2^|V| elements, V the masked bits where it varies, is a subcube
+    (module docstring): gamma-dense on V, and its density-restoring
+    partition on the mask's coordinates is the set itself as one part.
+    Every other set is declined (False), whatever it is."""
+    num, den = _ratio(gamma)
+    elems, sizes = np.asarray(elems, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    if sizes.size and sizes.min() < 1:
+        raise EmptySet("every set must be nonempty")
+    if sizes.sum() != elems.size:
+        raise ValueError(f"set sizes add up to {sizes.sum()}, not to the {elems.size} elements")
+    if num >= den or not sizes.size:
+        return np.zeros(sizes.size, dtype=bool)
+    starts = np.cumsum(sizes) - sizes
+    bits = elems.view(np.uint64)
+    varies = np.bitwise_and.reduceat(bits, starts) ^ np.bitwise_or.reduceat(bits, starts)
+    V = varies & np.asarray(masks, dtype=np.uint64)
+    step = np.empty(elems.size, dtype=bool)
+    np.greater(elems[1:], elems[:-1], out=step[1:])
+    step[starts] = True  # each set's first element starts its own run
+    return (
+        np.logical_and.reduceat(step, starts)
+        & (varies == V)
+        & ((sizes & (sizes - 1)) == 0)  # a power of two, 2^popcount(size - 1)
+        & (np.bitwise_count(sizes - 1) == np.bitwise_count(V))
+    )
 
 
 @lru_cache(maxsize=None)

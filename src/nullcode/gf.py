@@ -84,7 +84,7 @@ class FieldCtx:
     def __init__(self, s: int, modulus: int | None = None):
         if s < 1:
             raise ValueError(f"extension degree must be >= 1, got {s}")
-        if 1 << s > _FIELD_LIMIT:
+        if s > _FIELD_LIMIT.bit_length() - 1:  # before 1 << s, which a huge s cannot build
             raise ValueError(f"GF(2^{s}) has more than {_FIELD_LIMIT} elements")
         if modulus is None:
             if s not in DEFAULT_MODULI:

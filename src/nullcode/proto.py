@@ -29,7 +29,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .budget import DEFAULT_ENUM_BUDGET
-from .density import density_cut, density_restoring_partition, is_dense
+from .density import certified_subcubes, density_cut, density_restoring_partition, is_dense
 from .errors import BudgetExceeded
 from .instances import OracleInstance, Split, solution_mask
 
@@ -349,38 +349,15 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
         if isinstance(gamma, Fraction):
             shown = float(gamma) if gamma <= sys.float_info.max else f"above {sys.float_info.max:.2g}"
         raise ValueError(f"gamma {shown} exceeds 1: the full domain is not gamma-dense")
-    nodes = 1
     # The speaker's refinement depends only on the original node and the
     # speaker's side, so siblings that differ only in the other side share
     # it: (id(orig), side bytes) -> refinement.  Keyed on id because a
     # Node is unhashable; the input tree keeps it alive.
-    refined = {}
+    refined, tables = {}, {}
+    nodes = 1
 
-    def refine(orig, rect):
-        """The speaker's refinement of its side of rect on the side's free
-        coordinates: per original bit with a nonempty subset, its code's
-        (entropy, expected_length) and a (message, part elems, child)
-        tuple per density-restoring part."""
-        elems, n_bits = rect.elems_of(orig.owner)
-        key = (id(orig), elems.tobytes())
-        if key in refined:
-            return refined[key]
-        coords = rect.free(orig.owner)
-        groups = []
-        for msg, orig_subset, child in orig.parts:
-            member = np.zeros(1 << n_bits, dtype=bool)
-            member[orig_subset] = True
-            sub = elems[member[elems]]
-            if len(sub) == 0:
-                continue
-            drp = density_restoring_partition(sub, gamma, coords)
-            sizes = [len(p.elems) for p in drp]
-            code = huffman_mod.huffman(sizes)
-            stats = (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
-            parts = [(msg + word, part.elems, child) for part, word in zip(drp, code)]
-            groups.append((stats, parts))
-        refined[key] = groups
-        return groups
+    def key(orig, rect):
+        return id(orig), rect.elems_of(orig.owner)[0].tobytes()
 
     def build(orig, rect):
         nonlocal nodes
@@ -389,8 +366,11 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
         if len(orig.parts) > 2:
             raise ValueError("transform needs one-bit (binary) rounds")
         owner = orig.owner
+        k = key(orig, rect)
+        if k not in refined:  # past where the level pass stopped
+            refined[k] = _refine([(orig, rect)], gamma, tables)[0]
         new_parts = []
-        for stats, parts in refine(orig, rect):
+        for stats, parts in refined[k]:
             nodes += len(parts)
             if nodes > DEFAULT_ENUM_BUDGET:
                 raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
@@ -403,11 +383,76 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     na, nb = tree.n_bits_a, tree.n_bits_b
     root = Rect(full_domain(na), full_domain(nb), na, nb)
     try:
+        # level order: one batch refines every (node, rect) of a depth, so
+        # density decides a whole level's subsets in one call, until the new
+        # tree has more than DEFAULT_ENUM_BUDGET nodes; build then raises at
+        # the node where it passes the budget
+        level, count = [(tree.root, root)], 1
+        while level and count <= DEFAULT_ENUM_BUDGET:
+            inner = [(orig, rect, key(orig, rect)) for orig, rect in level if isinstance(orig, Node)]
+            batch = {k: (orig, rect) for orig, rect, k in inner if k not in refined}
+            refined.update(zip(batch, _refine(list(batch.values()), gamma, tables)))
+            level = []
+            for orig, rect, k in inner:
+                if count > DEFAULT_ENUM_BUDGET:
+                    break
+                for _, parts in refined[k]:
+                    count += len(parts)
+                    level += [(child, rect.narrow(orig.owner, elems)) for _, elems, child in parts]
         return ProtocolTree(build(tree.root, root), na, nb)
     finally:
         # build is a recursive closure, so a reference cycle holds the memo
         # and every part array in it until a gc pass
         refined.clear()
+        tables.clear()
+
+
+def _refine(pairs: list, gamma, tables: dict) -> list:
+    """The speaker's refinement of its side of rect on the side's free
+    coordinates, for each (original node, rect) pair: per original bit
+    with a nonempty subset, its code's (entropy, expected_length) and a
+    (message, part elems, child) tuple per density-restoring part.  A
+    subset that `density.certified_subcubes` certifies is its own one part,
+    as density_restoring_partition would return it, so only the others are
+    partitioned.  tables maps id(original node) to its part-membership
+    tables, one bool per input value and original part, built on first use."""
+    if not pairs:
+        return []
+    sides = [rect.elems_of(orig.owner) for orig, rect in pairs]
+    # each side's free coordinates as one mask: the bits where it varies
+    flat = np.concatenate([elems for elems, _ in sides]).view(np.uint64)
+    sizes = np.array([len(elems) for elems, _ in sides])
+    starts = np.cumsum(sizes) - sizes
+    free = np.bitwise_and.reduceat(flat, starts) ^ np.bitwise_or.reduceat(flat, starts)
+    subs, owners = [], []  # nonempty subsets, and (pair, original part) of each
+    for i, ((orig, _), (elems, n_bits)) in enumerate(zip(pairs, sides)):
+        if id(orig) not in tables:
+            tables[id(orig)] = [np.zeros(1 << n_bits, dtype=bool) for _ in orig.parts]
+            for member, (_, subset, _) in zip(tables[id(orig)], orig.parts):
+                member[subset] = True
+        for j, member in enumerate(tables[id(orig)]):
+            sub = elems[member.take(elems)]
+            if len(sub):
+                subs.append(sub)
+                owners.append((i, j))
+    pair_of = [i for i, _ in owners]
+    flat = np.concatenate(subs or [np.zeros(0, dtype=np.int64)])
+    certified = certified_subcubes(flat, [len(s) for s in subs], free[pair_of], gamma)
+    single_code = huffman_mod.huffman([1])
+    single = (huffman_mod.entropy([1]), huffman_mod.expected_length(single_code, [1]))
+    groups = [[] for _ in pairs]
+    for sub, (i, j), whole in zip(subs, owners, certified.tolist()):
+        msg, _, child = pairs[i][0].parts[j]
+        if whole:
+            groups[i].append((single, [(msg + single_code[0], sub, child)]))
+            continue
+        mask = int(free[i])
+        drp = density_restoring_partition(sub, gamma, [c for c in range(64) if mask >> c & 1])
+        sizes = [len(p.elems) for p in drp]
+        code = huffman_mod.huffman(sizes)
+        stats = (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
+        groups[i].append((stats, [(msg + word, part.elems, child) for part, word in zip(drp, code)]))
+    return groups
 
 
 def validate_subcube_like(tree: ProtocolTree, gamma) -> int:

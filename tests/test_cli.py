@@ -278,6 +278,11 @@ LRCHECK = "--N 63 --m 9 --k 6 --ell 2 --s 2 --r 8 --zeta 0.4 --q 64".split()
             ["proto", "transform", "--gamma", "1e400", "--n-bits", "4", "--depth", "3"],
             "gamma above 1.8e+308 exceeds 1: the full domain is not gamma-dense",
         ),
+        # a q of at most 0, whose q^s was complex at s = 2.5
+        (
+            ["code", "lrcheck", *LRCHECK, "--s", "2.5", "--q=-64"],
+            "N, m, k, r and q must be positive, ell and s nonnegative",
+        ),
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, argv, message):
@@ -851,6 +856,43 @@ def test_negative_modulus_exits_2(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: {argv[3]}: ") and proc.stderr.count("\n") == 1
     assert "does not have degree" in proc.stderr
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # field degrees far past GF(2^16): 1 << s once raised OverflowError
+        (f"code preset --t {HUGE}", "more than 65536 elements"),
+        (f"qsim qft --s {HUGE}", "more than 65536 elements"),
+        (f"hash check --r {HUGE}", "more than 65536 elements"),
+        (f"tbnc gen --s {HUGE}", f"--s {HUGE} is not an integer in [-inf, 16]"),
+        # the repetition code's flags one past their bounds, and a huge --n,
+        # whose row of n ones was once built before any check
+        (f"proto danger --n {HUGE} --trials 1", f"--n {HUGE} is not an integer in [1, 2048]"),
+        *(
+            (f"{cmd} --{flag} {bound + 1}", f"--{flag} {bound + 1} is not an integer in [{lo}, {bound}]")
+            for cmd in ("proto danger --trials 1", "hash attack --trials 1", "tbnc gen", "tbnc totality")
+            for flag, lo, bound in (("n", 1, 2048), ("s", "-inf", 16))
+        ),
+    ],
+)
+def test_huge_sizes_exit_2_with_one_error_line(argv, message):
+    # in a child process, so a size that is built before it is checked
+    # fails on the timeout instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nullcode.cli", *argv.split()],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
 
 
 def _flags(parser, prefix=()):

@@ -911,8 +911,10 @@ def test_lr_param_check():
         codes.lr_param_check(63, 9, 0, 2, 2, 8, 0.4, 64)
     with pytest.raises(ValueError):
         codes.lr_param_check(63, 9, 6, 2, 10, 8, 0.4, 64)
-    # each of these divided by zero or raised a negative base to a fractional power
-    for bad in ({"m": 0}, {"r": 0}, {"s": -1}, {"k": -6}, {"N": -63}, {"ell": -2}):
+    # each of these divided by zero or raised a negative base to a fractional
+    # power; a q of 0 is no field size, and q = -64 made L = q**s complex
+    bad_args = ({"m": 0}, {"r": 0}, {"s": -1}, {"k": -6}, {"N": -63}, {"ell": -2}, {"q": 0}, {"q": -64, "s": 2.5})
+    for bad in bad_args:
         args = {"N": 63, "m": 9, "k": 6, "ell": 2, "s": 2, "r": 8, "zeta": 0.4, "q": 64} | bad
         with pytest.raises(ValueError):
             codes.lr_param_check(**args)
@@ -939,6 +941,45 @@ def test_lr_param_check_rejects_non_finite(name, value):
     args = {"N": 63, "m": 9, "k": 6, "ell": 2, "s": 2, "r": 8, "zeta": 0.4, "q": 64}
     with pytest.raises(ValueError, match="finite"):
         codes.lr_param_check(**(args | {name: value}))
+
+
+TINY = Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize(
+    "args, key, at_tie",
+    [
+        # (r + s) (N ell / k)^(1/3) = 4 * 64^(1/3) = 16 = q, not below q;
+        # in floats 64 ** (1/3) is 3.9999999999999996
+        ({"N": 64, "m": 4, "k": 1, "ell": 1, "s": 2, "r": 2, "zeta": 1, "q": 16}, "ineq2", False),
+        # (27/8)^(1/3) = 3/2, so the left side is 4 * 3/2 = 6 = q
+        ({"N": 27, "m": 4, "k": 8, "ell": 1, "s": 2, "r": 2, "zeta": 1, "q": 6}, "ineq2", False),
+        # s = 1/2: (3/2 + 1/2) 8^(2/3) = 8 = q
+        ({"N": 8, "m": 4, "k": 1, "ell": 1, "s": Fraction(1, 2), "r": Fraction(3, 2), "zeta": 1, "q": 8}, "ineq2", False),
+        # zeta N / m = 64/6 / 4 = 8/3 = (1 + 2/2) (64 * 1 * 1^2)^(1/3) / 3
+        ({"N": 64, "m": 4, "k": 1, "ell": 1, "s": 2, "r": 2, "zeta": Fraction(1, 6), "q": 16}, "ineq1", True),
+        # (N ell k^s)^(1/3) = (2 * 1 * 2^2)^(1/3) = 2, and at zeta = 2
+        # zeta N / m = 1 = (1 + 2/4) 2 / 3
+        ({"N": 2, "m": 4, "k": 2, "ell": 1, "s": 2, "r": 4, "zeta": 2, "q": 16}, "ineq1", True),
+    ],
+)
+def test_lr_param_check_is_exact_at_ties(args, key, at_tie):
+    assert codes.lr_param_check(**args)[key] is at_tie
+    # the smallest step off the tie, on the side that flips the verdict
+    if key == "ineq2":
+        assert codes.lr_param_check(**(args | {"q": args["q"] + TINY}))["ineq2"] is True
+    else:
+        assert codes.lr_param_check(**(args | {"zeta": args["zeta"] - TINY}))["ineq1"] is False
+
+
+def test_lr_param_check_flips_past_a_negative_m_minus_s_plus_1():
+    # m - s + 1 = -1: the right side of ineq1 is not positive, so it holds
+    # for every zeta >= 0 and fails only once zeta N / m drops below it
+    args = {"N": 64, "m": 2, "k": 1, "ell": 1, "s": 4, "r": 4, "zeta": 0, "q": 16}
+    assert codes.lr_param_check(**args)["ineq1"] is True
+    # (1 + 4/4) 64^(1/5) / -1 = -2 * 2^(6/5); zeta N / m = 32 zeta
+    assert codes.lr_param_check(**(args | {"zeta": Fraction(-1, 8)}))["ineq1"] is True
+    assert codes.lr_param_check(**(args | {"zeta": Fraction(-1, 4)}))["ineq1"] is False
 
 
 def test_membership():

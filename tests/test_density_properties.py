@@ -1,5 +1,7 @@
 """Property tests for the exact density checks (skipped without hypothesis)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,110 @@ def test_find_violation_equals_the_definition(kind, seed, f, extra, gamma):
     assert density.is_dense(X, gamma, coords) == (want is None)
     parts = density.density_restoring_partition(X, gamma, coords)
     density.validate_partition(X, parts, gamma, coords)
+
+
+def subcube_by_sort(X, coords):
+    """The subcube closed form with every pattern sorted, no shortcut: the
+    reference for density._subcube_fixed."""
+    bits = np.asarray(X, dtype=np.int64).view(np.uint64)
+    low = int(np.bitwise_and.reduce(bits))
+    V = (low ^ int(np.bitwise_or.reduce(bits))) & sum(1 << c for c in coords)
+    if len(bits) != 1 << V.bit_count() or len(np.unique(bits & np.uint64(V))) < len(bits):
+        return None
+    K = tuple(c for c in coords if not V >> c & 1)
+    return K, tuple(low >> c & 1 for c in K)
+
+
+def certificate_case(kind, seed, f, extra, order, sign):
+    """(X, coords): a set of make_set's kind, or a subcube short of one
+    element ("short"), ascending, as drawn or descending, and with
+    coords[0] moved to the sign bit when sign is set."""
+    X, coords = make_set("subcube" if kind == "short" else kind, seed, f, extra)
+    if kind == "short" and len(X) > 1:  # a size that is not a power of two
+        X = X[1:]
+    if sign:  # bit b moved to bit position[b], coords[0] to the sign bit
+        position = np.random.default_rng(seed).choice(63, size=f + extra, replace=False)
+        position[coords[0]] = 63
+        X = np.bitwise_or.reduce([((X >> b) & 1) << int(p) for b, p in enumerate(position)])
+        coords = tuple(sorted(int(position[c]) for c in coords))
+    X = np.asarray(X, dtype=np.int64)
+    X = {"ascending": np.sort(X), "drawn": X, "descending": np.sort(X)[::-1]}[order]
+    return np.ascontiguousarray(X), coords
+
+
+def assert_certificate(cases, gamma):
+    """certified_subcubes on the cases as one batch: it certifies exactly
+    the strictly ascending subcubes that vary only on their coords when
+    gamma < 1, each one a set that _subcube_fixed fixes and that its
+    density-restoring partition keeps whole as one part."""
+    masks = np.array([sum(1 << c for c in coords) for _, coords in cases], dtype=np.uint64)
+    elems = np.concatenate([X for X, _ in cases])
+    got = density.certified_subcubes(elems, [len(X) for X, _ in cases], masks, gamma)
+    assert got.dtype == bool and got.shape == (len(cases),)
+    for (X, coords), mask, certified in zip(cases, masks.tolist(), got.tolist()):
+        fixed = subcube_by_sort(X, coords)
+        assert density._subcube_fixed(X, coords) == fixed
+        bits = X.view(np.uint64)
+        varies = int(np.bitwise_and.reduce(bits)) ^ int(np.bitwise_or.reduce(bits))
+        ascending = bool((X[1:] > X[:-1]).all())
+        assert certified == (fixed is not None and gamma < 1 and ascending and varies & ~mask == 0)
+        if certified:
+            parts = density.density_restoring_partition(X, gamma, coords)
+            assert len(parts) == 1 and np.array_equal(parts[0].elems, X)
+    return got
+
+
+CERTIFICATE_GAMMAS = (0, Fraction(1, 2), 0.8, 1)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    sets=st.lists(
+        st.tuples(
+            st.sampled_from(["subcube", "short", "duplicate", "outside", "random", "dense"]),
+            st.integers(0, 2**32 - 1),
+            st.integers(1, 6),
+            st.integers(0, 2),
+            st.sampled_from(["ascending", "drawn", "descending"]),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    gamma=st.sampled_from(CERTIFICATE_GAMMAS),
+)
+def test_certified_subcubes_are_the_ascending_subcubes(sets, gamma):
+    assert_certificate([certificate_case(*args) for args in sets], gamma)
+
+
+def test_certified_subcubes_decide_each_kind_of_set():
+    low = -(1 << 63)
+    cases = [
+        (np.arange(8), (0, 1, 2), True),  # the whole cube
+        (np.array([4, 5, 6, 7]), (0, 1, 2), True),  # coordinate 2 fixed at 1
+        (np.array([5, 4, 6, 7]), (0, 1, 2), False),  # not ascending
+        (np.array([4, 4, 6, 7]), (0, 1, 2), False),  # a repeated element
+        (np.array([0, 1, 2]), (0, 1, 2), False),  # a size that is not a power of two
+        (np.array([0, 1, 2, 3]), (0,), False),  # bit 1 varies outside coords
+        (np.array([1, 9]), (0, 1, 2), False),  # distinct, but tied patterns on coords
+        # coordinate 63, with negative elements: free, and then fixed at 1
+        (np.array([low, low + 1, 0, 1]), (0, 63), True),
+        (np.array([low, low + 1]), (0, 63), True),
+        (np.array([low + 1, low, 1, 0]), (0, 63), False),
+    ]
+    for gamma in CERTIFICATE_GAMMAS:
+        got = assert_certificate([(np.asarray(X, dtype=np.int64), c) for X, c, _ in cases], gamma)
+        assert got.tolist() == [want and gamma < 1 for _, _, want in cases]
+    fixed = density._subcube_fixed(np.array([low, low + 1]), (0, 63))
+    assert fixed == ((63,), (1,))
+
+
+def test_certified_subcubes_of_no_sets_and_bad_sizes():
+    none = density.certified_subcubes(np.zeros(0, dtype=np.int64), [], np.zeros(0, np.uint64), 0.5)
+    assert none.shape == (0,) and none.dtype == bool
+    with pytest.raises(density.EmptySet):
+        density.certified_subcubes(np.arange(4), [4, 0], np.array([3, 3], np.uint64), 0.5)
+    with pytest.raises(ValueError, match="add up to 3, not to the 4 elements"):
+        density.certified_subcubes(np.arange(4), [1, 2], np.array([3, 3], np.uint64), 0.5)
+    with pytest.raises(ValueError, match="gamma -0.5 is negative"):
+        density.certified_subcubes(np.arange(4), [4], np.array([3], np.uint64), -0.5)

@@ -393,6 +393,24 @@ def test_memoised_transform_exceeds_the_budget_where_the_unmemoised_one_does(mon
     assert sum(1 for _ in proto.subcube_like_transform(tree, 0.8).nodes()) == nodes
 
 
+def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
+    # at gamma = 1 a 10-bit tree passes any budget; each pass (levels, then
+    # depth first) builds a rectangle per node up to the budget, plus the
+    # parts of the one node that passes it, at most 2 * 2^10
+    budget = 1 << 12
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
+    narrow, built = proto.Rect.narrow, []
+
+    def counted(rect, owner, elems):
+        built.append(1)
+        return narrow(rect, owner, elems)
+
+    monkeypatch.setattr(proto.Rect, "narrow", counted)
+    with pytest.raises(BudgetExceeded, match=f"transformed tree exceeds {budget} nodes"):
+        proto.subcube_like_transform(small_tree(seed=0, n_bits=10, depth=6), 1)
+    assert len(built) <= 2 * (budget + 2 * (1 << 10))
+
+
 def test_transform_keeps_no_array_alive_after_it_returns():
     # the memo sits in build's reference cycle, which only a gc pass frees
     tree = small_tree(seed=2, n_bits=8, depth=5)
