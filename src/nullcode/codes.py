@@ -17,8 +17,10 @@ these forms.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -618,19 +620,43 @@ def list_recover_count(
     return sum(parallel_map(chunk_count, chunks, jobs))
 
 
-# The most bits a numerator or denominator in lr_param_check may have:
-# the float range, as when the check ran in floats.
-_POWER_BITS = 1024
-
-
-def _power(x: Fraction, e: int) -> Fraction:
-    """x^e for e >= 0; ValueError when its numerator or denominator needs
-    more than _POWER_BITS bits, told from x's bits before a huge power is
-    built."""
-    bits = lambda v: max(v.numerator.bit_length(), v.denominator.bit_length())
-    if e * (bits(x) - 1) >= _POWER_BITS or bits(x := x**e) > _POWER_BITS:
-        raise ValueError(f"parameters overflow: a power in the check passes 2^{_POWER_BITS}")
+def _iroot(n: int, f: int) -> int:
+    """floor(n^(1/f)) for n >= 0 and f >= 1, by Newton's method on ints."""
+    if n < 2 or f >= n.bit_length():  # 2^f > n, so the root is 1 (or 0)
+        return n and 1
+    x = 1 << -(-n.bit_length() // f)  # above the root
+    while (y := ((f - 1) * x + n // x ** (f - 1)) // f) < x:
+        x = y
     return x
+
+
+def _root(x: Fraction, f: int) -> Fraction | None:
+    """The rational t with t^f = x, for x > 0 and f >= 1, or None."""
+    num, den = _iroot(x.numerator, f), _iroot(x.denominator, f)
+    return Fraction(num, den) if num**f == x.numerator and den**f == x.denominator else None
+
+
+def _power_sign(A: Fraction, e: int, B: Fraction, f: int) -> int:
+    """The sign of A^e - B^f for rationals A, B > 0 and coprime e, f >= 0,
+    exactly, with neither power built.  With gcd(e, f) = 1, A^e = B^f iff
+    A = t^f and B = t^e for one rational t (t = A^y B^x for xe + yf = 1),
+    so a tie is told by exact roots; otherwise e ln A - f ln B is not 0,
+    and decimal logarithms carried to enough digits give its sign."""
+    if e == 0 or f == 0:
+        return (A > 1) - (A < 1) if f == 0 else (B < 1) - (B > 1)
+    if (t := _root(A, f)) is not None and t == _root(B, e):
+        return 0
+    with localcontext() as ctx:
+        for digits in (40 << i for i in range(10)):
+            ctx.prec = digits
+            ln = [Decimal(v).ln() for v in (A.numerator, A.denominator, B.numerator, B.denominator)]
+            diff = e * (ln[0] - ln[1]) - f * (ln[2] - ln[3])
+            # every ln, product and sum is rounded to `digits` digits, so
+            # diff is off by far less than 10^(3 - digits) of this size
+            size = e * (ln[0] + ln[1]) + f * (ln[2] + ln[3])
+            if abs(diff) > size.scaleb(3 - digits):
+                return 1 if diff > 0 else -1
+    raise ValueError("parameters lie too close to a tie to decide")
 
 
 def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
@@ -642,11 +668,11 @@ def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
     returns their truth values and the guaranteed list bound L = q**s in
     the arguments' own arithmetic (a float when q or s is one).  The
     parameters are read by `gf.exact` (0.4 is 2/5), and with s + 1 = c/b
-    in lowest terms both sides are raised to the power c, which clears
-    every root, so each comparison is between rationals.  Raises
-    ValueError for a NaN or infinite parameter, for parameters out of
-    domain, when a power the comparisons take would need more than 1024
-    bits (`_power`), and when q**s overflows a float."""
+    in lowest terms each comparison of a root becomes the sign of
+    A^e - B^f for rationals A, B and coprime e, f (`_power_sign`).
+    Raises ValueError for a NaN or infinite parameter, for parameters out
+    of domain, and when q**s overflows a float or, for ell > 0, k^s passes
+    the float range, as in the float arithmetic this check once ran in."""
     if not all(-math.inf < v < math.inf for v in (N, m, k, ell, s, r, zeta, q)):
         raise ValueError("every parameter must be finite")
     given_q, given_s = q, s
@@ -655,18 +681,23 @@ def lr_param_check(N, m, k, ell, s, r, zeta, q) -> dict:
         raise ValueError("N, m, k, r and q must be positive, ell and s nonnegative")
     if m - s + 1 == 0:
         raise ValueError("m - s + 1 must be nonzero")
-    c, b = (s + 1).numerator, (s + 1).denominator  # s = (c - b)/b
-    # ineq1 times (m - s + 1)/(1 + s/r): u against the root T, where
-    # T^c = (N ell)^b k^(c - b) >= 0; a negative m - s + 1 flips it
-    u = zeta * N / m * (m - s + 1) / (1 + s / r)
-    root_c = _power(N * ell, b) * _power(k, c - b)
-    if m - s + 1 > 0:
-        ineq1 = u >= 0 and _power(u, c) >= root_c
-    else:
-        ineq1 = u <= 0 or _power(u, c) <= root_c
-    ineq2 = _power(r + s, c) * _power(N * ell / k, b) < _power(q, c)
     try:
         bound = given_q**given_s
     except OverflowError as exc:
         raise ValueError(f"parameters overflow float arithmetic: {exc}") from None
+    # k^s past the float range, which the check in floats could not take
+    if ell and k > 1 and s > math.log(sys.float_info.max) / (math.log(k.numerator) - math.log(k.denominator)):
+        raise ValueError("parameters overflow float arithmetic: k^s passes the float range")
+    c, b = (s + 1).numerator, (s + 1).denominator  # s = (c - b)/b
+    # ineq1 times (m - s + 1)/(1 + s/r): u against the root
+    # T = (N ell k^s)^(1/(s+1)), flipped when m - s + 1 < 0.  T = 0 iff
+    # ell = 0; for u, T > 0, u^(s+1) >= N ell k^s is (u/k)^s >= N ell / u
+    u = zeta * N / m * (m - s + 1) / (1 + s / r)
+    if ell == 0 or u <= 0:
+        side = (u > 0) - (u < 0) if ell == 0 else -1
+    else:
+        side = _power_sign(u / k, c - b, N * ell / u, b)
+    ineq1 = side >= 0 if m - s + 1 > 0 else side <= 0
+    # ineq2: (N ell / k)^(1/(s+1)) < q / (r + s), a root of 0 when ell = 0
+    ineq2 = ell == 0 or _power_sign(N * ell / k, b, q / (r + s), c) < 0
     return {"ineq1": ineq1, "ineq2": ineq2, "L": bound}

@@ -383,8 +383,7 @@ def certified_subcubes(elems: np.ndarray, sizes, masks: np.ndarray, gamma) -> np
     return (
         np.logical_and.reduceat(step, starts)
         & (varies == V)
-        & ((sizes & (sizes - 1)) == 0)  # a power of two, 2^popcount(size - 1)
-        & (np.bitwise_count(sizes - 1) == np.bitwise_count(V))
+        & (sizes == [1 << v.bit_count() for v in V.tolist()])
     )
 
 

@@ -353,69 +353,85 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     # speaker's side, so siblings that differ only in the other side share
     # it: (id(orig), side bytes) -> refinement.  Keyed on id because a
     # Node is unhashable; the input tree keeps it alive.
-    refined, tables = {}, {}
+    refined = {}
+    # id(new node) -> per original bit, its code's stats and the
+    # (original child, new child) pairs of its parts
+    below = {}
     nodes = 1
 
-    def key(orig, rect):
-        return id(orig), rect.elems_of(orig.owner)[0].tobytes()
+    def new_node(orig, rect):
+        return Leaf(orig.label, rect) if isinstance(orig, Leaf) else Node(orig.owner, rect, [])
 
-    def build(orig, rect):
+    def refine(pairs):
+        """The memo keys of (original node, new node) pairs, refining the
+        ones not yet in the memo in one batch."""
+        keys = [(id(orig), new.rect.elems_of(orig.owner)[0].tobytes()) for orig, new in pairs]
+        todo = {k: (orig, new.rect) for (orig, new), k in zip(pairs, keys) if k not in refined}
+        refined.update(zip(todo, _refine(list(todo.values()), gamma)))
+        return keys
+
+    def attach(orig, new, key):
+        """Give new its parts from the refinement at key, over children not
+        yet expanded, and record them in below."""
+        below[id(new)] = groups = []
+        for stats, parts in refined[key]:
+            kids = [(child, new_node(child, new.rect.narrow(orig.owner, elems))) for _, elems, child in parts]
+            new.parts += [(msg, elems, kid) for (msg, elems, _), (_, kid) in zip(parts, kids)]
+            groups.append((stats, kids))
+        return groups
+
+    def walk(orig, new):
+        """Depth first, as the nodes are numbered: code_stats, and the node
+        count against the budget, expanding any node the levels left."""
         nonlocal nodes
         if isinstance(orig, Leaf):
-            return Leaf(orig.label, rect)
+            return
         if len(orig.parts) > 2:
             raise ValueError("transform needs one-bit (binary) rounds")
-        owner = orig.owner
-        k = key(orig, rect)
-        if k not in refined:  # past where the level pass stopped
-            refined[k] = _refine([(orig, rect)], gamma, tables)[0]
-        new_parts = []
-        for stats, parts in refined[k]:
-            nodes += len(parts)
+        groups = below[id(new)] if id(new) in below else attach(orig, new, refine([(orig, new)])[0])
+        for stats, kids in groups:
+            nodes += len(kids)
             if nodes > DEFAULT_ENUM_BUDGET:
                 raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
             if code_stats is not None:
                 code_stats.append(stats)
-            for msg, elems, child in parts:
-                new_parts.append((msg, elems, build(child, rect.narrow(owner, elems))))
-        return Node(owner, rect, new_parts)
+            for child, kid in kids:
+                walk(child, kid)
 
     na, nb = tree.n_bits_a, tree.n_bits_b
-    root = Rect(full_domain(na), full_domain(nb), na, nb)
+    root = new_node(tree.root, Rect(full_domain(na), full_domain(nb), na, nb))
     try:
-        # level order: one batch refines every (node, rect) of a depth, so
-        # density decides a whole level's subsets in one call, until the new
-        # tree has more than DEFAULT_ENUM_BUDGET nodes; build then raises at
-        # the node where it passes the budget
+        # level order: one batch refines every node of a depth, so density
+        # decides a whole level's subsets in one call, and the level's nodes
+        # get their children until the new tree has more than
+        # DEFAULT_ENUM_BUDGET nodes; walk then raises where it passes it
         level, count = [(tree.root, root)], 1
         while level and count <= DEFAULT_ENUM_BUDGET:
-            inner = [(orig, rect, key(orig, rect)) for orig, rect in level if isinstance(orig, Node)]
-            batch = {k: (orig, rect) for orig, rect, k in inner if k not in refined}
-            refined.update(zip(batch, _refine(list(batch.values()), gamma, tables)))
+            inner = [(orig, new) for orig, new in level if isinstance(orig, Node)]
             level = []
-            for orig, rect, k in inner:
+            for (orig, new), key in zip(inner, refine(inner)):
                 if count > DEFAULT_ENUM_BUDGET:
                     break
-                for _, parts in refined[k]:
-                    count += len(parts)
-                    level += [(child, rect.narrow(orig.owner, elems)) for _, elems, child in parts]
-        return ProtocolTree(build(tree.root, root), na, nb)
+                for _, kids in attach(orig, new, key):
+                    count += len(kids)
+                    level += kids
+        walk(tree.root, root)
+        return ProtocolTree(root, na, nb)
     finally:
-        # build is a recursive closure, so a reference cycle holds the memo
+        # walk is a recursive closure, so a reference cycle holds the memo
         # and every part array in it until a gc pass
         refined.clear()
-        tables.clear()
+        below.clear()
 
 
-def _refine(pairs: list, gamma, tables: dict) -> list:
+def _refine(pairs: list, gamma) -> list:
     """The speaker's refinement of its side of rect on the side's free
     coordinates, for each (original node, rect) pair: per original bit
     with a nonempty subset, its code's (entropy, expected_length) and a
     (message, part elems, child) tuple per density-restoring part.  A
     subset that `density.certified_subcubes` certifies is its own one part,
     as density_restoring_partition would return it, so only the others are
-    partitioned.  tables maps id(original node) to its part-membership
-    tables, one bool per input value and original part, built on first use."""
+    partitioned."""
     if not pairs:
         return []
     sides = [rect.elems_of(orig.owner) for orig, rect in pairs]
@@ -424,17 +440,23 @@ def _refine(pairs: list, gamma, tables: dict) -> list:
     sizes = np.array([len(elems) for elems, _ in sides])
     starts = np.cumsum(sizes) - sizes
     free = np.bitwise_and.reduceat(flat, starts) ^ np.bitwise_or.reduceat(flat, starts)
+    by_node = {}
+    for i, (orig, _) in enumerate(pairs):
+        by_node.setdefault(id(orig), []).append(i)
     subs, owners = [], []  # nonempty subsets, and (pair, original part) of each
-    for i, ((orig, _), (elems, n_bits)) in enumerate(zip(pairs, sides)):
-        if id(orig) not in tables:
-            tables[id(orig)] = [np.zeros(1 << n_bits, dtype=bool) for _ in orig.parts]
-            for member, (_, subset, _) in zip(tables[id(orig)], orig.parts):
-                member[subset] = True
-        for j, member in enumerate(tables[id(orig)]):
-            sub = elems[member.take(elems)]
-            if len(sub):
-                subs.append(sub)
-                owners.append((i, j))
+    for group in by_node.values():
+        # one table per original part, one bool per input value, kept only
+        # while this node's sides are split
+        orig, n_bits = pairs[group[0]][0], sides[group[0]][1]
+        tables = [np.zeros(1 << n_bits, dtype=bool) for _ in orig.parts]
+        for member, (_, subset, _) in zip(tables, orig.parts):
+            member[subset] = True
+        for i in group:
+            for j, member in enumerate(tables):
+                sub = sides[i][0][member.take(sides[i][0])]
+                if len(sub):
+                    subs.append(sub)
+                    owners.append((i, j))
     pair_of = [i for i, _ in owners]
     flat = np.concatenate(subs or [np.zeros(0, dtype=np.int64)])
     certified = certified_subcubes(flat, [len(s) for s in subs], free[pair_of], gamma)

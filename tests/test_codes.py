@@ -972,6 +972,22 @@ def test_lr_param_check_is_exact_at_ties(args, key, at_tie):
         assert codes.lr_param_check(**(args | {"zeta": args["zeta"] - TINY}))["ineq1"] is False
 
 
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        # s + 1 = 3123/1000: the comparisons stand for 3123rd powers
+        ({"s": 2.123}, {"ineq1": True, "ineq2": True}),
+        # q^150 = 2^900 is a float, and (r + s)^151 is past 2^1024
+        ({"m": 200, "s": 150}, {"ineq1": False, "ineq2": False, "L": 2**900}),
+        # s + 1 = (10^300 + 1)/10^300
+        ({"s": 1e-300}, {"ineq1": False, "ineq2": False}),
+    ],
+)
+def test_lr_param_check_takes_every_power_floats_took(args, want):
+    got = codes.lr_param_check(**({"N": 63, "m": 9, "k": 6, "ell": 2, "s": 2, "r": 8, "zeta": 0.4, "q": 64} | args))
+    assert got | want == got
+
+
 def test_lr_param_check_flips_past_a_negative_m_minus_s_plus_1():
     # m - s + 1 = -1: the right side of ineq1 is not positive, so it holds
     # for every zeta >= 0 and fails only once zeta N / m drops below it

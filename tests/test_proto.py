@@ -394,9 +394,10 @@ def test_memoised_transform_exceeds_the_budget_where_the_unmemoised_one_does(mon
 
 
 def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
-    # at gamma = 1 a 10-bit tree passes any budget; each pass (levels, then
-    # depth first) builds a rectangle per node up to the budget, plus the
-    # parts of the one node that passes it, at most 2 * 2^10
+    # at gamma = 1 a 10-bit tree passes any budget; each node's rectangle
+    # is built once, by the first pass (levels, then depth first) to reach
+    # it, and each pass reaches the budget plus the parts of the one node
+    # that passes it, at most 2 * 2^10
     budget = 1 << 12
     monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
     narrow, built = proto.Rect.narrow, []
@@ -409,6 +410,16 @@ def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
     with pytest.raises(BudgetExceeded, match=f"transformed tree exceeds {budget} nodes"):
         proto.subcube_like_transform(small_tree(seed=0, n_bits=10, depth=6), 1)
     assert len(built) <= 2 * (budget + 2 * (1 << 10))
+
+
+def test_transform_needs_no_numpy_bitwise_count(monkeypatch):
+    # np.bitwise_count came with numpy 2.0, and the project takes 1.24
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    sets = np.array([0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 0, 1, 2])
+    got = density.certified_subcubes(sets, [8, 4, 3], np.array([7, 7, 7], dtype=np.uint64), 0.5)
+    assert got.tolist() == [True, True, False]
+    out = proto.subcube_like_transform(small_tree(seed=0), 0.8)
+    assert proto.validate_subcube_like(out, 0.8) == sum(1 for _ in out.nodes())
 
 
 def test_transform_keeps_no_array_alive_after_it_returns():
