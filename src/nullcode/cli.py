@@ -23,6 +23,7 @@ from . import codes, configs, density, hashing, instances, proto, qsim, tbnc
 from .budget import DEFAULT_ENUM_BUDGET
 from .codes import CodeSpec, DecoderParams
 from .errors import (
+    BudgetExceeded,
     EmptySupport,
     LengthMismatch,
     NullcodeError,
@@ -333,6 +334,15 @@ def cmd_qsim_claim66(args) -> int:
 # -- proto subcommands -------------------------------------------------------------
 
 
+def _random_tree(args, rng, labels) -> proto.ProtocolTree:
+    """The random one-bit tree of --n-bits per side and --depth rounds; a
+    --depth whose tree passes the node budget is a usage error."""
+    try:
+        return proto.random_onebit_tree(rng, args.n_bits, args.n_bits, args.depth, labels)
+    except BudgetExceeded as exc:
+        raise UsageError(f"--depth {args.depth}: {exc}") from None
+
+
 def cmd_proto_drp(args) -> int:
     rng = np.random.default_rng(args.seed)
     records, coords = [], tuple(range(args.n_bits))
@@ -360,9 +370,7 @@ def cmd_proto_transform(args) -> int:
     records = []
     failures = 0
     for trial in range(args.trials):
-        tree = proto.random_onebit_tree(
-            rng, args.n_bits, args.n_bits, args.depth, labels=list(range(4))
-        )
+        tree = _random_tree(args, rng, labels=list(range(4)))
         out = proto.subcube_like_transform(tree, args.gamma)
         nodes = proto.validate_subcube_like(out, args.gamma)
         same = proto.trees_agree(tree, out)
@@ -387,10 +395,7 @@ def cmd_proto_cleanup(args) -> int:
     records = []
     failures = 0
     for trial in range(args.trials):
-        labels = list(range(3))
-        tree = proto.random_onebit_tree(
-            rng, args.n_bits, args.n_bits, args.depth, labels=labels
-        )
+        tree = _random_tree(args, rng, labels=list(range(3)))
         valid_a = lambda label, x: (x >> (label % args.n_bits)) & 1 == 0
         valid_b = lambda label, y: (y >> (label % args.n_bits)) & 1 == 0
         err = proto.measure_error(tree, valid_a, valid_b)
@@ -405,9 +410,7 @@ def cmd_proto_cleanup(args) -> int:
 
 def cmd_proto_run(args) -> int:
     rng = np.random.default_rng(args.seed)
-    tree = proto.random_onebit_tree(
-        rng, args.n_bits, args.n_bits, args.depth, labels=list(range(4))
-    )
+    tree = _random_tree(args, rng, labels=list(range(4)))
     stats = proto.transcript_stats(tree)
     print(json.dumps(stats, sort_keys=True))
     return 0

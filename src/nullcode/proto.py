@@ -247,13 +247,20 @@ def random_onebit_tree(
 
     Each internal node queries a coordinate of the owner's input (or, with
     probability PARITY_PROB, the XOR of two coordinates).  Leaf labels are
-    drawn from `labels`.
+    drawn from `labels`.  Raises BudgetExceeded once the tree has more
+    than DEFAULT_ENUM_BUDGET nodes: a large depth can split until both
+    sides are single points, up to 2^(n_bits_a + n_bits_b) leaves.
     """
+    nodes = 0
 
     def pick_label():
         return labels[int(rng.integers(len(labels)))] if len(labels) else BOT
 
     def build(rect, remaining):
+        nonlocal nodes
+        nodes += 1
+        if nodes > DEFAULT_ENUM_BUDGET:
+            raise BudgetExceeded(f"random tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
         if remaining == 0:
             return Leaf(pick_label(), rect)
         owner = "A" if rng.random() < 0.5 else "B"
@@ -337,10 +344,12 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     input pair.
 
     When code_stats is a list, one (entropy, expected_length) pair per
-    constructed Huffman code is appended to it.  Raises ValueError for a
-    gamma above 1 (after density's normalisation), where the full domain
-    is not gamma-dense, and BudgetExceeded once the new tree has more than
-    DEFAULT_ENUM_BUDGET nodes.
+    constructed Huffman code is appended to it on return, in level order:
+    by depth, then left to right.  Raises ValueError for a gamma above 1
+    (after density's normalisation), where the full domain is not
+    gamma-dense, or for a round of more than two parts, before any
+    refinement, and BudgetExceeded once the new tree has more than
+    DEFAULT_ENUM_BUDGET nodes; code_stats is untouched when it raises.
     """
     if density_cut(2, gamma, 1) == 0:  # floor(2^(1 - gamma)) = 0 iff gamma > 1
         # a Fraction such as the CLI's 3/2 prints as the decimal 1.5, and one
@@ -349,79 +358,42 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
         if isinstance(gamma, Fraction):
             shown = float(gamma) if gamma <= sys.float_info.max else f"above {sys.float_info.max:.2g}"
         raise ValueError(f"gamma {shown} exceeds 1: the full domain is not gamma-dense")
-    # The speaker's refinement depends only on the original node and the
-    # speaker's side, so siblings that differ only in the other side share
-    # it: (id(orig), side bytes) -> refinement.  Keyed on id because a
-    # Node is unhashable; the input tree keeps it alive.
-    refined = {}
-    # id(new node) -> per original bit, its code's stats and the
-    # (original child, new child) pairs of its parts
-    below = {}
-    nodes = 1
-
-    def new_node(orig, rect):
-        return Leaf(orig.label, rect) if isinstance(orig, Leaf) else Node(orig.owner, rect, [])
-
-    def refine(pairs):
-        """The memo keys of (original node, new node) pairs, refining the
-        ones not yet in the memo in one batch."""
-        keys = [(id(orig), new.rect.elems_of(orig.owner)[0].tobytes()) for orig, new in pairs]
-        todo = {k: (orig, new.rect) for (orig, new), k in zip(pairs, keys) if k not in refined}
-        refined.update(zip(todo, _refine(list(todo.values()), gamma)))
-        return keys
-
-    def attach(orig, new, key):
-        """Give new its parts from the refinement at key, over children not
-        yet expanded, and record them in below."""
-        below[id(new)] = groups = []
-        for stats, parts in refined[key]:
-            kids = [(child, new_node(child, new.rect.narrow(orig.owner, elems))) for _, elems, child in parts]
-            new.parts += [(msg, elems, kid) for (msg, elems, _), (_, kid) in zip(parts, kids)]
-            groups.append((stats, kids))
-        return groups
-
-    def walk(orig, new):
-        """Depth first, as the nodes are numbered: code_stats, and the node
-        count against the budget, expanding any node the levels left."""
-        nonlocal nodes
-        if isinstance(orig, Leaf):
-            return
-        if len(orig.parts) > 2:
-            raise ValueError("transform needs one-bit (binary) rounds")
-        groups = below[id(new)] if id(new) in below else attach(orig, new, refine([(orig, new)])[0])
-        for stats, kids in groups:
-            nodes += len(kids)
-            if nodes > DEFAULT_ENUM_BUDGET:
-                raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
-            if code_stats is not None:
-                code_stats.append(stats)
-            for child, kid in kids:
-                walk(child, kid)
-
+    if any(isinstance(node, Node) and len(node.parts) > 2 for node in tree.nodes()):
+        raise ValueError("transform needs one-bit (binary) rounds")
     na, nb = tree.n_bits_a, tree.n_bits_b
-    root = new_node(tree.root, Rect(full_domain(na), full_domain(nb), na, nb))
-    try:
-        # level order: one batch refines every node of a depth, so density
-        # decides a whole level's subsets in one call, and the level's nodes
-        # get their children until the new tree has more than
-        # DEFAULT_ENUM_BUDGET nodes; walk then raises where it passes it
-        level, count = [(tree.root, root)], 1
-        while level and count <= DEFAULT_ENUM_BUDGET:
-            inner = [(orig, new) for orig, new in level if isinstance(orig, Node)]
-            level = []
-            for (orig, new), key in zip(inner, refine(inner)):
-                if count > DEFAULT_ENUM_BUDGET:
-                    break
-                for _, kids in attach(orig, new, key):
-                    count += len(kids)
-                    level += kids
-        walk(tree.root, root)
-        return ProtocolTree(root, na, nb)
-    finally:
-        # walk is a recursive closure, so a reference cycle holds the memo
-        # and every part array in it until a gc pass
-        refined.clear()
-        below.clear()
+    root = _shell(tree.root, Rect(full_domain(na), full_domain(nb), na, nb))
+    # One level at a time, so density decides a whole depth's subsets in
+    # one batch.  The speaker's refinement depends only on the original
+    # node and the speaker's side, so siblings that differ only in the
+    # other side share it: (id(orig), side bytes) -> refinement, keyed on
+    # id because a Node is unhashable.  A new node sits at its original
+    # node's depth, so a memo per level misses nothing.
+    level, nodes, stats = [(tree.root, root)], 1, []
+    while level:
+        inner = [(orig, new) for orig, new in level if isinstance(orig, Node)]
+        keys = [(id(orig), new.rect.elems_of(orig.owner)[0].tobytes()) for orig, new in inner]
+        todo = {key: (orig, new.rect) for key, (orig, new) in zip(keys, inner)}
+        refined = dict(zip(todo, _refine(list(todo.values()), gamma)))
+        level = []
+        for (orig, new), key in zip(inner, keys):
+            for code, parts in refined[key]:
+                nodes += len(parts)
+                if nodes > DEFAULT_ENUM_BUDGET:
+                    raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
+                stats.append(code)
+                for msg, elems, child in parts:
+                    kid = _shell(child, new.rect.narrow(orig.owner, elems))
+                    new.parts.append((msg, elems, kid))
+                    level.append((child, kid))
+    if code_stats is not None:
+        code_stats.extend(stats)
+    return ProtocolTree(root, na, nb)
+
+
+def _shell(orig, rect):
+    """A new node over rect for the original node orig: its leaf, or a
+    node of the same speaker whose parts are still to come."""
+    return Leaf(orig.label, rect) if isinstance(orig, Leaf) else Node(orig.owner, rect, [])
 
 
 def _refine(pairs: list, gamma) -> list:

@@ -872,6 +872,10 @@ HUGE = "99999999999999999999"
         # the repetition code's flags one past their bounds, and a huge --n,
         # whose row of n ones was once built before any check
         (f"proto danger --n {HUGE} --trials 1", f"--n {HUGE} is not an integer in [1, 2048]"),
+        # a huge --depth can split until both sides are single points, up
+        # to 2^20 leaves at 10 + 10 bits, once built in full
+        (f"proto transform --depth {HUGE} --trials 1", f"--depth {HUGE}: random tree exceeds 65536 nodes"),
+        (f"proto run --n-bits 10 --depth {HUGE}", f"--depth {HUGE}: random tree exceeds 65536 nodes"),
         *(
             (f"{cmd} --{flag} {bound + 1}", f"--{flag} {bound + 1} is not an integer in [{lo}, {bound}]")
             for cmd in ("proto danger --trials 1", "hash attack --trials 1", "tbnc gen", "tbnc totality")

@@ -227,6 +227,29 @@ def test_transform_rejects_wide_nodes():
         proto.subcube_like_transform(tree, 0.8)
 
 
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_transform_rejects_a_wide_round_below_the_root_before_refining(budget, monkeypatch):
+    # Alice sends x0, then on x0 = 0 Bob sends both bits of y in one round
+    X, Y = proto.full_domain(2), proto.full_domain(2)
+    p0, p1 = X[X % 2 == 0], X[X % 2 == 1]
+    wide = [(format(v, "02b"), Y[Y == v], proto.Leaf(v, proto.Rect(p0, Y[Y == v], 2, 2))) for v in range(4)]
+    parts = [
+        ("0", p0, proto.Node("B", proto.Rect(p0, Y, 2, 2), wide)),
+        ("1", p1, proto.Leaf(0, proto.Rect(p1, Y, 2, 2))),
+    ]
+    tree = proto.ProtocolTree(proto.Node("A", proto.Rect(X, Y, 2, 2), parts), 2, 2)
+
+    def no_refine(*args):
+        raise AssertionError("refined a node")
+
+    monkeypatch.setattr(proto, "_refine", no_refine)
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
+    stats = []
+    with pytest.raises(ValueError, match="one-bit"):
+        proto.subcube_like_transform(tree, 0.8, code_stats=stats)
+    assert stats == []
+
+
 def test_cleanup_soundness_and_bottom_rate():
     for seed in range(6):
         tree = small_tree(seed=seed, n_bits=5, depth=4)
@@ -297,11 +320,13 @@ def unmemoised_transform(tree, gamma, code_stats):
     memo shared between siblings: the reference for
     proto.subcube_like_transform.  It tracks each side's free coordinates
     as the parts fix them, and for a gamma above 0 asserts at every node
-    that they are the ones where the side varies."""
+    that they are the ones where the side varies.  It appends each code's
+    stats depth first, as it goes, tagged with its node's depth:
+    (depth, (entropy, expected_length))."""
     nodes = 1
     derived = density.density_cut(2, gamma, 1) < 2  # floor(2^(1 - gamma)) = 2 iff gamma is 0
 
-    def build(orig, rect, free):
+    def build(orig, rect, free, depth):
         nonlocal nodes
         if derived:
             assert all(free[owner] == rect.free(owner) for owner in proto.OWNERS)
@@ -322,17 +347,17 @@ def unmemoised_transform(tree, gamma, code_stats):
                 raise BudgetExceeded(f"transformed tree exceeds {proto.DEFAULT_ENUM_BUDGET} nodes")
             sizes = [len(p.elems) for p in drp]
             code = huffman.huffman(sizes)
-            code_stats.append((huffman.entropy(sizes), huffman.expected_length(code, sizes)))
+            code_stats.append((depth, (huffman.entropy(sizes), huffman.expected_length(code, sizes))))
             for part, word in zip(drp, code):
                 left = tuple(c for c in free[owner] if c not in part.fixed_coords)
-                child_node = build(child, rect.narrow(owner, part.elems), {**free, owner: left})
+                child_node = build(child, rect.narrow(owner, part.elems), {**free, owner: left}, depth + 1)
                 new_parts.append((msg + word, part.elems, child_node))
         return proto.Node(owner, rect, new_parts)
 
     na, nb = tree.n_bits_a, tree.n_bits_b
     root = proto.Rect(proto.full_domain(na), proto.full_domain(nb), na, nb)
     free = {"A": tuple(range(na)), "B": tuple(range(nb))}
-    return proto.ProtocolTree(build(tree.root, root, free), na, nb)
+    return proto.ProtocolTree(build(tree.root, root, free, 0), na, nb)
 
 
 def assert_same_tree(got, want):
@@ -362,6 +387,12 @@ def transform_outcome(transform, tree, gamma):
         return str(exc), stats
 
 
+def level_order(tagged_stats):
+    """The reference's depth-tagged stats in level order: a stable sort by
+    depth keeps each depth's nodes left to right, as depth first met them."""
+    return [stats for _, stats in sorted(tagged_stats, key=lambda entry: entry[0])]
+
+
 @pytest.mark.parametrize("gamma", [0, 0.25, 0.5, 0.8, 1])
 @pytest.mark.parametrize("n_bits, depth", [(6, 5), (10, 6)])
 def test_memoised_transform_matches_the_unmemoised_one(n_bits, depth, gamma, monkeypatch):
@@ -373,10 +404,11 @@ def test_memoised_transform_matches_the_unmemoised_one(n_bits, depth, gamma, mon
         tree = small_tree(seed=seed, n_bits=n_bits, depth=depth, labels=(0, 1, 2, 3))
         out, stats = transform_outcome(proto.subcube_like_transform, tree, gamma)
         want, want_stats = transform_outcome(unmemoised_transform, tree, gamma)
-        assert stats == want_stats
         if isinstance(want, str):
-            assert out == want
+            # a transform that raises appends no stats
+            assert (out, stats) == (want, [])
         else:
+            assert stats == level_order(want_stats)
             assert_same_tree(out, want)
 
 
@@ -386,18 +418,16 @@ def test_memoised_transform_exceeds_the_budget_where_the_unmemoised_one_does(mon
     for budget in (1, nodes // 3, nodes - 1):
         monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
         message = f"transformed tree exceeds {budget} nodes"
-        assert transform_outcome(proto.subcube_like_transform, tree, 0.8) == (
-            message, transform_outcome(unmemoised_transform, tree, 0.8)[1]
-        )
+        assert transform_outcome(unmemoised_transform, tree, 0.8)[0] == message
+        assert transform_outcome(proto.subcube_like_transform, tree, 0.8) == (message, [])
     monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes)
     assert sum(1 for _ in proto.subcube_like_transform(tree, 0.8).nodes()) == nodes
 
 
 def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
-    # at gamma = 1 a 10-bit tree passes any budget; each node's rectangle
-    # is built once, by the first pass (levels, then depth first) to reach
-    # it, and each pass reaches the budget plus the parts of the one node
-    # that passes it, at most 2 * 2^10
+    # at gamma = 1 a 10-bit tree passes any budget; one pass builds each
+    # node's rectangle once, and it raises before it builds the parts that
+    # pass the budget, at most 2^10 of them
     budget = 1 << 12
     monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
     narrow, built = proto.Rect.narrow, []
@@ -409,7 +439,7 @@ def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
     monkeypatch.setattr(proto.Rect, "narrow", counted)
     with pytest.raises(BudgetExceeded, match=f"transformed tree exceeds {budget} nodes"):
         proto.subcube_like_transform(small_tree(seed=0, n_bits=10, depth=6), 1)
-    assert len(built) <= 2 * (budget + 2 * (1 << 10))
+    assert len(built) <= budget + (1 << 10)
 
 
 def test_transform_needs_no_numpy_bitwise_count(monkeypatch):
@@ -423,7 +453,8 @@ def test_transform_needs_no_numpy_bitwise_count(monkeypatch):
 
 
 def test_transform_keeps_no_array_alive_after_it_returns():
-    # the memo sits in build's reference cycle, which only a gc pass frees
+    # with gc off, only reference counting frees the part arrays, so no
+    # reference cycle (such as a recursive closure over the memo) may hold them
     tree = small_tree(seed=2, n_bits=8, depth=5)
     gc.disable()
     try:
@@ -444,6 +475,17 @@ def test_transform_node_budget(monkeypatch):
     monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceeded):
         proto.subcube_like_transform(tree, 0.8)
+
+
+def test_random_tree_node_budget(monkeypatch):
+    # the budget changes no draw: a tree at it is the one built without it
+    tree = small_tree(seed=0, n_bits=6, depth=8)
+    nodes = sum(1 for _ in tree.nodes())
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes)
+    assert_same_tree(small_tree(seed=0, n_bits=6, depth=8), tree)
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", nodes - 1)
+    with pytest.raises(BudgetExceeded, match=f"random tree exceeds {nodes - 1} nodes"):
+        small_tree(seed=0, n_bits=6, depth=8)
 
 
 def test_reveal_tree_labels():
