@@ -41,6 +41,21 @@ patterns on V, and |X| = 2^|V| of them are every pattern once.
 `_subcube_fixed` sorts the patterns only for other sets, and
 `certified_subcubes` decides many sets at once, declining every other set.
 
+A parity half has one too: the set of a cube on all f >= 2 coords (so K
+is empty) where x_c1 xor x_c2 = b for one pair c1 < c2, as one-bit
+rounds that send the XOR of two coordinates cut it.  A pattern that fixes
+j coordinates besides the pair has ratio |X| 2^(-j (1 - gamma)) when it
+fixes neither pair coordinate, |X| 2^(-(j + 1)(1 - gamma)) when it fixes
+one, |X| 2^(2 gamma - 1 - j (1 - gamma)) when it fixes both consistently,
+and count 0 when it fixes them inconsistently.  For 0 <= gamma < 1 only
+the pair itself can violate, with half of X, and of its two consistent
+patterns (0, b) is lexicographically first.  X is that set when
+2|X| = 2^f, X is strictly ascending, it varies on exactly the bits of
+coords, and one pair keeps the parity on every element: its 2^(f - 1)
+distinct points fill a set of that many.  `_parity_pair` finds the
+candidate pair with one sorted search of X[0]'s single-bit flips and
+verifies it on every element; any other set takes the count table.
+
 Most other large sets are certified dense by counting, with no count
 table either.  Let M be the largest count of one full pattern on the f
 coordinates (1 for distinct elements).  A pattern of width w spans
@@ -356,6 +371,29 @@ def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tup
     return K, tuple(low >> c & 1 for c in K)
 
 
+def _parity_pair(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """(c1, c2, b) with c1 < c2 when X, with 2|X| = 2^f (f = len(coords)),
+    is the whole parity half x_c1 xor x_c2 = b of the cube on coords;
+    None for any other X.  X must be strictly ascending, vary on exactly
+    the bits of coords and keep the parity on every element: it is then
+    2^(f - 1) distinct points of a set that has that many (module
+    docstring).  The candidate pair is the two coordinates whose flip of
+    X[0] leaves X, and the parity check verifies it."""
+    bits = arr.view(np.uint64)
+    varies = int(np.bitwise_and.reduce(bits)) ^ int(np.bitwise_or.reduce(bits))
+    if varies != sum(1 << c for c in coords) or not (arr[1:] > arr[:-1]).all():
+        return None
+    flips = arr[0] ^ np.array([1 << c for c in coords], dtype=np.uint64).view(np.int64)
+    out = np.flatnonzero(arr[arr.searchsorted(flips).clip(max=len(arr) - 1)] != flips)
+    if len(out) != 2:
+        return None
+    c1, c2 = coords[out[0]], coords[out[1]]
+    parity = (bits >> np.uint64(c1) ^ bits >> np.uint64(c2)) & np.uint64(1)
+    if (parity != parity[0]).any():
+        return None
+    return c1, c2, int(parity[0])
+
+
 def certified_subcubes(elems: np.ndarray, sizes, masks: np.ndarray, gamma) -> np.ndarray:
     """Which of many sets the subcube closed form settles with no sort.
     Set i is the next sizes[i] > 0 elements of the int64 array elems, on
@@ -463,6 +501,11 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
         fixed = _subcube_fixed(arr, coords)
         if fixed is not None:
             return fixed if fixed[0] and num else None
+        # the closed form for a parity half (module docstring): only the
+        # pair itself can violate, with half of X
+        if 2 * n == 1 << f and (pair := _parity_pair(arr, coords)) is not None:
+            c1, c2, b = pair
+            return ((c1, c2), (0, b)) if n // 2 > density_cut(n, gamma, 2) else None
     hist = _histogram(arr, coords)
     if _dense_by_counting(hist, n, num, den):
         return None

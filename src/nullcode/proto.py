@@ -403,7 +403,10 @@ def _refine(pairs: list, gamma) -> list:
     (message, part elems, child) tuple per density-restoring part.  A
     subset that `density.certified_subcubes` certifies is its own one part,
     as density_restoring_partition would return it, so only the others are
-    partitioned."""
+    partitioned.  For 1/2 < gamma < 1 every side is a subcube, so every
+    subset it declines from a one-bit round on one coordinate or the XOR
+    of two (as `random_onebit_tree` sends) is a parity half, which
+    `density.find_violation` settles with no count table."""
     if not pairs:
         return []
     sides = [rect.elems_of(orig.owner) for orig, rect in pairs]

@@ -374,7 +374,7 @@ def test_criterion_10_transform():
         if tree.cost():
             ratios.append(ts["entropy"] / tree.cost())
     elapsed = time.time() - start
-    assert elapsed < 10
+    assert elapsed < 6
     report(
         10,
         "message-compression transform",

@@ -763,6 +763,49 @@ def test_subcube_certificate_matches_the_count_table(monkeypatch):
     }
 
 
+
+def parity_half(coords, c1, c2, b, base=0):
+    """The parity half x_c1 xor x_c2 = b of the cube on coords through
+    base, as ascending int64 elements."""
+    cube = [base | sum((p >> j & 1) << c for j, c in enumerate(coords)) for p in range(1 << len(coords))]
+    half = [x for x in cube if (x >> c1 ^ x >> c2) & 1 == b]
+    return np.sort(np.array(half, dtype=np.uint64).view(np.int64))
+
+
+PARITY_HAND_GAMMAS = (0, Fraction(1, 2), Fraction(501, 1000), 0.8, Fraction(999, 1000), 1, Fraction(3, 2))
+
+# (coords, c1, c2, b, base): the pair adjacent or apart, at bits 0 and 63,
+# and with some or every element negative
+PARITY_HAND_CASES = [
+    ((0, 1), 0, 1, 0, 0),  # {0b00, 0b11}
+    ((0, 1), 0, 1, 1, 1 << 5),  # {0b01, 0b10}, with bit 5 constant outside coords
+    ((0, 1, 2), 1, 2, 1, 0),
+    ((0, 3, 7, 9), 0, 9, 0, 0),
+    ((0, 5, 63), 0, 63, 1, 0),  # half the elements negative
+    ((4, 62, 63), 62, 63, 0, 1 << 10),
+    ((1, 2, 3), 2, 3, 1, 1 << 63),  # every element negative
+]
+
+
+def test_parity_half_closed_form_by_hand():
+    for coords, c1, c2, b, base in PARITY_HAND_CASES:
+        X = parity_half(coords, c1, c2, b, base)
+        assert density._parity_pair(X, coords) == (c1, c2, b)
+        for gamma in PARITY_HAND_GAMMAS:
+            got = find_violation(X, gamma, coords)
+            assert got == _violation_by_definition(X, gamma, coords)
+            parts = density_restoring_partition(X, gamma, coords)
+            validate_partition(X, parts, gamma, coords)
+            peeled = [(p.fixed_coords, p.fixed_bits) for p in parts]
+            if gamma <= Fraction(1, 2):  # ratio at most |X|: dense, one part
+                assert got is None and peeled == [((), ())]
+            elif gamma < 1:  # the pair at (0, b), then the rest at (1, 1 - b)
+                assert got == ((c1, c2), (0, b))
+                assert peeled == [((c1, c2), (0, b)), ((c1, c2), (1, 1 - b))]
+            else:  # wider consistent patterns tie (gamma = 1) or win: width f
+                assert got is not None and got[0] == coords
+
+
 CRITERION_9_ALPHAS = (0.3, 0.5, 0.7, 0.9)
 COUNTING_GAMMAS = (0, Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), 1, 2)
 

@@ -1,6 +1,7 @@
 """Property tests for the exact density checks (skipped without hypothesis)."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,10 +25,95 @@ def make_set(kind, seed, f, extra):
         keep = rng.random(1 << nbits) < rng.uniform(0.75, 1)
         keep[0] = True
         return rng.permutation(np.flatnonzero(keep)), coords
+    if kind in PARITY_KINDS:
+        return parity_set(kind, rng, coords, nbits)
     X = subcube(rng, coords, nbits, outside=kind == "outside")
     if kind == "duplicate":  # |X| stays a power of two when X[0] replaces X[-1]
         X = np.append(X[:-1], X[0]) if len(X) > 1 else np.append(X, X)
     return rng.permutation(X), coords
+
+
+# A parity half, ascending, and its near misses: one element swapped for
+# its pair flip, a parity over three coordinates, a bit varying outside
+# coords, a coordinate constant inside coords (its bit moved outside, so the
+# elements stay distinct), and the half descending or with a repeated element.
+PARITY_KINDS = ("parity", "pair_flip", "three", "outside_bit", "constant", "descending", "repeated")
+
+
+def parity_set(kind, rng, coords, nbits):
+    """(X, coords): the parity half x_c1 xor x_c2 = b of a random cube on
+    coords (the other bits below nbits constant), or one of its near
+    misses; with probability 1/2 coords[0] is moved to the sign bit."""
+    c1, c2, *rest = (int(c) for c in rng.permutation(coords))
+    base = int(rng.integers(0, 1 << nbits)) & ~sum(1 << c for c in coords)
+    cube = base | np.bitwise_or.reduce(
+        [(np.arange(1 << len(coords)) >> j & 1) << c for j, c in enumerate(coords)]
+    )
+    parity = (cube >> c1 ^ cube >> c2) & 1
+    if kind == "three" and rest:
+        parity ^= cube >> rest[0] & 1
+    X = cube[parity == rng.integers(2)]
+    if kind == "pair_flip":
+        X[rng.integers(len(X))] ^= 1 << c1
+    elif kind == "outside_bit":  # bit nbits is outside coords
+        X ^= rng.integers(0, 2, len(X)) << nbits
+    elif kind == "constant":
+        c0 = rest[0] if rest else c1
+        X = X & ~(1 << c0) | (X >> c0 & 1) << nbits
+    if rng.integers(2):  # coords[0] swapped with bit 63, which is 0 in every element
+        c = coords[0]
+        X = X & ~(1 << c) | (X >> c & 1) << 63
+        coords = tuple(sorted(coords[1:] + (63,)))
+    X = np.sort(X)
+    if kind == "descending":
+        X = X[::-1]
+    elif kind == "repeated":
+        X = np.sort(np.append(X[:-1], X[0]))
+    return np.ascontiguousarray(X), coords
+
+
+def parity_by_definition(X, coords):
+    """(c1, c2, b) when X is strictly ascending and, as a set, the parity
+    half x_c1 xor x_c2 = b of the cube on coords through X[0]; None
+    otherwise.  The reference for density._parity_pair."""
+    if len(X) < 2 or not (X[1:] > X[:-1]).all():
+        return None
+    elems = set(X.view(np.uint64).tolist())
+    base = int(X.view(np.uint64)[0]) & ~sum(1 << c for c in coords)
+    cube = [base | sum((p >> j & 1) << c for j, c in enumerate(coords)) for p in range(1 << len(coords))]
+    for c1, c2 in combinations(coords, 2):
+        for b in (0, 1):
+            if elems == {x for x in cube if (x >> c1 ^ x >> c2) & 1 == b}:
+                return c1, c2, b
+    return None
+
+
+PARITY_GAMMAS = (0, Fraction(1, 2), Fraction(501, 1000), 0.8, Fraction(999, 1000), 1, Fraction(3, 2))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    kind=st.sampled_from(PARITY_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    f=st.sampled_from(range(2, 9)),  # more even than integers(2, 8), which favours f = 2
+    extra=st.integers(0, 2),
+    gamma=st.sampled_from(PARITY_GAMMAS),
+)
+def test_parity_halves_and_near_misses_equal_the_definition(kind, seed, f, extra, gamma):
+    X, coords = make_set(kind, seed, f, extra)
+    assert 2 * len(X) == 1 << f  # every case reaches the closed form's gate
+    ascending = tuple(sorted(coords))  # as _parity_pair takes them
+    pair = parity_by_definition(X, ascending)
+    assert density._parity_pair(X, ascending) == pair
+    if kind == "parity":
+        assert pair is not None
+    want = _violation_by_definition(X, gamma, coords)
+    assert density.find_violation(X, gamma, coords) == want
+    assert density.is_dense(X, gamma, coords) == (want is None)
+    parts = density.density_restoring_partition(X, gamma, coords)
+    density.validate_partition(X, parts, gamma, coords)
+    first = (parts[0].fixed_coords, parts[0].fixed_bits)
+    assert first == (want or ((), ()))
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)

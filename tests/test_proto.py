@@ -202,6 +202,23 @@ def test_transform_parts_repeel_from_each_side_free_coordinates(gamma):
                 assert [(bit + word, p.elems.tolist()) for p, word in zip(drp, code)] == group
 
 
+@pytest.mark.parametrize("gamma", [0.6, 0.8, 0.99])
+def test_one_bit_transform_builds_no_count_table(gamma, monkeypatch):
+    # For 1/2 < gamma < 1 every side stays a subcube: a round on one
+    # coordinate cuts it into subcubes, and one on the XOR of two cuts it
+    # into parity halves, whose closed form peels the pair into two
+    # subcubes.  Only at gamma <= 1/2 is a parity half dense, so sides stay
+    # affine and later rounds need the count table.
+    def no_table(*args):
+        raise AssertionError("built a count table")
+
+    monkeypatch.setattr(density, "_count_table", no_table)
+    for seed in range(4):
+        tree = small_tree(seed=seed, n_bits=10, depth=6, labels=(0, 1, 2, 3))
+        out = proto.subcube_like_transform(tree, gamma)
+        assert proto.validate_subcube_like(out, gamma) == sum(1 for _ in out.nodes())
+
+
 # 10^400 is past the float range, and prints as a bound
 @pytest.mark.parametrize("gamma", [1.002, 1.5, Fraction(3, 2), 7, Fraction(10**400)])
 def test_transform_rejects_gamma_above_one_before_building(gamma, monkeypatch):
