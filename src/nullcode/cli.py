@@ -582,7 +582,7 @@ def cmd_report(args) -> int:
                     continue
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad JSON, or an int past int()'s digit limit
                     raise ParseError(path, lineno, str(exc)) from exc
                 if not isinstance(rec, dict):
                     raise ParseError(path, lineno, "record is not an object")
@@ -590,14 +590,17 @@ def cmd_report(args) -> int:
                     schema = set(rec)
                 elif set(rec) != schema:
                     raise ParseError(path, lineno, "record schema changed mid-file")
-                rows.append((path, rec))
+                rows.append((path, lineno, rec))
     summary = {}
-    for path, rec in rows:
+    for path, lineno, rec in rows:
         for key, val in rec.items():
-            if isinstance(val, bool):
-                val = float(val)
-            if isinstance(val, (int, float)):
-                summary.setdefault((path, key), []).append(float(val))
+            if isinstance(val, (int, float)):  # bool included
+                try:
+                    val = float(val)
+                except OverflowError:
+                    message = f"field {key!r} is past the float range"
+                    raise ParseError(path, lineno, message) from None
+                summary.setdefault((path, key), []).append(val)
     lines = [("file", "field", "count", "mean", "std")]
     for (path, key), vals in sorted(summary.items()):
         arr = np.array(vals)

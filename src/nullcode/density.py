@@ -172,23 +172,6 @@ def min_entropy(X, coords) -> float:
     return math.log2(len(arr) / counts.max())
 
 
-# From this many coordinates on, the 3^f count table is large enough that
-# passes over contiguous blocks beat the 3-digit kernel passes and the
-# width-order gather.  Per find_violation call (2 vCPU host), on random
-# sets of 2^(f-1) elements (gamma = 1/2) the kernel passes take 56-69 us at
-# f = 8, 106-111 us at f = 9, 290-298 us at f = 10, 0.68-0.74 ms at f = 11
-# and 2.0-2.1 ms at f = 12 against 144-168 us, 182-191 us, 235-265 us,
-# 0.31-0.34 ms and 0.64-0.65 ms in blocks.
-_WIDE_F = 10
-
-
-# Yates kernels of 1, 2 and 3 digits: row t (ternary, first digit most
-# significant) sums the columns b (binary) that agree with t on every digit
-# t fixes; digit 2 leaves the coordinate free.
-_YATES_STEP = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-_YATES_KERNELS = {k: reduce(np.kron, [_YATES_STEP] * k) for k in (1, 2, 3)}
-
-
 # The largest Yates pass output, in cells, that reuses the workspace; a
 # larger one is allocated per call, so no thread keeps more than two
 # buffers of this many cells.  3^12 covers the 12-coordinate tables of the
@@ -197,10 +180,12 @@ _REUSED_CELLS = 3**12
 
 
 class _Workspace(threading.local):
-    """Two byte buffers, reused by the Yates passes of wide tables and grown
-    to the largest pass output of at most `_REUSED_CELLS` cells counted so
-    far in the thread.  A fresh megabyte-sized array costs page faults on
-    every call, which at f = 12 took longer than the passes themselves."""
+    """Two byte buffers, reused by the Yates passes of every count table and
+    grown to the largest pass output of at most `_REUSED_CELLS` cells
+    counted so far in the thread.  The passes alternate between them, so a
+    count table of at most that many cells is a view of one.  A fresh
+    megabyte-sized array costs page faults on every call, which at f = 12
+    took longer than the passes themselves."""
 
     def __init__(self):
         self.buffers = [np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)]
@@ -254,26 +239,15 @@ def _histogram(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
 def _count_table(hist: np.ndarray, size: int) -> np.ndarray:
     """`subcube_counts` from the histogram of a set of `size` elements, in
     the narrowest unsigned dtype that holds the size, which bounds every
-    count; a wide table is a view of the thread's workspace, valid until
-    the next call.  Callers check the cell budget."""
+    count.  A table of at least one coordinate and at most `_REUSED_CELLS`
+    cells is a view of the thread's workspace, valid until the next call.
+    Callers check the cell budget."""
     f = hist.size.bit_length() - 1
-    counts = hist
-    dtype = np.min_scalar_type(size)
-    # Yates's algorithm: each pass turns binary digits into ternary ones
-    # (bit 0, bit 1, then their sum for a free coordinate)
-    if f < _WIDE_F:
-        # up to three least significant binary digits become the most
-        # significant ternary ones, so after the last pass the digits are
-        # back in coordinate order; every partial sum is an integer of at
-        # most |X| < 2^53, so the float64 products are exact
-        counts = counts.astype(np.float64)
-        for done in range(0, f, 3):
-            kernel = _YATES_KERNELS[min(3, f - done)]
-            counts = (kernel @ counts.reshape(-1, kernel.shape[1]).T).reshape(-1)
-        return counts.astype(dtype)
-    counts = counts.astype(dtype)
-    # every digit stays in place, least significant first, and each pass
-    # moves contiguous blocks of the 3^k ternary cells below it
+    counts = hist.astype(np.min_scalar_type(size))
+    # Yates's algorithm: each pass turns a binary digit into a ternary one
+    # (bit 0, bit 1, then their sum for a free coordinate).  Every digit
+    # stays in place, least significant first, and each pass moves
+    # contiguous blocks of the 3^k ternary cells below it.
     block = 1
     for k in range(f):
         pair = counts.reshape(-1, 2, block)
@@ -294,28 +268,10 @@ def _width_table(f: int) -> np.ndarray:
     return width
 
 
-@lru_cache(maxsize=None)
-def _width_order(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 3^f cells sorted by width |I|, then by tie-break order, and where
-    each width 0..f starts (and ends) in that order.
-
-    For equal |I|, the lexicographically first I has the largest MSB-first
-    mask of fixed digits, i.e. the smallest mask of free ones; for equal I,
-    index order is pattern order.  So within a width the first cell holding
-    a count wins the tie-break among the cells holding it."""
-    free = np.zeros(1, dtype=np.int64)
-    for _ in range(f):
-        free = (2 * free[:, None] + np.array([0, 0, 1])).reshape(-1)
-    width = _width_table(f)
-    order = np.argsort((width.astype(np.int64) << f) | free, kind="stable")
-    starts = np.searchsorted(width[order], np.arange(f + 2))
-    return order, starts
-
-
-def _width_maxima_blocks(counts: np.ndarray, f: int) -> np.ndarray:
-    """The largest count of each width |I| = 0..f without an index gather:
-    each pass reduces the most significant remaining digit, and row w holds
-    the maxima over the digits reduced so far with w of them fixed."""
+def _width_maxima(counts: np.ndarray, f: int) -> np.ndarray:
+    """The largest count of each width |I| = 0..f: each pass reduces the
+    most significant remaining digit, and row w holds the maxima over the
+    digits reduced so far with w of them fixed."""
     by_width = counts.reshape(1, -1)
     for _ in range(f):
         blocks = by_width.reshape(len(by_width), 3, -1)
@@ -328,11 +284,12 @@ def _width_maxima_blocks(counts: np.ndarray, f: int) -> np.ndarray:
     return by_width[:, 0]
 
 
-def _wide_winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
-    """The tie-break winner among the cells of width s that hold `count`,
-    without a width order: take every cell with the count and drop those of
-    another width, reading each cell's width as the sum of its two halves'
-    widths."""
+def _winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
+    """The tie-break winner among the cells of width s that hold `count`:
+    take every cell with the count and drop those of another width,
+    reading each cell's width as the sum of its two halves' widths.  For
+    equal |I| the lexicographically first I has the largest MSB-first mask
+    of fixed digits; for equal I, cell order is pattern order."""
     cells = np.flatnonzero(counts == count)
     low = f // 2
     hi, lo = np.divmod(cells, 3**low)
@@ -510,12 +467,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     if _dense_by_counting(hist, n, num, den):
         return None
     counts = _count_table(hist, n)
-    if f < _WIDE_F:
-        order, starts = _width_order(f)
-        ranked = counts.take(order)
-        top = np.maximum.reduceat(ranked, starts[:-1]).tolist()
-    else:
-        top = _width_maxima_blocks(counts, f).tolist()
+    top = _width_maxima(counts, f).tolist()
     # the ratio-maximal width: top[w] 2^(gamma w) > top[s] 2^(gamma s) for
     # w < s, with both sides raised to the power den
     power = [c**den for c in top]
@@ -527,11 +479,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     # |X|, so some pattern violates iff a ratio-maximal one does
     if top[s] <= density_cut(n, gamma, s):
         return None
-    if f < _WIDE_F:
-        # argmax returns the first cell holding the maximum
-        cell = int(order[starts[s] + ranked[starts[s] : starts[s + 1]].argmax()])
-    else:
-        cell = _wide_winner(counts, f, s, top[s])
+    cell = _winner(counts, f, s, top[s])
     I, bits = [], []
     for j, c in enumerate(coords):
         digit = cell // 3 ** (f - 1 - j) % 3

@@ -53,4 +53,4 @@ def expected_length(code: list[str], weights) -> float:
 def entropy(weights) -> float:
     ws = _weights(weights)
     total = sum(ws)
-    return -sum(w / total * math.log2(w / total) for w in ws)
+    return 0.0 - sum(w / total * math.log2(w / total) for w in ws)

@@ -216,7 +216,7 @@ def transcript_stats(tree: ProtocolTree) -> dict:
         probs.append(p)
         lens.append(len(transcript))
         rounds.append(nrounds)
-    entropy = -sum(p * math.log2(p) for p in probs if p > 0)
+    entropy = 0.0 - sum(p * math.log2(p) for p in probs if p > 0)
     e_len = sum(p * l for p, l in zip(probs, lens))
     e_rounds = sum(p * r for p, r in zip(probs, rounds))
     return {

@@ -623,6 +623,15 @@ def test_report_parse_error(tmp_path):
     assert main(["report", "--glob", str(src)]) == 1
 
 
+def test_report_rejects_a_number_past_the_float_range(tmp_path, capsys):
+    # 10^400 is past float64; 10^5000 is past int()'s 4300-digit limit
+    for big, lineno in (("1" + "0" * 400, 1), ("1" + "0" * 5000, 2)):
+        src = tmp_path / "big.jsonl"
+        src.write_text('{"x": 1}\n' * (lineno - 1) + f'{{"x": {big}}}\n')
+        assert main(["report", "--glob", str(src)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {src}:{lineno}: ")
+
+
 def test_report_empty_glob(tmp_path, capsys):
     assert main(["report", "--glob", str(tmp_path / "nothing-*.jsonl")]) == 0
 
@@ -671,6 +680,16 @@ def test_pipeline_subcommand_with_config_file(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def test_one_leaf_transcript_prints_a_positive_zero_entropy(capsys):
+    for args in (
+        ["proto", "run", "--n-bits", "1", "--depth", "0"],
+        ["proto", "transform", "--depth", "0", "--trials", "1", "--n-bits", "2"],
+    ):
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert '"entropy": 0.0' in out and "-0.0" not in out
 
 
 def test_proto_subcommands(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Property tests for the word codec: fold/unfold and to_digits/from_digits
-(skipped without hypothesis)."""
+"""Property tests for the word codec: fold/unfold and to_digits/from_digits,
+and the code spec's JSON round trip (skipped without hypothesis)."""
 
+import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,3 +167,23 @@ def test_digits_round_trip(data):
         for d in row:
             acc = acc * base + d
         assert acc == value
+
+
+@pytest.mark.parametrize("name", SPECS)
+@hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_spec_json_round_trips_through_text(name, data):
+    spec = SPECS[name]()
+    q = spec.field.q
+    # a drawn degree and multipliers, or the basis rows in a drawn order
+    if spec.kind == "grs-folded":
+        v = data.draw(st.lists(st.integers(1, q - 1), min_size=q - 1, max_size=q - 1))
+        spec = replace(spec, k=data.draw(st.integers(0, q - 2)), v=tuple(v))
+    else:
+        spec = replace(spec, genmat=tuple(data.draw(st.permutations(spec.genmat))))
+    sort_keys = data.draw(st.booleans())
+    text = json.dumps(spec.to_json(), sort_keys=sort_keys)
+    back = codes.CodeSpec.from_json(json.loads(text))
+    assert back == spec
+    assert json.dumps(back.to_json(), sort_keys=sort_keys) == text
+    assert np.array_equal(back.generator_matrix(), spec.generator_matrix())

@@ -345,19 +345,20 @@ def test_find_violation_matches_definition_on_wide_sets():
         widths = _cell_widths(np.flatnonzero(subcube_counts(X, coords) == top), len(coords))
         tied += int((widths == len(I)).sum() > 1)
         narrower += int((widths < len(I)).any())
-        wide += len(coords) >= density._WIDE_F
+        wide += len(coords) >= 10
     # the cases reach the tie-breaks the differential check is for
     assert tied >= 10 and narrower >= 10 and wide >= 10
 
 
 @pytest.mark.parametrize("f", range(1, 13))
 def test_width_maxima_blocks_match_width_order(f):
+    # the maxima over the cells of each width, widths read digit by digit
     rng = np.random.default_rng(f)
-    order, starts = density._width_order(f)
+    widths = _cell_widths(np.arange(3**f), f)
     for dtype, high in ((np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.int64, 1 << 40)):
         table = rng.integers(0, high, size=3**f).astype(dtype)
-        want = np.maximum.reduceat(table[order], starts[:-1])
-        assert density._width_maxima_blocks(table, f).tolist() == want.tolist()
+        want = [int(table[widths == w].max()) for w in range(f + 1)]
+        assert density._width_maxima(table, f).tolist() == want
 
 
 def _subcube_counts_int64(X, coords):
@@ -434,7 +435,7 @@ def test_project_matches_bitwise_loop():
 
 
 def _count_table_transposed(X, coords):
-    """The narrow count table with one transposed Yates pass per coordinate."""
+    """The count table with one transposed Yates pass per coordinate."""
     f = len(coords)
     counts = np.bincount(_project_bitwise(X, sorted(coords)), minlength=1 << f)
     counts = counts.astype(np.min_scalar_type(len(X)))
@@ -448,26 +449,15 @@ def _count_table_transposed(X, coords):
 
 
 @pytest.mark.parametrize("size", [255, 256, 65535, 65536])
-def test_kernel_count_table_matches_transposed_passes(size):
+def test_count_table_matches_transposed_passes(size):
     rng = np.random.default_rng(size)
     X = rng.choice(1 << 17, size=size, replace=False)
-    for f in range(1, density._WIDE_F):
+    for f in range(1, 13):
         coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
         got = density._count_table(density._histogram(X, coords), len(X))
         want = _count_table_transposed(X, coords)
         assert got.dtype == want.dtype == np.min_scalar_type(size)
         assert np.array_equal(got, want), f
-
-
-@pytest.mark.parametrize("f", range(1, density._WIDE_F))
-def test_width_order_is_sorted_by_width_then_tie_break(f):
-    cells = np.arange(3**f)
-    fixed = cells[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3 != 2
-    mask = fixed @ (1 << np.arange(f - 1, -1, -1))
-    width = fixed.sum(axis=1)
-    order, starts = density._width_order(f)
-    assert order.tolist() == np.lexsort((cells, -mask, width)).tolist()
-    assert starts.tolist() == np.searchsorted(np.sort(width), np.arange(f + 2)).tolist()
 
 
 def _tied_narrow_cases():
@@ -497,7 +487,7 @@ def _tied_narrow_cases():
 def test_find_violation_matches_definition_on_narrow_ties():
     tied = 0
     for X, gamma, coords in _tied_narrow_cases():
-        assert len(coords) < density._WIDE_F
+        assert len(coords) < 10
         want = _violation_by_definition(X, gamma, coords)
         assert find_violation(X, gamma, coords) == want
         if want is None:

@@ -1,7 +1,9 @@
 """Property tests for the array polynomial evaluator and the hash family
-built on it (skipped without hypothesis)."""
+built on it, with the family's JSON round trip (skipped without
+hypothesis)."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +51,15 @@ def families(draw, rs=(2, 4, 6, 8)):
         sigma_size=sigma,
         out_bits=draw(st.integers(1, 10)),
     )
+
+
+@SETTINGS
+@hypothesis.given(fam=families(rs=(2, 4, 8, 12)), sort_keys=st.booleans())
+def test_family_json_round_trips_through_text(fam, sort_keys):
+    text = json.dumps(fam.to_json(), sort_keys=sort_keys)
+    back = HashFamily.from_json(json.loads(text))
+    assert back == fam
+    assert json.dumps(back.to_json(), sort_keys=sort_keys) == text
 
 
 def _keys(draw, fam, max_size=4):

@@ -37,6 +37,7 @@ def test_single_symbol():
     code = huffman([5])
     assert code == [""]
     assert expected_length(code, [5]) == 0.0
+    assert math.copysign(1, entropy([4])) == 1  # 0.0, not -0.0
 
 
 def test_integer_weights():

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import math
 import weakref
 
 from fractions import Fraction
@@ -103,6 +104,7 @@ def test_transcript_stats_constant_tree():
     )
     st = proto.transcript_stats(leaf_tree)
     assert st["entropy"] == 0.0 and st["expected_length"] == 0.0
+    assert math.copysign(1, st["entropy"]) == 1  # 0.0, not -0.0
 
 
 def test_transcript_entropy_single_fair_bit():

@@ -1,6 +1,7 @@
 """The library's surface is what the program runs.
 
-Nine static checks over src/nullcode/*.py, by `ast`:
+Nine static checks over src/nullcode/*.py, by `ast`, and one over the
+names the docs give:
 
 - every public module-level function is referenced from src/ or
   perfbench/ (tests do not count), unless ALLOWED names the reason it is
@@ -24,11 +25,18 @@ Nine static checks over src/nullcode/*.py, by `ast`:
 - no flag in cli.py is read by `int` or `float`, which take digits such
   as '\u0663', so every number goes through an ASCII-gated reader;
 - every exception class in errors.py but the base NullcodeError is
-  raised somewhere in src/, so no class outlives its last raise.
+  raised somewhere in src/, so no class outlives its last raise;
+- every backticked `module.name` (module one of the package's) or
+  backticked private name in README.md and in the text of
+  src/nullcode/*.py names something that exists, so no deleted name
+  lives on in the docs.  ROADMAP.md names planned APIs and is not read.
 """
 
 import argparse
 import ast
+import importlib
+import re
+from functools import reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -328,3 +336,39 @@ def test_every_exception_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
     assert sorted(classes - raised - {"NullcodeError"}) == []
+
+
+# `module.name`, `module.Class.attr` or `_private`, a call's arguments ignored
+DOC_NAME = re.compile(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*|_\w+)(?:\([^`]*\))?`")
+MISSING = object()
+
+
+def test_every_backticked_name_in_the_docs_exists():
+    modules = {"nullcode": importlib.import_module("nullcode")}
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(f"nullcode.{path.stem}")
+    # every name bound anywhere in src/: definitions, assignments, attributes
+    bound = set()
+    for tree in _parsed(sorted(SRC.glob("*.py"))).values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                bound.add(node.attr)
+    missing = []
+    for path in [ROOT / "README.md", *sorted(SRC.glob("*.py"))]:
+        for name in DOC_NAME.findall(path.read_text()):
+            head, *rest = name.split(".")
+            if not rest:
+                found = name in bound
+            elif head in modules:
+                obj = reduce(lambda obj, attr: getattr(obj, attr, MISSING), rest, modules[head])
+                found = obj is not MISSING
+            else:
+                continue  # an attribute of another object, such as `Rect.free`
+            if not found:
+                missing.append(f"{path.name}: {name}")
+    assert missing == []
