@@ -604,9 +604,13 @@ def cmd_report(args) -> int:
     lines = [("file", "field", "count", "mean", "std")]
     for (path, key), vals in sorted(summary.items()):
         arr = np.array(vals)
-        lines.append(
-            (path, key, str(len(vals)), f"{arr.mean():.6g}", f"{arr.std():.6g}")
-        )
+        # over a power of two near the largest magnitude, so no sum or
+        # square overflows; the scaling itself is exact short of underflow
+        top = np.abs(arr).max()
+        scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0 < top < math.inf else 1.0
+        arr /= scale
+        mean, std = arr.mean() * scale, arr.std() * scale
+        lines.append((path, key, str(len(vals)), f"{mean:.6g}", f"{std:.6g}"))
     if args.out:
         with _open(args.out, "w") as fh:
             csv.writer(fh).writerows(lines)

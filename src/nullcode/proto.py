@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -133,8 +133,10 @@ class ProtocolTree:
 # a 2^n_bits table per call beats searchsorted over the parts and np.isin
 def _part_index(node: Node, values: np.ndarray, n_bits: int) -> np.ndarray:
     """Index into node.parts of the part holding each of the owner's input
-    values; a later part wins on overlap.  Raises KeyError for a value that
-    lies in no part."""
+    values, from one 2^n_bits table per call (the rectangle walk's lookup;
+    runs on pairs go through _levels, by the same rules): a later part
+    wins on overlap, and a value out of range or in no part raises
+    KeyError."""
     bad = values[(values < 0) | (values >= 1 << n_bits)]
     if bad.size:
         raise KeyError(int(bad[0]))
@@ -147,41 +149,114 @@ def _part_index(node: Node, values: np.ndarray, n_bits: int) -> np.ndarray:
     return which
 
 
+_ROUTE_CELLS = 1 << 20  # cells of one routing table: 4 MiB of int32
+
+
+def _part_ids(nodes: list, n_bits: int, first: int) -> np.ndarray:
+    """One int32 table of part ids over the nodes, node j's 2^n_bits
+    values from j 2^n_bits on.  Ids count up from first through the
+    nodes' parts in order (-1 in no part), and a later part wins on
+    overlap: its id is larger, and np.maximum.at keeps the largest."""
+    table = np.full(len(nodes) << n_bits, -1, dtype=np.int32)
+    subsets = [subset for node in nodes for _, subset, _ in node.parts]
+    if subsets:
+        sizes = [len(subset) for subset in subsets]
+        starts = np.repeat(np.arange(len(nodes)) << n_bits, [len(node.parts) for node in nodes])
+        cells = np.concatenate(subsets) + np.repeat(starts, sizes)
+        ids = np.repeat(np.arange(first, first + len(subsets), dtype=np.int32), sizes)
+        np.maximum.at(table, cells, ids)
+    return table
+
+
+def _levels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray):
+    """Run the tree on every pair (xs[k], ys[k]) at once, one depth at a
+    time.  Yields (steps, idx, at) per depth that some pair reaches: the
+    reached nodes as (message sent to reach it, node) pairs ("" at the
+    root), the ascending indexes of the pairs that reach that depth, and
+    each such pair's position in steps.  Each depth routes its pairs with
+    one gather from a _part_ids table over its reached inner nodes (one
+    table per _ROUTE_CELLS cells' worth of nodes).  Raises KeyError for a
+    value out of range or in no part of a node that its pair reaches."""
+    if not len(xs):
+        return
+    xy = np.stack([xs, ys])
+    fits = np.stack([xs >> tree.n_bits_a == 0, ys >> tree.n_bits_b == 0])  # in range
+    all_fit = fits.all()
+    n_bits = max(tree.n_bits_a, tree.n_bits_b)  # one table width for both sides
+    per_table = max(1, _ROUTE_CELLS >> n_bits)
+    steps = [("", tree.root)]
+    idx = np.arange(len(xs))
+    at = np.zeros(len(xs), dtype=np.intp)
+    while True:
+        yield steps, idx, at
+        inner = [isinstance(node, Node) for _, node in steps]
+        if not any(inner):
+            return
+        nodes = [node for _, node in steps]
+        if not all(inner):
+            # every step holds a pair, so the pairs left reach every inner node
+            keep = np.array(inner)[at]
+            idx, at = idx[keep], (np.cumsum(inner) - 1)[at[keep]]
+            nodes = [node for node in nodes if isinstance(node, Node)]
+        side = np.array([node.owner != "A" for node in nodes], dtype=np.intp)[at]  # row of xy
+        values = xy[side, idx]
+        if not all_fit:
+            bad = ~fits[side, idx]
+            if bad.any():
+                raise KeyError(int(values[np.argmax(bad)]))
+        which = np.empty(len(idx), dtype=np.int32)
+        kids = []
+        for lo in range(0, len(nodes), per_table):
+            group = nodes[lo : lo + per_table]
+            # the pairs at the group's nodes: all of them, unless it is one of several
+            here = slice(None) if len(group) == len(nodes) else (at >= lo) & (at < lo + per_table)
+            cells = ((at[here] - lo) << n_bits) + values[here]
+            which[here] = _part_ids(group, n_bits, len(kids))[cells]
+            kids += [(msg, child) for node in group for msg, _, child in node.parts]
+        if (which < 0).any():
+            raise KeyError(int(values[np.argmax(which < 0)]))
+        reached = np.flatnonzero(np.bincount(which, minlength=len(kids)))
+        renumber = np.zeros(len(kids), dtype=np.intp)
+        renumber[reached] = np.arange(len(reached))
+        steps = [kids[i] for i in reached.tolist()]
+        at = renumber[which]
+
+
 def _route(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray):
     """Run the tree on every pair (xs[k], ys[k]) at once.  Yields (message,
-    node, idx) for each node that some pair reaches, parents first: the
-    message sent to reach it ("" at the root) and the indexes of the pairs
-    that reach it.  Raises KeyError for a value that lies in no part of a
-    node it reaches."""
-    stack = [("", tree.root, np.arange(len(xs)))]
-    while stack:
-        msg, node, idx = stack.pop()
-        if not idx.size:
-            continue
-        yield msg, node, idx
-        if isinstance(node, Node):
-            values, n_bits = (xs, tree.n_bits_a) if node.owner == "A" else (ys, tree.n_bits_b)
-            which = _part_index(node, values[idx], n_bits)
-            for i, (part_msg, _, child) in enumerate(node.parts):
-                stack.append((part_msg, child, idx[which == i]))
+    node, idx) for each node that some pair reaches, parents first (depth
+    by depth, as _levels routes them): the message sent to reach it (""
+    at the root) and the ascending indexes of the pairs that reach it.
+    Raises KeyError for a value out of range or in no part of a node it
+    reaches."""
+    for steps, idx, at in _levels(tree, xs, ys):
+        order = np.argsort(at, kind="stable")
+        ends = np.cumsum(np.bincount(at, minlength=len(steps)))
+        for (msg, node), here in zip(steps, np.split(idx[order], ends[:-1])):
+            yield msg, node, here
 
 
 def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
     """Output label of every pair (xs[k], ys[k])."""
-    labels = [None] * len(xs)
-    for _, node, idx in _route(tree, xs, ys):
-        if isinstance(node, Leaf):
-            for k in idx.tolist():
-                labels[k] = node.label
-    return labels
+    labels = np.full(len(xs), None, dtype=object)
+    for steps, idx, at in _levels(tree, xs, ys):
+        leaf = [isinstance(node, Leaf) for _, node in steps]
+        if any(leaf):
+            got = np.full(len(steps), None, dtype=object)
+            for i, (_, node) in enumerate(steps):
+                if leaf[i]:  # one at a time: a tuple label would spread
+                    got[i] = node.label
+            here = np.array(leaf)[at]
+            labels[idx[here]] = got[at[here]]
+    return labels.tolist()
 
 
 def _reaching_rects(*trees: ProtocolTree):
     """Run the trees at once on every pair of the first tree's domain;
     yield (leaves, X, Y), one leaf per tree, for each nonempty rectangle
     X x Y of the pairs that reach them.  Nodes split their owner's side by
-    _part_index as in _route (a later part wins; KeyError for a value in
-    no part), and the trees take turns, so they descend together."""
+    _part_index (a later part wins; KeyError for a value in no part), and
+    the trees take turns, so they descend together."""
     na, nb, n = trees[0].n_bits_a, trees[0].n_bits_b, len(trees)
     stack = [(tuple(t.root for t in trees), Rect(full_domain(na), full_domain(nb), na, nb), 0)]
     while stack:
@@ -410,11 +485,7 @@ def _refine(pairs: list, gamma) -> list:
     if not pairs:
         return []
     sides = [rect.elems_of(orig.owner) for orig, rect in pairs]
-    # each side's free coordinates as one mask: the bits where it varies
-    flat = np.concatenate([elems for elems, _ in sides]).view(np.uint64)
-    sizes = np.array([len(elems) for elems, _ in sides])
-    starts = np.cumsum(sizes) - sizes
-    free = np.bitwise_and.reduceat(flat, starts) ^ np.bitwise_or.reduceat(flat, starts)
+    free = _free_masks([elems for elems, _ in sides])
     by_node = {}
     for i, (orig, _) in enumerate(pairs):
         by_node.setdefault(id(orig), []).append(i)
@@ -452,31 +523,50 @@ def _refine(pairs: list, gamma) -> list:
     return groups
 
 
+def _free_masks(sides: list) -> np.ndarray:
+    """Each nonempty side's free coordinates as one uint64 mask, the bits
+    where its elements vary, from one AND/OR reduceat pass over them all
+    (an empty side would read as its successor's first element)."""
+    flat = np.concatenate(sides or [[]]).astype(np.int64, copy=False).view(np.uint64)
+    sizes = np.array([len(elems) for elems in sides], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    return np.bitwise_and.reduceat(flat, starts) ^ np.bitwise_or.reduceat(flat, starts)
+
+
+@lru_cache(maxsize=4096)
+def _mask_coords(mask: int, n_bits: int) -> tuple[int, ...]:
+    """The coordinates of range(n_bits) set in mask, ascending."""
+    return tuple(c for c in range(n_bits) if mask >> c & 1)
+
+
 def validate_subcube_like(tree: ProtocolTree, gamma) -> int:
     """Exact density check at every node; returns the node count.
 
     Each side must be gamma-dense on its free coordinates, the ones where
     its elements vary.  Siblings and descendants share the side that does
     not speak, so each distinct (bit count, elements) is checked once:
-    density depends on nothing else.
+    density depends on nothing else.  One walk collects the distinct
+    sides, one _free_masks pass finds their free coordinates, and they
+    are checked in the order the walk met them.
     """
-    seen, checked = set(), set()
-    count = 0
+    by_id, count = {}, 0
     for node in tree.nodes():
-        for owner in OWNERS:
-            elems, n_bits = node.rect.elems_of(owner)
-            # a side object seen before needs no hashing: the tree keeps it
-            # alive, so its id is not reused during the walk
-            if (n_bits, id(elems)) in seen:
-                continue
-            seen.add((n_bits, id(elems)))
-            key = (n_bits, np.asarray(elems, dtype=np.int64).tobytes())
-            if key in checked:
-                continue
-            if not is_dense(elems, gamma, node.rect.free(owner)):
-                raise AssertionError("node rectangle is not subcube-like")
-            checked.add(key)
+        # a side object seen before needs no hashing: the tree keeps it
+        # alive, so its id is not reused during the walk
+        rect = node.rect
+        by_id.setdefault((rect.n_bits_a, id(rect.X)), rect.X)
+        by_id.setdefault((rect.n_bits_b, id(rect.Y)), rect.Y)
         count += 1
+    sides = {}
+    for (n_bits, _), elems in by_id.items():
+        sides.setdefault((n_bits, np.asarray(elems, dtype=np.int64).tobytes()), elems)
+    masks = iter(_free_masks([elems for elems in sides.values() if len(elems)]).tolist())
+    for (n_bits, _), elems in sides.items():
+        # Rect.free reads an empty side as varying on every coordinate (the
+        # AND/OR identities), and is_dense raises EmptySet on it
+        coords = _mask_coords(next(masks) if len(elems) else -1, n_bits)
+        if not is_dense(elems, gamma, coords):
+            raise AssertionError("node rectangle is not subcube-like")
     return count
 
 

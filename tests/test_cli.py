@@ -632,6 +632,21 @@ def test_report_rejects_a_number_past_the_float_range(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {src}:{lineno}: ")
 
 
+def test_report_averages_values_near_the_float_maximum(tmp_path, capsys):
+    # the sum 2e308 and the square 1e616 are past float64, the mean and std
+    # are not; as errors, numpy's overflow warnings fail the command
+    cases = (("1e308", "1e308", "1e+308,0"), ("1e308", "-1e308", "0,1e+308"))
+    for a, b, summary in cases:
+        src = tmp_path / "near.jsonl"
+        src.write_text(f'{{"x": {a}}}\n{{"x": {b}}}\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--glob", str(src)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[-1] == f"{src},x,2,{summary}"
+        assert out.err == ""
+
+
 def test_report_empty_glob(tmp_path, capsys):
     assert main(["report", "--glob", str(tmp_path / "nothing-*.jsonl")]) == 0
 

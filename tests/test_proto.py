@@ -5,12 +5,13 @@ import math
 import weakref
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from nullcode import codes, configs, density, huffman, instances, proto
-from nullcode.errors import BudgetExceeded
+from nullcode.errors import BudgetExceeded, EmptySet
 from nullcode.proto import BOT
 from test_huffman import within_entropy_bound
 
@@ -669,6 +670,41 @@ def test_routed_labels_match_run():
             assert proto.outputs_agree(t, t, itertools.product(range(32), range(32)))
 
 
+def routed_steps(tree, xs, ys) -> list:
+    return [(msg, id(node), idx.tolist()) for msg, node, idx in proto._route(tree, xs, ys)]
+
+
+@pytest.mark.parametrize("cells", [1, 3 << 5, 1 << 20])
+def test_route_tables_hold_at_most_route_cells(cells, monkeypatch):
+    # a level routes through one part-id table per _ROUTE_CELLS cells' worth
+    # of its nodes (one node of 2^5 cells at least), with the same answers
+    trees = []
+    for seed in range(3):
+        tree = small_tree(seed=seed, n_bits=5, depth=4, labels=(0, 1, 2, 3))
+        trees += [tree, proto.subcube_like_transform(tree, 0.8)]
+    xs, ys = proto._pair_arrays(itertools.product(range(32), range(32)))
+    want = [(proto._route_labels(t, xs, ys), routed_steps(t, xs, ys)) for t in trees]
+    inner = [  # inner nodes of each level
+        sum(isinstance(node, proto.Node) for _, node in steps)
+        for t in trees
+        for steps, _, _ in proto._levels(t, xs, ys)
+    ]
+    sizes = []
+    real = proto._part_ids
+
+    def recording(nodes, n_bits, first):
+        table = real(nodes, n_bits, first)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(proto, "_ROUTE_CELLS", cells)
+    monkeypatch.setattr(proto, "_part_ids", recording)
+    assert [(proto._route_labels(t, xs, ys), routed_steps(t, xs, ys)) for t in trees] == want
+    assert max(sizes) <= max(cells, 1 << 5)
+    per_table = max(1, cells >> 5)
+    assert len(sizes) == 2 * sum(-(-n // per_table) for n in inner)  # two runs per tree
+
+
 def test_outputs_agree_detects_a_changed_label():
     tree = small_tree(seed=1, n_bits=4, depth=3)
     other = copy.deepcopy(tree)
@@ -754,6 +790,61 @@ def test_validate_checks_each_distinct_side_once(monkeypatch):
     }
     assert len(calls) == len(set(calls)) == len(distinct)
     assert len(calls) < 2 * nodes
+
+
+def sides_in_walk_order(tree) -> list:
+    """(elements bytes, Rect.free) of each distinct (bit count, elements)
+    side, in the order tree.nodes() first meets it, Alice's side first."""
+    sides = {}
+    for node in tree.nodes():
+        for owner in proto.OWNERS:
+            elems, n_bits = node.rect.elems_of(owner)
+            sides.setdefault((n_bits, elems.tobytes()), node.rect.free(owner))
+    return [(data, free) for (_, data), free in sides.items()]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_validate_calls_is_dense_once_per_distinct_side_in_walk_order(seed, monkeypatch):
+    calls = []
+    real = proto.is_dense
+
+    def recording(X, gamma, coords, verdict=None):
+        calls.append((X.tobytes(), tuple(coords)))
+        return real(X, gamma, coords) if verdict is None else verdict
+
+    monkeypatch.setattr(proto, "is_dense", recording)
+    rng = np.random.default_rng(seed)
+    tree = proto.random_onebit_tree(rng, 10, 10, 6, labels=[0, 1, 2, 3])
+    out = proto.subcube_like_transform(tree, 0.8)
+    assert proto.validate_subcube_like(out, 0.8) == sum(1 for _ in out.nodes())
+    assert calls == sides_in_walk_order(out)
+    # a random tree's parity halves are not 0.8-dense, so it would raise at
+    # the first; with every side passed its whole walk is read
+    calls.clear()
+    monkeypatch.setattr(proto, "is_dense", partial(recording, verdict=True))
+    assert proto.validate_subcube_like(tree, 0.8) == sum(1 for _ in tree.nodes())
+    assert calls == sides_in_walk_order(tree)
+
+
+def test_validate_raises_on_a_non_dense_or_empty_side_as_before():
+    # X = {0, 1, 2} is not 0.8-dense on (0, 1); an empty side is no set
+    empty = np.zeros(0, dtype=np.int64)
+    for owner, bad, exc, text in (
+        ("A", np.array([0, 1, 2], dtype=np.int64), AssertionError, "node rectangle is not subcube-like"),
+        ("B", np.array([0, 1, 2], dtype=np.int64), AssertionError, "node rectangle is not subcube-like"),
+        ("A", empty, EmptySet, "set must be nonempty"),
+        ("B", empty, EmptySet, "set must be nonempty"),
+    ):
+        rect = proto.Rect(proto.full_domain(2), proto.full_domain(2), 2, 2).narrow(owner, bad)
+        # the bad side sits below a dense root, past nodes that pass
+        parts = [("0", rect.elems_of(owner)[0], proto.Leaf(0, rect))]
+        root = proto.Node(owner, proto.Rect(proto.full_domain(2), proto.full_domain(2), 2, 2), parts)
+        with pytest.raises(exc, match=text):
+            proto.validate_subcube_like(proto.ProtocolTree(root, 2, 2), 0.8)
+    # a tree with no nonempty side at all
+    leaf = proto.Leaf(0, proto.Rect(empty, empty, 2, 2))
+    with pytest.raises(EmptySet, match="set must be nonempty"):
+        proto.validate_subcube_like(proto.ProtocolTree(leaf, 2, 2), 0.8)
 
 
 def test_never_wrong_matches_per_pair_check():

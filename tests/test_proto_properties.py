@@ -30,20 +30,10 @@ def dict_walk(tree, pairs) -> list:
     return runs
 
 
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(
-    seed=st.integers(0, 2**32 - 1),
-    n_bits_a=st.integers(1, 5),
-    n_bits_b=st.integers(1, 5),
-    depth=st.integers(0, 4),
-    transform=st.booleans(),
-)
-def test_routed_labels_equal_run_labels(seed, n_bits_a, n_bits_b, depth, transform):
-    rng = np.random.default_rng(seed)
-    tree = proto.random_onebit_tree(rng, n_bits_a, n_bits_b, depth, labels=[0, 1, 2])
-    if transform:
-        tree = proto.subcube_like_transform(tree, 0.8)
-    pairs = list(itertools.product(range(1 << n_bits_a), range(1 << n_bits_b)))
+def assert_routes_like_dict_walk(tree, pairs):
+    """_route_labels and _route on pairs against dict_walk: the same labels,
+    and steps that visit each reached node once, parents first, with the
+    pairs there, so that each pair's messages spell its transcript."""
     xs, ys = proto._pair_arrays(pairs)
     expect = dict_walk(tree, pairs)
     assert proto._route_labels(tree, xs, ys) == [leaf.label for _, leaf in expect]
@@ -61,3 +51,101 @@ def test_routed_labels_equal_run_labels(seed, n_bits_a, n_bits_b, depth, transfo
             assert all(order[id(child)] > order[id(node)] for _, child, _ in kids)
             assert sorted(np.concatenate([k_idx for _, _, k_idx in kids]).tolist()) == idx.tolist()
     assert [(t, id(leaf)) for t, leaf in runs] == [(t, id(leaf)) for t, leaf in expect]
+
+
+def random_tree(seed, n_bits_a, n_bits_b, depth, transform, labels=(0, 1, 2)):
+    rng = np.random.default_rng(seed)
+    tree = proto.random_onebit_tree(rng, n_bits_a, n_bits_b, depth, labels=list(labels))
+    return proto.subcube_like_transform(tree, 0.8) if transform else tree
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bits_a=st.integers(1, 5),
+    n_bits_b=st.integers(1, 5),
+    depth=st.integers(0, 4),
+    transform=st.booleans(),
+)
+def test_routed_labels_equal_run_labels(seed, n_bits_a, n_bits_b, depth, transform):
+    tree = random_tree(seed, n_bits_a, n_bits_b, depth, transform)
+    pairs = list(itertools.product(range(1 << n_bits_a), range(1 << n_bits_b)))
+    assert_routes_like_dict_walk(tree, pairs)
+
+
+def inner_nodes(tree) -> list:
+    return [node for node in tree.nodes() if isinstance(node, proto.Node)]
+
+
+LABEL_SETS = [(0, 1, 2), ((0, 1), (2,), proto.BOT)]  # codeword-like tuple labels and BOT
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bits_a=st.integers(1, 5),
+    n_bits_b=st.integers(1, 5),
+    depth=st.integers(1, 4),
+    transform=st.booleans(),
+    labels=st.sampled_from(LABEL_SETS),
+)
+def test_routes_let_a_later_overlapping_part_win(seed, n_bits_a, n_bits_b, depth, transform, labels):
+    # about half of the inner nodes get one more part, first or last: a
+    # random subset of the node's side ending in a leaf with a tuple label
+    # of its own, so it overlaps the parts after or before it
+    tree = random_tree(seed, n_bits_a, n_bits_b, depth, transform, labels)
+    rng = np.random.default_rng(seed)
+    for k, node in enumerate(inner_nodes(tree)):
+        if rng.random() < 0.5:
+            continue
+        side = node.rect.elems_of(node.owner)[0]
+        subset = side[rng.random(len(side)) < 0.5]
+        leaf = proto.Leaf(("overlap", k), node.rect.narrow(node.owner, subset))
+        node.parts.insert(len(node.parts) if rng.random() < 0.5 else 0, ("x", subset, leaf))
+    pairs = list(itertools.product(range(1 << n_bits_a), range(1 << n_bits_b)))
+    assert_routes_like_dict_walk(tree, pairs)
+
+
+def key_error_or(fn, *args):
+    try:
+        return fn(*args)
+    except KeyError:
+        return KeyError
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bits=st.integers(1, 4),
+    depth=st.integers(2, 4),
+    transform=st.booleans(),
+    data=st.data(),
+)
+def test_routes_raise_keyerror_for_a_value_in_no_part_below_the_root(seed, n_bits, depth, transform, data):
+    tree = random_tree(seed, n_bits, n_bits, depth, transform)
+    below = [node for node in inner_nodes(tree) if node is not tree.root]
+    hypothesis.assume(below)
+    node = data.draw(st.sampled_from(below))
+    side = node.rect.elems_of(node.owner)[0]
+    value = int(data.draw(st.sampled_from(side.tolist())))
+    node.parts = [(msg, subset[subset != value], child) for msg, subset, child in node.parts]
+    pairs = list(itertools.product(range(1 << n_bits), range(1 << n_bits)))
+    xs, ys = proto._pair_arrays(pairs)
+    # the full domain reaches the node with the value, so every walk fails
+    with pytest.raises(KeyError):
+        dict_walk(tree, pairs)
+    with pytest.raises(KeyError):
+        proto._route_labels(tree, xs, ys)
+    with pytest.raises(KeyError):
+        list(proto._route(tree, xs, ys))
+    with pytest.raises(KeyError):
+        proto.outputs_agree(tree, tree, pairs)
+    # no other pair asks that node for the value
+    owner = proto.OWNERS.index(node.owner)
+    assert_routes_like_dict_walk(tree, [pair for pair in pairs if pair[owner] != value])
+    # a value out of range fails where a node on its run asks for it
+    far = data.draw(st.sampled_from([-1, 1 << n_bits, 1 << 40]))
+    pair = data.draw(st.sampled_from([(far, 0), (0, far)]))
+    got = key_error_or(proto._route_labels, tree, *proto._pair_arrays([pair]))
+    expect = key_error_or(dict_walk, tree, [pair])
+    assert got is expect if expect is KeyError else got == [leaf.label for _, leaf in expect]
