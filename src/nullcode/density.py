@@ -26,35 +26,33 @@ peeled part gamma-dense on its free coordinates by construction: a
 violation inside the part would extend the pattern to a strictly larger
 ratio.  `validate_partition` re-checks that exactly anyway.
 
-A subcube has the maximal pattern in closed form, with no count table.
-Say X holds every pattern of the coordinates V where it varies exactly
-once, and is constant on the rest K of coords.  A pattern that agrees with
-X on K' subseteq K and fixes W subseteq V has count |X| 2^(-|W|), so its
-ratio is |X| 2^(gamma |K'| - (1 - gamma) |W|).  For 0 < gamma < 1 that is
-maximal only at K' = K, W = {}, so the constant coordinates at their bits
-are the answer, or None when K is empty; for gamma = 0 no pattern
-violates.  At gamma >= 1 free coordinates tie or win, so those sets take
-the count table like every other set.  Whether X is a subcube needs no
-sort when X varies on no bit outside coords and is strictly ascending:
-its elements are then distinct and agree off V, so they take distinct
-patterns on V, and |X| = 2^|V| of them are every pattern once.
-`_subcube_fixed` sorts the patterns only for other sets, and
-`certified_subcubes` decides many sets at once, declining every other set.
-
-A parity half has one too: the set of a cube on all f >= 2 coords (so K
-is empty) where x_c1 xor x_c2 = b for one pair c1 < c2, as one-bit
-rounds that send the XOR of two coordinates cut it.  A pattern that fixes
-j coordinates besides the pair has ratio |X| 2^(-j (1 - gamma)) when it
-fixes neither pair coordinate, |X| 2^(-(j + 1)(1 - gamma)) when it fixes
-one, |X| 2^(2 gamma - 1 - j (1 - gamma)) when it fixes both consistently,
-and count 0 when it fixes them inconsistently.  For 0 <= gamma < 1 only
-the pair itself can violate, with half of X, and of its two consistent
-patterns (0, b) is lexicographically first.  X is that set when
-2|X| = 2^f, X is strictly ascending, it varies on exactly the bits of
-coords, and one pair keeps the parity on every element: its 2^(f - 1)
-distinct points fill a set of that many.  `_parity_pair` finds the
-candidate pair with one sorted search of X[0]'s single-bit flips and
-verifies it on every element; any other set takes the count table.
+An affine set has the maximal pattern in closed form, with no count
+table.  Say X is constant on the part K of coords, and on the rest V,
+where it varies, it is x0 plus the span of disjoint blocks B_1 .. B_k
+covering V: on each block every element agrees with x0 or is its
+complement, and each of the 2^k choices is taken once.  A subcube has
+one-bit blocks only; a one-bit round that sends x_c1 xor x_c2 cuts a
+subcube into sets with the block {c1, c2}.  A pattern (I, a) consistent
+with X holds |X| 2^(-r(I)) elements, r(I) the number of blocks I
+touches, and an inconsistent one none, so the consistent one's ratio is
+|X| 2^(gamma |I| - r(I)).  A touched block is best taken whole, so for
+0 <= gamma < 1 the ratio is largest, with the largest I, at K plus every
+block with gamma |B| >= 1 (never a single bit).  Some pattern violates
+iff that exponent is positive: for gamma > 0 when K is nonempty or some
+block has gamma |B| > 1, and for gamma = 0 never.  The winning a is x0
+on I with each taken block flipped where x0 has a 1 at its lowest
+coordinate, the lexicographically least consistent pattern.  At
+gamma >= 1 these sets take the count table like every other set.
+Whether X is such a set needs no sort when X is strictly ascending and
+varies on no bit outside coords: it then lists its points in binary
+order of the blocks taken by their top bits, so the blocks are
+X[2^j] xor X[0] for j < k = log2 |X|.  They must be disjoint and cover
+V, and every element must agree with X[0] on each block of two or more
+bits or be its complement there; then X lies in the affine set, and its
+2^k distinct elements fill it.  When k = |V| every block is one bit and
+X is a subcube, which needs no further check.  `_affine_blocks` sorts
+the patterns on coords only for other sets, and `certified_subcubes`
+decides many subcubes at once, declining every other set.
 
 Most other large sets are certified dense by counting, with no count
 table either.  Let M be the largest count of one full pattern on the f
@@ -307,52 +305,38 @@ def _matches(arr: np.ndarray, coords, bits) -> np.ndarray:
     return (arr.view(np.uint64) & np.uint64(mask)) == np.uint64(value)
 
 
-def _subcube_fixed(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[tuple, tuple] | None:
-    """(K, bits): the coordinates on which X is constant and their bits,
-    when X takes every pattern of the other coordinates V exactly once;
-    None for any other X.  The check is exact for repeated elements and
-    for bits that vary outside coords: |X| = 2^|V| patterns on V are each
-    taken once iff they are distinct, which a strictly ascending X that
-    varies only on coords shows with no sort (module docstring)."""
-    bits = arr.view(np.uint64)
-    low = int(np.bitwise_and.reduce(bits))
-    varies = low ^ int(np.bitwise_or.reduce(bits))
-    V = varies & sum(1 << c for c in coords)
-    if len(arr) != 1 << V.bit_count():
-        return None
-    if varies != V or not (arr[1:] > arr[:-1]).all():
-        patterns = np.sort(bits & np.uint64(V))
-        if (patterns[1:] == patterns[:-1]).any():
+def _affine_blocks(arr: np.ndarray, cmask: int) -> tuple[int, int, list[int]] | None:
+    """(x0, V, wide) when X's patterns on the coordinates set in cmask are
+    distinct and form an affine set with disjoint blocks (module
+    docstring): x0 the least pattern, V the mask of coordinates where
+    they vary, and wide the blocks of two or more bits as masks, by
+    their top bits; None for any other X.  X needs no sort when its
+    uint64 view is strictly ascending and varies on no bit outside cmask;
+    other sets have their patterns sorted."""
+    P = arr.view(np.uint64)
+    V = int(np.bitwise_and.reduce(P)) ^ int(np.bitwise_or.reduce(P))
+    if V & ~cmask or not (P[1:] > P[:-1]).all():
+        P = np.sort(P & np.uint64(cmask))
+        if not (P[1:] > P[:-1]).all():
             return None
-    K = tuple(c for c in coords if not V >> c & 1)
-    return K, tuple(low >> c & 1 for c in K)
-
-
-def _parity_pair(arr: np.ndarray, coords: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """(c1, c2, b) with c1 < c2 when X, with 2|X| = 2^f (f = len(coords)),
-    is the whole parity half x_c1 xor x_c2 = b of the cube on coords;
-    None for any other X.  X must be strictly ascending, vary on exactly
-    the bits of coords and keep the parity on every element: it is then
-    2^(f - 1) distinct points of a set that has that many (module
-    docstring).  The candidate pair is the two coordinates whose flip of
-    X[0] leaves X, and the parity check verifies it."""
-    bits = arr.view(np.uint64)
-    varies = int(np.bitwise_and.reduce(bits)) ^ int(np.bitwise_or.reduce(bits))
-    if varies != sum(1 << c for c in coords) or not (arr[1:] > arr[:-1]).all():
+        V &= cmask
+    x0, k = int(P[0]), len(P).bit_length() - 1
+    if k == V.bit_count():
+        return x0 & cmask, V, []
+    blocks = [int(P[1 << j]) ^ x0 for j in range(k)]
+    if sum(blocks) != V or reduce(operator.or_, blocks) != V:
         return None
-    flips = arr[0] ^ np.array([1 << c for c in coords], dtype=np.uint64).view(np.int64)
-    out = np.flatnonzero(arr[arr.searchsorted(flips).clip(max=len(arr) - 1)] != flips)
-    if len(out) != 2:
-        return None
-    c1, c2 = coords[out[0]], coords[out[1]]
-    parity = (bits >> np.uint64(c1) ^ bits >> np.uint64(c2)) & np.uint64(1)
-    if (parity != parity[0]).any():
-        return None
-    return c1, c2, int(parity[0])
+    wide = [B for B in blocks if B & (B - 1)]
+    for B in map(np.uint64, wide):
+        on = (P ^ np.uint64(x0)) & B
+        if not ((on == 0) | (on == B)).all():
+            return None
+    return x0 & cmask, V, wide
 
 
 def certified_subcubes(elems: np.ndarray, sizes, masks: np.ndarray, gamma) -> np.ndarray:
-    """Which of many sets the subcube closed form settles with no sort.
+    """Which of many sets are subcubes, which the affine closed form
+    settles with no sort.
     Set i is the next sizes[i] > 0 elements of the int64 array elems, on
     the coordinates set in the uint64 masks[i].  With 0 <= gamma < 1, a
     set that is strictly ascending, varies on no bit outside its mask and
@@ -453,16 +437,18 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
         gamma, num, den = L, L, 1
     _check_cells(f)
     if num < den and n & (n - 1) == 0:
-        # the closed form for a subcube (module docstring): with gamma < 1
-        # its constant coordinates K, at their bits, violate maximally
-        fixed = _subcube_fixed(arr, coords)
-        if fixed is not None:
-            return fixed if fixed[0] and num else None
-        # the closed form for a parity half (module docstring): only the
-        # pair itself can violate, with half of X
-        if 2 * n == 1 << f and (pair := _parity_pair(arr, coords)) is not None:
-            c1, c2, b = pair
-            return ((c1, c2), (0, b)) if n // 2 > density_cut(n, gamma, 2) else None
+        # the closed form for an affine set (module docstring): its
+        # constant coordinates and each block with gamma |B| >= 1, at x0's
+        # bits with each such block led by a 0
+        cmask = sum(1 << c for c in coords)
+        if (affine := _affine_blocks(arr, cmask)) is not None:
+            x0, V, wide = affine
+            fixed, taken = cmask & ~V, [B for B in wide if num * B.bit_count() >= den]
+            if not num or not fixed and all(num * B.bit_count() == den for B in taken):
+                return None
+            a = x0 ^ sum(B for B in taken if x0 & B & -B)
+            I = tuple(c for c in coords if (fixed | sum(taken)) >> c & 1)
+            return I, tuple(a >> c & 1 for c in I)
     hist = _histogram(arr, coords)
     if _dense_by_counting(hist, n, num, den):
         return None

@@ -71,8 +71,7 @@ class Rect:
         """The coordinates where the owner's elements vary, ascending; the
         rest are the side's fixed coordinates."""
         elems, n_bits = self.elems_of(owner)
-        varies = int(np.bitwise_and.reduce(elems)) ^ int(np.bitwise_or.reduce(elems))
-        return tuple(c for c in range(n_bits) if varies >> c & 1)
+        return _mask_coords(_varies(elems), n_bits)
 
     def narrow(self, owner: str, elems: np.ndarray) -> "Rect":
         """Child rectangle whose owner side is elems."""
@@ -478,10 +477,12 @@ def _refine(pairs: list, gamma) -> list:
     (message, part elems, child) tuple per density-restoring part.  A
     subset that `density.certified_subcubes` certifies is its own one part,
     as density_restoring_partition would return it, so only the others are
-    partitioned.  For 1/2 < gamma < 1 every side is a subcube, so every
-    subset it declines from a one-bit round on one coordinate or the XOR
-    of two (as `random_onebit_tree` sends) is a parity half, which
-    `density.find_violation` settles with no count table."""
+    partitioned.  For 0 <= gamma < 1 a one-bit round on one coordinate or
+    the XOR of two (as `random_onebit_tree` sends) cuts an affine set with
+    disjoint blocks into sets of the same kind, and `density.find_violation`
+    settles those with no count table.  Only the residual of a peel that
+    fixes two blocks or more at once is another set; for 1/2 < gamma < 1
+    every side stays a subcube, so that happens only at gamma <= 1/2."""
     if not pairs:
         return []
     sides = [rect.elems_of(orig.owner) for orig, rect in pairs]
@@ -514,8 +515,7 @@ def _refine(pairs: list, gamma) -> list:
         if whole:
             groups[i].append((single, [(msg + single_code[0], sub, child)]))
             continue
-        mask = int(free[i])
-        drp = density_restoring_partition(sub, gamma, [c for c in range(64) if mask >> c & 1])
+        drp = density_restoring_partition(sub, gamma, _mask_coords(int(free[i]), sides[i][1]))
         sizes = [len(p.elems) for p in drp]
         code = huffman_mod.huffman(sizes)
         stats = (huffman_mod.entropy(sizes), huffman_mod.expected_length(code, sizes))
@@ -531,6 +531,11 @@ def _free_masks(sides: list) -> np.ndarray:
     sizes = np.array([len(elems) for elems in sides], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     return np.bitwise_and.reduceat(flat, starts) ^ np.bitwise_or.reduceat(flat, starts)
+
+
+def _varies(elems: np.ndarray) -> int:
+    """The bits where the elements vary; -1, every bit, for no elements."""
+    return int(np.bitwise_and.reduce(elems)) ^ int(np.bitwise_or.reduce(elems))
 
 
 @lru_cache(maxsize=4096)
@@ -718,10 +723,7 @@ class DangerLedger:
 def _fixed_table_cells(rect: Rect, split: Split) -> np.ndarray:
     """The (n, |Sigma|) bool mask of the table cells whose bit the
     rectangle fixes: each side's coordinates other than its free ones."""
-    fixed = [
-        (1 << rect.elems_of(owner)[1]) - 1 - sum(1 << c for c in rect.free(owner))
-        for owner in OWNERS
-    ]
+    fixed = [((1 << n_bits) - 1) & ~_varies(elems) for elems, n_bits in map(rect.elems_of, OWNERS)]
     return split.tables(*fixed).astype(bool)
 
 

@@ -256,7 +256,7 @@ from nullcode import density
 
 X = np.arange(1 << 16)
 X[1] = 1 << 16
-assert density._subcube_fixed(X, tuple(range(16))) is None
+assert density._affine_blocks(X, (1 << 16) - 1) is None
 assert density.find_violation(X, 0.5, range(16)) is None
 """
 
@@ -730,22 +730,23 @@ def test_subcube_certificate_matches_the_count_table(monkeypatch):
             coords = tuple(int(position[c]) for c in coords)
         cases.append((rng.permutation(X), coords))
     gammas = SUBCUBE_GAMMAS + (-0.5,)
-    fixed, answered = density._subcube_fixed, []
+    blocks, answered = density._affine_blocks, []  # (coordinate mask, answer)
 
-    def recorded(arr, coords):
-        answered.append(fixed(arr, coords))
-        return answered[-1]
+    def recorded(arr, cmask):
+        answered.append((cmask, blocks(arr, cmask)))
+        return answered[-1][1]
 
-    monkeypatch.setattr(density, "_subcube_fixed", recorded)
+    monkeypatch.setattr(density, "_affine_blocks", recorded)
     got = [_outcome(find_violation, X, g, coords) for X, coords in cases for g in gammas]
-    monkeypatch.setattr(density, "_subcube_fixed", lambda *a: None)
+    monkeypatch.setattr(density, "_affine_blocks", lambda *a: None)
     want = [_outcome(find_violation, X, g, coords) for X, coords in cases for g in gammas]
     assert got == want
-    # subcubes with and without constant coordinates, other sets, and
-    # every exception
-    assert sum(a is not None and len(a[0]) > 0 for a in answered) >= 300
-    assert sum(a is not None and a[0] == () for a in answered) >= 20
-    assert sum(a is None for a in answered) >= 100
+    # subcubes (one-bit blocks only) with and without constant coordinates,
+    # other sets, and every exception
+    subcubes = [cmask & ~a[1] for cmask, a in answered if a is not None and not a[2]]
+    assert sum(constant > 0 for constant in subcubes) >= 300
+    assert sum(constant == 0 for constant in subcubes) >= 20
+    assert sum(a is None for _, a in answered) >= 100
     assert {w[0] for w in want if type(w) is tuple and type(w[0]) is type} == {
         BudgetExceeded,
         EmptySet,
@@ -780,7 +781,9 @@ PARITY_HAND_CASES = [
 def test_parity_half_closed_form_by_hand():
     for coords, c1, c2, b, base in PARITY_HAND_CASES:
         X = parity_half(coords, c1, c2, b, base)
-        assert density._parity_pair(X, coords) == (c1, c2, b)
+        cmask = sum(1 << c for c in coords)
+        x0 = int(X.view(np.uint64).min()) & cmask
+        assert density._affine_blocks(X, cmask) == (x0, cmask, [1 << c1 | 1 << c2])
         for gamma in PARITY_HAND_GAMMAS:
             got = find_violation(X, gamma, coords)
             assert got == _violation_by_definition(X, gamma, coords)

@@ -1,7 +1,9 @@
 """Property tests for the exact density checks (skipped without hypothesis)."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ def make_set(kind, seed, f, extra):
         return rng.permutation(np.flatnonzero(keep)), coords
     if kind in PARITY_KINDS:
         return parity_set(kind, rng, coords, nbits)
+    if kind in AFFINE_KINDS:
+        return affine_set(kind, rng, coords, nbits)
     X = subcube(rng, coords, nbits, outside=kind == "outside")
     if kind == "duplicate":  # |X| stays a power of two when X[0] replaces X[-1]
         X = np.append(X[:-1], X[0]) if len(X) > 1 else np.append(X, X)
@@ -72,10 +76,77 @@ def parity_set(kind, rng, coords, nbits):
     return np.ascontiguousarray(X), coords
 
 
+# An affine set with disjoint blocks, ascending, and its near misses: one
+# bit of one element flipped, the elements permuted, a bit varying outside
+# coords, and a coordinate at the sign bit.
+AFFINE_KINDS = ("affine", "affine_flip", "affine_permuted", "affine_outside", "affine_sign")
+
+
+def affine_set(kind, rng, coords, nbits):
+    """(X, coords): a random point plus the span of disjoint blocks of 1 to
+    4 of coords, the rest of coords and the other bits below nbits
+    constant, ascending, or one of its near misses."""
+    varying = [int(c) for c in rng.permutation(coords) if rng.integers(4)]
+    blocks = []
+    while varying:
+        size = int(rng.integers(1, 5))
+        blocks.append(sum(1 << c for c in varying[:size]))
+        varying = varying[size:]
+    choice = np.arange(1 << len(blocks))[:, None] >> np.arange(len(blocks)) & 1
+    X = np.sort(int(rng.integers(0, 1 << nbits)) ^ (choice * np.array(blocks, dtype=np.int64)).sum(axis=1))
+    if kind == "affine_flip":
+        X[rng.integers(len(X))] ^= 1 << int(rng.choice(coords))
+    elif kind == "affine_permuted":
+        X = rng.permutation(X)
+    elif kind == "affine_outside":  # bit nbits is outside coords
+        X ^= rng.integers(0, 2, len(X)) << nbits
+    elif kind == "affine_sign":  # coords[0] moved to bit 63, ascending as uint64
+        c = coords[0]
+        X = np.sort((X & ~(1 << c) | (X >> c & 1) << 63).view(np.uint64)).view(np.int64)
+        coords = coords[1:] + (63,)
+    return X, coords
+
+
+def affine_by_definition(X, coords):
+    """(x0, V, wide) as density._affine_blocks answers it, from the
+    definition: X's patterns on coords must be distinct, and their xors
+    with the least one x0 a linear space L.  Coordinates on which every
+    vector of L agrees form classes, and L has disjoint blocks iff it is
+    the span of their 2^(classes) sums; wide lists the classes of two or
+    more coordinates.  None for any other X."""
+    cmask = sum(1 << c for c in coords)
+    patterns = sorted({x & cmask for x in X.view(np.uint64).tolist()})
+    if len(patterns) < len(X):
+        return None
+    L = {p ^ patterns[0] for p in patterns}
+    if any(u ^ v not in L for u in L for v in L):
+        return None
+    V, classes = reduce(or_, L), {}
+    for c in coords:
+        if V >> c & 1:
+            key = tuple(sorted(u for u in L if u >> c & 1))
+            classes[key] = classes.get(key, 0) | 1 << c
+    if len(L) != 1 << len(classes):
+        return None
+    return patterns[0], V, sorted(B for B in classes.values() if B & (B - 1))
+
+
+def affine_subcube(X, coords):
+    """density._affine_blocks read as subcube_by_sort answers: (K, bits)
+    for a set with one-bit blocks only, None otherwise."""
+    found = density._affine_blocks(X, sum(1 << c for c in coords))
+    if found is None or found[2]:
+        return None
+    x0, V, _ = found
+    K = tuple(c for c in coords if not V >> c & 1)
+    return K, tuple(x0 >> c & 1 for c in K)
+
+
 def parity_by_definition(X, coords):
     """(c1, c2, b) when X is strictly ascending and, as a set, the parity
     half x_c1 xor x_c2 = b of the cube on coords through X[0]; None
-    otherwise.  The reference for density._parity_pair."""
+    otherwise.  The reference for the parity halves that
+    density._affine_blocks finds."""
     if len(X) < 2 or not (X[1:] > X[:-1]).all():
         return None
     elems = set(X.view(np.uint64).tolist())
@@ -102,9 +173,13 @@ PARITY_GAMMAS = (0, Fraction(1, 2), Fraction(501, 1000), 0.8, Fraction(999, 1000
 def test_parity_halves_and_near_misses_equal_the_definition(kind, seed, f, extra, gamma):
     X, coords = make_set(kind, seed, f, extra)
     assert 2 * len(X) == 1 << f  # every case reaches the closed form's gate
-    ascending = tuple(sorted(coords))  # as _parity_pair takes them
-    pair = parity_by_definition(X, ascending)
-    assert density._parity_pair(X, ascending) == pair
+    pair = parity_by_definition(X, tuple(sorted(coords)))
+    cmask = sum(1 << c for c in coords)
+    found = density._affine_blocks(X, cmask)
+    assert found == affine_by_definition(X, coords)
+    if pair is not None:  # the whole cube on coords, one block: the pair
+        c1, c2, _ = pair
+        assert found[1:] == (cmask, [1 << c1 | 1 << c2])
     if kind == "parity":
         assert pair is not None
     want = _violation_by_definition(X, gamma, coords)
@@ -133,9 +208,45 @@ def test_find_violation_equals_the_definition(kind, seed, f, extra, gamma):
     density.validate_partition(X, parts, gamma, coords)
 
 
+AFFINE_GAMMAS = (
+    0,
+    Fraction(1, 5),
+    Fraction(1, 3),
+    Fraction(2, 5),
+    Fraction(1, 2),
+    Fraction(501, 1000),
+    0.8,
+    Fraction(999, 1000),
+    1,
+    Fraction(3, 2),
+)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    kind=st.sampled_from(AFFINE_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    f=st.sampled_from(range(1, 9)),
+    extra=st.integers(0, 2),
+    gamma=st.sampled_from(AFFINE_GAMMAS),
+)
+def test_affine_sets_and_near_misses_equal_the_definition(kind, seed, f, extra, gamma):
+    X, coords = make_set(kind, seed, f, extra)
+    found = density._affine_blocks(X, sum(1 << c for c in coords))
+    assert found == affine_by_definition(X, coords)
+    if kind != "affine_flip":
+        assert found is not None
+    want = _violation_by_definition(X, gamma, coords)
+    assert density.find_violation(X, gamma, coords) == want
+    assert density.is_dense(X, gamma, coords) == (want is None)
+    parts = density.density_restoring_partition(X, gamma, coords)
+    density.validate_partition(X, parts, gamma, coords)
+    assert (parts[0].fixed_coords, parts[0].fixed_bits) == (want or ((), ()))
+
+
 def subcube_by_sort(X, coords):
     """The subcube closed form with every pattern sorted, no shortcut: the
-    reference for density._subcube_fixed."""
+    reference for density._affine_blocks on sets with one-bit blocks."""
     bits = np.asarray(X, dtype=np.int64).view(np.uint64)
     low = int(np.bitwise_and.reduce(bits))
     V = (low ^ int(np.bitwise_or.reduce(bits))) & sum(1 << c for c in coords)
@@ -165,7 +276,7 @@ def certificate_case(kind, seed, f, extra, order, sign):
 def assert_certificate(cases, gamma):
     """certified_subcubes on the cases as one batch: it certifies exactly
     the strictly ascending subcubes that vary only on their coords when
-    gamma < 1, each one a set that _subcube_fixed fixes and that its
+    gamma < 1, each one a set that _affine_blocks finds and that its
     density-restoring partition keeps whole as one part."""
     masks = np.array([sum(1 << c for c in coords) for _, coords in cases], dtype=np.uint64)
     elems = np.concatenate([X for X, _ in cases])
@@ -173,7 +284,7 @@ def assert_certificate(cases, gamma):
     assert got.dtype == bool and got.shape == (len(cases),)
     for (X, coords), mask, certified in zip(cases, masks.tolist(), got.tolist()):
         fixed = subcube_by_sort(X, coords)
-        assert density._subcube_fixed(X, coords) == fixed
+        assert affine_subcube(X, coords) == fixed
         bits = X.view(np.uint64)
         varies = int(np.bitwise_and.reduce(bits)) ^ int(np.bitwise_or.reduce(bits))
         ascending = bool((X[1:] > X[:-1]).all())
@@ -225,8 +336,7 @@ def test_certified_subcubes_decide_each_kind_of_set():
     for gamma in CERTIFICATE_GAMMAS:
         got = assert_certificate([(np.asarray(X, dtype=np.int64), c) for X, c, _ in cases], gamma)
         assert got.tolist() == [want and gamma < 1 for _, _, want in cases]
-    fixed = density._subcube_fixed(np.array([low, low + 1]), (0, 63))
-    assert fixed == ((63,), (1,))
+    assert affine_subcube(np.array([low, low + 1]), (0, 63)) == ((63,), (1,))
 
 
 def test_certified_subcubes_of_no_sets_and_bad_sizes():

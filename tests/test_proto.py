@@ -205,13 +205,15 @@ def test_transform_parts_repeel_from_each_side_free_coordinates(gamma):
                 assert [(bit + word, p.elems.tolist()) for p, word in zip(drp, code)] == group
 
 
-@pytest.mark.parametrize("gamma", [0.6, 0.8, 0.99])
+@pytest.mark.parametrize("gamma", [0.2, 0.3, 0.4, 0.6, 0.8, 0.99])
 def test_one_bit_transform_builds_no_count_table(gamma, monkeypatch):
-    # For 1/2 < gamma < 1 every side stays a subcube: a round on one
-    # coordinate cuts it into subcubes, and one on the XOR of two cuts it
-    # into parity halves, whose closed form peels the pair into two
-    # subcubes.  Only at gamma <= 1/2 is a parity half dense, so sides stay
-    # affine and later rounds need the count table.
+    # A round on one coordinate or on the XOR of two cuts an affine set
+    # with disjoint blocks into sets of the same kind, which density settles
+    # in closed form.  For 1/2 < gamma < 1 every side stays a subcube: the
+    # closed form peels a parity half's pair into two subcubes.  At
+    # gamma <= 1/2 sides keep wider blocks, and only the residual of a peel
+    # that fixes two blocks at once needs a count table: at gamma = 1/2 the
+    # four trees build 2 of them (86 before the affine closed form).
     def no_table(*args):
         raise AssertionError("built a count table")
 
