@@ -129,42 +129,22 @@ class ProtocolTree:
         yield from walk(self.root, "", 0)
 
 
-# a 2^n_bits table per call beats searchsorted over the parts and np.isin
-def _part_index(node: Node, values: np.ndarray, n_bits: int) -> np.ndarray:
-    """Index into node.parts of the part holding each of the owner's input
-    values, from one 2^n_bits table per call (the rectangle walk's lookup;
-    runs on pairs go through _levels, by the same rules): a later part
-    wins on overlap, and a value out of range or in no part raises
-    KeyError."""
-    bad = values[(values < 0) | (values >= 1 << n_bits)]
-    if bad.size:
-        raise KeyError(int(bad[0]))
-    which = np.full(1 << n_bits, -1, dtype=np.int32)
-    for i, (_, subset, _) in enumerate(node.parts):
-        which[subset] = i
-    which = which[values]
-    if (which < 0).any():
-        raise KeyError(int(values[np.argmax(which < 0)]))
-    return which
-
-
 _ROUTE_CELLS = 1 << 20  # cells of one routing table: 4 MiB of int32
 
 
+# a 2^n_bits row per node beats searchsorted over the parts and np.isin
 def _part_ids(nodes: list, n_bits: int, first: int) -> np.ndarray:
-    """One int32 table of part ids over the nodes, node j's 2^n_bits
-    values from j 2^n_bits on.  Ids count up from first through the
-    nodes' parts in order (-1 in no part), and a later part wins on
-    overlap: its id is larger, and np.maximum.at keeps the largest."""
-    table = np.full(len(nodes) << n_bits, -1, dtype=np.int32)
-    subsets = [subset for node in nodes for _, subset, _ in node.parts]
-    if subsets:
-        sizes = [len(subset) for subset in subsets]
-        starts = np.repeat(np.arange(len(nodes)) << n_bits, [len(node.parts) for node in nodes])
-        cells = np.concatenate(subsets) + np.repeat(starts, sizes)
-        ids = np.repeat(np.arange(first, first + len(subsets), dtype=np.int32), sizes)
-        np.maximum.at(table, cells, ids)
-    return table
+    """The part lookup of both tree walks: one int32 table with a row of
+    2^n_bits cells per node, end to end.  Cell j 2^n_bits + v holds the id
+    of node j's part that holds v, or -1 if no part does.  Ids count up
+    from first through the nodes' parts in order, and each part is
+    written over the ones before it, so a later part wins on overlap."""
+    table = np.full((len(nodes), 1 << n_bits), -1, dtype=np.int32)
+    for j, node in enumerate(nodes):
+        for _, subset, _ in node.parts:
+            table[j][subset] = first
+            first += 1
+    return table.ravel()  # a flat gather beats a 2-D one
 
 
 def _levels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray):
@@ -173,9 +153,10 @@ def _levels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray):
     reached nodes as (message sent to reach it, node) pairs ("" at the
     root), the ascending indexes of the pairs that reach that depth, and
     each such pair's position in steps.  Each depth routes its pairs with
-    one gather from a _part_ids table over its reached inner nodes (one
-    table per _ROUTE_CELLS cells' worth of nodes).  Raises KeyError for a
-    value out of range or in no part of a node that its pair reaches."""
+    one gather from the _part_ids table of its reached inner nodes (one
+    table per _ROUTE_CELLS cells' worth of nodes), so a later part wins on
+    overlap.  Raises KeyError for a value out of range or in no part of a
+    node that its pair reaches."""
     if not len(xs):
         return
     xy = np.stack([xs, ys])
@@ -251,11 +232,15 @@ def _route_labels(tree: ProtocolTree, xs: np.ndarray, ys: np.ndarray) -> list:
 
 
 def _reaching_rects(*trees: ProtocolTree):
-    """Run the trees at once on every pair of the first tree's domain;
+    """Run the trees at once on every pair of their common domain;
     yield (leaves, X, Y), one leaf per tree, for each nonempty rectangle
     X x Y of the pairs that reach them.  Nodes split their owner's side by
-    _part_index (a later part wins; KeyError for a value in no part), and
-    the trees take turns, so they descend together."""
+    its row of _part_ids, as _levels routes pairs (a later part wins;
+    KeyError for a value in no part), and the trees take turns, so they
+    descend together.  Trees over different bit counts raise ValueError."""
+    shapes = [(t.n_bits_a, t.n_bits_b) for t in trees]
+    if len(set(shapes)) > 1:
+        raise ValueError(f"trees over different (n_bits_a, n_bits_b): {shapes}")
     na, nb, n = trees[0].n_bits_a, trees[0].n_bits_b, len(trees)
     stack = [(tuple(t.root for t in trees), Rect(full_domain(na), full_domain(nb), na, nb), 0)]
     while stack:
@@ -266,7 +251,9 @@ def _reaching_rects(*trees: ProtocolTree):
             continue
         node = nodes[k]
         side, n_bits = rect.elems_of(node.owner)
-        which = _part_index(node, side, n_bits)
+        which = _part_ids([node], n_bits, 0)[side]
+        if (which < 0).any():
+            raise KeyError(int(side[np.argmax(which < 0)]))
         for i, (_, _, child) in enumerate(node.parts):
             part = side[which == i]
             if part.size:
@@ -482,7 +469,9 @@ def _refine(pairs: list, gamma) -> list:
     disjoint blocks into sets of the same kind, and `density.find_violation`
     settles those with no count table.  Only the residual of a peel that
     fixes two blocks or more at once is another set; for 1/2 < gamma < 1
-    every side stays a subcube, so that happens only at gamma <= 1/2."""
+    every side stays a subcube, so that happens only at gamma <= 1/2.
+    Sides are split by one bool table per original part, not by a _part_ids
+    row: one take per part beats a gather plus a compare per part."""
     if not pairs:
         return []
     sides = [rect.elems_of(orig.owner) for orig, rect in pairs]
@@ -588,7 +577,8 @@ def outputs_agree(tree_a: ProtocolTree, tree_b: ProtocolTree, pairs) -> bool:
 
 def trees_agree(tree_a: ProtocolTree, tree_b: ProtocolTree) -> bool:
     """Whether both trees output the same label on every input pair, read
-    once per pair of leaves that some rectangle of pairs reaches."""
+    once per pair of leaves that some rectangle of pairs reaches.  Trees
+    over different bit counts raise ValueError."""
     return all(a.label == b.label for (a, b), _, _ in _reaching_rects(tree_a, tree_b))
 
 

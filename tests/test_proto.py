@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import math
+import re
 import weakref
 
 from fractions import Fraction
@@ -931,6 +932,15 @@ def test_trees_agree_matches_outputs_agree_over_every_pair():
         leaves[trial % len(leaves)].label = "changed"
         assert not proto.outputs_agree(tree, mutant, pairs)
         assert not proto.trees_agree(tree, mutant) and not proto.trees_agree(mutant, tree)
+
+
+def test_trees_agree_rejects_trees_over_different_bit_counts():
+    small = proto.random_onebit_tree(np.random.default_rng(0), 3, 3, 3, [0, 1])
+    large = proto.random_onebit_tree(np.random.default_rng(0), 4, 4, 3, [0, 1])
+    for a, b in [(small, large), (large, small)]:
+        shapes = f"({a.n_bits_a}, {a.n_bits_b}), ({b.n_bits_a}, {b.n_bits_b})"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            proto.trees_agree(a, b)
 
 
 def test_reaching_rects_partition_the_domain_by_routed_leaf():

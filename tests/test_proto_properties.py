@@ -53,6 +53,18 @@ def assert_routes_like_dict_walk(tree, pairs):
     assert [(t, id(leaf)) for t, leaf in runs] == [(t, id(leaf)) for t, leaf in expect]
 
 
+def assert_rects_like_dict_walk(tree, pairs):
+    """_reaching_rects against dict_walk: the rectangles partition the
+    domain, and every pair of each X x Y goes to that rectangle's leaf."""
+    expect = {pair: leaf for pair, (_, leaf) in zip(pairs, dict_walk(tree, pairs))}
+    covered = []
+    for (leaf,), X, Y in proto._reaching_rects(tree):
+        rect = list(itertools.product(X.tolist(), Y.tolist()))
+        assert all(expect[pair] is leaf for pair in rect)
+        covered += rect
+    assert sorted(covered) == sorted(pairs)
+
+
 def random_tree(seed, n_bits_a, n_bits_b, depth, transform, labels=(0, 1, 2)):
     rng = np.random.default_rng(seed)
     tree = proto.random_onebit_tree(rng, n_bits_a, n_bits_b, depth, labels=list(labels))
@@ -104,6 +116,7 @@ def test_routes_let_a_later_overlapping_part_win(seed, n_bits_a, n_bits_b, depth
         node.parts.insert(len(node.parts) if rng.random() < 0.5 else 0, ("x", subset, leaf))
     pairs = list(itertools.product(range(1 << n_bits_a), range(1 << n_bits_b)))
     assert_routes_like_dict_walk(tree, pairs)
+    assert_rects_like_dict_walk(tree, pairs)
 
 
 def key_error_or(fn, *args):
