@@ -51,8 +51,10 @@ V, and every element must agree with X[0] on each block of two or more
 bits or be its complement there; then X lies in the affine set, and its
 2^k distinct elements fill it.  When k = |V| every block is one bit and
 X is a subcube, which needs no further check.  `_affine_blocks` sorts
-the patterns on coords only for other sets, and `certified_subcubes`
-decides many subcubes at once, declining every other set.
+the patterns on coords only for other sets.  Distinct elements that
+vary only on V are the subcube on V iff there are 2^|V| of them, and
+for gamma < 1 its partition is itself as one part: that is how
+`proto.subcube_like_transform` certifies a subset, by its size alone.
 
 Most other large sets are certified dense by counting, with no count
 table either.  Let M be the largest count of one full pattern on the f
@@ -332,38 +334,6 @@ def _affine_blocks(arr: np.ndarray, cmask: int) -> tuple[int, int, list[int]] | 
         if not ((on == 0) | (on == B)).all():
             return None
     return x0 & cmask, V, wide
-
-
-def certified_subcubes(elems: np.ndarray, sizes, masks: np.ndarray, gamma) -> np.ndarray:
-    """Which of many sets are subcubes, which the affine closed form
-    settles with no sort.
-    Set i is the next sizes[i] > 0 elements of the int64 array elems, on
-    the coordinates set in the uint64 masks[i].  With 0 <= gamma < 1, a
-    set that is strictly ascending, varies on no bit outside its mask and
-    has 2^|V| elements, V the masked bits where it varies, is a subcube
-    (module docstring): gamma-dense on V, and its density-restoring
-    partition on the mask's coordinates is the set itself as one part.
-    Every other set is declined (False), whatever it is."""
-    num, den = _ratio(gamma)
-    elems, sizes = np.asarray(elems, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
-    if sizes.size and sizes.min() < 1:
-        raise EmptySet("every set must be nonempty")
-    if sizes.sum() != elems.size:
-        raise ValueError(f"set sizes add up to {sizes.sum()}, not to the {elems.size} elements")
-    if num >= den or not sizes.size:
-        return np.zeros(sizes.size, dtype=bool)
-    starts = np.cumsum(sizes) - sizes
-    bits = elems.view(np.uint64)
-    varies = np.bitwise_and.reduceat(bits, starts) ^ np.bitwise_or.reduceat(bits, starts)
-    V = varies & np.asarray(masks, dtype=np.uint64)
-    step = np.empty(elems.size, dtype=bool)
-    np.greater(elems[1:], elems[:-1], out=step[1:])
-    step[starts] = True  # each set's first element starts its own run
-    return (
-        np.logical_and.reduceat(step, starts)
-        & (varies == V)
-        & (sizes == [1 << v.bit_count() for v in V.tolist()])
-    )
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ linear system that forces the hash to cancel the oracle on it, and solve.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +204,6 @@ def attack_solve(
     is infeasible (rank check fails).
     """
     if family.lam < spec.n:
-        import warnings
-
         warnings.warn("lambda < n: the linear system may be infeasible", stacklevel=2)
     ranks = codes_mod.codeword_rank_matrix(spec)[1]
     encoded = family.encode(ranks, np.arange(1, spec.n + 1))

@@ -29,6 +29,7 @@ from .errors import (
     SplitRequiresEvenN,
 )
 from .gf import exact
+from .parallel import parallel_map
 
 FORMAT_VERSION = 1
 
@@ -151,8 +152,6 @@ def brute_solve(inst: OracleInstance, jobs: int = 1) -> np.ndarray:
     table accepts (codes.fold turns one into a word).  The message space
     is scanned in chunks; the worker count never changes the output.
     """
-    from .parallel import parallel_map
-
     ranks = codes.codeword_rank_matrix(inst.spec)
     nrows = ranks.shape[0]
 

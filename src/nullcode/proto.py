@@ -29,8 +29,9 @@ import numpy as np
 from . import codes as codes_mod
 from . import huffman as huffman_mod
 from .budget import DEFAULT_ENUM_BUDGET
-from .density import certified_subcubes, density_cut, density_restoring_partition, is_dense
+from .density import density_cut, density_restoring_partition, is_dense
 from .errors import BudgetExceeded
+from .gf import exact
 from .instances import OracleInstance, Split, solution_mask
 
 
@@ -326,20 +327,17 @@ def random_onebit_tree(
             return Leaf(pick_label(), rect)
         owner = "A" if rng.random() < 0.5 else "B"
         side, nb = rect.elems_of(owner)
-        fn = None
         for _ in range(10):
             if rng.random() < PARITY_PROB and nb >= 2:
                 c1, c2 = rng.choice(nb, size=2, replace=False)
-                cand = lambda v, c1=int(c1), c2=int(c2): ((v >> c1) ^ (v >> c2)) & 1
+                bits = (side >> int(c1)) ^ (side >> int(c2))
             else:
-                c = int(rng.integers(nb))
-                cand = lambda v, c=c: (v >> c) & 1
-            mask = cand(side).astype(bool)  # cand maps the whole array at once
+                bits = side >> int(rng.integers(nb))
+            mask = (bits & 1).astype(bool)
             p0, p1 = side[~mask], side[mask]
             if len(p0) and len(p1):
-                fn = cand
                 break
-        if fn is None:
+        else:
             return Leaf(pick_label(), rect)
         children = [
             (str(bit), part, build(rect.narrow(owner, part), remaining - 1))
@@ -461,9 +459,12 @@ def _refine(pairs: list, gamma) -> list:
     """The speaker's refinement of its side of rect on the side's free
     coordinates, for each (original node, rect) pair: per original bit
     with a nonempty subset, its code's (entropy, expected_length) and a
-    (message, part elems, child) tuple per density-restoring part.  A
-    subset that `density.certified_subcubes` certifies is its own one part,
-    as density_restoring_partition would return it, so only the others are
+    (message, part elems, child) tuple per density-restoring part.  Every
+    subset is a boolean slice of a side, itself one of full_domain, so its
+    elements are distinct and it varies only where its side does.  So for
+    gamma < 1 a subset of 2^|V| elements, V the bits where it varies, is
+    the subcube on V, certified by its size: its own one part, as
+    density_restoring_partition would return it.  Only the others are
     partitioned.  For 0 <= gamma < 1 a one-bit round on one coordinate or
     the XOR of two (as `random_onebit_tree` sends) cuts an affine set with
     disjoint blocks into sets of the same kind, and `density.find_violation`
@@ -493,15 +494,13 @@ def _refine(pairs: list, gamma) -> list:
                 if len(sub):
                     subs.append(sub)
                     owners.append((i, j))
-    pair_of = [i for i, _ in owners]
-    flat = np.concatenate(subs or [np.zeros(0, dtype=np.int64)])
-    certified = certified_subcubes(flat, [len(s) for s in subs], free[pair_of], gamma)
+    certify = exact(gamma) < 1
     single_code = huffman_mod.huffman([1])
     single = (huffman_mod.entropy([1]), huffman_mod.expected_length(single_code, [1]))
     groups = [[] for _ in pairs]
-    for sub, (i, j), whole in zip(subs, owners, certified.tolist()):
+    for sub, (i, j), varies in zip(subs, owners, _free_masks(subs).tolist()):
         msg, _, child = pairs[i][0].parts[j]
-        if whole:
+        if certify and len(sub) == 1 << varies.bit_count():
             groups[i].append((single, [(msg + single_code[0], sub, child)]))
             continue
         drp = density_restoring_partition(sub, gamma, _mask_coords(int(free[i]), sides[i][1]))

@@ -481,12 +481,14 @@ def test_instance_solve_jobs_out_of_range_exits_2_before_any_scan(
     jobs, tmp_path, capsys, monkeypatch
 ):
     # instance solve has no --jobs: every value is an unknown flag
-    from nullcode import parallel
+    from nullcode import instances, parallel
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(parallel, "parallel_map", no_pool)
+    # brute_solve reads the name it imported, not the parallel module's
+    for module in (parallel, instances):
+        monkeypatch.setattr(module, "parallel_map", no_pool)
     path = _tiny_instance(tmp_path)
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:

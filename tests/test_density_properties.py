@@ -273,26 +273,26 @@ def certificate_case(kind, seed, f, extra, order, sign):
     return np.ascontiguousarray(X), coords
 
 
-def assert_certificate(cases, gamma):
-    """certified_subcubes on the cases as one batch: it certifies exactly
-    the strictly ascending subcubes that vary only on their coords when
-    gamma < 1, each one a set that _affine_blocks finds and that its
-    density-restoring partition keeps whole as one part."""
-    masks = np.array([sum(1 << c for c in coords) for _, coords in cases], dtype=np.uint64)
-    elems = np.concatenate([X for X, _ in cases])
-    got = density.certified_subcubes(elems, [len(X) for X, _ in cases], masks, gamma)
-    assert got.dtype == bool and got.shape == (len(cases),)
-    for (X, coords), mask, certified in zip(cases, masks.tolist(), got.tolist()):
+def assert_subcube_cases(cases, gamma):
+    """Each case's subcube decision: _affine_blocks finds X a subcube
+    exactly when sorting its patterns does, and then its density-restoring
+    partition at gamma < 1 keeps it whole as one part.  When X's elements
+    are distinct and vary only on coords, it is a subcube exactly when it
+    has 2^|V| elements, V the bits where it varies: the size certificate
+    that proto.subcube_like_transform reads."""
+    found = []
+    for X, coords in cases:
         fixed = subcube_by_sort(X, coords)
         assert affine_subcube(X, coords) == fixed
         bits = X.view(np.uint64)
         varies = int(np.bitwise_and.reduce(bits)) ^ int(np.bitwise_or.reduce(bits))
-        ascending = bool((X[1:] > X[:-1]).all())
-        assert certified == (fixed is not None and gamma < 1 and ascending and varies & ~mask == 0)
-        if certified:
+        if len(np.unique(bits)) == len(X) and varies & ~sum(1 << c for c in coords) == 0:
+            assert (fixed is not None) == (len(X) == 1 << varies.bit_count())
+        if fixed is not None and gamma < 1:
             parts = density.density_restoring_partition(X, gamma, coords)
             assert len(parts) == 1 and np.array_equal(parts[0].elems, X)
-    return got
+        found.append(fixed is not None)
+    return found
 
 
 CERTIFICATE_GAMMAS = (0, Fraction(1, 2), 0.8, 1)
@@ -314,37 +314,26 @@ CERTIFICATE_GAMMAS = (0, Fraction(1, 2), 0.8, 1)
     ),
     gamma=st.sampled_from(CERTIFICATE_GAMMAS),
 )
-def test_certified_subcubes_are_the_ascending_subcubes(sets, gamma):
-    assert_certificate([certificate_case(*args) for args in sets], gamma)
+def test_subcubes_by_closed_form_sort_and_size_agree(sets, gamma):
+    assert_subcube_cases([certificate_case(*args) for args in sets], gamma)
 
 
-def test_certified_subcubes_decide_each_kind_of_set():
+def test_subcube_closed_form_decides_each_kind_of_set():
     low = -(1 << 63)
     cases = [
         (np.arange(8), (0, 1, 2), True),  # the whole cube
         (np.array([4, 5, 6, 7]), (0, 1, 2), True),  # coordinate 2 fixed at 1
-        (np.array([5, 4, 6, 7]), (0, 1, 2), False),  # not ascending
+        (np.array([5, 4, 6, 7]), (0, 1, 2), True),  # not ascending, still a subcube
         (np.array([4, 4, 6, 7]), (0, 1, 2), False),  # a repeated element
         (np.array([0, 1, 2]), (0, 1, 2), False),  # a size that is not a power of two
-        (np.array([0, 1, 2, 3]), (0,), False),  # bit 1 varies outside coords
+        (np.array([0, 1, 2, 3]), (0,), False),  # bit 1 varies outside coords: tied patterns
         (np.array([1, 9]), (0, 1, 2), False),  # distinct, but tied patterns on coords
         # coordinate 63, with negative elements: free, and then fixed at 1
         (np.array([low, low + 1, 0, 1]), (0, 63), True),
         (np.array([low, low + 1]), (0, 63), True),
-        (np.array([low + 1, low, 1, 0]), (0, 63), False),
+        (np.array([low + 1, low, 1, 0]), (0, 63), True),  # descending
     ]
     for gamma in CERTIFICATE_GAMMAS:
-        got = assert_certificate([(np.asarray(X, dtype=np.int64), c) for X, c, _ in cases], gamma)
-        assert got.tolist() == [want and gamma < 1 for _, _, want in cases]
+        got = assert_subcube_cases([(np.asarray(X, dtype=np.int64), c) for X, c, _ in cases], gamma)
+        assert got == [want for _, _, want in cases]
     assert affine_subcube(np.array([low, low + 1]), (0, 63)) == ((63,), (1,))
-
-
-def test_certified_subcubes_of_no_sets_and_bad_sizes():
-    none = density.certified_subcubes(np.zeros(0, dtype=np.int64), [], np.zeros(0, np.uint64), 0.5)
-    assert none.shape == (0,) and none.dtype == bool
-    with pytest.raises(density.EmptySet):
-        density.certified_subcubes(np.arange(4), [4, 0], np.array([3, 3], np.uint64), 0.5)
-    with pytest.raises(ValueError, match="add up to 3, not to the 4 elements"):
-        density.certified_subcubes(np.arange(4), [1, 2], np.array([3, 3], np.uint64), 0.5)
-    with pytest.raises(ValueError, match="gamma -0.5 is negative"):
-        density.certified_subcubes(np.arange(4), [4], np.array([3], np.uint64), -0.5)

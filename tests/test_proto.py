@@ -468,9 +468,6 @@ def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
 def test_transform_needs_no_numpy_bitwise_count(monkeypatch):
     # np.bitwise_count came with numpy 2.0, and the project takes 1.24
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    sets = np.array([0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 0, 1, 2])
-    got = density.certified_subcubes(sets, [8, 4, 3], np.array([7, 7, 7], dtype=np.uint64), 0.5)
-    assert got.tolist() == [True, True, False]
     out = proto.subcube_like_transform(small_tree(seed=0), 0.8)
     assert proto.validate_subcube_like(out, 0.8) == sum(1 for _ in out.nodes())
 

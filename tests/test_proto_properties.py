@@ -1,4 +1,5 @@
-"""Property tests for protocol-tree routing (skipped without hypothesis)."""
+"""Property tests for protocol-tree routing and the subcube-like transform
+(skipped without hypothesis)."""
 
 import itertools
 
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from nullcode import proto  # noqa: E402
+from test_proto import assert_same_tree, level_order, transform_outcome, unmemoised_transform  # noqa: E402
 
 
 def dict_walk(tree, pairs) -> list:
@@ -162,3 +164,52 @@ def test_routes_raise_keyerror_for_a_value_in_no_part_below_the_root(seed, n_bit
     got = key_error_or(proto._route_labels, tree, *proto._pair_arrays([pair]))
     expect = key_error_or(dict_walk, tree, [pair])
     assert got is expect if expect is KeyError else got == [leaf.label for _, leaf in expect]
+
+
+def subset_tree(seed, n_bits_a, n_bits_b, depth, labels=(0, 1, 2)):
+    """A random tree whose every round splits the owner's side by a random
+    nonempty proper subset, not by a coordinate or an XOR, so the subsets
+    the transform cuts are mostly not affine; a side of one element ends
+    in a leaf."""
+    rng = np.random.default_rng(seed)
+
+    def build(rect, remaining):
+        owner = "A" if rng.random() < 0.5 else "B"
+        side = rect.elems_of(owner)[0]
+        if remaining == 0 or len(side) < 2:
+            return proto.Leaf(labels[int(rng.integers(len(labels)))], rect)
+        mask = np.zeros(len(side), dtype=bool)
+        mask[rng.choice(len(side), size=int(rng.integers(1, len(side))), replace=False)] = True
+        parts = [
+            (str(bit), part, build(rect.narrow(owner, part), remaining - 1))
+            for bit, part in ((0, side[~mask]), (1, side[mask]))
+        ]
+        return proto.Node(owner, rect, parts)
+
+    root = proto.Rect(proto.full_domain(n_bits_a), proto.full_domain(n_bits_b), n_bits_a, n_bits_b)
+    return proto.ProtocolTree(build(root, depth), n_bits_a, n_bits_b)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bits_a=st.integers(2, 5),
+    n_bits_b=st.integers(2, 5),
+    depth=st.integers(1, 4),
+    budget=st.sampled_from([64, proto.DEFAULT_ENUM_BUDGET]),
+)
+def test_transform_certifies_subsets_of_any_round_by_size(seed, n_bits_a, n_bits_b, depth, budget):
+    # the transform keeps a subset of 2^|V| elements whole at gamma < 1;
+    # the reference partitions every subset, so each must give one tree
+    tree = subset_tree(seed, n_bits_a, n_bits_b, depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
+        for gamma in (0, 0.25, 0.5, 0.8, 0.99, 1):
+            out, stats = transform_outcome(proto.subcube_like_transform, tree, gamma)
+            want, want_stats = transform_outcome(unmemoised_transform, tree, gamma)
+            if isinstance(want, str):
+                assert (out, stats) == (want, [])
+                continue
+            assert stats == level_order(want_stats)
+            assert_same_tree(out, want)
+            assert proto.trees_agree(tree, out)
