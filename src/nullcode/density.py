@@ -56,6 +56,18 @@ vary only on V are the subcube on V iff there are 2^|V| of them, and
 for gamma < 1 its partition is itself as one part: that is how
 `proto.subcube_like_transform` certifies a subset, by its size alone.
 
+The same one certificate gives the density-restoring partition of such
+a set whenever the greedy takes at most one block.  With none taken, X
+is dense (one part fixing nothing) or its pattern fixes only K, which
+every element matches (one part fixed on K).  With one block B taken,
+the elements that match a on B are the first part.  The rest are
+constant on K and B, at a with B flipped, and vary only on blocks that
+no pattern takes, so the loop's next peel fixes exactly that pattern
+and keeps all of them: the second part.  Both keep X's order.  With two
+or more blocks taken the first residual holds three of every four
+elements, no longer such a set, so the loop peels on from the pattern
+the certificate gave.
+
 Most other large sets are certified dense by counting, with no count
 table either.  Let M be the largest count of one full pattern on the f
 coordinates (1 for distinct elements).  A pattern of width w spans
@@ -168,7 +180,7 @@ def _byte_table(mask: int) -> np.ndarray:
 def min_entropy(X, coords) -> float:
     """Exact min-entropy of the uniform marginal on coords."""
     arr = _as_array(X)
-    _, counts = np.unique(_project(arr, _as_coords(coords)), return_counts=True)
+    _, counts = np.unique(_project(arr, _coords(coords)[0]), return_counts=True)
     return math.log2(len(arr) / counts.max())
 
 
@@ -202,17 +214,36 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _as_coords(coords) -> tuple[int, ...]:
-    """coords as ascending ints; each must be a distinct integer in [0, 64),
-    a bit of the int64 elements."""
-    coords = tuple(sorted(map(operator.index, coords)))
+def _coords(coords) -> tuple[tuple[int, ...], int]:
+    """coords as ascending ints and their mask; each must be a distinct
+    integer in [0, 64), a bit of the int64 elements.  Each distinct tuple
+    is sorted and checked once."""
+    return _normalised(tuple(map(operator.index, coords)))
+
+
+@lru_cache(maxsize=4096)
+def _normalised(coords: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    coords = tuple(sorted(coords))
     if coords and not 0 <= coords[0] <= coords[-1] < 64:
         bad = coords[0] if coords[0] < 0 else coords[-1]
         raise ValueError(f"coordinate {bad} is outside [0, 64)")
     if len(set(coords)) < len(coords):
         bad = next(a for a, b in zip(coords, coords[1:]) if a == b)
         raise ValueError(f"coordinate {bad} is given twice")
-    return coords
+    return coords, sum(1 << c for c in coords)
+
+
+def _pattern(mask: int, value: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(I, a): the coordinates set in mask, ascending, and value's bits on
+    them."""
+    I = _mask_coords(mask)
+    return I, tuple(value >> c & 1 for c in I)
+
+
+@lru_cache(maxsize=4096)
+def _mask_coords(mask: int) -> tuple[int, ...]:
+    """The coordinates set in a mask of bits 0 to 63, ascending."""
+    return tuple(c for c in range(64) if mask >> c & 1)
 
 
 def _check_cells(f: int) -> None:
@@ -225,7 +256,7 @@ def subcube_counts(X, coords) -> np.ndarray:
     length 3^f (f = len(coords)).  Index t has one ternary digit per sorted
     coordinate, the first coordinate most significant; digit 0 or 1 fixes
     the coordinate to that bit and digit 2 leaves it free."""
-    arr, coords = _as_array(X), _as_coords(coords)
+    arr, (coords, _) = _as_array(X), _coords(coords)
     _check_cells(len(coords))
     return _count_table(_histogram(arr, coords), len(arr)).astype(np.int64)
 
@@ -394,31 +425,46 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
     [0, 64) or given twice, a negative gamma, or a gamma whose reduced
     denominator is above `MAX_GAMMA_DEN`, raises ValueError.
     """
-    arr, coords = _as_array(X), _as_coords(coords)
+    arr, (coords, cmask) = _as_array(X), _coords(coords)
     num, den = _ratio(gamma)
     if not coords:
         return None
+    _check_cells(len(coords))
+    if (peel := _affine_peel(arr, cmask, num, den)) is not None:
+        return _pattern(*peel[:2]) if peel[0] else None
+    return _table_violation(arr, coords, num, den)
+
+
+def _affine_peel(arr: np.ndarray, cmask: int, num: int, den: int) -> tuple[int, int, list[int]] | None:
+    """(mask, a, taken) for an affine set with disjoint blocks at
+    0 <= gamma = num/den < 1 and |X| a power of two (module docstring):
+    the maximally violating pattern as the mask of I and the bits a on
+    it, and the blocks it takes, those with gamma |B| >= 1; (0, 0, [])
+    when X is dense, and None for any other set or gamma.  The pattern
+    is X's constant coordinates and every taken block, at x0's bits with
+    each taken block led by a 0."""
+    n = len(arr)
+    if num >= den or n & (n - 1) or (affine := _affine_blocks(arr, cmask)) is None:
+        return None
+    x0, V, wide = affine
+    fixed, taken = cmask & ~V, [B for B in wide if num * B.bit_count() >= den]
+    if not num or not fixed and all(num * B.bit_count() == den for B in taken):
+        return 0, 0, []
+    mask = fixed | sum(taken)
+    return mask, (x0 ^ sum(B for B in taken if x0 & B & -B)) & mask, taken
+
+
+def _table_violation(arr: np.ndarray, coords: tuple[int, ...], num: int, den: int):
+    """find_violation for a set its closed form does not settle, from the
+    histogram on the normalised coords: counting certifies it dense, or
+    the count table gives the maximal pattern."""
     # every gamma with 2^gamma > |X| finds what gamma = L finds (the
     # ratio-maximal width is f and the cut is 0), so a larger gamma is
     # clamped to L before it sizes the integer powers below
     n, f = len(arr), len(coords)
     L = n.bit_length()
     if num > den * L:
-        gamma, num, den = L, L, 1
-    _check_cells(f)
-    if num < den and n & (n - 1) == 0:
-        # the closed form for an affine set (module docstring): its
-        # constant coordinates and each block with gamma |B| >= 1, at x0's
-        # bits with each such block led by a 0
-        cmask = sum(1 << c for c in coords)
-        if (affine := _affine_blocks(arr, cmask)) is not None:
-            x0, V, wide = affine
-            fixed, taken = cmask & ~V, [B for B in wide if num * B.bit_count() >= den]
-            if not num or not fixed and all(num * B.bit_count() == den for B in taken):
-                return None
-            a = x0 ^ sum(B for B in taken if x0 & B & -B)
-            I = tuple(c for c in coords if (fixed | sum(taken)) >> c & 1)
-            return I, tuple(a >> c & 1 for c in I)
+        num, den = L, 1
     hist = _histogram(arr, coords)
     if _dense_by_counting(hist, n, num, den):
         return None
@@ -433,7 +479,7 @@ def find_violation(X, gamma, coords) -> tuple[tuple[int, ...], tuple[int, ...]] 
             s = w
     # an integer count exceeds floor(|X| 2^(-gamma s)) iff its ratio exceeds
     # |X|, so some pattern violates iff a ratio-maximal one does
-    if top[s] <= density_cut(n, gamma, s):
+    if top[s] <= _cut(n, num * s, den):
         return None
     cell = _winner(counts, f, s, top[s])
     I, bits = [], []
@@ -458,27 +504,40 @@ class Part:
 
 def density_restoring_partition(X, gamma, coords) -> list[Part]:
     """Partition X so each part is fixed on its coordinates and gamma-dense
-    on the rest of `coords`; parts appear in peel order."""
-    residual, coords = _as_array(X), _as_coords(coords)
+    on the rest of `coords`; parts appear in peel order.  An affine set
+    with disjoint blocks whose greedy takes at most one block is settled
+    from its one certificate (module docstring)."""
+    residual, (coords, cmask) = _as_array(X), _coords(coords)
+    num, den = _ratio(gamma)
+    if not coords:
+        return [Part(residual, (), ())]
+    _check_cells(len(coords))
+    peel = _affine_peel(residual, cmask, num, den)
+    if peel is None:
+        viol = _table_violation(residual, coords, num, den)
+    elif len(peel[2]) == 1:  # the one taken block's two halves
+        mask, a, (B,) = peel
+        hit = (residual.view(np.uint64) & np.uint64(B)) == np.uint64(a & B)
+        return [Part(residual[hit], *_pattern(mask, a)), Part(residual[~hit], *_pattern(mask, a ^ B))]
+    else:  # no block taken keeps X whole; two or more take the loop
+        viol = _pattern(*peel[:2]) if peel[0] else None
     parts: list[Part] = []
-    while residual.size:
-        viol = find_violation(residual, gamma, coords)
-        if viol is None:
-            parts.append(Part(residual, (), ()))
-            break
+    while viol is not None:
         I, bits = viol
         hit = _matches(residual, I, bits)
         if hit.all():
             parts.append(Part(residual, I, bits))
-            break
+            return parts
         parts.append(Part(residual[hit], I, bits))
         residual = residual[~hit]
+        viol = find_violation(residual, gamma, coords)
+    parts.append(Part(residual, (), ()))
     return parts
 
 
 def validate_partition(X, parts: list[Part], gamma, coords) -> None:
     """Exact re-check of the partition postconditions; raises on failure."""
-    arr, coords = _as_array(X), _as_coords(coords)
+    arr, (coords, _) = _as_array(X), _coords(coords)
     seen = np.concatenate([p.elems for p in parts]) if parts else np.array([])
     if not np.array_equal(np.sort(seen), np.sort(arr)):
         raise AssertionError("parts do not partition the input set")

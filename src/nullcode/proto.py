@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -432,13 +433,10 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
         inner = [(orig, new) for orig, new in level if isinstance(orig, Node)]
         keys = [(id(orig), new.rect.elems_of(orig.owner)[0].tobytes()) for orig, new in inner]
         todo = {key: (orig, new.rect) for key, (orig, new) in zip(keys, inner)}
-        refined = dict(zip(todo, _refine(list(todo.values()), gamma)))
+        refined, nodes = _refine_level(todo, Counter(keys), nodes, gamma)
         level = []
         for (orig, new), key in zip(inner, keys):
             for code, parts in refined[key]:
-                nodes += len(parts)
-                if nodes > DEFAULT_ENUM_BUDGET:
-                    raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
                 stats.append(code)
                 for msg, elems, child in parts:
                     kid = _shell(child, new.rect.narrow(orig.owner, elems))
@@ -447,6 +445,29 @@ def subcube_like_transform(tree: ProtocolTree, gamma, code_stats: list | None = 
     if code_stats is not None:
         code_stats.extend(stats)
     return ProtocolTree(root, na, nb)
+
+
+def _refine_level(todo: dict, shared: Counter, nodes: int, gamma) -> tuple[dict, int]:
+    """(key -> `_refine` of its (original node, rect), the node count once
+    the level's children are added), for a level of `shared[key]` nodes
+    per key in a tree of `nodes`; BudgetExceeded once the count passes
+    DEFAULT_ENUM_BUDGET.  Every child is a nonempty part of its speaker's
+    side, so a level whose sides hold at most the nodes the budget has
+    left fits, and is refined in one batch.  Any other level is refined in
+    batches of 1, 2, 4, ... keys, each key's children counted once per
+    node that shares it, and raises as soon as the count must pass the
+    budget, with the keys after it left unrefined."""
+    keys = list(todo)
+    most = sum(shared[key] * len(rect.elems_of(orig.owner)[0]) for key, (orig, rect) in todo.items())
+    refined, start, size = {}, 0, len(keys) if nodes + most <= DEFAULT_ENUM_BUDGET else 1
+    while start < len(keys):
+        batch = keys[start : start + size]
+        refined.update(zip(batch, _refine([todo[key] for key in batch], gamma)))
+        nodes += sum(shared[key] * len(parts) for key in batch for _, parts in refined[key])
+        if nodes > DEFAULT_ENUM_BUDGET:
+            raise BudgetExceeded(f"transformed tree exceeds {DEFAULT_ENUM_BUDGET} nodes")
+        start, size = start + size, 2 * size
+    return refined, nodes
 
 
 def _shell(orig, rect):
@@ -467,10 +488,14 @@ def _refine(pairs: list, gamma) -> list:
     density_restoring_partition would return it.  Only the others are
     partitioned.  For 0 <= gamma < 1 a one-bit round on one coordinate or
     the XOR of two (as `random_onebit_tree` sends) cuts an affine set with
-    disjoint blocks into sets of the same kind, and `density.find_violation`
-    settles those with no count table.  Only the residual of a peel that
-    fixes two blocks or more at once is another set; for 1/2 < gamma < 1
-    every side stays a subcube, so that happens only at gamma <= 1/2.
+    disjoint blocks into sets of the same kind, and
+    `density_restoring_partition` settles those with no count table.  For
+    1/2 < gamma < 1 every side stays a subcube, and each subset not
+    certified by its size is a parity half, split into its two parts from
+    one certificate with no `find_violation` call.  Only the residual of a
+    peel that fixes two blocks or more at once is another set, and that
+    happens only at gamma <= 1/2.  `_refine_level` decides how many keys
+    of a level go into one call.
     Sides are split by one bool table per original part, not by a _part_ids
     row: one take per part beats a gather plus a compare per part."""
     if not pairs:

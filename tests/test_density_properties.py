@@ -337,3 +337,28 @@ def test_subcube_closed_form_decides_each_kind_of_set():
         got = assert_subcube_cases([(np.asarray(X, dtype=np.int64), c) for X, c, _ in cases], gamma)
         assert got == [want for _, _, want in cases]
     assert affine_subcube(np.array([low, low + 1]), (0, 63)) == ((63,), (1,))
+
+
+def part_list(parts):
+    """Each part's elements as bytes, in order, with its pattern."""
+    return [(p.elems.tobytes(), p.fixed_coords, p.fixed_bits) for p in parts]
+
+
+@hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    kind=st.sampled_from(AFFINE_KINDS + PARITY_KINDS + ("subcube", "duplicate", "outside")),
+    seed=st.integers(0, 2**32 - 1),
+    f=st.sampled_from(range(2, 9)),
+    extra=st.integers(0, 2),
+    gamma=st.sampled_from(AFFINE_GAMMAS),
+)
+def test_partition_closed_form_equals_the_peel_loop(kind, seed, f, extra, gamma):
+    # with _affine_peel answering None, every pattern comes from the count
+    # table and the greedy peels one part at a time
+    X, coords = make_set(kind, seed, f, extra)
+    got = density.density_restoring_partition(X, gamma, coords)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_affine_peel", lambda *args: None)
+        want = density.density_restoring_partition(X, gamma, coords)
+    assert part_list(got) == part_list(want)
+    density.validate_partition(X, got, gamma, coords)

@@ -225,6 +225,37 @@ def test_one_bit_transform_builds_no_count_table(gamma, monkeypatch):
         assert proto.validate_subcube_like(out, gamma) == sum(1 for _ in out.nodes())
 
 
+@pytest.mark.parametrize("gamma", [0.6, 0.8, 0.99])
+def test_one_bit_transform_settles_each_partition_from_one_certificate(gamma, monkeypatch):
+    # For 1/2 < gamma < 1 every subset the transform partitions is a
+    # parity half, whose greedy takes its pair as the one block: the closed
+    # form returns both parts from the one certificate, with no call to
+    # find_violation (the peel loop would make two per half).
+    partition, find_violation = density.density_restoring_partition, density.find_violation
+    calls = []  # [parts, find_violation calls] per partition
+
+    def counted_find(*args):
+        calls[-1][1] += 1
+        return find_violation(*args)
+
+    def counted_partition(*args):
+        calls.append([None, 0])
+        parts = partition(*args)
+        calls[-1][0] = len(parts)
+        return parts
+
+    monkeypatch.setattr(density, "find_violation", counted_find)
+    monkeypatch.setattr(proto, "density_restoring_partition", counted_partition)
+    outs = [
+        proto.subcube_like_transform(small_tree(seed=seed, n_bits=10, depth=6, labels=(0, 1, 2, 3)), gamma)
+        for seed in range(4)
+    ]
+    monkeypatch.undo()
+    assert calls and all(call == [2, 0] for call in calls)
+    for out in outs:
+        assert proto.validate_subcube_like(out, gamma) == sum(1 for _ in out.nodes())
+
+
 # 10^400 is past the float range, and prints as a bound
 @pytest.mark.parametrize("gamma", [1.002, 1.5, Fraction(3, 2), 7, Fraction(10**400)])
 def test_transform_rejects_gamma_above_one_before_building(gamma, monkeypatch):
@@ -463,6 +494,35 @@ def test_transform_past_the_budget_builds_no_level_beyond_it(monkeypatch):
     with pytest.raises(BudgetExceeded, match=f"transformed tree exceeds {budget} nodes"):
         proto.subcube_like_transform(small_tree(seed=0, n_bits=10, depth=6), 1)
     assert len(built) <= budget + (1 << 10)
+
+
+def test_transform_stops_refining_a_level_that_must_pass_the_budget(monkeypatch):
+    # at gamma = 1 the level below the root passes 2^14 nodes through the
+    # nodes of its first key alone, so none of its other 512 keys needs
+    # refining
+    budget = 1 << 14
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", budget)
+    refine, batches = proto._refine, []
+
+    def counted(pairs, gamma):
+        batches.append(len(pairs))
+        return refine(pairs, gamma)
+
+    monkeypatch.setattr(proto, "_refine", counted)
+    stats = []
+    with pytest.raises(BudgetExceeded, match=f"transformed tree exceeds {budget} nodes"):
+        proto.subcube_like_transform(small_tree(seed=0, n_bits=10, depth=6), 1, stats)
+    assert stats == [] and sum(batches) < 16
+    # a level that fits is refined in one batch: one per level with a round
+    tree = small_tree(seed=0, n_bits=10, depth=6)
+    batches.clear()
+    monkeypatch.setattr(proto, "DEFAULT_ENUM_BUDGET", 1 << 16)
+    proto.subcube_like_transform(tree, 0.8)
+    level, rounds = [tree.root], 0
+    while level:
+        level = [child for node in level if isinstance(node, proto.Node) for _, _, child in node.parts]
+        rounds += any(isinstance(node, proto.Node) for node in level)
+    assert len(batches) == 1 + rounds
 
 
 def test_transform_needs_no_numpy_bitwise_count(monkeypatch):
