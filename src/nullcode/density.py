@@ -17,7 +17,8 @@ subcube count (Yates's algorithm over {0, 1, *}^f) gives the count of
 every pattern (I, a) on the f coordinates at once.  For an integer count,
 count > floor(|X| 2^(-gamma |I|)) iff the violation ratio
 count * 2^(gamma |I|) exceeds |X|, so a single threshold test at the
-ratio-maximal width decides density.
+ratio-maximal width decides density, and the largest count of each width
+is all it needs.
 
 The partition greedy peels the *maximally violating* pattern: the (I, a)
 maximizing the violation ratio Pr[x_I = a] * 2^(gamma |I|), ties broken by
@@ -42,7 +43,8 @@ iff that exponent is positive: for gamma > 0 when K is nonempty or some
 block has gamma |B| > 1, and for gamma = 0 never.  The winning a is x0
 on I with each taken block flipped where x0 has a 1 at its lowest
 coordinate, the lexicographically least consistent pattern.  At
-gamma >= 1 these sets take the count table like every other set.
+gamma >= 1 these sets are decided from the histogram like every other
+set (below).
 Whether X is such a set needs no sort when X is strictly ascending and
 varies on no bit outside coords: it then lists its points in binary
 order of the blocks taken by their top bits, so the blocks are
@@ -78,8 +80,26 @@ pattern of width w violates when (M 2^(f - w))^den 2^(num w) <= |X|^den
 counts of widths 1 and 2 come from the 2^f histogram as h B and
 B^T diag(h) B, with B the f pattern bits of each histogram cell; if
 neither width violates, X is dense.  The certificate only ever answers
-"dense", so the maximal pattern and its tie-break always come from the
-table.
+"dense".
+
+At gamma >= 1 the histogram alone decides.  Every pattern's ratio is at
+most M 2^(f - w) 2^(gamma w) <= M 2^(gamma f), and a full pattern holding
+M attains it; at gamma = 1 a narrower pattern can tie, and the tie-break
+prefers the full width.  So X is dense iff M^den 2^(num f) <= |X|^den, and
+otherwise the maximal pattern is the first full pattern holding M.  The
+same holds on one coordinate, where the full width is the only one.
+
+A set the certificate leaves open is decided from the largest count of
+each width, with no 3^f table.  The Yates passes of the low f - 2 digits
+leave four blocks r00, r01, r10, r11 of 3^(f-2) cells, one per setting of
+the top two bits.  Their width maxima come as the top two digits are
+summed: width 0 is the total, width 1 the largest of r00 + r01,
+r10 + r11, r00 + r10 and r01 + r11, and width 2 the largest block; the
+other digits are reduced from those three rows.  When the ratio-maximal
+width is f, the maximal pattern is the first full pattern holding the
+top count.  Only a set that violates at a narrower width has its table
+finished from the four blocks, the nine blocks in (0, 1, *)^2 order of
+the top two digits, so that the tie-break can name its pattern.
 """
 
 from __future__ import annotations
@@ -184,20 +204,21 @@ def min_entropy(X, coords) -> float:
     return math.log2(len(arr) / counts.max())
 
 
-# The largest Yates pass output, in cells, that reuses the workspace; a
-# larger one is allocated per call, so no thread keeps more than two
-# buffers of this many cells.  3^12 covers the 12-coordinate tables of the
-# partition workload.
+# The largest workspace view, in cells; a larger array is allocated per
+# call, so no thread keeps more than two buffers of this many cells.  3^12
+# covers the 12-coordinate tables of the partition workload.
 _REUSED_CELLS = 3**12
 
 
 class _Workspace(threading.local):
-    """Two byte buffers, reused by the Yates passes of every count table and
-    grown to the largest pass output of at most `_REUSED_CELLS` cells
-    counted so far in the thread.  The passes alternate between them, so a
-    count table of at most that many cells is a view of one.  A fresh
-    megabyte-sized array costs page faults on every call, which at f = 12
-    took longer than the passes themselves."""
+    """Two byte buffers, reused by every count table and grown to the
+    largest view of at most `_REUSED_CELLS` cells taken so far in the
+    thread.  The Yates passes alternate between them and leave their
+    output in buffer 0; the fused width maxima and the finished table of
+    a violating set take buffer 1, so neither overwrites the four top
+    blocks the table is finished from.  A fresh megabyte-sized array
+    costs page faults on every call, which at f = 12 took longer than the
+    passes themselves."""
 
     def __init__(self):
         self.buffers = [np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)]
@@ -267,27 +288,48 @@ def _histogram(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
     return np.bincount(_project(arr, coords), minlength=1 << len(coords))
 
 
-def _count_table(hist: np.ndarray, size: int) -> np.ndarray:
+# The low digits whose Yates passes run with the digits as the outer axis:
+# in place their blocks hold 1, 3, 9 and 27 cells, and a pass over such
+# short rows cost more than the transposes in and out.
+_OUTER_DIGITS = 4
+
+
+def _count_table(hist: np.ndarray, size: int, digits: int | None = None) -> np.ndarray:
     """`subcube_counts` from the histogram of a set of `size` elements, in
     the narrowest unsigned dtype that holds the size, which bounds every
-    count.  A table of at least one coordinate and at most `_REUSED_CELLS`
-    cells is a view of the thread's workspace, valid until the next call.
-    Callers check the cell budget."""
+    count; with `digits` given, only the passes of that many low digits
+    run, leaving 2^(f - digits) blocks of 3^digits cells.  The result is a
+    view of workspace buffer 0 up to `_REUSED_CELLS` cells, valid until
+    the next call.  Callers check the cell budget."""
     f = hist.size.bit_length() - 1
-    counts = hist.astype(np.min_scalar_type(size))
-    # Yates's algorithm: each pass turns a binary digit into a ternary one
-    # (bit 0, bit 1, then their sum for a free coordinate).  Every digit
-    # stays in place, least significant first, and each pass moves
-    # contiguous blocks of the 3^k ternary cells below it.
-    block = 1
-    for k in range(f):
+    digits = f if digits is None else digits
+    low = min(digits, _OUTER_DIGITS)
+    rest = hist.size >> low
+    dtype = np.min_scalar_type(size)
+    # digits + 2 writes (one per pass, one per transpose) alternate between
+    # the buffers and end in buffer 0
+    k = (digits + 1) % 2
+    counts = _WORKSPACE.take(k, hist.size, dtype)
+    counts.reshape(1 << low, rest)[...] = hist.reshape(rest, 1 << low).T
+    counts, k = _yates(counts, low, rest, 1 - k)
+    back = _WORKSPACE.take(k, counts.size, dtype)
+    back.reshape(rest, -1)[...] = counts.reshape(-1, rest).T
+    return _yates(back, digits - low, 3**low, 1 - k)[0]
+
+
+def _yates(counts: np.ndarray, passes: int, block: int, k: int) -> tuple[np.ndarray, int]:
+    """Yates's algorithm: each pass turns the binary digit above the
+    `block` cells into a ternary one (bit 0, bit 1, then their sum for a
+    free coordinate), so the block grows threefold; every digit stays in
+    place.  Pass outputs alternate between the workspace buffers from k;
+    returns the counts and the next buffer."""
+    for _ in range(passes):
         pair = counts.reshape(-1, 2, block)
-        out = _WORKSPACE.take(k % 2, 3 * pair.size // 2, counts.dtype).reshape(-1, 3, block)
+        out = _WORKSPACE.take(k, 3 * pair.size // 2, counts.dtype).reshape(-1, 3, block)
         out[:, :2] = pair
         np.add(pair[:, 0], pair[:, 1], out=out[:, 2])
-        counts = out.reshape(-1)
-        block *= 3
-    return counts
+        counts, k, block = out.reshape(-1), 1 - k, 3 * block
+    return counts, k
 
 
 @lru_cache(maxsize=None)
@@ -299,20 +341,63 @@ def _width_table(f: int) -> np.ndarray:
     return width
 
 
-def _width_maxima(counts: np.ndarray, f: int) -> np.ndarray:
-    """The largest count of each width |I| = 0..f: each pass reduces the
-    most significant remaining digit, and row w holds the maxima over the
-    digits reduced so far with w of them fixed."""
-    by_width = counts.reshape(1, -1)
-    for _ in range(f):
+def _width_maxima(rows: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The largest count of each width |I| = 0..f.  Row w of `rows` holds,
+    for each cell of the 3^d digits left, the largest count over the
+    digits reduced before with w of them fixed; a whole table is one row.
+    Each pass reduces the most significant digit left, into the front and
+    the back of `spare` in turn, which must hold the first two outputs."""
+    by_width = rows
+    halves = (0, (len(rows) + 1) * (rows.shape[1] // 3))
+    while by_width.shape[1] > 1:
         blocks = by_width.reshape(len(by_width), 3, -1)
-        out = np.empty((len(by_width) + 1, blocks.shape[2]), dtype=counts.dtype)
+        shape = (len(by_width) + 1, blocks.shape[2])
+        out = spare[halves[0] : halves[0] + shape[0] * shape[1]].reshape(shape)
+        halves = halves[::-1]
         # a fixed digit (0 or 1) moves row w to row w + 1, a free one keeps it
         np.maximum(blocks[:, 0], blocks[:, 1], out=out[1:])
         np.maximum(out[1:-1], blocks[1:, 2], out=out[1:-1])
         out[0] = blocks[0, 2]
         by_width = out
     return by_width[:, 0]
+
+
+def _top_blocks(hist: np.ndarray, size: int) -> tuple[list[int], np.ndarray]:
+    """The largest count of each width 0..f (f >= 2) of the histogram's
+    count table, and the four blocks r00, r01, r10, r11 it is finished
+    from, without the table: the passes of the low f - 2 digits leave the
+    blocks of the top two bits, and the top two digits are reduced as
+    they are summed.  Width 0 of them is the total, width 1 the largest
+    of r00 + r01, r10 + r11, r00 + r10 and r01 + r11, and width 2 the
+    largest block; the other digits go through `_width_maxima`, with every
+    row in workspace buffer 1."""
+    r = _count_table(hist, size, hist.size.bit_length() - 3).reshape(4, -1)
+    m = r.shape[1]
+    scratch = _WORKSPACE.take(1, 3 * m + 4 * (m // 3) + 5 * (m // 9), r.dtype)
+    rows = scratch[: 3 * m].reshape(3, m)
+    np.add(r[0], r[1], out=rows[1])
+    np.add(r[2], r[3], out=rows[2])
+    np.add(rows[1], rows[2], out=rows[0])
+    np.maximum(rows[1], rows[2], out=rows[1])
+    for a, b in ((0, 2), (1, 3)):
+        np.add(r[a], r[b], out=rows[2])
+        np.maximum(rows[1], rows[2], out=rows[1])
+    np.max(r, axis=0, out=rows[2])
+    return _width_maxima(rows, scratch[3 * m :]).tolist(), r
+
+
+def _finish_table(r: np.ndarray) -> np.ndarray:
+    """The count table from `_top_blocks`' four blocks, into workspace
+    buffer 1: the nine blocks in (0, 1, *)^2 order of the top two digits,
+    r00, r01, r00 + r01, r10, r11, r10 + r11, r00 + r10, r01 + r11 and the
+    total."""
+    m = r.shape[1]
+    table = _WORKSPACE.take(1, 9 * m, r.dtype).reshape(3, 3, m)
+    pairs = r.reshape(2, 2, m)
+    table[:2, :2] = pairs
+    np.add(pairs[:, 0], pairs[:, 1], out=table[:2, 2])
+    np.add(table[0], table[1], out=table[2])
+    return table.reshape(-1)
 
 
 def _winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
@@ -456,8 +541,9 @@ def _affine_peel(arr: np.ndarray, cmask: int, num: int, den: int) -> tuple[int, 
 
 def _table_violation(arr: np.ndarray, coords: tuple[int, ...], num: int, den: int):
     """find_violation for a set its closed form does not settle, from the
-    histogram on the normalised coords: counting certifies it dense, or
-    the count table gives the maximal pattern."""
+    histogram on the normalised coords: counting certifies most dense
+    sets; at gamma >= 1 or on one coordinate the histogram alone decides
+    the rest, and other sets are decided from the per-width maxima."""
     # every gamma with 2^gamma > |X| finds what gamma = L finds (the
     # ratio-maximal width is f and the cut is 0), so a larger gamma is
     # clamped to L before it sizes the integer powers below
@@ -468,8 +554,33 @@ def _table_violation(arr: np.ndarray, coords: tuple[int, ...], num: int, den: in
     hist = _histogram(arr, coords)
     if _dense_by_counting(hist, n, num, den):
         return None
-    counts = _count_table(hist, n)
-    top = _width_maxima(counts, f).tolist()
+    if num >= den or f == 1:
+        return _full_violation(hist, coords, n, num, den)
+    return _counted_violation(hist, coords, n, num, den)
+
+
+def _full_violation(hist: np.ndarray, coords: tuple[int, ...], n: int, num: int, den: int):
+    """find_violation when the full width is ratio-maximal: at
+    gamma = num/den >= 1 (module docstring), or on one coordinate.  The
+    largest full-pattern count M violates iff M 2^(gamma f) > |X|."""
+    if int(hist.max()) ** den << num * len(coords) <= n**den:
+        return None
+    return _full_pattern(hist, coords)
+
+
+def _full_pattern(hist: np.ndarray, coords: tuple[int, ...]):
+    """The first full pattern in pattern order that holds the largest
+    count: the maximal pattern whenever a full one is."""
+    f, p = len(coords), int(hist.argmax())
+    return coords, tuple(p >> f - 1 - j & 1 for j in range(f))
+
+
+def _counted_violation(hist: np.ndarray, coords: tuple[int, ...], n: int, num: int, den: int):
+    """find_violation from the per-width maxima of the count table of
+    f >= 2 coordinates; the table is finished only to name the maximal
+    pattern of a set that violates below the full width."""
+    f = len(coords)
+    top, blocks = _top_blocks(hist, n)
     # the ratio-maximal width: top[w] 2^(gamma w) > top[s] 2^(gamma s) for
     # w < s, with both sides raised to the power den
     power = [c**den for c in top]
@@ -481,7 +592,9 @@ def _table_violation(arr: np.ndarray, coords: tuple[int, ...], num: int, den: in
     # |X|, so some pattern violates iff a ratio-maximal one does
     if top[s] <= _cut(n, num * s, den):
         return None
-    cell = _winner(counts, f, s, top[s])
+    if s == f:
+        return _full_pattern(hist, coords)
+    cell = _winner(_finish_table(blocks), f, s, top[s])
     I, bits = [], []
     for j, c in enumerate(coords):
         digit = cell // 3 ** (f - 1 - j) % 3

@@ -249,7 +249,10 @@ def test_subcube_counts_over_budget(monkeypatch):
 
 # The largest count table the budget admits, 3^16 cells, for 2^16 distinct
 # elements (every count needs a uint32).  Element 1 moves to bit 16, so two
-# elements share pattern 0: the set is no subcube and is counted.
+# elements share pattern 0: the set is no subcube and is counted.  With
+# pattern 0 held 101 times the set is still dense, but the counting bound
+# leaves widths 1 to 13 open, so its width maxima are fused; with pattern 5
+# held 2001 times it violates and the table is finished.
 DENSITY_F16_RUN = """
 import numpy as np
 from nullcode import density
@@ -258,6 +261,11 @@ X = np.arange(1 << 16)
 X[1] = 1 << 16
 assert density._affine_blocks(X, (1 << 16) - 1) is None
 assert density.find_violation(X, 0.5, range(16)) is None
+Y = np.append(np.arange(1 << 16), np.zeros(100, dtype=np.int64))
+assert not density._dense_by_counting(density._histogram(Y, tuple(range(16))), len(Y), 1, 2)
+assert density.find_violation(Y, 0.5, range(16)) is None
+Z = np.append(np.arange(1 << 16), np.full(2000, 5, dtype=np.int64))
+assert density.find_violation(Z, 0.5, range(16)) == (tuple(range(16)), (1, 0, 1) + (0,) * 13)
 """
 
 
@@ -358,7 +366,7 @@ def test_width_maxima_blocks_match_width_order(f):
     for dtype, high in ((np.uint8, 1 << 8), (np.uint16, 1 << 16), (np.int64, 1 << 40)):
         table = rng.integers(0, high, size=3**f).astype(dtype)
         want = [int(table[widths == w].max()) for w in range(f + 1)]
-        assert density._width_maxima(table, f).tolist() == want
+        assert density._width_maxima(table[None], np.empty(2 * 3**f, dtype=dtype)).tolist() == want
 
 
 def _subcube_counts_int64(X, coords):
@@ -448,16 +456,104 @@ def _count_table_transposed(X, coords):
     return counts
 
 
+def _dtype_edge_cases(size):
+    """Sets of `size` elements on f = 1..13 of 17 bits: distinct elements,
+    a multiset, and the distinct set with its top coordinate moved to the
+    sign bit."""
+    rng = np.random.default_rng(size)
+    for f in range(1, 14):
+        X = rng.choice(1 << 17, size=size, replace=False)
+        coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
+        yield X, coords
+        yield X[rng.integers(0, size, size=size)], coords
+        top = coords[-1]
+        signed = (X & ~(1 << top)).astype(np.uint64) | ((X >> top & 1).astype(np.uint64) << np.uint64(63))
+        yield signed.view(np.int64), coords[:-1] + (63,)
+
+
 @pytest.mark.parametrize("size", [255, 256, 65535, 65536])
 def test_count_table_matches_transposed_passes(size):
-    rng = np.random.default_rng(size)
-    X = rng.choice(1 << 17, size=size, replace=False)
-    for f in range(1, 13):
-        coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
-        got = density._count_table(density._histogram(X, coords), len(X))
+    # and so do the fused width maxima and the table finished from their
+    # blocks (f = 1 has no top two digits: it is decided at full width)
+    for X, coords in _dtype_edge_cases(size):
+        hist = density._histogram(X, coords)
+        got = density._count_table(hist, size)
         want = _count_table_transposed(X, coords)
         assert got.dtype == want.dtype == np.min_scalar_type(size)
-        assert np.array_equal(got, want), f
+        assert np.array_equal(got, want), coords
+        if len(coords) > 1:
+            top, blocks = density._top_blocks(hist, size)
+            spare = np.empty(2 * want.size, dtype=want.dtype)
+            assert top == density._width_maxima(want[None], spare).tolist(), coords
+            assert np.array_equal(density._finish_table(blocks), want), coords
+
+
+def test_violating_sets_finish_the_table_they_were_decided_from(monkeypatch):
+    finish, finished = density._finish_table, []
+    monkeypatch.setattr(density, "_finish_table", lambda r: finished.append(finish(r).copy()) or finished[-1])
+    rng = np.random.default_rng(51)
+    cases = list(_wide_cases())
+    for trial in range(3):  # sparse sets on 13 coordinates, some with repeats
+        X = rng.choice(1 << 14, size=int(rng.integers(200, 3000)), replace=False)
+        if trial % 3 == 0:
+            X = np.append(X, X[: len(X) // 4])
+        cases.append((X, (0.5, 0.8, Fraction(2, 3))[trial % 3], tuple(range(1, 14))))
+    violating = 0
+    for X, gamma, coords in cases:
+        finished.clear()
+        got = find_violation(X, gamma, coords)
+        assert got == _violation_by_definition(X, gamma, coords)
+        # one table at most, and none for a dense set or a full-width winner
+        assert len(finished) <= (got is not None and len(got[0]) < len(coords))
+        if finished:
+            assert np.array_equal(finished[0], subcube_counts(X, coords))
+            violating += 1
+    assert violating >= 15
+
+
+AT_LEAST_ONE_GAMMAS = (1, Fraction(5, 4), Fraction(3, 2), 2, 3, 7)
+
+
+def _full_width_cases():
+    """Sets on 2..10 coordinates: multisets, distinct sets, sets varying
+    outside coords, sets holding every pattern on coords equally often,
+    and the full cube with and without a repeated element."""
+    rng = np.random.default_rng(52)
+    cube = np.arange(1 << 10)
+    cases = [(cube, tuple(range(10))), (np.append(cube, 5), tuple(range(10)))]
+    for trial in range(150):
+        f = int(rng.integers(2, 11))
+        nbits = f + trial % 3
+        coords = tuple(int(c) for c in rng.choice(nbits, size=f, replace=False))
+        if trial % 3 == 0:  # dense at gamma = 1
+            X = _embed(np.repeat(np.arange(1 << f), int(rng.integers(1, 4))), coords, nbits, rng)
+        else:
+            X = rng.integers(0, 1 << nbits, size=int(rng.integers(1, 3000)))
+        if trial % 3 == 1:
+            X = np.unique(X)
+        cases.append((rng.permutation(X), coords))
+    return cases
+
+
+def test_full_width_rule_matches_the_table(monkeypatch):
+    # at gamma >= 1 the histogram decides: the table path, with the rule
+    # off, gives the same answer with and without the counting certificate
+    cases = _full_width_cases()
+
+    def answers():
+        return [find_violation(X, g, coords) for X, coords in cases for g in AT_LEAST_ONE_GAMMAS]
+
+    got = answers()
+    monkeypatch.setattr(density, "_dense_by_counting", lambda *a: False)
+    assert answers() == got
+    monkeypatch.setattr(density, "_full_violation", density._counted_violation)
+    assert answers() == got
+    # dense sets, violations, and the full cube's tie at gamma = 1 won by width f
+    assert sum(w is None for w in got) >= 40 and sum(w is not None for w in got) >= 600
+    assert got[0] is None and got[len(AT_LEAST_ONE_GAMMAS)] == (tuple(range(10)), (1, 0, 1) + (0,) * 7)
+    for X, coords in cases[::10]:
+        for g in AT_LEAST_ONE_GAMMAS[::2]:
+            assert find_violation(X, g, coords) == _violation_by_definition(X, g, coords)
 
 
 def _tied_narrow_cases():
@@ -873,20 +969,26 @@ def test_counting_certificate_matches_the_count_table(monkeypatch):
 
 
 def test_dense_criterion_9_sets_build_no_count_table(monkeypatch):
-    count_table, built = density._count_table, []
+    # a whole table comes from `_count_table` over every digit or from
+    # `_finish_table`; the fused width maxima pass only the low f - 2 digits
+    count_table, finish_table = density._count_table, density._finish_table
+    built, fused = [], []
 
-    def counted(hist, size):
-        built.append(size)
-        return count_table(hist, size)
+    def counted(hist, size, digits=None):
+        (built if digits is None else fused).append(size)
+        return count_table(hist, size, digits)
 
     monkeypatch.setattr(density, "_count_table", counted)
+    monkeypatch.setattr(density, "_finish_table", lambda r: built.append(r) or finish_table(r))
     coords = tuple(range(12))
     for trial, X in enumerate(_criterion_9_sets(8)):
-        built.clear()
+        fused.clear()
         parts = density_restoring_partition(X, 0.8, coords)
         validate_partition(X, parts, 0.8, coords)
         alpha = CRITERION_9_ALPHAS[trial % 4]
-        assert (alpha, len(built) > 0) in {(0.3, True), (0.5, True), (0.7, False), (0.9, False)}
+        # the counting certificate leaves the sets at 0.3 and 0.5 open
+        assert (alpha, len(fused) > 0) in {(0.3, True), (0.5, True), (0.7, False), (0.9, False)}
+        assert not built
     # exact ties do not violate: the full cube at gamma = 1 meets the bound
     # with equality at every width; at gamma = 1/2 this set meets it at
     # width 2, and its pattern x0 = x1 = 0 holds exactly |X|/2 elements
