@@ -82,21 +82,20 @@ B^T diag(h) B, with B the f pattern bits of each histogram cell; if
 neither width violates, X is dense.  The certificate only ever answers
 "dense".
 
-At gamma >= 1 the histogram alone decides.  Every pattern's ratio is at
-most M 2^(f - w) 2^(gamma w) <= M 2^(gamma f), and a full pattern holding
-M attains it; at gamma = 1 a narrower pattern can tie, and the tie-break
-prefers the full width.  So X is dense iff M^den 2^(num f) <= |X|^den, and
-otherwise the maximal pattern is the first full pattern holding M.  The
-same holds on one coordinate, where the full width is the only one.
-
-A set the certificate leaves open is decided from the largest count of
-each width, with no 3^f table.  The Yates passes of the low f - 2 digits
-leave four blocks r00, r01, r10, r11 of 3^(f-2) cells, one per setting of
-the top two bits.  Their width maxima come as the top two digits are
-summed: width 0 is the total, width 1 the largest of r00 + r01,
-r10 + r11, r00 + r10 and r01 + r11, and width 2 the largest block; the
-other digits are reduced from those three rows.  When the ratio-maximal
-width is f, the maximal pattern is the first full pattern holding the
+A set the certificate leaves open is decided at its ratio-maximal width
+s, from the largest count of each width, with no 3^f table.  At
+gamma >= 1 every pattern's ratio is at most M 2^(f - w) 2^(gamma w) <=
+M 2^(gamma f), and a full pattern holding M attains it; at gamma = 1 a
+narrower pattern can tie, and the tie-break prefers the full width.  So
+there, as on one coordinate, s is f and its top count is M, read from
+the histogram alone.  Every other set takes its maxima from the Yates
+passes of the low f - 2 digits, which leave four blocks r00, r01, r10,
+r11 of 3^(f-2) cells, one per setting of the top two bits.  Their width
+maxima come as the top two digits are summed: width 0 is the total,
+width 1 the largest of r00 + r01, r10 + r11, r00 + r10 and r01 + r11,
+and width 2 the largest block; the other digits are reduced from those
+three rows.  X violates iff the top count of width s exceeds its cut.
+When s is f, the maximal pattern is the first full pattern holding the
 top count.  Only a set that violates at a narrower width has its table
 finished from the four blocks, the nine blocks in (0, 1, *)^2 order of
 the top two digits, so that the tie-break can name its pattern.
@@ -272,16 +271,6 @@ def _check_cells(f: int) -> None:
         raise BudgetExceeded(f"3^{f} = {3**f} subcube counts exceed budget {DEFAULT_CELL_BUDGET}")
 
 
-def subcube_counts(X, coords) -> np.ndarray:
-    """Count of every pattern (I, a) with I subseteq coords, as one array of
-    length 3^f (f = len(coords)).  Index t has one ternary digit per sorted
-    coordinate, the first coordinate most significant; digit 0 or 1 fixes
-    the coordinate to that bit and digit 2 leaves it free."""
-    arr, (coords, _) = _as_array(X), _coords(coords)
-    _check_cells(len(coords))
-    return _count_table(_histogram(arr, coords), len(arr)).astype(np.int64)
-
-
 def _histogram(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
     """The count of each of the 2^f full patterns on coords, in `_project`'s
     pattern order."""
@@ -294,15 +283,15 @@ def _histogram(arr: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
 _OUTER_DIGITS = 4
 
 
-def _count_table(hist: np.ndarray, size: int, digits: int | None = None) -> np.ndarray:
-    """`subcube_counts` from the histogram of a set of `size` elements, in
+def _count_table(hist: np.ndarray, size: int, digits: int) -> np.ndarray:
+    """The Yates passes of the `digits` low digits of the histogram of a
+    set of `size` elements: 2^(f - digits) blocks of 3^digits cells, in
     the narrowest unsigned dtype that holds the size, which bounds every
-    count; with `digits` given, only the passes of that many low digits
-    run, leaving 2^(f - digits) blocks of 3^digits cells.  The result is a
-    view of workspace buffer 0 up to `_REUSED_CELLS` cells, valid until
-    the next call.  Callers check the cell budget."""
-    f = hist.size.bit_length() - 1
-    digits = f if digits is None else digits
+    count.  All f digits give the whole table: the count of each pattern
+    (I, a), one ternary digit per sorted coordinate, the first most
+    significant, 0 or 1 fixing that bit and 2 leaving it free.  The
+    result is a view of workspace buffer 0 up to `_REUSED_CELLS` cells,
+    valid until the next call.  Callers check the cell budget."""
     low = min(digits, _OUTER_DIGITS)
     rest = hist.size >> low
     dtype = np.min_scalar_type(size)
@@ -412,7 +401,7 @@ def _winner(counts: np.ndarray, f: int, s: int, count: int) -> int:
     tied = cells[_width_table(f - low)[hi] + _width_table(low)[lo] == s]
     fixed = tied[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3 != 2
     mask = fixed @ (1 << np.arange(f - 1, -1, -1))
-    return int(tied[np.lexsort((tied, -mask))[0]])
+    return int(tied[np.argmax(mask)])
 
 
 def _matches(arr: np.ndarray, coords, bits) -> np.ndarray:
@@ -542,8 +531,8 @@ def _affine_peel(arr: np.ndarray, cmask: int, num: int, den: int) -> tuple[int, 
 def _table_violation(arr: np.ndarray, coords: tuple[int, ...], num: int, den: int):
     """find_violation for a set its closed form does not settle, from the
     histogram on the normalised coords: counting certifies most dense
-    sets; at gamma >= 1 or on one coordinate the histogram alone decides
-    the rest, and other sets are decided from the per-width maxima."""
+    sets, and the rest are decided by the top count of the ratio-maximal
+    width (module docstring)."""
     # every gamma with 2^gamma > |X| finds what gamma = L finds (the
     # ratio-maximal width is f and the cut is 0), so a larger gamma is
     # clamped to L before it sizes the integer powers below
@@ -554,54 +543,29 @@ def _table_violation(arr: np.ndarray, coords: tuple[int, ...], num: int, den: in
     hist = _histogram(arr, coords)
     if _dense_by_counting(hist, n, num, den):
         return None
-    if num >= den or f == 1:
-        return _full_violation(hist, coords, n, num, den)
-    return _counted_violation(hist, coords, n, num, den)
-
-
-def _full_violation(hist: np.ndarray, coords: tuple[int, ...], n: int, num: int, den: int):
-    """find_violation when the full width is ratio-maximal: at
-    gamma = num/den >= 1 (module docstring), or on one coordinate.  The
-    largest full-pattern count M violates iff M 2^(gamma f) > |X|."""
-    if int(hist.max()) ** den << num * len(coords) <= n**den:
-        return None
-    return _full_pattern(hist, coords)
-
-
-def _full_pattern(hist: np.ndarray, coords: tuple[int, ...]):
-    """The first full pattern in pattern order that holds the largest
-    count: the maximal pattern whenever a full one is."""
-    f, p = len(coords), int(hist.argmax())
-    return coords, tuple(p >> f - 1 - j & 1 for j in range(f))
-
-
-def _counted_violation(hist: np.ndarray, coords: tuple[int, ...], n: int, num: int, den: int):
-    """find_violation from the per-width maxima of the count table of
-    f >= 2 coordinates; the table is finished only to name the maximal
-    pattern of a set that violates below the full width."""
-    f = len(coords)
-    top, blocks = _top_blocks(hist, n)
-    # the ratio-maximal width: top[w] 2^(gamma w) > top[s] 2^(gamma s) for
-    # w < s, with both sides raised to the power den
-    power = [c**den for c in top]
     s = f
-    for w in range(f - 1, 0, -1):
-        if power[w] > power[s] << num * (s - w):
-            s = w
+    if num >= den or f == 1:
+        count = int(hist.max())
+    else:
+        top, blocks = _top_blocks(hist, n)
+        # the ratio-maximal width: top[w] 2^(gamma w) > top[s] 2^(gamma s)
+        # for w < s, with both sides raised to the power den
+        power = [c**den for c in top]
+        for w in range(f - 1, 0, -1):
+            if power[w] > power[s] << num * (s - w):
+                s = w
+        count = top[s]
     # an integer count exceeds floor(|X| 2^(-gamma s)) iff its ratio exceeds
     # |X|, so some pattern violates iff a ratio-maximal one does
-    if top[s] <= _cut(n, num * s, den):
+    if count <= _cut(n, num * s, den):
         return None
-    if s == f:
-        return _full_pattern(hist, coords)
-    cell = _winner(_finish_table(blocks), f, s, top[s])
-    I, bits = [], []
-    for j, c in enumerate(coords):
-        digit = cell // 3 ** (f - 1 - j) % 3
-        if digit != 2:
-            I.append(c)
-            bits.append(digit)
-    return tuple(I), tuple(bits)
+    if s == f:  # the first full pattern holding the top count
+        p = int(hist.argmax())
+        digits = [p >> f - 1 - j & 1 for j in range(f)]
+    else:
+        cell = _winner(_finish_table(blocks), f, s, count)
+        digits = [cell // 3 ** (f - 1 - j) % 3 for j in range(f)]
+    return tuple(c for c, d in zip(coords, digits) if d != 2), tuple(d for d in digits if d != 2)
 
 
 @dataclass(frozen=True)

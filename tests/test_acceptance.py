@@ -519,6 +519,24 @@ def test_criterion_14_total_problem(monkeypatch):
     rate = empty / samples
     se = math.sqrt(exact * (1 - exact) / samples)
     assert abs(rate - exact) <= 3 * se + 1e-9
+    # every one of the 2^8 oracles under the zero key, weighed by its
+    # probability (2^b - 1)^zeros / 2^(8b), has exactly the closed form's
+    # empty mass
+    cells = rep.n * rep.sigma_size
+    bits = np.arange(1 << cells)[:, None] >> np.arange(cells) & 1
+    oracles = []
+    for table in bits.astype(np.uint8).reshape(-1, rep.n, rep.sigma_size):
+        inst = instances.OracleInstance(spec=rep, p=Fraction(1, 2), seed=0, tables=table)
+        g = tbnc.xored_bias_tables(inst, rep_fam, zero)
+        oracles.append((cells - int(table.sum()), tbnc.solution_set_empty(rep, g)))
+    masses = {}
+    for bias in (1, 2, 3):
+        weights = (Fraction((2**bias - 1) ** zeros, 2 ** (cells * bias)) for zeros, empty in oracles if empty)
+        masses[bias] = sum(weights, Fraction(0))
+        assert masses[bias] == tbnc.exact_emptiness_probability(rep, rep_fam, zero, bias)
+    assert len(oracles) == 256
+    assert masses == {1: Fraction(81, 256), 2: Fraction(2401, 65536), 3: Fraction(50625, 16777216)}
+    enumerated = ", ".join(map(str, masses.values()))
 
     assert tbnc.union_bound_calculator(100, 10, 0.5) == 2.0**10 * 0.5**100
     assert tbnc.union_bound_calculator(0, 12, 0.3) == 2.0**12
@@ -529,6 +547,7 @@ def test_criterion_14_total_problem(monkeypatch):
         14,
         "total problem",
         f"forced-zero-key run exact; zero-key emptiness {rate:.3f} vs closed "
-        f"form {float(exact):.3f} over {samples} samples; union bound exact, "
-        f"{elapsed:.2f}s",
+        f"form {float(exact):.3f} over {samples} samples; all 256 zero-key "
+        f"oracles' empty mass = closed form at b = 1, 2, 3 ({enumerated}); "
+        f"union bound exact, {elapsed:.2f}s",
     )

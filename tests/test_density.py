@@ -16,7 +16,6 @@ from nullcode.density import (
     find_violation,
     is_dense,
     min_entropy,
-    subcube_counts,
     validate_partition,
 )
 from nullcode.errors import BudgetExceeded, EmptySet
@@ -220,7 +219,7 @@ def test_subcube_counts_match_direct_counts():
     rng = np.random.default_rng(2)
     X = rng.choice(1 << 6, size=23, replace=False).astype(np.int64)
     coords = (1, 3, 4, 5)
-    counts = subcube_counts(X, coords)
+    counts = density._count_table(density._histogram(X, coords), len(X), len(coords))
     assert len(counts) == 3 ** len(coords)
     for t, got in enumerate(counts):
         # ternary digits of t, first coordinate most significant; 2 is free
@@ -242,8 +241,6 @@ def test_subcube_counts_over_budget(monkeypatch):
     coords = tuple(range(17))
     message = "3\\^17 = 129140163 subcube counts exceed budget 67108864"
     with pytest.raises(BudgetExceeded, match=message):
-        subcube_counts(np.arange(16), coords)
-    with pytest.raises(BudgetExceeded):
         is_dense(np.arange(16), 0.5, coords)
 
 
@@ -252,7 +249,9 @@ def test_subcube_counts_over_budget(monkeypatch):
 # elements share pattern 0: the set is no subcube and is counted.  With
 # pattern 0 held 101 times the set is still dense, but the counting bound
 # leaves widths 1 to 13 open, so its width maxima are fused; with pattern 5
-# held 2001 times it violates and the table is finished.
+# held 2001 times it violates at the full width.  With every even element
+# held twice more, x_0 = 0 holds 3/4 of the set and wins at width 1, so
+# the table is finished to name it.
 DENSITY_F16_RUN = """
 import numpy as np
 from nullcode import density
@@ -266,6 +265,8 @@ assert not density._dense_by_counting(density._histogram(Y, tuple(range(16))), l
 assert density.find_violation(Y, 0.5, range(16)) is None
 Z = np.append(np.arange(1 << 16), np.full(2000, 5, dtype=np.int64))
 assert density.find_violation(Z, 0.5, range(16)) == (tuple(range(16)), (1, 0, 1) + (0,) * 13)
+W = np.concatenate([np.arange(1 << 16), np.arange(0, 1 << 16, 2), np.arange(0, 1 << 16, 2)])
+assert density.find_violation(W, 0.5, range(16)) == ((0,), (0,))
 """
 
 
@@ -350,7 +351,7 @@ def test_find_violation_matches_definition_on_wide_sets():
             continue
         I, bits = want
         top = int(np.all([((X >> c) & 1) == b for c, b in zip(I, bits)], axis=0).sum())
-        widths = _cell_widths(np.flatnonzero(subcube_counts(X, coords) == top), len(coords))
+        widths = _cell_widths(np.flatnonzero(_subcube_counts_int64(X, coords) == top), len(coords))
         tied += int((widths == len(I)).sum() > 1)
         narrower += int((widths < len(I)).any())
         wide += len(coords) >= 10
@@ -385,12 +386,10 @@ def test_subcube_counts_at_dtype_edges(size, f):
     rng = np.random.default_rng([size, f])
     X = rng.choice(1 << 17, size=size, replace=False)
     coords = tuple(sorted(int(c) for c in rng.choice(17, size=f, replace=False)))
-    table = density._count_table(density._histogram(X, coords), len(X))
+    table = density._count_table(density._histogram(X, coords), len(X), f)
     assert table.dtype == np.min_scalar_type(size)
-    counts = subcube_counts(X, coords)
-    assert counts.dtype == np.int64
-    assert counts[-1] == size  # every coordinate free
-    assert np.array_equal(counts, _subcube_counts_int64(X, coords))
+    assert table[-1] == size  # every coordinate free
+    assert np.array_equal(table, _subcube_counts_int64(X, coords))
 
 
 def test_workspace_keeps_no_pass_above_the_reuse_limit(monkeypatch):
@@ -401,7 +400,7 @@ def test_workspace_keeps_no_pass_above_the_reuse_limit(monkeypatch):
     kept = []
 
     def count():  # a new thread starts with an empty workspace
-        counts = subcube_counts(X, coords)
+        counts = density._count_table(density._histogram(X, coords), len(X), len(coords)).copy()
         kept.append((counts, [b.nbytes for b in density._WORKSPACE.buffers]))
 
     worker = threading.Thread(target=count)
@@ -477,7 +476,7 @@ def test_count_table_matches_transposed_passes(size):
     # blocks (f = 1 has no top two digits: it is decided at full width)
     for X, coords in _dtype_edge_cases(size):
         hist = density._histogram(X, coords)
-        got = density._count_table(hist, size)
+        got = density._count_table(hist, size, len(coords))
         want = _count_table_transposed(X, coords)
         assert got.dtype == want.dtype == np.min_scalar_type(size)
         assert np.array_equal(got, want), coords
@@ -506,7 +505,7 @@ def test_violating_sets_finish_the_table_they_were_decided_from(monkeypatch):
         # one table at most, and none for a dense set or a full-width winner
         assert len(finished) <= (got is not None and len(got[0]) < len(coords))
         if finished:
-            assert np.array_equal(finished[0], subcube_counts(X, coords))
+            assert np.array_equal(finished[0], _subcube_counts_int64(X, coords))
             violating += 1
     assert violating >= 15
 
@@ -536,8 +535,8 @@ def _full_width_cases():
 
 
 def test_full_width_rule_matches_the_table(monkeypatch):
-    # at gamma >= 1 the histogram decides: the table path, with the rule
-    # off, gives the same answer with and without the counting certificate
+    # at gamma >= 1 the histogram decides, at the full width: the same
+    # answer with and without the counting certificate, and by definition
     cases = _full_width_cases()
 
     def answers():
@@ -546,14 +545,11 @@ def test_full_width_rule_matches_the_table(monkeypatch):
     got = answers()
     monkeypatch.setattr(density, "_dense_by_counting", lambda *a: False)
     assert answers() == got
-    monkeypatch.setattr(density, "_full_violation", density._counted_violation)
-    assert answers() == got
+    want = [_violation_by_definition(X, g, coords) for X, coords in cases for g in AT_LEAST_ONE_GAMMAS]
+    assert len(got) == 912 and got == want
     # dense sets, violations, and the full cube's tie at gamma = 1 won by width f
     assert sum(w is None for w in got) >= 40 and sum(w is not None for w in got) >= 600
     assert got[0] is None and got[len(AT_LEAST_ONE_GAMMAS)] == (tuple(range(10)), (1, 0, 1) + (0,) * 7)
-    for X, coords in cases[::10]:
-        for g in AT_LEAST_ONE_GAMMAS[::2]:
-            assert find_violation(X, g, coords) == _violation_by_definition(X, g, coords)
 
 
 def _tied_narrow_cases():
@@ -590,7 +586,7 @@ def test_find_violation_matches_definition_on_narrow_ties():
             continue
         I, bits = want
         top = int(np.all([((X >> c) & 1) == b for c, b in zip(I, bits)], axis=0).sum())
-        widths = _cell_widths(np.flatnonzero(subcube_counts(X, coords) == top), len(coords))
+        widths = _cell_widths(np.flatnonzero(_subcube_counts_int64(X, coords) == top), len(coords))
         tied += int((widths == len(I)).sum() > 1)
     assert tied >= 10  # the cases reach the tie-break
 
@@ -668,14 +664,12 @@ def test_peel_matches_coordinate_peel(coords):
     "call",
     [
         lambda coords: find_violation(np.arange(8), 0.5, coords),
-        lambda coords: subcube_counts(np.arange(8), coords),
         lambda coords: density_restoring_partition(np.arange(8), 0.5, coords),
         lambda coords: min_entropy(np.arange(8), coords),
         lambda coords: validate_partition(np.arange(8), [], 0.5, coords),
     ],
     ids=[
         "find_violation",
-        "subcube_counts",
         "density_restoring_partition",
         "min_entropy",
         "validate_partition",
@@ -969,13 +963,13 @@ def test_counting_certificate_matches_the_count_table(monkeypatch):
 
 
 def test_dense_criterion_9_sets_build_no_count_table(monkeypatch):
-    # a whole table comes from `_count_table` over every digit or from
-    # `_finish_table`; the fused width maxima pass only the low f - 2 digits
+    # a whole table comes only from `_finish_table`; the fused width maxima
+    # pass the low f - 2 digits through `_count_table`
     count_table, finish_table = density._count_table, density._finish_table
     built, fused = [], []
 
-    def counted(hist, size, digits=None):
-        (built if digits is None else fused).append(size)
+    def counted(hist, size, digits):
+        fused.append(digits)
         return count_table(hist, size, digits)
 
     monkeypatch.setattr(density, "_count_table", counted)

@@ -1,6 +1,6 @@
 """The library's surface is what the program runs.
 
-Nine static checks over src/nullcode/*.py, by `ast`, and one over the
+Ten static checks over src/nullcode/*.py, by `ast`, and one over the
 names the docs give:
 
 - every public module-level function is referenced from src/ or
@@ -8,6 +8,9 @@ names the docs give:
   kept;
 - every public method or property of a public class is referenced by
   attribute name from src/ or perfbench/;
+- every private module-level function, class or constant (dunders
+  aside) is referenced from src/ (tests and perfbench/ do not count),
+  so no helper outlives its last caller;
 - every parameter with a default, on a public function or on a public
   method of a public class, is set by some call in src/ or perfbench/:
   by keyword, by position, or through `*`/`**` (functions in ALLOWED
@@ -49,8 +52,6 @@ ALLOWED = {
     "qsim.product_rule_check": "acceptance criterion 8 checks the Fourier product rule",
     "tbnc.exact_emptiness_probability": "acceptance criterion 14 checks the closed form",
     "tbnc.union_bound_calculator": "acceptance criterion 14 checks the key union bound",
-    "density.subcube_counts": "the int64 copy is the safe public form of the "
-    "workspace-backed _count_table, which later calls overwrite",
 }
 
 
@@ -72,9 +73,9 @@ def _module_aliases(tree: ast.Module) -> dict:
 
 
 def _references(path: Path, tree: ast.Module) -> set:
-    """"module.function" names that the file at path refers to: calls
-    through a module alias, from-imports, and bare names inside the
-    function's own module."""
+    """"module.name" names that the file at path refers to: attributes
+    through a module alias, from-imports, and bare names read inside the
+    name's own module."""
     own = path.stem if path.parent == SRC else None
     aliases = _module_aliases(tree)
     refs = set()
@@ -85,7 +86,7 @@ def _references(path: Path, tree: ast.Module) -> set:
         elif isinstance(node, ast.ImportFrom) and node.module:
             module = node.module.split(".")[-1]
             refs.update(f"{module}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Name) and own is not None:
+        elif isinstance(node, ast.Name) and own is not None and not isinstance(node.ctx, ast.Store):
             refs.add(f"{own}.{node.id}")
     return refs
 
@@ -132,6 +133,32 @@ def test_every_public_method_has_a_caller_in_the_program():
         and node.name not in attributes
     ]
     assert sorted(unreferenced) == []
+
+
+def _private_names(path: Path, tree: ast.Module) -> set:
+    """"module.name" for each private function, class or assigned constant
+    at the module level of the file at path, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stores = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            names += [n.id for n in stores if isinstance(n.ctx, ast.Store)]
+    return {
+        f"{path.stem}.{name}"
+        for name in names
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def test_every_private_name_is_used_in_src():
+    trees = _parsed(sorted(SRC.glob("*.py")))
+    private = set().union(*(_private_names(path, tree) for path, tree in trees.items()))
+    used = set().union(*(_references(path, tree) for path, tree in trees.items()))
+    assert len(private) >= 100  # the walk finds them
+    assert sorted(private - used) == []
 
 
 def _defaulted_parameters(trees):
